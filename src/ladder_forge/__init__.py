@@ -3,8 +3,9 @@
 The package has three layers:
 
 * ``opalgebra`` and ``opdsl``: an exact noncommutative operator algebra over
-  Gaussian rationals extended by a formal scale s, with a small expression
-  language for building and printing operators.
+  Gaussian rationals extended by a formal scale s, each operator one flat map
+  from atoms (monomial, s power, u parity) to coefficients, with a small
+  expression language for building and printing operators.
 * ``factorizations`` and ``generators``: ladder-operator families for three
   solvable radial problems, the maps between them, and the su(1,1) and
   Heisenberg-Weyl generators they assemble into, all checked symbolically.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -58,14 +59,36 @@ def _expr_row(name: str, rendered: str) -> dict:
             "residual": None, "pass": True}
 
 
+def _tolerance(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {raw!r}")
+    return value
+
+
+def _at_least(minimum: int):
+    def count(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {raw!r}")
+        return value
+    return count
+
+
 def _env_tol(default: float) -> float:
     raw = os.environ.get(TOL_ENV)
     if raw is None:
         return default
     try:
-        return float(raw)
-    except ValueError:
-        raise SystemExit(f"invalid {TOL_ENV}={raw!r}")
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{TOL_ENV}: {exc}") from None
 
 
 def _emit(report: dict, args) -> None:
@@ -286,10 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coulomb-verify", help="ladder actions on bound states")
     p.add_argument("--Z", default="1", help="rational charge")
-    p.add_argument("--t-max", type=int, default=6, dest="t_max")
-    p.add_argument("--mu-max", type=int, default=5, dest="mu_max")
-    p.add_argument("--nu-max", type=int, default=7, dest="nu_max")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--t-max", type=_at_least(1), default=6, dest="t_max")
+    p.add_argument("--mu-max", type=_at_least(0), default=5, dest="mu_max")
+    p.add_argument("--nu-max", type=_at_least(0), default=7, dest="nu_max")
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.set_defaults(func=_cmd_coulomb_verify)
 
     p = sub.add_parser("coulomb-residual", help="radial equation residual")
@@ -298,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--shift", type=float, default=0.1,
                    help="eigenvalue detuning for the negative control")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--dump", metavar="PATH", help="write rho,psi samples as CSV")
     p.set_defaults(func=_cmd_coulomb_residual)
     return parser

@@ -124,47 +124,61 @@ class Curve:
         return total
 
 
-def rkl(params: FamilyParams, m: Rational) -> tuple[Curve, Curve, Fraction]:
-    """Defining triple (r-curve, k-curve, L-value) of a family at label m."""
-    m = _frac(m, "m")
+def _r_curve(params: FamilyParams, m: Fraction) -> Curve:
+    # kept apart from rkl: the second factorization identity needs r at
+    # m - 1, which is 0 for type F at m = 1, where k and L are undefined
     if isinstance(params, TypeF):
-        if m == 0:
-            raise ValueError("type F requires m != 0")
-        q = params.q
-        r_curve = Curve((CurveTerm(-2 * q, -1), CurveTerm(-m * (m + 1), -2)))
-        k_curve = Curve((CurveTerm(m, -1), CurveTerm(q / m)))
-        return r_curve, k_curve, -(q * q) / (m * m)
+        return Curve((CurveTerm(-2 * params.q, -1), CurveTerm(-m * (m + 1), -2)))
     if isinstance(params, TypeC):
         b, c = params.b, params.c
-        r_curve = Curve(
+        return Curve(
             (
                 CurveTerm(-(m + c) * (m + c + 1), -2),
                 CurveTerm(-b * b / 4, 2),
                 CurveTerm(b * (m - c)),
             )
         )
-        k_curve = Curve((CurveTerm(m + c, -1), CurveTerm(b / 2, 1)))
-        return r_curve, k_curve, -2 * b * m + b / 2
     if isinstance(params, TypeB):
         a, c, d = params.a, params.c, params.d
-        r_curve = Curve(
+        return Curve(
             (
                 CurveTerm(-d * d, 0, 2 * a),
                 CurveTerm(2 * a * d * (m + c + Fraction(1, 2)), 0, a),
             )
         )
-        k_curve = Curve((CurveTerm(d, 0, a), CurveTerm(-(m + c) * a)))
-        return r_curve, k_curve, -a * a * (m + c) * (m + c)
     raise TypeError(f"unknown family parameters {params!r}")
 
 
-def _k_operator(params: FamilyParams, m: Fraction) -> OperatorExpr:
+def rkl(params: FamilyParams, m: Rational) -> tuple[Curve, Curve, Fraction]:
+    """Defining triple (r-curve, k-curve, L-value) of a family at label m."""
+    m = _frac(m, "m")
+    if isinstance(params, TypeF) and m == 0:
+        raise ValueError("type F requires m != 0")
+    r_curve = _r_curve(params, m)
     if isinstance(params, TypeF):
-        return m * opalgebra.r_half_power(-2) + opalgebra.scalar(params.q / m)
+        q = params.q
+        k_curve = Curve((CurveTerm(m, -1), CurveTerm(q / m)))
+        return r_curve, k_curve, -(q * q) / (m * m)
     if isinstance(params, TypeC):
-        return (m + params.c) * opalgebra.r_half_power(-2) + (params.b / 2) * opalgebra.r_half_power(2)
-    # type B in the exponential representation r = exp(a x)
-    return params.d * opalgebra.r_half_power(2) - opalgebra.scalar((m + params.c) * params.a)
+        b, c = params.b, params.c
+        k_curve = Curve((CurveTerm(m + c, -1), CurveTerm(b / 2, 1)))
+        return r_curve, k_curve, -2 * b * m + b / 2
+    a, c, d = params.a, params.c, params.d
+    k_curve = Curve((CurveTerm(d, 0, a), CurveTerm(-(m + c) * a)))
+    return r_curve, k_curve, -a * a * (m + c) * (m + c)
+
+
+def _curve_operator(params: FamilyParams, curve: Curve) -> OperatorExpr:
+    """The curve as a multiplication operator, each term c*r**(p + rate/a).
+
+    Types F and C take r = x and have no exponential terms; type B takes
+    r = exp(a*x) and has no powers of x.
+    """
+    a = params.a if isinstance(params, TypeB) else 1
+    total = opalgebra.zero()
+    for term in curve.terms:
+        total = total + term.coeff * opalgebra.r_power(term.power + term.rate / a)
+    return total
 
 
 def _d_operator(params: FamilyParams) -> OperatorExpr:
@@ -180,10 +194,7 @@ def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExp
     type B is returned in the exponential representation r = exp(a x), where
     D = a * r * d/dr.
     """
-    m = _frac(m, "m")
-    if isinstance(params, TypeF) and m == 0:
-        raise ValueError("type F requires m != 0")
-    k_op = _k_operator(params, m)
+    k_op = _curve_operator(params, rkl(params, m)[1])
     d_op = _d_operator(params)
     return d_op + k_op, -d_op + k_op
 
@@ -192,24 +203,7 @@ def equation_operator(params: FamilyParams, m: Rational) -> OperatorExpr:
     """-D**2 - r(x, m) in the same representation that ladder() uses."""
     m = _frac(m, "m")
     d_op = _d_operator(params)
-    minus_d2 = -(d_op * d_op)
-    if isinstance(params, TypeF):
-        q = params.q
-        return minus_d2 + 2 * q * opalgebra.r_half_power(-2) + m * (m + 1) * opalgebra.r_half_power(-4)
-    if isinstance(params, TypeC):
-        b, c = params.b, params.c
-        return (
-            minus_d2
-            + (m + c) * (m + c + 1) * opalgebra.r_half_power(-4)
-            + (b * b / 4) * opalgebra.r_half_power(4)
-            - opalgebra.scalar(b * (m - c))
-        )
-    a, c, d = params.a, params.c, params.d
-    return (
-        minus_d2
-        + d * d * opalgebra.r_half_power(4)
-        - 2 * a * d * (m + c + Fraction(1, 2)) * opalgebra.r_half_power(2)
-    )
+    return -(d_op * d_op) - _curve_operator(params, _r_curve(params, m))
 
 
 def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:

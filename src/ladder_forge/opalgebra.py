@@ -16,8 +16,10 @@ exact rational arithmetic.
 
 Every value is immutable and held in normal order: within each additive term
 the function factors (powers of ``r``, phase factors) stand to the left of all
-derivatives, and terms with identical exponent patterns are merged.  Products
-are rewritten into this form with the exact rules
+derivatives.  A value is one flat map from atoms ``(mono, s_power, u_parity)``
+to nonzero Gaussian rationals, where ``mono`` is the exponent pattern of a
+normal-ordered monomial, so equal atoms are always merged.  Products are
+rewritten into this form with the exact rules
 
     d/dr * r**(p/2)   = r**(p/2) * d/dr + (p/2) * r**((p-2)/2)
     d/dv * exp(i*k*v) = exp(i*k*v) * (d/dv + i*k)     for v in {eta, alpha, beta}
@@ -89,7 +91,6 @@ class GaussRational:
         return GaussRational(self.re / norm, -self.im / norm)
 
 
-_GR_ZERO = GaussRational(Fraction(0), Fraction(0))
 _GR_ONE = GaussRational(Fraction(1), Fraction(0))
 _GR_I = GaussRational(Fraction(0), Fraction(1))
 
@@ -104,133 +105,6 @@ _I_CYCLE = (
 
 def _ipow(p: int) -> GaussRational:
     return _I_CYCLE[p % 4]
-
-
-CoeffKey = tuple  # (s_power, u_parity)
-
-
-class Coefficient:
-    """Element of the coefficient ring Q(i)[s, 1/s] + u * Q(i)[s, 1/s].
-
-    Stored as a map from ``(s_power, u_parity)`` to a Gaussian rational, with
-    ``u_parity`` in {0, 1}; products reduce ``u**2`` to ``1/(2*s)`` on the fly.
-    """
-
-    __slots__ = ("_terms", "_key")
-
-    def __init__(self, terms: Mapping[CoeffKey, GaussRational] | None = None):
-        clean: dict[CoeffKey, GaussRational] = {}
-        if terms:
-            for (sp, up), g in terms.items():
-                if up not in (0, 1):
-                    raise ValueError("u parity must be 0 or 1")
-                if g:
-                    clean[(sp, up)] = g
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_key", None)
-
-    def __setattr__(self, name, value):  # immutable by construction
-        raise AttributeError("Coefficient is immutable")
-
-    @staticmethod
-    def of(value: "Coefficient | GaussRational | Rational") -> "Coefficient":
-        if isinstance(value, Coefficient):
-            return value
-        g = GaussRational.of(value)
-        return Coefficient({(0, 0): g}) if g else Coefficient()
-
-    @staticmethod
-    def s_power(power: int = 1) -> "Coefficient":
-        return Coefficient({(power, 0): _GR_ONE})
-
-    @staticmethod
-    def u_unit() -> "Coefficient":
-        return Coefficient({(0, 1): _GR_ONE})
-
-    @staticmethod
-    def imag_unit() -> "Coefficient":
-        return Coefficient({(0, 0): _GR_I})
-
-    def items(self) -> tuple[tuple[CoeffKey, GaussRational], ...]:
-        return tuple(sorted(self._terms.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        acc = dict(self._terms)
-        for key, g in other._terms.items():
-            cur = acc.get(key)
-            total = g if cur is None else cur + g
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return Coefficient(acc)
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient({k: -g for k, g in self._terms.items()})
-
-    def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return self + (-other)
-
-    def __mul__(self, other: "Coefficient") -> "Coefficient":
-        acc: dict[CoeffKey, GaussRational] = {}
-        for (s1, u1), g1 in self._terms.items():
-            for (s2, u2), g2 in other._terms.items():
-                sp, up = s1 + s2, u1 + u2
-                g = g1 * g2
-                if up == 2:
-                    # u**2 = 1/(2*s)
-                    up = 0
-                    sp -= 1
-                    g = g.times(Fraction(1, 2))
-                cur = acc.get((sp, up))
-                total = g if cur is None else cur + g
-                if total:
-                    acc[(sp, up)] = total
-                else:
-                    acc.pop((sp, up), None)
-        return Coefficient(acc)
-
-    def scale(self, factor: GaussRational) -> "Coefficient":
-        if not factor:
-            return Coefficient()
-        return Coefficient({k: g * factor for k, g in self._terms.items()})
-
-    def substitute_s(self, value: Fraction) -> GaussRational:
-        """Evaluate at ``s = value`` (u-free coefficients only)."""
-        total = _GR_ZERO
-        for (sp, up), g in self._terms.items():
-            if up:
-                raise ValueError(
-                    "coefficient contains the formal unit u; its value "
-                    "(2*s)**(-1/2) is irrational for generic s"
-                )
-            total = total + g.times(value**sp)
-        return total
-
-    def _canonical(self):
-        key = self._key
-        if key is None:
-            key = tuple(sorted((k, (g.re, g.im)) for k, g in self._terms.items()))
-            object.__setattr__(self, "_key", key)
-        return key
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coefficient):
-            return NotImplemented
-        return self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        return hash(self._canonical())
-
-    def __repr__(self) -> str:
-        return f"Coefficient({dict(self.items())!r})"
 
 
 class Mono(NamedTuple):
@@ -307,42 +181,60 @@ def _mono_cross(m1: Mono, m2: Mono) -> tuple[tuple[Mono, GaussRational], ...]:
     return tuple(out)
 
 
-ScalarLike = Union[int, Fraction, GaussRational, Coefficient]
+Atom = tuple  # (Mono, s_power, u_parity)
 
 
-def _as_coefficient(value) -> Coefficient | None:
-    if isinstance(value, (int, Fraction, GaussRational, Coefficient)):
-        return Coefficient.of(value)
-    return None
+def _add_into(acc: dict, key: Atom, g: GaussRational) -> None:
+    # acc[key] += g, dropping the atom when it cancels
+    cur = acc.get(key)
+    total = g if cur is None else cur + g
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 class OperatorExpr:
-    """Immutable normal-ordered sum of monomials with Coefficient weights."""
+    """Immutable normal-ordered sum of atoms ``g * s**s_power * u**u_parity * mono``.
+
+    Stored as one map from ``(mono, s_power, u_parity)`` to a nonzero
+    Gaussian rational ``g``, with ``u_parity`` in {0, 1}.
+    """
 
     __slots__ = ("_terms", "_key")
 
-    def __init__(self, terms: Mapping[Mono, Coefficient] | None = None):
-        clean: dict[Mono, Coefficient] = {}
+    def __init__(self, terms: Mapping[Atom, GaussRational] | None = None):
+        clean: dict[Atom, GaussRational] = {}
         if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
+            for key, g in terms.items():
+                if key[2] not in (0, 1):
+                    raise ValueError("u parity must be 0 or 1")
+                if g:
+                    clean[key] = g
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_key", None)
+
+    @classmethod
+    def _wrap(cls, clean: dict[Atom, GaussRational]) -> "OperatorExpr":
+        # adopt a map already free of zero values, skipping the checks
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", clean)
+        object.__setattr__(out, "_key", None)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorExpr is immutable")
 
     # -- inspection ------------------------------------------------------
 
-    def terms(self) -> tuple[tuple[Mono, Coefficient], ...]:
+    def terms(self) -> tuple[tuple[Atom, GaussRational], ...]:
+        """The ((mono, s_power, u_parity), gauss) pairs, sorted by atom."""
         return tuple(sorted(self._terms.items()))
 
     def flatten(self) -> Iterator[tuple[Mono, int, int, GaussRational]]:
         """Yield (mono, s_power, u_parity, gauss) over all stored atoms."""
-        for mono, coeff in sorted(self._terms.items()):
-            for (sp, up), g in coeff.items():
-                yield mono, sp, up, g
+        for (mono, sp, up), g in self.terms():
+            yield mono, sp, up, g
 
     @property
     def is_zero(self) -> bool:
@@ -351,7 +243,7 @@ class OperatorExpr:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def single_term(self) -> tuple[Mono, Coefficient] | None:
+    def single_term(self) -> tuple[Atom, GaussRational] | None:
         if len(self._terms) != 1:
             return None
         return next(iter(self._terms.items()))
@@ -360,62 +252,51 @@ class OperatorExpr:
 
     def __add__(self, other) -> "OperatorExpr":
         if not isinstance(other, OperatorExpr):
-            coeff = _as_coefficient(other)
-            if coeff is None:
+            other = _as_scalar(other)
+            if other is None:
                 return NotImplemented
-            other = OperatorExpr({_MONO_ONE: coeff})
         acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            cur = acc.get(mono)
-            total = coeff if cur is None else cur + coeff
-            if total:
-                acc[mono] = total
-            else:
-                acc.pop(mono, None)
-        return OperatorExpr(acc)
+        for key, g in other._terms.items():
+            _add_into(acc, key, g)
+        return OperatorExpr._wrap(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr({m: -c for m, c in self._terms.items()})
+        return OperatorExpr._wrap({key: -g for key, g in self._terms.items()})
 
     def __sub__(self, other) -> "OperatorExpr":
-        if isinstance(other, OperatorExpr):
-            return self + (-other)
-        coeff = _as_coefficient(other)
-        if coeff is None:
-            return NotImplemented
-        return self + OperatorExpr({_MONO_ONE: -coeff})
+        if not isinstance(other, OperatorExpr):
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "OperatorExpr":
         return (-self) + other
 
     def __mul__(self, other) -> "OperatorExpr":
-        if isinstance(other, OperatorExpr):
-            acc: dict[Mono, Coefficient] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    c12 = c1 * c2
-                    for mono, g in _mono_cross(m1, m2):
-                        contrib = c12.scale(g)
-                        cur = acc.get(mono)
-                        total = contrib if cur is None else cur + contrib
-                        if total:
-                            acc[mono] = total
-                        else:
-                            acc.pop(mono, None)
-            return OperatorExpr(acc)
-        coeff = _as_coefficient(other)
-        if coeff is None:
-            return NotImplemented
-        return OperatorExpr({m: c * coeff for m, c in self._terms.items()})
+        if not isinstance(other, OperatorExpr):
+            other = _as_scalar(other)
+            if other is None:
+                return NotImplemented
+        acc: dict[Atom, GaussRational] = {}
+        for (m1, s1, u1), g1 in self._terms.items():
+            for (m2, s2, u2), g2 in other._terms.items():
+                sp, up, g12 = s1 + s2, u1 + u2, g1 * g2
+                if up == 2:
+                    # u**2 = 1/(2*s)
+                    sp, up, g12 = sp - 1, 0, g12.times(Fraction(1, 2))
+                for mono, g in _mono_cross(m1, m2):
+                    _add_into(acc, (mono, sp, up), g12 * g)
+        return OperatorExpr._wrap(acc)
 
     def __rmul__(self, other) -> "OperatorExpr":
-        coeff = _as_coefficient(other)
-        if coeff is None:
+        other = _as_scalar(other)
+        if other is None:
             return NotImplemented
         # scalars commute with everything, so left and right agree
-        return OperatorExpr({m: c * coeff for m, c in self._terms.items()})
+        return self * other
 
     def __pow__(self, exponent: int) -> "OperatorExpr":
         if not isinstance(exponent, int) or exponent < 0:
@@ -437,19 +318,22 @@ class OperatorExpr:
         val = _frac(value)
         if val <= 0:
             raise ValueError("s stands for sqrt(-lambda) and must be positive")
-        acc: dict[Mono, Coefficient] = {}
-        for mono, coeff in self._terms.items():
-            g = coeff.substitute_s(val)
-            if g:
-                acc[mono] = Coefficient.of(g)
-        return OperatorExpr(acc)
+        acc: dict[Atom, GaussRational] = {}
+        for (mono, sp, up), g in self._terms.items():
+            if up:
+                raise ValueError(
+                    "coefficient contains the formal unit u; its value "
+                    "(2*s)**(-1/2) is irrational for generic s"
+                )
+            _add_into(acc, (mono, 0, 0), g.times(val**sp))
+        return OperatorExpr._wrap(acc)
 
     # -- equality --------------------------------------------------------
 
     def _canonical(self):
         key = self._key
         if key is None:
-            key = tuple(sorted((m, c._canonical()) for m, c in self._terms.items()))
+            key = tuple(sorted((k, (g.re, g.im)) for k, g in self._terms.items()))
             object.__setattr__(self, "_key", key)
         return key
 
@@ -473,33 +357,43 @@ class OperatorExpr:
 # -- constructors --------------------------------------------------------
 
 
+def _atom(mono: Mono, sp: int, up: int, value: "GaussRational | Rational") -> OperatorExpr:
+    return OperatorExpr({(mono, sp, up): GaussRational.of(value)})
+
+
+def _as_scalar(value) -> OperatorExpr | None:
+    if isinstance(value, (int, Fraction, GaussRational)):
+        return scalar(value)
+    return None
+
+
 def zero() -> OperatorExpr:
     return OperatorExpr()
 
 
 def identity() -> OperatorExpr:
-    return OperatorExpr({_MONO_ONE: Coefficient.of(1)})
+    return _atom(_MONO_ONE, 0, 0, 1)
 
 
-def scalar(value: ScalarLike) -> OperatorExpr:
-    return OperatorExpr({_MONO_ONE: Coefficient.of(value)})
+def scalar(value: "GaussRational | Rational") -> OperatorExpr:
+    return _atom(_MONO_ONE, 0, 0, value)
 
 
 def imag() -> OperatorExpr:
-    return scalar(GaussRational(Fraction(0), Fraction(1)))
+    return scalar(_GR_I)
 
 
 def s_sym(power: int = 1) -> OperatorExpr:
-    return OperatorExpr({_MONO_ONE: Coefficient.s_power(power)})
+    return _atom(_MONO_ONE, power, 0, 1)
 
 
 def u_sym() -> OperatorExpr:
-    return OperatorExpr({_MONO_ONE: Coefficient.u_unit()})
+    return _atom(_MONO_ONE, 0, 1, 1)
 
 
 def r_half_power(halves: int) -> OperatorExpr:
     """r**(halves/2); use halves=2 for r itself, halves=1 for sqrt(r)."""
-    return OperatorExpr({Mono(halves, 0, 0, 0, 0, 0, 0, 0): Coefficient.of(1)})
+    return _atom(Mono(halves, 0, 0, 0, 0, 0, 0, 0), 0, 0, 1)
 
 
 def r_power(power: Rational) -> OperatorExpr:
@@ -523,7 +417,7 @@ def phase(axis: str, winding: int) -> OperatorExpr:
     idx = PHASE_AXES.index(axis)
     k = [0, 0, 0]
     k[idx] = winding
-    return OperatorExpr({Mono(0, k[0], k[1], k[2], 0, 0, 0, 0): Coefficient.of(1)})
+    return _atom(Mono(0, k[0], k[1], k[2], 0, 0, 0, 0), 0, 0, 1)
 
 
 def deriv(axis: str, order: int = 1) -> OperatorExpr:
@@ -535,7 +429,7 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
         return identity()
     d = [0, 0, 0, 0]
     d[DERIV_AXES.index(axis)] = order
-    return OperatorExpr({Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]): Coefficient.of(1)})
+    return _atom(Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]), 0, 0, 1)
 
 
 # -- derived operations --------------------------------------------------
@@ -545,16 +439,12 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a * b - b * a
 
 
-def substitute_s(expr: OperatorExpr, value: Rational) -> OperatorExpr:
-    return expr.substitute_s(value)
-
-
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
-    acc: dict[Mono, Coefficient] = {}
-    for mono, coeff in expr._terms.items():
+    acc: dict[Atom, GaussRational] = {}
+    for (mono, sp, up), g in expr._terms.items():
         swapped = Mono(mono.r2, mono.ke, mono.kb, mono.ka, mono.dr, mono.de, mono.db, mono.da)
-        acc[swapped] = coeff
+        acc[(swapped, sp, up)] = g
     return OperatorExpr(acc)
 
 
@@ -570,10 +460,7 @@ class ClosureReport:
 
 
 def _flatten_vec(expr: OperatorExpr) -> dict:
-    vec = {}
-    for mono, sp, up, g in expr.flatten():
-        vec[(mono, sp, up)] = g
-    return vec
+    return dict(expr._terms)
 
 
 def _vec_axpy(vec: dict, row: dict, factor: GaussRational) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import opalgebra
 from .opalgebra import GaussRational, Mono, OperatorExpr, PHASE_AXES
@@ -89,75 +89,16 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- abstract syntax -----------------------------------------------------
-
-
-class Node:
-    pass
-
-
-@dataclass(frozen=True)
-class Number(Node):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Symbol(Node):
-    name: str  # "i" | "s" | "u" | "r"
-
-
-@dataclass(frozen=True)
-class SqrtR(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class PhaseFactor(Node):
-    var: str
-    winding: int
-
-
-@dataclass(frozen=True)
-class Derivative(Node):
-    var: str
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Add(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sub(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Mul(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Power(Node):
-    base: Node
-    exponent: int
-
-
-SourceExpr = Node
-
 def _describe(tok: Token) -> str:
     return repr(tok.lexeme) if tok.lexeme else "end of input"
 
 
-_ATOM_SYMBOLS = ("i", "s", "u", "r")
+_ATOM_SYMBOLS = {
+    "i": opalgebra.imag,
+    "s": opalgebra.s_sym,
+    "u": opalgebra.u_sym,
+    "r": lambda: opalgebra.r_half_power(2),
+}
 
 
 class _Parser:
@@ -180,42 +121,43 @@ class _Parser:
             return self.advance()
         raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (repr(lexeme),))
 
-    def parse(self) -> Node:
-        node = self.parse_expr()
+    def parse(self) -> OperatorExpr:
+        value = self.parse_expr()
         tok = self.current
         if tok.kind != "end":
             raise OperatorSyntaxError(
                 tok.pos, f"trailing input {tok.lexeme!r}", ("'+'", "'-'", "'*'", "end of input")
             )
-        return node
+        return value
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def parse_expr(self) -> OperatorExpr:
+        value = self.parse_term()
         while self.current.kind == "op" and self.current.lexeme in "+-":
             op = self.advance().lexeme
             rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
+    def parse_term(self) -> OperatorExpr:
+        value = self.parse_unary()
         while self.current.kind == "op" and self.current.lexeme == "*":
             self.advance()
-            node = Mul(node, self.parse_unary())
-        return node
+            value = value * self.parse_unary()
+        return value
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self) -> OperatorExpr:
         if self.current.kind == "op" and self.current.lexeme == "-":
             self.advance()
-            return Neg(self.parse_unary())
+            return -self.parse_unary()
         return self.parse_primary()
 
-    def parse_primary(self) -> Node:
-        node = self.parse_atom()
+    def parse_primary(self) -> OperatorExpr:
+        value = self.parse_atom()
         if self.current.kind == "op" and self.current.lexeme == "^":
             self.advance()
-            node = Power(node, self.parse_exponent())
-        return node
+            exponent = self.parse_exponent()
+            value = value**exponent if exponent >= 0 else _invert(value) ** -exponent
+        return value
 
     def parse_exponent(self) -> int:
         sign = 1
@@ -230,23 +172,23 @@ class _Parser:
         self.advance()
         return sign * int(tok.lexeme)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> OperatorExpr:
         tok = self.current
         if tok.kind == "number":
             self.advance()
-            return Number(Fraction(tok.lexeme))
+            return opalgebra.scalar(Fraction(tok.lexeme))
         if tok.kind == "deriv":
             self.advance()
-            return Derivative(tok.lexeme[3:])
+            return opalgebra.deriv(tok.lexeme[3:])
         if tok.kind == "paren" and tok.lexeme == "(":
             self.advance()
-            node = self.parse_expr()
+            value = self.parse_expr()
             self.expect_op(")")
-            return node
+            return value
         if tok.kind == "symbol":
             if tok.lexeme in _ATOM_SYMBOLS:
                 self.advance()
-                return Symbol(tok.lexeme)
+                return _ATOM_SYMBOLS[tok.lexeme]()
             if tok.lexeme == "sqrt":
                 self.advance()
                 self.expect_op("(")
@@ -256,21 +198,21 @@ class _Parser:
                 else:
                     raise OperatorSyntaxError(inner.pos, f"found {_describe(inner)}", ("'r'",))
                 self.expect_op(")")
-                return SqrtR()
+                return opalgebra.sqrt_r()
             if tok.lexeme == "exp":
                 self.advance()
                 self.expect_op("(")
-                node = self.parse_phase_arg()
+                value = self.parse_phase_arg()
                 self.expect_op(")")
-                return node
-            raise OperatorSyntaxError(tok.pos, f"unknown symbol {tok.lexeme!r}", _ATOM_SYMBOLS + ("sqrt", "exp"))
+                return value
+            raise OperatorSyntaxError(tok.pos, f"unknown symbol {tok.lexeme!r}", (*_ATOM_SYMBOLS, "sqrt", "exp"))
         raise OperatorSyntaxError(
             tok.pos,
             f"found {_describe(tok)}",
             ("number", "symbol", "derivative", "'('"),
         )
 
-    def parse_phase_arg(self) -> PhaseFactor:
+    def parse_phase_arg(self) -> OperatorExpr:
         start = self.current
         sign = 1
         if self.current.kind == "op" and self.current.lexeme == "-":
@@ -310,75 +252,27 @@ class _Parser:
             break
         if not has_i or var is None:
             raise OperatorSyntaxError(start.pos, "phase argument must contain i times one angle name")
-        return PhaseFactor(var, sign * (1 if magnitude is None else magnitude))
-
-
-def parse_source(text: str) -> SourceExpr:
-    """Parse text into an abstract syntax tree without evaluating it."""
-    return _Parser(tokenize(text)).parse()
-
-
-# -- evaluation ----------------------------------------------------------
+        return opalgebra.phase(var, sign * (1 if magnitude is None else magnitude))
 
 
 def _invert(expr: OperatorExpr) -> OperatorExpr:
     single = expr.single_term()
     if single is None:
         raise ValueError("cannot invert a sum of operator terms")
-    mono, coeff = single
+    (mono, sp, up), g = single
     if mono.dr or mono.de or mono.da or mono.db:
         raise ValueError("cannot invert an operator containing derivatives")
-    items = coeff.items()
-    if len(items) != 1:
-        raise ValueError("cannot invert a coefficient with several s-terms")
-    (sp, up), g = items[0]
-    inv_mono = opalgebra.r_half_power(-mono.r2)
-    for axis, k in zip(PHASE_AXES, (mono.ke, mono.ka, mono.kb)):
-        inv_mono = inv_mono * opalgebra.phase(axis, -k)
+    # powers of r and phase factors commute, so their exponents just negate
+    inv_mono = Mono(-mono.r2, -mono.ke, -mono.ka, -mono.kb, 0, 0, 0, 0)
     if up:
         # 1/u = 2*s*u since u*u = 1/(2*s)
-        inv_coeff = opalgebra.scalar(g.inverse().times(2)) * opalgebra.s_sym(1 - sp) * opalgebra.u_sym()
-    else:
-        inv_coeff = opalgebra.scalar(g.inverse()) * opalgebra.s_sym(-sp)
-    return inv_coeff * inv_mono
-
-
-def evaluate(node: SourceExpr) -> OperatorExpr:
-    if isinstance(node, Number):
-        return opalgebra.scalar(node.value)
-    if isinstance(node, Symbol):
-        if node.name == "i":
-            return opalgebra.imag()
-        if node.name == "s":
-            return opalgebra.s_sym()
-        if node.name == "u":
-            return opalgebra.u_sym()
-        return opalgebra.r_half_power(2)
-    if isinstance(node, SqrtR):
-        return opalgebra.sqrt_r()
-    if isinstance(node, PhaseFactor):
-        return opalgebra.phase(node.var, node.winding)
-    if isinstance(node, Derivative):
-        return opalgebra.deriv(node.var)
-    if isinstance(node, Neg):
-        return -evaluate(node.operand)
-    if isinstance(node, Add):
-        return evaluate(node.left) + evaluate(node.right)
-    if isinstance(node, Sub):
-        return evaluate(node.left) - evaluate(node.right)
-    if isinstance(node, Mul):
-        return evaluate(node.left) * evaluate(node.right)
-    if isinstance(node, Power):
-        base = evaluate(node.base)
-        if node.exponent >= 0:
-            return base**node.exponent
-        return _invert(base) ** (-node.exponent)
-    raise TypeError(f"unknown node {node!r}")
+        return OperatorExpr({(inv_mono, 1 - sp, 1): g.inverse().times(2)})
+    return OperatorExpr({(inv_mono, -sp, 0): g.inverse()})
 
 
 def parse(text: str) -> OperatorExpr:
-    """Parse text and evaluate it to a normal-ordered operator."""
-    return evaluate(parse_source(text))
+    """Parse text straight to a normal-ordered operator."""
+    return _Parser(tokenize(text)).parse()
 
 
 # -- canonical rendering -------------------------------------------------

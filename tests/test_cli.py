@@ -1,11 +1,15 @@
 """Command line behavior: schemas, exit codes, tolerance plumbing."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ladder_forge
 from ladder_forge import cli, opalgebra as oa, opdsl
 
 ROW_KEYS = {"name", "expected", "actual", "residual", "pass"}
@@ -44,6 +48,11 @@ class TestExpressionCommands:
     def test_lex_error_exits_2(self, capsys):
         assert cli.main(["parse", "r # s"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["(r + 1)^-1", "(s + s^2)^-1", "(d/dr)^-1"])
+    def test_uninvertible_power_exits_2(self, capsys, text):
+        assert cli.main(["parse", text]) == 2
+        assert "cannot invert" in capsys.readouterr().err
 
 
 class TestAlgebraCommands:
@@ -153,6 +162,25 @@ class TestCoulombCommands:
         capsys.readouterr()
         assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 0
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["coulomb-verify", "--tol", "nan"], "'nan'"),
+        (["coulomb-residual", "--n", "2", "--L", "0", "--tol", "0"], "'0'"),
+        (["coulomb-verify", "--t-max", "0"], "'0'"),
+        (["coulomb-verify", "--t-max", "-2"], "'-2'"),
+        (["coulomb-verify", "--mu-max", "-1"], "'-1'"),
+        (["coulomb-verify", "--nu-max", "-1"], "'-1'"),
+    ])
+    def test_out_of_range_flag_exits_2(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert bad in capsys.readouterr().err
+
+    def test_nan_env_tolerance_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.TOL_ENV, "nan")
+        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 2
+        assert "'nan'" in capsys.readouterr().err
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_ENV, "1e-30")
         assert cli.main(["coulomb-residual", "--n", "2", "--L", "0",
@@ -175,8 +203,10 @@ def test_text_mode_marks_rows(capsys):
 
 def test_installed_entry_point():
     exe = shutil.which("ladder-forge")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "parse", "s*r"], capture_output=True, text=True)
+    argv = [exe] if exe else [sys.executable, "-m", "ladder_forge"]
+    package_root = str(Path(ladder_forge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([*argv, "parse", "s*r"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "s*r" in proc.stdout

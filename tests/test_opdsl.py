@@ -59,6 +59,16 @@ class TestPrecedence:
     def test_negative_exponent(self):
         assert opdsl.parse("r^-2") == oa.r_power(-2)
 
+    @pytest.mark.parametrize("base,exponent,expected", [
+        ("u", -1, 2 * oa.s_sym() * oa.u_sym()),
+        ("(2*s*sqrt(r))", -2, Fraction(1, 4) * oa.s_sym(-2) * oa.r_power(-1)),
+        ("exp(i*eta)", -1, oa.phase("eta", -1)),
+    ])
+    def test_negative_exponent_inverts(self, base, exponent, expected):
+        value = opdsl.parse(f"{base}^{exponent}")
+        assert value == expected
+        assert value * opdsl.parse(base) ** -exponent == oa.identity()
+
     def test_parenthesized_power(self):
         expected = (oa.deriv("r") + oa.identity()) ** 2
         assert opdsl.parse("(d/dr + 1)^2") == expected
@@ -103,6 +113,16 @@ def test_non_integer_power_rejected(text, position):
     assert "integer" in str(info.value)
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("(r + 1)^-1", "a sum of operator terms"),
+    ("(s + s^2)^-1", "a sum of operator terms"),
+    ("(d/dr)^-1", "containing derivatives"),
+])
+def test_uninvertible_power_rejected(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        opdsl.parse(text)
+
+
 def test_syntax_error_carries_expected_set():
     with pytest.raises(opdsl.OperatorSyntaxError) as info:
         opdsl.parse("r +")
@@ -114,6 +134,15 @@ def test_roundtrip_seeded_batch():
     for _ in range(250):
         e = random_operator(rng)
         assert opdsl.parse(opdsl.render(e)) == e
+
+
+def test_roundtrip_long_sum():
+    # about 1200 terms and 29 kB of text: parsing must not recurse per term
+    e = oa.OperatorExpr({
+        (oa.Mono(k - 600, k % 3 - 1, 0, 0, 0, 0, 0, 0), 0, 0): oa.GaussRational.of(Fraction(k + 1, 7))
+        for k in range(1200)
+    })
+    assert opdsl.parse(opdsl.render(e)) == e
 
 
 @settings(max_examples=150, deadline=None)
