@@ -28,8 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import coulomb, factorizations, generators, opdsl
-from .opdsl import OperatorLexError, OperatorSyntaxError
+from . import coulomb, factorizations, generators, opalgebra, opdsl
 
 TOL_ENV = "LADDER_FORGE_TOL"
 
@@ -59,13 +58,20 @@ def _expr_row(name: str, rendered: str) -> dict:
             "residual": None, "pass": True}
 
 
-def _tolerance(raw: str) -> float:
+def _finite(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {raw!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
+
+
+def _tolerance(raw: str) -> float:
+    value = _finite(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {raw!r}")
     return value
 
 
@@ -128,7 +134,7 @@ def _cmd_parse(args) -> int:
 def _cmd_commutator(args) -> int:
     left = opdsl.parse(args.left)
     right = opdsl.parse(args.right)
-    result = left * right - right * left
+    result = opalgebra.commutator(left, right)
     rows = [_expr_row("commutator", opdsl.render(result))]
     return _finish("commutator", {"left": args.left, "right": args.right}, rows, args)
 
@@ -319,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Z", default="1", help="rational charge")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--shift", type=float, default=0.1,
+    p.add_argument("--shift", type=_finite, default=0.1,
                    help="eigenvalue detuning for the negative control")
     p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--dump", metavar="PATH", help="write rho,psi samples as CSV")
@@ -332,10 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OperatorLexError, OperatorSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # the DSL's lex and syntax errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

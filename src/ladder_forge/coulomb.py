@@ -16,13 +16,15 @@ same functions:
 
 For integer angular momentum the two match under mu = t-m-1, nu = t+m.
 
-The symbolic generators act on these states with closed-form coefficients;
-after stripping the angle phases, the exp(-rho/2) factor and the formal
-(2s)**(-1/2) prefactor (which cancels against the sqrt(gamma) produced by
-rescaling r to rho), each action reduces to a first-order operation on P.
-Those bare forms are integrated here with Gauss-Laguerre quadrature, so all
-the inner products of polynomial profiles are evaluated exactly up to
-roundoff.
+The symbolic generators act on these states with closed-form coefficients.
+Every numeric action here is derived from them: ``act`` rewrites an operator
+of ``generators`` into its exact rho-form on exp(-rho/2) P(rho), setting each
+angle derivative to i times the state's phase winding, s = gamma/2,
+u = gamma**(-1/2) and r = rho/gamma, and drops the phase factors.  The form is
+checked once in exact rationals (every atom of gamma-degree 0, every
+coefficient real) and then evaluated on the profile.  Inner products of the
+polynomial profiles are integrated with Gauss-Laguerre quadrature, exact up
+to roundoff while the order covers the integrand's degree.
 
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
@@ -35,13 +37,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 
+from . import generators
+from .opalgebra import GaussRational, OperatorExpr
+
 DEFAULT_QUAD_ORDER = 40
-
-OPERATORS = ("T+", "T-", "A+", "A-", "B+", "B-")
-
 
 def laguerre(n: int, alpha, x):
     """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
@@ -186,6 +189,14 @@ class QuantumState:
             return self.labels[0] - self.labels[1] - 1
         return self.labels[0]
 
+    @property
+    def windings(self) -> tuple[Fraction, int, int]:
+        """Phase windings (eta, alpha, beta) = (n, mu, nu) of the state."""
+        if self.family == "su11":
+            t, m = self.labels
+            return self.principal, t - m - 1, t + m
+        return (self.principal, *self.labels)
+
     @cached_property
     def norm_constant(self) -> float:
         return math.sqrt(self.norm_sq)
@@ -194,24 +205,21 @@ class QuantumState:
         rho = np.asarray(rho, dtype=float)
         return self.norm_constant * rho ** float(self.power) * laguerre(self.degree, self.alpha, rho)
 
-    def scaled_profile_deriv(self, rho, order: int = 1):
-        """d^order/drho^order of the profile, for order 1 or 2."""
+    def profile_derivs(self, rho, order: int) -> list:
+        """[P, P', ..., P^(order)] of the profile, by Leibniz's rule on rho**p L."""
         rho = np.asarray(rho, dtype=float)
         p = float(self.power)
-        lag = laguerre(self.degree, self.alpha, rho)
-        d1 = laguerre_deriv(self.degree, self.alpha, rho)
-        if order == 1:
-            out = p * rho ** (p - 1.0) * lag + rho**p * d1
-        elif order == 2:
-            d2 = laguerre_deriv(self.degree, self.alpha, rho, 2)
-            out = (
-                p * (p - 1.0) * rho ** (p - 2.0) * lag
-                + 2.0 * p * rho ** (p - 1.0) * d1
-                + rho**p * d2
-            )
-        else:
-            raise ValueError("order must be 1 or 2")
-        return self.norm_constant * out
+        lag = [laguerre_deriv(self.degree, self.alpha, rho, i) for i in range(order + 1)]
+        out = []
+        for j in range(order + 1):
+            total = 0.0
+            for i in range(j + 1):
+                # C(j, i) times the falling power p (p-1) ... (p-j+i+1)
+                factor = comb(j, i) * math.prod(p - q for q in range(j - i))
+                if factor:
+                    total = total + factor * rho ** (p - j + i) * lag[i]
+            out.append(self.norm_constant * total)
+        return out
 
     def radial(self, r):
         """psi(r) for r > 0, unit L2 norm on (0, inf)."""
@@ -284,29 +292,76 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     return QuantumState(state.family, target, z_out)
 
 
-def bare_action(state: QuantumState, operator: str, rho):
-    """Generator action on the scaled profile, phases and exp(-rho/2) stripped."""
-    _require_family(state, operator)
+@lru_cache(maxsize=None)
+def _generator(name: str) -> OperatorExpr:
+    """The symbolic operator behind a ladder name ("T+", ..., "B-") or "C"."""
+    if name == "C":
+        return generators.casimir()[0]
+    family = generators.build_T() if name[0] == "T" else generators.build_AB()
+    return family.members[name[0] + ("plus" if name[1] == "+" else "minus")]
+
+
+@lru_cache(maxsize=64)
+def _rho_form(op: OperatorExpr) -> tuple[tuple, int]:
+    """Exact rho-form of ``op`` on exp(-rho/2) P(rho), and its top P-derivative.
+
+    Each term (k, j, (de, da, db), c) stands for
+    c * n**de * mu**da * nu**db * rho**(k/2) * P^(j), with (n, mu, nu) the
+    state's windings.  With s = gamma/2, u = gamma**(-1/2) and r = rho/gamma,
+    an atom s**sp u**up r**(k/2) (d/dr)**dr carries gamma**(sp - up/2 - k/2 + dr),
+    and past exp(-rho/2) each d/dr turns into gamma (d/drho - 1/2).
+    """
+    half = Fraction(1, 2)
+    i_unit = GaussRational(Fraction(0), Fraction(1))
+    acc: dict[tuple, GaussRational] = {}
+    phases = set()
+    for mono, sp, up, g in op.flatten():
+        degree = 2 * sp - up - mono.r2 + 2 * mono.dr
+        if degree:
+            raise ValueError(
+                f"atom with s^{sp}, u^{up}, r^({mono.r2}/2), (d/dr)^{mono.dr} "
+                f"has gamma-degree {Fraction(degree, 2)}, not 0"
+            )
+        phases.add((mono.ke, mono.ka, mono.kb))
+        angle = (mono.de, mono.da, mono.db)
+        # each angle derivative brings i times the state's winding
+        g = (g * i_unit ** sum(angle)).times(half**sp)
+        for j in range(mono.dr + 1):
+            key = (mono.r2, j, angle)
+            term = g.times(comb(mono.dr, j) * (-half) ** (mono.dr - j))
+            acc[key] = acc[key] + term if key in acc else term
+    if len(phases) > 1:
+        raise ValueError("operator mixes phase windings")
+    if any(c.im for c in acc.values()):
+        raise ValueError("operator has a non-real coefficient on the profile")
+    terms = tuple((k, j, angle, float(c.re)) for (k, j, angle), c in sorted(acc.items()) if c)
+    return terms, max((j for _, j, _, _ in terms), default=0)
+
+
+def act(op: OperatorExpr, state: QuantumState, rho):
+    """``op`` applied to the state, with phases and exp(-rho/2) stripped.
+
+    Returns the profile of the result at ``rho``.  Raises ``ValueError`` when
+    an atom of ``op`` has nonzero gamma-degree, a coefficient of its rho-form
+    is not real, or its atoms carry different phases.
+    """
+    terms, top = _rho_form(op)
+    n, mu, nu = (float(w) for w in state.windings)
+    coeffs: dict[tuple[int, int], float] = {}
+    for k, j, (de, da, db), c in terms:
+        coeffs[k, j] = coeffs.get((k, j), 0.0) + c * n**de * mu**da * nu**db
     rho = np.asarray(rho, dtype=float)
-    P = state.scaled_profile(rho)
-    dP = state.scaled_profile_deriv(rho)
-    if operator == "T+":
-        return -rho * dP + (rho - float(state.principal)) * P
-    if operator == "T-":
-        return rho * dP - float(state.principal) * P
-    mu, nu = state.labels
-    if operator == "A+":
-        c = Fraction(nu - mu - 1, 2)
-    elif operator == "A-":
-        c = Fraction(nu - mu + 1, 2)
-    elif operator == "B+":
-        c = Fraction(mu - nu - 1, 2)
-    else:
-        c = Fraction(mu - nu + 1, 2)
+    derivs = state.profile_derivs(rho, top)
     root = np.sqrt(rho)
-    if operator.endswith("+"):
-        return root * (dP - P + float(c) * P / rho)
-    return root * (-dP + float(c) * P / rho)
+    out = np.zeros_like(rho)
+    for (k, j), c in coeffs.items():
+        term = c * derivs[j]
+        if k // 2:
+            term *= rho ** (k // 2)
+        if k % 2:
+            term *= root
+        out += term
+    return out
 
 
 @dataclass(frozen=True)
@@ -335,14 +390,16 @@ def action_report(
 ) -> ActionReport:
     """Check one generator action by exact-degree quadrature.
 
-    For a nonzero coefficient the projection of the bare action onto the
-    target profile is compared with the closed form, and the residual
+    For a nonzero coefficient the projection of the generator's action onto
+    the target profile is compared with the closed form, and the residual
     orthogonal to the target is measured in the L2 norm.  A vanishing
-    closed-form coefficient instead demands a vanishing action norm.
+    closed-form coefficient instead demands a vanishing action norm.  Both
+    sides are compared pointwise at the nodes, so the check holds even where
+    ``order`` is below the integrand's degree.
     """
     sign, radicand = action_radicand(state, operator)
     nodes, weights = gauss_laguerre(order)
-    lhs = bare_action(state, operator, nodes)
+    lhs = act(_generator(operator), state, nodes)
     src = state.scaled_profile(nodes)
     src_norm = math.sqrt(float(weights @ src**2))
     if radicand == 0:
@@ -421,10 +478,23 @@ def charge_shift(state: QuantumState, operator: str) -> ChargeShiftReport:
 
 
 def normalization_residual(state: QuantumState, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """|  ||psi||**2 - 1 |, by quadrature exact for these profiles."""
-    nodes, weights = gauss_laguerre(order)
+    """|  ||psi||**2 - 1 |, by quadrature exact for these profiles.
+
+    The integrand has degree 2n, so the order is raised to floor(n) + 1
+    where ``order`` falls short of it.
+    """
+    nodes, weights = gauss_laguerre(max(order, math.floor(state.principal) + 1))
     P = state.scaled_profile(nodes)
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
+
+
+def _casimir_defect(state: QuantumState, order: int):
+    """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
+    nodes, _ = gauss_laguerre(order)
+    lsq = float(state.angular * (state.angular + 1))
+    P = state.scaled_profile(nodes)
+    defect = act(_generator("C"), state, nodes) - lsq * P
+    return nodes, P, np.exp(-nodes / 2), defect
 
 
 def schrodinger_residual(
@@ -432,41 +502,27 @@ def schrodinger_residual(
 ) -> float:
     """max |psi'' + (2Z/r - l(l+1)/r**2 + 2E + shift) psi| / max |psi|.
 
-    Evaluated on the quadrature nodes.  A nonzero ``lambda_shift`` detunes
-    the eigenvalue and should push the residual up by about |shift|; this is
-    the negative control showing the check has teeth.
+    Evaluated on the quadrature nodes.  The radial equation is the Casimir
+    eigenequation divided by r**2, so the residual is
+    gamma**2 (C P - l(l+1) P) / rho**2 + shift P, damped by exp(-rho/2).  A
+    nonzero ``lambda_shift`` detunes the eigenvalue and should push the
+    residual up by about |shift|; this is the negative control showing the
+    check has teeth.
     """
-    nodes, _ = gauss_laguerre(order)
+    nodes, P, damp, defect = _casimir_defect(state, order)
     g = float(state.gamma)
-    n = float(state.principal)
-    lsq = float(state.angular * (state.angular + 1))
-    P = state.scaled_profile(nodes)
-    dP = state.scaled_profile_deriv(nodes)
-    d2P = state.scaled_profile_deriv(nodes, 2)
-    damp = np.exp(-nodes / 2)
-    psi = damp * P
-    psi_dd = g * g * damp * (d2P - dP + P / 4)
-    two_e = -g * g / 4 + lambda_shift
-    resid = psi_dd + (g * g * n / nodes - g * g * lsq / nodes**2 + two_e) * psi
-    return float(np.max(np.abs(resid)) / np.max(np.abs(psi)))
+    resid = (g * g * defect / nodes**2 + lambda_shift * P) * damp
+    return float(np.max(np.abs(resid)) / np.max(np.abs(P * damp)))
 
 
 def casimir_residual(state: QuantumState, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """Residual of the quadratic invariant eigenequation on the profile.
+    """Residual of the Casimir eigenequation C psi = l(l+1) psi on the profile.
 
-    On the scaled profile the invariant acts as rho**2 P'' - rho**2 P' +
-    n rho P with eigenvalue l(l+1); the max norm is damped by exp(-rho/2)
-    to weight the nodes the way the wave function does.
+    The max norm is damped by exp(-rho/2) to weight the nodes the way the
+    wave function does.
     """
-    nodes, _ = gauss_laguerre(order)
-    n = float(state.principal)
-    lsq = float(state.angular * (state.angular + 1))
-    P = state.scaled_profile(nodes)
-    dP = state.scaled_profile_deriv(nodes)
-    d2P = state.scaled_profile_deriv(nodes, 2)
-    damp = np.exp(-nodes / 2)
-    lhs = nodes**2 * (d2P - dP) + n * nodes * P
-    return float(np.max(np.abs(lhs - lsq * P) * damp) / np.max(np.abs(P) * damp))
+    _, P, damp, defect = _casimir_defect(state, order)
+    return float(np.max(np.abs(defect) * damp) / np.max(np.abs(P) * damp))
 
 
 def profile_identity_residual(Z=1, order: int = DEFAULT_QUAD_ORDER) -> float:

@@ -80,6 +80,17 @@ class GaussRational:
             self.re * other.im + self.im * other.re,
         )
 
+    def __pow__(self, exponent: int) -> "GaussRational":
+        base = self.inverse() if exponent < 0 else self
+        if not base.im:
+            return GaussRational(base.re ** abs(exponent), Fraction(0))
+        out, e = _GR_ONE, abs(exponent)
+        while e:
+            if e & 1:
+                out = out * base
+            base, e = base * base, e >> 1
+        return out
+
     def times(self, factor: Rational) -> "GaussRational":
         f = _frac(factor)
         return GaussRational(self.re * f, self.im * f)

@@ -156,7 +156,7 @@ class _Parser:
         if self.current.kind == "op" and self.current.lexeme == "^":
             self.advance()
             exponent = self.parse_exponent()
-            value = value**exponent if exponent >= 0 else _invert(value) ** -exponent
+            value = _power(value, exponent)
         return value
 
     def parse_exponent(self) -> int:
@@ -255,19 +255,22 @@ class _Parser:
         return opalgebra.phase(var, sign * (1 if magnitude is None else magnitude))
 
 
-def _invert(expr: OperatorExpr) -> OperatorExpr:
+def _power(expr: OperatorExpr, e: int) -> OperatorExpr:
+    """expr**e, in closed form for one derivative-free atom and any integer e."""
     single = expr.single_term()
+    if single is not None:
+        (mono, sp, up), g = single
+        if not (mono.dr or mono.de or mono.da or mono.db):
+            # r powers, phase factors and scalars commute, so exponents scale
+            # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
+            q, up_e = divmod(up * e, 2)
+            power = Mono(mono.r2 * e, mono.ke * e, mono.ka * e, mono.kb * e, 0, 0, 0, 0)
+            return OperatorExpr({(power, sp * e - q, up_e): (g**e).times(Fraction(1, 2) ** q)})
+    if e >= 0:
+        return expr**e
     if single is None:
         raise ValueError("cannot invert a sum of operator terms")
-    (mono, sp, up), g = single
-    if mono.dr or mono.de or mono.da or mono.db:
-        raise ValueError("cannot invert an operator containing derivatives")
-    # powers of r and phase factors commute, so their exponents just negate
-    inv_mono = Mono(-mono.r2, -mono.ke, -mono.ka, -mono.kb, 0, 0, 0, 0)
-    if up:
-        # 1/u = 2*s*u since u*u = 1/(2*s)
-        return OperatorExpr({(inv_mono, 1 - sp, 1): g.inverse().times(2)})
-    return OperatorExpr({(inv_mono, -sp, 0): g.inverse()})
+    raise ValueError("cannot invert an operator containing derivatives")
 
 
 def parse(text: str) -> OperatorExpr:

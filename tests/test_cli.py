@@ -169,6 +169,8 @@ class TestCoulombCommands:
         (["coulomb-verify", "--t-max", "-2"], "'-2'"),
         (["coulomb-verify", "--mu-max", "-1"], "'-1'"),
         (["coulomb-verify", "--nu-max", "-1"], "'-1'"),
+        (["coulomb-residual", "--n", "2", "--L", "0", "--shift", "nan"], "'nan'"),
+        (["coulomb-residual", "--n", "2", "--L", "0", "--shift", "inf"], "'inf'"),
     ])
     def test_out_of_range_flag_exits_2(self, capsys, argv, bad):
         with pytest.raises(SystemExit) as info:

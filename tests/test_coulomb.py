@@ -11,6 +11,48 @@ from hypothesis import strategies as st
 
 from ladder_forge import coulomb as cl
 from ladder_forge import factorizations as fz
+from ladder_forge import generators as gen
+from ladder_forge import opalgebra as oa
+
+GENERATORS = {
+    op[0] + ("+" if op.endswith("plus") else "-"): expr
+    for family in (gen.build_T(), gen.build_AB())
+    for op, expr in family.members.items() if op != "T0"
+}
+
+
+def _hand_profile(state, rho):
+    """P, P' and P'' written out by hand, with scipy's Laguerre polynomials."""
+    n, a, p = state.degree, state.alpha, float(state.power)
+    lag = [(-1) ** k * scipy.special.eval_genlaguerre(n - k, a + k, rho) if n >= k
+           else np.zeros_like(rho) for k in range(3)]
+    N = state.norm_constant
+    return (
+        N * rho**p * lag[0],
+        N * (p * rho ** (p - 1) * lag[0] + rho**p * lag[1]),
+        N * (p * (p - 1) * rho ** (p - 2) * lag[0] + 2 * p * rho ** (p - 1) * lag[1]
+             + rho**p * lag[2]),
+    )
+
+
+def _hand_action(state, operator, rho):
+    """The six generator actions on the profile, written out by hand."""
+    P, dP, _ = _hand_profile(state, rho)
+    if operator == "T+":
+        return -rho * dP + (rho - float(state.principal)) * P
+    if operator == "T-":
+        return rho * dP - float(state.principal) * P
+    mu, nu = state.labels
+    c = {"A+": nu - mu - 1, "A-": nu - mu + 1, "B+": mu - nu - 1, "B-": mu - nu + 1}[operator] / 2
+    if operator.endswith("+"):
+        return np.sqrt(rho) * (dP - P + c * P / rho)
+    return np.sqrt(rho) * (-dP + c * P / rho)
+
+
+def _hand_casimir(state, rho):
+    """The Casimir on the profile, written out by hand."""
+    P, dP, d2P = _hand_profile(state, rho)
+    return rho**2 * (d2P - dP) + float(state.principal) * rho * P
 
 
 class TestLaguerre:
@@ -161,6 +203,12 @@ class TestStates:
         for m in range(t):
             assert cl.normalization_residual(cl.state_tm(t, m)) <= 1e-12
 
+    def test_normalization_past_default_order(self):
+        # the integrand has degree 2t, past order 40's exact degree 79 from t = 40
+        for t in range(40, 61):
+            for m in range(t):
+                assert cl.normalization_residual(cl.state_tm(t, m)) <= 1e-12, (t, m)
+
     def test_normalization_weyl(self):
         for mu in range(6):
             for nu in range(mu, 8):
@@ -229,10 +277,54 @@ class TestActions:
             t * (t + 1 + m) * (t - m) / (t + 1))
         assert product == pytest.approx(closed, rel=1e-14)
         nodes, w = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)
-        stepped = cl.action_coefficient(state, "T+") * cl.bare_action(up, "T-", nodes)
+        stepped = cl.action_coefficient(state, "T+") * cl.act(GENERATORS["T-"], up, nodes)
         src = state.scaled_profile(nodes)
         measured = float(w @ (stepped * src)) / float(w @ src**2)
         assert measured == pytest.approx(product, abs=1e-10)
+
+
+class TestDerivedActions:
+    """``act`` derives every action from the symbolic generators; the hand
+    formulas it replaced stay here as the reference."""
+
+    SU11 = [cl.state_tm(t, m) for t in range(1, 13) for m in range(t)]
+    # odd and even gaps nu - mu, the nu == mu edge included
+    WEYL = [cl.state_munu(mu, nu) for mu in range(7) for nu in range(mu, 11)]
+
+    NODES = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0]
+
+    def _deviation(self, state, derived, hand):
+        """max |derived - hand| relative to max |P| on the quadrature nodes."""
+        return np.max(np.abs(derived - hand)) / np.max(np.abs(state.scaled_profile(self.NODES)))
+
+    @pytest.mark.parametrize("operator", list(GENERATORS))
+    def test_actions_match_hand_formulas(self, operator):
+        for state in self.SU11 if operator[0] == "T" else self.WEYL:
+            derived = cl.act(GENERATORS[operator], state, self.NODES)
+            hand = _hand_action(state, operator, self.NODES)
+            assert self._deviation(state, derived, hand) <= 1e-12, state
+
+    def test_casimir_matches_hand_formula(self):
+        op = gen.casimir()[0]
+        for state in self.SU11 + self.WEYL:
+            derived = cl.act(op, state, self.NODES)
+            hand = _hand_casimir(state, self.NODES)
+            assert self._deviation(state, derived, hand) <= 1e-10, state
+
+    def test_windings(self):
+        assert cl.state_tm(4, 1).windings == (4, 2, 5)
+        assert cl.state_munu(2, 5).windings == (4, 2, 5)
+        assert cl.state_munu(1, 1).windings == (Fraction(3, 2), 1, 1)
+
+    def test_rho_form_rejects_what_leaves_the_state_class(self):
+        state = cl.state_tm(3, 1)
+        rho = np.array([0.5, 2.0])
+        with pytest.raises(ValueError, match="gamma-degree"):
+            cl.act(oa.s_sym(), state, rho)
+        with pytest.raises(ValueError, match="non-real"):
+            cl.act(oa.deriv("eta"), state, rho)
+        with pytest.raises(ValueError, match="phase"):
+            cl.act(oa.identity() + oa.phase("eta", 1), state, rho)
 
 
 class TestEigenequationResiduals:

@@ -69,6 +69,21 @@ class TestPrecedence:
         assert value == expected
         assert value * opdsl.parse(base) ** -exponent == oa.identity()
 
+    @pytest.mark.parametrize("base", [
+        "3*s^2*u*sqrt(r)*exp(i*eta)",
+        "2/3*i*u*s^-1*r^-3*exp(-2*i*alpha)*exp(i*beta)",
+        "(1/2 - 5*i)*sqrt(r)^-1*exp(3*i*beta)",
+        "u",
+    ])
+    def test_atom_power_closed_form(self, base):
+        atom, inverse = opdsl.parse(base), opdsl.parse(f"({base})^-1")
+        assert atom * inverse == oa.identity()
+        for e in range(-9, 10):
+            expected = oa.identity()
+            for _ in range(abs(e)):
+                expected = expected * (atom if e > 0 else inverse)
+            assert opdsl.parse(f"({base})^{e}") == expected, e
+
     def test_parenthesized_power(self):
         expected = (oa.deriv("r") + oa.identity()) ** 2
         assert opdsl.parse("(d/dr + 1)^2") == expected
