@@ -265,7 +265,7 @@ def _cmd_coulomb_residual(args) -> int:
     norm = coulomb.normalization_residual(state)
     rows = [
         _row("schrodinger residual", 0.0, resid, resid, resid <= tol),
-        _row("detuned control", args.shift, control, abs(control - args.shift),
+        _row("detuned control", abs(args.shift), control, abs(control - abs(args.shift)),
              control >= 1e-2),
         _row("normalization", 0.0, norm, norm, norm <= 1e-12),
     ]

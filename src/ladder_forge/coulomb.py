@@ -5,16 +5,17 @@ represented through their scaled profile P:
 
     psi(r) = exp(-rho/2) P(rho),    rho = gamma r,    gamma = 2Z/n,
 
-with P a normalized generalized-Laguerre profile.  Two labelings cover the
-same functions:
+with P a normalized generalized-Laguerre profile.  Every state is held in the
+weyl labels (mu, nu), integers with 0 <= mu <= nu:
 
-* ``su11``  labels (t, m), t >= 1, 0 <= m <= t-1:
-      P = N rho**(m+1) L^(2m+1)_{t-m-1}(rho),   N**2 = gamma (t-m-1)! / (2t (t+m)!)
-* ``weyl``  labels (mu, nu) >= 0 with nu >= mu:
-      P = N rho**((nu-mu+1)/2) L^(nu-mu)_{mu}(rho),
-      N**2 = gamma mu! / ((mu+nu+1) nu!)
+    P = N rho**((nu-mu+1)/2) L^(nu-mu)_{mu}(rho),   N**2 = gamma mu! / ((mu+nu+1) nu!)
 
-For integer angular momentum the two match under mu = t-m-1, nu = t+m.
+at principal label n = (mu+nu+1)/2 and angular momentum l = (nu-mu-1)/2.
+The ``su11`` labels (t, m), t >= 1, 0 <= m <= t-1, name the odd-gap states
+mu = t-m-1, nu = t+m; such a state keeps (t, m) as its labels, but every
+property is computed from (mu, nu).  Each ladder is a lattice step (dmu, dnu)
+read from ``generators.LADDERS``: A+- moves mu, B+- moves nu and T+- moves
+both, so T+- acts as A+- followed by B+-, coefficients included.
 
 The symbolic generators act on these states with closed-form coefficients.
 Every numeric action here is derived from them: ``act`` rewrites an operator
@@ -34,7 +35,7 @@ generally not an integer; reports record this rather than forbidding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
@@ -113,11 +114,16 @@ def _as_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class QuantumState:
-    """One radial bound state in either labeling, at exact rational charge."""
+    """One radial bound state in either labeling, at exact rational charge.
+
+    ``labels`` stay in the state's own labeling; every property is one
+    formula in the weyl labels ``munu`` = (mu, nu), worked out on creation.
+    """
 
     family: str
     labels: tuple[int, int]
     Z: Fraction = Fraction(1)
+    munu: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Z", Fraction(self.Z))
@@ -128,24 +134,22 @@ class QuantumState:
         if self.family == "su11":
             if a < 1 or not 0 <= b <= a - 1:
                 raise ValueError(f"need t >= 1 and 0 <= m <= t-1, got ({a}, {b})")
+            a, b = a - b - 1, a + b
         elif self.family == "weyl":
             if a < 0 or b < 0 or b - a < 0:
                 raise ValueError(f"need mu, nu >= 0 and nu >= mu, got ({a}, {b})")
         else:
             raise ValueError("family must be 'su11' or 'weyl'")
+        object.__setattr__(self, "munu", (a, b))
 
     @property
     def principal(self) -> Fraction:
-        if self.family == "su11":
-            return Fraction(self.labels[0])
-        mu, nu = self.labels
+        mu, nu = self.munu
         return Fraction(mu + nu + 1, 2)
 
     @property
     def angular(self) -> Fraction:
-        if self.family == "su11":
-            return Fraction(self.labels[1])
-        mu, nu = self.labels
+        mu, nu = self.munu
         return Fraction(nu - mu - 1, 2)
 
     @property
@@ -159,56 +163,53 @@ class QuantumState:
     @property
     def norm_sq(self) -> Fraction:
         """Exact square of the profile normalization constant."""
-        if self.family == "su11":
-            t, m = self.labels
-            return self.gamma * Fraction(
-                math.factorial(t - m - 1), 2 * t * math.factorial(t + m)
-            )
-        mu, nu = self.labels
-        return self.gamma * Fraction(
-            math.factorial(mu), (mu + nu + 1) * math.factorial(nu)
-        )
+        mu, nu = self.munu
+        return self.gamma * Fraction(math.factorial(mu), (mu + nu + 1) * math.factorial(nu))
 
     @property
     def power(self) -> Fraction:
         """Exponent of rho in the profile prefactor."""
-        if self.family == "su11":
-            return Fraction(self.labels[1] + 1)
-        mu, nu = self.labels
+        mu, nu = self.munu
         return Fraction(nu - mu + 1, 2)
 
     @property
     def alpha(self) -> int:
-        if self.family == "su11":
-            return 2 * self.labels[1] + 1
-        return self.labels[1] - self.labels[0]
+        return self.munu[1] - self.munu[0]
 
     @property
     def degree(self) -> int:
-        if self.family == "su11":
-            return self.labels[0] - self.labels[1] - 1
-        return self.labels[0]
+        return self.munu[0]
 
     @property
     def windings(self) -> tuple[Fraction, int, int]:
         """Phase windings (eta, alpha, beta) = (n, mu, nu) of the state."""
-        if self.family == "su11":
-            t, m = self.labels
-            return self.principal, t - m - 1, t + m
-        return (self.principal, *self.labels)
+        return (self.principal, *self.munu)
 
     @cached_property
+    def _log_norm(self) -> float:
+        # log of the exact norm_sq halved; math.log of a tiny Fraction would
+        # go through a float that underflows to 0
+        norm_sq = self.norm_sq
+        return (math.log(norm_sq.numerator) - math.log(norm_sq.denominator)) / 2
+
+    @property
     def norm_constant(self) -> float:
-        return math.sqrt(self.norm_sq)
+        return math.exp(self._log_norm)
+
+    def _prefactor(self, log_rho, q: float):
+        """N rho**q in log space, free of over- and underflow; q == 0 skips log(0) = -inf."""
+        return np.exp(self._log_norm + q * log_rho) if q else math.exp(self._log_norm)
 
     def scaled_profile(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return self.norm_constant * rho ** float(self.power) * laguerre(self.degree, self.alpha, rho)
+        lag = laguerre(self.degree, self.alpha, rho)
+        return self._prefactor(np.log(rho), float(self.power)) * lag
 
     def profile_derivs(self, rho, order: int) -> list:
-        """[P, P', ..., P^(order)] of the profile, by Leibniz's rule on rho**p L."""
+        """[P, P', ..., P^(order)] of the profile, by Leibniz's rule on N rho**p L."""
         rho = np.asarray(rho, dtype=float)
         p = float(self.power)
+        log_rho = np.log(rho)
         lag = [laguerre_deriv(self.degree, self.alpha, rho, i) for i in range(order + 1)]
         out = []
         for j in range(order + 1):
@@ -217,8 +218,8 @@ class QuantumState:
                 # C(j, i) times the falling power p (p-1) ... (p-j+i+1)
                 factor = comb(j, i) * math.prod(p - q for q in range(j - i))
                 if factor:
-                    total = total + factor * rho ** (p - j + i) * lag[i]
-            out.append(self.norm_constant * total)
+                    total = total + factor * self._prefactor(log_rho, p - j + i) * lag[i]
+            out.append(total)
         return out
 
     def radial(self, r):
@@ -239,29 +240,28 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
     return make_state("weyl", (_as_int(mu, "mu"), _as_int(nu, "nu")), Z)
 
 
-def _require_family(state: QuantumState, operator: str):
-    if operator in ("T+", "T-"):
-        if state.family != "su11":
-            raise ValueError(f"{operator} acts on 'su11' states")
-    elif operator in ("A+", "A-", "B+", "B-"):
-        if state.family != "weyl":
-            raise ValueError(f"{operator} acts on 'weyl' states")
-    else:
+def _ladder(state: QuantumState, operator: str) -> generators.Ladder:
+    lad = generators.LADDERS.get(operator)
+    if lad is None:
         raise ValueError(f"unknown operator {operator!r}")
+    if state.family != lad.kind:
+        raise ValueError(f"{operator} acts on {lad.kind!r} states")
+    return lad
 
 
 def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
-    """(sign, radicand) with action coefficient sign * sqrt(radicand), exact."""
-    _require_family(state, operator)
-    d = 1 if operator.endswith("+") else -1
-    if operator[0] == "T":
-        t, m = state.labels
-        return -1, Fraction((t + d) * (t - d * m) * (t + d * m + d), t)
-    mu, nu = state.labels
+    """(sign, radicand) with action coefficient sign * sqrt(radicand), exact.
+
+    On the weyl labels every ladder is the same expression: with
+    n2 = mu + nu + 1 and step (dmu, dnu), the radicand is
+    (n2 + dmu + dnu) / n2 times, for each moved label x, x + 1 when raised
+    and x when lowered.
+    """
+    lad = _ladder(state, operator)
+    mu, nu = state.munu
     n2 = mu + nu + 1
-    if operator[0] == "A":
-        return 1, Fraction((n2 + d) * (mu + (1 + d) // 2), n2)
-    return -1, Fraction((n2 + d) * (nu + (1 + d) // 2), n2)
+    moved = math.prod(x + (d > 0) for x, d in zip((mu, nu), lad.step) if d)
+    return lad.sign, Fraction((n2 + sum(lad.step)) * moved, n2)
 
 
 def action_coefficient(state: QuantumState, operator: str) -> float:
@@ -275,21 +275,12 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     The step keeps rho = gamma r fixed, so gamma and the energy are exactly
     unchanged while Z moves to Z n'/n (n, n' the principal labels).
     """
-    _require_family(state, operator)
-    d = 1 if operator.endswith("+") else -1
-    if operator[0] == "T":
-        t, m = state.labels
-        target = (t + d, m)
-        z_out = state.Z * Fraction(t + d, t)
-    else:
-        mu, nu = state.labels
-        n2 = mu + nu + 1
-        if operator[0] == "A":
-            target = (mu + d, nu)
-        else:
-            target = (mu, nu + d)
-        z_out = state.Z * Fraction(n2 + d, n2)
-    return QuantumState(state.family, target, z_out)
+    dmu, dnu = _ladder(state, operator).step
+    mu, nu = state.munu
+    n2 = mu + nu + 1
+    mu, nu = mu + dmu, nu + dnu
+    target = ((mu + nu + 1) // 2, (nu - mu - 1) // 2) if state.family == "su11" else (mu, nu)
+    return QuantumState(state.family, target, state.Z * Fraction(n2 + dmu + dnu, n2))
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +288,7 @@ def _generator(name: str) -> OperatorExpr:
     """The symbolic operator behind a ladder name ("T+", ..., "B-") or "C"."""
     if name == "C":
         return generators.casimir()[0]
-    family = generators.build_T() if name[0] == "T" else generators.build_AB()
-    return family.members[name[0] + ("plus" if name[1] == "+" else "minus")]
+    return generators.LADDERS[name].operator()
 
 
 @lru_cache(maxsize=64)
@@ -423,15 +413,15 @@ def action_report(
     )
 
 
+def _sweep(kind: str, states, order: int, tols: dict) -> list[ActionReport]:
+    ops = [op for op, lad in generators.LADDERS.items() if lad.kind == kind]
+    return [action_report(st, op, order, **tols) for st in states for op in ops]
+
+
 def sweep_su11(t_max: int, Z=1, order: int = DEFAULT_QUAD_ORDER, **tols) -> list[ActionReport]:
     """All T+- actions on states with t <= t_max, annihilations included."""
-    reports = []
-    for t in range(1, t_max + 1):
-        for m in range(t):
-            st = state_tm(t, m, Z)
-            for op in ("T+", "T-"):
-                reports.append(action_report(st, op, order, **tols))
-    return reports
+    states = (state_tm(t, m, Z) for t in range(1, t_max + 1) for m in range(t))
+    return _sweep("su11", states, order, tols)
 
 
 def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1,
@@ -441,13 +431,9 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1,
     nu - mu is kept odd so every integrand is polynomial and the quadrature
     exact; these are the states shared with the su11 labeling.
     """
-    reports = []
-    for mu in range(mu_max + 1):
-        for nu in range(mu + 1, nu_max + 1, 2):
-            st = state_munu(mu, nu, Z)
-            for op in ("A+", "A-", "B+", "B-"):
-                reports.append(action_report(st, op, order, **tols))
-    return reports
+    states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
+              for nu in range(mu + 1, nu_max + 1, 2))
+    return _sweep("weyl", states, order, tols)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import opalgebra
 from .opalgebra import ClosureReport, OperatorExpr, Rational
@@ -221,22 +222,42 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
     return plus, minus
 
 
+class Ladder(NamedTuple):
+    """One ladder generator: where it lives and how it steps a bound state."""
+
+    kind: str  # generator set, "su11" (build_T) or "weyl" (build_AB)
+    member: str  # key in that set's members
+    ladder: str  # transformed ladder it is rebuilt from
+    step: tuple[int, int]  # (dmu, dnu) on the weyl labels of a bound state
+    sign: int  # sign of the closed-form action coefficient
+
+    def operator(self) -> OperatorExpr:
+        return (build_T() if self.kind == "su11" else build_AB()).members[self.member]
+
+
+LADDERS = {
+    "T+": Ladder("su11", "Tplus", "tilde", (1, 1), -1),
+    "T-": Ladder("su11", "Tminus", "tilde", (-1, -1), -1),
+    "A+": Ladder("weyl", "Aplus", "check1", (1, 0), 1),
+    "A-": Ladder("weyl", "Aminus", "check1", (-1, 0), 1),
+    "B+": Ladder("weyl", "Bplus", "check2", (0, 1), -1),
+    "B-": Ladder("weyl", "Bminus", "check2", (0, -1), -1),
+}
+
+
 def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
     """Label shift (dl, dm) effected by one application of a ladder member.
 
-    The signs follow the verified action on Coulomb eigenfunctions: check1
-    raises or lowers mu = l - m keeping nu = l + m + 1 fixed, check2 raises
-    or lowers nu keeping mu fixed, tilde steps l keeping m fixed.
+    Read off the ``LADDERS`` step (dmu, dnu) with mu = l - m and
+    nu = l + m + 1: check1 steps mu, check2 steps nu, tilde steps both and
+    so l alone.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    half = Fraction(1, 2)
-    if kind == "tilde":
-        return Fraction(direction), Fraction(0)
-    if kind == "check1":
-        return direction * half, -direction * half
-    if kind == "check2":
-        return direction * half, direction * half
+    for lad in LADDERS.values():
+        dmu, dnu = lad.step
+        if lad.ladder == kind and (dmu + dnu) * direction > 0:
+            return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
     raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
 
 

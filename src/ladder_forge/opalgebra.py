@@ -470,20 +470,10 @@ class ClosureReport:
     commutators_tested: int
 
 
-def _flatten_vec(expr: OperatorExpr) -> dict:
-    return dict(expr._terms)
-
-
 def _vec_axpy(vec: dict, row: dict, factor: GaussRational) -> None:
     # vec -= factor * row, in place
     for key, g in row.items():
-        cur = vec.get(key)
-        contrib = factor * g
-        total = -contrib if cur is None else cur - contrib
-        if total:
-            vec[key] = total
-        else:
-            vec.pop(key, None)
+        _add_into(vec, key, -(factor * g))
 
 
 class _Echelon:
@@ -532,7 +522,7 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
     echelon = _Echelon()
     independent: list[OperatorExpr] = []
     for op in ops:
-        if echelon.insert(_flatten_vec(op)):
+        if echelon.insert(dict(op._terms)):
             independent.append(op)
     tested = 0
     pending = [(i, j) for j in range(len(independent)) for i in range(j)]
@@ -542,7 +532,7 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
         comm = commutator(independent[i], independent[j])
         if comm.is_zero:
             continue
-        if echelon.insert(_flatten_vec(comm)):
+        if echelon.insert(dict(comm._terms)):
             if echelon.dimension > max_dim:
                 return ClosureReport(echelon.dimension, False, max_dim, tested)
             new_index = len(independent)

@@ -136,6 +136,15 @@ class TestCoulombCommands:
         names = [row["name"] for row in report["rows"]]
         assert names == ["schrodinger residual", "detuned control", "normalization"]
 
+    def test_negative_shift_control_measures_its_size(self, capsys):
+        code, report = run_json(
+            capsys, ["coulomb-residual", "--n", "2", "--L", "0", "--shift", "-0.5"])
+        assert code == 0
+        row = next(r for r in report["rows"] if r["name"] == "detuned control")
+        assert float(row["expected"]) == 0.5
+        assert float(row["actual"]) == pytest.approx(0.5, rel=1e-6)
+        assert float(row["residual"]) <= 1e-6
+
     def test_residual_dump_and_out(self, capsys, tmp_path):
         dump = tmp_path / "samples.csv"
         out = tmp_path / "report.json"

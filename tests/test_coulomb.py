@@ -182,13 +182,13 @@ class TestStates:
         assert cl.normalization_residual(state) <= 1e-12
 
     def test_exact_bookkeeping_match_between_labelings(self):
-        for t in range(1, 7):
+        for t in range(1, 13):
             for m in range(t):
                 a = cl.state_tm(t, m)
                 b = cl.state_munu(t - m - 1, t + m)
-                assert a.principal == b.principal
-                assert a.angular == b.angular
-                assert a.norm_sq == b.norm_sq
+                for name in ("principal", "angular", "power", "alpha", "degree",
+                             "windings", "gamma", "norm_sq"):
+                    assert getattr(a, name) == getattr(b, name), (t, m, name)
 
     def test_profiles_match_between_labelings(self):
         assert cl.profile_identity_residual() <= 1e-14
@@ -208,6 +208,13 @@ class TestStates:
         for t in range(40, 61):
             for m in range(t):
                 assert cl.normalization_residual(cl.state_tm(t, m)) <= 1e-12, (t, m)
+
+    @pytest.mark.parametrize("t", [90, 100, 120])
+    def test_normalization_at_large_labels(self, t):
+        # norm_sq is below the smallest float here, and from t = 120 rho**p
+        # alone overflows at the top nodes
+        for m in (0, 1, t // 2, t - 2, t - 1):
+            assert cl.normalization_residual(cl.state_tm(t, m)) <= 1e-12, (t, m)
 
     def test_normalization_weyl(self):
         for mu in range(6):
@@ -238,6 +245,29 @@ class TestActionCoefficients:
             cl.action_coefficient(cl.state_munu(0, 1), "T-")
         with pytest.raises(ValueError):
             cl.action_coefficient(cl.state_tm(2, 0), "Q+")
+
+
+    def test_T_composes_from_A_then_B(self):
+        # on the weyl labels T+- steps (mu, nu) by (+-1, +-1), which is A+-
+        # followed by B+-; coefficient, target and dragged charge all agree
+        for t in range(1, 13):
+            for m in range(t):
+                state = cl.state_tm(t, m, 3)
+                weyl = cl.state_munu(t - m - 1, t + m, 3)
+                for d in "+-":
+                    sign, radicand = cl.action_radicand(state, "T" + d)
+                    sign_a, rad_a = cl.action_radicand(weyl, "A" + d)
+                    if rad_a == 0:
+                        assert radicand == 0, (t, m, d)
+                        continue
+                    mid = cl.shifted_state(weyl, "A" + d)
+                    sign_b, rad_b = cl.action_radicand(mid, "B" + d)
+                    assert sign * radicand == sign_a * rad_a * sign_b * rad_b, (t, m, d)
+                    target = cl.shifted_state(state, "T" + d)
+                    end = cl.shifted_state(mid, "B" + d)
+                    tt, tm = target.labels
+                    assert end.labels == (tt - tm - 1, tt + tm), (t, m, d)
+                    assert end.Z == target.Z, (t, m, d)
 
 
 class TestActions:
