@@ -201,29 +201,27 @@ def _cmd_transform(args) -> int:
     return _finish("transform", params, _transform_rows(result), args)
 
 
-def _action_rows(reports, tol_c, tol_p, tol_a) -> list[dict]:
+def _action_rows(reports) -> list[dict]:
     rows = []
     for rep in reports:
         label = f"{rep.operator} {rep.source}"
         if rep.annihilation:
             rows.append(_row(label + " annihilated", 0.0, rep.measured,
-                             rep.measured, rep.measured <= tol_a))
+                             rep.measured, rep.passed))
         else:
             residual = max(rep.coefficient_error, rep.profile_residual)
-            rows.append(_row(label, rep.expected, rep.measured, residual,
-                             rep.coefficient_error <= tol_c
-                             and rep.profile_residual <= tol_p))
+            rows.append(_row(label, rep.expected, rep.measured, residual, rep.passed))
     return rows
 
 
 def _cmd_coulomb_verify(args) -> int:
     tol_c = args.tol if args.tol is not None else _env_tol(1e-10)
     tol_p = args.tol if args.tol is not None else _env_tol(1e-8)
-    tol_a = tol_c
+    tols = {"coeff_tol": tol_c, "profile_tol": tol_p, "annihilation_tol": tol_c}
     Z = Fraction(args.Z)
-    sweeps = coulomb.sweep_su11(args.t_max, Z) + coulomb.sweep_weyl(
-        args.mu_max, args.nu_max, Z=Z)
-    rows = _action_rows(sweeps, tol_c, tol_p, tol_a)
+    sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(
+        args.mu_max, args.nu_max, Z=Z, **tols)
+    rows = _action_rows(sweeps)
 
     worst_norm = max(
         coulomb.normalization_residual(coulomb.state_tm(t, m, Z))
@@ -236,9 +234,10 @@ def _cmd_coulomb_verify(args) -> int:
         for t in range(1, args.t_max + 1) for m in range(t)
     )
     rows.append(_row("casimir worst", 0.0, worst_cas, worst_cas, worst_cas <= tol_p))
-    ident = coulomb.profile_identity_residual(Z)
-    rows.append(_row("labelings agree on ground state", 0.0, ident, ident,
-                     ident <= tol_p))
+    ground_munu, ground_tm = coulomb.state_munu(0, 1, Z), coulomb.state_tm(1, 0, Z)
+    same = (ground_munu.munu == ground_tm.munu
+            and ground_munu.norm_sq == ground_tm.norm_sq)
+    rows.append(_row("labelings agree on ground state", True, same, None, same))
 
     shift_ok = True
     for rep in sweeps:

@@ -53,7 +53,7 @@ def laguerre(n: int, alpha, x):
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
     a = float(alpha)
-    prev = np.ones_like(x)
+    prev = np.ones(x.shape)
     if n == 0:
         return prev
     cur = 1.0 + a - x
@@ -373,7 +373,6 @@ class ActionReport:
 def action_report(
     state: QuantumState,
     operator: str,
-    order: int = DEFAULT_QUAD_ORDER,
     coeff_tol: float = 1e-10,
     profile_tol: float = 1e-8,
     annihilation_tol: float = 1e-10,
@@ -385,14 +384,14 @@ def action_report(
     orthogonal to the target is measured in the L2 norm.  A vanishing
     closed-form coefficient instead demands a vanishing action norm.  Both
     sides are compared pointwise at the nodes, so the check holds even where
-    ``order`` is below the integrand's degree.
+    the quadrature order is below the integrand's degree.
     """
     sign, radicand = action_radicand(state, operator)
-    nodes, weights = gauss_laguerre(order)
+    nodes, weights = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lhs = act(_generator(operator), state, nodes)
-    src = state.scaled_profile(nodes)
-    src_norm = math.sqrt(float(weights @ src**2))
     if radicand == 0:
+        src = state.scaled_profile(nodes)
+        src_norm = math.sqrt(float(weights @ src**2))
         resid = math.sqrt(float(weights @ lhs**2)) / src_norm
         return ActionReport(
             operator, state.family, state.labels, None,
@@ -413,19 +412,18 @@ def action_report(
     )
 
 
-def _sweep(kind: str, states, order: int, tols: dict) -> list[ActionReport]:
+def _sweep(kind: str, states, tols: dict) -> list[ActionReport]:
     ops = [op for op, lad in generators.LADDERS.items() if lad.kind == kind]
-    return [action_report(st, op, order, **tols) for st in states for op in ops]
+    return [action_report(st, op, **tols) for st in states for op in ops]
 
 
-def sweep_su11(t_max: int, Z=1, order: int = DEFAULT_QUAD_ORDER, **tols) -> list[ActionReport]:
+def sweep_su11(t_max: int, Z=1, **tols) -> list[ActionReport]:
     """All T+- actions on states with t <= t_max, annihilations included."""
     states = (state_tm(t, m, Z) for t in range(1, t_max + 1) for m in range(t))
-    return _sweep("su11", states, order, tols)
+    return _sweep("su11", states, tols)
 
 
-def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1,
-               order: int = DEFAULT_QUAD_ORDER, **tols) -> list[ActionReport]:
+def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, **tols) -> list[ActionReport]:
     """All A+-, B+- actions over the odd-gap grid mu <= mu_max, nu <= nu_max.
 
     nu - mu is kept odd so every integrand is polynomial and the quadrature
@@ -433,7 +431,7 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1,
     """
     states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
               for nu in range(mu + 1, nu_max + 1, 2))
-    return _sweep("weyl", states, order, tols)
+    return _sweep("weyl", states, tols)
 
 
 @dataclass(frozen=True)
@@ -463,29 +461,27 @@ def charge_shift(state: QuantumState, operator: str) -> ChargeShiftReport:
     )
 
 
-def normalization_residual(state: QuantumState, order: int = DEFAULT_QUAD_ORDER) -> float:
+def normalization_residual(state: QuantumState) -> float:
     """|  ||psi||**2 - 1 |, by quadrature exact for these profiles.
 
-    The integrand has degree 2n, so the order is raised to floor(n) + 1
-    where ``order`` falls short of it.
+    The integrand has degree 2n, so the order is raised from
+    DEFAULT_QUAD_ORDER to floor(n) + 1 where it falls short of that.
     """
-    nodes, weights = gauss_laguerre(max(order, math.floor(state.principal) + 1))
+    nodes, weights = gauss_laguerre(max(DEFAULT_QUAD_ORDER, math.floor(state.principal) + 1))
     P = state.scaled_profile(nodes)
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
 
 
-def _casimir_defect(state: QuantumState, order: int):
+def _casimir_defect(state: QuantumState):
     """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
-    nodes, _ = gauss_laguerre(order)
+    nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lsq = float(state.angular * (state.angular + 1))
     P = state.scaled_profile(nodes)
     defect = act(_generator("C"), state, nodes) - lsq * P
     return nodes, P, np.exp(-nodes / 2), defect
 
 
-def schrodinger_residual(
-    state: QuantumState, lambda_shift: float = 0.0, order: int = DEFAULT_QUAD_ORDER
-) -> float:
+def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> float:
     """max |psi'' + (2Z/r - l(l+1)/r**2 + 2E + shift) psi| / max |psi|.
 
     Evaluated on the quadrature nodes.  The radial equation is the Casimir
@@ -495,25 +491,18 @@ def schrodinger_residual(
     residual up by about |shift|; this is the negative control showing the
     check has teeth.
     """
-    nodes, P, damp, defect = _casimir_defect(state, order)
+    nodes, P, damp, defect = _casimir_defect(state)
     g = float(state.gamma)
     resid = (g * g * defect / nodes**2 + lambda_shift * P) * damp
     return float(np.max(np.abs(resid)) / np.max(np.abs(P * damp)))
 
 
-def casimir_residual(state: QuantumState, order: int = DEFAULT_QUAD_ORDER) -> float:
+def casimir_residual(state: QuantumState) -> float:
     """Residual of the Casimir eigenequation C psi = l(l+1) psi on the profile.
 
     The max norm is damped by exp(-rho/2) to weight the nodes the way the
     wave function does.
     """
-    _, P, damp, defect = _casimir_defect(state, order)
+    _, P, damp, defect = _casimir_defect(state)
     return float(np.max(np.abs(defect) * damp) / np.max(np.abs(P) * damp))
 
-
-def profile_identity_residual(Z=1, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """The (mu, nu) = (0, 1) state and the (t, m) = (1, 0) state coincide."""
-    nodes, _ = gauss_laguerre(order)
-    a = state_munu(0, 1, Z).scaled_profile(nodes)
-    b = state_tm(1, 0, Z).scaled_profile(nodes)
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))

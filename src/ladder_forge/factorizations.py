@@ -19,11 +19,13 @@ with ``D = d/dx``.  The triples handled here:
 Bound-state eigenvalues follow the class rules: class I (types C, F) takes
 ``lambda = L(l+1)``, class II (type B) takes ``lambda = L(l)``.
 
-Types F and C embed directly into the operator algebra with the radial symbol
-standing for ``x``.  Type B contains ``exp(ax)``, so its ladder operators are
-expressed through the change of variable ``r = exp(ax)``, under which
-``d/dx = a * r * d/dr`` and the k-function becomes polynomial in ``r``; the
-factorization identities hold verbatim in that representation.
+``rkl`` returns ``r(x, m)`` and ``k(x, m)`` as multiplication operators of
+the operator algebra, so each identity is checked as an exactly zero
+operator.  Types F and C take the radial symbol ``r`` for ``x``.  Type B
+contains ``exp(ax)``, so its r-function, k-function and ``D`` all live in the
+representation ``r = exp(ax)``: there ``exp(ax)`` is ``r``, ``exp(2ax)`` is
+``r**2`` and ``d/dx = a * r * d/dr``, so both functions are polynomial in
+``r`` and the factorization identities hold verbatim.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -34,13 +36,12 @@ symbol ``s`` (that is, ``sqrt(-lambda)``) takes under the map.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from . import opalgebra
-from .opalgebra import OperatorExpr, Rational
+from .opalgebra import OperatorExpr, Rational, r_power
 
 
 def _frac(value: Rational, name: str) -> Fraction:
@@ -99,86 +100,40 @@ class TypeF:
 FamilyParams = Union[TypeB, TypeC, TypeF]
 
 
-@dataclass(frozen=True)
-class CurveTerm:
-    """One contribution coeff * x**power * exp(rate*x)."""
-
-    coeff: Fraction
-    power: int = 0
-    rate: Fraction = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Curve:
-    """Exact symbolic curve in the family coordinate, numerically evaluable."""
-
-    terms: tuple[CurveTerm, ...]
-
-    def __call__(self, x: float) -> float:
-        total = 0.0
-        for term in self.terms:
-            value = float(term.coeff) * x ** term.power
-            if term.rate:
-                value *= math.exp(float(term.rate) * x)
-            total += value
-        return total
-
-
-def _r_curve(params: FamilyParams, m: Fraction) -> Curve:
+def _r_operator(params: FamilyParams, m: Fraction) -> OperatorExpr:
+    """r(x, m) as a multiplication operator, in the representation of ladder()."""
     # kept apart from rkl: the second factorization identity needs r at
     # m - 1, which is 0 for type F at m = 1, where k and L are undefined
     if isinstance(params, TypeF):
-        return Curve((CurveTerm(-2 * params.q, -1), CurveTerm(-m * (m + 1), -2)))
+        return -2 * params.q * r_power(-1) - m * (m + 1) * r_power(-2)
     if isinstance(params, TypeC):
         b, c = params.b, params.c
-        return Curve(
-            (
-                CurveTerm(-(m + c) * (m + c + 1), -2),
-                CurveTerm(-b * b / 4, 2),
-                CurveTerm(b * (m - c)),
-            )
-        )
+        return -(m + c) * (m + c + 1) * r_power(-2) - b * b / 4 * r_power(2) + b * (m - c)
     if isinstance(params, TypeB):
+        # exp(a x) is the radial symbol r, so exp(2 a x) is r**2
         a, c, d = params.a, params.c, params.d
-        return Curve(
-            (
-                CurveTerm(-d * d, 0, 2 * a),
-                CurveTerm(2 * a * d * (m + c + Fraction(1, 2)), 0, a),
-            )
-        )
+        return -d * d * r_power(2) + 2 * a * d * (m + c + Fraction(1, 2)) * r_power(1)
     raise TypeError(f"unknown family parameters {params!r}")
 
 
-def rkl(params: FamilyParams, m: Rational) -> tuple[Curve, Curve, Fraction]:
-    """Defining triple (r-curve, k-curve, L-value) of a family at label m."""
+def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, Fraction]:
+    """Defining triple (r, k, L) of a family at label m.
+
+    r and k are multiplication operators in the representation that
+    ladder() uses; L is an exact rational.
+    """
     m = _frac(m, "m")
     if isinstance(params, TypeF) and m == 0:
         raise ValueError("type F requires m != 0")
-    r_curve = _r_curve(params, m)
+    r_op = _r_operator(params, m)
     if isinstance(params, TypeF):
         q = params.q
-        k_curve = Curve((CurveTerm(m, -1), CurveTerm(q / m)))
-        return r_curve, k_curve, -(q * q) / (m * m)
+        return r_op, m * r_power(-1) + q / m, -(q * q) / (m * m)
     if isinstance(params, TypeC):
         b, c = params.b, params.c
-        k_curve = Curve((CurveTerm(m + c, -1), CurveTerm(b / 2, 1)))
-        return r_curve, k_curve, -2 * b * m + b / 2
+        return r_op, (m + c) * r_power(-1) + b / 2 * r_power(1), -2 * b * m + b / 2
     a, c, d = params.a, params.c, params.d
-    k_curve = Curve((CurveTerm(d, 0, a), CurveTerm(-(m + c) * a)))
-    return r_curve, k_curve, -a * a * (m + c) * (m + c)
-
-
-def _curve_operator(params: FamilyParams, curve: Curve) -> OperatorExpr:
-    """The curve as a multiplication operator, each term c*r**(p + rate/a).
-
-    Types F and C take r = x and have no exponential terms; type B takes
-    r = exp(a*x) and has no powers of x.
-    """
-    a = params.a if isinstance(params, TypeB) else 1
-    total = opalgebra.zero()
-    for term in curve.terms:
-        total = total + term.coeff * opalgebra.r_power(term.power + term.rate / a)
-    return total
+    return r_op, d * r_power(1) - (m + c) * a, -a * a * (m + c) * (m + c)
 
 
 def _d_operator(params: FamilyParams) -> OperatorExpr:
@@ -194,25 +149,24 @@ def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExp
     type B is returned in the exponential representation r = exp(a x), where
     D = a * r * d/dr.
     """
-    k_op = _curve_operator(params, rkl(params, m)[1])
+    k_op = rkl(params, m)[1]
     d_op = _d_operator(params)
     return d_op + k_op, -d_op + k_op
 
 
-def equation_operator(params: FamilyParams, m: Rational) -> OperatorExpr:
-    """-D**2 - r(x, m) in the same representation that ladder() uses."""
-    m = _frac(m, "m")
-    d_op = _d_operator(params)
-    return -(d_op * d_op) - _curve_operator(params, _r_curve(params, m))
-
-
 def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
-    """Residuals of the two factorization identities at label m; both zero."""
+    """Residuals of the two factorization identities at label m; both zero.
+
+    The identities moved to one side: H- H+ + L + D**2 + r(x, m) and
+    H+ H- + L + D**2 + r(x, m-1).
+    """
     m = _frac(m, "m")
-    plus, minus = ladder(params, m)
-    _, _, level = rkl(params, m)
-    res_up = minus * plus + opalgebra.scalar(level) - equation_operator(params, m)
-    res_down = plus * minus + opalgebra.scalar(level) - equation_operator(params, m - 1)
+    r_op, k_op, level = rkl(params, m)
+    d_op = _d_operator(params)
+    plus, minus = d_op + k_op, -d_op + k_op
+    d_sq = d_op * d_op
+    res_up = minus * plus + level + d_sq + r_op
+    res_down = plus * minus + level + d_sq + _r_operator(params, m - 1)
     return res_up, res_down
 
 

@@ -49,7 +49,6 @@ class GeneratorSet:
 
     kind: str
     members: dict[str, OperatorExpr]
-    s_symbolic: bool = True
 
 
 @dataclass(frozen=True)
@@ -180,7 +179,7 @@ def sp4_bilinears() -> dict[str, OperatorExpr]:
 _CLOSURE_EXPECTED = {"su11": 3, "weyl": 5, "sp4": 10}
 
 
-def closure_report(which: str, max_dim: int | None = None) -> ClosureReport:
+def closure_report(which: str) -> ClosureReport:
     """Span closure of the named generator family under commutators."""
     if which == "su11":
         basis = list(build_T().members.values())
@@ -190,9 +189,7 @@ def closure_report(which: str, max_dim: int | None = None) -> ClosureReport:
         basis = list(sp4_bilinears().values())
     else:
         raise ValueError("which must be 'su11', 'weyl' or 'sp4'")
-    if max_dim is None:
-        max_dim = _CLOSURE_EXPECTED[which] + 4
-    return opalgebra.closure_check(basis, max_dim)
+    return opalgebra.closure_check(basis, _CLOSURE_EXPECTED[which] + 4)
 
 
 def expected_dimension(which: str) -> int:

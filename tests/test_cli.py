@@ -11,6 +11,7 @@ import pytest
 
 import ladder_forge
 from ladder_forge import cli, opalgebra as oa, opdsl
+from ladder_forge.generators import LADDERS
 
 ROW_KEYS = {"name", "expected", "actual", "residual", "pass"}
 TOP_KEYS = {"command", "params", "rows", "pass"}
@@ -191,6 +192,18 @@ class TestCoulombCommands:
         monkeypatch.setenv(cli.TOL_ENV, "nan")
         assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 2
         assert "'nan'" in capsys.readouterr().err
+
+    def test_tolerance_reaches_action_rows(self, capsys, monkeypatch):
+        grid = ["coulomb-verify", "--t-max", "2", "--mu-max", "1", "--nu-max", "2"]
+        monkeypatch.delenv(cli.TOL_ENV, raising=False)
+        code, report = run_json(capsys, [*grid, "--tol", "1e-30"])
+        actions = [row for row in report["rows"] if row["name"].split()[0] in LADDERS]
+        assert code == 1 and len(actions) == 14
+        assert not any(row["pass"] for row in actions)
+        assert run_json(capsys, [*grid, "--tol", "1e-6"])[0] == 0
+        monkeypatch.setenv(cli.TOL_ENV, "1e-30")
+        env_code, env_report = run_json(capsys, grid)
+        assert env_code == 1 and env_report["rows"] == report["rows"]
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_ENV, "1e-30")

@@ -191,9 +191,8 @@ class TestStates:
                     assert getattr(a, name) == getattr(b, name), (t, m, name)
 
     def test_profiles_match_between_labelings(self):
-        assert cl.profile_identity_residual() <= 1e-14
         nodes, _ = cl.gauss_laguerre(24)
-        for t, m in [(2, 0), (3, 1), (5, 2)]:
+        for t, m in [(1, 0), (2, 0), (3, 1), (5, 2)]:
             a = cl.state_tm(t, m).scaled_profile(nodes)
             b = cl.state_munu(t - m - 1, t + m).scaled_profile(nodes)
             assert a == pytest.approx(b, rel=1e-12)

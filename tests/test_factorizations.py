@@ -7,6 +7,7 @@ import pytest
 
 from ladder_forge import factorizations as fz
 from ladder_forge import opalgebra as oa
+from ladder_forge.opdsl import parse
 
 from _gen import random_family
 
@@ -16,22 +17,22 @@ HALF = Fraction(1, 2)
 class TestTriples:
     def test_coulomb_like_triple(self):
         r, k, L = fz.rkl(fz.TypeF(-1), 1)
-        for x in (0.5, 1.0, 2.5):
-            assert r(x) == pytest.approx(2 / x - 2 / x**2)
-            assert k(x) == pytest.approx(1 / x - 1)
+        assert r == parse("2*r^-1 - 2*r^-2")
+        assert k == parse("r^-1 - 1")
         assert L == -1
 
-    def test_exponential_triple(self):
-        import math
-
-        _, k, L = fz.rkl(fz.TypeB(1, 0, 1), 0)
-        for x in (-1.0, 0.0, 0.7):
-            assert k(x) == pytest.approx(math.exp(x))
-        assert L == 0
-
-    def test_oscillator_like_constant(self):
-        _, _, L = fz.rkl(fz.TypeC(-1, 0), 2)
+    def test_oscillator_like_triple(self):
+        r, k, L = fz.rkl(fz.TypeC(-1, 0), 2)
+        assert r == parse("-6*r^-2 - 2 - 1/4*r^2")
+        assert k == parse("2*r^-1 - 1/2*r")
         assert L == Fraction(7, 2)
+
+    def test_exponential_triple(self):
+        # type B lives in r = exp(a x): exp(x) is r, exp(2x) is r^2
+        r, k, L = fz.rkl(fz.TypeB(1, 0, 1), 0)
+        assert r == parse("r - r^2")
+        assert k == parse("r")
+        assert L == 0
 
     def test_coulomb_like_pole_rejected(self):
         with pytest.raises(ValueError):

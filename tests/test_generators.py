@@ -14,7 +14,7 @@ HALF = Fraction(1, 2)
 class TestNumberPhaseTriple:
     def test_member_names_and_flags(self):
         s = gen.build_T()
-        assert s.kind == "su11" and s.s_symbolic
+        assert s.kind == "su11"
         assert set(s.members) == {"T0", "Tplus", "Tminus"}
 
     def test_number_operator_form(self):
