@@ -43,7 +43,7 @@ from math import comb
 import numpy as np
 
 from . import generators
-from .opalgebra import GaussRational, OperatorExpr
+from .opalgebra import OperatorExpr
 
 DEFAULT_QUAD_ORDER = 40
 
@@ -302,8 +302,7 @@ def _rho_form(op: OperatorExpr) -> tuple[tuple, int]:
     and past exp(-rho/2) each d/dr turns into gamma (d/drho - 1/2).
     """
     half = Fraction(1, 2)
-    i_unit = GaussRational(Fraction(0), Fraction(1))
-    acc: dict[tuple, GaussRational] = {}
+    acc: dict[tuple, tuple[Fraction, Fraction]] = {}
     phases = set()
     for mono, sp, up, g in op.flatten():
         degree = 2 * sp - up - mono.r2 + 2 * mono.dr
@@ -315,16 +314,19 @@ def _rho_form(op: OperatorExpr) -> tuple[tuple, int]:
         phases.add((mono.ke, mono.ka, mono.kb))
         angle = (mono.de, mono.da, mono.db)
         # each angle derivative brings i times the state's winding
-        g = (g * i_unit ** sum(angle)).times(half**sp)
+        re, im = g.re, g.im
+        for _ in range(sum(angle) % 4):
+            re, im = -im, re
         for j in range(mono.dr + 1):
             key = (mono.r2, j, angle)
-            term = g.times(comb(mono.dr, j) * (-half) ** (mono.dr - j))
-            acc[key] = acc[key] + term if key in acc else term
+            c = half**sp * comb(mono.dr, j) * (-half) ** (mono.dr - j)
+            x, y = acc.get(key, (0, 0))
+            acc[key] = (x + c * re, y + c * im)
     if len(phases) > 1:
         raise ValueError("operator mixes phase windings")
-    if any(c.im for c in acc.values()):
+    if any(im for _, im in acc.values()):
         raise ValueError("operator has a non-real coefficient on the profile")
-    terms = tuple((k, j, angle, float(c.re)) for (k, j, angle), c in sorted(acc.items()) if c)
+    terms = tuple((k, j, angle, float(re)) for (k, j, angle), (re, _) in sorted(acc.items()) if re)
     return terms, max((j for _, j, _, _ in terms), default=0)
 
 

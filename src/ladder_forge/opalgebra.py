@@ -16,15 +16,19 @@ exact rational arithmetic.
 
 Every value is immutable and held in normal order: within each additive term
 the function factors (powers of ``r``, phase factors) stand to the left of all
-derivatives.  A value is one flat map from atoms ``(mono, s_power, u_parity)``
-to nonzero Gaussian rationals, where ``mono`` is the exponent pattern of a
-normal-ordered monomial, so equal atoms are always merged.  Products are
-rewritten into this form with the exact rules
+derivatives.  A value is one flat map from atoms ``(mono, s_power, u_parity)``,
+``mono`` the exponent pattern of a normal-ordered monomial, to nonzero
+Gaussian-integer numerators ``(re, im)`` over one positive denominator shared
+by the whole value.  Equal atoms are always merged and the value is in lowest
+terms (the gcd of the denominator and every numerator part is 1; zero is the
+empty map over 1).  Products are rewritten into this form with the exact rules
 
     d/dr * r**(p/2)   = r**(p/2) * d/dr + (p/2) * r**((p-2)/2)
     d/dv * exp(i*k*v) = exp(i*k*v) * (d/dv + i*k)     for v in {eta, alpha, beta}
 
-so operator equality is literal equality of canonical forms.
+so operator equality is literal equality of canonical forms.  Products, sums
+and the fraction-free Lie-closure echelon run on integers; ``Fraction`` appears
+only where user rationals enter and where ``terms()`` reads coefficients out.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -51,7 +55,10 @@ def _frac(value: Rational) -> Fraction:
 
 @dataclass(frozen=True)
 class GaussRational:
-    """Exact complex number ``re + im*i`` with rational parts."""
+    """Exact complex number ``re + im*i`` with rational parts.
+
+    The input and read-out form of one ``OperatorExpr`` coefficient.
+    """
 
     re: Fraction
     im: Fraction
@@ -61,61 +68,6 @@ class GaussRational:
         if isinstance(value, GaussRational):
             return value
         return GaussRational(_frac(value), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __pow__(self, exponent: int) -> "GaussRational":
-        base = self.inverse() if exponent < 0 else self
-        if not base.im:
-            return GaussRational(base.re ** abs(exponent), Fraction(0))
-        out, e = _GR_ONE, abs(exponent)
-        while e:
-            if e & 1:
-                out = out * base
-            base, e = base * base, e >> 1
-        return out
-
-    def times(self, factor: Rational) -> "GaussRational":
-        f = _frac(factor)
-        return GaussRational(self.re * f, self.im * f)
-
-    def inverse(self) -> "GaussRational":
-        norm = self.re * self.re + self.im * self.im
-        if not norm:
-            raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.re / norm, -self.im / norm)
-
-
-_GR_ONE = GaussRational(Fraction(1), Fraction(0))
-_GR_I = GaussRational(Fraction(0), Fraction(1))
-
-# i**p for p mod 4
-_I_CYCLE = (
-    _GR_ONE,
-    _GR_I,
-    GaussRational(Fraction(-1), Fraction(0)),
-    GaussRational(Fraction(0), Fraction(-1)),
-)
-
-
-def _ipow(p: int) -> GaussRational:
-    return _I_CYCLE[p % 4]
 
 
 class Mono(NamedTuple):
@@ -138,99 +90,104 @@ class Mono(NamedTuple):
 _MONO_ONE = Mono(0, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _falling(a: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(j):
-        out *= a - i
-    return out
-
-
-def _phase_pass(d: int, k: int) -> tuple[tuple[int, GaussRational], ...]:
-    # (d/dv)**d commuted past exp(i*k*v): sum_j C(d,j) (i*k)**(d-j) (d/dv)**j
+def _phase_pass(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    # (d/dv)**d commuted past exp(i*k*v): sum_j C(d,j) (i*k)**(d-j) (d/dv)**j,
+    # as (j, re, im) with i**p = (-1)**(p//2) * (i if p is odd else 1)
+    if k == 0 or d == 0:
+        return ((d, 1, 0),)
     out = []
     for j in range(d + 1):
         p = d - j
-        if p and k == 0:
-            out.append((d, _GR_ONE))
-            break
-        g = _ipow(p).times(Fraction(comb(d, j) * k**p))
-        if g:
-            out.append((j, g))
+        c = comb(d, j) * k**p * (-1) ** (p // 2)
+        out.append((j, 0, c) if p % 2 else (j, c, 0))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _mono_cross(m1: Mono, m2: Mono) -> tuple[tuple[Mono, GaussRational], ...]:
-    """Normal-ordered expansion of the product of two monomial patterns."""
+def _mono_cross(m1: Mono, m2: Mono) -> tuple[tuple[Mono, int, int], ...]:
+    """Normal-ordered expansion of the product of two monomial patterns.
+
+    Each entry is ``(mono, re, im)``, a Gaussian-integer coefficient over the
+    implied denominator ``2**m1.dr``.
+    """
+    phases = []
+    for je, a, b in _phase_pass(m1.de, m2.ke):
+        for ja, c, d in _phase_pass(m1.da, m2.ka):
+            x, y = a * c - b * d, a * d + b * c
+            for jb, e, f in _phase_pass(m1.db, m2.kb):
+                # je/ja/jb already count the derivatives left over after
+                # commuting past the phase factor
+                phases.append((je + m2.de, ja + m2.da, jb + m2.db, x * e - y * f, x * f + y * e))
+    ke, ka, kb = m1.ke + m2.ke, m1.ka + m2.ka, m1.kb + m2.kb
     out = []
-    half2 = Fraction(m2.r2, 2)
-    eta_terms = _phase_pass(m1.de, m2.ke)
-    alpha_terms = _phase_pass(m1.da, m2.ka)
-    beta_terms = _phase_pass(m1.db, m2.kb)
+    # falling = prod(r2 - 2i, i < jr) = 2**jr times the falling factorial of r2/2
+    falling = 1
     for jr in range(m1.dr + 1):
-        fr = comb(m1.dr, jr) * _falling(half2, jr)
-        if not fr:
-            continue
-        base = GaussRational(fr, Fraction(0))
-        for je, ge in eta_terms:
-            for ja, ga in alpha_terms:
-                for jb, gb in beta_terms:
-                    g = base * ge * ga * gb
-                    # je/ja/jb already count the derivatives left over after
-                    # commuting past the phase factor
-                    mono = Mono(
-                        m1.r2 + m2.r2 - 2 * jr,
-                        m1.ke + m2.ke,
-                        m1.ka + m2.ka,
-                        m1.kb + m2.kb,
-                        m1.dr - jr + m2.dr,
-                        je + m2.de,
-                        ja + m2.da,
-                        jb + m2.db,
-                    )
-                    out.append((mono, g))
+        if jr:
+            falling *= m2.r2 - 2 * (jr - 1)
+            if not falling:
+                break
+        fr = comb(m1.dr, jr) * falling << (m1.dr - jr)
+        r2, dr = m1.r2 + m2.r2 - 2 * jr, m1.dr - jr + m2.dr
+        for de, da, db, re, im in phases:
+            out.append((Mono(r2, ke, ka, kb, dr, de, da, db), fr * re, fr * im))
     return tuple(out)
 
 
 Atom = tuple  # (Mono, s_power, u_parity)
+Gauss = tuple  # (re: int, im: int), a Gaussian integer
 
 
-def _add_into(acc: dict, key: Atom, g: GaussRational) -> None:
-    # acc[key] += g, dropping the atom when it cancels
-    cur = acc.get(key)
-    total = g if cur is None else cur + g
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
+def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
+    """Drop cancelled atoms, then divide ``acc`` and ``den`` by their gcd.
+
+    With ``den == 0`` this divides ``acc`` by its integer content.
+    """
+    terms = {}
+    g = den
+    for key, pair in acc.items():
+        if pair[0] or pair[1]:
+            terms[key] = pair
+            if g != 1:
+                g = gcd(g, *pair)
+    if g > 1:
+        terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
+        den //= g
+    return terms, den
 
 
 class OperatorExpr:
     """Immutable normal-ordered sum of atoms ``g * s**s_power * u**u_parity * mono``.
 
-    Stored as one map from ``(mono, s_power, u_parity)`` to a nonzero
-    Gaussian rational ``g``, with ``u_parity`` in {0, 1}.
+    Stored as one map from ``(mono, s_power, u_parity)`` to the nonzero
+    Gaussian-integer numerator ``(re, im)`` of ``g``, with ``u_parity`` in
+    {0, 1}, plus one positive denominator shared by every atom, in lowest terms.
+    ``OperatorExpr(mapping)`` takes ``GaussRational``, ``int`` or ``Fraction``
+    values and finds the common denominator itself.
     """
 
-    __slots__ = ("_terms", "_key")
+    __slots__ = ("_terms", "_den", "_hash")
 
-    def __init__(self, terms: Mapping[Atom, GaussRational] | None = None):
-        clean: dict[Atom, GaussRational] = {}
-        if terms:
-            for key, g in terms.items():
-                if key[2] not in (0, 1):
-                    raise ValueError("u parity must be 0 or 1")
-                if g:
-                    clean[key] = g
+    def __init__(self, terms: Mapping[Atom, "GaussRational | Rational"] | None = None):
+        values: dict[Atom, GaussRational] = {}
+        for key, value in (terms or {}).items():
+            if key[2] not in (0, 1):
+                raise ValueError("u parity must be 0 or 1")
+            values[key] = GaussRational.of(value)
+        den = lcm(1, *(part.denominator for g in values.values() for part in (g.re, g.im)))
+        acc = {key: (int(g.re * den), int(g.im * den)) for key, g in values.items()}
+        clean, den = _lowest(acc, den)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _wrap(cls, clean: dict[Atom, GaussRational]) -> "OperatorExpr":
-        # adopt a map already free of zero values, skipping the checks
+    def _wrap(cls, clean: dict[Atom, Gauss], den: int) -> "OperatorExpr":
+        # adopt a map and denominator already in lowest terms, skipping the checks
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", clean)
-        object.__setattr__(out, "_key", None)
+        object.__setattr__(out, "_den", den)
+        object.__setattr__(out, "_hash", None)
         return out
 
     def __setattr__(self, name, value):
@@ -240,7 +197,11 @@ class OperatorExpr:
 
     def terms(self) -> tuple[tuple[Atom, GaussRational], ...]:
         """The ((mono, s_power, u_parity), gauss) pairs, sorted by atom."""
-        return tuple(sorted(self._terms.items()))
+        den = self._den
+        return tuple(
+            (key, GaussRational(Fraction(re, den), Fraction(im, den)))
+            for key, (re, im) in sorted(self._terms.items())
+        )
 
     def flatten(self) -> Iterator[tuple[Mono, int, int, GaussRational]]:
         """Yield (mono, s_power, u_parity, gauss) over all stored atoms."""
@@ -254,34 +215,38 @@ class OperatorExpr:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def single_term(self) -> tuple[Atom, GaussRational] | None:
+    def single_term(self) -> tuple[Atom, Gauss, int] | None:
+        """(atom, (re, im), denominator) of a one-atom operator, else None."""
         if len(self._terms) != 1:
             return None
-        return next(iter(self._terms.items()))
+        return (*next(iter(self._terms.items())), self._den)
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other) -> "OperatorExpr":
+    def _combine(self, other, sign: int) -> "OperatorExpr":
+        # self + sign*other over the lcm of the two denominators
         if not isinstance(other, OperatorExpr):
             other = _as_scalar(other)
             if other is None:
                 return NotImplemented
-        acc = dict(self._terms)
-        for key, g in other._terms.items():
-            _add_into(acc, key, g)
-        return OperatorExpr._wrap(acc)
+        g = gcd(self._den, other._den)
+        f1, f2 = other._den // g, sign * (self._den // g)
+        acc = {key: (re * f1, im * f1) for key, (re, im) in self._terms.items()}
+        for key, (re, im) in other._terms.items():
+            cur = acc.get(key)
+            acc[key] = (re * f2, im * f2) if cur is None else (cur[0] + re * f2, cur[1] + im * f2)
+        return OperatorExpr._wrap(*_lowest(acc, self._den * f1))
+
+    def __add__(self, other) -> "OperatorExpr":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "OperatorExpr":
-        return OperatorExpr._wrap({key: -g for key, g in self._terms.items()})
+        return OperatorExpr._wrap({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "OperatorExpr":
-        if not isinstance(other, OperatorExpr):
-            other = _as_scalar(other)
-            if other is None:
-                return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "OperatorExpr":
         return (-self) + other
@@ -291,16 +256,24 @@ class OperatorExpr:
             other = _as_scalar(other)
             if other is None:
                 return NotImplemented
-        acc: dict[Atom, GaussRational] = {}
-        for (m1, s1, u1), g1 in self._terms.items():
-            for (m2, s2, u2), g2 in other._terms.items():
-                sp, up, g12 = s1 + s2, u1 + u2, g1 * g2
+        # every contribution goes over den1 * den2 * 2**top: _mono_cross
+        # divides by 2**m1.dr and u**2 = 1/(2*s) by one more 2
+        top = 1 + max((m1.dr for m1, _, _ in self._terms), default=0)
+        right = list(other._terms.items())
+        acc: dict[Atom, Gauss] = {}
+        get = acc.get
+        for (m1, s1, u1), (a1, b1) in self._terms.items():
+            for (m2, s2, u2), (a2, b2) in right:
+                sp, up, shift = s1 + s2, u1 + u2, top - m1.dr
                 if up == 2:
-                    # u**2 = 1/(2*s)
-                    sp, up, g12 = sp - 1, 0, g12.times(Fraction(1, 2))
-                for mono, g in _mono_cross(m1, m2):
-                    _add_into(acc, (mono, sp, up), g12 * g)
-        return OperatorExpr._wrap(acc)
+                    sp, up, shift = sp - 1, 0, shift - 1
+                re, im = (a1 * a2 - b1 * b2) << shift, (a1 * b2 + b1 * a2) << shift
+                for mono, gr, gi in _mono_cross(m1, m2):
+                    key = (mono, sp, up)
+                    x, y = re * gr - im * gi, re * gi + im * gr
+                    cur = get(key)
+                    acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+        return OperatorExpr._wrap(*_lowest(acc, self._den * other._den << top))
 
     def __rmul__(self, other) -> "OperatorExpr":
         other = _as_scalar(other)
@@ -329,32 +302,31 @@ class OperatorExpr:
         val = _frac(value)
         if val <= 0:
             raise ValueError("s stands for sqrt(-lambda) and must be positive")
-        acc: dict[Atom, GaussRational] = {}
-        for (mono, sp, up), g in self._terms.items():
+        acc: dict[Atom, tuple[Fraction, Fraction]] = {}
+        for (mono, sp, up), (re, im) in self._terms.items():
             if up:
                 raise ValueError(
                     "coefficient contains the formal unit u; its value "
                     "(2*s)**(-1/2) is irrational for generic s"
                 )
-            _add_into(acc, (mono, 0, 0), g.times(val**sp))
-        return OperatorExpr._wrap(acc)
+            f = val**sp / self._den
+            x, y = acc.get((mono, 0, 0), (0, 0))
+            acc[mono, 0, 0] = (x + re * f, y + im * f)
+        return OperatorExpr({key: GaussRational(re, im) for key, (re, im) in acc.items()})
 
     # -- equality --------------------------------------------------------
-
-    def _canonical(self):
-        key = self._key
-        if key is None:
-            key = tuple(sorted((k, (g.re, g.im)) for k, g in self._terms.items()))
-            object.__setattr__(self, "_key", key)
-        return key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorExpr):
             return NotImplemented
-        return self._canonical() == other._canonical()
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._canonical())
+        h = self._hash
+        if h is None:
+            h = hash((self._den, frozenset(self._terms.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         try:
@@ -368,8 +340,9 @@ class OperatorExpr:
 # -- constructors --------------------------------------------------------
 
 
-def _atom(mono: Mono, sp: int, up: int, value: "GaussRational | Rational") -> OperatorExpr:
-    return OperatorExpr({(mono, sp, up): GaussRational.of(value)})
+def _atom(mono: Mono, sp: int = 0, up: int = 0, re: int = 1, im: int = 0, den: int = 1) -> OperatorExpr:
+    """The one-atom operator ``(re + im*i)/den * s**sp * u**up * mono``, ``den > 0``."""
+    return OperatorExpr._wrap(*_lowest({(mono, sp, up): (re, im)}, den))
 
 
 def _as_scalar(value) -> OperatorExpr | None:
@@ -383,28 +356,32 @@ def zero() -> OperatorExpr:
 
 
 def identity() -> OperatorExpr:
-    return _atom(_MONO_ONE, 0, 0, 1)
+    return _atom(_MONO_ONE)
 
 
 def scalar(value: "GaussRational | Rational") -> OperatorExpr:
-    return _atom(_MONO_ONE, 0, 0, value)
+    if isinstance(value, int):
+        return _atom(_MONO_ONE, re=value)
+    if isinstance(value, Fraction):
+        return _atom(_MONO_ONE, re=value.numerator, den=value.denominator)
+    return OperatorExpr({(_MONO_ONE, 0, 0): value})
 
 
 def imag() -> OperatorExpr:
-    return scalar(_GR_I)
+    return _atom(_MONO_ONE, re=0, im=1)
 
 
 def s_sym(power: int = 1) -> OperatorExpr:
-    return _atom(_MONO_ONE, power, 0, 1)
+    return _atom(_MONO_ONE, power)
 
 
 def u_sym() -> OperatorExpr:
-    return _atom(_MONO_ONE, 0, 1, 1)
+    return _atom(_MONO_ONE, 0, 1)
 
 
 def r_half_power(halves: int) -> OperatorExpr:
     """r**(halves/2); use halves=2 for r itself, halves=1 for sqrt(r)."""
-    return _atom(Mono(halves, 0, 0, 0, 0, 0, 0, 0), 0, 0, 1)
+    return _atom(Mono(halves, 0, 0, 0, 0, 0, 0, 0))
 
 
 def r_power(power: Rational) -> OperatorExpr:
@@ -428,7 +405,7 @@ def phase(axis: str, winding: int) -> OperatorExpr:
     idx = PHASE_AXES.index(axis)
     k = [0, 0, 0]
     k[idx] = winding
-    return _atom(Mono(0, k[0], k[1], k[2], 0, 0, 0, 0), 0, 0, 1)
+    return _atom(Mono(0, k[0], k[1], k[2], 0, 0, 0, 0))
 
 
 def deriv(axis: str, order: int = 1) -> OperatorExpr:
@@ -440,7 +417,7 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
         return identity()
     d = [0, 0, 0, 0]
     d[DERIV_AXES.index(axis)] = order
-    return _atom(Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]), 0, 0, 1)
+    return _atom(Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]))
 
 
 # -- derived operations --------------------------------------------------
@@ -452,11 +429,11 @@ def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
 
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
-    acc: dict[Atom, GaussRational] = {}
+    acc: dict[Atom, Gauss] = {}
     for (mono, sp, up), g in expr._terms.items():
         swapped = Mono(mono.r2, mono.ke, mono.kb, mono.ka, mono.dr, mono.de, mono.db, mono.da)
         acc[(swapped, sp, up)] = g
-    return OperatorExpr(acc)
+    return OperatorExpr._wrap(acc, expr._den)
 
 
 # -- linear span and Lie closure ----------------------------------------
@@ -470,37 +447,39 @@ class ClosureReport:
     commutators_tested: int
 
 
-def _vec_axpy(vec: dict, row: dict, factor: GaussRational) -> None:
-    # vec -= factor * row, in place
-    for key, g in row.items():
-        _add_into(vec, key, -(factor * g))
+def _eliminate(vec: dict[Atom, Gauss], p: Gauss, c: Gauss, row: dict[Atom, Gauss]) -> dict[Atom, Gauss]:
+    """``p*vec - c*row`` over the Gaussian integers, divided by its integer content."""
+    (pr, pi), (cr, ci) = p, c
+    out = {key: (pr * a - pi * b, pr * b + pi * a) for key, (a, b) in vec.items()}
+    for key, (a, b) in row.items():
+        x, y = out.get(key, (0, 0))
+        out[key] = (x - cr * a + ci * b, y - cr * b - ci * a)
+    return _lowest(out, 0)[0]
 
 
 class _Echelon:
-    """Reduced row echelon span over the Gaussian rationals."""
+    """Fraction-free row echelon span over the Gaussian integers.
+
+    Eliminating a row from a vector forms ``p*vec - c*row``, with ``p`` the
+    row's pivot entry and ``c`` the vector's entry there, and divides the
+    result by its integer content (fraction-free elimination after Bareiss,
+    Math. Comp. 22 (1968) 565).  Each row is zero at the pivots of the rows
+    before it, so one pass in insertion order reduces a vector; only the
+    dimension is read.
+    """
 
     def __init__(self):
-        self.rows: list[tuple[tuple, dict]] = []
+        self.rows: list[tuple[Atom, dict[Atom, Gauss]]] = []
 
-    def reduce(self, vec: dict) -> dict:
+    def insert(self, vec: dict[Atom, Gauss]) -> bool:
+        """Add ``vec`` if it lies outside the span; never mutates ``vec``."""
         for pivot, row in self.rows:
             c = vec.get(pivot)
             if c:
-                _vec_axpy(vec, row, c)
-        return vec
-
-    def insert(self, vec: dict) -> bool:
-        vec = self.reduce(vec)
+                vec = _eliminate(vec, row[pivot], c, row)
         if not vec:
             return False
-        pivot = min(vec)
-        inv = vec[pivot].inverse()
-        new_row = {k: g * inv for k, g in vec.items()}
-        for _, row in self.rows:
-            c = row.get(pivot)
-            if c:
-                _vec_axpy(row, new_row, c)
-        self.rows.append((pivot, new_row))
+        self.rows.append((min(vec), vec))
         return True
 
     @property
@@ -522,7 +501,7 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
     echelon = _Echelon()
     independent: list[OperatorExpr] = []
     for op in ops:
-        if echelon.insert(dict(op._terms)):
+        if echelon.insert(op._terms):
             independent.append(op)
     tested = 0
     pending = [(i, j) for j in range(len(independent)) for i in range(j)]
@@ -532,7 +511,7 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
         comm = commutator(independent[i], independent[j])
         if comm.is_zero:
             continue
-        if echelon.insert(dict(comm._terms)):
+        if echelon.insert(comm._terms):
             if echelon.dimension > max_dim:
                 return ClosureReport(echelon.dimension, False, max_dim, tested)
             new_index = len(independent)

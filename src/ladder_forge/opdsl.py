@@ -255,19 +255,38 @@ class _Parser:
         return opalgebra.phase(var, sign * (1 if magnitude is None else magnitude))
 
 
+def _gauss_pow(re: int, im: int, n: int) -> tuple[int, int]:
+    """(re + im*i)**n for n >= 0, by repeated squaring."""
+    out_re, out_im = 1, 0
+    while n:
+        if n & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        re, im, n = re * re - im * im, 2 * re * im, n >> 1
+    return out_re, out_im
+
+
 def _power(expr: OperatorExpr, e: int) -> OperatorExpr:
     """expr**e, in closed form for one derivative-free atom and any integer e."""
     single = expr.single_term()
     if single is not None:
-        (mono, sp, up), g = single
+        (mono, sp, up), (re, im), den = single
         if not (mono.dr or mono.de or mono.da or mono.db):
             # r powers, phase factors and scalars commute, so exponents scale
             # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
             q, up_e = divmod(up * e, 2)
             power = Mono(mono.r2 * e, mono.ke * e, mono.ka * e, mono.kb * e, 0, 0, 0, 0)
-            return OperatorExpr({(power, sp * e - q, up_e): (g**e).times(Fraction(1, 2) ** q)})
+            if e < 0:
+                # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
+                re, im, den = den * re, -den * im, re * re + im * im
+            re, im = _gauss_pow(re, im, abs(e))
+            den **= abs(e)
+            if q < 0:
+                re, im = re << -q, im << -q
+            return opalgebra._atom(power, sp * e - q, up_e, re, im, den << max(q, 0))
     if e >= 0:
         return expr**e
+    if expr.is_zero:
+        raise ValueError("cannot invert zero")
     if single is None:
         raise ValueError("cannot invert a sum of operator terms")
     raise ValueError("cannot invert an operator containing derivatives")

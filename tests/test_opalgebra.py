@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 
 from ladder_forge import opalgebra as oa
-from ladder_forge.generators import build_T, casimir
+from ladder_forge.generators import build_AB, build_T, casimir, closure_report, sp4_bilinears
 
 from _gen import operators, random_operator, random_term
 
@@ -106,6 +107,87 @@ class TestClosureCheck:
             oa.closure_check([], 3)
         with pytest.raises(ValueError):
             oa.closure_check([oa.identity(), oa.deriv("r")], 1)
+
+
+    def test_dependent_basis_element_adds_no_dimension(self):
+        # x and y commute, so the one commutator tested cannot add a dimension
+        x = Fraction(2, 3) * oa.s_sym() * oa.r_power(1) + Fraction(5, 9) * oa.r_power(2)
+        y = oa.u_sym() * oa.sqrt_r() * oa.phase("eta", 1) - Fraction(1, 7) * oa.imag()
+        report = oa.closure_check([x, y, Fraction(3, 7) * x - 2 * oa.imag() * y], 3)
+        assert (report.dimension, report.closed, report.commutators_tested) == (2, True, 1)
+
+    @pytest.mark.parametrize("which", ["su11", "weyl", "sp4"])
+    def test_basis_scaling_keeps_dimension(self, which):
+        basis = {
+            "su11": lambda: list(build_T().members.values()),
+            "weyl": lambda: list(build_AB().members.values()) + [oa.identity()],
+            "sp4": lambda: list(sp4_bilinears().values()),
+        }[which]()
+        i = oa.imag()
+        factors = [oa.scalar(Fraction(1, 3)), oa.scalar(Fraction(-5, 7)), 2 * i,
+                   Fraction(3, 11) + Fraction(1, 2) * i, Fraction(-9, 5) * i + 4,
+                   oa.scalar(Fraction(13, 6))]
+        scaled = [factors[k % len(factors)] * op for k, op in enumerate(basis)]
+        plain = closure_report(which)
+        report = oa.closure_check(scaled, plain.max_dim)
+        assert (report.dimension, report.closed) == (plain.dimension, plain.closed)
+
+
+def _stirling2(n: int, k: int) -> int:
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _r_d(j: int, k: int, coeff) -> dict:
+    # the normal-ordered atom coeff * r**j * (d/dr)**k, built without products
+    return {(oa.Mono(2 * j, 0, 0, 0, k, 0, 0, 0), 0, 0): coeff}
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_euler_operator_power_is_stirling_sum(n):
+    # (r d/dr)**n = sum_k S(n, k) r**k (d/dr)**k  (Blasiak et al., Am. J. Phys.
+    # 75 (2007) 639)
+    expected = {}
+    for k in range(n + 1):
+        expected.update(_r_d(k, k, _stirling2(n, k)))
+    assert (oa.r_power(1) * oa.deriv("r")) ** n == oa.OperatorExpr(expected)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_weyl_binomial_power_closed_form(n):
+    # (a d/dr + b r)**n = sum over j + k + 2l = n of
+    # n!/(j! k! l! 2**l) a**(k+l) b**(j+l) r**j (d/dr)**k; a, b non-dyadic
+    a, b = Fraction(1, 3), Fraction(5, 7)
+    expected = {}
+    for l in range(n // 2 + 1):
+        for k in range(n - 2 * l + 1):
+            j = n - 2 * l - k
+            c = Fraction(factorial(n), factorial(j) * factorial(k) * factorial(l) * 2**l)
+            expected.update(_r_d(j, k, c * a ** (k + l) * b ** (j + l)))
+    assert (a * oa.deriv("r") + b * oa.r_power(1)) ** n == oa.OperatorExpr(expected)
+
+
+def _assert_lowest_terms(e: oa.OperatorExpr) -> None:
+    parts = [part for pair in e._terms.values() for part in pair]
+    assert e._den > 0
+    assert gcd(e._den, *parts) == 1
+    assert all(re or im for re, im in e._terms.values())
+    rebuilt = oa.OperatorExpr(dict(e.terms()))
+    assert rebuilt == e and hash(rebuilt) == hash(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators(max_terms=2), operators(max_terms=2))
+def test_every_operation_keeps_lowest_terms(a, b):
+    u_free = oa.OperatorExpr({key: g for key, g in a.terms() if key[2] == 0})
+    results = (a, b, a + b, a - b, a - a, a * b, oa.commutator(a, b),
+               u_free.substitute_s(Fraction(3, 7)), oa.swap_alpha_beta(a))
+    for e in results:
+        _assert_lowest_terms(e)
+    assert (a - a)._den == 1 and not (a - a)._terms
 
 
 @settings(max_examples=40, deadline=None)

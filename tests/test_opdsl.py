@@ -132,6 +132,8 @@ def test_non_integer_power_rejected(text, position):
     ("(r + 1)^-1", "a sum of operator terms"),
     ("(s + s^2)^-1", "a sum of operator terms"),
     ("(d/dr)^-1", "containing derivatives"),
+    ("0^-1", "cannot invert zero"),
+    ("(2-2)^-1", "cannot invert zero"),
 ])
 def test_uninvertible_power_rejected(text, reason):
     with pytest.raises(ValueError, match=reason):
