@@ -217,7 +217,7 @@ def _action_rows(reports) -> list[dict]:
 def _cmd_coulomb_verify(args) -> int:
     tol_c = args.tol if args.tol is not None else _env_tol(1e-10)
     tol_p = args.tol if args.tol is not None else _env_tol(1e-8)
-    tols = {"coeff_tol": tol_c, "profile_tol": tol_p, "annihilation_tol": tol_c}
+    tols = {"coeff_tol": tol_c, "profile_tol": tol_p}
     Z = Fraction(args.Z)
     sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(
         args.mu_max, args.nu_max, Z=Z, **tols)

@@ -41,15 +41,7 @@ from fractions import Fraction
 from typing import Union
 
 from . import opalgebra
-from .opalgebra import OperatorExpr, Rational, r_power
-
-
-def _frac(value: Rational, name: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"{name} must be an exact rational, got {type(value).__name__}")
+from .opalgebra import OperatorExpr, Rational, exact, exact_int, r_power
 
 
 @dataclass(frozen=True)
@@ -62,9 +54,9 @@ class TypeB:
     family = "B"
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a, "a"))
-        object.__setattr__(self, "c", _frac(self.c, "c"))
-        object.__setattr__(self, "d", _frac(self.d, "d"))
+        object.__setattr__(self, "a", exact(self.a, "a"))
+        object.__setattr__(self, "c", exact(self.c, "c"))
+        object.__setattr__(self, "d", exact(self.d, "d"))
         if self.a <= 0 or self.d <= 0:
             raise ValueError("type B requires a > 0 and d > 0")
 
@@ -78,8 +70,8 @@ class TypeC:
     family = "C"
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _frac(self.b, "b"))
-        object.__setattr__(self, "c", _frac(self.c, "c"))
+        object.__setattr__(self, "b", exact(self.b, "b"))
+        object.__setattr__(self, "c", exact(self.c, "c"))
         if self.b >= 0:
             raise ValueError("type C (class I) requires b < 0")
 
@@ -92,7 +84,7 @@ class TypeF:
     family = "F"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _frac(self.q, "q"))
+        object.__setattr__(self, "q", exact(self.q, "q"))
         if self.q >= 0:
             raise ValueError("type F requires q < 0")
 
@@ -122,7 +114,7 @@ def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, 
     r and k are multiplication operators in the representation that
     ladder() uses; L is an exact rational.
     """
-    m = _frac(m, "m")
+    m = exact(m, "m")
     if isinstance(params, TypeF) and m == 0:
         raise ValueError("type F requires m != 0")
     r_op = _r_operator(params, m)
@@ -160,7 +152,6 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
     The identities moved to one side: H- H+ + L + D**2 + r(x, m) and
     H+ H- + L + D**2 + r(x, m-1).
     """
-    m = _frac(m, "m")
     r_op, k_op, level = rkl(params, m)
     d_op = _d_operator(params)
     plus, minus = d_op + k_op, -d_op + k_op
@@ -172,7 +163,7 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
 
 def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
     """Bound-state eigenvalue at label l: L(l+1) for class I, L(l) for class II."""
-    l = _frac(l, "l")
+    l = exact(l, "l")
     if isinstance(params, TypeF):
         if l < 0:
             raise ValueError("class I requires l >= 0")
@@ -205,7 +196,7 @@ def _check_fl_labels(l: Fraction, m: Fraction) -> None:
 
 
 def _check_eps(eps: int) -> None:
-    if eps not in (1, -1):
+    if exact_int(eps, "eps") not in (1, -1):
         raise ValueError("eps must be +1 or -1")
 
 
@@ -215,8 +206,8 @@ def f_to_b(q: Rational, l: Rational, m: Rational, a: Rational = 1) -> TransformR
     The target scale a is free; the offset convention c = 0 is used, so the
     label sums m+c and l+c below are realized with c = 0.
     """
-    source = TypeF(_frac(q, "q"))
-    l, m, a = _frac(l, "l"), _frac(m, "m"), _frac(a, "a")
+    source = TypeF(q)
+    l, m, a = exact(l, "l"), exact(m, "m"), exact(a, "a")
     _check_fl_labels(l, m)
     if a <= 0:
         raise ValueError("type B requires a > 0")
@@ -233,8 +224,8 @@ def f_to_c(q: Rational, l: Rational, m: Rational, eps: int) -> TransformResult:
     The sign eps selects one of the two label branches; the offset convention
     c = 0 is used for the target.
     """
-    source = TypeF(_frac(q, "q"))
-    l, m = _frac(l, "l"), _frac(m, "m")
+    source = TypeF(q)
+    l, m = exact(l, "l"), exact(m, "m")
     _check_fl_labels(l, m)
     _check_eps(eps)
     half = Fraction(1, 2)
@@ -251,7 +242,7 @@ def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> Transform
     """Map a type B family at labels (lbar, mbar) onto a type C family."""
     if not isinstance(params, TypeB):
         raise TypeError("b_to_c expects type B parameters")
-    lbar, mbar = _frac(lbar, "lbar"), _frac(mbar, "mbar")
+    lbar, mbar = exact(lbar, "lbar"), exact(mbar, "mbar")
     _check_eps(eps)
     half = Fraction(1, 2)
     scale = params.d / params.a
@@ -271,10 +262,9 @@ def shifted_charge(q: Rational, label: Rational, direction: int, algebra: str) -
     """
     if algebra not in ("su11", "weyl"):
         raise ValueError("algebra must be 'su11' or 'weyl'")
-    if direction not in (1, -1):
+    if exact_int(direction, "direction") not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    q = _frac(q, "q")
-    label = _frac(label, "label")
+    q, label = exact(q, "q"), exact(label, "label")
     if label < 1:
         raise ValueError("label must be at least 1 (zero labels are not shiftable)")
     return q * (label + direction) / label

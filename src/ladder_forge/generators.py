@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import opalgebra
-from .opalgebra import ClosureReport, OperatorExpr, Rational
+from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def expected_dimension(which: str) -> int:
 
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
     """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m)."""
-    l = l if isinstance(l, Fraction) else Fraction(l)
-    m = m if isinstance(m, Fraction) else Fraction(m)
+    l, m = exact(l, "l"), exact(m, "m")
     r = opalgebra.r_half_power(2)
     dr = opalgebra.deriv("r")
     s = opalgebra.s_sym()
@@ -267,8 +266,7 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     for check1/check2.  The phase factor and, for the Weyl pairs, the formal
     u prefactor are then attached.
     """
-    l = l if isinstance(l, Fraction) else Fraction(l)
-    m = m if isinstance(m, Fraction) else Fraction(m)
+    l, m = exact(l, "l"), exact(m, "m")
     t = build_T().members
     g = build_AB().members
     ideta = opalgebra.imag() * opalgebra.deriv("eta")

@@ -29,6 +29,11 @@ empty map over 1).  Products are rewritten into this form with the exact rules
 so operator equality is literal equality of canonical forms.  Products, sums
 and the fraction-free Lie-closure echelon run on integers; ``Fraction`` appears
 only where user rationals enter and where ``terms()`` reads coefficients out.
+
+``exact`` and ``exact_int`` are the package's one test of which numbers are
+exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
+``OperatorExpr ** n`` takes any integer; ``n < 0`` inverts a single atom
+without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
 """
 
 from __future__ import annotations
@@ -45,12 +50,21 @@ PHASE_AXES = ("eta", "alpha", "beta")
 DERIV_AXES = ("r", "eta", "alpha", "beta")
 
 
-def _frac(value: Rational) -> Fraction:
+def exact(value: Rational, name: str) -> Fraction:
+    """``value`` as a ``Fraction``; any type but ``int`` and ``Fraction`` raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    raise TypeError(f"{name} must be an exact rational (int or Fraction), got {type(value).__name__}")
+
+
+def exact_int(value: Rational, name: str) -> int:
+    """``value`` as an ``int``; a non-integral rational raises ``ValueError`` naming ``name``."""
+    frac = value if isinstance(value, int) else exact(value, name)
+    if frac.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {frac}")
+    return frac.numerator
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,7 @@ class GaussRational:
     def of(value: "GaussRational | Rational") -> "GaussRational":
         if isinstance(value, GaussRational):
             return value
-        return GaussRational(_frac(value), Fraction(0))
+        return GaussRational(exact(value, "coefficient"), Fraction(0))
 
 
 class Mono(NamedTuple):
@@ -175,7 +189,7 @@ class OperatorExpr:
                 raise ValueError("u parity must be 0 or 1")
             values[key] = GaussRational.of(value)
         den = lcm(1, *(part.denominator for g in values.values() for part in (g.re, g.im)))
-        acc = {key: (int(g.re * den), int(g.im * den)) for key, g in values.items()}
+        acc = {key: ((g.re * den).numerator, (g.im * den).numerator) for key, g in values.items()}
         clean, den = _lowest(acc, den)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_den", den)
@@ -214,12 +228,6 @@ class OperatorExpr:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def single_term(self) -> tuple[Atom, Gauss, int] | None:
-        """(atom, (re, im), denominator) of a one-atom operator, else None."""
-        if len(self._terms) != 1:
-            return None
-        return (*next(iter(self._terms.items())), self._den)
 
     # -- ring operations -------------------------------------------------
 
@@ -283,11 +291,34 @@ class OperatorExpr:
         return self * other
 
     def __pow__(self, exponent: int) -> "OperatorExpr":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("operator powers must be nonnegative integers")
+        """``self**exponent``; ``exponent < 0`` inverts a single atom without derivatives."""
+        e = exact_int(exponent, "exponent")
+        if len(self._terms) == 1:
+            ((mono, sp, up), (re, im)), = self._terms.items()
+            if not (mono.dr or mono.de or mono.da or mono.db):
+                # r powers, phase factors and scalars commute, so exponents scale
+                # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
+                q, up_e = divmod(up * e, 2)
+                power = Mono(mono.r2 * e, mono.ke * e, mono.ka * e, mono.kb * e, 0, 0, 0, 0)
+                den = self._den
+                if e < 0:
+                    # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
+                    re, im, den = den * re, -den * im, re * re + im * im
+                n, out_re, out_im = abs(e), 1, 0
+                while n:  # (re + im*i)**abs(e) by repeated squaring
+                    if n & 1:
+                        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+                    re, im, n = re * re - im * im, 2 * re * im, n >> 1
+                lift = max(-q, 0)
+                return _atom(power, sp * e - q, up_e, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0))
+        if e < 0:
+            if not self._terms:
+                raise ValueError("cannot invert zero")
+            if len(self._terms) > 1:
+                raise ValueError("cannot invert a sum of operator terms")
+            raise ValueError("cannot invert an operator containing derivatives")
         out = identity()
         base = self
-        e = exponent
         while e:
             if e & 1:
                 out = out * base
@@ -299,7 +330,7 @@ class OperatorExpr:
 
     def substitute_s(self, value: Rational) -> "OperatorExpr":
         """Replace the formal symbol s by a positive rational, exactly."""
-        val = _frac(value)
+        val = exact(value, "value")
         if val <= 0:
             raise ValueError("s stands for sqrt(-lambda) and must be positive")
         acc: dict[Atom, tuple[Fraction, Fraction]] = {}
@@ -360,9 +391,7 @@ def identity() -> OperatorExpr:
 
 
 def scalar(value: "GaussRational | Rational") -> OperatorExpr:
-    if isinstance(value, int):
-        return _atom(_MONO_ONE, re=value)
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):
         return _atom(_MONO_ONE, re=value.numerator, den=value.denominator)
     return OperatorExpr({(_MONO_ONE, 0, 0): value})
 
@@ -372,7 +401,7 @@ def imag() -> OperatorExpr:
 
 
 def s_sym(power: int = 1) -> OperatorExpr:
-    return _atom(_MONO_ONE, power)
+    return _atom(_MONO_ONE, exact_int(power, "power"))
 
 
 def u_sym() -> OperatorExpr:
@@ -381,15 +410,14 @@ def u_sym() -> OperatorExpr:
 
 def r_half_power(halves: int) -> OperatorExpr:
     """r**(halves/2); use halves=2 for r itself, halves=1 for sqrt(r)."""
-    return _atom(Mono(halves, 0, 0, 0, 0, 0, 0, 0))
+    return _atom(Mono(exact_int(halves, "halves"), 0, 0, 0, 0, 0, 0, 0))
 
 
 def r_power(power: Rational) -> OperatorExpr:
-    p = _frac(power)
-    halves = p * 2
+    halves = 2 * exact(power, "power")
     if halves.denominator != 1:
         raise ValueError("only half-integer powers of r are representable")
-    return r_half_power(int(halves))
+    return r_half_power(halves.numerator)
 
 
 def sqrt_r() -> OperatorExpr:
@@ -400,21 +428,17 @@ def phase(axis: str, winding: int) -> OperatorExpr:
     """exp(i*winding*axis) for axis in {eta, alpha, beta}."""
     if axis not in PHASE_AXES:
         raise ValueError(f"unknown phase axis {axis!r}")
-    if winding == 0:
-        return identity()
-    idx = PHASE_AXES.index(axis)
     k = [0, 0, 0]
-    k[idx] = winding
+    k[PHASE_AXES.index(axis)] = exact_int(winding, "winding")
     return _atom(Mono(0, k[0], k[1], k[2], 0, 0, 0, 0))
 
 
 def deriv(axis: str, order: int = 1) -> OperatorExpr:
     if axis not in DERIV_AXES:
         raise ValueError(f"unknown derivative axis {axis!r}")
+    order = exact_int(order, "order")
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    if order == 0:
-        return identity()
     d = [0, 0, 0, 0]
     d[DERIV_AXES.index(axis)] = order
     return _atom(Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]))

@@ -21,6 +21,8 @@ associates left to right in source order.
 
 ``render`` emits a canonical, deterministic text form and ``parse`` is its
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
+``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
+without derivatives and rejects anything else.
 """
 
 from __future__ import annotations
@@ -155,8 +157,7 @@ class _Parser:
         value = self.parse_atom()
         if self.current.kind == "op" and self.current.lexeme == "^":
             self.advance()
-            exponent = self.parse_exponent()
-            value = _power(value, exponent)
+            value = value ** self.parse_exponent()
         return value
 
     def parse_exponent(self) -> int:
@@ -255,43 +256,6 @@ class _Parser:
         return opalgebra.phase(var, sign * (1 if magnitude is None else magnitude))
 
 
-def _gauss_pow(re: int, im: int, n: int) -> tuple[int, int]:
-    """(re + im*i)**n for n >= 0, by repeated squaring."""
-    out_re, out_im = 1, 0
-    while n:
-        if n & 1:
-            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
-        re, im, n = re * re - im * im, 2 * re * im, n >> 1
-    return out_re, out_im
-
-
-def _power(expr: OperatorExpr, e: int) -> OperatorExpr:
-    """expr**e, in closed form for one derivative-free atom and any integer e."""
-    single = expr.single_term()
-    if single is not None:
-        (mono, sp, up), (re, im), den = single
-        if not (mono.dr or mono.de or mono.da or mono.db):
-            # r powers, phase factors and scalars commute, so exponents scale
-            # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
-            q, up_e = divmod(up * e, 2)
-            power = Mono(mono.r2 * e, mono.ke * e, mono.ka * e, mono.kb * e, 0, 0, 0, 0)
-            if e < 0:
-                # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
-                re, im, den = den * re, -den * im, re * re + im * im
-            re, im = _gauss_pow(re, im, abs(e))
-            den **= abs(e)
-            if q < 0:
-                re, im = re << -q, im << -q
-            return opalgebra._atom(power, sp * e - q, up_e, re, im, den << max(q, 0))
-    if e >= 0:
-        return expr**e
-    if expr.is_zero:
-        raise ValueError("cannot invert zero")
-    if single is None:
-        raise ValueError("cannot invert a sum of operator terms")
-    raise ValueError("cannot invert an operator containing derivatives")
-
-
 def parse(text: str) -> OperatorExpr:
     """Parse text straight to a normal-ordered operator."""
     return _Parser(tokenize(text)).parse()
@@ -300,24 +264,20 @@ def parse(text: str) -> OperatorExpr:
 # -- canonical rendering -------------------------------------------------
 
 
-def _fmt_fraction(value: Fraction) -> str:
-    return str(value)
-
-
 def _fmt_gauss(g: GaussRational) -> tuple[str, str]:
     """Return (sign, body); body may be '' for a plain unit factor."""
     if not g.im:
         sign = "-" if g.re < 0 else "+"
         mag = abs(g.re)
-        return sign, "" if mag == 1 else _fmt_fraction(mag)
+        return sign, "" if mag == 1 else str(mag)
     if not g.re:
         sign = "-" if g.im < 0 else "+"
         mag = abs(g.im)
-        return sign, "i" if mag == 1 else f"{_fmt_fraction(mag)}*i"
+        return sign, "i" if mag == 1 else f"{mag}*i"
     im_mag = abs(g.im)
-    im_body = "i" if im_mag == 1 else f"{_fmt_fraction(im_mag)}*i"
+    im_body = "i" if im_mag == 1 else f"{im_mag}*i"
     im_sign = "-" if g.im < 0 else "+"
-    return "+", f"({_fmt_fraction(g.re)}{im_sign}{im_body})"
+    return "+", f"({g.re}{im_sign}{im_body})"
 
 
 def _power_part(base: str, exponent: int) -> str:

@@ -1,6 +1,7 @@
 """Special functions, quadrature, bound states, and ladder-action numerics."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ def _hand_profile(state, rho):
     n, a, p = state.degree, state.alpha, float(state.power)
     lag = [(-1) ** k * scipy.special.eval_genlaguerre(n - k, a + k, rho) if n >= k
            else np.zeros_like(rho) for k in range(3)]
-    N = state.norm_constant
+    N = math.sqrt(state.norm_sq)
     return (
         N * rho**p * lag[0],
         N * (p * rho ** (p - 1) * lag[0] + rho**p * lag[1]),
@@ -354,6 +355,55 @@ class TestDerivedActions:
             cl.act(oa.deriv("eta"), state, rho)
         with pytest.raises(ValueError, match="phase"):
             cl.act(oa.identity() + oa.phase("eta", 1), state, rho)
+
+
+@st.composite
+def _state_operator_and_rho(draw):
+    """A state with t <= 8, or mu <= 5 and nu <= 9 (nu == mu included), one of
+    its ladders or the Casimir, and a rho array that contains 0."""
+    if draw(st.booleans()):
+        t = draw(st.integers(1, 8))
+        state, names = cl.state_tm(t, draw(st.integers(0, t - 1))), ["T+", "T-", "C"]
+    else:
+        mu = draw(st.integers(0, 5))
+        state, names = cl.state_munu(mu, draw(st.integers(mu, 9))), ["A+", "A-", "B+", "B-", "C"]
+    name = draw(st.sampled_from(names))
+    op = gen.casimir()[0] if name == "C" else GENERATORS[name]
+    rest = draw(st.lists(st.floats(1e-6, 30.0), max_size=4))
+    rho = np.array(draw(st.permutations([0.0, *rest])))
+    return state, op, rho
+
+
+class TestActionAtZero:
+    @settings(max_examples=150, deadline=None)
+    @given(_state_operator_and_rho())
+    def test_finite_at_zero_and_continuous(self, case):
+        state, op, rho = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cl.act(op, state, rho)
+        assert np.all(np.isfinite(out))
+        # the entries at rho > 0 are computed exactly as without the zero
+        assert np.array_equal(out[rho > 0], cl.act(op, state, rho[rho > 0]))
+        near = cl.act(op, state, np.array([1e-9]))[0]
+        assert abs(out[rho == 0][0] - near) <= 1e-4
+
+    def test_reproductions(self):
+        aplus = gen.build_AB().members["Aplus"]
+        out = cl.act(aplus, cl.state_munu(1, 2), [0.0, 0.5])
+        assert out[0] == 0.0 and out[1] == cl.act(aplus, cl.state_munu(1, 2), [0.5])[0]
+        ground = cl.state_tm(1, 0)
+        assert ground.scaled_profile(0.0) == 0.0
+        profile = ground.scaled_profile([0.0, 2.5])
+        assert profile[0] == 0.0 and profile[1] == ground.scaled_profile(2.5)
+
+    def test_infinite_at_zero_raises(self):
+        from ladder_forge import opdsl
+
+        op = opdsl.parse("s^-2*r^-2")
+        with pytest.raises(ValueError, match="rho = 0"):
+            cl.act(op, cl.state_munu(1, 1), [0.0, 1.0])
+        assert np.isfinite(cl.act(op, cl.state_munu(1, 1), [0.5, 1.0])).all()
 
 
 class TestEigenequationResiduals:

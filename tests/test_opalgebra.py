@@ -6,12 +6,13 @@ from math import factorial, gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa
 from ladder_forge.generators import build_AB, build_T, casimir, closure_report, sp4_bilinears
 
-from _gen import operators, random_operator, random_term
+from _gen import PHASES, operators, random_operator, random_term, term_from
 
 HALF = Fraction(1, 2)
 
@@ -168,6 +169,53 @@ def test_weyl_binomial_power_closed_form(n):
             c = Fraction(factorial(n), factorial(j) * factorial(k) * factorial(l) * 2**l)
             expected.update(_r_d(j, k, c * a ** (k + l) * b ** (j + l)))
     assert (a * oa.deriv("r") + b * oa.r_power(1)) ** n == oa.OperatorExpr(expected)
+
+
+@st.composite
+def _derivative_free_atoms(draw):
+    """One atom of Gaussian coefficient, s power, u parity, r half-power and phases."""
+    parts = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    re_c, im_c = draw(parts), draw(parts)
+    assume(re_c or im_c)
+    return term_from(re_c, im_c, draw(st.integers(-3, 3)), draw(st.integers(0, 1)),
+                     draw(st.integers(-4, 4)), [draw(st.integers(-2, 2)) for _ in PHASES],
+                     (0, 0, 0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_derivative_free_atoms(), st.integers(-9, 9))
+def test_atom_powers_invert_and_repeat(x, e):
+    assert x**e * x**-e == oa.identity()
+    if e >= 0:
+        expected = oa.identity()
+        for _ in range(e):
+            expected = expected * x
+        assert x**e == expected
+
+
+def test_u_inverse():
+    assert oa.u_sym() ** -1 == 2 * oa.s_sym() * oa.u_sym()
+
+
+@pytest.mark.parametrize("base,reason", [
+    (oa.zero(), "cannot invert zero"),
+    (oa.r_power(1) + oa.identity(), "cannot invert a sum of operator terms"),
+    (oa.s_sym() + oa.s_sym(2), "cannot invert a sum of operator terms"),
+    (oa.deriv("r"), "cannot invert an operator containing derivatives"),
+    (oa.phase("eta", 1) * oa.deriv("alpha", 2), "cannot invert an operator containing derivatives"),
+])
+def test_uninvertible_powers(base, reason):
+    for e in (-1, -3):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            base**e
+    assert base**2 == base * base
+
+
+@pytest.mark.parametrize("exponent,error", [(1.5, TypeError), (2.0, TypeError),
+                                            (Fraction(1, 2), ValueError)])
+def test_non_integer_exponent_rejected(exponent, error):
+    with pytest.raises(error, match="^exponent"):
+        oa.r_power(1) ** exponent
 
 
 def _assert_lowest_terms(e: oa.OperatorExpr) -> None:
