@@ -215,6 +215,9 @@ def _action_rows(reports) -> list[dict]:
 
 
 def _cmd_coulomb_verify(args) -> int:
+    if args.t_max >= coulomb.MAX_QUAD_ORDER:  # normalization takes order t + 1
+        raise ValueError(f"--t-max {args.t_max} needs quadrature order {args.t_max + 1}, "
+                         f"past the float limit {coulomb.MAX_QUAD_ORDER}")
     tol_c = args.tol if args.tol is not None else _env_tol(1e-10)
     tol_p = args.tol if args.tol is not None else _env_tol(1e-8)
     tols = {"coeff_tol": tol_c, "profile_tol": tol_p}

@@ -23,9 +23,14 @@ of ``generators`` into its exact rho-form on exp(-rho/2) P(rho), setting each
 angle derivative to i times the state's phase winding, s = gamma/2,
 u = gamma**(-1/2) and r = rho/gamma, and drops the phase factors.  The form is
 checked once in exact rationals (every atom of gamma-degree 0, every
-coefficient real) and then evaluated on the profile.  Inner products of the
-polynomial profiles are integrated with Gauss-Laguerre quadrature, exact up
-to roundoff while the order covers the integrand's degree.
+coefficient real).  Leibniz's rule on N rho**p L then makes the action one
+sum of c rho**e L^(i), each e an exact half-integer, evaluated as N times
+rho to the least e times nonnegative powers of rho, so rho = 0 needs no
+second path.
+Inner products of the polynomial profiles are integrated with Gauss-Laguerre
+quadrature, exact up to roundoff while the order covers the integrand's
+degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
+quadrature refuses.
 
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
@@ -46,6 +51,9 @@ from . import generators
 from .opalgebra import OperatorExpr, exact, exact_int
 
 DEFAULT_QUAD_ORDER = 40
+# the highest order whose nodes and weights stay finite in floats; at 185 the
+# squared Laguerre tail in the weights overflows
+MAX_QUAD_ORDER = 184
 
 def laguerre(n: int, alpha, x):
     """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
@@ -81,6 +89,8 @@ def gauss_laguerre(order: int):
     """
     if order < 1:
         raise ValueError("quadrature order must be positive")
+    if order > MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order {order} is past the float limit {MAX_QUAD_ORDER}")
     k = np.arange(order, dtype=float)
     jacobi = np.diag(2.0 * k + 1.0)
     if order > 1:
@@ -186,7 +196,7 @@ class QuantumState:
         return (math.log(norm_sq.numerator) - math.log(norm_sq.denominator)) / 2
 
     def _prefactor(self, log_rho, q: float):
-        """N rho**q in log space, free of over- and underflow; q == 0 skips log(0) = -inf."""
+        """N rho**q in log space, free of over- and underflow; q == 0 skips 0 * log(0) = nan."""
         return np.exp(self._log_norm + q * log_rho) if q else math.exp(self._log_norm)
 
     def scaled_profile(self, rho):
@@ -194,23 +204,6 @@ class QuantumState:
         lag = laguerre(self.degree, self.alpha, rho)
         with np.errstate(divide="ignore"):  # power >= 1/2, so exp(power * log 0) = 0 is P(0)
             return self._prefactor(np.log(rho), float(self.power)) * lag
-
-    def profile_derivs(self, rho, order: int) -> list:
-        """[P, P', ..., P^(order)] of the profile, by Leibniz's rule on N rho**p L."""
-        rho = np.asarray(rho, dtype=float)
-        p = float(self.power)
-        log_rho = np.log(rho)
-        lag = [laguerre_deriv(self.degree, self.alpha, rho, i) for i in range(order + 1)]
-        out = []
-        for j in range(order + 1):
-            total = 0.0
-            for i in range(j + 1):
-                # C(j, i) times the falling power p (p-1) ... (p-j+i+1)
-                factor = comb(j, i) * math.prod(p - q for q in range(j - i))
-                if factor:
-                    total = total + factor * self._prefactor(log_rho, p - j + i) * lag[i]
-            out.append(total)
-        return out
 
     def radial(self, r):
         """psi(r) for r > 0, unit L2 norm on (0, inf)."""
@@ -282,8 +275,8 @@ def _generator(name: str) -> OperatorExpr:
 
 
 @lru_cache(maxsize=64)
-def _rho_form(op: OperatorExpr) -> tuple[tuple, int]:
-    """Exact rho-form of ``op`` on exp(-rho/2) P(rho), and its top P-derivative.
+def _rho_form(op: OperatorExpr) -> tuple:
+    """Exact rho-form of ``op`` on exp(-rho/2) P(rho).
 
     Each term (k, j, (de, da, db), c) stands for
     c * n**de * mu**da * nu**db * rho**(k/2) * P^(j), with (n, mu, nu) the
@@ -316,56 +309,42 @@ def _rho_form(op: OperatorExpr) -> tuple[tuple, int]:
         raise ValueError("operator mixes phase windings")
     if any(im for _, im in acc.values()):
         raise ValueError("operator has a non-real coefficient on the profile")
-    terms = tuple((k, j, angle, float(re)) for (k, j, angle), (re, _) in sorted(acc.items()) if re)
-    return terms, max((j for _, j, _, _ in terms), default=0)
+    return tuple((k, j, angle, float(re)) for (k, j, angle), (re, _) in sorted(acc.items()) if re)
 
 
 def act(op: OperatorExpr, state: QuantumState, rho):
     """``op`` applied to the state, with phases and exp(-rho/2) stripped.
 
-    Returns the profile of the result at ``rho``, exactly where rho = 0.
-    Raises ``ValueError`` when an atom of ``op`` has nonzero gamma-degree, a
-    coefficient of its rho-form is not real, its atoms carry different phases,
-    or the result is infinite at a rho = 0 entry.
+    Leibniz's rule P^(j) = N sum_i C(j, i) (p)_(j-i) rho**(p-j+i) L^(i) turns
+    the rho-form into one sum of c rho**e L^(i), keyed by the exact (2e, i);
+    terms that cancel are dropped, so an annihilation gives exactly 0.0.  With
+    ``low`` the least 2e, the result is one log-space prefactor
+    N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
+    every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op``
+    has nonzero gamma-degree, a coefficient of its rho-form is not real, its
+    atoms carry different phases, or the result is infinite at a rho = 0 entry.
     """
-    terms, top = _rho_form(op)
     n, mu, nu = (float(w) for w in state.windings)
-    coeffs: dict[tuple[int, int], float] = {}
-    for k, j, (de, da, db), c in terms:
-        coeffs[k, j] = coeffs.get((k, j), 0.0) + c * n**de * mu**da * nu**db
+    p, degree, alpha = float(state.power), state.degree, state.alpha
+    coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c
+    for k, j, (de, da, db), c in _rho_form(op):
+        c *= n**de * mu**da * nu**db
+        for i in range(min(j, degree) + 1):
+            key = (k + alpha + 1 - 2 * (j - i), i)
+            # C(j, i) times the falling power p (p-1) ... (p-j+i+1)
+            falling = math.prod(p - q for q in range(j - i))
+            coeffs[key] = coeffs.get(key, 0.0) + c * comb(j, i) * falling
+    coeffs = {key: c for key, c in coeffs.items() if c}
     rho = np.asarray(rho, dtype=float)
-    at_zero = rho == 0
-    if at_zero.any():  # evaluate at 1 there, then overwrite from the exact exponents
-        rho = np.where(at_zero, 1.0, rho)
-    derivs = state.profile_derivs(rho, top)
-    root = np.sqrt(rho)
-    out = np.zeros_like(rho)
-    for (k, j), c in coeffs.items():
-        term = c * derivs[j]
-        if k // 2:
-            term *= rho ** (k // 2)
-        if k % 2:
-            term *= root
-        out += term
-    if at_zero.any():
-        out[at_zero] = _act_at_zero(coeffs, state)
-    return out
-
-
-def _act_at_zero(coeffs: dict[tuple[int, int], float], state: QuantumState) -> float:
-    """``act``'s sum of c rho**(k/2) P^(j) at rho = 0, term by term of
-    P^(j) = N sum_i C(j, i) (p)_(j-i) rho**(p-j+i) L^(i): a term in rho**(k/2 + p - j + i)
-    keeps its value at exponent 0, vanishes above it and is infinite below."""
-    p, total = state.power, 0.0
-    for (k, j), c in coeffs.items():
-        for i in range(min(j, state.degree) + 1):
-            factor = c * comb(j, i) * math.prod(p - q for q in range(j - i))
-            exponent = Fraction(k, 2) + p - j + i
-            if factor and exponent < 0:
-                raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({exponent}))")
-            if factor and exponent == 0:
-                total += factor * float(laguerre_deriv(state.degree, state.alpha, 0.0, i))
-    return math.exp(state._log_norm) * total
+    if not coeffs:
+        return np.zeros_like(rho)
+    low = min(e2 for e2, _ in coeffs)
+    if low < 0 and (rho == 0).any():
+        raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({Fraction(low, 2)}))")
+    lag = [laguerre_deriv(degree, alpha, rho, i) for i in range(max(i for _, i in coeffs) + 1)]
+    total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
+    with np.errstate(divide="ignore"):  # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0
+        return state._prefactor(np.log(rho), low / 2) * total
 
 
 @dataclass(frozen=True)

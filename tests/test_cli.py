@@ -13,6 +13,7 @@ import ladder_forge
 from ladder_forge import cli, opalgebra as oa, opdsl
 from ladder_forge.generators import LADDERS
 
+ZERO = "0.000000000000e+00"
 ROW_KEYS = {"name", "expected", "actual", "residual", "pass"}
 TOP_KEYS = {"command", "params", "rows", "pass"}
 UNINVERTIBLE = {  # parse text -> the reason its error message gives
@@ -166,17 +167,20 @@ class TestCoulombCommands:
         assert report["pass"]
 
     def test_impossible_tolerance_exits_1(self, capsys):
-        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0",
+        # (2, 0)'s residual cancels exactly, so no tolerance fails it
+        _, report = run_json(capsys, ["coulomb-residual", "--n", "2", "--L", "0"])
+        assert report["rows"][0]["actual"] == ZERO
+        assert cli.main(["coulomb-residual", "--n", "3", "--L", "0",
                          "--tol", "1e-30"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "overall: FAIL" in out
 
     def test_env_tolerance(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_ENV, "1e-30")
-        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 1
+        assert cli.main(["coulomb-residual", "--n", "3", "--L", "0"]) == 1
         monkeypatch.setenv(cli.TOL_ENV, "1e-6")
         capsys.readouterr()
-        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 0
+        assert cli.main(["coulomb-residual", "--n", "3", "--L", "0"]) == 0
 
     @pytest.mark.parametrize("argv,bad", [
         (["coulomb-verify", "--tol", "nan"], "'nan'"),
@@ -205,11 +209,22 @@ class TestCoulombCommands:
         code, report = run_json(capsys, [*grid, "--tol", "1e-30"])
         actions = [row for row in report["rows"] if row["name"].split()[0] in LADDERS]
         assert code == 1 and len(actions) == 14
-        assert not any(row["pass"] for row in actions)
+        annihilated = [row for row in actions if row["name"].endswith("annihilated")]
+        assert len(annihilated) == 3 and all(row["actual"] == ZERO for row in annihilated)
+        assert not any(row["pass"] for row in actions if row not in annihilated)
         assert run_json(capsys, [*grid, "--tol", "1e-6"])[0] == 0
         monkeypatch.setenv(cli.TOL_ENV, "1e-30")
         env_code, env_report = run_json(capsys, grid)
         assert env_code == 1 and env_report["rows"] == report["rows"]
+
+    def test_quadrature_ceiling_exits_2(self, capsys, monkeypatch):
+        # normalization at n = 200 needs quadrature order 201
+        assert cli.main(["coulomb-residual", "--n", "200", "--L", "3"]) == 2
+        assert "order 201 is past the float limit 184" in capsys.readouterr().err
+        monkeypatch.setattr(cli.coulomb, "sweep_su11", None)  # rejected before any sweep
+        for t_max in ("200", "184"):
+            assert cli.main(["coulomb-verify", "--t-max", t_max]) == 2
+            assert "past the float limit 184" in capsys.readouterr().err
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.TOL_ENV, "1e-30")

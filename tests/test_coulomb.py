@@ -113,6 +113,13 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             cl.gauss_laguerre(0)
 
+    def test_order_ceiling(self):
+        # finite and warning-free up to the limit; one order more overflows
+        x, w = cl.gauss_laguerre(cl.MAX_QUAD_ORDER)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+        with pytest.raises(ValueError, match="order 185 is past the float limit 184"):
+            cl.gauss_laguerre(185)
+
     def test_cached_arrays_are_frozen(self):
         x, _ = cl.gauss_laguerre(12)
         with pytest.raises(ValueError):
@@ -359,14 +366,16 @@ class TestDerivedActions:
 
 @st.composite
 def _state_operator_and_rho(draw):
-    """A state with t <= 8, or mu <= 5 and nu <= 9 (nu == mu included), one of
-    its ladders or the Casimir, and a rho array that contains 0."""
+    """A state with t <= 8, or mu <= 5 and nu <= 9 (nu == mu included), at a
+    small rational charge, one of its ladders or the Casimir, and a rho array
+    that contains 0."""
+    Z = draw(st.fractions(Fraction(1, 8), 8, max_denominator=12))
     if draw(st.booleans()):
         t = draw(st.integers(1, 8))
-        state, names = cl.state_tm(t, draw(st.integers(0, t - 1))), ["T+", "T-", "C"]
+        state, names = cl.state_tm(t, draw(st.integers(0, t - 1)), Z), ["T+", "T-", "C"]
     else:
         mu = draw(st.integers(0, 5))
-        state, names = cl.state_munu(mu, draw(st.integers(mu, 9))), ["A+", "A-", "B+", "B-", "C"]
+        state, names = cl.state_munu(mu, draw(st.integers(mu, 9)), Z), ["A+", "A-", "B+", "B-", "C"]
     name = draw(st.sampled_from(names))
     op = gen.casimir()[0] if name == "C" else GENERATORS[name]
     rest = draw(st.lists(st.floats(1e-6, 30.0), max_size=4))
@@ -387,6 +396,32 @@ class TestActionAtZero:
         assert np.array_equal(out[rho > 0], cl.act(op, state, rho[rho > 0]))
         near = cl.act(op, state, np.array([1e-9]))[0]
         assert abs(out[rho == 0][0] - near) <= 1e-4
+
+    @settings(max_examples=100, deadline=None)
+    @given(_state_operator_and_rho())
+    def test_reports_end_in_a_verdict_at_any_charge(self, case):
+        state = case[0]
+        checks = [(cl.action_report, name) for name, lad in gen.LADDERS.items()
+                  if lad.kind == state.family]
+        checks += [(cl.casimir_residual,), (cl.schrodinger_residual,), (cl.normalization_residual,)]
+        for check, *args in checks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    verdict = check(state, *args)
+                except ValueError:
+                    continue
+            if isinstance(verdict, cl.ActionReport):
+                verdict = (verdict.measured, verdict.coefficient_error, verdict.profile_residual)
+            assert np.all(np.isfinite(verdict)), (state, check.__name__, *args)
+
+    def test_identity_is_the_profile(self):
+        rho = np.array([0.0, 1e-9, 0.3, 2.5, 17.0, 60.0])
+        states = [cl.state_tm(t, m) for t in range(1, 9) for m in range(t)]
+        states += [cl.state_munu(mu, nu) for mu in range(6) for nu in range(mu, 10)]
+        for state in states:
+            out = cl.act(oa.identity(), state, rho)
+            assert out.tobytes() == state.scaled_profile(rho).tobytes(), state
 
     def test_reproductions(self):
         aplus = gen.build_AB().members["Aplus"]
