@@ -87,6 +87,13 @@ def _at_least(minimum: int):
     return count
 
 
+def _rational(raw: str) -> Fraction:
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"must be a rational number, got {raw!r}") from None
+
+
 def _env_tol(default: float) -> float:
     raw = os.environ.get(TOL_ENV)
     if raw is None:
@@ -182,7 +189,7 @@ def _transform_rows(result) -> list[dict]:
 
 
 def _cmd_transform(args) -> int:
-    q = Fraction(args.q)
+    q = args.q
     params = {"route": args.route, "q": str(q), "l": args.l, "m": args.m}
     if args.route == "f2b":
         result = factorizations.f_to_b(q, args.l, args.m)
@@ -221,7 +228,7 @@ def _cmd_coulomb_verify(args) -> int:
     tol_c = args.tol if args.tol is not None else _env_tol(1e-10)
     tol_p = args.tol if args.tol is not None else _env_tol(1e-8)
     tols = {"coeff_tol": tol_c, "profile_tol": tol_p}
-    Z = Fraction(args.Z)
+    Z = args.Z
     sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(
         args.mu_max, args.nu_max, Z=Z, **tols)
     rows = _action_rows(sweeps)
@@ -260,7 +267,7 @@ def _cmd_coulomb_verify(args) -> int:
 
 def _cmd_coulomb_residual(args) -> int:
     tol = args.tol if args.tol is not None else _env_tol(1e-8)
-    Z = Fraction(args.Z)
+    Z = args.Z
     state = coulomb.state_tm(args.n, args.L, Z)
     resid = coulomb.schrodinger_residual(state)
     control = coulomb.schrodinger_residual(state, lambda_shift=args.shift)
@@ -309,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="map between factorization families")
     p.add_argument("route", choices=("f2b", "f2c", "b2c"))
-    p.add_argument("--q", required=True, help="rational coupling, e.g. -3 or -3/2")
+    p.add_argument("--q", type=_rational, required=True, help="rational coupling, e.g. -3 or -3/2")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eps", type=int, choices=(1, -1), default=1)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("coulomb-verify", help="ladder actions on bound states")
-    p.add_argument("--Z", default="1", help="rational charge")
+    p.add_argument("--Z", type=_rational, default="1", help="rational charge")
     p.add_argument("--t-max", type=_at_least(1), default=6, dest="t_max")
     p.add_argument("--mu-max", type=_at_least(0), default=5, dest="mu_max")
     p.add_argument("--nu-max", type=_at_least(0), default=7, dest="nu_max")
@@ -324,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coulomb_verify)
 
     p = sub.add_parser("coulomb-residual", help="radial equation residual")
-    p.add_argument("--Z", default="1", help="rational charge")
+    p.add_argument("--Z", type=_rational, default="1", help="rational charge")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--shift", type=_finite, default=0.1,
@@ -340,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # the DSL's lex and syntax errors included
+    except (ValueError, OSError) as exc:  # the DSL's lex and syntax errors, unwritable paths
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,8 +135,11 @@ class QuantumState:
         a, b = exact_int(a, names[0]), exact_int(b, names[1])
         object.__setattr__(self, "labels", (a, b))
         object.__setattr__(self, "Z", exact(self.Z, "Z"))
-        if self.Z <= 0:
-            raise ValueError("charge must be positive")
+        # positive, and far enough inside the float range for the numerics:
+        # P carries sqrt(gamma) and the radial equation gamma**2
+        num, den = self.Z.numerator, self.Z.denominator
+        if num > den << 64 or den > num << 64:
+            raise ValueError(f"charge must lie in [2**-64, 2**64], got {self.Z}")
         if self.family == "su11":
             if a < 1 or not 0 <= b <= a - 1:
                 raise ValueError(f"need t >= 1 and 0 <= m <= t-1, got ({a}, {b})")
@@ -486,8 +489,10 @@ def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> floa
     """
     nodes, P, damp, defect = _casimir_defect(state)
     g = float(state.gamma)
-    resid = (g * g * defect / nodes**2 + lambda_shift * P) * damp
-    return float(np.max(np.abs(resid)) / np.max(np.abs(P * damp)))
+    profile = P * damp
+    scale = np.max(np.abs(profile))  # first, so a shift near the float limit stays finite
+    resid = g * g * defect / nodes**2 * damp / scale + lambda_shift * (profile / scale)
+    return float(np.max(np.abs(resid)))
 
 
 def casimir_residual(state: QuantumState) -> float:

@@ -10,7 +10,7 @@ Grammar (ASCII, whitespace insignificant except inside glyphs):
                | "exp" "(" phasearg ")" | derivative | "(" expr ")" ;
     phasearg   = [ "-" ] , phasefactor , { "*" , phasefactor } ;
     derivative = "d/dr" | "d/deta" | "d/dalpha" | "d/dbeta" ;
-    number     = digits , [ "/" , digits ] ;
+    number     = digits , [ "/" , digits ] ;   (nonzero denominator)
     integer    = [ "-" ] , digits ;
 
 A phase argument must contain exactly one ``i``, exactly one angle name
@@ -28,9 +28,8 @@ without derivatives and rejects anything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import opalgebra
 from .opalgebra import GaussRational, Mono, OperatorExpr, PHASE_AXES
@@ -57,9 +56,8 @@ class OperatorSyntaxError(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "symbol" | "op" | "paren" | "deriv" | "end"
+class Token(NamedTuple):
+    kind: str  # "number" | "symbol" | "op" | "deriv" | "end"
     lexeme: str
     pos: int
 
@@ -69,8 +67,8 @@ _TOKEN_RE = re.compile(
       | (?P<deriv>d/d(?:r|eta|alpha|beta)\b)
       | (?P<number>\d+(?:/\d+)?)
       | (?P<symbol>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*^])
-      | (?P<paren>[()])
+      | (?P<op>[-+*^()])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -78,15 +76,12 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise OperatorLexError(pos, text[pos])
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
+        if kind == "bad":
+            raise OperatorLexError(match.start(), match.group())
         if kind != "ws":
-            tokens.append(Token(kind, match.group(), pos))
-        pos = match.end()
+            tokens.append(Token(kind, match.group(), match.start()))
     tokens.append(Token("end", "", len(text)))
     return tokens
 
@@ -101,6 +96,9 @@ _ATOM_SYMBOLS = {
     "u": opalgebra.u_sym,
     "r": lambda: opalgebra.r_half_power(2),
 }
+
+# the three parts of a phase argument, each allowed once
+_PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 
 class _Parser:
@@ -117,11 +115,16 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect_op(self, lexeme: str) -> Token:
-        tok = self.current
-        if tok.kind in ("op", "paren") and tok.lexeme == lexeme:
-            return self.advance()
-        raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (repr(lexeme),))
+    def accept(self, lexeme: str) -> bool:
+        if self.tokens[self.index].lexeme == lexeme:
+            self.index += 1
+            return True
+        return False
+
+    def expect(self, lexeme: str) -> None:
+        if not self.accept(lexeme):
+            tok = self.current
+            raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (repr(lexeme),))
 
     def parse(self) -> OperatorExpr:
         value = self.parse_expr()
@@ -134,126 +137,92 @@ class _Parser:
 
     def parse_expr(self) -> OperatorExpr:
         value = self.parse_term()
-        while self.current.kind == "op" and self.current.lexeme in "+-":
-            op = self.advance().lexeme
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        while True:
+            if self.accept("+"):
+                value = value + self.parse_term()
+            elif self.accept("-"):
+                value = value - self.parse_term()
+            else:
+                return value
 
     def parse_term(self) -> OperatorExpr:
         value = self.parse_unary()
-        while self.current.kind == "op" and self.current.lexeme == "*":
-            self.advance()
+        while self.accept("*"):
             value = value * self.parse_unary()
         return value
 
     def parse_unary(self) -> OperatorExpr:
-        if self.current.kind == "op" and self.current.lexeme == "-":
-            self.advance()
+        if self.accept("-"):
             return -self.parse_unary()
-        return self.parse_primary()
-
-    def parse_primary(self) -> OperatorExpr:
         value = self.parse_atom()
-        if self.current.kind == "op" and self.current.lexeme == "^":
-            self.advance()
-            value = value ** self.parse_exponent()
+        if self.accept("^"):
+            value = value ** self.parse_integer("power exponent", "integer exponent")
         return value
 
-    def parse_exponent(self) -> int:
-        sign = 1
-        if self.current.kind == "op" and self.current.lexeme == "-":
-            self.advance()
-            sign = -1
-        tok = self.current
+    def parse_integer(self, what: str, expected: str) -> int:
+        sign = -1 if self.accept("-") else 1
+        tok = self.advance()
         if tok.kind != "number":
-            raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", ("integer exponent",))
+            raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (expected,))
         if "/" in tok.lexeme:
-            raise OperatorSyntaxError(tok.pos, f"power exponent {tok.lexeme!r} is not an integer")
-        self.advance()
+            raise OperatorSyntaxError(tok.pos, f"{what} {tok.lexeme!r} is not an integer")
         return sign * int(tok.lexeme)
 
     def parse_atom(self) -> OperatorExpr:
-        tok = self.current
+        tok = self.advance()
         if tok.kind == "number":
-            self.advance()
-            return opalgebra.scalar(Fraction(tok.lexeme))
+            num, _, den = tok.lexeme.partition("/")
+            if den and not int(den):
+                raise OperatorSyntaxError(tok.pos, f"number {tok.lexeme!r} has a zero denominator")
+            return opalgebra.scalar(Fraction(int(num), int(den or 1)))
         if tok.kind == "deriv":
-            self.advance()
             return opalgebra.deriv(tok.lexeme[3:])
-        if tok.kind == "paren" and tok.lexeme == "(":
-            self.advance()
+        if tok.lexeme in _ATOM_SYMBOLS:
+            return _ATOM_SYMBOLS[tok.lexeme]()
+        if tok.lexeme == "(":
             value = self.parse_expr()
-            self.expect_op(")")
-            return value
-        if tok.kind == "symbol":
-            if tok.lexeme in _ATOM_SYMBOLS:
-                self.advance()
-                return _ATOM_SYMBOLS[tok.lexeme]()
-            if tok.lexeme == "sqrt":
-                self.advance()
-                self.expect_op("(")
-                inner = self.current
-                if inner.kind == "symbol" and inner.lexeme == "r":
-                    self.advance()
-                else:
-                    raise OperatorSyntaxError(inner.pos, f"found {_describe(inner)}", ("'r'",))
-                self.expect_op(")")
-                return opalgebra.sqrt_r()
-            if tok.lexeme == "exp":
-                self.advance()
-                self.expect_op("(")
-                value = self.parse_phase_arg()
-                self.expect_op(")")
-                return value
+        elif tok.lexeme == "sqrt":
+            self.expect("(")
+            self.expect("r")
+            value = opalgebra.sqrt_r()
+        elif tok.lexeme == "exp":
+            self.expect("(")
+            value = self.parse_phase_arg()
+        elif tok.kind == "symbol":
             raise OperatorSyntaxError(tok.pos, f"unknown symbol {tok.lexeme!r}", (*_ATOM_SYMBOLS, "sqrt", "exp"))
-        raise OperatorSyntaxError(
-            tok.pos,
-            f"found {_describe(tok)}",
-            ("number", "symbol", "derivative", "'('"),
-        )
+        else:
+            raise OperatorSyntaxError(
+                tok.pos,
+                f"found {_describe(tok)}",
+                ("number", "symbol", "derivative", "'('"),
+            )
+        self.expect(")")
+        return value
 
     def parse_phase_arg(self) -> OperatorExpr:
         start = self.current
-        sign = 1
-        if self.current.kind == "op" and self.current.lexeme == "-":
-            self.advance()
-            sign = -1
-        magnitude: int | None = None
-        has_i = False
-        var: str | None = None
+        sign = -1 if self.accept("-") else 1
+        seen: dict[str, int | str] = {}
         while True:
             tok = self.current
-            if tok.kind == "number":
-                if magnitude is not None:
-                    raise OperatorSyntaxError(tok.pos, "repeated integer factor in phase argument")
-                if "/" in tok.lexeme:
-                    raise OperatorSyntaxError(tok.pos, f"phase winding {tok.lexeme!r} is not an integer")
-                magnitude = int(tok.lexeme)
-                self.advance()
-            elif tok.kind == "symbol" and tok.lexeme == "i":
-                if has_i:
-                    raise OperatorSyntaxError(tok.pos, "repeated i in phase argument")
-                has_i = True
-                self.advance()
-            elif tok.kind == "symbol" and tok.lexeme in PHASE_AXES:
-                if var is not None:
-                    raise OperatorSyntaxError(tok.pos, "repeated angle name in phase argument")
-                var = tok.lexeme
-                self.advance()
-            else:
+            part = "integer factor" if tok.kind == "number" else _PHASE_PARTS.get(tok.lexeme)
+            if part is None:
                 raise OperatorSyntaxError(
                     tok.pos,
                     f"found {_describe(tok)}",
                     ("integer", "'i'", "'eta'", "'alpha'", "'beta'"),
                 )
-            if self.current.kind == "op" and self.current.lexeme == "*":
-                self.advance()
-                continue
-            break
-        if not has_i or var is None:
+            if part in seen:
+                raise OperatorSyntaxError(tok.pos, f"repeated {part} in phase argument")
+            if tok.kind == "number":
+                seen[part] = self.parse_integer("phase winding", "integer")
+            else:
+                seen[part] = self.advance().lexeme
+            if not self.accept("*"):
+                break
+        if "i" not in seen or "angle name" not in seen:
             raise OperatorSyntaxError(start.pos, "phase argument must contain i times one angle name")
-        return opalgebra.phase(var, sign * (1 if magnitude is None else magnitude))
+        return opalgebra.phase(seen["angle name"], sign * seen.get("integer factor", 1))
 
 
 def parse(text: str) -> OperatorExpr:

@@ -1,17 +1,25 @@
 """Command line behavior: schemas, exit codes, tolerance plumbing."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ladder_forge
 from ladder_forge import cli, opalgebra as oa, opdsl
 from ladder_forge.generators import LADDERS
+
+from _gen import operators
 
 ZERO = "0.000000000000e+00"
 ROW_KEYS = {"name", "expected", "actual", "residual", "pass"}
@@ -56,6 +64,10 @@ class TestExpressionCommands:
     def test_lex_error_exits_2(self, capsys):
         assert cli.main(["parse", "r # s"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_denominator_exits_2(self, capsys):
+        assert cli.main(["parse", "1/0*r"]) == 2
+        assert "number '1/0' has a zero denominator at position 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", list(UNINVERTIBLE))
     def test_uninvertible_power_exits_2(self, capsys, text):
@@ -120,6 +132,18 @@ class TestTransformCommand:
     def test_invalid_labels_exit_2(self, capsys):
         assert cli.main(["transform", "f2b", "--q", "-1", "--l", "0", "--m", "1"]) == 2
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["transform", "f2b", "--q", "1/0", "--l", "0", "--m", "0"], "'1/0'"),
+        (["transform", "f2c", "--q", "abc", "--l", "0", "--m", "0"], "'abc'"),
+        (["coulomb-verify", "--Z", "1/0"], "'1/0'"),
+        (["coulomb-residual", "--n", "3", "--L", "1", "--Z", "1/0"], "'1/0'"),
+    ])
+    def test_bad_rational_is_a_usage_error(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert f"must be a rational number, got {bad}" in capsys.readouterr().err
+
 
 class TestCoulombCommands:
     def test_verify_passes(self, capsys):
@@ -165,6 +189,30 @@ class TestCoulombCommands:
         assert len(lines) == 1 + 40
         report = json.loads(out.read_text())
         assert report["pass"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--out", "{missing}/report.txt", "parse", "r"],
+        ["coulomb-residual", "--n", "2", "--L", "0", "--dump", "{missing}/samples.csv"],
+    ])
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, argv):
+        argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("shift", ["1e308", "-1e308", "1.7976931348623157e308"])
+    def test_huge_shift_control_stays_finite(self, capsys, shift):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run_json(capsys, ["coulomb-residual", "--n", "3", "--L", "1",
+                                             f"--shift={shift}"])
+        assert code == 0
+        row = next(r for r in report["rows"] if r["name"] == "detuned control")
+        assert row["actual"] == row["expected"] == f"{abs(float(shift)):.12e}"
+
+    @pytest.mark.parametrize("Z", ["1e400", "1e-400", str(2**64 + 1)])
+    def test_charge_outside_float_range_exits_2(self, capsys, Z):
+        assert cli.main(["coulomb-residual", "--n", "3", "--L", "1", "--Z", Z]) == 2
+        assert "charge must lie in [2**-64, 2**64]" in capsys.readouterr().err
 
     def test_impossible_tolerance_exits_1(self, capsys):
         # (2, 0)'s residual cancels exactly, so no tolerance fails it
@@ -255,3 +303,53 @@ def test_installed_entry_point():
     proc = subprocess.run([*argv, "parse", "s*r"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "s*r" in proc.stdout
+
+
+# -- every argv ends in a verdict or a usage error ------------------------
+
+_DSL_PIECES = ["r", "s", "u", "i", "q", "sqrt(r)", "sqrt(s)", "exp(i*eta)", "exp(-2*i*alpha)",
+               "exp(1/2*i*beta)", "exp(", "d/dr", "d/dbeta", "d/dx", "0", "1", "3", "1/2",
+               "1/0", "+", "-", "*", "^", "^2", "^-1", "^3", "(", ")", "$"]
+# pieces are joined by spaces, so no two digits fuse into an exponent above 3
+_dsl_texts = st.one_of(
+    st.lists(st.sampled_from(_DSL_PIECES), max_size=12).map(" ".join),
+    operators(max_terms=2).map(opdsl.render),
+)
+_rationals = st.one_of(
+    st.fractions().map(str),
+    st.sampled_from(["1/0", "0/0", "abc", "", "1.5", "-0", "nan", "inf", "1e400", "1e-400"]),
+)
+_argvs = st.one_of(
+    st.tuples(st.just("parse"), _dsl_texts),
+    st.tuples(st.just("transform"), st.sampled_from(["f2b", "f2c", "b2c"]),
+              _rationals.map("--q={}".format),
+              st.integers(-2, 4).map("--l={}".format), st.integers(-2, 4).map("--m={}".format)),
+    st.tuples(st.just("coulomb-residual"), st.integers(max_value=8).map("--n={}".format),
+              st.integers(min_value=-1).map("--L={}".format), _rationals.map("--Z={}".format),
+              st.floats(allow_nan=False, allow_infinity=False).map("--shift={!r}".format)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs.map(list), st.booleans(), st.sampled_from(["text", "json"]))
+def test_every_argv_ends_in_a_verdict_or_exit_2(argv, missing_out, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = ["--out", os.path.join(tmp, "missing", "report.txt")] if missing_out else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(["--format", fmt, *out, *argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error" in stderr.getvalue()
+        return
+    assert not missing_out
+    if fmt == "json":
+        report = json.loads(stdout.getvalue())
+        fields = [*report["params"].values(),
+                  *(row[key] for row in report["rows"] for key in ("expected", "actual", "residual"))]
+        assert not [f for f in fields if isinstance(f, str) and f.lstrip("-") in ("inf", "nan")]
+    else:
+        assert not re.search(r"=-?(inf|nan)\b", stdout.getvalue())

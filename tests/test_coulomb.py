@@ -182,6 +182,13 @@ class TestStates:
         with pytest.raises(ValueError):
             cl.state_tm(1, 0, 0)
 
+    def test_charge_range_of_the_float_layer(self):
+        for Z in (Fraction(1, 2**64), 2**64):
+            assert math.isfinite(cl.normalization_residual(cl.state_tm(3, 1, Z)))
+        for Z in (Fraction(1, 2**65), 2**64 + 1, Fraction(10**400)):
+            with pytest.raises(ValueError, match=r"charge must lie in \[2\*\*-64, 2\*\*64\]"):
+                cl.state_tm(3, 1, Z)
+
     def test_even_gap_state_is_representable(self):
         # single A/B steps leave the shared grid; labels stay valid
         state = cl.state_munu(1, 1)

@@ -55,6 +55,16 @@ class TestEigenvalues:
         assert fz.eigenvalue(fz.TypeF(-1), 0) == -1
         assert fz.eigenvalue(fz.TypeF(-3), 2) == -1
         assert fz.eigenvalue(fz.TypeB(1, HALF, 1), 1) == Fraction(-9, 4)
+        assert fz.eigenvalue(fz.TypeC(Fraction(-3, 2), Fraction(1, 3)), 0) == Fraction(9, 4)
+
+    @pytest.mark.parametrize("tag,step", [("B", 0), ("C", 1), ("F", 1)])
+    def test_is_rkl_eigenvalue_at_l_plus_step(self, tag, step):
+        # class I (C, F) reads L at l + 1, class II (B) at l itself
+        rng = random.Random(606)
+        for _ in range(25):
+            params, m = random_family(rng, tag)
+            l = m if tag == "B" else abs(m)
+            assert fz.eigenvalue(params, l) == fz.rkl(params, l + step)[2]
 
     def test_second_kind_uses_l_not_l_plus_one(self):
         # -a**2 (l+c)**2 at l itself

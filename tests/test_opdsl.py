@@ -107,6 +107,12 @@ ERROR_CORPUS = [
     ("q*r", opdsl.OperatorSyntaxError, 0, "q"),
     ("d/dx", opdsl.OperatorLexError, 1, "/"),
     ("", opdsl.OperatorSyntaxError, 0, ""),
+    ("1/0*r", opdsl.OperatorSyntaxError, 0, "1/0"),
+    ("r^1/2", opdsl.OperatorSyntaxError, 2, "1/2"),
+    ("sqrt(s)", opdsl.OperatorSyntaxError, 5, "s"),
+    ("exp(2*3*i*eta)", opdsl.OperatorSyntaxError, 6, "3"),
+    ("exp(1/2*i*eta)", opdsl.OperatorSyntaxError, 4, "1/2"),
+    ("exp(i*i*eta)", opdsl.OperatorSyntaxError, 6, "i"),
 ]
 
 
@@ -118,6 +124,32 @@ def test_error_positions(text, exc_type, position, lexeme):
     assert err.position == position
     if lexeme:
         assert text[err.position : err.position + len(lexeme)] == lexeme
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/0*r", "number '1/0' has a zero denominator at position 0"),
+    ("2*0/00", "number '0/00' has a zero denominator at position 2"),
+    ("r^1/2", "power exponent '1/2' is not an integer at position 2"),
+    ("sqrt(s)", "found 's' at position 5 (expected 'r')"),
+    ("exp(2*3*i*eta)", "repeated integer factor in phase argument at position 6"),
+    ("exp(1/2*i*eta)", "phase winding '1/2' is not an integer at position 4"),
+    ("exp(i*i*eta)", "repeated i in phase argument at position 6"),
+    ("exp(i*eta*eta)", "repeated angle name in phase argument at position 10"),
+    ("exp(-2*eta)", "phase argument must contain i times one angle name at position 4"),
+    ("r^-x", "found 'x' at position 3 (expected integer exponent)"),
+    ("x", "unknown symbol 'x' at position 0 (expected i or s or u or r or sqrt or exp)"),
+    ("r)", "trailing input ')' at position 1 (expected '+' or '-' or '*' or end of input)"),
+])
+def test_error_messages(text, message):
+    with pytest.raises(opdsl.OperatorSyntaxError) as info:
+        opdsl.parse(text)
+    assert str(info.value) == message
+
+
+def test_parens_lex_as_operators():
+    kinds = [tok.kind for tok in opdsl.tokenize("exp(i*eta) + d/dr^2 * 1/2")]
+    assert kinds == ["symbol", "op", "symbol", "op", "symbol", "op", "op",
+                     "deriv", "op", "number", "op", "number", "end"]
 
 
 @pytest.mark.parametrize("text,position", [("r^(1/2)", 2), ("r^s", 2), ("s^u", 2)])
