@@ -28,7 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import coulomb, factorizations, generators, opalgebra, opdsl
+from . import factorizations, generators, opalgebra, opdsl
 
 TOL_ENV = "LADDER_FORGE_TOL"
 
@@ -88,10 +88,12 @@ def _at_least(minimum: int):
 
 
 def _rational(raw: str) -> Fraction:
-    try:
-        return Fraction(raw)
+    try:  # printing fails past int's digit limit: fail here, not in the report after the work
+        return Fraction(str(Fraction(raw)))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"must be a rational number, got {raw!r}") from None
+        shown = raw if len(raw) <= 40 else raw[:40] + "..."
+        raise argparse.ArgumentTypeError(
+            f"must be a rational number, got {shown!r} (each part within Python's int digit limit)") from None
 
 
 def _env_tol(default: float) -> float:
@@ -222,6 +224,7 @@ def _action_rows(reports) -> list[dict]:
 
 
 def _cmd_coulomb_verify(args) -> int:
+    from . import coulomb  # numpy loads here; the algebra subcommands never load it
     if args.t_max >= coulomb.MAX_QUAD_ORDER:  # normalization takes order t + 1
         raise ValueError(f"--t-max {args.t_max} needs quadrature order {args.t_max + 1}, "
                          f"past the float limit {coulomb.MAX_QUAD_ORDER}")
@@ -266,6 +269,7 @@ def _cmd_coulomb_verify(args) -> int:
 
 
 def _cmd_coulomb_residual(args) -> int:
+    from . import coulomb
     tol = args.tol if args.tol is not None else _env_tol(1e-8)
     Z = args.Z
     state = coulomb.state_tm(args.n, args.L, Z)

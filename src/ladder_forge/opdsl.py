@@ -166,15 +166,22 @@ class _Parser:
             raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (expected,))
         if "/" in tok.lexeme:
             raise OperatorSyntaxError(tok.pos, f"{what} {tok.lexeme!r} is not an integer")
-        return sign * int(tok.lexeme)
+        return sign * self.number(tok)[0]
+
+    def number(self, tok: Token) -> tuple[int, int]:
+        num, _, den = tok.lexeme.partition("/")
+        try:
+            return int(num), int(den or 1)
+        except ValueError:  # past the interpreter's int string conversion limit
+            raise OperatorSyntaxError(tok.pos, f"number {tok.lexeme[:12]!r}... has too many digits") from None
 
     def parse_atom(self) -> OperatorExpr:
         tok = self.advance()
         if tok.kind == "number":
-            num, _, den = tok.lexeme.partition("/")
-            if den and not int(den):
+            num, den = self.number(tok)
+            if not den:
                 raise OperatorSyntaxError(tok.pos, f"number {tok.lexeme!r} has a zero denominator")
-            return opalgebra.scalar(Fraction(int(num), int(den or 1)))
+            return opalgebra.scalar(Fraction(num, den))
         if tok.kind == "deriv":
             return opalgebra.deriv(tok.lexeme[3:])
         if tok.lexeme in _ATOM_SYMBOLS:

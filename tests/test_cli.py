@@ -69,6 +69,11 @@ class TestExpressionCommands:
         assert cli.main(["parse", "1/0*r"]) == 2
         assert "number '1/0' has a zero denominator at position 0" in capsys.readouterr().err
 
+    def test_number_past_digit_limit_exits_2(self, capsys):
+        assert cli.main(["parse", "1" * 5000 + "*r"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: number {'1' * 12!r}... has too many digits at position 0\n"
+
     @pytest.mark.parametrize("text", list(UNINVERTIBLE))
     def test_uninvertible_power_exits_2(self, capsys, text):
         assert cli.main(["parse", text]) == 2
@@ -137,6 +142,10 @@ class TestTransformCommand:
         (["transform", "f2c", "--q", "abc", "--l", "0", "--m", "0"], "'abc'"),
         (["coulomb-verify", "--Z", "1/0"], "'1/0'"),
         (["coulomb-residual", "--n", "3", "--L", "1", "--Z", "1/0"], "'1/0'"),
+        # past int's digit limit: rejected before any map, echoed truncated
+        (["transform", "f2b", "--q", "1e5000", "--l", "0", "--m", "0"], "'1e5000'"),
+        (["transform", "f2b", "--q", "1" * 5000, "--l", "0", "--m", "0"], repr("1" * 40 + "...")),
+        (["coulomb-verify", "--Z", "1e5000"], "'1e5000'"),
     ])
     def test_bad_rational_is_a_usage_error(self, capsys, argv, bad):
         with pytest.raises(SystemExit) as info:
@@ -269,7 +278,7 @@ class TestCoulombCommands:
         # normalization at n = 200 needs quadrature order 201
         assert cli.main(["coulomb-residual", "--n", "200", "--L", "3"]) == 2
         assert "order 201 is past the float limit 184" in capsys.readouterr().err
-        monkeypatch.setattr(cli.coulomb, "sweep_su11", None)  # rejected before any sweep
+        monkeypatch.setattr(ladder_forge.coulomb, "sweep_su11", None)  # rejected before any sweep
         for t_max in ("200", "184"):
             assert cli.main(["coulomb-verify", "--t-max", t_max]) == 2
             assert "past the float limit 184" in capsys.readouterr().err

@@ -113,6 +113,9 @@ ERROR_CORPUS = [
     ("exp(2*3*i*eta)", opdsl.OperatorSyntaxError, 6, "3"),
     ("exp(1/2*i*eta)", opdsl.OperatorSyntaxError, 4, "1/2"),
     ("exp(i*i*eta)", opdsl.OperatorSyntaxError, 6, "i"),
+    # past the interpreter's 4300-digit int string limit
+    pytest.param("1" * 5000 + "*r", opdsl.OperatorSyntaxError, 0, "1" * 5000, id="5000-digit-number"),
+    pytest.param("r^" + "1" * 5000, opdsl.OperatorSyntaxError, 2, "1" * 5000, id="5000-digit-exponent"),
 ]
 
 
