@@ -88,7 +88,11 @@ def _at_least(minimum: int):
 
 
 def _rational(raw: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
     try:  # printing fails past int's digit limit: fail here, not in the report after the work
+        _, e, exponent = raw.lower().partition("e")
+        if e and limit and abs(int(exponent)) > limit:  # before Fraction builds 10**exponent
+            raise ValueError(raw)
         return Fraction(str(Fraction(raw)))
     except (ValueError, ZeroDivisionError):
         shown = raw if len(raw) <= 40 else raw[:40] + "..."
@@ -148,34 +152,26 @@ def _cmd_commutator(args) -> int:
     return _finish("commutator", {"left": args.left, "right": args.right}, rows, args)
 
 
-def _algebra_rows(which: str) -> list[dict]:
-    rows = []
-    if which == "su11":
-        reports = generators.su11_reports()
-    elif which == "weyl":
-        reports = generators.weyl_reports()
-    else:
-        reports = []
-    for rep in reports:
-        rows.append(_row(rep.name, 0, opdsl.render(rep.residual), None, rep.passed))
+def _report_rows(reports) -> list[dict]:
+    return [_row(rep.name, 0, opdsl.render(rep.residual), None, rep.passed) for rep in reports]
+
+
+_ALGEBRA_REPORTS = {"su11": generators.su11_reports, "weyl": generators.weyl_reports}
+
+
+def _cmd_verify_algebra(args) -> int:
+    which = args.algebra
+    rows = _report_rows(_ALGEBRA_REPORTS[which]() if which in _ALGEBRA_REPORTS else [])
     closure = generators.closure_report(which)
     expected = generators.expected_dimension(which)
     rows.append(_row(f"{which} closure dimension", expected, closure.dimension,
                      abs(closure.dimension - expected),
                      closure.closed and closure.dimension == expected))
-    return rows
-
-
-def _cmd_verify_algebra(args) -> int:
-    rows = _algebra_rows(args.algebra)
-    return _finish("verify-algebra", {"algebra": args.algebra}, rows, args)
+    return _finish("verify-algebra", {"algebra": which}, rows, args)
 
 
 def _cmd_casimir(args) -> int:
-    rows = []
-    for rep in generators.casimir_reports():
-        rows.append(_row(rep.name, 0, opdsl.render(rep.residual), None, rep.passed))
-    return _finish("casimir", {}, rows, args)
+    return _finish("casimir", {}, _report_rows(generators.casimir_reports()), args)
 
 
 def _transform_rows(result) -> list[dict]:
@@ -236,16 +232,11 @@ def _cmd_coulomb_verify(args) -> int:
         args.mu_max, args.nu_max, Z=Z, **tols)
     rows = _action_rows(sweeps)
 
-    worst_norm = max(
-        coulomb.normalization_residual(coulomb.state_tm(t, m, Z))
-        for t in range(1, args.t_max + 1) for m in range(t)
-    )
+    states = [coulomb.state_tm(t, m, Z) for t in range(1, args.t_max + 1) for m in range(t)]
+    worst_norm = max(map(coulomb.normalization_residual, states))
     rows.append(_row("normalization worst", 0.0, worst_norm, worst_norm,
                      worst_norm <= 1e-12))
-    worst_cas = max(
-        coulomb.casimir_residual(coulomb.state_tm(t, m, Z))
-        for t in range(1, args.t_max + 1) for m in range(t)
-    )
+    worst_cas = max(map(coulomb.casimir_residual, states))
     rows.append(_row("casimir worst", 0.0, worst_cas, worst_cas, worst_cas <= tol_p))
     ground_munu, ground_tm = coulomb.state_munu(0, 1, Z), coulomb.state_tm(1, 0, Z)
     same = (ground_munu.munu == ground_tm.munu

@@ -16,8 +16,10 @@ with ``D = d/dx``.  The triples handled here:
     type F:  r = -2q/x - m(m+1)/x**2
              k = m/x + q/m                      L = -q**2 / m**2
 
-Bound-state eigenvalues follow the class rules: class I (types C, F) takes
-``lambda = L(l+1)``, class II (type B) takes ``lambda = L(l)``.
+``rkl`` holds each family's r, k and L.
+Bound-state eigenvalues follow the class rules, and ``eigenvalue`` reads L
+from ``rkl`` through them: class I (types C, F) takes ``lambda = L(l+1)``,
+class II (type B) takes ``lambda = L(l)``.
 
 ``rkl`` returns ``r(x, m)`` and ``k(x, m)`` as multiplication operators of
 the operator algebra, so each identity is checked as an exactly zero
@@ -164,15 +166,11 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
 def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
     """Bound-state eigenvalue at label l: L(l+1) for class I, L(l) for class II."""
     l = exact(l, "l")
-    if isinstance(params, TypeF):
-        if l < 0:
-            raise ValueError("class I requires l >= 0")
-        return -(params.q * params.q) / ((l + 1) * (l + 1))
-    if isinstance(params, TypeC):
-        if l < 0:
-            raise ValueError("class I requires l >= 0")
-        return -params.b * (2 * l + Fraction(3, 2))
-    return -params.a * params.a * (l + params.c) * (l + params.c)
+    if isinstance(params, TypeB):
+        return rkl(params, l)[2]
+    if l < 0:
+        raise ValueError("class I requires l >= 0")
+    return rkl(params, l + 1)[2]
 
 
 @dataclass(frozen=True)
@@ -200,6 +198,13 @@ def _check_eps(eps: int) -> None:
         raise ValueError("eps must be +1 or -1")
 
 
+def _type_c_result(source: FamilyParams, scale: Fraction, eps: int,
+                   mhat: Fraction, lhat: Fraction) -> TransformResult:
+    """Type C target b = -scale with offset c = 0, and its label map."""
+    target = TypeC(b=-scale, c=Fraction(0))
+    return TransformResult(source, target, {"mhat+chat": mhat, "lhat+chat": lhat}, eps, scale)
+
+
 def f_to_b(q: Rational, l: Rational, m: Rational, a: Rational = 1) -> TransformResult:
     """Map the Coulomb-like family at (q, l, m) onto a type B family.
 
@@ -209,8 +214,6 @@ def f_to_b(q: Rational, l: Rational, m: Rational, a: Rational = 1) -> TransformR
     source = TypeF(q)
     l, m, a = exact(l, "l"), exact(m, "m"), exact(a, "a")
     _check_fl_labels(l, m)
-    if a <= 0:
-        raise ValueError("type B requires a > 0")
     scale = -source.q / (l + 1)
     target = TypeB(a=a, c=Fraction(0), d=a * scale)
     half = Fraction(1, 2)
@@ -229,13 +232,8 @@ def f_to_c(q: Rational, l: Rational, m: Rational, eps: int) -> TransformResult:
     _check_fl_labels(l, m)
     _check_eps(eps)
     half = Fraction(1, 2)
-    b = source.q / (l + 1)
-    target = TypeC(b=b, c=Fraction(0))
-    quantum_map = {
-        "mhat+chat": eps * (2 * m + 1) - half,
-        "lhat+chat": l + eps * (m + half),
-    }
-    return TransformResult(source, target, quantum_map, eps, -b)
+    return _type_c_result(source, -source.q / (l + 1), eps,
+                          mhat=eps * (2 * m + 1) - half, lhat=l + eps * (m + half))
 
 
 def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> TransformResult:
@@ -245,13 +243,9 @@ def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> Transform
     lbar, mbar = exact(lbar, "lbar"), exact(mbar, "mbar")
     _check_eps(eps)
     half = Fraction(1, 2)
-    scale = params.d / params.a
-    target = TypeC(b=-scale, c=Fraction(0))
-    quantum_map = {
-        "mhat+chat": 2 * eps * (lbar + params.c) - half,
-        "lhat+chat": mbar + params.c + eps * (lbar + params.c) - half,
-    }
-    return TransformResult(params, target, quantum_map, eps, scale)
+    return _type_c_result(params, params.d / params.a, eps,
+                          mhat=2 * eps * (lbar + params.c) - half,
+                          lhat=mbar + params.c + eps * (lbar + params.c) - half)
 
 
 def shifted_charge(q: Rational, label: Rational, direction: int, algebra: str) -> Fraction:

@@ -81,9 +81,13 @@ def build_T() -> GeneratorSet:
     return GeneratorSet("su11", members)
 
 
+def _number_op() -> OperatorExpr:
+    """N = i d/dalpha - i d/dbeta, the angle number operator of the Weyl pairs."""
+    return opalgebra.imag() * opalgebra.deriv("alpha") - opalgebra.imag() * opalgebra.deriv("beta")
+
+
 def _weyl_member(axis: str, sign: int, bracket_sign: int) -> OperatorExpr:
-    number_op = opalgebra.imag() * opalgebra.deriv("alpha") - opalgebra.imag() * opalgebra.deriv("beta")
-    inner = number_op - bracket_sign * sign * opalgebra.identity()
+    inner = _number_op() - bracket_sign * sign * opalgebra.identity()
     core = (
         sign * opalgebra.deriv("r")
         + bracket_sign * Fraction(1, 2) * opalgebra.r_half_power(-2) * inner
@@ -263,39 +267,29 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     The scalar label inside each ladder is split off and replaced by the
     matching angle number operator: l+1 -> -i d/deta for tilde (applied to
     the opposite-sign member), and nu - mu = 2m+1 -> -i d/dbeta + i d/dalpha
-    for check1/check2.  The phase factor and, for the Weyl pairs, the formal
-    u prefactor are then attached.
+    for check1/check2.  A plus member is taken at (l, m), a minus member at
+    (l, m) moved by the generator's own step.  The phase factor and, for the
+    Weyl pairs, the formal u prefactor are then attached.
     """
     l, m = exact(l, "l"), exact(m, "m")
-    t = build_T().members
-    g = build_AB().members
-    ideta = opalgebra.imag() * opalgebra.deriv("eta")
-    number_op = opalgebra.imag() * opalgebra.deriv("alpha") - opalgebra.imag() * opalgebra.deriv("beta")
+    targets = {**build_T().members, **build_AB().members}
     half_inv_sqrt = Fraction(1, 2) * opalgebra.r_half_power(-1)
-    u = opalgebra.u_sym()
+    weyl_label = half_inv_sqrt * _number_op()
+    # ladder -> (phase axis, scalar label term of its members at (l, m), the term replacing it)
+    labels = {
+        "tilde": ("eta", -(l + 1), opalgebra.imag() * opalgebra.deriv("eta")),
+        "check1": ("alpha", (2 * m + 1) * half_inv_sqrt, weyl_label),
+        "check2": ("beta", -(2 * m + 1) * half_inv_sqrt, -weyl_label),
+    }
     out = []
-    for sign, name in ((1, "T+"), (-1, "T-")):
-        tilde = transformed_ladders("tilde", l + Fraction(1, 2) + sign * Fraction(1, 2), 0)
-        member = tilde[1] if sign > 0 else tilde[0]
-        rebuilt = opalgebra.phase("eta", sign) * (member + (l + 1) * opalgebra.identity() + ideta)
-        target = t["Tplus"] if sign > 0 else t["Tminus"]
-        out.append(_report(f"{name} from tilde ladder", rebuilt, target))
-    for sign, name in ((1, "A+"), (-1, "A-")):
-        lad = transformed_ladders("check1", l - Fraction(1, 4) + sign * Fraction(1, 4),
-                                  m + Fraction(1, 4) - sign * Fraction(1, 4))
-        member = lad[0] if sign > 0 else lad[1]
-        rebuilt = u * opalgebra.phase("alpha", sign) * (
-            member - (2 * m + 1) * half_inv_sqrt + half_inv_sqrt * number_op
-        )
-        target = g["Aplus"] if sign > 0 else g["Aminus"]
-        out.append(_report(f"{name} from check1 ladder", rebuilt, target))
-    for sign, name in ((1, "B+"), (-1, "B-")):
-        lad = transformed_ladders("check2", l - Fraction(1, 4) + sign * Fraction(1, 4),
-                                  m - Fraction(1, 4) + sign * Fraction(1, 4))
-        member = lad[0] if sign > 0 else lad[1]
-        rebuilt = u * opalgebra.phase("beta", sign) * (
-            member + (2 * m + 1) * half_inv_sqrt - half_inv_sqrt * number_op
-        )
-        target = g["Bplus"] if sign > 0 else g["Bminus"]
-        out.append(_report(f"{name} from check2 ladder", rebuilt, target))
+    for name, lad in LADDERS.items():
+        direction = 1 if sum(lad.step) > 0 else -1
+        axis, scalar_term, number_term = labels[lad.ladder]
+        use_minus = (direction < 0) != (lad.ladder == "tilde")
+        dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
+        member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]
+        rebuilt = opalgebra.phase(axis, direction) * (member - scalar_term + number_term)
+        if lad.kind == "weyl":
+            rebuilt = opalgebra.u_sym() * rebuilt
+        out.append(_report(f"{name} from {lad.ladder} ladder", rebuilt, targets[lad.member]))
     return out

@@ -1,5 +1,6 @@
 """Command line behavior: schemas, exit codes, tolerance plumbing."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -152,6 +154,14 @@ class TestTransformCommand:
             cli.main(argv)
         assert info.value.code == 2
         assert f"must be a rational number, got {bad}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1e10000000", "1e-10000000"])
+    def test_huge_exponent_is_rejected_before_fraction(self, raw):
+        # Fraction would build 10**10000000 (about 18 s) before the digit limit bites
+        start = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._rational(raw)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCoulombCommands:

@@ -164,7 +164,7 @@ class TestTransforms:
             fz.f_to_b(-1, 0, 1)  # m > l
         with pytest.raises(ValueError):
             fz.f_to_c(-1, -1, 0, eps=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="type B requires a > 0 and d > 0"):
             fz.f_to_b(-1, 1, 0, a=0)
         with pytest.raises(ValueError):
             fz.f_to_c(-1, 1, 0, eps=2)

@@ -9,6 +9,7 @@ from ladder_forge import generators as gen
 from ladder_forge import opalgebra as oa
 
 HALF = Fraction(1, 2)
+LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
 
 
 class TestNumberPhaseTriple:
@@ -144,10 +145,20 @@ class TestTransformedLadders:
                         target.labels[1] - state.labels[1])
             assert (dl - dm, dl + dm) == (dmu, dnu)
 
-    @pytest.mark.parametrize("l,m", [(0, 0), (1, 0), (3, 1),
-                                     (Fraction(7, 2), Fraction(3, 2)), (5, 4)])
+    @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_generators_rebuilt_from_ladders(self, l, m):
         reports = gen.reconstruction_reports(l, m)
         assert len(reports) == 6
         for rep in reports:
             assert rep.passed, rep.name
+
+    @pytest.mark.parametrize("l,m", LADDER_LABELS)
+    def test_reconstruction_names_and_targets(self, l, m):
+        reports = gen.reconstruction_reports(l, m)
+        assert [rep.name for rep in reports] == [
+            "T+ from tilde ladder", "T- from tilde ladder",
+            "A+ from check1 ladder", "A- from check1 ladder",
+            "B+ from check2 ladder", "B- from check2 ladder",
+        ]
+        for rep in reports:
+            assert rep.rhs == gen.LADDERS[rep.name.split()[0]].operator(), rep.name
