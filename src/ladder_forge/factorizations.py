@@ -143,8 +143,11 @@ def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExp
     type B is returned in the exponential representation r = exp(a x), where
     D = a * r * d/dr.
     """
-    k_op = rkl(params, m)[1]
-    d_op = _d_operator(params)
+    return _ladder_pair(rkl(params, m)[1], _d_operator(params))
+
+
+def _ladder_pair(k_op: OperatorExpr, d_op: OperatorExpr) -> tuple[OperatorExpr, OperatorExpr]:
+    """(H+, H-) = (+D + k, -D + k) from the operators k and D."""
     return d_op + k_op, -d_op + k_op
 
 
@@ -156,7 +159,7 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
     """
     r_op, k_op, level = rkl(params, m)
     d_op = _d_operator(params)
-    plus, minus = d_op + k_op, -d_op + k_op
+    plus, minus = _ladder_pair(k_op, d_op)
     d_sq = d_op * d_op
     res_up = minus * plus + level + d_sq + r_op
     res_down = plus * minus + level + d_sq + _r_operator(params, m - 1)

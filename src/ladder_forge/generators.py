@@ -109,7 +109,10 @@ def build_AB() -> GeneratorSet:
 
 def casimir() -> tuple[OperatorExpr, AlgebraReport]:
     """Casimir -T+ T- + T0(T0 - 1) and its verified normal form."""
-    t = build_T().members
+    return _casimir(build_T().members)
+
+
+def _casimir(t: dict[str, OperatorExpr]) -> tuple[OperatorExpr, AlgebraReport]:
     op = -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
     r = opalgebra.r_half_power(2)
     normal_form = (
@@ -146,8 +149,8 @@ def weyl_reports() -> list[AlgebraReport]:
 
 
 def casimir_reports() -> list[AlgebraReport]:
-    op, normal = casimir()
     t = build_T().members
+    op, normal = _casimir(t)
     comm = opalgebra.commutator
     zero = opalgebra.zero()
     return [

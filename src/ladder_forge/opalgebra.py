@@ -30,6 +30,16 @@ so operator equality is literal equality of canonical forms.  Products, sums
 and the fraction-free Lie-closure echelon run on integers; ``Fraction`` appears
 only where user rationals enter and where ``terms()`` reads coefficients out.
 
+A product of two monomials ``f1*D1 * g2*E2`` is its leading term
+``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
+the left derivatives ``D1`` past the right functions ``g2``.  The interaction
+terms depend only on the four derivative orders of ``D1`` and the four function
+exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
+key, as offsets from the leading term.  A pair with no derivative meeting a
+function on its own axis adds its leading term without a lookup.  The leading
+terms of ``a*b`` and ``b*a`` are equal, so ``commutator`` forms both orders in
+one pass and skips them: only interaction terms enter a commutator.
+
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
 ``OperatorExpr ** n`` takes any integer; ``n < 0`` inverts a single atom
@@ -117,38 +127,40 @@ def _phase_pass(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _mono_cross(m1: Mono, m2: Mono) -> tuple[tuple[Mono, int, int], ...]:
-    """Normal-ordered expansion of the product of two monomial patterns.
+# a bound on memory, not a tuning: the paper's sets and seeded DSL streams use
+# a few hundred keys
+@lru_cache(maxsize=4096)
+def _mono_cross(dr: int, de: int, da: int, db: int, r2: int, ke: int, ka: int, kb: int) -> tuple[tuple[int, ...], ...]:
+    """Interaction terms of left derivative orders with right function exponents.
 
-    Each entry is ``(mono, re, im)``, a Gaussian-integer coefficient over the
-    implied denominator ``2**m1.dr``.
+    Each entry is ``(r2, dr, de, da, db, re, im)``: the offsets of the r
+    half-power and the four derivative orders from the leading term, and a
+    Gaussian-integer coefficient over ``2**dr``.  The leading term is not listed.
     """
     phases = []
-    for je, a, b in _phase_pass(m1.de, m2.ke):
-        for ja, c, d in _phase_pass(m1.da, m2.ka):
+    for je, a, b in _phase_pass(de, ke):
+        for ja, c, d in _phase_pass(da, ka):
             x, y = a * c - b * d, a * d + b * c
-            for jb, e, f in _phase_pass(m1.db, m2.kb):
-                # je/ja/jb already count the derivatives left over after
-                # commuting past the phase factor
-                phases.append((je + m2.de, ja + m2.da, jb + m2.db, x * e - y * f, x * f + y * e))
-    ke, ka, kb = m1.ke + m2.ke, m1.ka + m2.ka, m1.kb + m2.kb
+            for jb, e, f in _phase_pass(db, kb):
+                # je/ja/jb count the derivatives left over after commuting
+                # past the phase factor
+                phases.append((je - de, ja - da, jb - db, x * e - y * f, x * f + y * e))
     out = []
     # falling = prod(r2 - 2i, i < jr) = 2**jr times the falling factorial of r2/2
     falling = 1
-    for jr in range(m1.dr + 1):
+    for jr in range(dr + 1):
         if jr:
-            falling *= m2.r2 - 2 * (jr - 1)
+            falling *= r2 - 2 * (jr - 1)
             if not falling:
                 break
-        fr = comb(m1.dr, jr) * falling << (m1.dr - jr)
-        r2, dr = m1.r2 + m2.r2 - 2 * jr, m1.dr - jr + m2.dr
-        for de, da, db, re, im in phases:
-            out.append((Mono(r2, ke, ka, kb, dr, de, da, db), fr * re, fr * im))
+        fr = comb(dr, jr) * falling << (dr - jr)
+        for oe, oa, ob, re, im in phases:
+            if jr or oe or oa or ob:
+                out.append((-2 * jr, -jr, oe, oa, ob, fr * re, fr * im))
     return tuple(out)
 
 
-Atom = tuple  # (Mono, s_power, u_parity)
+Atom = tuple  # (mono, s_power, u_parity), mono an 8-tuple in Mono field order
 Gauss = tuple  # (re: int, im: int), a Gaussian integer
 
 
@@ -170,12 +182,55 @@ def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
     return terms, den
 
 
+def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
+    """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass.
+
+    A pair of atoms is free when no left derivative meets a right function on
+    its own axis; its product is the leading term alone.
+    """
+    orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
+    # every contribution goes over den_a * den_b * 2**top: _mono_cross divides
+    # by 2**dr of its left monomial and u**2 = 1/(2*s) by one more 2
+    lefts = (*a._terms, *b._terms) if commute else a._terms
+    top = 1 + max((m1[4] for m1, _, _ in lefts), default=0)
+    acc: dict[Atom, Gauss] = {}
+    get = acc.get
+    for left, right, sign in orders:
+        funcs = [m2 + (s2, u2, sign * a2, sign * b2) for (m2, s2, u2), (a2, b2) in right._terms.items()]
+        for (m1, s1, u1), (a1, b1) in left._terms.items():
+            r1, ke1, ka1, kb1, dr, de, da, db = m1
+            for r2, ke, ka, kb, dr2, de2, da2, db2, s2, u2, a2, b2 in funcs:
+                interacts = dr and r2 or de and ke or da and ka or db and kb
+                if commute and not interacts:
+                    continue
+                sp, up, shift = s1 + s2, u1 + u2, top - dr
+                if up == 2:
+                    sp, up, shift = sp - 1, 0, shift - 1
+                re, im = (a1 * a2 - b1 * b2) << shift, (a1 * b2 + b1 * a2) << shift
+                lr, le, la, lb = r1 + r2, ke1 + ke, ka1 + ka, kb1 + kb
+                ldr, lde, lda, ldb = dr + dr2, de + de2, da + da2, db + db2
+                if not commute:  # the leading term, 2**dr over 2**dr
+                    key = ((lr, le, la, lb, ldr, lde, lda, ldb), sp, up)
+                    x, y = re << dr, im << dr
+                    cur = get(key)
+                    acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+                if interacts:
+                    for o_r, o_dr, o_de, o_da, o_db, gr, gi in _mono_cross(dr, de, da, db, r2, ke, ka, kb):
+                        key = ((lr + o_r, le, la, lb, ldr + o_dr, lde + o_de, lda + o_da, ldb + o_db), sp, up)
+                        x, y = re * gr - im * gi, re * gi + im * gr
+                        cur = get(key)
+                        acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+    return OperatorExpr._wrap(*_lowest(acc, a._den * b._den << top))
+
+
 class OperatorExpr:
     """Immutable normal-ordered sum of atoms ``g * s**s_power * u**u_parity * mono``.
 
     Stored as one map from ``(mono, s_power, u_parity)`` to the nonzero
     Gaussian-integer numerator ``(re, im)`` of ``g``, with ``u_parity`` in
     {0, 1}, plus one positive denominator shared by every atom, in lowest terms.
+    A product stores ``mono`` as a plain 8-tuple in ``Mono`` field order, which
+    hashes and compares like the ``Mono``; ``terms()`` hands out ``Mono``.
     ``OperatorExpr(mapping)`` takes ``GaussRational``, ``int`` or ``Fraction``
     values and finds the common denominator itself.
     """
@@ -213,8 +268,8 @@ class OperatorExpr:
         """The ((mono, s_power, u_parity), gauss) pairs, sorted by atom."""
         den = self._den
         return tuple(
-            (key, GaussRational(Fraction(re, den), Fraction(im, den)))
-            for key, (re, im) in sorted(self._terms.items())
+            ((Mono._make(mono), sp, up), GaussRational(Fraction(re, den), Fraction(im, den)))
+            for (mono, sp, up), (re, im) in sorted(self._terms.items())
         )
 
     def flatten(self) -> Iterator[tuple[Mono, int, int, GaussRational]]:
@@ -264,24 +319,7 @@ class OperatorExpr:
             other = _as_scalar(other)
             if other is None:
                 return NotImplemented
-        # every contribution goes over den1 * den2 * 2**top: _mono_cross
-        # divides by 2**m1.dr and u**2 = 1/(2*s) by one more 2
-        top = 1 + max((m1.dr for m1, _, _ in self._terms), default=0)
-        right = list(other._terms.items())
-        acc: dict[Atom, Gauss] = {}
-        get = acc.get
-        for (m1, s1, u1), (a1, b1) in self._terms.items():
-            for (m2, s2, u2), (a2, b2) in right:
-                sp, up, shift = s1 + s2, u1 + u2, top - m1.dr
-                if up == 2:
-                    sp, up, shift = sp - 1, 0, shift - 1
-                re, im = (a1 * a2 - b1 * b2) << shift, (a1 * b2 + b1 * a2) << shift
-                for mono, gr, gi in _mono_cross(m1, m2):
-                    key = (mono, sp, up)
-                    x, y = re * gr - im * gi, re * gi + im * gr
-                    cur = get(key)
-                    acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-        return OperatorExpr._wrap(*_lowest(acc, self._den * other._den << top))
+        return _normal_order(self, other, False)
 
     def __rmul__(self, other) -> "OperatorExpr":
         other = _as_scalar(other)
@@ -295,11 +333,12 @@ class OperatorExpr:
         e = exact_int(exponent, "exponent")
         if len(self._terms) == 1:
             ((mono, sp, up), (re, im)), = self._terms.items()
-            if not (mono.dr or mono.de or mono.da or mono.db):
+            r2, ke, ka, kb, dr, de, da, db = mono
+            if not (dr or de or da or db):
                 # r powers, phase factors and scalars commute, so exponents scale
                 # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
                 q, up_e = divmod(up * e, 2)
-                power = Mono(mono.r2 * e, mono.ke * e, mono.ka * e, mono.kb * e, 0, 0, 0, 0)
+                power = Mono(r2 * e, ke * e, ka * e, kb * e, 0, 0, 0, 0)
                 den = self._den
                 if e < 0:
                     # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
@@ -447,15 +486,18 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
 # -- derived operations --------------------------------------------------
 
 
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b - b * a
+def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> OperatorExpr:
+    """``a*b - b*a``, formed without the leading terms that cancel between the two."""
+    a, b = (x if isinstance(x, OperatorExpr) else scalar(x) for x in (a, b))
+    return _normal_order(a, b, True)
 
 
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
     acc: dict[Atom, Gauss] = {}
     for (mono, sp, up), g in expr._terms.items():
-        swapped = Mono(mono.r2, mono.ke, mono.kb, mono.ka, mono.dr, mono.de, mono.db, mono.da)
+        r2, ke, ka, kb, dr, de, da, db = mono
+        swapped = Mono(r2, ke, kb, ka, dr, de, db, da)
         acc[(swapped, sp, up)] = g
     return OperatorExpr._wrap(acc, expr._den)
 

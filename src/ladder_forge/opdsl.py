@@ -28,6 +28,7 @@ without derivatives and rejects anything else.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -282,7 +283,10 @@ def render(expr: OperatorExpr) -> str:
         return "0"
     pieces: list[tuple[str, str]] = []
     for mono, sp, up, g in atoms:
-        sign, coeff_body = _fmt_gauss(g)
+        try:
+            sign, coeff_body = _fmt_gauss(g)
+        except ValueError:  # str() of an int past the interpreter's digit limit
+            raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} digits") from None
         parts: list[str] = []
         if coeff_body:
             parts.append(coeff_body)

@@ -85,22 +85,25 @@ _fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 @st.composite
-def terms(draw, small: bool = False):
+def terms(draw, small: bool = False, wide: bool = False):
+    """One term; ``wide`` draws windings up to 3 and derivative orders up to 3."""
     lim = 2 if small else 4
+    winding = 3 if wide else 1
+    order = 3 if wide else 1 if small else 2
     return term_from(
         draw(_fractions),
         draw(_fractions),
         draw(st.integers(-2, 2)),
         draw(st.integers(0, 1)),
         draw(st.integers(-lim, lim)),
-        [draw(st.integers(-1, 1)) for _ in PHASES],
-        [draw(st.integers(0, 1 if small else 2)) for _ in AXES],
+        [draw(st.integers(-winding, winding)) for _ in PHASES],
+        [draw(st.integers(0, order)) for _ in AXES],
     )
 
 
 @st.composite
-def operators(draw, max_terms: int = 3, small: bool = False):
+def operators(draw, max_terms: int = 3, small: bool = False, wide: bool = False):
     expr = oa.zero()
     for _ in range(draw(st.integers(1, max_terms))):
-        expr = expr + draw(terms(small))
+        expr = expr + draw(terms(small, wide))
     return expr

@@ -76,6 +76,12 @@ class TestExpressionCommands:
         err = capsys.readouterr().err
         assert err == f"error: number {'1' * 12!r}... has too many digits at position 0\n"
 
+    def test_result_past_digit_limit_exits_2(self, capsys):
+        # the number is within the limit, its square is not
+        assert cli.main(["parse", "9" * 3000 + "^2"]) == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: a result coefficient has more than {limit} digits\n"
+
     @pytest.mark.parametrize("text", list(UNINVERTIBLE))
     def test_uninvertible_power_exits_2(self, capsys, text):
         assert cli.main(["parse", text]) == 2

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ladder_forge import opalgebra as oa
+from ladder_forge import opalgebra as oa, opdsl
 from ladder_forge.generators import build_AB, build_T, casimir, closure_report, sp4_bilinears
 
 from _gen import PHASES, operators, random_operator, random_term, term_from
@@ -261,6 +261,28 @@ def test_jacobi_identity(a, b, c):
 @given(operators(max_terms=2, small=True), operators(max_terms=2, small=True))
 def test_commutator_antisymmetric(a, b):
     assert oa.commutator(a, b) == -oa.commutator(b, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators(max_terms=4, wide=True), operators(max_terms=4, wide=True))
+def test_commutator_is_its_definition(a, b):
+    # commutator skips the leading terms that cancel; every other term must
+    # match the two full products
+    assert oa.commutator(a, b) == a * b - b * a
+
+
+def test_commutator_with_a_number_is_zero():
+    assert oa.commutator(3, oa.deriv("r")).is_zero
+    assert oa.commutator(oa.deriv("r"), Fraction(1, 2)).is_zero
+
+
+def test_normal_ordering_cache_stays_small():
+    # the cache is keyed by left derivative orders and right function
+    # exponents, so the sp4 closure and a long power share a few hundred keys
+    oa._mono_cross.cache_clear()
+    closure_report("sp4")
+    opdsl.parse("(d/dr + r)^20")
+    assert oa._mono_cross.cache_info().currsize <= 400
 
 
 @settings(max_examples=40, deadline=None)
