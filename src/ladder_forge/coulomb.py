@@ -290,7 +290,7 @@ def _rho_form(op: OperatorExpr) -> tuple:
     half = Fraction(1, 2)
     acc: dict[tuple, tuple[Fraction, Fraction]] = {}
     phases = set()
-    for mono, sp, up, g in op.flatten():
+    for (mono, sp, up), (re, im) in op.terms():
         degree = 2 * sp - up - mono.r2 + 2 * mono.dr
         if degree:
             raise ValueError(
@@ -300,7 +300,6 @@ def _rho_form(op: OperatorExpr) -> tuple:
         phases.add((mono.ke, mono.ka, mono.kb))
         angle = (mono.de, mono.da, mono.db)
         # each angle derivative brings i times the state's winding
-        re, im = g.re, g.im
         for _ in range(sum(angle) % 4):
             re, im = -im, re
         for j in range(mono.dr + 1):

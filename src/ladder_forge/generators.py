@@ -37,7 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import opalgebra
 from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
@@ -45,10 +47,13 @@ from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A named family of generators with formal s in the coefficients."""
+    """A named family of generators with formal s in the coefficients.
+
+    Each set is built once per process and shared, so ``members`` is read-only.
+    """
 
     kind: str
-    members: dict[str, OperatorExpr]
+    members: Mapping[str, OperatorExpr]
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,7 @@ def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
     return AlgebraReport(name, lhs, rhs, residual, residual.is_zero)
 
 
+@cache
 def build_T() -> GeneratorSet:
     """The su(1,1) generators T0, T+, T-."""
     r = opalgebra.r_half_power(2)
@@ -78,7 +84,7 @@ def build_T() -> GeneratorSet:
         "Tplus": opalgebra.phase("eta", 1) * (-(r * dr) + ideta + sr),
         "Tminus": opalgebra.phase("eta", -1) * ((r * dr) + ideta + sr),
     }
-    return GeneratorSet("su11", members)
+    return GeneratorSet("su11", MappingProxyType(members))
 
 
 def _number_op() -> OperatorExpr:
@@ -96,6 +102,7 @@ def _weyl_member(axis: str, sign: int, bracket_sign: int) -> OperatorExpr:
     return opalgebra.u_sym() * opalgebra.phase(axis, sign) * opalgebra.sqrt_r() * core
 
 
+@cache
 def build_AB() -> GeneratorSet:
     """The Heisenberg-Weyl pairs A+-, B+-."""
     members = {
@@ -104,15 +111,12 @@ def build_AB() -> GeneratorSet:
         "Bplus": _weyl_member("beta", 1, -1),
         "Bminus": _weyl_member("beta", -1, -1),
     }
-    return GeneratorSet("weyl", members)
+    return GeneratorSet("weyl", MappingProxyType(members))
 
 
 def casimir() -> tuple[OperatorExpr, AlgebraReport]:
     """Casimir -T+ T- + T0(T0 - 1) and its verified normal form."""
-    return _casimir(build_T().members)
-
-
-def _casimir(t: dict[str, OperatorExpr]) -> tuple[OperatorExpr, AlgebraReport]:
+    t = build_T().members
     op = -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
     r = opalgebra.r_half_power(2)
     normal_form = (
@@ -150,7 +154,7 @@ def weyl_reports() -> list[AlgebraReport]:
 
 def casimir_reports() -> list[AlgebraReport]:
     t = build_T().members
-    op, normal = _casimir(t)
+    op, normal = casimir()
     comm = opalgebra.commutator
     zero = opalgebra.zero()
     return [
@@ -275,7 +279,6 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     Weyl pairs, the formal u prefactor are then attached.
     """
     l, m = exact(l, "l"), exact(m, "m")
-    targets = {**build_T().members, **build_AB().members}
     half_inv_sqrt = Fraction(1, 2) * opalgebra.r_half_power(-1)
     weyl_label = half_inv_sqrt * _number_op()
     # ladder -> (phase axis, scalar label term of its members at (l, m), the term replacing it)
@@ -294,5 +297,5 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
         rebuilt = opalgebra.phase(axis, direction) * (member - scalar_term + number_term)
         if lad.kind == "weyl":
             rebuilt = opalgebra.u_sym() * rebuilt
-        out.append(_report(f"{name} from {lad.ladder} ladder", rebuilt, targets[lad.member]))
+        out.append(_report(f"{name} from {lad.ladder} ladder", rebuilt, lad.operator()))
     return out

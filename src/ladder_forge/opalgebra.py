@@ -29,6 +29,11 @@ empty map over 1).  Products are rewritten into this form with the exact rules
 so operator equality is literal equality of canonical forms.  Products, sums
 and the fraction-free Lie-closure echelon run on integers; ``Fraction`` appears
 only where user rationals enter and where ``terms()`` reads coefficients out.
+A coefficient has one form on both sides of that boundary, the pair
+``(re, im)``: integers over the shared denominator inside, ``Fraction`` parts
+outside.  ``terms()`` yields ``((mono, s_power, u_parity), (re, im))``, and
+``OperatorExpr(mapping)`` takes those pairs back, or plain ``int``/``Fraction``
+values for real coefficients.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -75,23 +80,6 @@ def exact_int(value: Rational, name: str) -> int:
     if frac.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {frac}")
     return frac.numerator
-
-
-@dataclass(frozen=True)
-class GaussRational:
-    """Exact complex number ``re + im*i`` with rational parts.
-
-    The input and read-out form of one ``OperatorExpr`` coefficient.
-    """
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(value: "GaussRational | Rational") -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        return GaussRational(exact(value, "coefficient"), Fraction(0))
 
 
 class Mono(NamedTuple):
@@ -231,20 +219,23 @@ class OperatorExpr:
     {0, 1}, plus one positive denominator shared by every atom, in lowest terms.
     A product stores ``mono`` as a plain 8-tuple in ``Mono`` field order, which
     hashes and compares like the ``Mono``; ``terms()`` hands out ``Mono``.
-    ``OperatorExpr(mapping)`` takes ``GaussRational``, ``int`` or ``Fraction``
-    values and finds the common denominator itself.
+    ``OperatorExpr(mapping)`` takes ``int`` or ``Fraction`` values, or
+    ``(re, im)`` pairs of them, and finds the common denominator itself, so
+    ``OperatorExpr(dict(e.terms())) == e``.
     """
 
     __slots__ = ("_terms", "_den", "_hash")
 
-    def __init__(self, terms: Mapping[Atom, "GaussRational | Rational"] | None = None):
-        values: dict[Atom, GaussRational] = {}
+    def __init__(self, terms: Mapping[Atom, "Rational | tuple[Rational, Rational]"] | None = None):
+        values: dict[Atom, tuple[Fraction, Fraction]] = {}
         for key, value in (terms or {}).items():
             if key[2] not in (0, 1):
                 raise ValueError("u parity must be 0 or 1")
-            values[key] = GaussRational.of(value)
-        den = lcm(1, *(part.denominator for g in values.values() for part in (g.re, g.im)))
-        acc = {key: ((g.re * den).numerator, (g.im * den).numerator) for key, g in values.items()}
+            # a tuple of any other length reaches exact() whole and is refused there
+            re, im = value if isinstance(value, tuple) and len(value) == 2 else (value, 0)
+            values[key] = (exact(re, "coefficient"), exact(im, "coefficient"))
+        den = lcm(1, *(part.denominator for pair in values.values() for part in pair))
+        acc = {key: ((re * den).numerator, (im * den).numerator) for key, (re, im) in values.items()}
         clean, den = _lowest(acc, den)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_den", den)
@@ -264,18 +255,21 @@ class OperatorExpr:
 
     # -- inspection ------------------------------------------------------
 
-    def terms(self) -> tuple[tuple[Atom, GaussRational], ...]:
-        """The ((mono, s_power, u_parity), gauss) pairs, sorted by atom."""
+    def terms(self) -> tuple[tuple[Atom, tuple[Fraction, Fraction]], ...]:
+        """The ``((mono, s_power, u_parity), (re, im))`` pairs, sorted by atom.
+
+        ``re`` and ``im`` are the ``Fraction`` parts of the atom's coefficient.
+        """
         den = self._den
         return tuple(
-            ((Mono._make(mono), sp, up), GaussRational(Fraction(re, den), Fraction(im, den)))
+            ((Mono._make(mono), sp, up), (Fraction(re, den), Fraction(im, den)))
             for (mono, sp, up), (re, im) in sorted(self._terms.items())
         )
 
-    def flatten(self) -> Iterator[tuple[Mono, int, int, GaussRational]]:
-        """Yield (mono, s_power, u_parity, gauss) over all stored atoms."""
-        for (mono, sp, up), g in self.terms():
-            yield mono, sp, up, g
+    def flatten(self) -> Iterator[tuple[Mono, int, int, tuple[Fraction, Fraction]]]:
+        """``terms()`` as ``(mono, s_power, u_parity, (re, im))``; read by perfbench/tracer.py."""
+        for (mono, sp, up), pair in self.terms():
+            yield mono, sp, up, pair
 
     @property
     def is_zero(self) -> bool:
@@ -382,7 +376,7 @@ class OperatorExpr:
             f = val**sp / self._den
             x, y = acc.get((mono, 0, 0), (0, 0))
             acc[mono, 0, 0] = (x + re * f, y + im * f)
-        return OperatorExpr({key: GaussRational(re, im) for key, (re, im) in acc.items()})
+        return OperatorExpr(acc)
 
     # -- equality --------------------------------------------------------
 
@@ -416,9 +410,7 @@ def _atom(mono: Mono, sp: int = 0, up: int = 0, re: int = 1, im: int = 0, den: i
 
 
 def _as_scalar(value) -> OperatorExpr | None:
-    if isinstance(value, (int, Fraction, GaussRational)):
-        return scalar(value)
-    return None
+    return scalar(value) if isinstance(value, (int, Fraction)) else None
 
 
 def zero() -> OperatorExpr:
@@ -429,10 +421,9 @@ def identity() -> OperatorExpr:
     return _atom(_MONO_ONE)
 
 
-def scalar(value: "GaussRational | Rational") -> OperatorExpr:
-    if isinstance(value, (int, Fraction)):
-        return _atom(_MONO_ONE, re=value.numerator, den=value.denominator)
-    return OperatorExpr({(_MONO_ONE, 0, 0): value})
+def scalar(value: Rational) -> OperatorExpr:
+    value = exact(value, "coefficient")
+    return _atom(_MONO_ONE, re=value.numerator, den=value.denominator)
 
 
 def imag() -> OperatorExpr:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import opalgebra
-from .opalgebra import GaussRational, Mono, OperatorExpr, PHASE_AXES
+from .opalgebra import Mono, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -241,20 +241,20 @@ def parse(text: str) -> OperatorExpr:
 # -- canonical rendering -------------------------------------------------
 
 
-def _fmt_gauss(g: GaussRational) -> tuple[str, str]:
-    """Return (sign, body); body may be '' for a plain unit factor."""
-    if not g.im:
-        sign = "-" if g.re < 0 else "+"
-        mag = abs(g.re)
+def _fmt_gauss(real: Fraction, imag: Fraction) -> tuple[str, str]:
+    """Return (sign, body) for ``real + imag*i``; body may be '' for a plain unit factor."""
+    if not imag:
+        sign = "-" if real < 0 else "+"
+        mag = abs(real)
         return sign, "" if mag == 1 else str(mag)
-    if not g.re:
-        sign = "-" if g.im < 0 else "+"
-        mag = abs(g.im)
+    if not real:
+        sign = "-" if imag < 0 else "+"
+        mag = abs(imag)
         return sign, "i" if mag == 1 else f"{mag}*i"
-    im_mag = abs(g.im)
+    im_mag = abs(imag)
     im_body = "i" if im_mag == 1 else f"{im_mag}*i"
-    im_sign = "-" if g.im < 0 else "+"
-    return "+", f"({g.re}{im_sign}{im_body})"
+    im_sign = "-" if imag < 0 else "+"
+    return "+", f"({real}{im_sign}{im_body})"
 
 
 def _power_part(base: str, exponent: int) -> str:
@@ -278,13 +278,13 @@ def _render_key(mono: Mono, sp: int, up: int):
 
 def render(expr: OperatorExpr) -> str:
     """Canonical text form; deterministic and exactly invertible by parse."""
-    atoms = sorted(expr.flatten(), key=lambda item: _render_key(item[0], item[1], item[2]))
+    atoms = sorted(expr.terms(), key=lambda item: _render_key(*item[0]))
     if not atoms:
         return "0"
     pieces: list[tuple[str, str]] = []
-    for mono, sp, up, g in atoms:
+    for (mono, sp, up), (real, imag) in atoms:
         try:
-            sign, coeff_body = _fmt_gauss(g)
+            sign, coeff_body = _fmt_gauss(real, imag)
         except ValueError:  # str() of an int past the interpreter's digit limit
             raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} digits") from None
         parts: list[str] = []

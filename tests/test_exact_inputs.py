@@ -11,10 +11,11 @@ from ladder_forge import opalgebra as oa
 from ladder_forge import opdsl
 
 B = fz.TypeB(1, 0, 1)
+ONE = (oa.Mono(0, 0, 0, 0, 0, 0, 0, 0), 0, 0)
 
 # (entry point, the parameter it fills, whether that parameter is an integer)
 ENTRY_POINTS = [
-    (oa.GaussRational.of, "coefficient", False),
+    (lambda v: oa.OperatorExpr({ONE: (v, 0)}), "coefficient", False),
     (oa.scalar, "coefficient", False),
     (oa.r_power, "power", False),
     (lambda v: oa.s_sym().substitute_s(v), "value", False),
@@ -60,6 +61,8 @@ ENTRY_POINTS = [
     (lambda v: cl.state_munu(v, 4), "mu", True),
     (lambda v: cl.state_munu(1, v), "nu", True),
     (lambda v: cl.state_munu(1, 2, v), "Z", False),
+    # ids are numbered by position, so new rows go last
+    (lambda v: oa.OperatorExpr({ONE: (0, v)}), "coefficient", False),
 ]
 IDS = [f"{index}-{name}" for index, (_, name, _) in enumerate(ENTRY_POINTS)]
 
@@ -73,6 +76,18 @@ def test_float_and_non_integer_rejected(call, name, integer):
     if integer:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(Fraction(5, 2))
+
+
+@pytest.mark.parametrize("value", [(1,), (1, 2, 3), (), [1, 2]])
+def test_malformed_coefficient_pair_rejected(value):
+    with pytest.raises(TypeError, match="^coefficient must be"):
+        oa.OperatorExpr({ONE: value})
+
+
+def test_terms_read_out_fraction_pairs():
+    expr = opdsl.parse("(1/2 - 3*i)*s*r*d/dr + 5*u*exp(i*eta)")
+    for _, pair in expr.terms():
+        assert len(pair) == 2 and all(type(part) is Fraction for part in pair)
 
 
 @pytest.mark.parametrize("build", [

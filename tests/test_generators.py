@@ -12,6 +12,14 @@ HALF = Fraction(1, 2)
 LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
 
 
+@pytest.mark.parametrize("build", [gen.build_T, gen.build_AB])
+def test_each_set_is_built_once_and_read_only(build):
+    assert build() is build()
+    name = next(iter(build().members))
+    with pytest.raises(TypeError):
+        build().members[name] = oa.identity()
+
+
 class TestNumberPhaseTriple:
     def test_member_names_and_flags(self):
         s = gen.build_T()

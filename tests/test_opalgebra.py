@@ -335,8 +335,8 @@ def _sympy_apply(expr, target):
     total = sympy.S.Zero
     for (mono, s_pow, u_par), g in expr.terms():
         scalar_part = (
-            sympy.Rational(g.re.numerator, g.re.denominator)
-            + sympy.I * sympy.Rational(g.im.numerator, g.im.denominator)
+            sympy.Rational(g[0].numerator, g[0].denominator)
+            + sympy.I * sympy.Rational(g[1].numerator, g[1].denominator)
         ) * _SS**s_pow * u**u_par
         body = target
         for sym, orders in ((_SR, mono.dr), (_SETA, mono.de),
