@@ -269,14 +269,6 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     return QuantumState(state.family, target, state.Z * Fraction(n2 + dmu + dnu, n2))
 
 
-@lru_cache(maxsize=None)
-def _generator(name: str) -> OperatorExpr:
-    """The symbolic operator behind a ladder name ("T+", ..., "B-") or "C"."""
-    if name == "C":
-        return generators.casimir()[0]
-    return generators.LADDERS[name].operator()
-
-
 @lru_cache(maxsize=64)
 def _rho_form(op: OperatorExpr) -> tuple:
     """Exact rho-form of ``op`` on exp(-rho/2) P(rho).
@@ -383,7 +375,7 @@ def action_report(
     """
     sign, radicand = action_radicand(state, operator)
     nodes, weights = gauss_laguerre(DEFAULT_QUAD_ORDER)
-    lhs = act(_generator(operator), state, nodes)
+    lhs = act(generators.LADDERS[operator].operator(), state, nodes)
     if radicand == 0:
         src = state.scaled_profile(nodes)
         src_norm = math.sqrt(float(weights @ src**2))
@@ -472,7 +464,7 @@ def _casimir_defect(state: QuantumState):
     nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lsq = float(state.angular * (state.angular + 1))
     P = state.scaled_profile(nodes)
-    defect = act(_generator("C"), state, nodes) - lsq * P
+    defect = act(generators.casimir()[0], state, nodes) - lsq * P
     return nodes, P, np.exp(-nodes / 2), defect
 
 

@@ -29,8 +29,12 @@ operators by substituting number operators for their integer labels:
 * ``check1`` Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r) - s),
   shifting (l, m) by (+-1/2, -+1/2); with nu - mu - 1 = 2m fed by the angle
   number operators it reproduces A+- up to the u prefactor and alpha phase.
-* ``check2`` Hv2+-(l, m) = sqrt(r) (+-d/dr - (2m + 3/2 +- 1/2)/(2r) - s),
-  shifting (l, m) by (+-1/2, +-1/2); it reproduces B+- the same way.
+* ``check2`` Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by
+  (+-1/2, +-1/2); it reproduces B+- the same way.
+
+B+- and check2 are not stated on their own: each is the alpha <-> beta mirror
+of A+- and check1.  The exchange flips N, and on the labels it swaps mu = l - m
+and nu = l + m + 1, which is m -> -m - 1.
 """
 
 from __future__ import annotations
@@ -92,30 +96,24 @@ def _number_op() -> OperatorExpr:
     return opalgebra.imag() * opalgebra.deriv("alpha") - opalgebra.imag() * opalgebra.deriv("beta")
 
 
-def _weyl_member(axis: str, sign: int, bracket_sign: int) -> OperatorExpr:
-    inner = _number_op() - bracket_sign * sign * opalgebra.identity()
-    core = (
-        sign * opalgebra.deriv("r")
-        + bracket_sign * Fraction(1, 2) * opalgebra.r_half_power(-2) * inner
-        - opalgebra.s_sym()
-    )
-    return opalgebra.u_sym() * opalgebra.phase(axis, sign) * opalgebra.sqrt_r() * core
+def _weyl_member(sign: int) -> OperatorExpr:
+    inner = _number_op() - sign * opalgebra.identity()
+    core = sign * opalgebra.deriv("r") + Fraction(1, 2) * opalgebra.r_half_power(-2) * inner - opalgebra.s_sym()
+    return opalgebra.u_sym() * opalgebra.phase("alpha", sign) * opalgebra.sqrt_r() * core
 
 
 @cache
 def build_AB() -> GeneratorSet:
-    """The Heisenberg-Weyl pairs A+-, B+-."""
-    members = {
-        "Aplus": _weyl_member("alpha", 1, +1),
-        "Aminus": _weyl_member("alpha", -1, +1),
-        "Bplus": _weyl_member("beta", 1, -1),
-        "Bminus": _weyl_member("beta", -1, -1),
-    }
+    """The Heisenberg-Weyl pairs A+-, and B+- as their alpha <-> beta mirrors."""
+    a_plus, a_minus = _weyl_member(1), _weyl_member(-1)
+    b_plus, b_minus = opalgebra.swap_alpha_beta(a_plus), opalgebra.swap_alpha_beta(a_minus)
+    members = {"Aplus": a_plus, "Aminus": a_minus, "Bplus": b_plus, "Bminus": b_minus}
     return GeneratorSet("weyl", MappingProxyType(members))
 
 
+@cache
 def casimir() -> tuple[OperatorExpr, AlgebraReport]:
-    """Casimir -T+ T- + T0(T0 - 1) and its verified normal form."""
+    """Casimir -T+ T- + T0(T0 - 1) and its verified normal form, built once."""
     t = build_T().members
     op = -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
     r = opalgebra.r_half_power(2)
@@ -165,15 +163,16 @@ def casimir_reports() -> list[AlgebraReport]:
     ]
 
 
-def sp4_bilinears() -> dict[str, OperatorExpr]:
-    """The ten symmetrized quadratics in the Weyl generators."""
+@cache
+def sp4_bilinears() -> Mapping[str, OperatorExpr]:
+    """The ten symmetrized quadratics in the Weyl generators, built once and read-only."""
     g = build_AB().members
     half = Fraction(1, 2)
 
     def sym(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
         return half * (x * y + y * x)
 
-    return {
+    return MappingProxyType({
         "A+A+": g["Aplus"] * g["Aplus"],
         "A-A-": g["Aminus"] * g["Aminus"],
         "B+B+": g["Bplus"] * g["Bplus"],
@@ -184,7 +183,7 @@ def sp4_bilinears() -> dict[str, OperatorExpr]:
         "A+B-": g["Aplus"] * g["Bminus"],
         "A-B+": g["Aminus"] * g["Bplus"],
         "A-B-": g["Aminus"] * g["Bminus"],
-    }
+    })
 
 
 _CLOSURE_EXPECTED = {"su11": 3, "weyl": 5, "sp4": 10}
@@ -208,7 +207,11 @@ def expected_dimension(which: str) -> int:
 
 
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
-    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m)."""
+    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m).
+
+    check2 is the mu <-> nu mirror of check1: the check1 pair at m -> -m - 1,
+    so that 2m + 1 = nu - mu becomes mu - nu.
+    """
     l, m = exact(l, "l"), exact(m, "m")
     r = opalgebra.r_half_power(2)
     dr = opalgebra.deriv("r")
@@ -217,15 +220,13 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
         plus = r * dr + s * r - (l + 1) * opalgebra.identity()
         minus = -(r * dr) + s * r - l * opalgebra.identity()
         return plus, minus
-    inv2r = Fraction(1, 2) * opalgebra.r_half_power(-2)
-    if kind == "check1":
-        scal_plus, scal_minus = 2 * m, 2 * m + 1
-    elif kind == "check2":
-        scal_plus, scal_minus = -(2 * m + 2), -(2 * m + 1)
-    else:
+    if kind == "check2":
+        m = -m - 1
+    elif kind != "check1":
         raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
-    plus = opalgebra.sqrt_r() * (dr + scal_plus * inv2r - s)
-    minus = opalgebra.sqrt_r() * (-dr + scal_minus * inv2r - s)
+    inv2r = Fraction(1, 2) * opalgebra.r_half_power(-2)
+    plus = opalgebra.sqrt_r() * (dr + 2 * m * inv2r - s)
+    minus = opalgebra.sqrt_r() * (-dr + (2 * m + 1) * inv2r - s)
     return plus, minus
 
 

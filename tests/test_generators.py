@@ -12,12 +12,17 @@ HALF = Fraction(1, 2)
 LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
 
 
-@pytest.mark.parametrize("build", [gen.build_T, gen.build_AB])
+@pytest.mark.parametrize("build", [gen.build_T, gen.build_AB, gen.sp4_bilinears])
 def test_each_set_is_built_once_and_read_only(build):
     assert build() is build()
-    name = next(iter(build().members))
+    members = getattr(build(), "members", build())  # sp4_bilinears is the mapping itself
+    name = next(iter(members))
     with pytest.raises(TypeError):
-        build().members[name] = oa.identity()
+        members[name] = oa.identity()
+
+
+def test_casimir_is_built_once():
+    assert gen.casimir() is gen.casimir()
 
 
 class TestNumberPhaseTriple:
@@ -124,6 +129,11 @@ class TestTransformedLadders:
         plus2, minus2 = gen.transformed_ladders("check2", 1, 1)
         assert plus2 == root * (oa.deriv("r") - 2 * oa.r_power(-1) - s)
         assert minus2 == root * (-oa.deriv("r") - Fraction(3, 2) * oa.r_power(-1) - s)
+
+    @pytest.mark.parametrize("l,m", LADDER_LABELS)
+    def test_check2_mirrors_check1(self, l, m):
+        # the mu <-> nu exchange: nu - mu = 2m + 1 becomes mu - nu at m -> -m - 1
+        assert gen.transformed_ladders("check2", l, m) == gen.transformed_ladders("check1", l, -m - 1)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,13 @@
-"""The README's command lines and library sketch run as written."""
+"""The README's command lines and library sketch run as written.
 
+``golden_cli.json`` holds the exact ``--format text`` and ``--format json``
+stdout of each algebra command line, recorded before B+- and check2 were
+derived as the alpha <-> beta mirrors of A+- and check1; a refactor of the
+algebra must reproduce it byte for byte.  The ``coulomb-*`` lines are left
+out: their float digits may differ across numpy builds.
+"""
+
+import json
 import math
 import re
 import shlex
@@ -18,6 +26,9 @@ def _block(heading: str, lang: str) -> str:
 
 
 COMMANDS = [line for line in _block("Command line", "sh").splitlines() if line.strip()]
+ALGEBRA_COMMANDS = [line.partition("#")[0].strip() for line in COMMANDS
+                    if not line.startswith("ladder-forge coulomb-")]
+GOLDEN_CLI = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
 
 @pytest.mark.parametrize("line", COMMANDS)
@@ -31,6 +42,17 @@ def test_command_line(line, tmp_path, monkeypatch, capsys):
         rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("  ")]
         assert len(rows) == 1
         assert re.fullmatch(r"  \S+  actual=(.*)  PASS", rows[0]).group(1) == comment[4:].strip()
+
+
+def test_golden_cli_covers_the_algebra_lines():
+    assert list(GOLDEN_CLI) == ALGEBRA_COMMANDS
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS)
+def test_command_output_matches_golden(command, fmt, capsys):
+    assert cli.main(["--format", fmt] + shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == GOLDEN_CLI[command][fmt]
 
 
 def test_library_sketch(capsys):
