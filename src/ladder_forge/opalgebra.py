@@ -41,9 +41,11 @@ the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, as offsets from the leading term.  A pair with no derivative meeting a
-function on its own axis adds its leading term without a lookup.  The leading
-terms of ``a*b`` and ``b*a`` are equal, so ``commutator`` forms both orders in
-one pass and skips them: only interaction terms enter a commutator.
+function on its own axis adds its leading term without a lookup, and a product
+of two such single atoms skips the product loop.  The leading terms of ``a*b``
+and ``b*a`` are equal, so ``commutator`` forms both orders in one pass and skips
+them: only interaction terms enter a commutator.  Every sum, binary or n-ary,
+is one ``linear_sum`` pass, linear in the number of atoms.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
@@ -57,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -170,12 +173,24 @@ def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
     return terms, den
 
 
+# u**(u1 + u2) for parities u1, u2 as (s power shift, u parity, halves): u**2 = 1/(2*s)
+_U_PRODUCT = ((0, 0, 0), (0, 1, 0), (-1, 0, 1))
+
+
 def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
     """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass.
 
     A pair of atoms is free when no left derivative meets a right function on
-    its own axis; its product is the leading term alone.
+    its own axis; its product is the leading term alone, and two free single
+    atoms skip the product loop.
     """
+    if not commute and len(a._terms) == 1 == len(b._terms):
+        ((m1, s1, u1), (a1, b1)), = a._terms.items()
+        ((m2, s2, u2), (a2, b2)), = b._terms.items()
+        if not (m1[4] and m2[0] or m1[5] and m2[1] or m1[6] and m2[2] or m1[7] and m2[3]):
+            ds, up, half = _U_PRODUCT[u1 + u2]
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            return _atom(tuple(map(add, m1, m2)), s1 + s2 + ds, up, re, im, a._den * b._den << half)
     orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
     # every contribution goes over den_a * den_b * 2**top: _mono_cross divides
     # by 2**dr of its left monomial and u**2 = 1/(2*s) by one more 2
@@ -191,18 +206,18 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
                 interacts = dr and r2 or de and ke or da and ka or db and kb
                 if commute and not interacts:
                     continue
-                sp, up, shift = s1 + s2, u1 + u2, top - dr
-                if up == 2:
-                    sp, up, shift = sp - 1, 0, shift - 1
-                re, im = (a1 * a2 - b1 * b2) << shift, (a1 * b2 + b1 * a2) << shift
+                ds, up, half = _U_PRODUCT[u1 + u2]
+                sp, re, im = s1 + s2 + ds, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
                 lr, le, la, lb = r1 + r2, ke1 + ke, ka1 + ka, kb1 + kb
                 ldr, lde, lda, ldb = dr + dr2, de + de2, da + da2, db + db2
-                if not commute:  # the leading term, 2**dr over 2**dr
+                if not commute:  # the leading term
                     key = ((lr, le, la, lb, ldr, lde, lda, ldb), sp, up)
-                    x, y = re << dr, im << dr
+                    x, y = re << top - half, im << top - half
                     cur = get(key)
                     acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-                if interacts:
+                if interacts:  # _mono_cross is over 2**dr
+                    shift = top - dr - half
+                    re, im = re << shift, im << shift
                     for o_r, o_dr, o_de, o_da, o_db, gr, gi in _mono_cross(dr, de, da, db, r2, ke, ka, kb):
                         key = ((lr + o_r, le, la, lb, ldr + o_dr, lde + o_de, lda + o_da, ldb + o_db), sp, up)
                         x, y = re * gr - im * gi, re * gi + im * gr
@@ -237,17 +252,17 @@ class OperatorExpr:
         den = lcm(1, *(part.denominator for pair in values.values() for part in pair))
         acc = {key: ((re * den).numerator, (im * den).numerator) for key, (re, im) in values.items()}
         clean, den = _lowest(acc, den)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, clean)
+        _set_den(self, den)
+        _set_hash(self, None)
 
     @classmethod
     def _wrap(cls, clean: dict[Atom, Gauss], den: int) -> "OperatorExpr":
         # adopt a map and denominator already in lowest terms, skipping the checks
         out = object.__new__(cls)
-        object.__setattr__(out, "_terms", clean)
-        object.__setattr__(out, "_den", den)
-        object.__setattr__(out, "_hash", None)
+        _set_terms(out, clean)
+        _set_den(out, den)
+        _set_hash(out, None)
         return out
 
     def __setattr__(self, name, value):
@@ -280,22 +295,16 @@ class OperatorExpr:
 
     # -- ring operations -------------------------------------------------
 
-    def _combine(self, other, sign: int) -> "OperatorExpr":
-        # self + sign*other over the lcm of the two denominators
+    def _combine(self, other, sign: int, other_sign: int) -> "OperatorExpr":
+        # sign*self + other_sign*other
         if not isinstance(other, OperatorExpr):
             other = _as_scalar(other)
             if other is None:
                 return NotImplemented
-        g = gcd(self._den, other._den)
-        f1, f2 = other._den // g, sign * (self._den // g)
-        acc = {key: (re * f1, im * f1) for key, (re, im) in self._terms.items()}
-        for key, (re, im) in other._terms.items():
-            cur = acc.get(key)
-            acc[key] = (re * f2, im * f2) if cur is None else (cur[0] + re * f2, cur[1] + im * f2)
-        return OperatorExpr._wrap(*_lowest(acc, self._den * f1))
+        return linear_sum(((self, sign), (other, other_sign)))
 
     def __add__(self, other) -> "OperatorExpr":
-        return self._combine(other, 1)
+        return self._combine(other, 1, 1)
 
     __radd__ = __add__
 
@@ -303,10 +312,10 @@ class OperatorExpr:
         return OperatorExpr._wrap({key: (-re, -im) for key, (re, im) in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "OperatorExpr":
-        return self._combine(other, -1)
+        return self._combine(other, 1, -1)
 
     def __rsub__(self, other) -> "OperatorExpr":
-        return (-self) + other
+        return self._combine(other, -1, 1)
 
     def __mul__(self, other) -> "OperatorExpr":
         if not isinstance(other, OperatorExpr):
@@ -389,7 +398,7 @@ class OperatorExpr:
         h = self._hash
         if h is None:
             h = hash((self._den, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -399,6 +408,10 @@ class OperatorExpr:
             return opdsl.render(self)
         except Exception:  # pragma: no cover - render is total in practice
             return f"<OperatorExpr {len(self._terms)} terms>"
+
+
+# the slots' own setters, which the immutability guard in __setattr__ does not see
+_set_terms, _set_den, _set_hash = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
 
 
 # -- constructors --------------------------------------------------------
@@ -475,6 +488,22 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
 
 
 # -- derived operations --------------------------------------------------
+
+
+def linear_sum(pairs: Sequence[tuple[OperatorExpr, int]]) -> OperatorExpr:
+    """``sum(sign * expr for expr, sign in pairs)``, lifting every numerator once
+    to the lcm of the denominators and reducing once: linear in the atom count."""
+    den = 1
+    for expr, _ in pairs:
+        den = lcm(den, expr._den)
+    acc: dict[Atom, Gauss] = {}
+    get = acc.get
+    for expr, sign in pairs:
+        f = sign * (den // expr._den)
+        for key, (re, im) in expr._terms.items():
+            cur = get(key)
+            acc[key] = (re * f, im * f) if cur is None else (cur[0] + re * f, cur[1] + im * f)
+    return OperatorExpr._wrap(*_lowest(acc, den))
 
 
 def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> OperatorExpr:

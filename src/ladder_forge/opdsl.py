@@ -137,14 +137,12 @@ class _Parser:
         return value
 
     def parse_expr(self) -> OperatorExpr:
-        value = self.parse_term()
-        while True:
-            if self.accept("+"):
-                value = value + self.parse_term()
-            elif self.accept("-"):
-                value = value - self.parse_term()
-            else:
-                return value
+        # all terms first, then one n-ary sum: a fold of binary + is quadratic
+        pairs = [(self.parse_term(), 1)]
+        while self.current.lexeme in ("+", "-"):
+            sign = 1 if self.advance().lexeme == "+" else -1
+            pairs.append((self.parse_term(), sign))
+        return opalgebra.linear_sum(pairs)
 
     def parse_term(self) -> OperatorExpr:
         value = self.parse_unary()

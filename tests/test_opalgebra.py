@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial, gcd
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ladder_forge import opalgebra as oa, opdsl
 from ladder_forge.generators import build_AB, build_T, casimir, closure_report, sp4_bilinears
 
-from _gen import PHASES, operators, random_operator, random_term, term_from
+from _gen import PHASES, operators, random_operator, random_term, term_from, terms
 
 HALF = Fraction(1, 2)
 
@@ -269,6 +270,52 @@ def test_commutator_is_its_definition(a, b):
     # commutator skips the leading terms that cancel; every other term must
     # match the two full products
     assert oa.commutator(a, b) == a * b - b * a
+
+
+def _single_atom(e: oa.OperatorExpr) -> bool:
+    return len(e._terms) == 1
+
+
+def _keep(e: oa.OperatorExpr, fields: range) -> oa.OperatorExpr:
+    # the single atom e with the Mono fields outside ``fields`` set to 0
+    ((mono, sp, up), g), = e.terms()
+    return oa.OperatorExpr({(oa.Mono(*(v if i in fields else 0 for i, v in enumerate(mono))), sp, up): g})
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms(wide=True).filter(_single_atom), terms(wide=True).filter(_single_atom),
+       terms(wide=True).filter(_single_atom))
+def test_single_atom_products_match_the_product_loop(a, b, c):
+    # two free single atoms skip the product loop; (x + c)*y and (2*x + c)*y
+    # have two atoms on the left, so they run it.  A left operand without
+    # derivatives, or a right one without functions, makes the pair free.
+    for x, y in ((a, b), (_keep(a, range(4)), b), (a, _keep(b, range(4, 8)))):
+        if x._terms.keys() == c._terms.keys():
+            continue
+        loop_xy = (2 * x + c) * y - (x + c) * y
+        assert x * y == (x + c) * y - c * y == loop_xy
+        loop_yx = y * (2 * x + c) - y * (x + c)
+        assert oa.commutator(x, y) == loop_xy - loop_yx == x * y - y * x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(operators(max_terms=3), st.sampled_from((1, -1))), max_size=6), st.data())
+def test_linear_sum_is_the_binary_fold(pairs, data):
+    # append the negation of some operands, so parts of the sum, or all of it,
+    # cancel
+    cancel = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    pairs = pairs + [(e, -sign) for e, sign in cancel]
+    total = oa.linear_sum(pairs)
+    fold = reduce(lambda acc, pair: acc + pair[0] if pair[1] > 0 else acc - pair[0], pairs, oa.zero())
+    assert total == fold and hash(total) == hash(fold)
+    _assert_lowest_terms(total)
+    expected: dict = {}
+    for e, sign in pairs:
+        for key, (re, im) in e.terms():
+            x, y = expected.get(key, (0, 0))
+            expected[key] = (x + sign * re, y + sign * im)
+    assert total == oa.OperatorExpr(expected)
+    assert oa.linear_sum(pairs + [(e, -sign) for e, sign in pairs]) == oa.zero()
 
 
 def test_commutator_with_a_number_is_zero():

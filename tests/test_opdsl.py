@@ -197,6 +197,21 @@ def test_roundtrip_long_sum():
     assert opdsl.parse(opdsl.render(e)) == e
 
 
+def test_parse_work_is_linear_in_terms(monkeypatch):
+    # every sum is reduced to lowest terms once: a fold of binary + would
+    # reduce the running sum at each term, about n**2/2 atom visits
+    n = 2000
+    e = oa.OperatorExpr({
+        (oa.Mono(k - n // 2, k % 3 - 1, 0, 0, k % 2, 0, 0, 0), k % 5 - 2, k % 2): Fraction(k + 1, k % 4 + 1)
+        for k in range(n)
+    })
+    text = opdsl.render(e)
+    lowest, visits = oa._lowest, []
+    monkeypatch.setattr(oa, "_lowest", lambda acc, den: visits.append(len(acc)) or lowest(acc, den))
+    assert opdsl.parse(text) == e
+    assert sum(visits) <= 20 * n
+
+
 @settings(max_examples=150, deadline=None)
 @given(operators(max_terms=3))
 def test_roundtrip_property(e):
