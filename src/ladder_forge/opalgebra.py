@@ -41,15 +41,16 @@ the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, as offsets from the leading term.  A pair with no derivative meeting a
-function on its own axis adds its leading term without a lookup, and a product
-of two such single atoms skips the product loop.  The leading terms of ``a*b``
-and ``b*a`` are equal, so ``commutator`` forms both orders in one pass and skips
-them: only interaction terms enter a commutator.  Every sum, binary or n-ary,
-is one ``linear_sum`` pass, linear in the number of atoms.
+function on its own axis adds its leading term without a lookup, and ``product``
+folds a run of such single atoms in integers, without the product loop.  The
+leading terms of ``a*b`` and ``b*a`` are equal, so ``commutator`` forms both
+orders in one pass and skips them: only interaction terms enter a commutator.
+Every sum, binary or n-ary, is one ``linear_sum`` pass, linear in the atoms.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
-``OperatorExpr ** n`` takes any integer; ``n < 0`` inverts a single atom
+``OperatorExpr ** n`` takes any integer, in closed form for a single atom that
+commutes with itself (``d/dr**2``, ``r*d/deta``); ``n < 0`` inverts only one
 without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
 """
 
@@ -177,6 +178,15 @@ def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
 _U_PRODUCT = ((0, 0, 0), (0, 1, 0), (-1, 0, 1))
 
 
+def _fold(x: tuple, y: tuple) -> tuple | None:
+    """``x*y`` for atoms as ``_atom`` arguments, in the same form, if the pair is free."""
+    (m1, s1, u1, a1, b1, d1), (m2, s2, u2, a2, b2, d2) = x, y
+    if m1[4] and m2[0] or m1[5] and m2[1] or m1[6] and m2[2] or m1[7] and m2[3]:
+        return None
+    ds, up, half = _U_PRODUCT[u1 + u2]
+    return tuple(map(add, m1, m2)), s1 + s2 + ds, up, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2 << half
+
+
 def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
     """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass.
 
@@ -187,10 +197,9 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
     if not commute and len(a._terms) == 1 == len(b._terms):
         ((m1, s1, u1), (a1, b1)), = a._terms.items()
         ((m2, s2, u2), (a2, b2)), = b._terms.items()
-        if not (m1[4] and m2[0] or m1[5] and m2[1] or m1[6] and m2[2] or m1[7] and m2[3]):
-            ds, up, half = _U_PRODUCT[u1 + u2]
-            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-            return _atom(tuple(map(add, m1, m2)), s1 + s2 + ds, up, re, im, a._den * b._den << half)
+        args = _fold((m1, s1, u1, a1, b1, a._den), (m2, s2, u2, a2, b2, b._den))
+        if args is not None:
+            return _atom(*args)
     orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
     # every contribution goes over den_a * den_b * 2**top: _mono_cross divides
     # by 2**dr of its left monomial and u**2 = 1/(2*s) by one more 2
@@ -336,12 +345,12 @@ class OperatorExpr:
         e = exact_int(exponent, "exponent")
         if len(self._terms) == 1:
             ((mono, sp, up), (re, im)), = self._terms.items()
-            r2, ke, ka, kb, dr, de, da, db = mono
-            if not (dr or de or da or db):
-                # r powers, phase factors and scalars commute, so exponents scale
+            atom = (mono, sp, up, re, im, self._den)
+            if _fold(atom, atom) and (e >= 0 or not any(mono[4:])):
+                # x*x is free, so x commutes with itself and every exponent scales
                 # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
                 q, up_e = divmod(up * e, 2)
-                power = Mono(r2 * e, ke * e, ka * e, kb * e, 0, 0, 0, 0)
+                power = tuple([k * e for k in mono])
                 den = self._den
                 if e < 0:
                     # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
@@ -504,6 +513,29 @@ def linear_sum(pairs: Sequence[tuple[OperatorExpr, int]]) -> OperatorExpr:
             cur = get(key)
             acc[key] = (re * f, im * f) if cur is None else (cur[0] + re * f, cur[1] + im * f)
     return OperatorExpr._wrap(*_lowest(acc, den))
+
+
+def product(factors: Sequence[OperatorExpr]) -> OperatorExpr:
+    """``f1 * f2 * ...``, the ``*`` counterpart of ``linear_sum``: a run of free single
+    atoms folds in plain integers to one atom, and other factors take the product loop."""
+    pieces: list = []  # factors, and runs folded to _atom's arguments (mono, sp, up, re, im, den)
+    last = None  # the last piece as _atom's arguments, while it is one atom
+    for f in factors:
+        atom = None
+        if len(f._terms) == 1:
+            ((mono, sp, up), (re, im)), = f._terms.items()
+            atom = (mono, sp, up, re, im, f._den)
+            folded = last and _fold(last, atom)
+            if folded:
+                last = pieces[-1] = folded
+                continue
+        last = atom
+        pieces.append(f)
+    out = None
+    for piece in pieces:
+        piece = _atom(*piece) if type(piece) is tuple else piece
+        out = piece if out is None else _normal_order(out, piece, False)
+    return identity() if out is None else out
 
 
 def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> OperatorExpr:

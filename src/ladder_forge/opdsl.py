@@ -22,7 +22,9 @@ associates left to right in source order.
 ``render`` emits a canonical, deterministic text form and ``parse`` is its
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 ``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
-without derivatives and rejects anything else.
+without derivatives and rejects anything else at the ``^``.  ``parse`` reads the
+lexemes of one scan, scanning again for a position only on an error, and each
+term is one ``opalgebra.product``: a canonical term parses to one atom.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import Mono, OperatorExpr, PHASE_AXES
+from .opalgebra import DERIV_AXES, Mono, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -63,177 +65,173 @@ class Token(NamedTuple):
     pos: int
 
 
+# one lexeme after optional whitespace; the second group is an unrecognized character
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<deriv>d/d(?:r|eta|alpha|beta)\b)
-      | (?P<number>\d+(?:/\d+)?)
-      | (?P<symbol>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*^()])
-      | (?P<bad>.)
+    r"""\s*(?:(d/d(?:r|eta|alpha|beta)\b   # deriv
+              | \d+(?:/\d+)?               # number
+              | [A-Za-z_][A-Za-z_0-9]*      # symbol
+              | [-+*^()]                    # op
+              ) | (\S))
     """,
     re.VERBOSE,
 )
 
 
+def _kind(lexeme: str) -> str:
+    """The token kind of a lexeme, read from its first character."""
+    if lexeme.startswith("d/"):
+        return "deriv"
+    return "number" if lexeme[:1].isdecimal() else "op" if lexeme in "-+*^()" else "symbol"
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise OperatorLexError(match.start(), match.group())
-        if kind != "ws":
-            tokens.append(Token(kind, match.group(), match.start()))
+        lexeme, bad = match.groups()
+        if bad is not None:
+            raise OperatorLexError(match.start(2), bad)
+        tokens.append(Token(_kind(lexeme), lexeme, match.start(1)))
     tokens.append(Token("end", "", len(text)))
     return tokens
 
 
-def _describe(tok: Token) -> str:
-    return repr(tok.lexeme) if tok.lexeme else "end of input"
+def _describe(lexeme: str) -> str:
+    return repr(lexeme) if lexeme else "end of input"
 
 
-_ATOM_SYMBOLS = {
-    "i": opalgebra.imag,
-    "s": opalgebra.s_sym,
-    "u": opalgebra.u_sym,
-    "r": lambda: opalgebra.r_half_power(2),
-}
+# immutable, so every parse shares them
+_SYMBOLS = {"i": opalgebra.imag(), "s": opalgebra.s_sym(), "u": opalgebra.u_sym(), "r": opalgebra.r_half_power(2)}
+_LEAVES = {**_SYMBOLS, **{f"d/d{axis}": opalgebra.deriv(axis) for axis in DERIV_AXES}}
+_SQRT_R = opalgebra.sqrt_r()
 
 # the three parts of a phase argument, each allowed once
 _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 
 class _Parser:
-    def __init__(self, tokens: Sequence[Token]):
-        self.tokens = tokens
-        self.index = 0
+    def __init__(self, text: str):
+        self.text, self.index = text, 0
+        self.lexemes = [lexeme for lexeme, _ in _TOKEN_RE.findall(text)]
+        if "" in self.lexemes:  # an unrecognized character: tokenize raises at it
+            tokenize(text)
+        self.lexemes.append("")  # the end
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
+    def fail(self, index: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+        raise OperatorSyntaxError(tokenize(self.text)[index].pos, message, expected)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
+    def advance(self) -> str:
+        lexeme = self.lexemes[self.index]
         self.index += 1
-        return tok
+        return lexeme
 
     def accept(self, lexeme: str) -> bool:
-        if self.tokens[self.index].lexeme == lexeme:
+        if self.lexemes[self.index] == lexeme:
             self.index += 1
             return True
         return False
 
     def expect(self, lexeme: str) -> None:
         if not self.accept(lexeme):
-            tok = self.current
-            raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (repr(lexeme),))
+            self.fail(self.index, f"found {_describe(self.lexemes[self.index])}", (repr(lexeme),))
 
     def parse(self) -> OperatorExpr:
         value = self.parse_expr()
-        tok = self.current
-        if tok.kind != "end":
-            raise OperatorSyntaxError(
-                tok.pos, f"trailing input {tok.lexeme!r}", ("'+'", "'-'", "'*'", "end of input")
-            )
+        if self.lexemes[self.index]:
+            self.fail(self.index, f"trailing input {self.lexemes[self.index]!r}", ("'+'", "'-'", "'*'", "end of input"))
         return value
 
     def parse_expr(self) -> OperatorExpr:
         # all terms first, then one n-ary sum: a fold of binary + is quadratic
         pairs = [(self.parse_term(), 1)]
-        while self.current.lexeme in ("+", "-"):
-            sign = 1 if self.advance().lexeme == "+" else -1
+        while self.lexemes[self.index] in ("+", "-"):
+            sign = 1 if self.advance() == "+" else -1
             pairs.append((self.parse_term(), sign))
         return opalgebra.linear_sum(pairs)
 
     def parse_term(self) -> OperatorExpr:
-        value = self.parse_unary()
+        factors = [self.parse_unary()]
         while self.accept("*"):
-            value = value * self.parse_unary()
-        return value
+            factors.append(self.parse_unary())
+        return opalgebra.product(factors)
 
     def parse_unary(self) -> OperatorExpr:
         if self.accept("-"):
             return -self.parse_unary()
         value = self.parse_atom()
         if self.accept("^"):
-            value = value ** self.parse_integer("power exponent", "integer exponent")
+            exponent = self.parse_integer("power exponent", "integer exponent")
+            try:
+                value = value**exponent
+            except ValueError as err:  # an uninvertible base, read as "^", "-", number
+                self.fail(self.index - 3, str(err))
         return value
 
     def parse_integer(self, what: str, expected: str) -> int:
         sign = -1 if self.accept("-") else 1
-        tok = self.advance()
-        if tok.kind != "number":
-            raise OperatorSyntaxError(tok.pos, f"found {_describe(tok)}", (expected,))
-        if "/" in tok.lexeme:
-            raise OperatorSyntaxError(tok.pos, f"{what} {tok.lexeme!r} is not an integer")
-        return sign * self.number(tok)[0]
+        lexeme = self.advance()
+        if _kind(lexeme) != "number":
+            self.fail(self.index - 1, f"found {_describe(lexeme)}", (expected,))
+        if "/" in lexeme:
+            self.fail(self.index - 1, f"{what} {lexeme!r} is not an integer")
+        return sign * self.number(lexeme)[0]
 
-    def number(self, tok: Token) -> tuple[int, int]:
-        num, _, den = tok.lexeme.partition("/")
+    def number(self, lexeme: str) -> tuple[int, int]:
+        num, _, den = lexeme.partition("/")
         try:
             return int(num), int(den or 1)
         except ValueError:  # past the interpreter's int string conversion limit
-            raise OperatorSyntaxError(tok.pos, f"number {tok.lexeme[:12]!r}... has too many digits") from None
+            self.fail(self.index - 1, f"number {lexeme[:12]!r}... has too many digits")
 
     def parse_atom(self) -> OperatorExpr:
-        tok = self.advance()
-        if tok.kind == "number":
-            num, den = self.number(tok)
+        lexeme = self.advance()
+        leaf = _LEAVES.get(lexeme)
+        if leaf is not None:
+            return leaf
+        kind = _kind(lexeme)
+        if kind == "number":
+            num, den = self.number(lexeme)
             if not den:
-                raise OperatorSyntaxError(tok.pos, f"number {tok.lexeme!r} has a zero denominator")
+                self.fail(self.index - 1, f"number {lexeme!r} has a zero denominator")
             return opalgebra.scalar(Fraction(num, den))
-        if tok.kind == "deriv":
-            return opalgebra.deriv(tok.lexeme[3:])
-        if tok.lexeme in _ATOM_SYMBOLS:
-            return _ATOM_SYMBOLS[tok.lexeme]()
-        if tok.lexeme == "(":
+        if lexeme == "(":
             value = self.parse_expr()
-        elif tok.lexeme == "sqrt":
+        elif lexeme == "sqrt":
             self.expect("(")
             self.expect("r")
-            value = opalgebra.sqrt_r()
-        elif tok.lexeme == "exp":
+            value = _SQRT_R
+        elif lexeme == "exp":
             self.expect("(")
             value = self.parse_phase_arg()
-        elif tok.kind == "symbol":
-            raise OperatorSyntaxError(tok.pos, f"unknown symbol {tok.lexeme!r}", (*_ATOM_SYMBOLS, "sqrt", "exp"))
+        elif kind == "symbol":
+            self.fail(self.index - 1, f"unknown symbol {lexeme!r}", (*_SYMBOLS, "sqrt", "exp"))
         else:
-            raise OperatorSyntaxError(
-                tok.pos,
-                f"found {_describe(tok)}",
-                ("number", "symbol", "derivative", "'('"),
-            )
+            self.fail(self.index - 1, f"found {_describe(lexeme)}", ("number", "symbol", "derivative", "'('"))
         self.expect(")")
         return value
 
     def parse_phase_arg(self) -> OperatorExpr:
-        start = self.current
+        start = self.index
         sign = -1 if self.accept("-") else 1
         seen: dict[str, int | str] = {}
         while True:
-            tok = self.current
-            part = "integer factor" if tok.kind == "number" else _PHASE_PARTS.get(tok.lexeme)
+            lexeme = self.lexemes[self.index]
+            number = _kind(lexeme) == "number"
+            part = "integer factor" if number else _PHASE_PARTS.get(lexeme)
             if part is None:
-                raise OperatorSyntaxError(
-                    tok.pos,
-                    f"found {_describe(tok)}",
-                    ("integer", "'i'", "'eta'", "'alpha'", "'beta'"),
-                )
+                self.fail(self.index, f"found {_describe(lexeme)}", ("integer", "'i'", "'eta'", "'alpha'", "'beta'"))
             if part in seen:
-                raise OperatorSyntaxError(tok.pos, f"repeated {part} in phase argument")
-            if tok.kind == "number":
-                seen[part] = self.parse_integer("phase winding", "integer")
-            else:
-                seen[part] = self.advance().lexeme
+                self.fail(self.index, f"repeated {part} in phase argument")
+            seen[part] = self.parse_integer("phase winding", "integer") if number else self.advance()
             if not self.accept("*"):
                 break
         if "i" not in seen or "angle name" not in seen:
-            raise OperatorSyntaxError(start.pos, "phase argument must contain i times one angle name")
+            self.fail(start, "phase argument must contain i times one angle name")
         return opalgebra.phase(seen["angle name"], sign * seen.get("integer factor", 1))
 
 
 def parse(text: str) -> OperatorExpr:
     """Parse text straight to a normal-ordered operator."""
-    return _Parser(tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # -- canonical rendering -------------------------------------------------

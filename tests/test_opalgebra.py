@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 import sympy
@@ -194,6 +195,25 @@ def test_atom_powers_invert_and_repeat(x, e):
         assert x**e == expected
 
 
+def _single_atom(e: oa.OperatorExpr) -> bool:
+    return len(e._terms) == 1
+
+
+def _self_commuting(x: oa.OperatorExpr) -> oa.OperatorExpr:
+    # the single atom x without the functions on its derivatives' axes
+    ((mono, sp, up), g), = x.terms()
+    return oa.OperatorExpr({(oa.Mono(*(0 if mono[i + 4] else mono[i] for i in range(4)), *mono[4:]), sp, up): g})
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(terms(small=True), terms(wide=True).filter(_single_atom).map(_self_commuting)), st.integers(0, 6))
+def test_atom_powers_repeat(x, e):
+    # derivatives included: an atom that commutes with itself, such as
+    # d/dr**2 or r*d/deta, takes the closed form, any other one the products
+    repeated = reduce(mul, [x] * e, oa.identity())
+    assert x**e == repeated and hash(x**e) == hash(repeated)
+
+
 def test_u_inverse():
     assert oa.u_sym() ** -1 == 2 * oa.s_sym() * oa.u_sym()
 
@@ -272,10 +292,6 @@ def test_commutator_is_its_definition(a, b):
     assert oa.commutator(a, b) == a * b - b * a
 
 
-def _single_atom(e: oa.OperatorExpr) -> bool:
-    return len(e._terms) == 1
-
-
 def _keep(e: oa.OperatorExpr, fields: range) -> oa.OperatorExpr:
     # the single atom e with the Mono fields outside ``fields`` set to 0
     ((mono, sp, up), g), = e.terms()
@@ -316,6 +332,25 @@ def test_linear_sum_is_the_binary_fold(pairs, data):
             expected[key] = (x + sign * re, y + sign * im)
     assert total == oa.OperatorExpr(expected)
     assert oa.linear_sum(pairs + [(e, -sign) for e, sign in pairs]) == oa.zero()
+
+
+# single atoms that meet on an axis (d/dr before r, d/deta before a phase),
+# u*u, s powers, zero and sums
+_FACTORS = st.one_of(
+    terms(small=True),
+    st.sampled_from([oa.deriv("r"), oa.r_power(1), oa.sqrt_r(), oa.deriv("eta", 2), oa.phase("eta", -2),
+                     oa.u_sym(), oa.s_sym(-1), oa.s_sym(3), oa.zero(), oa.scalar(Fraction(-3, 4))]),
+    operators(max_terms=3, small=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FACTORS, min_size=1, max_size=6))
+def test_product_is_the_binary_fold(factors):
+    # product reduces each run of free atoms once, the binary fold every pair
+    total, fold = oa.product(factors), reduce(mul, factors)
+    assert total == fold and hash(total) == hash(fold)
+    _assert_lowest_terms(total)
 
 
 def test_commutator_with_a_number_is_zero():

@@ -1,14 +1,17 @@
 """Grammar, parser, printer: examples, precedence, errors, roundtrip."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa
 from ladder_forge import opdsl
-from ladder_forge.generators import build_T
+from ladder_forge.generators import build_T, casimir, sp4_bilinears
 
 from _gen import operators, random_operator
 
@@ -142,6 +145,8 @@ def test_error_positions(text, exc_type, position, lexeme):
     ("r^-x", "found 'x' at position 3 (expected integer exponent)"),
     ("x", "unknown symbol 'x' at position 0 (expected i or s or u or r or sqrt or exp)"),
     ("r)", "trailing input ')' at position 1 (expected '+' or '-' or '*' or end of input)"),
+    ("d/deta^-1", "cannot invert an operator containing derivatives at position 6"),
+    ("0^-3", "cannot invert zero at position 1"),
 ])
 def test_error_messages(text, message):
     with pytest.raises(opdsl.OperatorSyntaxError) as info:
@@ -210,6 +215,50 @@ def test_parse_work_is_linear_in_terms(monkeypatch):
     monkeypatch.setattr(oa, "_lowest", lambda acc, den: visits.append(len(acc)) or lowest(acc, den))
     assert opdsl.parse(text) == e
     assert sum(visits) <= 20 * n
+
+
+def test_canonical_text_parses_without_the_product_loop(monkeypatch):
+    # the factors of a canonical term are free in render order, so each term
+    # folds to one atom; an atom power such as d/dr^2 takes the closed form
+    golden = json.loads(Path(__file__).with_name("golden_renders.json").read_text())
+    texts = [text for key, text in golden.items() if key != "c13/sha256"]
+    rng = random.Random(13131313)  # the c13 seed set of the golden file
+    texts += [opdsl.render(e) for e in (*sp4_bilinears().values(), casimir()[0])]
+    texts += [opdsl.render(random_operator(rng)) for _ in range(1000)]
+    normal_order, calls = oa._normal_order, []
+    monkeypatch.setattr(oa, "_normal_order", lambda *args: calls.append(1) or normal_order(*args))
+    for text in texts:
+        assert opdsl.render(opdsl.parse(text)) == text
+    assert len(calls) == 0
+
+
+# fragments that never build a large value; glued together, as in "d/dreta",
+# or with "/", "$" or "d/dx" inserted, a text fails to lex
+_FRAGMENTS = ("r", "s", "u", "i", "d/dr", "d/deta", "sqrt(r)", "exp(i*eta)", "exp(-2*i*alpha)", "(r + 1)", "exp(",
+              "sqrt(", "(", ")", "^-1", "*", "+", "-", " ", "5/2", "1/0", "x", "eta")
+
+
+@st.composite
+def _dsl_texts(draw):
+    parts = draw(st.lists(st.sampled_from(_FRAGMENTS), max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        parts.insert(draw(st.integers(0, len(parts))), draw(st.sampled_from(("/", "$", "d/dx"))))
+    return draw(st.sampled_from(("", " "))).join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dsl_texts())
+def test_error_positions_are_token_positions(text):
+    # a position is found only on an error, by scanning the text again; it
+    # must name the lexeme the one scanner sees there
+    try:
+        opdsl.parse(text)
+    except opdsl.OperatorLexError as err:
+        assert text[err.position] == err.lexeme and not err.lexeme.isspace()
+        with pytest.raises(opdsl.OperatorLexError, match=f"at position {err.position}$"):
+            opdsl.tokenize(text)
+    except opdsl.OperatorSyntaxError as err:
+        assert err.position in {tok.pos for tok in opdsl.tokenize(text)}
 
 
 @settings(max_examples=150, deadline=None)
