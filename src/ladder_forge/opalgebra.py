@@ -28,12 +28,20 @@ empty map over 1).  Products are rewritten into this form with the exact rules
 
 so operator equality is literal equality of canonical forms.  Products, sums
 and the fraction-free Lie-closure echelon run on integers; ``Fraction`` appears
-only where user rationals enter and where ``terms()`` reads coefficients out.
+only where a library caller's rationals enter and where ``terms()`` reads
+coefficients out, never in the DSL (atom forms, below).
 A coefficient has one form on both sides of that boundary, the pair
 ``(re, im)``: integers over the shared denominator inside, ``Fraction`` parts
 outside.  ``terms()`` yields ``((mono, s_power, u_parity), (re, im))``, and
 ``OperatorExpr(mapping)`` takes those pairs back, or plain ``int``/``Fraction``
 values for real coefficients.
+
+The integer counterpart of ``terms()`` is the *atom form*, the 6-tuple
+``(mono, s_power, u_parity, re, im, den)`` for the one-atom operator
+``(re + im*i)/den * s**s_power * u**u_parity * mono`` with ``den > 0``; it
+need not be in lowest terms, and its coefficient may be zero.
+``OperatorExpr.atoms()`` reads them out, ``product`` takes one as a factor, and
+``atom_power`` raises one in closed form.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -195,6 +203,7 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
     atoms skip the product loop.
     """
     if not commute and len(a._terms) == 1 == len(b._terms):
+        # unpacked in place: two atoms() list builds slow every free 1x1 * by about a quarter
         ((m1, s1, u1), (a1, b1)), = a._terms.items()
         ((m2, s2, u2), (a2, b2)), = b._terms.items()
         args = _fold((m1, s1, u1, a1, b1, a._den), (m2, s2, u2, a2, b2, b._den))
@@ -290,6 +299,11 @@ class OperatorExpr:
             for (mono, sp, up), (re, im) in sorted(self._terms.items())
         )
 
+    def atoms(self) -> list[tuple]:
+        """The atom forms ``(mono, s_power, u_parity, re, im, den)``, in no set order."""
+        den = self._den
+        return [(mono, sp, up, re, im, den) for (mono, sp, up), (re, im) in self._terms.items()]
+
     def flatten(self) -> Iterator[tuple[Mono, int, int, tuple[Fraction, Fraction]]]:
         """``terms()`` as ``(mono, s_power, u_parity, (re, im))``; read by perfbench/tracer.py."""
         for (mono, sp, up), pair in self.terms():
@@ -344,30 +358,11 @@ class OperatorExpr:
         """``self**exponent``; ``exponent < 0`` inverts a single atom without derivatives."""
         e = exact_int(exponent, "exponent")
         if len(self._terms) == 1:
-            ((mono, sp, up), (re, im)), = self._terms.items()
-            atom = (mono, sp, up, re, im, self._den)
-            if _fold(atom, atom) and (e >= 0 or not any(mono[4:])):
-                # x*x is free, so x commutes with itself and every exponent scales
-                # by e; u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
-                q, up_e = divmod(up * e, 2)
-                power = tuple([k * e for k in mono])
-                den = self._den
-                if e < 0:
-                    # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
-                    re, im, den = den * re, -den * im, re * re + im * im
-                n, out_re, out_im = abs(e), 1, 0
-                while n:  # (re + im*i)**abs(e) by repeated squaring
-                    if n & 1:
-                        out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
-                    re, im, n = re * re - im * im, 2 * re * im, n >> 1
-                lift = max(-q, 0)
-                return _atom(power, sp * e - q, up_e, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0))
-        if e < 0:
-            if not self._terms:
-                raise ValueError("cannot invert zero")
-            if len(self._terms) > 1:
-                raise ValueError("cannot invert a sum of operator terms")
-            raise ValueError("cannot invert an operator containing derivatives")
+            power = atom_power(*self.atoms(), e)
+            if power is not None:
+                return _atom(*power)
+        elif e < 0:
+            raise ValueError("cannot invert a sum of operator terms" if self._terms else "cannot invert zero")
         out = identity()
         base = self
         while e:
@@ -415,7 +410,7 @@ class OperatorExpr:
             from . import opdsl
 
             return opdsl.render(self)
-        except Exception:  # pragma: no cover - render is total in practice
+        except ValueError:  # render refuses a coefficient past the int string digit limit
             return f"<OperatorExpr {len(self._terms)} terms>"
 
 
@@ -515,20 +510,18 @@ def linear_sum(pairs: Sequence[tuple[OperatorExpr, int]]) -> OperatorExpr:
     return OperatorExpr._wrap(*_lowest(acc, den))
 
 
-def product(factors: Sequence[OperatorExpr]) -> OperatorExpr:
-    """``f1 * f2 * ...``, the ``*`` counterpart of ``linear_sum``: a run of free single
-    atoms folds in plain integers to one atom, and other factors take the product loop."""
-    pieces: list = []  # factors, and runs folded to _atom's arguments (mono, sp, up, re, im, den)
-    last = None  # the last piece as _atom's arguments, while it is one atom
+def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
+    """``f1 * f2 * ...`` of operators and atom forms, the ``*`` counterpart of ``linear_sum``:
+    a run of free single atoms folds in plain integers to one atom, and other factors
+    take the product loop."""
+    pieces: list = []  # operators, and atom forms
+    last = None  # the last piece as an atom form, while it is one atom
     for f in factors:
-        atom = None
-        if len(f._terms) == 1:
-            ((mono, sp, up), (re, im)), = f._terms.items()
-            atom = (mono, sp, up, re, im, f._den)
-            folded = last and _fold(last, atom)
-            if folded:
-                last = pieces[-1] = folded
-                continue
+        atom = f if type(f) is tuple else f.atoms()[0] if len(f._terms) == 1 else None
+        folded = last and atom and _fold(last, atom)
+        if folded:
+            last = pieces[-1] = folded
+            continue
         last = atom
         pieces.append(f)
     out = None
@@ -536,6 +529,31 @@ def product(factors: Sequence[OperatorExpr]) -> OperatorExpr:
         piece = _atom(*piece) if type(piece) is tuple else piece
         out = piece if out is None else _normal_order(out, piece, False)
     return identity() if out is None else out
+
+
+def atom_power(atom: tuple, e: int) -> tuple | None:
+    """``atom**e`` for an atom form, as an atom form; None if ``e >= 0`` and the atom does
+    not commute with itself.  ``e < 0`` inverts only a nonzero atom without derivatives."""
+    mono, sp, up, re, im, den = atom
+    if e < 0:
+        if not (re or im):
+            raise ValueError("cannot invert zero")
+        if any(mono[4:]):
+            raise ValueError("cannot invert an operator containing derivatives")
+        # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
+        re, im, den = den * re, -den * im, re * re + im * im
+    elif not _fold(atom, atom):
+        return None
+    # x*x is free, so x commutes with itself and every exponent scales by e;
+    # u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
+    q, up_e = divmod(up * e, 2)
+    n, out_re, out_im = abs(e), 1, 0
+    while n:  # (re + im*i)**abs(e) by repeated squaring
+        if n & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        re, im, n = re * re - im * im, 2 * re * im, n >> 1
+    lift = max(-q, 0)
+    return tuple([k * e for k in mono]), sp * e - q, up_e, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0)
 
 
 def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> OperatorExpr:

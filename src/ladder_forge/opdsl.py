@@ -23,19 +23,23 @@ associates left to right in source order.
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 ``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
 without derivatives and rejects anything else at the ``^``.  ``parse`` reads the
-lexemes of one scan, scanning again for a position only on an error, and each
-term is one ``opalgebra.product``: a canonical term parses to one atom.
+lexemes of one scan, scanning again for a position only on an error.  Every
+factor but a parenthesised sum is an ``opalgebra`` atom form, built from the
+lexeme in integers, negated and raised (``opalgebra.atom_power``) without an
+operator; each term is one ``opalgebra.product`` and each sum one
+``opalgebra.linear_sum``, so a canonical term parses to one operator.
+``render`` sorts the atom forms once and prints their integer numerators.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import DERIV_AXES, Mono, OperatorExpr, PHASE_AXES
+from .opalgebra import DERIV_AXES, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -99,10 +103,12 @@ def _describe(lexeme: str) -> str:
     return repr(lexeme) if lexeme else "end of input"
 
 
-# immutable, so every parse shares them
+# atom forms, immutable, so every parse shares them
 _SYMBOLS = {"i": opalgebra.imag(), "s": opalgebra.s_sym(), "u": opalgebra.u_sym(), "r": opalgebra.r_half_power(2)}
-_LEAVES = {**_SYMBOLS, **{f"d/d{axis}": opalgebra.deriv(axis) for axis in DERIV_AXES}}
-_SQRT_R = opalgebra.sqrt_r()
+_LEAVES = {name: op.atoms()[0] for name, op in
+           {**_SYMBOLS, **{f"d/d{axis}": opalgebra.deriv(axis) for axis in DERIV_AXES}}.items()}
+_SQRT_R = opalgebra.sqrt_r().atoms()[0]
+_MONO_ONE = opalgebra.identity().atoms()[0][0]
 
 # the three parts of a phase argument, each allowed once
 _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
@@ -154,14 +160,18 @@ class _Parser:
             factors.append(self.parse_unary())
         return opalgebra.product(factors)
 
-    def parse_unary(self) -> OperatorExpr:
+    def parse_unary(self) -> "OperatorExpr | tuple":
         if self.accept("-"):
-            return -self.parse_unary()
+            value = self.parse_unary()
+            if type(value) is tuple:
+                mono, sp, up, real, imag, den = value
+                return mono, sp, up, -real, -imag, den
+            return -value
         value = self.parse_atom()
         if self.accept("^"):
             exponent = self.parse_integer("power exponent", "integer exponent")
-            try:
-                value = value**exponent
+            try:  # a DSL atom form commutes with itself, so it has a closed form
+                value = opalgebra.atom_power(value, exponent) if type(value) is tuple else value**exponent
             except ValueError as err:  # an uninvertible base, read as "^", "-", number
                 self.fail(self.index - 3, str(err))
         return value
@@ -182,7 +192,7 @@ class _Parser:
         except ValueError:  # past the interpreter's int string conversion limit
             self.fail(self.index - 1, f"number {lexeme[:12]!r}... has too many digits")
 
-    def parse_atom(self) -> OperatorExpr:
+    def parse_atom(self) -> "OperatorExpr | tuple":
         lexeme = self.advance()
         leaf = _LEAVES.get(lexeme)
         if leaf is not None:
@@ -192,7 +202,7 @@ class _Parser:
             num, den = self.number(lexeme)
             if not den:
                 self.fail(self.index - 1, f"number {lexeme!r} has a zero denominator")
-            return opalgebra.scalar(Fraction(num, den))
+            return _MONO_ONE, 0, 0, num, 0, den
         if lexeme == "(":
             value = self.parse_expr()
         elif lexeme == "sqrt":
@@ -209,7 +219,7 @@ class _Parser:
         self.expect(")")
         return value
 
-    def parse_phase_arg(self) -> OperatorExpr:
+    def parse_phase_arg(self) -> tuple:
         start = self.index
         sign = -1 if self.accept("-") else 1
         seen: dict[str, int | str] = {}
@@ -226,7 +236,9 @@ class _Parser:
                 break
         if "i" not in seen or "angle name" not in seen:
             self.fail(start, "phase argument must contain i times one angle name")
-        return opalgebra.phase(seen["angle name"], sign * seen.get("integer factor", 1))
+        mono = [0] * 8
+        mono[1 + PHASE_AXES.index(seen["angle name"])] = sign * seen.get("integer factor", 1)
+        return tuple(mono), 0, 0, 1, 0, 1
 
 
 def parse(text: str) -> OperatorExpr:
@@ -237,20 +249,20 @@ def parse(text: str) -> OperatorExpr:
 # -- canonical rendering -------------------------------------------------
 
 
-def _fmt_gauss(real: Fraction, imag: Fraction) -> tuple[str, str]:
-    """Return (sign, body) for ``real + imag*i``; body may be '' for a plain unit factor."""
+def _fmt_part(part: int, den: int) -> str:
+    """``part/den`` in lowest terms, as ``str`` of a ``Fraction`` prints it."""
+    g = gcd(part, den)
+    return str(part // g) if g == den else f"{part // g}/{den // g}"
+
+
+def _fmt_gauss(real: int, imag: int, den: int) -> tuple[str, str]:
+    """Return (sign, body) for ``(real + imag*i)/den``; body may be '' for a plain unit factor."""
     if not imag:
-        sign = "-" if real < 0 else "+"
-        mag = abs(real)
-        return sign, "" if mag == 1 else str(mag)
+        return "-" if real < 0 else "+", "" if abs(real) == den else _fmt_part(abs(real), den)
+    im_body = "i" if abs(imag) == den else f"{_fmt_part(abs(imag), den)}*i"
     if not real:
-        sign = "-" if imag < 0 else "+"
-        mag = abs(imag)
-        return sign, "i" if mag == 1 else f"{mag}*i"
-    im_mag = abs(imag)
-    im_body = "i" if im_mag == 1 else f"{im_mag}*i"
-    im_sign = "-" if imag < 0 else "+"
-    return "+", f"({real}{im_sign}{im_body})"
+        return "-" if imag < 0 else "+", im_body
+    return "+", f"({_fmt_part(real, den)}{'-' if imag < 0 else '+'}{im_body})"
 
 
 def _power_part(base: str, exponent: int) -> str:
@@ -267,20 +279,20 @@ def _phase_part(axis: str, winding: int) -> str:
     return f"exp({winding}*i*{axis})"
 
 
-def _render_key(mono: Mono, sp: int, up: int):
-    dtot = mono.dr + mono.de + mono.da + mono.db
-    return (dtot, mono.dr, mono.de, mono.da, mono.db, mono.r2, mono.ke, mono.ka, mono.kb, sp, up)
+def _render_key(atom: tuple):
+    r2, ke, ka, kb, dr, de, da, db = atom[0]
+    return (dr + de + da + db, dr, de, da, db, r2, ke, ka, kb, atom[1], atom[2])
 
 
 def render(expr: OperatorExpr) -> str:
     """Canonical text form; deterministic and exactly invertible by parse."""
-    atoms = sorted(expr.terms(), key=lambda item: _render_key(*item[0]))
+    atoms = sorted(expr.atoms(), key=_render_key)
     if not atoms:
         return "0"
     pieces: list[tuple[str, str]] = []
-    for (mono, sp, up), (real, imag) in atoms:
+    for (r2, ke, ka, kb, dr, de, da, db), sp, up, real, imag, den in atoms:
         try:
-            sign, coeff_body = _fmt_gauss(real, imag)
+            sign, coeff_body = _fmt_gauss(real, imag, den)
         except ValueError:  # str() of an int past the interpreter's digit limit
             raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} digits") from None
         parts: list[str] = []
@@ -290,15 +302,15 @@ def render(expr: OperatorExpr) -> str:
             parts.append(_power_part("s", sp))
         if up:
             parts.append("u")
-        if mono.r2:
-            if mono.r2 % 2 == 0:
-                parts.append(_power_part("r", mono.r2 // 2))
+        if r2:
+            if r2 % 2 == 0:
+                parts.append(_power_part("r", r2 // 2))
             else:
-                parts.append(_power_part("sqrt(r)", mono.r2))
-        for axis, k in zip(PHASE_AXES, (mono.ke, mono.ka, mono.kb)):
+                parts.append(_power_part("sqrt(r)", r2))
+        for axis, k in zip(PHASE_AXES, (ke, ka, kb)):
             if k:
                 parts.append(_phase_part(axis, k))
-        for axis, d in zip(("r", "eta", "alpha", "beta"), (mono.dr, mono.de, mono.da, mono.db)):
+        for axis, d in zip(DERIV_AXES, (dr, de, da, db)):
             if d:
                 parts.append(_power_part(f"d/d{axis}", d))
         body = "*".join(parts) if parts else (coeff_body or "1")

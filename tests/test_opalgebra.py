@@ -438,3 +438,14 @@ def test_products_match_sympy_calculus():
         direct = _sympy_apply(a * b, _SF)
         composed = _sympy_apply(a, _sympy_apply(b, _SF))
         assert sympy.simplify(sympy.expand(direct - composed)) == 0
+
+
+def test_repr_is_the_render():
+    x = oa.phase("eta", 1) * (oa.r_power(1) * oa.deriv("r") + oa.scalar(Fraction(1, 3)) * oa.imag())
+    assert repr(x) == opdsl.render(x)
+
+
+def test_repr_falls_back_past_the_digit_limit():
+    # render refuses a coefficient of more digits than int's string limit
+    assert repr(oa.scalar(10**4000) * oa.scalar(10**4000)) == "<OperatorExpr 1 terms>"
+

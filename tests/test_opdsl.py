@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,19 +218,163 @@ def test_parse_work_is_linear_in_terms(monkeypatch):
     assert sum(visits) <= 20 * n
 
 
+def _canonical_texts():
+    # the 54 texts of the CI "Canonical parse" step
+    golden = json.loads(Path(__file__).with_name("golden_renders.json").read_text())
+    texts = [text for key, text in golden.items() if key != "c13/sha256"]
+    return texts + [opdsl.render(e) for e in (*sp4_bilinears().values(), casimir()[0])]
+
+
 def test_canonical_text_parses_without_the_product_loop(monkeypatch):
     # the factors of a canonical term are free in render order, so each term
     # folds to one atom; an atom power such as d/dr^2 takes the closed form
-    golden = json.loads(Path(__file__).with_name("golden_renders.json").read_text())
-    texts = [text for key, text in golden.items() if key != "c13/sha256"]
     rng = random.Random(13131313)  # the c13 seed set of the golden file
-    texts += [opdsl.render(e) for e in (*sp4_bilinears().values(), casimir()[0])]
+    texts = _canonical_texts()
     texts += [opdsl.render(random_operator(rng)) for _ in range(1000)]
     normal_order, calls = oa._normal_order, []
     monkeypatch.setattr(oa, "_normal_order", lambda *args: calls.append(1) or normal_order(*args))
     for text in texts:
         assert opdsl.render(opdsl.parse(text)) == text
     assert len(calls) == 0
+
+
+def test_canonical_text_builds_one_operator_per_term_and_sum(monkeypatch):
+    # every factor of a term is an atom form, so a term builds one operator in
+    # its product and a sum one more; a parenthesised coefficient such as
+    # (1/2-5*i) is a sum of two terms
+    texts = _canonical_texts()
+    assert len(texts) == 54
+    wrap, calls = oa.OperatorExpr._wrap, []
+    monkeypatch.setattr(oa.OperatorExpr, "_wrap", lambda *args: calls.append(1) or wrap(*args))
+    budget = 0
+    for text in texts:
+        coeffs = text.count("(") - text.count("sqrt(") - text.count("exp(")
+        budget += 1 + text.count(" + ") + text.count(" - ") + 2 * coeffs + 1 + coeffs
+        opdsl.parse(text)
+    assert len(calls) <= budget
+
+
+_PHASE_FACTORS = [(f"exp({k}*i*{axis})", oa.phase(axis, k)) for axis in ("eta", "alpha", "beta") for k in range(-2, 3)]
+_ATOM_FACTORS = [
+    ("i", oa.imag()), ("s", oa.s_sym()), ("u", oa.u_sym()), ("r", oa.r_power(1)), ("sqrt(r)", oa.sqrt_r()),
+    *[(f"d/d{axis}", oa.deriv(axis)) for axis in ("r", "eta", "alpha", "beta")],
+    ("0", oa.scalar(0)), ("7", oa.scalar(7)), ("4/6", oa.scalar(Fraction(2, 3))), *_PHASE_FACTORS,
+]
+
+
+@pytest.mark.parametrize("text,op", _ATOM_FACTORS, ids=[text for text, _ in _ATOM_FACTORS])
+def test_atom_factor_powers_match_the_operator_powers(text, op):
+    # the parser raises an atom factor in closed form; it must agree with **
+    # on every exponent, or refuse it with the same message at the "^"
+    for e in range(-4, 7):
+        try:
+            power = op**e
+        except ValueError as err:
+            for source in (f"{text}^{e}", f"-{text}^{e}", f"{text}^{e}*r"):
+                with pytest.raises(opdsl.OperatorSyntaxError) as info:
+                    opdsl.parse(source)
+                assert str(info.value) == f"{err} at position {source.index('^')}"
+            continue
+        assert opdsl.parse(f"{text}^{e}") == power, e
+        assert opdsl.parse(f"-{text}^{e}") == -power, e
+        assert opdsl.parse(f"{text}^{e}*r") == power * oa.r_power(1), e
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("0^0", oa.identity()),
+    ("u^-3", 4 * oa.s_sym(2) * oa.u_sym()),
+    ("i^-1", -oa.imag()),
+    ("0^-1", "cannot invert zero at position 1"),
+    ("d/dr^-1", "cannot invert an operator containing derivatives at position 4"),
+])
+def test_atom_factor_power_edges(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(opdsl.OperatorSyntaxError, match=f"^{expected}$"):
+            opdsl.parse(text)
+    else:
+        assert opdsl.parse(text) == expected
+
+
+def _reference_fmt_gauss(real: Fraction, imag: Fraction) -> tuple[str, str]:
+    if not imag:
+        sign = "-" if real < 0 else "+"
+        mag = abs(real)
+        return sign, "" if mag == 1 else str(mag)
+    if not real:
+        sign = "-" if imag < 0 else "+"
+        mag = abs(imag)
+        return sign, "i" if mag == 1 else f"{mag}*i"
+    im_mag = abs(imag)
+    im_body = "i" if im_mag == 1 else f"{im_mag}*i"
+    im_sign = "-" if imag < 0 else "+"
+    return "+", f"({real}{im_sign}{im_body})"
+
+
+def _reference_render(expr: oa.OperatorExpr) -> str:
+    """The render of ``Fraction`` coefficients read from ``terms()``, kept as the reference."""
+    def key(item):
+        m, sp, up = item[0]
+        return (m.dr + m.de + m.da + m.db, m.dr, m.de, m.da, m.db, m.r2, m.ke, m.ka, m.kb, sp, up)
+
+    atoms = sorted(expr.terms(), key=key)
+    if not atoms:
+        return "0"
+    pieces = []
+    for (mono, sp, up), (real, imag) in atoms:
+        try:
+            sign, coeff_body = _reference_fmt_gauss(real, imag)
+        except ValueError:
+            raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} digits") from None
+        parts = [coeff_body] if coeff_body else []
+        if sp:
+            parts.append("s" if sp == 1 else f"s^{sp}")
+        if up:
+            parts.append("u")
+        if mono.r2:
+            base, e = ("r", mono.r2 // 2) if mono.r2 % 2 == 0 else ("sqrt(r)", mono.r2)
+            parts.append(base if e == 1 else f"{base}^{e}")
+        for axis, k in zip(("eta", "alpha", "beta"), (mono.ke, mono.ka, mono.kb)):
+            if k:
+                parts.append(f"exp(i*{axis})" if k == 1 else f"exp(-i*{axis})" if k == -1 else f"exp({k}*i*{axis})")
+        for axis, d in zip(("r", "eta", "alpha", "beta"), (mono.dr, mono.de, mono.da, mono.db)):
+            if d:
+                parts.append(f"d/d{axis}" if d == 1 else f"d/d{axis}^{d}")
+        pieces.append((sign, "*".join(parts) if parts else (coeff_body or "1")))
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators(max_terms=4, wide=True))
+def test_render_matches_the_fraction_reference(e):
+    assert opdsl.render(e) == _reference_render(e)
+
+
+_BIG = 3**628  # 300 digits
+_PARTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 3), Fraction(-7, 12), Fraction(_BIG), Fraction(-_BIG, 7),
+          Fraction(11, _BIG)]
+
+
+@pytest.mark.parametrize("real", _PARTS, ids=range(len(_PARTS)))
+def test_render_coefficients_match_the_fraction_reference(real):
+    # real only, imaginary only and both, each next to a second atom over
+    # another denominator, so the shared denominator differs from each part's
+    mono = oa.Mono(2, 1, 0, 0, 1, 0, 0, 0)
+    for imag in _PARTS:
+        if real or imag:
+            e = oa.OperatorExpr({(mono, 1, 1): (real, imag), (oa.Mono(0, 0, 0, 0, 0, 0, 0, 0), 0, 0): Fraction(1, 13)})
+            assert opdsl.render(e) == _reference_render(e)
+            single = oa.OperatorExpr({(mono, 0, 0): (real, imag)})
+            assert opdsl.render(single) == _reference_render(single)
+
+
+def test_render_refuses_a_coefficient_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for e in (oa.scalar(10**4000) * oa.scalar(10**4000), oa.imag() * oa.scalar(Fraction(1, 10**(limit + 1)))):
+        with pytest.raises(ValueError, match=f"^a result coefficient has more than {limit} digits$"):
+            opdsl.render(e)
 
 
 # fragments that never build a large value; glued together, as in "d/dreta",
