@@ -156,14 +156,12 @@ def _report_rows(reports) -> list[dict]:
     return [_row(rep.name, 0, opdsl.render(rep.residual), None, rep.passed) for rep in reports]
 
 
-_ALGEBRA_REPORTS = {"su11": generators.su11_reports, "weyl": generators.weyl_reports}
-
-
 def _cmd_verify_algebra(args) -> int:
     which = args.algebra
-    rows = _report_rows(_ALGEBRA_REPORTS[which]() if which in _ALGEBRA_REPORTS else [])
+    algebra = generators.ALGEBRAS[which]
+    rows = _report_rows(algebra.reports())
     closure = generators.closure_report(which)
-    expected = generators.expected_dimension(which)
+    expected = algebra.dimension
     rows.append(_row(f"{which} closure dimension", expected, closure.dimension,
                      abs(closure.dimension - expected),
                      closure.closed and closure.dimension == expected))
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_commutator)
 
     p = sub.add_parser("verify-algebra", help="commutation table and closure")
-    p.add_argument("algebra", choices=("su11", "weyl", "sp4"))
+    p.add_argument("algebra", choices=tuple(generators.ALGEBRAS))
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("casimir", help="quadratic invariant identities")

@@ -241,13 +241,16 @@ def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
     On the weyl labels every ladder is the same expression: with
     n2 = mu + nu + 1 and step (dmu, dnu), the radicand is
     (n2 + dmu + dnu) / n2 times, for each moved label x, x + 1 when raised
-    and x when lowered.
+    and x when lowered.  A step past nu == mu lands on the folded target of
+    ``shifted_state``, and the reflection flips the sign.
     """
     lad = _ladder(state, operator)
     mu, nu = state.munu
+    dmu, dnu = lad.step
     n2 = mu + nu + 1
     moved = math.prod(x + (d > 0) for x, d in zip((mu, nu), lad.step) if d)
-    return lad.sign, Fraction((n2 + sum(lad.step)) * moved, n2)
+    sign = -lad.sign if mu + dmu > nu + dnu else lad.sign
+    return sign, Fraction((n2 + dmu + dnu) * moved, n2)
 
 
 def action_coefficient(state: QuantumState, operator: str) -> float:
@@ -259,12 +262,16 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     """Target state of one ladder step, with the charge dragged along.
 
     The step keeps rho = gamma r fixed, so gamma and the energy are exactly
-    unchanged while Z moves to Z n'/n (n, n' the principal labels).
+    unchanged while Z moves to Z n'/n (n, n' the principal labels).  A step past
+    nu == mu folds (mu + 1, mu) to (mu, mu + 1) by the reflection
+    L^(-1)_n = -(rho/n) L^(1)_(n-1); a step off the lattice raises ``ValueError``.
     """
     dmu, dnu = _ladder(state, operator).step
     mu, nu = state.munu
     n2 = mu + nu + 1
-    mu, nu = mu + dmu, nu + dnu
+    mu, nu = sorted((mu + dmu, nu + dnu))
+    if mu < 0:
+        raise ValueError(f"{operator} annihilates {state.family} state {state.labels}")
     target = ((mu + nu + 1) // 2, (nu - mu - 1) // 2) if state.family == "su11" else (mu, nu)
     return QuantumState(state.family, target, state.Z * Fraction(n2 + dmu + dnu, n2))
 

@@ -251,14 +251,12 @@ def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> Transform
                           lhat=mbar + params.c + eps * (lbar + params.c) - half)
 
 
-def shifted_charge(q: Rational, label: Rational, direction: int, algebra: str) -> Fraction:
+def shifted_charge(q: Rational, label: Rational, direction: int) -> Fraction:
     """Coupling rescaling that accompanies one ladder step.
 
     ``label`` is the su(1,1) principal label t, or mu+nu+1 for the Weyl pairs;
     the shifted coupling is q * (label +- 1) / label.
     """
-    if algebra not in ("su11", "weyl"):
-        raise ValueError("algebra must be 'su11' or 'weyl'")
     if exact_int(direction, "direction") not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     q, label = exact(q, "q"), exact(label, "label")

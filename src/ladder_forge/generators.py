@@ -35,6 +35,9 @@ operators by substituting number operators for their integer labels:
 B+- and check2 are not stated on their own: each is the alpha <-> beta mirror
 of A+- and check1.  The exchange flips N, and on the labels it swaps mu = l - m
 and nu = l + m + 1, which is m -> -m - 1.
+
+``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
+name maps to its generators, its commutation table and its closure dimension.
 """
 
 from __future__ import annotations
@@ -43,21 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import opalgebra
 from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """A named family of generators with formal s in the coefficients.
-
-    Each set is built once per process and shared, so ``members`` is read-only.
-    """
-
-    kind: str
-    members: Mapping[str, OperatorExpr]
 
 
 @dataclass(frozen=True)
@@ -77,18 +69,17 @@ def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
 
 
 @cache
-def build_T() -> GeneratorSet:
-    """The su(1,1) generators T0, T+, T-."""
+def build_T() -> Mapping[str, OperatorExpr]:
+    """The su(1,1) generators T0, T+, T-, built once and read-only."""
     r = opalgebra.r_half_power(2)
     dr = opalgebra.deriv("r")
     ideta = opalgebra.imag() * opalgebra.deriv("eta")
     sr = opalgebra.s_sym() * r
-    members = {
+    return MappingProxyType({
         "T0": -ideta,
         "Tplus": opalgebra.phase("eta", 1) * (-(r * dr) + ideta + sr),
         "Tminus": opalgebra.phase("eta", -1) * ((r * dr) + ideta + sr),
-    }
-    return GeneratorSet("su11", MappingProxyType(members))
+    })
 
 
 def _number_op() -> OperatorExpr:
@@ -103,18 +94,17 @@ def _weyl_member(sign: int) -> OperatorExpr:
 
 
 @cache
-def build_AB() -> GeneratorSet:
-    """The Heisenberg-Weyl pairs A+-, and B+- as their alpha <-> beta mirrors."""
+def build_AB() -> Mapping[str, OperatorExpr]:
+    """The Heisenberg-Weyl pairs A+- and their alpha <-> beta mirrors B+-, built once and read-only."""
     a_plus, a_minus = _weyl_member(1), _weyl_member(-1)
     b_plus, b_minus = opalgebra.swap_alpha_beta(a_plus), opalgebra.swap_alpha_beta(a_minus)
-    members = {"Aplus": a_plus, "Aminus": a_minus, "Bplus": b_plus, "Bminus": b_minus}
-    return GeneratorSet("weyl", MappingProxyType(members))
+    return MappingProxyType({"Aplus": a_plus, "Aminus": a_minus, "Bplus": b_plus, "Bminus": b_minus})
 
 
 @cache
 def casimir() -> tuple[OperatorExpr, AlgebraReport]:
     """Casimir -T+ T- + T0(T0 - 1) and its verified normal form, built once."""
-    t = build_T().members
+    t = build_T()
     op = -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
     r = opalgebra.r_half_power(2)
     normal_form = (
@@ -126,7 +116,7 @@ def casimir() -> tuple[OperatorExpr, AlgebraReport]:
 
 
 def su11_reports() -> list[AlgebraReport]:
-    t = build_T().members
+    t = build_T()
     comm = opalgebra.commutator
     return [
         _report("[T0,T+] == T+", comm(t["T0"], t["Tplus"]), t["Tplus"]),
@@ -136,7 +126,7 @@ def su11_reports() -> list[AlgebraReport]:
 
 
 def weyl_reports() -> list[AlgebraReport]:
-    g = build_AB().members
+    g = build_AB()
     comm = opalgebra.commutator
     one = opalgebra.identity()
     zero = opalgebra.zero()
@@ -151,7 +141,7 @@ def weyl_reports() -> list[AlgebraReport]:
 
 
 def casimir_reports() -> list[AlgebraReport]:
-    t = build_T().members
+    t = build_T()
     op, normal = casimir()
     comm = opalgebra.commutator
     zero = opalgebra.zero()
@@ -166,7 +156,7 @@ def casimir_reports() -> list[AlgebraReport]:
 @cache
 def sp4_bilinears() -> Mapping[str, OperatorExpr]:
     """The ten symmetrized quadratics in the Weyl generators, built once and read-only."""
-    g = build_AB().members
+    g = build_AB()
     half = Fraction(1, 2)
 
     def sym(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
@@ -186,24 +176,28 @@ def sp4_bilinears() -> Mapping[str, OperatorExpr]:
     })
 
 
-_CLOSURE_EXPECTED = {"su11": 3, "weyl": 5, "sp4": 10}
+class Algebra(NamedTuple):
+    """One of the paper's algebras: its generators, commutation table and closure dimension."""
+
+    generators: Callable[[], Mapping[str, OperatorExpr]]
+    reports: Callable[[], list[AlgebraReport]]
+    dimension: int
+
+
+# the lambdas look the builders up when called, so a wrapped module attribute is the one that runs
+ALGEBRAS: Mapping[str, Algebra] = MappingProxyType({
+    "su11": Algebra(lambda: build_T(), lambda: su11_reports(), 3),
+    "weyl": Algebra(lambda: build_AB(), lambda: weyl_reports(), 5),  # [A-, A+] brings in the identity
+    "sp4": Algebra(lambda: sp4_bilinears(), lambda: [], 10),
+})
 
 
 def closure_report(which: str) -> ClosureReport:
-    """Span closure of the named generator family under commutators."""
-    if which == "su11":
-        basis = list(build_T().members.values())
-    elif which == "weyl":
-        basis = list(build_AB().members.values()) + [opalgebra.identity()]
-    elif which == "sp4":
-        basis = list(sp4_bilinears().values())
-    else:
-        raise ValueError("which must be 'su11', 'weyl' or 'sp4'")
-    return opalgebra.closure_check(basis, _CLOSURE_EXPECTED[which] + 4)
-
-
-def expected_dimension(which: str) -> int:
-    return _CLOSURE_EXPECTED[which]
+    """Span closure of the named algebra's generators under commutators."""
+    algebra = ALGEBRAS.get(which)
+    if algebra is None:
+        raise ValueError(f"which must be one of {', '.join(map(repr, ALGEBRAS))}, got {which!r}")
+    return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
@@ -233,14 +227,14 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
 class Ladder(NamedTuple):
     """One ladder generator: where it lives and how it steps a bound state."""
 
-    kind: str  # generator set, "su11" (build_T) or "weyl" (build_AB)
-    member: str  # key in that set's members
+    kind: str  # the algebra, a key of ALGEBRAS
+    member: str  # key in its generators
     ladder: str  # transformed ladder it is rebuilt from
     step: tuple[int, int]  # (dmu, dnu) on the weyl labels of a bound state
     sign: int  # sign of the closed-form action coefficient
 
     def operator(self) -> OperatorExpr:
-        return (build_T() if self.kind == "su11" else build_AB()).members[self.member]
+        return ALGEBRAS[self.kind].generators()[self.member]
 
 
 LADDERS = {
@@ -296,7 +290,7 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
         dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
         member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]
         rebuilt = opalgebra.phase(axis, direction) * (member - scalar_term + number_term)
-        if lad.kind == "weyl":
+        if lad.ladder != "tilde":  # the Weyl pairs carry u
             rebuilt = opalgebra.u_sym() * rebuilt
         out.append(_report(f"{name} from {lad.ladder} ladder", rebuilt, lad.operator()))
     return out

@@ -142,7 +142,7 @@ def test_c12_energy_invariance_of_shifts():
         label = (state.labels[0] if rep.family == "su11"
                  else state.labels[0] + state.labels[1] + 1)
         direction = 1 if rep.operator.endswith("+") else -1
-        q_rule = fz.shifted_charge(-state.Z, label, direction, rep.family)
+        q_rule = fz.shifted_charge(-state.Z, label, direction)
         ok = ok and shift.charge_out == -q_rule
     _verdict(12, "gamma and energy bit-identical under every charge shift", ok)
 

@@ -43,9 +43,9 @@ ENTRY_POINTS = [
     (lambda v: fz.b_to_c(B, v, 0, 1), "lbar", False),
     (lambda v: fz.b_to_c(B, 0, v, 1), "mbar", False),
     (lambda v: fz.b_to_c(B, 0, 0, v), "eps", True),
-    (lambda v: fz.shifted_charge(v, 2, 1, "su11"), "q", False),
-    (lambda v: fz.shifted_charge(-1, v, 1, "su11"), "label", False),
-    (lambda v: fz.shifted_charge(-1, 2, v, "su11"), "direction", True),
+    (lambda v: fz.shifted_charge(v, 2, 1), "q", False),
+    (lambda v: fz.shifted_charge(-1, v, 1), "label", False),
+    (lambda v: fz.shifted_charge(-1, 2, v), "direction", True),
     (lambda v: gen.transformed_ladders("tilde", v, 0), "l", False),
     (lambda v: gen.transformed_ladders("check1", 0, v), "m", False),
     (lambda v: gen.reconstruction_reports(v, 0), "l", False),

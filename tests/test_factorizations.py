@@ -172,14 +172,12 @@ class TestTransforms:
 
 class TestShiftedCharge:
     def test_examples(self):
-        assert fz.shifted_charge(-6, 2, 1, "su11") == -9
-        assert fz.shifted_charge(-1, 1, -1, "su11") == 0
-        assert fz.shifted_charge(-2, 4, 1, "weyl") == Fraction(-5, 2)
+        assert fz.shifted_charge(-6, 2, 1) == -9
+        assert fz.shifted_charge(-1, 1, -1) == 0
+        assert fz.shifted_charge(-2, 4, 1) == Fraction(-5, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            fz.shifted_charge(-1, 0, 1, "su11")
+            fz.shifted_charge(-1, 0, 1)
         with pytest.raises(ValueError):
-            fz.shifted_charge(-1, 2, 0, "su11")
-        with pytest.raises(ValueError):
-            fz.shifted_charge(-1, 2, 1, "so3")
+            fz.shifted_charge(-1, 2, 0)

@@ -15,7 +15,7 @@ LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4
 @pytest.mark.parametrize("build", [gen.build_T, gen.build_AB, gen.sp4_bilinears])
 def test_each_set_is_built_once_and_read_only(build):
     assert build() is build()
-    members = getattr(build(), "members", build())  # sp4_bilinears is the mapping itself
+    members = build()
     name = next(iter(members))
     with pytest.raises(TypeError):
         members[name] = oa.identity()
@@ -27,12 +27,10 @@ def test_casimir_is_built_once():
 
 class TestNumberPhaseTriple:
     def test_member_names_and_flags(self):
-        s = gen.build_T()
-        assert s.kind == "su11"
-        assert set(s.members) == {"T0", "Tplus", "Tminus"}
+        assert set(gen.build_T()) == {"T0", "Tplus", "Tminus"}
 
     def test_number_operator_form(self):
-        assert gen.build_T().members["T0"] == -(oa.imag() * oa.deriv("eta"))
+        assert gen.build_T()["T0"] == -(oa.imag() * oa.deriv("eta"))
 
     def test_commutation_table(self):
         reports = gen.su11_reports()
@@ -41,7 +39,7 @@ class TestNumberPhaseTriple:
             assert rep.passed and rep.residual.is_zero
 
     def test_jacobi_exact(self):
-        members = list(gen.build_T().members.values())
+        members = list(gen.build_T().values())
         for a, b, c in combinations(members, 3):
             total = (
                 oa.commutator(a, oa.commutator(b, c))
@@ -53,9 +51,7 @@ class TestNumberPhaseTriple:
 
 class TestWeylPairs:
     def test_member_names(self):
-        s = gen.build_AB()
-        assert s.kind == "weyl"
-        assert set(s.members) == {"Aplus", "Aminus", "Bplus", "Bminus"}
+        assert set(gen.build_AB()) == {"Aplus", "Aminus", "Bplus", "Bminus"}
 
     def test_commutation_table(self):
         reports = gen.weyl_reports()
@@ -64,12 +60,12 @@ class TestWeylPairs:
             assert rep.passed, rep.name
 
     def test_pairs_swap_under_angle_exchange(self):
-        members = gen.build_AB().members
+        members = gen.build_AB()
         assert oa.swap_alpha_beta(members["Aplus"]) == members["Bplus"]
         assert oa.swap_alpha_beta(members["Aminus"]) == members["Bminus"]
 
     def test_jacobi_exact(self):
-        members = list(gen.build_AB().members.values())
+        members = list(gen.build_AB().values())
         for a, b, c in combinations(members, 3):
             total = (
                 oa.commutator(a, oa.commutator(b, c))
@@ -102,7 +98,7 @@ class TestClosure:
     def test_dimensions(self, which, dim):
         report = gen.closure_report(which)
         assert report.closed
-        assert report.dimension == dim == gen.expected_dimension(which)
+        assert report.dimension == dim == gen.ALGEBRAS[which].dimension
 
     def test_bilinears_are_ten(self):
         assert len(gen.sp4_bilinears()) == 10

@@ -22,7 +22,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_renders.json")
 
 def corpus() -> dict[str, str]:
     out = {}
-    for kind, members in (("T", gen.build_T().members), ("AB", gen.build_AB().members),
+    for kind, members in (("T", gen.build_T()), ("AB", gen.build_AB()),
                           ("sp4", gen.sp4_bilinears())):
         for name, op in members.items():
             out[f"{kind}/{name}"] = opdsl.render(op)

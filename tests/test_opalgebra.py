@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa, opdsl
-from ladder_forge.generators import build_AB, build_T, casimir, closure_report, sp4_bilinears
+from ladder_forge.generators import ALGEBRAS, build_T, casimir, casimir_reports, closure_report
 
 from _gen import PHASES, operators, random_operator, random_term, term_from, terms
 
@@ -58,7 +58,7 @@ class TestSubstituteS:
         assert expr.substitute_s(HALF) == Fraction(1, 4) * oa.r_power(1)
 
     def test_ladder_member_specializes(self):
-        t_plus = build_T().members["Tplus"]
+        t_plus = build_T()["Tplus"]
         expected = oa.phase("eta", 1) * (
             -(oa.r_power(1) * oa.deriv("r")) + oa.imag() * oa.deriv("eta") + oa.r_power(1)
         )
@@ -119,13 +119,9 @@ class TestClosureCheck:
         report = oa.closure_check([x, y, Fraction(3, 7) * x - 2 * oa.imag() * y], 3)
         assert (report.dimension, report.closed, report.commutators_tested) == (2, True, 1)
 
-    @pytest.mark.parametrize("which", ["su11", "weyl", "sp4"])
+    @pytest.mark.parametrize("which", list(ALGEBRAS))
     def test_basis_scaling_keeps_dimension(self, which):
-        basis = {
-            "su11": lambda: list(build_T().members.values()),
-            "weyl": lambda: list(build_AB().members.values()) + [oa.identity()],
-            "sp4": lambda: list(sp4_bilinears().values()),
-        }[which]()
+        basis = list(ALGEBRAS[which].generators().values())
         i = oa.imag()
         factors = [oa.scalar(Fraction(1, 3)), oa.scalar(Fraction(-5, 7)), 2 * i,
                    Fraction(3, 11) + Fraction(1, 2) * i, Fraction(-9, 5) * i + 4,
@@ -365,6 +361,18 @@ def test_normal_ordering_cache_stays_small():
     closure_report("sp4")
     opdsl.parse("(d/dr + r)^20")
     assert oa._mono_cross.cache_info().currsize <= 400
+
+
+def test_warm_sp4_closure_and_casimir_form_no_products(monkeypatch):
+    # every generator set and the Casimir are built once, so once warm the
+    # closure and the Casimir table only commute what they already hold
+    closure_report("sp4")
+    casimir_reports()
+    mul, calls = oa.OperatorExpr.__mul__, []
+    monkeypatch.setattr(oa.OperatorExpr, "__mul__", lambda *args: calls.append(1) or mul(*args))
+    closure_report("sp4")
+    casimir_reports()
+    assert len(calls) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,7 @@ from _gen import operators, random_operator
 class TestParseExamples:
     def test_ladder_display_matches_builder(self):
         text = "exp(i*eta)*(-r*d/dr + i*d/deta + s*r)"
-        assert opdsl.parse(text) == build_T().members["Tplus"]
+        assert opdsl.parse(text) == build_T()["Tplus"]
 
     def test_weyl_relation_from_text(self):
         assert opdsl.parse("d/dr*r - r*d/dr") == oa.identity()
@@ -43,7 +43,7 @@ class TestRenderExamples:
         assert opdsl.render(oa.zero()) == "0"
 
     def test_number_generator(self):
-        assert opdsl.render(build_T().members["T0"]) == "-i*d/deta"
+        assert opdsl.render(build_T()["T0"]) == "-i*d/deta"
 
 
 class TestPrecedence:
@@ -219,7 +219,7 @@ def test_parse_work_is_linear_in_terms(monkeypatch):
 
 
 def _canonical_texts():
-    # the 54 texts of the CI "Canonical parse" step
+    # the golden renders, the sp4 bilinears and the Casimir: 54 texts
     golden = json.loads(Path(__file__).with_name("golden_renders.json").read_text())
     texts = [text for key, text in golden.items() if key != "c13/sha256"]
     return texts + [opdsl.render(e) for e in (*sp4_bilinears().values(), casimir()[0])]
