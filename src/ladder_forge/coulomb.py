@@ -54,6 +54,10 @@ DEFAULT_QUAD_ORDER = 40
 # the highest order whose nodes and weights stay finite in floats; at 185 the
 # squared Laguerre tail in the weights overflows
 MAX_QUAD_ORDER = 184
+# a state's charge lies in [2**-CHARGE_BITS, 2**CHARGE_BITS], far enough inside
+# the float range for the numerics: P carries sqrt(gamma) and the radial
+# equation gamma**2
+CHARGE_BITS = 64
 
 def laguerre(n: int, alpha, x):
     """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
@@ -114,6 +118,11 @@ def energy(Z, n) -> Fraction:
     return -(Z * Z) / (2 * n * n)
 
 
+def _charge_outside(Z: Fraction, bits: int) -> bool:
+    """Whether Z lies outside [2**-bits, 2**bits]; zero and negative charges do."""
+    return Z.numerator > Z.denominator << bits or Z.denominator > Z.numerator << bits
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """One radial bound state in either labeling, at exact rational charge.
@@ -135,11 +144,8 @@ class QuantumState:
         a, b = exact_int(a, names[0]), exact_int(b, names[1])
         object.__setattr__(self, "labels", (a, b))
         object.__setattr__(self, "Z", exact(self.Z, "Z"))
-        # positive, and far enough inside the float range for the numerics:
-        # P carries sqrt(gamma) and the radial equation gamma**2
-        num, den = self.Z.numerator, self.Z.denominator
-        if num > den << 64 or den > num << 64:
-            raise ValueError(f"charge must lie in [2**-64, 2**64], got {self.Z}")
+        if _charge_outside(self.Z, CHARGE_BITS):
+            raise ValueError(f"charge must lie in [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}], got {self.Z}")
         if self.family == "su11":
             if a < 1 or not 0 <= b <= a - 1:
                 raise ValueError(f"need t >= 1 and 0 <= m <= t-1, got ({a}, {b})")
@@ -411,8 +417,18 @@ def _sweep(kind: str, states, tols: dict) -> list[ActionReport]:
     return [action_report(st, op, **tols) for st in states for op in ops]
 
 
+def _sweep_charge(Z) -> Fraction:
+    """Z, refused up front unless every charge Z n'/n a sweep step drags it to, n'/n in [1/2, 2], is in range."""
+    Z, bits = exact(Z, "Z"), CHARGE_BITS - 1
+    if _charge_outside(Z, bits):
+        raise ValueError(f"a sweep's charge must lie in [2**-{bits}, 2**{bits}], so that every charge its steps "
+                         f"drag it to stays in [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}], got {Z}")
+    return Z
+
+
 def sweep_su11(t_max: int, Z=1, **tols) -> list[ActionReport]:
     """All T+- actions on states with t <= t_max, annihilations included."""
+    Z = _sweep_charge(Z)
     states = (state_tm(t, m, Z) for t in range(1, t_max + 1) for m in range(t))
     return _sweep("su11", states, tols)
 
@@ -423,6 +439,7 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, **tols) -> list[ActionRepo
     nu - mu is kept odd so every integrand is polynomial and the quadrature
     exact; these are the states shared with the su11 labeling.
     """
+    Z = _sweep_charge(Z)
     states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
               for nu in range(mu + 1, nu_max + 1, 2))
     return _sweep("weyl", states, tols)

@@ -27,7 +27,10 @@ operator.  Types F and C take the radial symbol ``r`` for ``x``.  Type B
 contains ``exp(ax)``, so its r-function, k-function and ``D`` all live in the
 representation ``r = exp(ax)``: there ``exp(ax)`` is ``r``, ``exp(2ax)`` is
 ``r**2`` and ``d/dx = a * r * d/dr``, so both functions are polynomial in
-``r`` and the factorization identities hold verbatim.
+``r`` and the factorization identities hold verbatim.  Type C also lives in
+``y = 2 sqrt(r)``: there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)``
+and ``D_Y = d/dy = sqrt(r) d/dr``.  ``type_b_k`` and ``type_c_k`` state the k of
+types B and C once each, for a rational or an operator ``m + c`` and scale.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -125,14 +128,31 @@ def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, 
         return r_op, m * r_power(-1) + q / m, -(q * q) / (m * m)
     if isinstance(params, TypeC):
         b, c = params.b, params.c
-        return r_op, (m + c) * r_power(-1) + b / 2 * r_power(1), -2 * b * m + b / 2
+        return r_op, type_c_k(m + c, b), -2 * b * m + b / 2
     a, c, d = params.a, params.c, params.d
-    return r_op, d * r_power(1) - (m + c) * a, -a * a * (m + c) * (m + c)
+    return r_op, type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c)
+
+
+R_DR = opalgebra.r_half_power(2) * opalgebra.deriv("r")  # d/dx of type B at a = 1, in r = exp(x)
+# type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
+Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
+D_Y = opalgebra.sqrt_r() * opalgebra.deriv("r")
+
+
+def type_b_k(amc: OperatorExpr | Rational, d: OperatorExpr | Rational) -> OperatorExpr:
+    """k of type B, d exp(ax) - a (m + c), in r = exp(ax), from ``amc`` = a (m + c); rationals or operators."""
+    return d * r_power(1) - amc
+
+
+def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
+             x: tuple[OperatorExpr, OperatorExpr] = (r_power(1), r_power(-1))) -> OperatorExpr:
+    """k of type C, (m + c)/x + b x / 2, with x the coordinate as (x, 1/x), r or Y; rationals or operators."""
+    return mc * x[1] + Fraction(1, 2) * b * x[0]
 
 
 def _d_operator(params: FamilyParams) -> OperatorExpr:
     if isinstance(params, TypeB):
-        return params.a * opalgebra.r_half_power(2) * opalgebra.deriv("r")
+        return params.a * R_DR
     return opalgebra.deriv("r")
 
 

@@ -20,21 +20,21 @@ with [A-, A+] = [B-, B+] = 1 and vanishing cross commutators.  The ten
 symmetrized bilinears in A+-, B+- close under commutation on a ten
 dimensional Lie algebra, sp(4, R).
 
-All generators arise from one-parameter families of first-order ladder
-operators by substituting number operators for their integer labels:
+Each generator is an Infeld-Hull family ladder of ``factorizations`` at the
+formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
+by a number operator (T0, or N -+ 1), with the phase and, for the Weyl pairs,
+u attached: T+- = exp(+-i*eta) (-+D + k(T0)) and A+- = u exp(+-i*alpha)
+(+-D + k(N -+ 1)).  At scalar labels the families give the transformed ladders:
 
-* ``tilde``  H~+-(l)   = +-r d/dr + s r - (l + 1/2 +- 1/2), an eigenvalue
-  preserving pair in the principal label; feeding l+1 -> -i d/deta into the
-  opposite-sign member and attaching the eta phase reproduces T+-.
-* ``check1`` Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r) - s),
-  shifting (l, m) by (+-1/2, -+1/2); with nu - mu - 1 = 2m fed by the angle
-  number operators it reproduces A+- up to the u prefactor and alpha phase.
-* ``check2`` Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by
-  (+-1/2, +-1/2); it reproduces B+- the same way.
+* ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
+  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2).
+* ``check1``, type C (b = -s, c = 0) in y = 2 sqrt(r), D = sqrt(r) d/dr, at
+  m + c = 2m and 2m + 1: Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r)
+  - s), shifting (l, m) by (+-1/2, -+1/2).
+* ``check2`` Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2).
 
-B+- and check2 are not stated on their own: each is the alpha <-> beta mirror
-of A+- and check1.  The exchange flips N, and on the labels it swaps mu = l - m
-and nu = l + m + 1, which is m -> -m - 1.
+B+- and check2 are the alpha <-> beta mirrors of A+- and check1: the exchange
+flips N, and swaps mu = l - m and nu = l + m + 1, which is m -> -m - 1.
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
@@ -48,6 +48,7 @@ from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
+from . import factorizations as fz
 from . import opalgebra
 from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
 
@@ -71,32 +72,14 @@ def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
 @cache
 def build_T() -> Mapping[str, OperatorExpr]:
     """The su(1,1) generators T0, T+, T-, built once and read-only."""
-    r = opalgebra.r_half_power(2)
-    dr = opalgebra.deriv("r")
-    ideta = opalgebra.imag() * opalgebra.deriv("eta")
-    sr = opalgebra.s_sym() * r
-    return MappingProxyType({
-        "T0": -ideta,
-        "Tplus": opalgebra.phase("eta", 1) * (-(r * dr) + ideta + sr),
-        "Tminus": opalgebra.phase("eta", -1) * ((r * dr) + ideta + sr),
-    })
-
-
-def _number_op() -> OperatorExpr:
-    """N = i d/dalpha - i d/dbeta, the angle number operator of the Weyl pairs."""
-    return opalgebra.imag() * opalgebra.deriv("alpha") - opalgebra.imag() * opalgebra.deriv("beta")
-
-
-def _weyl_member(sign: int) -> OperatorExpr:
-    inner = _number_op() - sign * opalgebra.identity()
-    core = sign * opalgebra.deriv("r") + Fraction(1, 2) * opalgebra.r_half_power(-2) * inner - opalgebra.s_sym()
-    return opalgebra.u_sym() * opalgebra.phase("alpha", sign) * opalgebra.sqrt_r() * core
+    return MappingProxyType({"T0": _number_label("tilde", 1)[1], "Tplus": _generator("tilde", 1),
+                             "Tminus": _generator("tilde", -1)})
 
 
 @cache
 def build_AB() -> Mapping[str, OperatorExpr]:
     """The Heisenberg-Weyl pairs A+- and their alpha <-> beta mirrors B+-, built once and read-only."""
-    a_plus, a_minus = _weyl_member(1), _weyl_member(-1)
+    a_plus, a_minus = _generator("check1", 1), _generator("check1", -1)
     b_plus, b_minus = opalgebra.swap_alpha_beta(a_plus), opalgebra.swap_alpha_beta(a_minus)
     return MappingProxyType({"Aplus": a_plus, "Aminus": a_minus, "Bplus": b_plus, "Bminus": b_minus})
 
@@ -200,28 +183,66 @@ def closure_report(which: str) -> ClosureReport:
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
+def _k(ladder: str, label: OperatorExpr | Fraction, scale: OperatorExpr | int) -> OperatorExpr:
+    """k at family label ``label`` and ``scale`` of the family behind ``ladder``."""
+    return fz.type_b_k(label, scale) if ladder == "tilde" else fz.type_c_k(label, -scale, fz.Y)
+
+
+def _family_member(ladder: str, sign: int, label: OperatorExpr | Fraction) -> OperatorExpr:
+    """The member sign*D + k of the family behind ``ladder`` at family label ``label``, at scale s."""
+    d_op = fz.R_DR if ladder == "tilde" else fz.D_Y
+    return opalgebra.linear_sum(((d_op, sign), (_k(ladder, label, opalgebra.s_sym()), 1)))
+
+
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
     """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m).
 
-    check2 is the mu <-> nu mirror of check1: the check1 pair at m -> -m - 1,
-    so that 2m + 1 = nu - mu becomes mu - nu.
+    The tilde members sit at family labels l + 1 and l, the check1 members at
+    2m and 2m + 1.  check2 is the mu <-> nu mirror of check1: the check1 pair
+    at m -> -m - 1, so that 2m + 1 = nu - mu becomes mu - nu.
     """
     l, m = exact(l, "l"), exact(m, "m")
-    r = opalgebra.r_half_power(2)
-    dr = opalgebra.deriv("r")
-    s = opalgebra.s_sym()
     if kind == "tilde":
-        plus = r * dr + s * r - (l + 1) * opalgebra.identity()
-        minus = -(r * dr) + s * r - l * opalgebra.identity()
-        return plus, minus
+        return _family_member(kind, 1, l + 1), _family_member(kind, -1, l)
     if kind == "check2":
         m = -m - 1
     elif kind != "check1":
         raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
-    inv2r = Fraction(1, 2) * opalgebra.r_half_power(-2)
-    plus = opalgebra.sqrt_r() * (dr + 2 * m * inv2r - s)
-    minus = opalgebra.sqrt_r() * (-dr + (2 * m + 1) * inv2r - s)
-    return plus, minus
+    return _family_member(kind, 1, 2 * m), _family_member(kind, -1, 2 * m + 1)
+
+
+@cache
+def _number_label(ladder: str, direction: int) -> tuple[str, OperatorExpr, OperatorExpr]:
+    """The phase axis of the generator stepping ``direction``, the number operator that
+    replaces its family label (T0, or +-N - direction) and that operator's k at scale 0."""
+    if ladder == "tilde":
+        axis, number = "eta", -(opalgebra.imag() * opalgebra.deriv("eta"))
+    else:
+        n = opalgebra.imag() * (opalgebra.deriv("alpha") - opalgebra.deriv("beta"))
+        axis, number = ("alpha", n - direction) if ladder == "check1" else ("beta", -n - direction)
+    return axis, number, _k(ladder, number, 0)
+
+
+def _number_value(ladder: str, direction: int, l: Fraction, m: Fraction) -> Fraction:
+    """The value of ``_number_label``'s operator on the state (l, m): l + 1, or +-(2m + 1) - direction."""
+    if ladder == "tilde":
+        return l + 1
+    return (2 * m + 1 if ladder == "check1" else -2 * m - 1) - direction
+
+
+def _uses_minus(ladder: str, direction: int) -> bool:
+    """Whether the generator stepping ``direction`` is a minus member: tilde's raises, a check ladder's lowers."""
+    return (direction < 0) != (ladder == "tilde")
+
+
+def _generator(ladder: str, direction: int, member: OperatorExpr | None = None) -> OperatorExpr:
+    """The generator stepping ``direction``: the phase, u for the Weyl pairs, and ``member``,
+    by default the family member with the number operator as its label."""
+    axis, number, _ = _number_label(ladder, direction)
+    if member is None:
+        member = _family_member(ladder, -1 if _uses_minus(ladder, direction) else 1, number)
+    factors = (opalgebra.phase(axis, direction), member)
+    return opalgebra.product(factors if ladder == "tilde" else (opalgebra.u_sym(), *factors))
 
 
 class Ladder(NamedTuple):
@@ -266,31 +287,25 @@ def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
 def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     """Rebuild T+-, A+-, B+- from the transformed ladders at labels (l, m).
 
-    The scalar label inside each ladder is split off and replaced by the
-    matching angle number operator: l+1 -> -i d/deta for tilde (applied to
-    the opposite-sign member), and nu - mu = 2m+1 -> -i d/dbeta + i d/dalpha
-    for check1/check2.  A plus member is taken at (l, m), a minus member at
-    (l, m) moved by the generator's own step.  The phase factor and, for the
-    Weyl pairs, the formal u prefactor are then attached.
+    A plus member is taken at (l, m), a minus member at (l, m) moved by the
+    generator's own step.  Its scalar family label is then replaced by the
+    matching number operator, valued at the unmoved (l, m): l + 1 -> T0 for
+    tilde, 2m + 1 - direction -> N - direction for check1 and
+    -(2m + 1) - direction -> -N - direction for check2 (N reads nu - mu).
+    k is affine in its label, so k(value) at scale 0 is taken off and
+    k(number) put on; this rebuilds the generator only if the moved member's
+    label is that value.  The phase factor and, for the Weyl pairs, the
+    formal u prefactor are then attached.
     """
     l, m = exact(l, "l"), exact(m, "m")
-    half_inv_sqrt = Fraction(1, 2) * opalgebra.r_half_power(-1)
-    weyl_label = half_inv_sqrt * _number_op()
-    # ladder -> (phase axis, scalar label term of its members at (l, m), the term replacing it)
-    labels = {
-        "tilde": ("eta", -(l + 1), opalgebra.imag() * opalgebra.deriv("eta")),
-        "check1": ("alpha", (2 * m + 1) * half_inv_sqrt, weyl_label),
-        "check2": ("beta", -(2 * m + 1) * half_inv_sqrt, -weyl_label),
-    }
     out = []
     for name, lad in LADDERS.items():
         direction = 1 if sum(lad.step) > 0 else -1
-        axis, scalar_term, number_term = labels[lad.ladder]
-        use_minus = (direction < 0) != (lad.ladder == "tilde")
+        use_minus = _uses_minus(lad.ladder, direction)
         dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
         member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]
-        rebuilt = opalgebra.phase(axis, direction) * (member - scalar_term + number_term)
-        if lad.ladder != "tilde":  # the Weyl pairs carry u
-            rebuilt = opalgebra.u_sym() * rebuilt
-        out.append(_report(f"{name} from {lad.ladder} ladder", rebuilt, lad.operator()))
+        value = _k(lad.ladder, _number_value(lad.ladder, direction, l, m), 0)
+        member = opalgebra.linear_sum(((member, 1), (value, -1), (_number_label(lad.ladder, direction)[2], 1)))
+        out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),
+                           lad.operator()))
     return out

@@ -239,6 +239,17 @@ class TestCoulombCommands:
         assert cli.main(["coulomb-residual", "--n", "3", "--L", "1", "--Z", Z]) == 2
         assert "charge must lie in [2**-64, 2**64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("refused,accepted", [(str(2**64), str(2**63)),
+                                                  (f"1/{2**64}", f"1/{2**63}")])
+    def test_verify_charge_leaves_room_for_the_sweep(self, capsys, refused, accepted):
+        # a sweep step drags Z by n'/n in [1/2, 2], so coulomb-verify refuses a --Z
+        # within a factor 2 of the state range up front, naming the charge it was given
+        assert cli.main(["coulomb-verify", "--Z", refused, "--t-max", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a sweep's charge must lie in [2**-63, 2**63], so that every charge its steps "
+            f"drag it to stays in [2**-64, 2**64], got {refused}\n")
+        assert cli.main(["coulomb-verify", "--Z", accepted, "--t-max", "2"]) == 0
+
     def test_impossible_tolerance_exits_1(self, capsys):
         # (2, 0)'s residual cancels exactly, so no tolerance fails it
         _, report = run_json(capsys, ["coulomb-residual", "--n", "2", "--L", "0"])

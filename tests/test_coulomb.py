@@ -190,6 +190,16 @@ class TestStates:
             with pytest.raises(ValueError, match=r"charge must lie in \[2\*\*-64, 2\*\*64\]"):
                 cl.state_tm(3, 1, Z)
 
+    @pytest.mark.parametrize("sweep", [lambda Z: cl.sweep_su11(2, Z), lambda Z: cl.sweep_weyl(1, 2, Z=Z)],
+                             ids=["su11", "weyl"])
+    def test_sweep_refuses_a_charge_its_steps_would_drag_out_of_range(self, sweep):
+        # a step drags Z by n'/n in [1/2, 2]: the sweep refuses Z up front, naming the charge given
+        for Z in (2**64, Fraction(1, 2**64)):
+            with pytest.raises(ValueError, match=rf"^a sweep's charge must lie in \[2\*\*-63, 2\*\*63\], .*, got {Z}$"):
+                sweep(Z)
+        for Z in (2**63, Fraction(1, 2**63)):
+            assert all(rep.passed for rep in sweep(Z))
+
     def test_even_gap_state_is_representable(self):
         # single A/B steps leave the shared grid; labels stay valid
         state = cl.state_munu(1, 1)

@@ -1,10 +1,12 @@
 """Generator construction, commutation tables, closure, ladder reconstruction."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from ladder_forge import factorizations as fz
 from ladder_forge import generators as gen
 from ladder_forge import opalgebra as oa
 
@@ -108,6 +110,24 @@ class TestClosure:
             gen.closure_report("su2")
 
 
+def _random_coulomb_labels(rng):
+    """A coupling q < 0 and half-integer labels 0 <= m <= l, as the F maps take them."""
+    twice_l = rng.randint(0, 16)
+    q = -Fraction(rng.randint(1, 30), rng.randint(1, 7))
+    return q, Fraction(twice_l, 2), Fraction(rng.randint(0, twice_l), 2)
+
+
+def _pulled_back(expr):
+    """``expr`` in the type C coordinate x, rewritten in y = 2 sqrt(r): x**n -> 2**n r**(n/2), d/dx -> sqrt(r) d/dr."""
+    out = oa.zero()
+    for (mono, sp, up), (re, im) in expr.terms():
+        assert mono.r2 % 2 == 0 and mono.dr <= 1 and (sp, up, im) == (0, 0, 0)
+        assert not any(mono[1:4]) and not any(mono[5:])
+        n = mono.r2 // 2
+        out += re * Fraction(2) ** n * oa.r_half_power(n) * (oa.sqrt_r() * oa.deriv("r")) ** mono.dr
+    return out
+
+
 class TestTransformedLadders:
     def test_eigen_preserving_pair(self):
         plus, minus = gen.transformed_ladders("tilde", 2, 0)
@@ -130,6 +150,38 @@ class TestTransformedLadders:
     def test_check2_mirrors_check1(self, l, m):
         # the mu <-> nu exchange: nu - mu = 2m + 1 becomes mu - nu at m -> -m - 1
         assert gen.transformed_ladders("check2", l, m) == gen.transformed_ladders("check1", l, -m - 1)
+
+    def test_tilde_is_the_type_b_ladder_of_f_to_b(self):
+        # tilde at (l, m) is the f_to_b target's H+ at m + c = l + 1 and its H- at l, at s = scale_s
+        rng = random.Random(20261019)
+        for _ in range(100):
+            q, l, m = _random_coulomb_labels(rng)
+            result = fz.f_to_b(q, l, m)
+            plus, minus = gen.transformed_ladders("tilde", l, m)
+            assert plus.substitute_s(result.scale_s) == fz.ladder(result.target, l + 1)[0]
+            assert minus.substitute_s(result.scale_s) == fz.ladder(result.target, l)[1]
+
+    def test_check1_is_the_type_c_ladder_of_f_to_c(self):
+        # check1 at (l, m) is the pulled-back TypeC(-scale_s, 0) H+ at m' = 2m and its H- at 2m + 1
+        rng = random.Random(20261020)
+        for _ in range(60):
+            q, l, m = _random_coulomb_labels(rng)
+            result = fz.f_to_c(q, l, m, rng.choice((1, -1)))
+            assert result.target == fz.TypeC(-result.scale_s, 0)
+            plus, minus = gen.transformed_ladders("check1", l, m)
+            assert plus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, 2 * m)[0])
+            assert minus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, 2 * m + 1)[1])
+
+    def test_check1_plus_is_not_the_type_c_ladder_one_label_up(self):
+        # negative control: the plus member one family label too high leaves a residual
+        rng = random.Random(20261021)
+        for _ in range(20):
+            q, l, m = _random_coulomb_labels(rng)
+            result = fz.f_to_c(q, l, m, 1)
+            plus = gen.transformed_ladders("check1", l, m)[0].substitute_s(result.scale_s)
+            residual = plus - _pulled_back(fz.ladder(result.target, 2 * m + 1)[0])
+            assert not residual.is_zero
+            assert residual == -Fraction(1, 2) * oa.r_half_power(-1)
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -165,6 +217,21 @@ class TestTransformedLadders:
         assert len(reports) == 6
         for rep in reports:
             assert rep.passed, rep.name
+
+    def test_reconstruction_fails_on_the_opposite_step(self, monkeypatch):
+        # a minus member is read at (l, m) moved by ladder_shift; the wrong step leaves a residual
+        shift = gen.ladder_shift
+        monkeypatch.setattr(gen, "ladder_shift", lambda kind, direction: shift(kind, -direction))
+        failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
+        assert failed == ["T+", "A-", "B-"]
+
+    def test_reconstruction_fails_without_the_check2_mirror(self, monkeypatch):
+        # check2 read off check1 at the unmirrored m has the wrong family labels for B+-
+        ladders = gen.transformed_ladders
+        monkeypatch.setattr(gen, "transformed_ladders",
+                            lambda kind, l, m: ladders("check1" if kind == "check2" else kind, l, m))
+        failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
+        assert failed == ["B+", "B-"]
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_reconstruction_names_and_targets(self, l, m):
