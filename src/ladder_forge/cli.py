@@ -53,11 +53,6 @@ def _row(name, expected, actual, residual, passed) -> dict:
     }
 
 
-def _expr_row(name: str, rendered: str) -> dict:
-    return {"name": name, "expected": None, "actual": rendered,
-            "residual": None, "pass": True}
-
-
 def _finite(raw: str) -> float:
     try:
         value = float(raw)
@@ -141,14 +136,14 @@ def _finish(command: str, params: dict, rows: list[dict], args) -> int:
 def _cmd_parse(args) -> int:
     expr = opdsl.parse(args.expression)
     return _finish("parse", {"expression": args.expression},
-                   [_expr_row("normal-form", opdsl.render(expr))], args)
+                   [_row("normal-form", None, opdsl.render(expr), None, True)], args)
 
 
 def _cmd_commutator(args) -> int:
     left = opdsl.parse(args.left)
     right = opdsl.parse(args.right)
     result = opalgebra.commutator(left, right)
-    rows = [_expr_row("commutator", opdsl.render(result))]
+    rows = [_row("commutator", None, opdsl.render(result), None, True)]
     return _finish("commutator", {"left": args.left, "right": args.right}, rows, args)
 
 

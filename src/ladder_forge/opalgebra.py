@@ -48,12 +48,12 @@ A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
-key, as offsets from the leading term.  A pair with no derivative meeting a
-function on its own axis adds its leading term without a lookup, and ``product``
-folds a run of such single atoms in integers, without the product loop.  The
-leading terms of ``a*b`` and ``b*a`` are equal, so ``commutator`` forms both
-orders in one pass and skips them: only interaction terms enter a commutator.
-Every sum, binary or n-ary, is one ``linear_sum`` pass, linear in the atoms.
+key, as offsets from the leading term.  The leading terms of ``a*b`` and ``b*a``
+are equal, so ``commutator`` forms both orders in one pass and skips them.
+Every product, binary, n-ary or a power, is one ``product`` pass, the one place
+where free single atoms (no derivative meets a function on its own axis) fold
+in integers.  Every sum and every rational factor is one ``linear_sum`` pass,
+linear in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
@@ -199,16 +199,9 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
     """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass.
 
     A pair of atoms is free when no left derivative meets a right function on
-    its own axis; its product is the leading term alone, and two free single
-    atoms skip the product loop.
+    its own axis; its product is the leading term alone.  ``product`` folds
+    free single atoms before they reach this loop.
     """
-    if not commute and len(a._terms) == 1 == len(b._terms):
-        # unpacked in place: two atoms() list builds slow every free 1x1 * by about a quarter
-        ((m1, s1, u1), (a1, b1)), = a._terms.items()
-        ((m2, s2, u2), (a2, b2)), = b._terms.items()
-        args = _fold((m1, s1, u1, a1, b1, a._den), (m2, s2, u2, a2, b2, b._den))
-        if args is not None:
-            return _atom(*args)
     orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
     # every contribution goes over den_a * den_b * 2**top: _mono_cross divides
     # by 2**dr of its left monomial and u**2 = 1/(2*s) by one more 2
@@ -319,11 +312,11 @@ class OperatorExpr:
     # -- ring operations -------------------------------------------------
 
     def _combine(self, other, sign: int, other_sign: int) -> "OperatorExpr":
-        # sign*self + other_sign*other
-        if not isinstance(other, OperatorExpr):
-            other = _as_scalar(other)
-            if other is None:
-                return NotImplemented
+        # sign*self + other_sign*other; a number is a weight on the unit atom
+        if isinstance(other, (int, Fraction)):
+            other, other_sign = _ONE, other_sign * other
+        elif not isinstance(other, OperatorExpr):
+            return NotImplemented
         return linear_sum(((self, sign), (other, other_sign)))
 
     def __add__(self, other) -> "OperatorExpr":
@@ -341,18 +334,15 @@ class OperatorExpr:
         return self._combine(other, -1, 1)
 
     def __mul__(self, other) -> "OperatorExpr":
-        if not isinstance(other, OperatorExpr):
-            other = _as_scalar(other)
-            if other is None:
-                return NotImplemented
-        return _normal_order(self, other, False)
+        if isinstance(other, OperatorExpr):
+            return product((self, other))
+        return self.__rmul__(other)
 
     def __rmul__(self, other) -> "OperatorExpr":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        # scalars commute with everything, so left and right agree
-        return self * other
+        # a number is a weight, and commutes with everything
+        if isinstance(other, (int, Fraction)):
+            return linear_sum(((self, other),))
+        return NotImplemented
 
     def __pow__(self, exponent: int) -> "OperatorExpr":
         """``self**exponent``; ``exponent < 0`` inverts a single atom without derivatives."""
@@ -363,14 +353,13 @@ class OperatorExpr:
                 return _atom(*power)
         elif e < 0:
             raise ValueError("cannot invert a sum of operator terms" if self._terms else "cannot invert zero")
-        out = identity()
-        base = self
+        squares, base = [], self  # self**(2**k) for each set bit k of e, multiplied in one product
         while e:
             if e & 1:
-                out = out * base
+                squares.append(base)
             base = base * base if e > 1 else base
             e >>= 1
-        return out
+        return product(squares)
 
     # -- substitution ----------------------------------------------------
 
@@ -416,6 +405,7 @@ class OperatorExpr:
 
 # the slots' own setters, which the immutability guard in __setattr__ does not see
 _set_terms, _set_den, _set_hash = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
+_ONE = OperatorExpr._wrap({(_MONO_ONE, 0, 0): (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
 
 
 # -- constructors --------------------------------------------------------
@@ -426,16 +416,12 @@ def _atom(mono: Mono, sp: int = 0, up: int = 0, re: int = 1, im: int = 0, den: i
     return OperatorExpr._wrap(*_lowest({(mono, sp, up): (re, im)}, den))
 
 
-def _as_scalar(value) -> OperatorExpr | None:
-    return scalar(value) if isinstance(value, (int, Fraction)) else None
-
-
 def zero() -> OperatorExpr:
     return OperatorExpr()
 
 
 def identity() -> OperatorExpr:
-    return _atom(_MONO_ONE)
+    return _ONE
 
 
 def scalar(value: Rational) -> OperatorExpr:
@@ -494,16 +480,16 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
 # -- derived operations --------------------------------------------------
 
 
-def linear_sum(pairs: Sequence[tuple[OperatorExpr, int]]) -> OperatorExpr:
-    """``sum(sign * expr for expr, sign in pairs)``, lifting every numerator once
-    to the lcm of the denominators and reducing once: linear in the atom count."""
+def linear_sum(pairs: Sequence[tuple[OperatorExpr, Rational]]) -> OperatorExpr:
+    """``sum(w * expr for expr, w in pairs)``, ``w`` an ``int`` or ``Fraction`` (unchecked): every
+    numerator is lifted once to the lcm of the denominators and reduced once, linear in the atoms."""
     den = 1
-    for expr, _ in pairs:
-        den = lcm(den, expr._den)
+    for expr, w in pairs:
+        den = lcm(den, expr._den * w.denominator)
     acc: dict[Atom, Gauss] = {}
     get = acc.get
-    for expr, sign in pairs:
-        f = sign * (den // expr._den)
+    for expr, w in pairs:
+        f = w.numerator * (den // (expr._den * w.denominator))
         for key, (re, im) in expr._terms.items():
             cur = get(key)
             acc[key] = (re * f, im * f) if cur is None else (cur[0] + re * f, cur[1] + im * f)
@@ -511,13 +497,16 @@ def linear_sum(pairs: Sequence[tuple[OperatorExpr, int]]) -> OperatorExpr:
 
 
 def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
-    """``f1 * f2 * ...`` of operators and atom forms, the ``*`` counterpart of ``linear_sum``:
+    """``f1 * f2 * ...`` of operators and atom forms, the route of every ``*`` and ``**``:
     a run of free single atoms folds in plain integers to one atom, and other factors
     take the product loop."""
     pieces: list = []  # operators, and atom forms
     last = None  # the last piece as an atom form, while it is one atom
     for f in factors:
-        atom = f if type(f) is tuple else f.atoms()[0] if len(f._terms) == 1 else None
+        atom = f if type(f) is tuple else None
+        if atom is None and len(f._terms) == 1:  # in place: atoms() would build two lists
+            (key, pair), = f._terms.items()
+            atom = (*key, *pair, f._den)
         folded = last and atom and _fold(last, atom)
         if folded:
             last = pieces[-1] = folded

@@ -275,6 +275,8 @@ class TestCoulombCommands:
         (["coulomb-verify", "--nu-max", "-1"], "'-1'"),
         (["coulomb-residual", "--n", "2", "--L", "0", "--shift", "nan"], "'nan'"),
         (["coulomb-residual", "--n", "2", "--L", "0", "--shift", "inf"], "'inf'"),
+        (["coulomb-residual", "--n", "2", "--L", "0", "--shift", "abc"], "'abc'"),
+        (["coulomb-verify", "--t-max", "abc"], "'abc'"),
     ])
     def test_out_of_range_flag_exits_2(self, capsys, argv, bad):
         with pytest.raises(SystemExit) as info:

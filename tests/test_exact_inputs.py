@@ -63,6 +63,7 @@ ENTRY_POINTS = [
     (lambda v: cl.state_munu(1, 2, v), "Z", False),
     # ids are numbered by position, so new rows go last
     (lambda v: oa.OperatorExpr({ONE: (0, v)}), "coefficient", False),
+    (lambda v: oa.commutator(v, oa.deriv("r")), "coefficient", False),
 ]
 IDS = [f"{index}-{name}" for index, (_, name, _) in enumerate(ENTRY_POINTS)]
 
@@ -76,6 +77,35 @@ def test_float_and_non_integer_rejected(call, name, integer):
     if integer:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             call(Fraction(5, 2))
+
+
+@pytest.mark.parametrize("apply", [
+    lambda op, v: op + v, lambda op, v: v - op, lambda op, v: v * op, lambda op, v: op * v,
+], ids=["op+v", "v-op", "v*op", "op*v"])
+def test_float_operand_rejected(apply):
+    # a number is a linear_sum weight, and linear_sum checks no types, so the
+    # operators themselves must refuse a float
+    with pytest.raises(TypeError, match="^unsupported operand"):
+        apply(oa.deriv("r"), 1.5)
+
+
+# an exact value outside its domain is refused with a message naming it
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: oa.OperatorExpr({(ONE[0], 0, 2): 1}), ValueError, "u parity must be 0 or 1"),
+    (lambda: setattr(oa.identity(), "_den", 2), AttributeError, "OperatorExpr is immutable"),
+    (lambda: oa.r_power(Fraction(1, 3)), ValueError, "only half-integer powers of r"),
+    (lambda: oa.phase("x", 1), ValueError, "unknown phase axis 'x'"),
+    (lambda: oa.deriv("x"), ValueError, "unknown derivative axis 'x'"),
+    (lambda: oa.deriv("r", -1), ValueError, "derivative order must be nonnegative"),
+    (lambda: cl.laguerre_deriv(2, 0, 1.0, order=-1), ValueError, "derivative order must be nonnegative"),
+    (lambda: fz.rkl(object(), 0), TypeError, "unknown family parameters"),
+    (lambda: fz.b_to_c(fz.TypeC(-1, 0), 0, 0, 1), TypeError, "b_to_c expects type B parameters"),
+    (lambda: gen.ladder_shift("hat", 1), ValueError, "kind must be 'tilde', 'check1' or 'check2'"),
+], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order", "laguerre-order",
+        "rkl-family", "b-to-c-family", "shift-kind"])
+def test_out_of_domain_value_rejected(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
 
 
 @pytest.mark.parametrize("value", [(1,), (1, 2, 3), (), [1, 2]])

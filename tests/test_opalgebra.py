@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa, opdsl
-from ladder_forge.generators import ALGEBRAS, build_T, casimir, casimir_reports, closure_report
+from ladder_forge.generators import (ALGEBRAS, build_T, casimir, casimir_reports, closure_report,
+                                    reconstruction_reports)
 
 from _gen import PHASES, operators, random_operator, random_term, term_from, terms
 
@@ -347,6 +348,55 @@ def test_product_is_the_binary_fold(factors):
     total, fold = oa.product(factors), reduce(mul, factors)
     assert total == fold and hash(total) == hash(fold)
     _assert_lowest_terms(total)
+
+
+_RATIONALS = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators(wide=True), _RATIONALS)
+def test_a_number_is_a_linear_sum_weight(op, q):
+    # a rational factor weights the operator in linear_sum, on either side, and
+    # a rational summand weights the unit atom: each must equal the product or
+    # sum with the number as a one-atom operator, which is never equal to it
+    weighted = oa.linear_sum(((op, q),))
+    assert q * op == op * q == weighted == oa.product((oa.scalar(q), op))
+    assert bool(weighted) == (q != 0 and bool(op))
+    _assert_lowest_terms(weighted)
+    assert op + q == op + oa.scalar(q) and q - op == oa.scalar(q) - op
+    assert oa.scalar(q) != q
+
+
+def _count_calls(monkeypatch, *names: str) -> dict:
+    # wrap the opalgebra functions ``names`` to count their calls
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(oa, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(oa, name, counted)
+    return calls
+
+
+def test_warm_reconstruction_weights_its_numbers(monkeypatch):
+    # every rational factor of the family ladders is a linear_sum weight, so a
+    # warm reconstruction builds no scalar operator and runs the product loop
+    # only for products of operators with several atoms
+    reconstruction_reports(3, HALF)
+    calls = _count_calls(monkeypatch, "_normal_order", "scalar")
+    reconstruction_reports(3, HALF)
+    assert calls["_normal_order"] <= 6 and calls["scalar"] == 0
+
+
+def test_power_multiplies_its_squares_in_one_product(monkeypatch):
+    # x**e squares x once per bit past the first and multiplies the squares
+    # of the set bits in one product, so x**1 runs no product loop
+    x = oa.deriv("r") + oa.r_power(1)
+    calls = _count_calls(monkeypatch, "_normal_order")
+    for e in range(1, 25):
+        calls["_normal_order"] = 0
+        x**e
+        assert calls["_normal_order"] == e.bit_length() + bin(e).count("1") - 2, e
 
 
 def test_commutator_with_a_number_is_zero():

@@ -56,6 +56,11 @@ class TestPrecedence:
     def test_unary_minus_inside_product(self):
         assert opdsl.parse("r*-s") == -(oa.s_sym() * oa.r_power(1))
 
+    def test_unary_minus_before_parenthesised_sum(self):
+        value = opdsl.parse("-(r + d/dr)")
+        assert value == -(oa.r_power(1) + oa.deriv("r"))
+        assert opdsl.parse(opdsl.render(value)) == value
+
     def test_product_before_sum(self):
         expected = oa.s_sym() * oa.r_power(1) + oa.imag()
         assert opdsl.parse("s*r + i") == expected
