@@ -481,11 +481,16 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
 
 
 def linear_sum(pairs: Sequence[tuple[OperatorExpr, Rational]]) -> OperatorExpr:
-    """``sum(w * expr for expr, w in pairs)``, ``w`` an ``int`` or ``Fraction`` (unchecked): every
-    numerator is lifted once to the lcm of the denominators and reduced once, linear in the atoms."""
+    """``sum(w * expr for expr, w in pairs)``, ``w`` an ``int`` or ``Fraction``: every numerator
+    is lifted once to the lcm of the denominators and reduced once, linear in the atoms."""
     den = 1
-    for expr, w in pairs:
-        den = lcm(den, expr._den * w.denominator)
+    try:
+        for expr, w in pairs:
+            den = lcm(den, expr._den * w.denominator)
+    except AttributeError:  # a weight without a denominator, such as a float: exact() names it
+        for _, w in pairs:
+            exact(w, "weight")
+        raise
     acc: dict[Atom, Gauss] = {}
     get = acc.get
     for expr, w in pairs:

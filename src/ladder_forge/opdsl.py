@@ -23,7 +23,12 @@ associates left to right in source order.
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 ``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
 without derivatives and rejects anything else at the ``^``.  ``parse`` reads the
-lexemes of one scan, scanning again for a position only on an error.  Every
+lexemes of one scan, scanning again for a position only on an error.  The scan
+reads a whole canonical factor, such as ``exp(-2*i*alpha)``, ``sqrt(r)^3`` or
+``d/dr^2`` with a power of at most 3 digits, as one lexeme; its atom form comes
+from a bounded cache, filled by the same descent run over the lexeme's fine
+lexemes (those of ``tokenize``), so values and errors are those of the fine
+lexemes, an error's position counted from the factor's start.  Every
 factor but a parenthesised sum is an ``opalgebra`` atom form, built from the
 lexeme in integers, negated and raised (``opalgebra.atom_power``) without an
 operator; each term is one ``opalgebra.product`` and each sum one
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, NoReturn
 
@@ -56,6 +62,7 @@ class OperatorSyntaxError(ValueError):
 
     def __init__(self, position: int, message: str, expected: tuple[str, ...] = ()):
         self.position = position
+        self.message = message
         self.expected = expected
         detail = f"{message} at position {position}"
         if expected:
@@ -69,13 +76,23 @@ class Token(NamedTuple):
     pos: int
 
 
-# one lexeme after optional whitespace; the second group is an unrecognized character
-_TOKEN_RE = re.compile(
-    r"""\s*(?:(d/d(?:r|eta|alpha|beta)\b   # deriv
-              | \d+(?:/\d+)?               # number
-              | [A-Za-z_][A-Za-z_0-9]*      # symbol
-              | [-+*^()]                    # op
-              ) | (\S))
+_DERIV = r"d/d(?:r|eta|alpha|beta)\b"
+_FINE = rf"""{_DERIV}                   # deriv
+          | \d+(?:/\d+)?                # number
+          | [A-Za-z_][A-Za-z_0-9]*      # symbol
+          | [-+*^()]                    # op
+"""
+# one fine lexeme after optional whitespace; the second group is an unrecognized character
+_TOKEN_RE = re.compile(rf"\s*(?:({_FINE}) | (\S))", re.VERBOSE)
+
+# the parser's scan: first, a whole canonical factor with a power of at most 3
+# digits, which lexes finely to the same lexemes (nothing glued on either side);
+# a longer power, blanks or another spelling fall through to the fine lexemes
+_SCAN_RE = re.compile(
+    rf"""\s*(?:((?: (?: [rsu](?![A-Za-z_0-9]) | {_DERIV} | sqrt\(r\)
+                     | exp\(-?(?:\d{{1,3}}\*)?i\*(?:eta|alpha|beta)\) )
+                 (?:\^-?\d{{1,3}}(?![\d/]))?
+               | {_FINE})) | (\S))
     """,
     re.VERBOSE,
 )
@@ -100,7 +117,8 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _describe(lexeme: str) -> str:
-    return repr(lexeme) if lexeme else "end of input"
+    """A lexeme as a message quotes it: a factor lexeme by its first fine lexeme."""
+    return repr(_TOKEN_RE.match(lexeme)[1]) if lexeme else "end of input"
 
 
 # atom forms, immutable, so every parse shares them
@@ -115,15 +133,17 @@ _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text, self.index = text, 0
-        self.lexemes = [lexeme for lexeme, _ in _TOKEN_RE.findall(text)]
+    def __init__(self, text: str, scan: re.Pattern = _SCAN_RE):
+        self.text, self.index, self.scan = text, 0, scan
+        self.lexemes = [lexeme for lexeme, _ in scan.findall(text)]
         if "" in self.lexemes:  # an unrecognized character: tokenize raises at it
             tokenize(text)
         self.lexemes.append("")  # the end
 
-    def fail(self, index: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
-        raise OperatorSyntaxError(tokenize(self.text)[index].pos, message, expected)
+    def fail(self, index: int, message: str, expected: tuple[str, ...] = (), shift: int = 0) -> NoReturn:
+        """Raise at lexeme ``index``, ``shift`` characters in: only an error scans for positions."""
+        starts = [match.start(1) for match in self.scan.finditer(self.text)]
+        raise OperatorSyntaxError([*starts, len(self.text)][index] + shift, message, expected)
 
     def advance(self) -> str:
         lexeme = self.lexemes[self.index]
@@ -142,8 +162,9 @@ class _Parser:
 
     def parse(self) -> OperatorExpr:
         value = self.parse_expr()
-        if self.lexemes[self.index]:
-            self.fail(self.index, f"trailing input {self.lexemes[self.index]!r}", ("'+'", "'-'", "'*'", "end of input"))
+        lexeme = self.lexemes[self.index]
+        if lexeme:
+            self.fail(self.index, f"trailing input {_describe(lexeme)}", ("'+'", "'-'", "'*'", "end of input"))
         return value
 
     def parse_expr(self) -> OperatorExpr:
@@ -168,6 +189,8 @@ class _Parser:
                 return mono, sp, up, -real, -imag, den
             return -value
         value = self.parse_atom()
+        if "^" in self.lexemes[self.index - 1]:  # a factor lexeme that carries its power
+            return value
         if self.accept("^"):
             exponent = self.parse_integer("power exponent", "integer exponent")
             try:  # a DSL atom form commutes with itself, so it has a closed form
@@ -197,6 +220,11 @@ class _Parser:
         leaf = _LEAVES.get(lexeme)
         if leaf is not None:
             return leaf
+        if len(lexeme) > 1 and ("(" in lexeme or "^" in lexeme):  # a factor lexeme other than a bare leaf
+            try:
+                return _factor(lexeme)
+            except OperatorSyntaxError as err:  # its position counts from the lexeme's start
+                self.fail(self.index - 1, err.message, err.expected, err.position)
         kind = _kind(lexeme)
         if kind == "number":
             num, den = self.number(lexeme)
@@ -207,6 +235,8 @@ class _Parser:
             value = self.parse_expr()
         elif lexeme == "sqrt":
             self.expect("(")
+            if self.lexemes[self.index][:2] == "r^":  # the factor lexeme r^n: its "^" stands where ")" belongs
+                self.fail(self.index, "found '^'", ("')'",), 1)
             self.expect("r")
             value = _SQRT_R
         elif lexeme == "exp":
@@ -239,6 +269,14 @@ class _Parser:
         mono = [0] * 8
         mono[1 + PHASE_AXES.index(seen["angle name"])] = sign * seen.get("integer factor", 1)
         return tuple(mono), 0, 0, 1, 0, 1
+
+
+# a bound on memory, not a tuning: the 2,000 texts of 20 seeded dsl-stream decks
+# hold 281 distinct factor lexemes, and a factor's numbers have at most 3 digits
+@lru_cache(maxsize=4096)
+def _factor(lexeme: str) -> tuple:
+    """The atom form of a factor lexeme, read by the descent over its fine lexemes."""
+    return _Parser(lexeme, _TOKEN_RE).parse_unary()
 
 
 def parse(text: str) -> OperatorExpr:

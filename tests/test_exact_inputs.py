@@ -79,13 +79,15 @@ def test_float_and_non_integer_rejected(call, name, integer):
             call(Fraction(5, 2))
 
 
-@pytest.mark.parametrize("apply", [
-    lambda op, v: op + v, lambda op, v: v - op, lambda op, v: v * op, lambda op, v: op * v,
-], ids=["op+v", "v-op", "v*op", "op*v"])
-def test_float_operand_rejected(apply):
-    # a number is a linear_sum weight, and linear_sum checks no types, so the
-    # operators themselves must refuse a float
-    with pytest.raises(TypeError, match="^unsupported operand"):
+@pytest.mark.parametrize("apply,message", [
+    (lambda op, v: op + v, "unsupported operand"), (lambda op, v: v - op, "unsupported operand"),
+    (lambda op, v: v * op, "unsupported operand"), (lambda op, v: op * v, "unsupported operand"),
+    (lambda op, v: oa.linear_sum(((op, 1), (op, v))), "weight must be an exact rational"),
+], ids=["op+v", "v-op", "v*op", "op*v", "linear_sum"])
+def test_float_operand_rejected(apply, message):
+    # a number is a linear_sum weight: the operators refuse a float before it
+    # gets there, and linear_sum names a float weight
+    with pytest.raises(TypeError, match=f"^{message}"):
         apply(oa.deriv("r"), 1.5)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -125,6 +126,19 @@ ERROR_CORPUS = [
     # past the interpreter's 4300-digit int string limit
     pytest.param("1" * 5000 + "*r", opdsl.OperatorSyntaxError, 0, "1" * 5000, id="5000-digit-number"),
     pytest.param("r^" + "1" * 5000, opdsl.OperatorSyntaxError, 2, "1" * 5000, id="5000-digit-exponent"),
+    # around a factor lexeme such as r^2 or exp(i*eta), read in one scan match
+    ("r^2^3", opdsl.OperatorSyntaxError, 3, "^"),
+    ("r^2 ^3", opdsl.OperatorSyntaxError, 4, "^"),
+    ("exp(i*eta)^2^2", opdsl.OperatorSyntaxError, 12, "^"),
+    ("sqrt(r)^1/2", opdsl.OperatorSyntaxError, 8, "1/2"),
+    ("d/dr^-2", opdsl.OperatorSyntaxError, 4, "^"),
+    ("u^-1*d/deta^-1", opdsl.OperatorSyntaxError, 11, "^"),
+    ("exp(i*eta) exp(i*eta)", opdsl.OperatorSyntaxError, 11, "exp"),
+    ("exp(i*eta", opdsl.OperatorSyntaxError, 9, ""),
+    ("d/dr^-1000", opdsl.OperatorSyntaxError, 4, "^"),
+    ("sqrt(r^2)", opdsl.OperatorSyntaxError, 6, "^"),
+    ("exp(i*eta*r^2)", opdsl.OperatorSyntaxError, 10, "r"),
+    ("r^s^2", opdsl.OperatorSyntaxError, 2, "s"),
 ]
 
 
@@ -153,6 +167,18 @@ def test_error_positions(text, exc_type, position, lexeme):
     ("r)", "trailing input ')' at position 1 (expected '+' or '-' or '*' or end of input)"),
     ("d/deta^-1", "cannot invert an operator containing derivatives at position 6"),
     ("0^-3", "cannot invert zero at position 1"),
+    ("r^2^3", "trailing input '^' at position 3 (expected '+' or '-' or '*' or end of input)"),
+    ("r^2 ^3", "trailing input '^' at position 4 (expected '+' or '-' or '*' or end of input)"),
+    ("exp(i*eta)^2^2", "trailing input '^' at position 12 (expected '+' or '-' or '*' or end of input)"),
+    ("sqrt(r)^1/2", "power exponent '1/2' is not an integer at position 8"),
+    ("d/dr^-2", "cannot invert an operator containing derivatives at position 4"),
+    ("u^-1*d/deta^-1", "cannot invert an operator containing derivatives at position 11"),
+    ("exp(i*eta) exp(i*eta)", "trailing input 'exp' at position 11 (expected '+' or '-' or '*' or end of input)"),
+    ("exp(i*eta", "found end of input at position 9 (expected ')')"),
+    ("d/dr^-1000", "cannot invert an operator containing derivatives at position 4"),
+    ("sqrt(r^2)", "found '^' at position 6 (expected ')')"),
+    ("exp(i*eta*r^2)", "found 'r' at position 10 (expected integer or 'i' or 'eta' or 'alpha' or 'beta')"),
+    ("r^s^2", "found 's' at position 2 (expected integer exponent)"),
 ])
 def test_error_messages(text, message):
     with pytest.raises(opdsl.OperatorSyntaxError) as info:
@@ -238,9 +264,11 @@ def test_canonical_text_parses_without_the_product_loop(monkeypatch):
     texts += [opdsl.render(random_operator(rng)) for _ in range(1000)]
     normal_order, calls = oa._normal_order, []
     monkeypatch.setattr(oa, "_normal_order", lambda *args: calls.append(1) or normal_order(*args))
-    for text in texts:
-        assert opdsl.render(opdsl.parse(text)) == text
-    assert len(calls) == 0
+    opdsl._factor.cache_clear()
+    for cache in ("cold", "warm"):  # a factor lexeme's cache fills without the product loop
+        for text in texts:
+            assert opdsl.render(opdsl.parse(text)) == text
+        assert len(calls) == 0, cache
 
 
 def test_canonical_text_builds_one_operator_per_term_and_sum(monkeypatch):
@@ -255,8 +283,97 @@ def test_canonical_text_builds_one_operator_per_term_and_sum(monkeypatch):
     for text in texts:
         coeffs = text.count("(") - text.count("sqrt(") - text.count("exp(")
         budget += 1 + text.count(" + ") + text.count(" - ") + 2 * coeffs + 1 + coeffs
-        opdsl.parse(text)
-    assert len(calls) <= budget
+    opdsl._factor.cache_clear()
+    for cache in ("cold", "warm"):  # a factor lexeme's cache fills without building operators
+        calls.clear()
+        for text in texts:
+            opdsl.parse(text)
+        assert len(calls) <= budget, cache
+
+
+def test_factor_cache_stays_bounded():
+    # a bound on memory: 10,000 distinct factor lexemes leave at most maxsize
+    # entries, and an exponent of 4 digits is read by the fine lexemes, so
+    # r^1000 or sqrt(r)^-1000 caches at most its base
+    opdsl._factor.cache_clear()
+    for k in range(10_000):
+        q, winding = divmod(k, 1000)
+        axis = oa.PHASE_AXES[q % 3]
+        assert opdsl.parse(f"exp({winding}*i*{axis})^{q // 3}") == oa.phase(axis, winding * (q // 3))
+    info = opdsl._factor.cache_info()
+    assert info.misses == 10_000 and info.currsize <= info.maxsize == 4096
+    opdsl._factor.cache_clear()
+    assert opdsl.parse("r^1000*s^-1000*d/dr^1000") == oa.r_power(1000) * oa.s_sym(-1000) * oa.deriv("r", 1000)
+    assert opdsl._factor.cache_info().currsize == 0
+    assert opdsl.parse("sqrt(r)^1000 + sqrt(r)^-1000") == oa.r_power(500) + oa.r_power(-500)
+    assert opdsl._factor.cache_info().misses == 1
+
+
+# a deletion, an insertion or a swap of two characters; an insertion may
+# also be a power, so that powers meet factor lexemes that carry one
+_INSERTS = (*"rsuid/()^-+*0123456789 ", "^2", "^-1", "^12/5")
+
+
+@st.composite
+def _edited_renders(draw):
+    text = opdsl.render(draw(operators(max_terms=3, wide=True)))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(("delete", "insert", "swap")))
+        if edit == "delete":
+            text = text[:k] + text[k + 1:]
+        elif edit == "insert":
+            text = text[:k] + draw(st.sampled_from(_INSERTS)) + text[k:]
+        else:
+            j = draw(st.integers(0, len(text) - 1))
+            chars = list(text)
+            chars[j], chars[k] = chars[k], chars[j]
+            text = "".join(chars)
+        if not text:
+            break
+    return text
+
+
+# canonical factors, powered and joined well or badly; no sum, so that no
+# power is costly
+_CHAIN_FACTORS = ("r", "s", "u", "i", "d/deta", "sqrt(r)", "exp(-2*i*alpha)", "2/3", "(1-i)")
+_CHAIN_POWERS = ("", "^2", "^-1", "^-12", "^1000", "^2^3", "^2 ^3", " ^2", "^1/2")
+
+
+@st.composite
+def _factor_chains(draw):
+    factors = st.tuples(st.sampled_from(_CHAIN_FACTORS), st.sampled_from(_CHAIN_POWERS))
+    parts = draw(st.lists(factors, min_size=1, max_size=4))
+    return draw(st.sampled_from(("*", " + ", "", " ", "^"))).join(factor + power for factor, power in parts)
+
+
+def _parse_outcome(text):
+    try:
+        return opdsl.parse(text), None
+    except opdsl.OperatorSyntaxError as err:
+        return None, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_edited_renders(), _factor_chains()))
+def test_factor_lexemes_parse_as_their_fine_lexemes(text):
+    # a factor lexeme holds no blank, so with a blank between every fine lexeme
+    # the text parses through the fine lexemes only: the value, or the error's
+    # message at the same lexeme, must be the same
+    try:
+        tokens = opdsl.tokenize(text)
+    except opdsl.OperatorLexError as err:
+        with pytest.raises(opdsl.OperatorLexError, match=f"^{re.escape(str(err))}$"):
+            opdsl.parse(text)
+        return
+    spaced = " ".join(token.lexeme for token in tokens[:-1])
+    value, err = _parse_outcome(text)
+    spaced_value, spaced_err = _parse_outcome(spaced)
+    assert spaced_value == value
+    if err is not None:
+        lexeme = [token.pos for token in tokens].index(err.position)
+        assert spaced_err.position == opdsl.tokenize(spaced)[lexeme].pos
+        assert (spaced_err.message, spaced_err.expected) == (err.message, err.expected)
 
 
 _PHASE_FACTORS = [(f"exp({k}*i*{axis})", oa.phase(axis, k)) for axis in ("eta", "alpha", "beta") for k in range(-2, 3)]
