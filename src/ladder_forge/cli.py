@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--shift", type=_finite, default=0.1,
-                   help="eigenvalue detuning for the negative control")
+                   help="eigenvalue detuning of the radial equation in rho = gamma r units, "
+                        "for the negative control")
     p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--dump", metavar="PATH", help="write rho,psi samples as CSV")
     p.set_defaults(func=_cmd_coulomb_residual)

@@ -493,20 +493,20 @@ def _casimir_defect(state: QuantumState):
 
 
 def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> float:
-    """max |psi'' + (2Z/r - l(l+1)/r**2 + 2E + shift) psi| / max |psi|.
+    """max |(psi'' + (2Z/r - l(l+1)/r**2 + 2E) psi) / gamma**2 + shift psi| / max |psi|.
 
-    Evaluated on the quadrature nodes.  The radial equation is the Casimir
-    eigenequation divided by r**2, so the residual is
-    gamma**2 (C P - l(l+1) P) / rho**2 + shift P, damped by exp(-rho/2).  A
-    nonzero ``lambda_shift`` detunes the eigenvalue and should push the
-    residual up by about |shift|; this is the negative control showing the
-    check has teeth.
+    Evaluated on the quadrature nodes.  In units of rho = gamma r the radial
+    equation is the Casimir eigenequation divided by rho**2, so the residual
+    is (C P - l(l+1) P) / rho**2 + shift P, damped by exp(-rho/2); it does not
+    scale with the charge, so a correct state passes up to Z = 2**64.  A
+    nonzero ``lambda_shift`` detunes the eigenvalue of that rho-unit equation
+    and should push the residual up by about |shift|; this is the negative
+    control showing the check has teeth.
     """
     nodes, P, damp, defect = _casimir_defect(state)
-    g = float(state.gamma)
     profile = P * damp
     scale = np.max(np.abs(profile))  # first, so a shift near the float limit stays finite
-    resid = g * g * defect / nodes**2 * damp / scale + lambda_shift * (profile / scale)
+    resid = defect / nodes**2 * damp / scale + lambda_shift * (profile / scale)
     return float(np.max(np.abs(resid)))
 
 

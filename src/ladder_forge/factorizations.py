@@ -16,18 +16,21 @@ with ``D = d/dx``.  The triples handled here:
     type F:  r = -2q/x - m(m+1)/x**2
              k = m/x + q/m                      L = -q**2 / m**2
 
-``rkl`` holds each family's r, k and L.
-Bound-state eigenvalues follow the class rules, and ``eigenvalue`` reads L
-from ``rkl`` through them: class I (types C, F) takes ``lambda = L(l+1)``,
-class II (type B) takes ``lambda = L(l)``.
+One dispatch, ``_family``, states each family's D, r, k and L once; ``rkl``,
+``ladder``, ``factorization_residuals`` and ``eigenvalue`` read it.  It gives
+r as one expression of the label, evaluated at m and at m - 1, because the
+second identity needs r(x, m-1): for type F at m = 1 that is r(x, 0), where
+k and L are undefined.  Bound-state eigenvalues follow the class rules:
+class I (types C, F) takes ``lambda = L(l+1)``, class II (type B) takes
+``lambda = L(l)``.
 
-``rkl`` returns ``r(x, m)`` and ``k(x, m)`` as multiplication operators of
-the operator algebra, so each identity is checked as an exactly zero
-operator.  Types F and C take the radial symbol ``r`` for ``x``.  Type B
-contains ``exp(ax)``, so its r-function, k-function and ``D`` all live in the
-representation ``r = exp(ax)``: there ``exp(ax)`` is ``r``, ``exp(2ax)`` is
-``r**2`` and ``d/dx = a * r * d/dr``, so both functions are polynomial in
-``r`` and the factorization identities hold verbatim.  Type C also lives in
+r and k are multiplication operators of the operator algebra, so each
+identity is checked as an exactly zero operator.  Types F and C take the
+radial symbol ``r`` for ``x``.  Type B contains ``exp(ax)``, so its
+r-function, k-function and ``D`` all live in the representation
+``r = exp(ax)``: there ``exp(ax)`` is ``r``, ``exp(2ax)`` is ``r**2`` and
+``d/dx = a * r * d/dr``, so both functions are polynomial in ``r`` and the
+factorization identities hold verbatim.  Type C also lives in
 ``y = 2 sqrt(r)``: there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)``
 and ``D_Y = d/dy = sqrt(r) d/dr``.  ``type_b_k`` and ``type_c_k`` state the k of
 types B and C once each, for a rational or an operator ``m + c`` and scale.
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from . import opalgebra
 from .opalgebra import OperatorExpr, Rational, exact, exact_int, r_power
@@ -97,42 +100,6 @@ class TypeF:
 FamilyParams = Union[TypeB, TypeC, TypeF]
 
 
-def _r_operator(params: FamilyParams, m: Fraction) -> OperatorExpr:
-    """r(x, m) as a multiplication operator, in the representation of ladder()."""
-    # kept apart from rkl: the second factorization identity needs r at
-    # m - 1, which is 0 for type F at m = 1, where k and L are undefined
-    if isinstance(params, TypeF):
-        return -2 * params.q * r_power(-1) - m * (m + 1) * r_power(-2)
-    if isinstance(params, TypeC):
-        b, c = params.b, params.c
-        return -(m + c) * (m + c + 1) * r_power(-2) - b * b / 4 * r_power(2) + b * (m - c)
-    if isinstance(params, TypeB):
-        # exp(a x) is the radial symbol r, so exp(2 a x) is r**2
-        a, c, d = params.a, params.c, params.d
-        return -d * d * r_power(2) + 2 * a * d * (m + c + Fraction(1, 2)) * r_power(1)
-    raise TypeError(f"unknown family parameters {params!r}")
-
-
-def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, Fraction]:
-    """Defining triple (r, k, L) of a family at label m.
-
-    r and k are multiplication operators in the representation that
-    ladder() uses; L is an exact rational.
-    """
-    m = exact(m, "m")
-    if isinstance(params, TypeF) and m == 0:
-        raise ValueError("type F requires m != 0")
-    r_op = _r_operator(params, m)
-    if isinstance(params, TypeF):
-        q = params.q
-        return r_op, m * r_power(-1) + q / m, -(q * q) / (m * m)
-    if isinstance(params, TypeC):
-        b, c = params.b, params.c
-        return r_op, type_c_k(m + c, b), -2 * b * m + b / 2
-    a, c, d = params.a, params.c, params.d
-    return r_op, type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c)
-
-
 R_DR = opalgebra.r_half_power(2) * opalgebra.deriv("r")  # d/dx of type B at a = 1, in r = exp(x)
 # type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
 Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
@@ -150,10 +117,37 @@ def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
     return mc * x[1] + Fraction(1, 2) * b * x[0]
 
 
-def _d_operator(params: FamilyParams) -> OperatorExpr:
+def _family(params: FamilyParams, m: Fraction) -> tuple[
+        OperatorExpr, Callable[[Fraction], OperatorExpr], OperatorExpr, Fraction]:
+    """D, r(x, .) as a function of the label, k(x, m) and L(m), in the representation of ladder()."""
+    if isinstance(params, TypeF):
+        if m == 0:
+            raise ValueError("type F requires m != 0")
+        q = params.q
+        return (opalgebra.deriv("r"), lambda n: -2 * q * r_power(-1) - n * (n + 1) * r_power(-2),
+                m * r_power(-1) + q / m, -(q * q) / (m * m))
+    if isinstance(params, TypeC):
+        b, c = params.b, params.c
+        return (opalgebra.deriv("r"),
+                lambda n: -(n + c) * (n + c + 1) * r_power(-2) - b * b / 4 * r_power(2) + b * (n - c),
+                type_c_k(m + c, b), -2 * b * m + b / 2)
     if isinstance(params, TypeB):
-        return params.a * R_DR
-    return opalgebra.deriv("r")
+        # exp(a x) is the radial symbol r, so exp(2 a x) is r**2 and d/dx is a r d/dr
+        a, c, d = params.a, params.c, params.d
+        return (a * R_DR, lambda n: -d * d * r_power(2) + 2 * a * d * (n + c + Fraction(1, 2)) * r_power(1),
+                type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c))
+    raise TypeError(f"unknown family parameters {params!r}")
+
+
+def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, Fraction]:
+    """Defining triple (r, k, L) of a family at label m.
+
+    r and k are multiplication operators in the representation that
+    ladder() uses; L is an exact rational.
+    """
+    m = exact(m, "m")
+    _, r, k_op, level = _family(params, m)
+    return r(m), k_op, level
 
 
 def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
@@ -163,11 +157,7 @@ def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExp
     type B is returned in the exponential representation r = exp(a x), where
     D = a * r * d/dr.
     """
-    return _ladder_pair(rkl(params, m)[1], _d_operator(params))
-
-
-def _ladder_pair(k_op: OperatorExpr, d_op: OperatorExpr) -> tuple[OperatorExpr, OperatorExpr]:
-    """(H+, H-) = (+D + k, -D + k) from the operators k and D."""
+    d_op, _, k_op, _ = _family(params, exact(m, "m"))
     return d_op + k_op, -d_op + k_op
 
 
@@ -177,23 +167,21 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
     The identities moved to one side: H- H+ + L + D**2 + r(x, m) and
     H+ H- + L + D**2 + r(x, m-1).
     """
-    r_op, k_op, level = rkl(params, m)
-    d_op = _d_operator(params)
-    plus, minus = _ladder_pair(k_op, d_op)
+    m = exact(m, "m")
+    d_op, r, k_op, level = _family(params, m)
+    plus, minus = d_op + k_op, -d_op + k_op
     d_sq = d_op * d_op
-    res_up = minus * plus + level + d_sq + r_op
-    res_down = plus * minus + level + d_sq + _r_operator(params, m - 1)
-    return res_up, res_down
+    return minus * plus + level + d_sq + r(m), plus * minus + level + d_sq + r(m - 1)
 
 
 def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
     """Bound-state eigenvalue at label l: L(l+1) for class I, L(l) for class II."""
     l = exact(l, "l")
     if isinstance(params, TypeB):
-        return rkl(params, l)[2]
+        return _family(params, l)[3]
     if l < 0:
         raise ValueError("class I requires l >= 0")
-    return rkl(params, l + 1)[2]
+    return _family(params, l + 1)[3]
 
 
 @dataclass(frozen=True)

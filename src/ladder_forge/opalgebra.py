@@ -64,10 +64,11 @@ without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, log10
 from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -527,7 +528,8 @@ def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
 
 def atom_power(atom: tuple, e: int) -> tuple | None:
     """``atom**e`` for an atom form, as an atom form; None if ``e >= 0`` and the atom does
-    not commute with itself.  ``e < 0`` inverts only a nonzero atom without derivatives."""
+    not commute with itself.  ``e < 0`` inverts only a nonzero atom without derivatives.
+    A coefficient past int's string digit limit (if one is set) raises before it is built."""
     mono, sp, up, re, im, den = atom
     if e < 0:
         if not (re or im):
@@ -541,13 +543,31 @@ def atom_power(atom: tuple, e: int) -> tuple | None:
     # x*x is free, so x commutes with itself and every exponent scales by e;
     # u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
     q, up_e = divmod(up * e, 2)
-    n, out_re, out_im = abs(e), 1, 0
+    g = gcd(re, im, den)  # in lowest terms, (2/2)**e is 1**e
+    re, im, den, n = re // g, im // g, den // g, abs(e)
+    big, small = sorted((abs(re), abs(im)), reverse=True)
+    limit = sys.get_int_max_str_digits()  # 0 when unlimited
+    if limit and (_past_digits(big, small, n, -q, limit) or _past_digits(den, 0, n, q, limit)):
+        raise ValueError(f"a result coefficient has more than {limit} digits")
+    out_re, out_im = 1, 0
     while n:  # (re + im*i)**abs(e) by repeated squaring
         if n & 1:
             out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
-        re, im, n = re * re - im * im, 2 * re * im, n >> 1
+        n >>= 1
+        if n:  # no square past the last bit
+            re, im = re * re - im * im, 2 * re * im
     lift = max(-q, 0)
     return tuple([k * e for k in mono]), sp * e - q, up_e, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0)
+
+
+def _past_digits(big: int, small: int, n: int, lift: int, limit: int) -> bool:
+    """Whether a nonzero ``|big + small*i|**n * 2**lift`` has more than ``limit`` digits,
+    from logs, before it is built (the larger part has at most 0.16 digits fewer)."""
+    if not big:
+        return False
+    # a base past 1 adds at least log10(sqrt(2)) digits a step: past 10 * limit steps the answer is fixed
+    n, lift = min(n, 10 * limit), min(max(lift, 0), 10 * limit)
+    return n * (log10(big) + log10(1 + (small / big) ** 2) / 2) + lift * log10(2) > limit
 
 
 def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> OperatorExpr:

@@ -22,7 +22,8 @@ associates left to right in source order.
 ``render`` emits a canonical, deterministic text form and ``parse`` is its
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 ``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
-without derivatives and rejects anything else at the ``^``.  ``parse`` reads the
+without derivatives and rejects anything else at the ``^``, as it does a
+coefficient that would pass int's digit limit.  ``parse`` reads the
 lexemes of one scan, scanning again for a position only on an error.  The scan
 reads a whole canonical factor, such as ``exp(-2*i*alpha)``, ``sqrt(r)^3`` or
 ``d/dr^2`` with a power of at most 3 digits, as one lexeme; its atom form comes
@@ -192,11 +193,12 @@ class _Parser:
         if "^" in self.lexemes[self.index - 1]:  # a factor lexeme that carries its power
             return value
         if self.accept("^"):
+            caret = self.index - 1
             exponent = self.parse_integer("power exponent", "integer exponent")
             try:  # a DSL atom form commutes with itself, so it has a closed form
                 value = opalgebra.atom_power(value, exponent) if type(value) is tuple else value**exponent
-            except ValueError as err:  # an uninvertible base, read as "^", "-", number
-                self.fail(self.index - 3, str(err))
+            except ValueError as err:  # an uninvertible base, or a coefficient past the digit limit
+                self.fail(caret, str(err))
         return value
 
     def parse_integer(self, what: str, expected: str) -> int:

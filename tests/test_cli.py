@@ -77,10 +77,18 @@ class TestExpressionCommands:
         assert err == f"error: number {'1' * 12!r}... has too many digits at position 0\n"
 
     def test_result_past_digit_limit_exits_2(self, capsys):
-        # the number is within the limit, its square is not
+        # the number is within the limit, its square is not: refused at the ^
         assert cli.main(["parse", "9" * 3000 + "^2"]) == 2
         limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: a result coefficient has more than {limit} digits at position 3000\n"
+        # a product of two such numbers is refused where render prints it
+        assert cli.main(["parse", "9" * 3000 + "*" + "9" * 3000]) == 2
         assert capsys.readouterr().err == f"error: a result coefficient has more than {limit} digits\n"
+        # u^e carries 2**(e div 2): refused at the ^ before that int is built
+        start = time.perf_counter()
+        assert cli.main(["parse", "u^99999999999999999999"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"error: a result coefficient has more than {limit} digits at position 1\n"
 
     @pytest.mark.parametrize("text", list(UNINVERTIBLE))
     def test_uninvertible_power_exits_2(self, capsys, text):
@@ -192,6 +200,10 @@ class TestCoulombCommands:
         assert code == 0 and report["pass"]
         names = [row["name"] for row in report["rows"]]
         assert names == ["schrodinger residual", "detuned control", "normalization"]
+
+    def test_residual_passes_at_a_large_charge(self, capsys):
+        code, report = run_json(capsys, ["coulomb-residual", "--n", "3", "--L", "1", "--Z", "100000"])
+        assert code == 0 and report["pass"]
 
     def test_negative_shift_control_measures_its_size(self, capsys):
         code, report = run_json(

@@ -509,6 +509,13 @@ class TestEigenequationResiduals:
             for nu in range(mu + 1, 8, 2):
                 assert cl.schrodinger_residual(cl.state_munu(mu, nu)) <= 1e-8
 
+    @pytest.mark.parametrize("Z", [1000, 10**5, 2**63, 2**64])
+    def test_large_charge_residual_in_rho_units(self, Z):
+        # the residual is measured in rho = gamma r units, so it does not grow as gamma**2
+        state = cl.state_tm(3, 1, Z)
+        assert cl.schrodinger_residual(state) <= 1e-8
+        assert abs(cl.schrodinger_residual(state, 0.1) - 0.1) <= 1e-6
+
     def test_detuned_eigenvalue_is_detected(self):
         for t, m in [(1, 0), (4, 2)]:
             assert cl.schrodinger_residual(cl.state_tm(t, m), 0.1) >= 1e-2

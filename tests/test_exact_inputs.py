@@ -103,8 +103,13 @@ def test_float_operand_rejected(apply, message):
     (lambda: fz.rkl(object(), 0), TypeError, "unknown family parameters"),
     (lambda: fz.b_to_c(fz.TypeC(-1, 0), 0, 0, 1), TypeError, "b_to_c expects type B parameters"),
     (lambda: gen.ladder_shift("hat", 1), ValueError, "kind must be 'tilde', 'check1' or 'check2'"),
+    (lambda: fz.ladder(fz.TypeF(-1), 0), ValueError, "type F requires m != 0"),
+    (lambda: fz.factorization_residuals(fz.TypeF(-1), 0), ValueError, "type F requires m != 0"),
+    (lambda: fz.ladder(object(), 0), TypeError, "unknown family parameters"),
+    (lambda: fz.factorization_residuals(object(), 0), TypeError, "unknown family parameters"),
 ], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order", "laguerre-order",
-        "rkl-family", "b-to-c-family", "shift-kind"])
+        "rkl-family", "b-to-c-family", "shift-kind", "ladder-f-pole", "residuals-f-pole",
+        "ladder-family", "residuals-family"])
 def test_out_of_domain_value_rejected(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()

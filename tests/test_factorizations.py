@@ -102,6 +102,13 @@ class TestLadders:
             assert res_up.is_zero and res_down.is_zero
 
 
+    @pytest.mark.parametrize("q", [-1, Fraction(-5, 2), -7])
+    def test_coulomb_like_identities_at_m_one(self, q):
+        # the second identity reads r at m - 1 = 0, where k and L are undefined
+        res_up, res_down = fz.factorization_residuals(fz.TypeF(q), 1)
+        assert res_up.is_zero and res_down.is_zero
+
+
 class TestTransforms:
     def test_to_exponential_family_examples(self):
         r1 = fz.f_to_b(-1, 0, 0)

@@ -1,6 +1,7 @@
 """Exact algebra: defining relations, substitution, closure, random properties."""
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
@@ -227,6 +228,39 @@ def test_uninvertible_powers(base, reason):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             base**e
     assert base**2 == base * base
+
+
+@pytest.mark.parametrize("base,e,value", [
+    (oa.identity(), 10**20, oa.identity()),
+    (oa.imag(), 10**20 + 3, -oa.imag()),
+    (oa.imag(), -(10**20 + 1), -oa.imag()),
+    (oa.u_sym(), 2, Fraction(1, 2) * oa.s_sym(-1)),
+    (oa.r_power(1), 10**6, oa.r_power(10**6)),
+    (oa.s_sym(), -(10**6), oa.s_sym(-(10**6))),
+])
+def test_unit_coefficient_powers_keep_their_values(base, e, value):
+    assert base**e == value
+
+
+def test_coefficient_power_past_digit_limit_refused():
+    limit = sys.get_int_max_str_digits()
+    top = (10**limit).bit_length() - 1  # 2**top has limit digits, 2**(top + 1) one more
+    assert oa.scalar(2) ** top == oa.scalar(2**top)
+    # in lowest terms first: 2/2 is 1
+    assert opdsl.parse(f"2/2^{10**5}") == opdsl.parse(f"(2/2)^{10**5}") == oa.identity()
+    for base, e in [(oa.scalar(2), top + 1), (oa.scalar(2), -(top + 1)), (oa.u_sym(), 10**20),
+                    (oa.u_sym(), -(10**20)), (oa.identity() + oa.imag(), 9999999999)]:
+        with pytest.raises(ValueError, match=f"^a result coefficient has more than {limit} digits$"):
+            base**e
+
+
+def test_unlimited_digits_set_no_power_bound():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert oa.scalar(3) ** 20000 == oa.scalar(3**20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("exponent,error", [(1.5, TypeError), (2.0, TypeError),
