@@ -35,6 +35,8 @@ quadrature refuses.
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
 generally not an integer; reports record this rather than forbidding it.
+Each step is derived once, by ``_step``: the move, the fold past nu == mu and
+n'/n, which both the action coefficient and the target state read.
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ def gauss_laguerre(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _nonnegative(x, name: str):
+    """``x`` as a float array; a negative entry, where the profiles' rho powers turn NaN, raises ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    lowest = np.fmin.reduce(x, axis=None, initial=0.0)  # 0.0 for an empty x; fmin skips NaN
+    if lowest < 0:
+        raise ValueError(f"{name} must be nonnegative, got {lowest}")
+    return x
 
 
 def energy(Z, n) -> Fraction:
@@ -209,14 +220,14 @@ class QuantumState:
         return np.exp(self._log_norm + q * log_rho) if q else math.exp(self._log_norm)
 
     def scaled_profile(self, rho):
-        rho = np.asarray(rho, dtype=float)
+        rho = _nonnegative(rho, "rho")
         lag = laguerre(self.degree, self.alpha, rho)
         with np.errstate(divide="ignore"):  # power >= 1/2, so exp(power * log 0) = 0 is P(0)
             return self._prefactor(np.log(rho), float(self.power)) * lag
 
     def radial(self, r):
-        """psi(r) for r > 0, unit L2 norm on (0, inf)."""
-        rho = float(self.gamma) * np.asarray(r, dtype=float)
+        """psi(r) for r >= 0, unit L2 norm on (0, inf)."""
+        rho = float(self.gamma) * _nonnegative(r, "r")
         return np.exp(-rho / 2) * self.scaled_profile(rho)
 
 
@@ -232,31 +243,31 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
     return QuantumState("weyl", (mu, nu), Z)
 
 
-def _ladder(state: QuantumState, operator: str) -> generators.Ladder:
+def _step(state: QuantumState, operator: str) -> tuple[generators.Ladder, tuple[int, int], bool, Fraction]:
+    """The one derivation of a step: the ``LADDERS`` entry of ``operator``, the target (mu', nu'),
+    folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), whether it folded, and n'/n."""
     lad = generators.LADDERS.get(operator)
     if lad is None:
         raise ValueError(f"unknown operator {operator!r}")
     if state.family != lad.kind:
         raise ValueError(f"{operator} acts on {lad.kind!r} states")
-    return lad
+    (mu, nu), (dmu, dnu) = state.munu, lad.step
+    n2 = mu + nu + 1
+    folded = mu + dmu > nu + dnu
+    target = (nu + dnu, mu + dmu) if folded else (mu + dmu, nu + dnu)
+    return lad, target, folded, Fraction(n2 + dmu + dnu, n2)
 
 
 def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
     """(sign, radicand) with action coefficient sign * sqrt(radicand), exact.
 
-    On the weyl labels every ladder is the same expression: with
-    n2 = mu + nu + 1 and step (dmu, dnu), the radicand is
-    (n2 + dmu + dnu) / n2 times, for each moved label x, x + 1 when raised
-    and x when lowered.  A step past nu == mu lands on the folded target of
-    ``shifted_state``, and the reflection flips the sign.
+    Every ladder is one expression in the weyl labels, read off the one ``_step``:
+    the charge ratio n'/n times, for each moved label x, x + 1 when raised and
+    x when lowered; a folded step's reflection flips the sign.
     """
-    lad = _ladder(state, operator)
-    mu, nu = state.munu
-    dmu, dnu = lad.step
-    n2 = mu + nu + 1
-    moved = math.prod(x + (d > 0) for x, d in zip((mu, nu), lad.step) if d)
-    sign = -lad.sign if mu + dmu > nu + dnu else lad.sign
-    return sign, Fraction((n2 + dmu + dnu) * moved, n2)
+    lad, _, folded, ratio = _step(state, operator)
+    moved = math.prod(x + (d > 0) for x, d in zip(state.munu, lad.step) if d)
+    return (-lad.sign if folded else lad.sign), ratio * moved
 
 
 def action_coefficient(state: QuantumState, operator: str) -> float:
@@ -268,18 +279,14 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     """Target state of one ladder step, with the charge dragged along.
 
     The step keeps rho = gamma r fixed, so gamma and the energy are exactly
-    unchanged while Z moves to Z n'/n (n, n' the principal labels).  A step past
-    nu == mu folds (mu + 1, mu) to (mu, mu + 1) by the reflection
-    L^(-1)_n = -(rho/n) L^(1)_(n-1); a step off the lattice raises ``ValueError``.
+    unchanged while Z moves to Z n'/n (n, n' the principal labels).  The folded
+    target and n'/n are the one ``_step``'s; a step off the lattice raises ``ValueError``.
     """
-    dmu, dnu = _ladder(state, operator).step
-    mu, nu = state.munu
-    n2 = mu + nu + 1
-    mu, nu = sorted((mu + dmu, nu + dnu))
+    _, (mu, nu), _, ratio = _step(state, operator)
     if mu < 0:
         raise ValueError(f"{operator} annihilates {state.family} state {state.labels}")
     target = ((mu + nu + 1) // 2, (nu - mu - 1) // 2) if state.family == "su11" else (mu, nu)
-    return QuantumState(state.family, target, state.Z * Fraction(n2 + dmu + dnu, n2))
+    return QuantumState(state.family, target, state.Z * ratio)
 
 
 @lru_cache(maxsize=64)
@@ -329,7 +336,8 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
     every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op``
     has nonzero gamma-degree, a coefficient of its rho-form is not real, its
-    atoms carry different phases, or the result is infinite at a rho = 0 entry.
+    atoms carry different phases, a rho is negative, or the result is infinite
+    at a rho = 0 entry.
     """
     n, mu, nu = (float(w) for w in state.windings)
     p, degree, alpha = float(state.power), state.degree, state.alpha
@@ -342,7 +350,7 @@ def act(op: OperatorExpr, state: QuantumState, rho):
             falling = math.prod(p - q for q in range(j - i))
             coeffs[key] = coeffs.get(key, 0.0) + c * comb(j, i) * falling
     coeffs = {key: c for key, c in coeffs.items() if c}
-    rho = np.asarray(rho, dtype=float)
+    rho = _nonnegative(rho, "rho")
     if not coeffs:
         return np.zeros_like(rho)
     low = min(e2 for e2, _ in coeffs)

@@ -34,7 +34,10 @@ u attached: T+- = exp(+-i*eta) (-+D + k(T0)) and A+- = u exp(+-i*alpha)
 * ``check2`` Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2).
 
 B+- and check2 are the alpha <-> beta mirrors of A+- and check1: the exchange
-flips N, and swaps mu = l - m and nu = l + m + 1, which is m -> -m - 1.
+flips N, and swaps mu = l - m and nu = l + m + 1, which is m -> -m - 1.  The
+number operators are one expression, ``_number``: T0 for tilde, N - direction
+for check1 and, with N -> -N, -N - direction for check2.  Fed T0 and N it gives
+the operator, fed their values l + 1 and 2m + 1 on (l, m) the number.
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
@@ -211,23 +214,20 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
     return _family_member(kind, 1, 2 * m), _family_member(kind, -1, 2 * m + 1)
 
 
+def _number(ladder: str, direction: int, t0: OperatorExpr | Fraction, n: OperatorExpr | Fraction):
+    """The number operator that replaces the family label of the generator stepping ``direction``:
+    T0 for tilde, N - direction for check1 and -N - direction for its mirror check2.  Given the
+    operators T0 and N it is that operator; given their values l + 1 and 2m + 1 on (l, m), its value."""
+    return t0 if ladder == "tilde" else (n if ladder == "check1" else -n) - direction
+
+
 @cache
 def _number_label(ladder: str, direction: int) -> tuple[str, OperatorExpr, OperatorExpr]:
-    """The phase axis of the generator stepping ``direction``, the number operator that
-    replaces its family label (T0, or +-N - direction) and that operator's k at scale 0."""
-    if ladder == "tilde":
-        axis, number = "eta", -(opalgebra.imag() * opalgebra.deriv("eta"))
-    else:
-        n = opalgebra.imag() * (opalgebra.deriv("alpha") - opalgebra.deriv("beta"))
-        axis, number = ("alpha", n - direction) if ladder == "check1" else ("beta", -n - direction)
+    """The phase axis of the generator stepping ``direction``, its ``_number`` operator and its k at scale 0."""
+    i, d = opalgebra.imag(), opalgebra.deriv
+    number = _number(ladder, direction, -(i * d("eta")), i * (d("alpha") - d("beta")))
+    axis = {"tilde": "eta", "check1": "alpha"}.get(ladder, "beta")
     return axis, number, _k(ladder, number, 0)
-
-
-def _number_value(ladder: str, direction: int, l: Fraction, m: Fraction) -> Fraction:
-    """The value of ``_number_label``'s operator on the state (l, m): l + 1, or +-(2m + 1) - direction."""
-    if ladder == "tilde":
-        return l + 1
-    return (2 * m + 1 if ladder == "check1" else -2 * m - 1) - direction
 
 
 def _uses_minus(ladder: str, direction: int) -> bool:
@@ -304,7 +304,7 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
         use_minus = _uses_minus(lad.ladder, direction)
         dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
         member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]
-        value = _k(lad.ladder, _number_value(lad.ladder, direction, l, m), 0)
+        value = _k(lad.ladder, _number(lad.ladder, direction, l + 1, 2 * m + 1), 0)
         member = opalgebra.linear_sum(((member, 1), (value, -1), (_number_label(lad.ladder, direction)[2], 1)))
         out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),
                            lad.operator()))

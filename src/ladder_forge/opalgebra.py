@@ -238,6 +238,23 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
     return OperatorExpr._wrap(*_lowest(acc, a._den * b._den << top))
 
 
+def _atom_key(key) -> Atom:
+    """``key`` as an atom ``(mono, s_power, u_parity)`` of integers, or a ``TypeError`` or
+    ``ValueError`` naming the field: a mono of 8 integers, no negative derivative order."""
+    if not isinstance(key, tuple) or len(key) != 3:
+        raise TypeError(f"atom key must be a (mono, s_power, u_parity) triple, got {key!r}")
+    mono, sp, up = key
+    if not isinstance(mono, tuple) or len(mono) != len(Mono._fields):
+        raise TypeError(f"mono must be a tuple of the 8 integers {', '.join(Mono._fields)}, got {mono!r}")
+    mono = tuple(exact_int(x, name) for x, name in zip(mono, Mono._fields))
+    sp, up = exact_int(sp, "s_power"), exact_int(up, "u_parity")
+    if min(mono[4:]) < 0:
+        raise ValueError("derivative order must be nonnegative")
+    if up not in (0, 1):
+        raise ValueError("u parity must be 0 or 1")
+    return mono, sp, up
+
+
 class OperatorExpr:
     """Immutable normal-ordered sum of atoms ``g * s**s_power * u**u_parity * mono``.
 
@@ -247,8 +264,8 @@ class OperatorExpr:
     A product stores ``mono`` as a plain 8-tuple in ``Mono`` field order, which
     hashes and compares like the ``Mono``; ``terms()`` hands out ``Mono``.
     ``OperatorExpr(mapping)`` takes ``int`` or ``Fraction`` values, or
-    ``(re, im)`` pairs of them, and finds the common denominator itself, so
-    ``OperatorExpr(dict(e.terms())) == e``.
+    ``(re, im)`` pairs of them, checks each key (``_atom_key``) and finds the
+    common denominator itself, so ``OperatorExpr(dict(e.terms())) == e``.
     """
 
     __slots__ = ("_terms", "_den", "_hash")
@@ -256,8 +273,7 @@ class OperatorExpr:
     def __init__(self, terms: Mapping[Atom, "Rational | tuple[Rational, Rational]"] | None = None):
         values: dict[Atom, tuple[Fraction, Fraction]] = {}
         for key, value in (terms or {}).items():
-            if key[2] not in (0, 1):
-                raise ValueError("u parity must be 0 or 1")
+            key = _atom_key(key)
             # a tuple of any other length reaches exact() whole and is refused there
             re, im = value if isinstance(value, tuple) and len(value) == 2 else (value, 0)
             values[key] = (exact(re, "coefficient"), exact(im, "coefficient"))

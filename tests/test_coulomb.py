@@ -495,6 +495,20 @@ class TestActionAtZero:
             cl.act(op, cl.state_munu(1, 1), [0.0, 1.0])
         assert np.isfinite(cl.act(op, cl.state_munu(1, 1), [0.5, 1.0])).all()
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda rho: cl.act(gen.build_T()["Tplus"], cl.state_tm(2, 0), rho), "rho must be nonnegative, got -1.0"),
+        (lambda rho: cl.act(oa.zero(), cl.state_tm(2, 0), rho), "rho must be nonnegative, got -1.0"),
+        (lambda rho: cl.state_tm(2, 0).scaled_profile(rho), "rho must be nonnegative, got -1.0"),
+        (lambda r: cl.state_tm(2, 0).radial(r), "r must be nonnegative, got -1.0"),
+    ], ids=["act", "act-zero", "scaled-profile", "radial"])
+    def test_negative_rho_refused(self, call, message):
+        # a negative rho is outside the profiles' domain: a rho power of it is NaN;
+        # the message names the least value, past a NaN and in any shape
+        for rho in ([-1.0], -1.0, [0.0, 2.0, -0.5, -1.0], [[np.nan, 1.0], [-1.0, 0.0]]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(rho)
+        assert np.isfinite(call([0.0, 2.0])).all()
+
 
 class TestEigenequationResiduals:
     @pytest.mark.parametrize("t,m", [(1, 0), (3, 1)])

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladder_forge import coulomb as cl
 from ladder_forge import factorizations as fz
@@ -64,6 +66,8 @@ ENTRY_POINTS = [
     # ids are numbered by position, so new rows go last
     (lambda v: oa.OperatorExpr({ONE: (0, v)}), "coefficient", False),
     (lambda v: oa.commutator(v, oa.deriv("r")), "coefficient", False),
+    (lambda v: oa.OperatorExpr({(ONE[0], v, 0): 1}), "s_power", True),
+    (lambda v: oa.OperatorExpr({(ONE[0]._replace(dr=v), 0, 0): 1}), "dr", True),
 ]
 IDS = [f"{index}-{name}" for index, (_, name, _) in enumerate(ENTRY_POINTS)]
 
@@ -107,12 +111,40 @@ def test_float_operand_rejected(apply, message):
     (lambda: fz.factorization_residuals(fz.TypeF(-1), 0), ValueError, "type F requires m != 0"),
     (lambda: fz.ladder(object(), 0), TypeError, "unknown family parameters"),
     (lambda: fz.factorization_residuals(object(), 0), TypeError, "unknown family parameters"),
+    (lambda: oa.OperatorExpr({(ONE[0]._replace(dr=-1), 0, 0): 1}), ValueError, "derivative order must be nonnegative"),
+    (lambda: oa.OperatorExpr({((1, 2), 0, 0): 1}), TypeError, "mono must be a tuple of the 8 integers"),
+    (lambda: oa.OperatorExpr({(ONE[0], 0): 1}), TypeError, "atom key must be a"),
 ], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order", "laguerre-order",
         "rkl-family", "b-to-c-family", "shift-kind", "ladder-f-pole", "residuals-f-pole",
-        "ladder-family", "residuals-family"])
+        "ladder-family", "residuals-family", "atom-negative-order", "atom-short-mono", "atom-pair-key"])
 def test_out_of_domain_value_rejected(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()
+
+
+# a well-formed key's 10 fields (8 mono, s power, u parity), one of which may be
+# replaced by a value that is out of place in some fields and fine in others
+_FIELDS = st.tuples(*[st.integers(-3, 3)] * 4, *[st.integers(0, 3)] * 4, st.integers(-3, 3), st.integers(0, 1))
+_ODD = st.sampled_from([-1, 2, Fraction(4, 2), Fraction(1, 2), 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FIELDS, st.integers(0, 12), _ODD)
+def test_atom_key_refused_or_round_trips(fields, where, odd):
+    # where < 10 replaces that field, 10 keeps the key, 11 drops the last mono
+    # field and 12 leaves the u parity out; a key the constructor takes is one
+    # parse(render(.)) gives back, any other ends in a TypeError or ValueError
+    fields = [*fields]
+    if where < 10:
+        fields[where] = odd
+    mono = tuple(fields[:7] if where == 11 else fields[:8])
+    key = (mono, fields[8]) if where == 12 else (mono, fields[8], fields[9])
+    try:
+        expr = oa.OperatorExpr({key: 1})
+    except (TypeError, ValueError):
+        return
+    assert opdsl.parse(opdsl.render(expr)) == expr
+    assert oa.OperatorExpr(dict(expr.terms())) == expr
 
 
 @pytest.mark.parametrize("value", [(1,), (1, 2, 3), (), [1, 2]])

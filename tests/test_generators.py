@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ladder_forge import factorizations as fz
@@ -232,6 +233,27 @@ class TestTransformedLadders:
                             lambda kind, l, m: ladders("check1" if kind == "check2" else kind, l, m))
         failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
         assert failed == ["B+", "B-"]
+
+    @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_number_operators_read_their_values(self, ladder, direction):
+        # the one _number statement: fed T0 and N it is the operator that, on the
+        # bound state (l, m), reads the number it gives when fed l + 1 and 2m + 1;
+        # the number at l and 2m - 1 is off by one, and must fail
+        from ladder_forge import coulomb
+
+        number = gen._number_label(ladder, direction)[1]
+        rho = coulomb.gauss_laguerre(12)[0]
+        for nu in range(8):
+            for mu in range(nu + 1):
+                state = coulomb.state_munu(mu, nu)
+                l, m = Fraction(mu + nu - 1, 2), Fraction(nu - mu - 1, 2)
+                lhs, profile = coulomb.act(number, state, rho), state.scaled_profile(rho)
+                value = gen._number(ladder, direction, l + 1, 2 * m + 1)
+                scale = max(1, abs(value)) * np.max(np.abs(profile))
+                assert np.max(np.abs(lhs - float(value) * profile)) <= 1e-12 * scale, (mu, nu)
+                wrong = gen._number(ladder, direction, l, 2 * m - 1)
+                assert np.max(np.abs(lhs - float(wrong) * profile)) > 0.5 * np.max(np.abs(profile)), (mu, nu)
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_reconstruction_names_and_targets(self, l, m):
