@@ -13,9 +13,9 @@ weyl labels (mu, nu), integers with 0 <= mu <= nu:
 at principal label n = (mu+nu+1)/2 and angular momentum l = (nu-mu-1)/2.
 The ``su11`` labels (t, m), t >= 1, 0 <= m <= t-1, name the odd-gap states
 mu = t-m-1, nu = t+m; such a state keeps (t, m) as its labels, but every
-property is computed from (mu, nu).  Each ladder is a lattice step (dmu, dnu)
-read from ``generators.LADDERS``: A+- moves mu, B+- moves nu and T+- moves
-both, so T+- acts as A+- followed by B+-, coefficients included.
+property is computed from (mu, nu).  Each ladder's lattice step (dmu, dnu) is
+its generator's phase winding (``generators.step``): A+- moves mu, B+- nu and
+T+- both, so T+- acts as A+- followed by B+-, coefficients included.
 
 The symbolic generators act on these states with closed-form coefficients.
 Every numeric action here is derived from them: ``act`` rewrites an operator
@@ -243,19 +243,19 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
     return QuantumState("weyl", (mu, nu), Z)
 
 
-def _step(state: QuantumState, operator: str) -> tuple[generators.Ladder, tuple[int, int], bool, Fraction]:
-    """The one derivation of a step: the ``LADDERS`` entry of ``operator``, the target (mu', nu'),
-    folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), whether it folded, and n'/n."""
+def _step(state: QuantumState, operator: str) -> tuple[int, tuple[int, int], tuple[int, int], bool, Fraction]:
+    """The one derivation of a step: the ``LADDERS`` sign of ``operator``, its ``generators.step`` (dmu, dnu),
+    the target (mu', nu') folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), whether it folded, and n'/n."""
     lad = generators.LADDERS.get(operator)
     if lad is None:
         raise ValueError(f"unknown operator {operator!r}")
     if state.family != lad.kind:
         raise ValueError(f"{operator} acts on {lad.kind!r} states")
-    (mu, nu), (dmu, dnu) = state.munu, lad.step
+    (mu, nu), (dmu, dnu) = state.munu, generators.step(lad.operator())
     n2 = mu + nu + 1
     folded = mu + dmu > nu + dnu
     target = (nu + dnu, mu + dmu) if folded else (mu + dmu, nu + dnu)
-    return lad, target, folded, Fraction(n2 + dmu + dnu, n2)
+    return lad.sign, (dmu, dnu), target, folded, Fraction(n2 + dmu + dnu, n2)
 
 
 def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
@@ -265,9 +265,9 @@ def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
     the charge ratio n'/n times, for each moved label x, x + 1 when raised and
     x when lowered; a folded step's reflection flips the sign.
     """
-    lad, _, folded, ratio = _step(state, operator)
-    moved = math.prod(x + (d > 0) for x, d in zip(state.munu, lad.step) if d)
-    return (-lad.sign if folded else lad.sign), ratio * moved
+    sign, step, _, folded, ratio = _step(state, operator)
+    moved = math.prod(x + (d > 0) for x, d in zip(state.munu, step) if d)
+    return (-sign if folded else sign), ratio * moved
 
 
 def action_coefficient(state: QuantumState, operator: str) -> float:
@@ -279,14 +279,18 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     """Target state of one ladder step, with the charge dragged along.
 
     The step keeps rho = gamma r fixed, so gamma and the energy are exactly
-    unchanged while Z moves to Z n'/n (n, n' the principal labels).  The folded
-    target and n'/n are the one ``_step``'s; a step off the lattice raises ``ValueError``.
+    unchanged while Z moves to Z n'/n (n, n' the principal labels).  The folded target and n'/n
+    are the one ``_step``'s; a step off the lattice or past the charge range raises ``ValueError``.
     """
-    _, (mu, nu), _, ratio = _step(state, operator)
+    _, _, (mu, nu), _, ratio = _step(state, operator)
     if mu < 0:
         raise ValueError(f"{operator} annihilates {state.family} state {state.labels}")
+    Z = state.Z * ratio
+    if _charge_outside(Z, CHARGE_BITS):
+        raise ValueError(f"{operator} drags the charge of {state.family} state {state.labels} at Z = {state.Z} "
+                         f"to {Z}, outside [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}]")
     target = ((mu + nu + 1) // 2, (nu - mu - 1) // 2) if state.family == "su11" else (mu, nu)
-    return QuantumState(state.family, target, state.Z * ratio)
+    return QuantumState(state.family, target, Z)
 
 
 @lru_cache(maxsize=64)
@@ -301,7 +305,6 @@ def _rho_form(op: OperatorExpr) -> tuple:
     """
     half = Fraction(1, 2)
     acc: dict[tuple, tuple[Fraction, Fraction]] = {}
-    phases = set()
     for (mono, sp, up), (re, im) in op.terms():
         degree = 2 * sp - up - mono.r2 + 2 * mono.dr
         if degree:
@@ -309,7 +312,6 @@ def _rho_form(op: OperatorExpr) -> tuple:
                 f"atom with s^{sp}, u^{up}, r^({mono.r2}/2), (d/dr)^{mono.dr} "
                 f"has gamma-degree {Fraction(degree, 2)}, not 0"
             )
-        phases.add((mono.ke, mono.ka, mono.kb))
         angle = (mono.de, mono.da, mono.db)
         # each angle derivative brings i times the state's winding
         for _ in range(sum(angle) % 4):
@@ -319,8 +321,7 @@ def _rho_form(op: OperatorExpr) -> tuple:
             c = half**sp * comb(mono.dr, j) * (-half) ** (mono.dr - j)
             x, y = acc.get(key, (0, 0))
             acc[key] = (x + c * re, y + c * im)
-    if len(phases) > 1:
-        raise ValueError("operator mixes phase windings")
+    generators.step(op)  # refuses an operator whose atoms carry different phase windings
     if any(im for _, im in acc.values()):
         raise ValueError("operator has a non-real coefficient on the profile")
     return tuple((k, j, angle, float(re)) for (k, j, angle), (re, _) in sorted(acc.items()) if re)
@@ -395,9 +396,10 @@ def action_report(
     degree.
     """
     sign, radicand = action_radicand(state, operator)
+    target = shifted_state(state, operator) if radicand else None  # refuses a dragged charge before any work
     nodes, weights = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lhs = act(generators.LADDERS[operator].operator(), state, nodes)
-    if radicand == 0:
+    if target is None:
         src = state.scaled_profile(nodes)
         src_norm = math.sqrt(float(weights @ src**2))
         resid = math.sqrt(float(weights @ lhs**2)) / src_norm
@@ -405,7 +407,6 @@ def action_report(
             operator, state.family, state.labels, None,
             0.0, resid, resid, resid, True, resid <= coeff_tol,
         )
-    target = shifted_state(state, operator)
     tgt = target.scaled_profile(nodes)
     tgt_norm_sq = float(weights @ tgt**2)
     expected = sign * math.sqrt(radicand)

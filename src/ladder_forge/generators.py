@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -245,13 +245,22 @@ def _generator(ladder: str, direction: int, member: OperatorExpr | None = None) 
     return opalgebra.product(factors if ladder == "tilde" else (opalgebra.u_sym(), *factors))
 
 
+@lru_cache(maxsize=64)
+def step(op: OperatorExpr) -> tuple[int, int]:
+    """The lattice step (dmu, dnu) = (ke + ka, ke + kb) of ``op`` on a bound state's weyl labels, read off
+    the one phase winding (ke, ka, kb) that all its atoms share; ``ValueError`` if their windings differ."""
+    (ke, ka, kb), *others = {(mono.ke, mono.ka, mono.kb) for (mono, _, _), _ in op.terms()} or {(0, 0, 0)}
+    if others:
+        raise ValueError("operator mixes phase windings")
+    return ke + ka, ke + kb
+
+
 class Ladder(NamedTuple):
-    """One ladder generator: where it lives and how it steps a bound state."""
+    """One ladder generator: where it lives and its action's sign; its step is ``step(self.operator())``."""
 
     kind: str  # the algebra, a key of ALGEBRAS
     member: str  # key in its generators
     ladder: str  # transformed ladder it is rebuilt from
-    step: tuple[int, int]  # (dmu, dnu) on the weyl labels of a bound state
     sign: int  # sign of the closed-form action coefficient
 
     def operator(self) -> OperatorExpr:
@@ -259,26 +268,26 @@ class Ladder(NamedTuple):
 
 
 LADDERS = {
-    "T+": Ladder("su11", "Tplus", "tilde", (1, 1), -1),
-    "T-": Ladder("su11", "Tminus", "tilde", (-1, -1), -1),
-    "A+": Ladder("weyl", "Aplus", "check1", (1, 0), 1),
-    "A-": Ladder("weyl", "Aminus", "check1", (-1, 0), 1),
-    "B+": Ladder("weyl", "Bplus", "check2", (0, 1), -1),
-    "B-": Ladder("weyl", "Bminus", "check2", (0, -1), -1),
+    "T+": Ladder("su11", "Tplus", "tilde", -1),
+    "T-": Ladder("su11", "Tminus", "tilde", -1),
+    "A+": Ladder("weyl", "Aplus", "check1", 1),
+    "A-": Ladder("weyl", "Aminus", "check1", 1),
+    "B+": Ladder("weyl", "Bplus", "check2", -1),
+    "B-": Ladder("weyl", "Bminus", "check2", -1),
 }
 
 
 def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
     """Label shift (dl, dm) effected by one application of a ladder member.
 
-    Read off the ``LADDERS`` step (dmu, dnu) with mu = l - m and
-    nu = l + m + 1: check1 steps mu, check2 steps nu, tilde steps both and
-    so l alone.
+    Read off the ``step`` (dmu, dnu) of the ``LADDERS`` generator of ``kind``
+    stepping ``direction``, with mu = l - m and nu = l + m + 1: check1 steps
+    mu, check2 steps nu, tilde steps both and so l alone.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     for lad in LADDERS.values():
-        dmu, dnu = lad.step
+        dmu, dnu = step(lad.operator())
         if lad.ladder == kind and (dmu + dnu) * direction > 0:
             return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
     raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
@@ -300,7 +309,7 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     l, m = exact(l, "l"), exact(m, "m")
     out = []
     for name, lad in LADDERS.items():
-        direction = 1 if sum(lad.step) > 0 else -1
+        direction = 1 if sum(step(lad.operator())) > 0 else -1
         use_minus = _uses_minus(lad.ladder, direction)
         dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
         member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]

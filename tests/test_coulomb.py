@@ -553,6 +553,23 @@ class TestChargeShift:
         assert report.integer_charge
         assert cl.state_tm(3, 0, 9).energy == Fraction(-9, 2) == cl.state_tm(2, 0, 6).energy
 
+    @pytest.mark.parametrize("state,op,dragged", [
+        (cl.state_tm(1, 0, 2**64), "T+", "36893488147419103232"),
+        (cl.state_munu(0, 1, Fraction(1, 2**64)), "B-", "1/36893488147419103232"),
+    ], ids=["T+", "B-"])
+    def test_dragged_charge_refused_before_the_action(self, state, op, dragged, monkeypatch):
+        # the target is taken before act runs, and the message names the step, the state and Z n'/n
+        monkeypatch.setattr(cl, "act", None)
+        message = re.escape(f"{op} drags the charge of {state.family} state {state.labels} at Z = {state.Z} "
+                            f"to {dragged}, outside [2**-64, 2**64]")
+        for call in (cl.action_report, cl.shifted_state, cl.charge_shift):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(state, op)
+
+    def test_annihilation_at_the_charge_bound_ends_in_a_verdict(self):
+        report = cl.action_report(cl.state_tm(1, 0, 2**64), "T-")
+        assert report.annihilation and report.target is None and report.passed
+
     def test_half_step_keeps_scale(self):
         state = cl.state_munu(1, 2)
         target = cl.shifted_state(state, "A+")

@@ -111,6 +111,32 @@ class TestClosure:
             gen.closure_report("su2")
 
 
+class TestStep:
+    # the windings (ke, ka, kb) of every sp4 bilinear give (ke + ka, ke + kb)
+    SP4_STEPS = {
+        "A+A+": (2, 0), "A-A-": (-2, 0), "B+B+": (0, 2), "B-B-": (0, -2),
+        "{A+,A-}/2": (0, 0), "{B+,B-}/2": (0, 0),
+        "A+B+": (1, 1), "A+B-": (1, -1), "A-B+": (-1, 1), "A-B-": (-1, -1),
+    }
+    # the independent oracle: (dmu, dnu) on the weyl labels, by hand
+    LADDER_STEPS = {"T+": (1, 1), "T-": (-1, -1), "A+": (1, 0), "A-": (-1, 0), "B+": (0, 1), "B-": (0, -1)}
+
+    def test_sp4_bilinear_windings(self):
+        assert {name: gen.step(op) for name, op in gen.sp4_bilinears().items()} == self.SP4_STEPS
+
+    def test_ladders_match_the_hand_table(self):
+        assert {name: gen.step(lad.operator()) for name, lad in gen.LADDERS.items()} == self.LADDER_STEPS
+
+    def test_mixed_windings_refused_by_step_and_act(self):
+        from ladder_forge import coulomb
+
+        mixed = oa.phase("alpha", 1) + oa.phase("beta", 1)
+        with pytest.raises(ValueError, match="^operator mixes phase windings$"):
+            gen.step(mixed)
+        with pytest.raises(ValueError, match="^operator mixes phase windings$"):
+            coulomb.act(mixed, coulomb.state_munu(0, 1), [1.0])
+
+
 def _random_coulomb_labels(rng):
     """A coupling q < 0 and half-integer labels 0 <= m <= l, as the F maps take them."""
     twice_l = rng.randint(0, 16)
