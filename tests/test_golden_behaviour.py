@@ -8,6 +8,19 @@ the error's type and message.
 * ``steps``: ``action_radicand``, ``shifted_state`` and ``charge_shift`` for
   T+-, A+-, B+- and an unknown operator, on every su11 state with t < 16 and
   every weyl state with mu <= nu < 16, at Z in {1, 3/2, 2**62, 2**-62}.
+* ``dsl``: seeded ``_gen.random_operator`` renders, each parsed as written and
+  after one to three character edits (deletions, insertions, swaps); a record
+  is the render of the parsed value, or the error's type, message and position.
+* ``families``: ``rkl``, ``ladder``, ``factorization_residuals`` and
+  ``eigenvalue`` of types B, C and F on seeded ``_gen.random_family`` inputs,
+  plus the label edges (type F at m = 0 and 1, every family at 0).
+* ``reconstruction``: every ``reconstruction_reports`` row (name, lhs, rhs and
+  residual renders, passed), every ``transformed_ladders`` pair (and the
+  unknown kind ``hat``) and every ``f_to_b``, ``f_to_c`` and ``b_to_c`` result
+  on the grid of half-integer labels -1 <= l, m <= 3, at a seeded coupling and
+  seeded type B parameters per point.
+
+Operators are recorded by their ``render``.
 
 On a mismatch the test names the category and the first block that differs,
 and prints that block's current records.  ``python tests/regen_golden_behaviour.py``
@@ -22,7 +35,14 @@ from pathlib import Path
 
 import pytest
 
+import random
+
 from ladder_forge import coulomb as cl
+from ladder_forge import factorizations as fz
+from ladder_forge import generators as gen
+from ladder_forge import opdsl
+
+from _gen import random_family, random_operator
 
 GOLDEN_PATH = Path(__file__).with_name("golden_behaviour.json")
 BLOCK = 200
@@ -49,7 +69,104 @@ def step_records() -> list[str]:
     return out
 
 
-CATEGORIES = {"steps": (None, step_records)}
+def _show(value) -> str:
+    """``value`` with every operator in it rendered; any other value by its repr."""
+    if isinstance(value, opdsl.OperatorExpr):
+        return opdsl.render(value)
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_show, value)) + ")"
+    return repr(value)
+
+
+def _shown(call, *args) -> str:
+    try:
+        return _show(call(*args))
+    except Exception as exc:  # the error is the record
+        return f"{type(exc).__name__}: {exc}"
+
+
+DSL_SEED = 27001
+# a deletion, an insertion or a swap of two characters; an insertion may be a power
+_INSERTS = (*"rsuid/()^-+*0123456789 ", "^2", "^-1", "^12/5")
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        if not text:
+            break
+        k = rng.randrange(len(text))
+        edit = rng.choice(("delete", "insert", "swap"))
+        if edit == "delete":
+            text = text[:k] + text[k + 1:]
+        elif edit == "insert":
+            text = text[:k] + rng.choice(_INSERTS) + text[k:]
+        else:
+            j = rng.randrange(len(text))
+            chars = list(text)
+            chars[j], chars[k] = chars[k], chars[j]
+            text = "".join(chars)
+    return text
+
+
+def _parsed(text: str) -> str:
+    try:
+        return opdsl.render(opdsl.parse(text))
+    except ValueError as exc:  # the error is the record
+        return f"{type(exc).__name__}: {exc} (position {getattr(exc, 'position', None)})"
+
+
+def dsl_records() -> list[str]:
+    rng = random.Random(DSL_SEED)
+    out = []
+    for _ in range(1500):
+        text = opdsl.render(random_operator(rng))
+        out.append(f"parse {text!r}: {_parsed(text)}")
+        for _ in range(3):
+            edited = _edited(rng, text)
+            out.append(f"parse {edited!r}: {_parsed(edited)}")
+    return out
+
+
+FAMILY_SEED = 27002
+
+
+def family_records() -> list[str]:
+    rng = random.Random(FAMILY_SEED)
+    inputs = [(fz.TypeF(-1), 0), (fz.TypeF(-1), 1), (fz.TypeC(-1, 0), 0), (fz.TypeB(1, 0, 1), 0)]
+    inputs += [random_family(rng, tag) for tag in "BCF" for _ in range(400)]
+    calls = (fz.rkl, fz.ladder, fz.factorization_residuals, fz.eigenvalue)
+    return [f"{call.__name__} {params!r} {m}: {_shown(call, params, m)}" for params, m in inputs for call in calls]
+
+
+RECONSTRUCTION_SEED = 27003
+
+
+def reconstruction_records() -> list[str]:
+    rng = random.Random(RECONSTRUCTION_SEED)
+    labels = [Fraction(k, 2) for k in range(-2, 7)]
+    out = []
+    for l in labels:
+        for m in labels:
+            for rep in gen.reconstruction_reports(l, m):
+                out.append(f"reconstruction ({l}, {m}) {rep.name}: {_show(rep.lhs)} == {_show(rep.rhs)}, "
+                           f"residual {_show(rep.residual)}, passed {rep.passed}")
+            for kind in ("tilde", "check1", "check2", "hat"):
+                out.append(f"transformed_ladders {kind} ({l}, {m}): {_shown(gen.transformed_ladders, kind, l, m)}")
+            q = -Fraction(rng.randint(1, 30), rng.randint(1, 7))
+            params, _ = random_family(rng, "B")
+            out.append(f"f_to_b q={q} ({l}, {m}): {_shown(fz.f_to_b, q, l, m)}")
+            for eps in (1, -1):
+                out.append(f"f_to_c q={q} ({l}, {m}) eps={eps}: {_shown(fz.f_to_c, q, l, m, eps)}")
+                out.append(f"b_to_c {params!r} ({l}, {m}) eps={eps}: {_shown(fz.b_to_c, params, l, m, eps)}")
+    return out
+
+
+CATEGORIES = {
+    "steps": (None, step_records),
+    "dsl": (DSL_SEED, dsl_records),
+    "families": (FAMILY_SEED, family_records),
+    "reconstruction": (RECONSTRUCTION_SEED, reconstruction_records),
+}
 
 
 def _blocks(records: list[str]) -> list[list[str]]:
