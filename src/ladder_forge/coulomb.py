@@ -121,6 +121,13 @@ def _nonnegative(x, name: str):
     return x
 
 
+def _finite(values, rho, what: str):
+    """``values`` at ``rho``; where one leaves the float range, ``ValueError`` naming the first such rho."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"the {what} leaves the float range at rho = {rho.flat[np.isfinite(values).argmin()]}")
+    return values
+
+
 def energy(Z, n) -> Fraction:
     """Bound energy -Z**2 / (2 n**2), exact."""
     Z, n = exact(Z, "Z"), exact(n, "n")
@@ -221,13 +228,15 @@ class QuantumState:
 
     def scaled_profile(self, rho):
         rho = _nonnegative(rho, "rho")
-        lag = laguerre(self.degree, self.alpha, rho)
-        with np.errstate(divide="ignore"):  # power >= 1/2, so exp(power * log 0) = 0 is P(0)
-            return self._prefactor(np.log(rho), float(self.power)) * lag
+        # power >= 1/2, so exp(power * log 0) = 0 is P(0); a value past the float range is refused
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            profile = self._prefactor(np.log(rho), float(self.power)) * laguerre(self.degree, self.alpha, rho)
+        return _finite(profile, rho, "profile")
 
     def radial(self, r):
         """psi(r) for r >= 0, unit L2 norm on (0, inf)."""
-        rho = float(self.gamma) * _nonnegative(r, "r")
+        with np.errstate(over="ignore"):  # an infinite rho is refused by scaled_profile
+            rho = float(self.gamma) * _nonnegative(r, "r")
         return np.exp(-rho / 2) * self.scaled_profile(rho)
 
 
@@ -357,10 +366,12 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     low = min(e2 for e2, _ in coeffs)
     if low < 0 and (rho == 0).any():
         raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({Fraction(low, 2)}))")
-    lag = [laguerre_deriv(degree, alpha, rho, i) for i in range(max(i for _, i in coeffs) + 1)]
-    total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
-    with np.errstate(divide="ignore"):  # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0
-        return state._prefactor(np.log(rho), low / 2) * total
+    # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0; a value past the float range is refused
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lag = [laguerre_deriv(degree, alpha, rho, i) for i in range(max(i for _, i in coeffs) + 1)]
+        total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
+        action = state._prefactor(np.log(rho), low / 2) * total
+    return _finite(action, rho, "action")
 
 
 @dataclass(frozen=True)

@@ -17,23 +17,21 @@ with ``D = d/dx``.  The triples handled here:
              k = m/x + q/m                      L = -q**2 / m**2
 
 One dispatch, ``_family``, states each family's D, r, k and L once; ``rkl``,
-``ladder``, ``factorization_residuals`` and ``eigenvalue`` read it.  It gives
-r as one expression of the label, evaluated at m and at m - 1, because the
-second identity needs r(x, m-1): for type F at m = 1 that is r(x, 0), where
-k and L are undefined.  Bound-state eigenvalues follow the class rules:
-class I (types C, F) takes ``lambda = L(l+1)``, class II (type B) takes
-``lambda = L(l)``.
+``ladder``, ``factorization_residuals`` and ``eigenvalue`` read it.  r is a
+function of the label, evaluated at m and at m - 1: for type F at m = 1 that
+is r(x, 0), where k and L are undefined.  Bound-state eigenvalues follow the
+class rules: class I (types C, F) takes ``lambda = L(l+1)``, class II (type B)
+takes ``lambda = L(l)``.
 
-r and k are multiplication operators of the operator algebra, so each
-identity is checked as an exactly zero operator.  Types F and C take the
-radial symbol ``r`` for ``x``.  Type B contains ``exp(ax)``, so its
-r-function, k-function and ``D`` all live in the representation
-``r = exp(ax)``: there ``exp(ax)`` is ``r``, ``exp(2ax)`` is ``r**2`` and
-``d/dx = a * r * d/dr``, so both functions are polynomial in ``r`` and the
-factorization identities hold verbatim.  Type C also lives in
-``y = 2 sqrt(r)``: there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)``
-and ``D_Y = d/dy = sqrt(r) d/dr``.  ``type_b_k`` and ``type_c_k`` state the k of
-types B and C once each, for a rational or an operator ``m + c`` and scale.
+r and k are multiplication operators, each stated once as weighted terms and
+summed in one ``linear_sum``, as is each ladder member and residual, so each
+identity is checked as an exactly zero operator.  A weight is a rational, or an
+operator (a label or scale of ``type_b_k`` or ``type_c_k``), which alone takes a
+product.  Types F and C take the radial symbol ``r`` for ``x``.  Type B lives in
+``r = exp(ax)``: there ``exp(2ax)`` is ``r**2`` and ``d/dx = a * r * d/dr``, so
+its r and k are polynomial in ``r``.  Type C also lives in ``y = 2 sqrt(r)``:
+there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)`` and
+``D_Y = d/dy = sqrt(r) d/dr``.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -104,37 +102,44 @@ R_DR = opalgebra.r_half_power(2) * opalgebra.deriv("r")  # d/dx of type B at a =
 # type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
 Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
 D_Y = opalgebra.sqrt_r() * opalgebra.deriv("r")
+_ONE = opalgebra.identity()
+_HALF = Fraction(1, 2)
+
+
+def _term(w: OperatorExpr | Rational, t: OperatorExpr, c: Rational = 1) -> tuple[OperatorExpr, Rational]:
+    """c * w * t as a ``linear_sum`` pair: a rational weight w joins c, an operator one is the product w * t."""
+    return (w * t, c) if isinstance(w, OperatorExpr) else (t, c * w)
 
 
 def type_b_k(amc: OperatorExpr | Rational, d: OperatorExpr | Rational) -> OperatorExpr:
     """k of type B, d exp(ax) - a (m + c), in r = exp(ax), from ``amc`` = a (m + c); rationals or operators."""
-    return d * r_power(1) - amc
+    return opalgebra.linear_sum((_term(d, r_power(1)), _term(amc, _ONE, -1)))
 
 
 def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
              x: tuple[OperatorExpr, OperatorExpr] = (r_power(1), r_power(-1))) -> OperatorExpr:
     """k of type C, (m + c)/x + b x / 2, with x the coordinate as (x, 1/x), r or Y; rationals or operators."""
-    return mc * x[1] + Fraction(1, 2) * b * x[0]
+    return opalgebra.linear_sum((_term(mc, x[1]), _term(b, x[0], _HALF)))
 
 
 def _family(params: FamilyParams, m: Fraction) -> tuple[
-        OperatorExpr, Callable[[Fraction], OperatorExpr], OperatorExpr, Fraction]:
-    """D, r(x, .) as a function of the label, k(x, m) and L(m), in the representation of ladder()."""
+        OperatorExpr, Callable[[Fraction], tuple], OperatorExpr, Fraction]:
+    """D, r(x, .) as ``linear_sum`` pairs of the label, k(x, m) and L(m), in the representation of ladder()."""
     if isinstance(params, TypeF):
         if m == 0:
             raise ValueError("type F requires m != 0")
         q = params.q
-        return (opalgebra.deriv("r"), lambda n: -2 * q * r_power(-1) - n * (n + 1) * r_power(-2),
-                m * r_power(-1) + q / m, -(q * q) / (m * m))
+        return (opalgebra.deriv("r"), lambda n: ((r_power(-1), -2 * q), (r_power(-2), -n * (n + 1))),
+                opalgebra.linear_sum(((r_power(-1), m), (_ONE, q / m))), -(q * q) / (m * m))
     if isinstance(params, TypeC):
         b, c = params.b, params.c
         return (opalgebra.deriv("r"),
-                lambda n: -(n + c) * (n + c + 1) * r_power(-2) - b * b / 4 * r_power(2) + b * (n - c),
+                lambda n: ((r_power(-2), -(n + c) * (n + c + 1)), (r_power(2), -b * b / 4), (_ONE, b * (n - c))),
                 type_c_k(m + c, b), -2 * b * m + b / 2)
     if isinstance(params, TypeB):
         # exp(a x) is the radial symbol r, so exp(2 a x) is r**2 and d/dx is a r d/dr
         a, c, d = params.a, params.c, params.d
-        return (a * R_DR, lambda n: -d * d * r_power(2) + 2 * a * d * (n + c + Fraction(1, 2)) * r_power(1),
+        return (a * R_DR, lambda n: ((r_power(2), -d * d), (r_power(1), 2 * a * d * (n + c + _HALF))),
                 type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c))
     raise TypeError(f"unknown family parameters {params!r}")
 
@@ -147,16 +152,11 @@ def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, 
     """
     m = exact(m, "m")
     _, r, k_op, level = _family(params, m)
-    return r(m), k_op, level
+    return opalgebra.linear_sum(r(m)), k_op, level
 
 
 def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
-    """Ladder pair (H+, H-) = (+D + k, -D + k) at label m.
-
-    Types F and C use the radial symbol directly for the family coordinate;
-    type B is returned in the exponential representation r = exp(a x), where
-    D = a * r * d/dr.
-    """
+    """Ladder pair (H+, H-) = (+D + k, -D + k) at label m; type B in r = exp(a x), where D = a * r * d/dr."""
     d_op, _, k_op, _ = _family(params, exact(m, "m"))
     return d_op + k_op, -d_op + k_op
 
@@ -171,7 +171,8 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
     d_op, r, k_op, level = _family(params, m)
     plus, minus = d_op + k_op, -d_op + k_op
     d_sq = d_op * d_op
-    return minus * plus + level + d_sq + r(m), plus * minus + level + d_sq + r(m - 1)
+    return tuple(opalgebra.linear_sum(((left * right, 1), (_ONE, level), (d_sq, 1), *r(n)))
+                 for left, right, n in ((minus, plus, m), (plus, minus, m - 1)))
 
 
 def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
@@ -227,8 +228,7 @@ def f_to_b(q: Rational, l: Rational, m: Rational, a: Rational = 1) -> TransformR
     _check_fl_labels(l, m)
     scale = -source.q / (l + 1)
     target = TypeB(a=a, c=Fraction(0), d=a * scale)
-    half = Fraction(1, 2)
-    quantum_map = {"mbar+cbar": l + half, "lbar+cbar": m + half}
+    quantum_map = {"mbar+cbar": l + _HALF, "lbar+cbar": m + _HALF}
     return TransformResult(source, target, quantum_map, None, scale)
 
 
@@ -242,9 +242,8 @@ def f_to_c(q: Rational, l: Rational, m: Rational, eps: int) -> TransformResult:
     l, m = exact(l, "l"), exact(m, "m")
     _check_fl_labels(l, m)
     _check_eps(eps)
-    half = Fraction(1, 2)
     return _type_c_result(source, -source.q / (l + 1), eps,
-                          mhat=eps * (2 * m + 1) - half, lhat=l + eps * (m + half))
+                          mhat=eps * (2 * m + 1) - _HALF, lhat=l + eps * (m + _HALF))
 
 
 def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> TransformResult:
@@ -253,10 +252,9 @@ def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> Transform
         raise TypeError("b_to_c expects type B parameters")
     lbar, mbar = exact(lbar, "lbar"), exact(mbar, "mbar")
     _check_eps(eps)
-    half = Fraction(1, 2)
     return _type_c_result(params, params.d / params.a, eps,
-                          mhat=2 * eps * (lbar + params.c) - half,
-                          lhat=mbar + params.c + eps * (lbar + params.c) - half)
+                          mhat=2 * eps * (lbar + params.c) - _HALF,
+                          lhat=mbar + params.c + eps * (lbar + params.c) - _HALF)
 
 
 def shifted_charge(q: Rational, label: Rational, direction: int) -> Fraction:

@@ -22,22 +22,21 @@ dimensional Lie algebra, sp(4, R).
 
 Each generator is an Infeld-Hull family ladder of ``factorizations`` at the
 formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
-by a number operator (T0, or N -+ 1), with the phase and, for the Weyl pairs,
-u attached: T+- = exp(+-i*eta) (-+D + k(T0)) and A+- = u exp(+-i*alpha)
-(+-D + k(N -+ 1)).  At scalar labels the families give the transformed ladders:
+by a number operator, with the phase and, for the Weyl pairs, u attached.  At
+scalar labels the members are the transformed ladders.  One record per kind,
+``_KINDS``, read only through ``_kind``, states each, with k split as
+k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``:
 
 * ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
-  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2).
+  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2).  Its
+  number operator is T0: T+- = exp(+-i*eta) (-+D + k(T0)).
 * ``check1``, type C (b = -s, c = 0) in y = 2 sqrt(r), D = sqrt(r) d/dr, at
   m + c = 2m and 2m + 1: Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r)
-  - s), shifting (l, m) by (+-1/2, -+1/2).
-* ``check2`` Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2).
-
-B+- and check2 are the alpha <-> beta mirrors of A+- and check1: the exchange
-flips N, and swaps mu = l - m and nu = l + m + 1, which is m -> -m - 1.  The
-number operators are one expression, ``_number``: T0 for tilde, N - direction
-for check1 and, with N -> -N, -N - direction for check2.  Fed T0 and N it gives
-the operator, fed their values l + 1 and 2m + 1 on (l, m) the number.
+  - s), shifting (l, m) by (+-1/2, -+1/2).  Its number operator is N -+ 1:
+  A+- = u exp(+-i*alpha) (+-D + k(N -+ 1)).
+* ``check2``, the alpha <-> beta mirror of check1, as B+- is of A+-: it swaps
+  mu = l - m and nu = l + m + 1, that is m -> -m - 1, so Hv2+-(l, m) =
+  Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2), and flips N: -N -+ 1.
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
@@ -75,7 +74,7 @@ def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
 @cache
 def build_T() -> Mapping[str, OperatorExpr]:
     """The su(1,1) generators T0, T+, T-, built once and read-only."""
-    return MappingProxyType({"T0": _number_label("tilde", 1)[1], "Tplus": _generator("tilde", 1),
+    return MappingProxyType({"T0": _number_label("tilde", 1)[0], "Tplus": _generator("tilde", 1),
                              "Tminus": _generator("tilde", -1)})
 
 
@@ -186,63 +185,68 @@ def closure_report(which: str) -> ClosureReport:
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
-def _k(ladder: str, label: OperatorExpr | Fraction, scale: OperatorExpr | int) -> OperatorExpr:
-    """k at family label ``label`` and ``scale`` of the family behind ``ladder``."""
-    return fz.type_b_k(label, scale) if ladder == "tilde" else fz.type_c_k(label, -scale, fz.Y)
+class _Kind(NamedTuple):
+    """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and labels (plus, minus) at (l, m), and its
+    generators' phase axis, number operator (of T0, N, direction), u, and the sign of the member that raises."""
+
+    d: OperatorExpr
+    k_unit: OperatorExpr
+    k_s: OperatorExpr
+    labels: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+    axis: str
+    number: Callable[..., "OperatorExpr | Fraction"]
+    carries_u: bool
+    raises: int
 
 
-def _family_member(ladder: str, sign: int, label: OperatorExpr | Fraction) -> OperatorExpr:
-    """The member sign*D + k of the family behind ``ladder`` at family label ``label``, at scale s."""
-    d_op = fz.R_DR if ladder == "tilde" else fz.D_Y
-    return opalgebra.linear_sum(((d_op, sign), (_k(ladder, label, opalgebra.s_sym()), 1)))
+_S = opalgebra.s_sym()
+_CHECK_K = fz.type_c_k(1, 0, fz.Y), fz.type_c_k(0, -_S, fz.Y)  # type C at b = -s, c = 0, in y = 2 sqrt(r)
+_KINDS = {
+    "tilde": _Kind(fz.R_DR, fz.type_b_k(1, 0), fz.type_b_k(0, _S), lambda l, m: (l + 1, l), "eta",
+                   lambda t0, n, direction: t0, False, -1),
+    "check1": _Kind(fz.D_Y, *_CHECK_K, lambda l, m: (2 * m, 2 * m + 1), "alpha",
+                    lambda t0, n, direction: n - direction, True, 1),
+    "check2": _Kind(fz.D_Y, *_CHECK_K, lambda l, m: (-2 * m - 2, -2 * m - 1), "beta",
+                    lambda t0, n, direction: -n - direction, True, 1),
+}
+
+
+def _kind(kind: str) -> _Kind:
+    """The record of ``kind``: the one place a ladder-kind name is read."""
+    if isinstance(kind, str) and kind in _KINDS:
+        return _KINDS[kind]
+    raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
+
+
+def _member(record: _Kind, sign: int, *weighted: tuple) -> OperatorExpr:
+    """sign*D + k_s plus the ``weighted`` pairs, such as (k_unit, label), of ``record``'s family in one sum."""
+    return opalgebra.linear_sum(((record.d, sign), (record.k_s, 1), *weighted))
 
 
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
-    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m).
-
-    The tilde members sit at family labels l + 1 and l, the check1 members at
-    2m and 2m + 1.  check2 is the mu <-> nu mirror of check1: the check1 pair
-    at m -> -m - 1, so that 2m + 1 = nu - mu becomes mu - nu.
-    """
+    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m): the members +-D + k(label, s)
+    of the kind's family at its family labels, l + 1 and l for tilde, 2m and 2m + 1 for check1."""
     l, m = exact(l, "l"), exact(m, "m")
-    if kind == "tilde":
-        return _family_member(kind, 1, l + 1), _family_member(kind, -1, l)
-    if kind == "check2":
-        m = -m - 1
-    elif kind != "check1":
-        raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
-    return _family_member(kind, 1, 2 * m), _family_member(kind, -1, 2 * m + 1)
-
-
-def _number(ladder: str, direction: int, t0: OperatorExpr | Fraction, n: OperatorExpr | Fraction):
-    """The number operator that replaces the family label of the generator stepping ``direction``:
-    T0 for tilde, N - direction for check1 and -N - direction for its mirror check2.  Given the
-    operators T0 and N it is that operator; given their values l + 1 and 2m + 1 on (l, m), its value."""
-    return t0 if ladder == "tilde" else (n if ladder == "check1" else -n) - direction
+    record = _kind(kind)
+    return tuple(_member(record, sign, (record.k_unit, label)) for sign, label in zip((1, -1), record.labels(l, m)))
 
 
 @cache
-def _number_label(ladder: str, direction: int) -> tuple[str, OperatorExpr, OperatorExpr]:
-    """The phase axis of the generator stepping ``direction``, its ``_number`` operator and its k at scale 0."""
+def _number_label(kind: str, direction: int) -> tuple[OperatorExpr, OperatorExpr]:
+    """The number operator of the generator stepping ``direction``, fed T0 and N, and k at it and scale 0."""
     i, d = opalgebra.imag(), opalgebra.deriv
-    number = _number(ladder, direction, -(i * d("eta")), i * (d("alpha") - d("beta")))
-    axis = {"tilde": "eta", "check1": "alpha"}.get(ladder, "beta")
-    return axis, number, _k(ladder, number, 0)
+    number = _kind(kind).number(-(i * d("eta")), i * (d("alpha") - d("beta")), direction)
+    return number, number * _kind(kind).k_unit
 
 
-def _uses_minus(ladder: str, direction: int) -> bool:
-    """Whether the generator stepping ``direction`` is a minus member: tilde's raises, a check ladder's lowers."""
-    return (direction < 0) != (ladder == "tilde")
-
-
-def _generator(ladder: str, direction: int, member: OperatorExpr | None = None) -> OperatorExpr:
+def _generator(kind: str, direction: int, member: OperatorExpr | None = None) -> OperatorExpr:
     """The generator stepping ``direction``: the phase, u for the Weyl pairs, and ``member``,
     by default the family member with the number operator as its label."""
-    axis, number, _ = _number_label(ladder, direction)
+    record = _kind(kind)
     if member is None:
-        member = _family_member(ladder, -1 if _uses_minus(ladder, direction) else 1, number)
-    factors = (opalgebra.phase(axis, direction), member)
-    return opalgebra.product(factors if ladder == "tilde" else (opalgebra.u_sym(), *factors))
+        member = _member(record, record.raises * direction, (_number_label(kind, direction)[1], 1))
+    factors = (opalgebra.phase(record.axis, direction), member)
+    return opalgebra.product((opalgebra.u_sym(), *factors) if record.carries_u else factors)
 
 
 @lru_cache(maxsize=64)
@@ -280,17 +284,15 @@ LADDERS = {
 def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
     """Label shift (dl, dm) effected by one application of a ladder member.
 
-    Read off the ``step`` (dmu, dnu) of the ``LADDERS`` generator of ``kind``
-    stepping ``direction``, with mu = l - m and nu = l + m + 1: check1 steps
-    mu, check2 steps nu, tilde steps both and so l alone.
+    Read off the ``step`` (dmu, dnu) of the phase factor exp(+-i axis) of the
+    generator of ``kind`` stepping ``direction``, its one winding factor, with
+    mu = l - m and nu = l + m + 1: check1 steps mu, check2 steps nu, tilde
+    steps both and so l alone.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    for lad in LADDERS.values():
-        dmu, dnu = step(lad.operator())
-        if lad.ladder == kind and (dmu + dnu) * direction > 0:
-            return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
-    raise ValueError("kind must be 'tilde', 'check1' or 'check2'")
+    dmu, dnu = step(opalgebra.phase(_kind(kind).axis, direction))
+    return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
 
 
 def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
@@ -298,23 +300,21 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
 
     A plus member is taken at (l, m), a minus member at (l, m) moved by the
     generator's own step.  Its scalar family label is then replaced by the
-    matching number operator, valued at the unmoved (l, m): l + 1 -> T0 for
-    tilde, 2m + 1 - direction -> N - direction for check1 and
-    -(2m + 1) - direction -> -N - direction for check2 (N reads nu - mu).
-    k is affine in its label, so k(value) at scale 0 is taken off and
-    k(number) put on; this rebuilds the generator only if the moved member's
-    label is that value.  The phase factor and, for the Weyl pairs, the
-    formal u prefactor are then attached.
+    number operator, valued at the unmoved (l, m) (``_Kind.number`` fed l + 1
+    and 2m + 1): k is linear, so that is one sum, k(label - value, s) +
+    k(number, 0), which rebuilds the generator only if the moved member's label
+    is that value.  The phase factor and, for the Weyl pairs, u are attached.
     """
     l, m = exact(l, "l"), exact(m, "m")
     out = []
     for name, lad in LADDERS.items():
         direction = 1 if sum(step(lad.operator())) > 0 else -1
-        use_minus = _uses_minus(lad.ladder, direction)
-        dl, dm = ladder_shift(lad.ladder, direction) if use_minus else (0, 0)
-        member = transformed_ladders(lad.ladder, l + dl, m + dm)[use_minus]
-        value = _k(lad.ladder, _number(lad.ladder, direction, l + 1, 2 * m + 1), 0)
-        member = opalgebra.linear_sum(((member, 1), (value, -1), (_number_label(lad.ladder, direction)[2], 1)))
+        record = _kind(lad.ladder)
+        sign = record.raises * direction
+        dl, dm = ladder_shift(lad.ladder, direction) if sign < 0 else (0, 0)
+        label = record.labels(l + dl, m + dm)[sign < 0]
+        value = record.number(l + 1, 2 * m + 1, direction)
+        member = _member(record, sign, (record.k_unit, label - value), (_number_label(lad.ladder, direction)[1], 1))
         out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),
                            lad.operator()))
     return out

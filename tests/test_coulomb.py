@@ -509,6 +509,20 @@ class TestActionAtZero:
                 call(rho)
         assert np.isfinite(call([0.0, 2.0])).all()
 
+    @pytest.mark.parametrize("call,rho", [
+        (lambda rho: cl.act(gen.build_T()["Tplus"], cl.state_tm(2, 0), rho), 1e308),
+        (lambda rho: cl.state_tm(2, 0).scaled_profile(rho), 1e200),
+        (lambda r: cl.state_tm(2, 0).radial(r), 1e308),  # gamma = 1, so rho = r
+    ], ids=["act", "scaled-profile", "radial"])
+    def test_rho_past_the_float_range_refused(self, call, rho):
+        # N rho**q times the Laguerre values passes the float range at a huge finite rho,
+        # where it read -inf or NaN; the message names the first such rho, in any shape,
+        # and no RuntimeWarning is raised on the way
+        for rhos in ([rho], rho, [0.0, 2.0, rho, 10 * rho], [[1.0, rho], [10 * rho, 0.0]]):
+            with pytest.raises(ValueError, match=f"leaves the float range at rho = {re.escape(str(rho))}$"):
+                call(rhos)
+        assert np.isfinite(call([0.0, 2.0, 100.0])).all()
+
 
 class TestEigenequationResiduals:
     @pytest.mark.parametrize("t,m", [(1, 0), (3, 1)])

@@ -216,6 +216,17 @@ class TestTransformedLadders:
         with pytest.raises(ValueError):
             gen.ladder_shift("tilde", 2)
 
+    @pytest.mark.parametrize("entry", [
+        lambda: gen.transformed_ladders("hat", 0, 0), lambda: gen.ladder_shift("hat", 1), lambda: gen._kind("hat"),
+        lambda: gen._number_label("hat", 1), lambda: gen._generator("hat", 1),
+        lambda: gen._generator("hat", -1, oa.identity()),
+    ], ids=["transformed_ladders", "ladder_shift", "_kind", "_number_label", "_generator", "_generator-member"])
+    def test_unknown_kind_refused(self, entry):
+        # every ladder-kind entry point reads the one lookup, which refuses an unknown kind
+        # (the private helpers once read it as check2)
+        with pytest.raises(ValueError, match=r"^kind must be 'tilde', 'check1' or 'check2'$"):
+            entry()
+
     def test_shift_table(self):
         assert gen.ladder_shift("tilde", 1) == (1, 0)
         assert gen.ladder_shift("tilde", -1) == (-1, 0)
@@ -253,32 +264,32 @@ class TestTransformedLadders:
         assert failed == ["T+", "A-", "B-"]
 
     def test_reconstruction_fails_without_the_check2_mirror(self, monkeypatch):
-        # check2 read off check1 at the unmirrored m has the wrong family labels for B+-
-        ladders = gen.transformed_ladders
-        monkeypatch.setattr(gen, "transformed_ladders",
-                            lambda kind, l, m: ladders("check1" if kind == "check2" else kind, l, m))
+        # check2 read off check1 at the unmirrored m has the wrong family labels for B+-; the
+        # kind record's label map is the one that transformed_ladders and the reconstruction read
+        monkeypatch.setitem(gen._KINDS, "check2", gen._KINDS["check2"]._replace(labels=gen._KINDS["check1"].labels))
+        assert gen.transformed_ladders("check2", 3, HALF) == gen.transformed_ladders("check1", 3, HALF)
         failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
         assert failed == ["B+", "B-"]
 
     @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_number_operators_read_their_values(self, ladder, direction):
-        # the one _number statement: fed T0 and N it is the operator that, on the
+        # the one number statement of the kind record: fed T0 and N it is the operator that, on the
         # bound state (l, m), reads the number it gives when fed l + 1 and 2m + 1;
         # the number at l and 2m - 1 is off by one, and must fail
         from ladder_forge import coulomb
 
-        number = gen._number_label(ladder, direction)[1]
+        number = gen._number_label(ladder, direction)[0]
         rho = coulomb.gauss_laguerre(12)[0]
         for nu in range(8):
             for mu in range(nu + 1):
                 state = coulomb.state_munu(mu, nu)
                 l, m = Fraction(mu + nu - 1, 2), Fraction(nu - mu - 1, 2)
                 lhs, profile = coulomb.act(number, state, rho), state.scaled_profile(rho)
-                value = gen._number(ladder, direction, l + 1, 2 * m + 1)
+                value = gen._kind(ladder).number(l + 1, 2 * m + 1, direction)
                 scale = max(1, abs(value)) * np.max(np.abs(profile))
                 assert np.max(np.abs(lhs - float(value) * profile)) <= 1e-12 * scale, (mu, nu)
-                wrong = gen._number(ladder, direction, l, 2 * m - 1)
+                wrong = gen._kind(ladder).number(l, 2 * m - 1, direction)
                 assert np.max(np.abs(lhs - float(wrong) * profile)) > 0.5 * np.max(np.abs(profile)), (mu, nu)
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)

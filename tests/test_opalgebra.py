@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa, opdsl
+from ladder_forge.factorizations import TypeB, TypeC, TypeF, factorization_residuals
 from ladder_forge.generators import (ALGEBRAS, build_T, casimir, casimir_reports, closure_report,
                                     reconstruction_reports)
 
@@ -415,11 +416,23 @@ def _count_calls(monkeypatch, *names: str) -> dict:
 def test_warm_reconstruction_weights_its_numbers(monkeypatch):
     # every rational factor of the family ladders is a linear_sum weight, so a
     # warm reconstruction builds no scalar operator and runs the product loop
-    # only for products of operators with several atoms
+    # only for products of operators with several atoms; each relabelled member
+    # is one sum and each residual one more, 12 linear_sum calls where a chain
+    # of binary + and - made 68
     reconstruction_reports(3, HALF)
-    calls = _count_calls(monkeypatch, "_normal_order", "scalar")
+    calls = _count_calls(monkeypatch, "_normal_order", "scalar", "linear_sum")
     reconstruction_reports(3, HALF)
     assert calls["_normal_order"] <= 6 and calls["scalar"] == 0
+    assert calls["linear_sum"] <= 12
+
+
+@pytest.mark.parametrize("params", [TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3)], ids=["B", "C", "F"])
+def test_factorization_residuals_sum_each_side_once(monkeypatch, params):
+    # r, k, each ladder member and each residual is one linear_sum: at most 9
+    # calls per family, where a chain of binary + and - made 16 to 19
+    calls = _count_calls(monkeypatch, "linear_sum")
+    assert all(res.is_zero for res in factorization_residuals(params, Fraction(5, 2)))
+    assert calls["linear_sum"] <= 9
 
 
 def test_power_multiplies_its_squares_in_one_product(monkeypatch):
