@@ -19,6 +19,12 @@ the error's type and message.
   unknown kind ``hat``) and every ``f_to_b``, ``f_to_c`` and ``b_to_c`` result
   on the grid of half-integer labels -1 <= l, m <= 3, at a seeded coupling and
   seeded type B parameters per point.
+* ``rewrites``: the rho-form (``coulomb._rho_form``) of the six ladders, T0,
+  the Casimir, the identity and the ten sp4 bilinears, its refusals of an
+  atom of nonzero gamma-degree, a non-real coefficient and mixed windings;
+  ``substitute_s`` (on each operator and on its u-free part) and
+  ``swap_alpha_beta`` of seeded ``_gen.random_operator`` values; and the
+  dimension, verdict and commutator count of each ``closure_report``.
 
 Operators are recorded by their ``render``.
 
@@ -40,6 +46,7 @@ import random
 from ladder_forge import coulomb as cl
 from ladder_forge import factorizations as fz
 from ladder_forge import generators as gen
+from ladder_forge import opalgebra as oa
 from ladder_forge import opdsl
 
 from _gen import random_family, random_operator
@@ -161,11 +168,39 @@ def reconstruction_records() -> list[str]:
     return out
 
 
+REWRITES_SEED = 28001
+# s has gamma-degree 1, d/deta a non-real coefficient, 1 + exp(i*eta) mixed
+# windings; s + s^2 pins which atom the degree refusal names
+_REFUSED_FORMS = ("s", "d/deta", "1 + exp(i*eta)", "s + s^2")
+
+
+def rewrite_records() -> list[str]:
+    rng = random.Random(REWRITES_SEED)
+    ops = {name: gen.LADDERS[name].operator() for name in gen.LADDERS}
+    ops |= {"T0": gen.build_T()["T0"], "casimir": gen.casimir()[0], "identity": oa.identity()}
+    ops |= gen.sp4_bilinears()
+    out = [f"_rho_form {name}: {_outcome(cl._rho_form, op)}" for name, op in ops.items()]
+    out += [f"_rho_form {text!r}: {_outcome(cl._rho_form, opdsl.parse(text))}" for text in _REFUSED_FORMS]
+    for _ in range(400):
+        op = random_operator(rng)
+        u_free = oa.OperatorExpr({key: pair for key, pair in op.terms() if not key[2]})
+        value = Fraction(rng.randint(-2, 9), rng.randint(1, 7))
+        out.append(f"swap_alpha_beta {_show(op)}: {_shown(oa.swap_alpha_beta, op)}")
+        for x in (op, u_free):
+            out.append(f"substitute_s {_show(x)} at {value}: {_shown(x.substitute_s, value)}")
+    for which in ("su11", "weyl", "sp4"):
+        rep = gen.closure_report(which)
+        out.append(f"closure_report {which}: dimension {rep.dimension}, closed {rep.closed}, "
+                   f"commutators_tested {rep.commutators_tested}")
+    return out
+
+
 CATEGORIES = {
     "steps": (None, step_records),
     "dsl": (DSL_SEED, dsl_records),
     "families": (FAMILY_SEED, family_records),
     "reconstruction": (RECONSTRUCTION_SEED, reconstruction_records),
+    "rewrites": (REWRITES_SEED, rewrite_records),
 }
 
 
