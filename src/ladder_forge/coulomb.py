@@ -49,7 +49,7 @@ from math import comb
 
 import numpy as np
 
-from . import generators
+from . import generators, opalgebra
 from .opalgebra import OperatorExpr, exact, exact_int
 
 DEFAULT_QUAD_ORDER = 40
@@ -113,11 +113,12 @@ def gauss_laguerre(order: int):
 
 
 def _nonnegative(x, name: str):
-    """``x`` as a float array; a negative entry, where the profiles' rho powers turn NaN, raises ``ValueError``."""
+    """``x`` as a float array; a negative or NaN entry, where the profiles turn NaN, raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
-    lowest = np.fmin.reduce(x, axis=None, initial=0.0)  # 0.0 for an empty x; fmin skips NaN
-    if lowest < 0:
-        raise ValueError(f"{name} must be nonnegative, got {lowest}")
+    lowest = np.minimum.reduce(x, axis=None, initial=0.0)  # 0.0 for an empty x; NaN if any entry is
+    if not lowest >= 0:
+        least = np.fmin.reduce(x, axis=None, initial=0.0)  # the least entry past a NaN, on the refusal only
+        raise ValueError(f"{name} must be nonnegative, got {least if least < 0 else lowest}")
     return x
 
 
@@ -302,6 +303,9 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     return QuantumState(state.family, target, Z)
 
 
+_GAUGE = opalgebra.deriv("r") - Fraction(1, 2)
+
+
 @lru_cache(maxsize=64)
 def _rho_form(op: OperatorExpr) -> tuple:
     """Exact rho-form of ``op`` on exp(-rho/2) P(rho).
@@ -310,30 +314,26 @@ def _rho_form(op: OperatorExpr) -> tuple:
     c * n**de * mu**da * nu**db * rho**(k/2) * P^(j), with (n, mu, nu) the
     state's windings.  With s = gamma/2, u = gamma**(-1/2) and r = rho/gamma,
     an atom s**sp u**up r**(k/2) (d/dr)**dr carries gamma**(sp - up/2 - k/2 + dr),
-    and past exp(-rho/2) each d/dr turns into gamma (d/drho - 1/2).
+    and past exp(-rho/2) each d/dr is gamma times the gauge operator d/dr - 1/2
+    (``_GAUGE``, r and d/dr now standing for rho and d/drho).  The form is one exact
+    operator, the sum of each atom's i**(de + da + db), rho power and angle
+    derivatives (markers of the windings) times the gauge**dr, weighted by
+    (1/2)**sp; only the last line converts it to floats.
     """
-    half = Fraction(1, 2)
-    acc: dict[tuple, tuple[Fraction, Fraction]] = {}
-    for (mono, sp, up), (re, im) in op.terms():
-        degree = 2 * sp - up - mono.r2 + 2 * mono.dr
-        if degree:
-            raise ValueError(
-                f"atom with s^{sp}, u^{up}, r^({mono.r2}/2), (d/dr)^{mono.dr} "
-                f"has gamma-degree {Fraction(degree, 2)}, not 0"
-            )
-        angle = (mono.de, mono.da, mono.db)
-        # each angle derivative brings i times the state's winding
-        for _ in range(sum(angle) % 4):
-            re, im = -im, re
-        for j in range(mono.dr + 1):
-            key = (mono.r2, j, angle)
-            c = half**sp * comb(mono.dr, j) * (-half) ** (mono.dr - j)
-            x, y = acc.get(key, (0, 0))
-            acc[key] = (x + c * re, y + c * im)
+    atoms = sorted(op.atoms())
+    for (r2, _, _, _, dr, *_), sp, up, *_ in atoms:
+        if degree := 2 * sp - up - r2 + 2 * dr:
+            raise ValueError(f"atom with s^{sp}, u^{up}, r^({r2}/2), (d/dr)^{dr} "
+                             f"has gamma-degree {Fraction(degree, 2)}, not 0")
     generators.step(op)  # refuses an operator whose atoms carry different phase windings
-    if any(im for _, im in acc.values()):
+    # each angle derivative brings i times the state's winding; the phase factors are dropped
+    form = opalgebra.linear_sum([
+        (opalgebra.product((opalgebra.imag() ** (de + da + db), ((r2, 0, 0, 0, 0, de, da, db), 0, 0, re, im, den),
+                            _GAUGE**dr)), Fraction(1, 2) ** sp)
+        for (r2, _, _, _, dr, de, da, db), sp, _, re, im, den in atoms])
+    if any(im for *_, im, _ in form.atoms()):
         raise ValueError("operator has a non-real coefficient on the profile")
-    return tuple((k, j, angle, float(re)) for (k, j, angle), (re, _) in sorted(acc.items()) if re)
+    return tuple((mono[0], mono[4], mono[5:], re / den) for mono, _, _, re, _, den in sorted(form.atoms()))
 
 
 def act(op: OperatorExpr, state: QuantumState, rho):
@@ -346,8 +346,8 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
     every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op``
     has nonzero gamma-degree, a coefficient of its rho-form is not real, its
-    atoms carry different phases, a rho is negative, or the result is infinite
-    at a rho = 0 entry.
+    atoms carry different phases, a rho is negative or NaN, or the result is
+    infinite at a rho = 0 entry.
     """
     n, mu, nu = (float(w) for w in state.windings)
     p, degree, alpha = float(state.power), state.degree, state.alpha

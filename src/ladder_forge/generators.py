@@ -253,7 +253,7 @@ def _generator(kind: str, direction: int, member: OperatorExpr | None = None) ->
 def step(op: OperatorExpr) -> tuple[int, int]:
     """The lattice step (dmu, dnu) = (ke + ka, ke + kb) of ``op`` on a bound state's weyl labels, read off
     the one phase winding (ke, ka, kb) that all its atoms share; ``ValueError`` if their windings differ."""
-    (ke, ka, kb), *others = {(mono.ke, mono.ka, mono.kb) for (mono, _, _), _ in op.terms()} or {(0, 0, 0)}
+    (ke, ka, kb), *others = {mono[1:4] for mono, *_ in op.atoms()} or {(0, 0, 0)}
     if others:
         raise ValueError("operator mixes phase windings")
     return ke + ka, ke + kb

@@ -41,7 +41,10 @@ The integer counterpart of ``terms()`` is the *atom form*, the 6-tuple
 ``(re + im*i)/den * s**s_power * u**u_parity * mono`` with ``den > 0``; it
 need not be in lowest terms, and its coefficient may be zero.
 ``OperatorExpr.atoms()`` reads them out, ``product`` takes one as a factor, and
-``atom_power`` raises one in closed form.
+``atom_power`` raises one in closed form.  Every rewrite reads atom forms, in
+one ``linear_sum`` or ``product`` pass or one relabelling: ``substitute_s``,
+``swap_alpha_beta``, ``generators.step`` and the rho-form of ``coulomb``;
+``terms()`` and ``Mono`` are the public read-out only.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -381,21 +384,15 @@ class OperatorExpr:
     # -- substitution ----------------------------------------------------
 
     def substitute_s(self, value: Rational) -> "OperatorExpr":
-        """Replace the formal symbol s by a positive rational, exactly."""
+        """Replace the formal symbol s by a positive rational, exactly: the atoms weighted by ``value**s_power``."""
         val = exact(value, "value")
         if val <= 0:
             raise ValueError("s stands for sqrt(-lambda) and must be positive")
-        acc: dict[Atom, tuple[Fraction, Fraction]] = {}
-        for (mono, sp, up), (re, im) in self._terms.items():
-            if up:
-                raise ValueError(
-                    "coefficient contains the formal unit u; its value "
-                    "(2*s)**(-1/2) is irrational for generic s"
-                )
-            f = val**sp / self._den
-            x, y = acc.get((mono, 0, 0), (0, 0))
-            acc[mono, 0, 0] = (x + re * f, y + im * f)
-        return OperatorExpr(acc)
+        atoms = self.atoms()
+        if any(up for _, _, up, *_ in atoms):
+            raise ValueError("coefficient contains the formal unit u; its value (2*s)**(-1/2) is irrational "
+                             "for generic s")
+        return linear_sum([(_atom(mono, 0, 0, re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
 
     # -- equality --------------------------------------------------------
 
@@ -594,12 +591,8 @@ def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> Op
 
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
-    acc: dict[Atom, Gauss] = {}
-    for (mono, sp, up), g in expr._terms.items():
-        r2, ke, ka, kb, dr, de, da, db = mono
-        swapped = Mono(r2, ke, kb, ka, dr, de, db, da)
-        acc[(swapped, sp, up)] = g
-    return OperatorExpr._wrap(acc, expr._den)
+    return OperatorExpr._wrap({((r2, ke, kb, ka, dr, de, db, da), sp, up): (re, im)
+                               for (r2, ke, ka, kb, dr, de, da, db), sp, up, re, im, _ in expr.atoms()}, expr._den)
 
 
 # -- linear span and Lie closure ----------------------------------------
@@ -623,34 +616,24 @@ def _eliminate(vec: dict[Atom, Gauss], p: Gauss, c: Gauss, row: dict[Atom, Gauss
     return _lowest(out, 0)[0]
 
 
-class _Echelon:
-    """Fraction-free row echelon span over the Gaussian integers.
+def _insert(rows: list[tuple[Atom, dict[Atom, Gauss]]], vec: dict[Atom, Gauss]) -> bool:
+    """Append ``vec`` to ``rows``, a fraction-free row echelon of ``(pivot, row)`` over the Gaussian
+    integers, if it lies outside their span; never mutates ``vec``.
 
     Eliminating a row from a vector forms ``p*vec - c*row``, with ``p`` the
     row's pivot entry and ``c`` the vector's entry there, and divides the
     result by its integer content (fraction-free elimination after Bareiss,
     Math. Comp. 22 (1968) 565).  Each row is zero at the pivots of the rows
-    before it, so one pass in insertion order reduces a vector; only the
-    dimension is read.
+    before it, so one pass in insertion order reduces a vector.
     """
-
-    def __init__(self):
-        self.rows: list[tuple[Atom, dict[Atom, Gauss]]] = []
-
-    def insert(self, vec: dict[Atom, Gauss]) -> bool:
-        """Add ``vec`` if it lies outside the span; never mutates ``vec``."""
-        for pivot, row in self.rows:
-            c = vec.get(pivot)
-            if c:
-                vec = _eliminate(vec, row[pivot], c, row)
-        if not vec:
-            return False
-        self.rows.append((min(vec), vec))
-        return True
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rows)
+    for pivot, row in rows:
+        c = vec.get(pivot)
+        if c:
+            vec = _eliminate(vec, row[pivot], c, row)
+    if not vec:
+        return False
+    rows.append((min(vec), vec))
+    return True
 
 
 def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
@@ -664,10 +647,10 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
         raise ValueError("closure_check requires a non-empty basis")
     if max_dim < len(ops):
         raise ValueError("max_dim must be at least the basis size")
-    echelon = _Echelon()
+    rows: list[tuple[Atom, dict[Atom, Gauss]]] = []  # only their number, the dimension, is read
     independent: list[OperatorExpr] = []
     for op in ops:
-        if echelon.insert(op._terms):
+        if _insert(rows, op._terms):
             independent.append(op)
     tested = 0
     pending = [(i, j) for j in range(len(independent)) for i in range(j)]
@@ -677,10 +660,10 @@ def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
         comm = commutator(independent[i], independent[j])
         if comm.is_zero:
             continue
-        if echelon.insert(comm._terms):
-            if echelon.dimension > max_dim:
-                return ClosureReport(echelon.dimension, False, max_dim, tested)
+        if _insert(rows, comm._terms):
+            if len(rows) > max_dim:
+                return ClosureReport(len(rows), False, max_dim, tested)
             new_index = len(independent)
             independent.append(comm)
             pending.extend((k, new_index) for k in range(new_index))
-    return ClosureReport(echelon.dimension, True, max_dim, tested)
+    return ClosureReport(len(rows), True, max_dim, tested)

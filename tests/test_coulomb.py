@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from ladder_forge import coulomb as cl
 from ladder_forge import factorizations as fz
 from ladder_forge import generators as gen
 from ladder_forge import opalgebra as oa
+
+from test_opalgebra import _SAL, _SBE, _SETA, _SR, _SS, _sympy_apply
 
 GENERATORS = {
     op[0] + ("+" if op.endswith("plus") else "-"): expr
@@ -509,6 +512,18 @@ class TestActionAtZero:
                 call(rho)
         assert np.isfinite(call([0.0, 2.0])).all()
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda rho: cl.act(gen.build_T()["Tplus"], cl.state_tm(2, 0), rho), "rho must be nonnegative, got nan"),
+        (lambda rho: cl.state_tm(2, 0).scaled_profile(rho), "rho must be nonnegative, got nan"),
+        (lambda r: cl.state_tm(2, 0).radial(r), "r must be nonnegative, got nan"),
+    ], ids=["act", "scaled-profile", "radial"])
+    def test_nan_rho_refused(self, call, message):
+        # a NaN rho is no point of the profiles' domain: it is refused as one, not
+        # reported as a value past the float range
+        for rho in ([np.nan], np.nan, [0.0, np.nan, 2.0], [[1.0, 0.0], [np.nan, 3.0]]):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(rho)
+
     @pytest.mark.parametrize("call,rho", [
         (lambda rho: cl.act(gen.build_T()["Tplus"], cl.state_tm(2, 0), rho), 1e308),
         (lambda rho: cl.state_tm(2, 0).scaled_profile(rho), 1e200),
@@ -617,3 +632,29 @@ class TestChargeShift:
             state = cl.make_state(rep.family, rep.source)
             shift = cl.charge_shift(state, rep.operator)
             assert shift.gamma_invariant and shift.energy_invariant
+
+
+# Independent route for the rho-form: apply each ladder, T0 and the Casimir
+# with sympy's calculus to a state-like function whose profile F is rho**q
+# times a polynomial, all symbolic, and compare with the form's sum.
+
+_RHO, _GAMMA = sympy.symbols("rho gamma", positive=True)
+_N, _MU, _NU, _Q = sympy.symbols("n mu nu q")
+_F = sympy.Lambda(_RHO, _RHO**_Q * sum(a * _RHO**k for k, a in enumerate(sympy.symbols("a0:3"))))
+_FORM_OPS = {**GENERATORS, "T0": gen.build_T()["T0"], "casimir": gen.casimir()[0]}
+
+
+@pytest.mark.parametrize("name", list(_FORM_OPS))
+def test_rho_form_matches_sympy_calculus(name):
+    # op on exp(i(n eta + mu alpha + nu beta)) exp(-gamma r/2) F(gamma r), at
+    # s = gamma/2 and r = rho/gamma, is op's phase times the state's times
+    # exp(-rho/2) sum c n**de mu**da nu**db rho**(k/2) F^(j)(rho)
+    op = _FORM_OPS[name]
+    (ke, ka, kb), = {mono[1:4] for mono, *_ in op.atoms()}
+    phase = sympy.exp(sympy.I * ((_N + ke) * _SETA + (_MU + ka) * _SAL + (_NU + kb) * _SBE))
+    state = sympy.exp(sympy.I * (_N * _SETA + _MU * _SAL + _NU * _SBE)) * sympy.exp(-_GAMMA * _SR / 2)
+    applied = _sympy_apply(op, state * _F(_GAMMA * _SR)).subs(_SS, _GAMMA / 2).subs(_SR, _RHO / _GAMMA)
+    form = sum(sympy.Rational(Fraction(c)) * _N**de * _MU**da * _NU**db * _RHO ** sympy.Rational(k, 2)
+               * sympy.diff(_F(_RHO), _RHO, j) for k, j, (de, da, db), c in cl._rho_form(op))
+    defect = sympy.expand(applied / (phase * sympy.exp(-_RHO / 2))) - sympy.expand(form)
+    assert sympy.simplify(sympy.powsimp(defect, force=True)) == 0

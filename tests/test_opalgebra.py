@@ -12,10 +12,11 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ladder_forge import coulomb as cl
 from ladder_forge import opalgebra as oa, opdsl
 from ladder_forge.factorizations import TypeB, TypeC, TypeF, factorization_residuals
-from ladder_forge.generators import (ALGEBRAS, build_T, casimir, casimir_reports, closure_report,
-                                    reconstruction_reports)
+from ladder_forge.generators import (ALGEBRAS, LADDERS, build_T, casimir, casimir_reports, closure_report,
+                                    reconstruction_reports, sp4_bilinears)
 
 from _gen import PHASES, operators, random_operator, random_term, term_from, terms
 
@@ -492,6 +493,50 @@ def test_phase_grading_adds_windings():
         (ea, aa, ba), (eb, ab, bb) = next(iter(ka)), next(iter(kb))
         for (mono, _, _), _ in product.terms():
             assert (mono.ke, mono.ka, mono.kb) == (ea + eb, aa + ab, ba + bb)
+
+
+def _u_free(e: oa.OperatorExpr) -> oa.OperatorExpr:
+    # e without its atoms in the formal unit u
+    return oa.OperatorExpr({key: pair for key, pair in e.terms() if not key[2]})
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators(wide=True).map(_u_free), operators(wide=True).map(_u_free), _POSITIVE)
+def test_substitute_s_preserves_sums_and_products(a, b, q):
+    # s is a central number, so setting it is a ring map on u-free operators
+    assert (a + b).substitute_s(q) == a.substitute_s(q) + b.substitute_s(q)
+    assert (a * b).substitute_s(q) == a.substitute_s(q) * b.substitute_s(q)
+    _assert_lowest_terms(a.substitute_s(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators(wide=True), operators(wide=True))
+def test_swap_alpha_beta_preserves_products_and_commutators(a, b):
+    swap = oa.swap_alpha_beta
+    assert swap(a * b) == swap(a) * swap(b)
+    assert swap(oa.commutator(a, b)) == oa.commutator(swap(a), swap(b))
+
+
+def test_rewrites_take_one_linear_sum(monkeypatch):
+    # each rewrite is one weighted sum of its atoms: an uncached rho-form makes
+    # one linear_sum call, and substitute_s one, without the validating
+    # constructor
+    ops = [lad.operator() for lad in LADDERS.values()] + [build_T()["T0"], casimir()[0], oa.identity()]
+    ops += sp4_bilinears().values()
+    init, inits = oa.OperatorExpr.__init__, []
+    monkeypatch.setattr(oa.OperatorExpr, "__init__", lambda *args: inits.append(1) or init(*args))
+    calls = _count_calls(monkeypatch, "linear_sum")
+    for op in ops:
+        calls["linear_sum"] = 0
+        cl._rho_form.__wrapped__(op)
+        assert calls["linear_sum"] == 1, op
+    for op in (build_T()["Tplus"], casimir()[0], oa.s_sym(-2) * oa.r_power(1) + oa.s_sym(3)):
+        calls["linear_sum"] = 0
+        op.substitute_s(Fraction(3, 2))
+        assert calls["linear_sum"] == 1 and not inits, op
 
 
 def test_swap_alpha_beta_is_involution():
