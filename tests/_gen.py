@@ -30,8 +30,11 @@ def term_from(re_c: Fraction, im_c: Fraction, s_pow: int, u_par: int,
     return out
 
 
-def random_term(rng: random.Random, small: bool = False) -> oa.OperatorExpr:
+def random_term(rng: random.Random, small: bool = False, wide: bool = False) -> oa.OperatorExpr:
+    """One term; ``wide`` draws windings up to 3 and derivative orders up to 3."""
     lim = 2 if small else 4
+    winding = 3 if wide else 1
+    order = 3 if wide else 1 if small else 2
     re_c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
     im_c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
     if re_c == 0 and im_c == 0:
@@ -39,16 +42,16 @@ def random_term(rng: random.Random, small: bool = False) -> oa.OperatorExpr:
     s_pow = rng.randint(-2, 2)
     u_par = rng.randint(0, 1)
     r2 = rng.randint(-lim, lim)
-    windings = [rng.randint(-1, 1) for _ in PHASES]
-    derivs = [rng.randint(0, 1 if small else 2) for _ in AXES]
+    windings = [rng.randint(-winding, winding) for _ in PHASES]
+    derivs = [rng.randint(0, order) for _ in AXES]
     return term_from(re_c, im_c, s_pow, u_par, r2, windings, derivs)
 
 
 def random_operator(rng: random.Random, max_terms: int = 4,
-                    small: bool = False) -> oa.OperatorExpr:
+                    small: bool = False, wide: bool = False) -> oa.OperatorExpr:
     expr = oa.zero()
     for _ in range(rng.randint(1, max_terms)):
-        expr = expr + random_term(rng, small)
+        expr = expr + random_term(rng, small, wide)
     return expr
 
 

@@ -25,6 +25,11 @@ the error's type and message.
   ``substitute_s`` (on each operator and on its u-free part) and
   ``swap_alpha_beta`` of seeded ``_gen.random_operator`` values; and the
   dimension, verdict and commutator count of each ``closure_report``.
+* ``products``: ``a*b``, ``commutator(a, b)`` and ``a**k`` (-1 <= k <= 3) of
+  seeded ``_gen.random_operator`` pairs, every other pair drawn ``wide``
+  (windings and derivative orders up to 3), pairs of u-carrying terms among
+  them; and every commutator the su11, weyl and sp4 closures form, in the
+  order they form them.
 
 Operators are recorded by their ``render``.
 
@@ -195,12 +200,49 @@ def rewrite_records() -> list[str]:
     return out
 
 
+PRODUCTS_SEED = 29001
+
+
+def _closure_commutators(which: str) -> list[str]:
+    """The render of each commutator ``closure_report(which)`` forms, in order."""
+    commutator, out = oa.commutator, []
+
+    def recorded(a, b):
+        value = commutator(a, b)
+        out.append(f"closure {which} [{_show(a)}, {_show(b)}]: {_show(value)}")
+        return value
+
+    oa.commutator = recorded
+    try:
+        gen.closure_report(which)
+    finally:
+        oa.commutator = commutator
+    return out
+
+
+def product_records() -> list[str]:
+    rng = random.Random(PRODUCTS_SEED)
+    out = []
+    for index in range(200):
+        wide = index % 2 == 1
+        a, b = random_operator(rng, 2, wide=wide), random_operator(rng, 2, wide=wide)
+        if index % 3 == 2:  # both sides carry u in every term
+            a, b = a * oa.u_sym(), oa.u_sym() * b
+        out.append(f"{_show(a)} * {_show(b)}: {_shown(lambda: a * b)}")
+        out.append(f"commutator({_show(a)}, {_show(b)}): {_shown(oa.commutator, a, b)}")
+        out += [f"({_show(a)})^{k}: {_shown(lambda: a**k)}" for k in range(-1, 4)]
+    for which in ("su11", "weyl", "sp4"):
+        out += _closure_commutators(which)
+    return out
+
+
 CATEGORIES = {
     "steps": (None, step_records),
     "dsl": (DSL_SEED, dsl_records),
     "families": (FAMILY_SEED, family_records),
     "reconstruction": (RECONSTRUCTION_SEED, reconstruction_records),
     "rewrites": (REWRITES_SEED, rewrite_records),
+    "products": (PRODUCTS_SEED, product_records),
 }
 
 
