@@ -328,8 +328,8 @@ def _rho_form(op: OperatorExpr) -> tuple:
     generators.step(op)  # refuses an operator whose atoms carry different phase windings
     # each angle derivative brings i times the state's winding; the phase factors are dropped
     form = opalgebra.linear_sum([
-        (opalgebra.product((opalgebra.imag() ** (de + da + db), ((r2, 0, 0, 0, 0, de, da, db), 0, 0, re, im, den),
-                            _GAUGE**dr)), Fraction(1, 2) ** sp)
+        (opalgebra.product((opalgebra.imag() ** (de + da + db), (opalgebra._pack((r2, 0, 0, 0, 0, de, da, db), 0, 0),
+                                                                 re, im, den), _GAUGE**dr)), Fraction(1, 2) ** sp)
         for (r2, _, _, _, dr, de, da, db), sp, _, re, im, den in atoms])
     if any(im for *_, im, _ in form.atoms()):
         raise ValueError("operator has a non-real coefficient on the profile")

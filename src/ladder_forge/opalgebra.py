@@ -21,7 +21,16 @@ derivatives.  A value is one flat map from atoms ``(mono, s_power, u_parity)``,
 Gaussian-integer numerators ``(re, im)`` over one positive denominator shared
 by the whole value.  Equal atoms are always merged and the value is in lowest
 terms (the gcd of the denominator and every numerator part is 1; zero is the
-empty map over 1).  Products are rewritten into this form with the exact rules
+empty map over 1).  A key is its atom packed into one ``int`` by ``_pack``,
+which ``_unpack`` reverses (no other code lays out the fields): from the top
+the ``Mono`` fields and s_power, 32 bits each holding the value plus 2**31,
+then two bits of u parity.  Keys sort as atoms do, a leading key is
+``k1 + k2 - _BIAS``, and ``u**2`` is a test of bit 1 and one subtraction.
+Each exponent lies in ``-EXP_BOUND <= e < EXP_BOUND`` (2**24), so no field
+carries into the next (interaction terms reach 4 * EXP_BOUND, a field 2**31):
+``_pack`` names a field outside the bound in a ``ValueError``, and each key a
+product forms takes one SWAR test, ``(key - _LOW) & _GUARD``, one subtraction
+and one AND over all fields.  Products are put in normal order by the rules
 
     d/dr * r**(p/2)   = r**(p/2) * d/dr + (p/2) * r**((p-2)/2)
     d/dv * exp(i*k*v) = exp(i*k*v) * (d/dv + i*k)     for v in {eta, alpha, beta}
@@ -36,26 +45,27 @@ outside.  ``terms()`` yields ``((mono, s_power, u_parity), (re, im))``, and
 ``OperatorExpr(mapping)`` takes those pairs back, or plain ``int``/``Fraction``
 values for real coefficients.
 
-The integer counterpart of ``terms()`` is the *atom form*, the 6-tuple
-``(mono, s_power, u_parity, re, im, den)`` for the one-atom operator
-``(re + im*i)/den * s**s_power * u**u_parity * mono`` with ``den > 0``; it
-need not be in lowest terms, and its coefficient may be zero.
-``OperatorExpr.atoms()`` reads them out, ``product`` takes one as a factor, and
-``atom_power`` raises one in closed form.  Every rewrite reads atom forms, in
-one ``linear_sum`` or ``product`` pass or one relabelling: ``substitute_s``,
-``swap_alpha_beta``, ``generators.step`` and the rho-form of ``coulomb``;
-``terms()`` and ``Mono`` are the public read-out only.
+The integer counterpart of ``terms()`` is ``atoms()``, the 6-tuples
+``(mono, s_power, u_parity, re, im, den)`` of one-atom operators
+``(re + im*i)/den * s**s_power * u**u_parity * mono``, ``den > 0``.  An *atom
+form* ``(key, re, im, den)`` carries the packed key instead; it need not be in
+lowest terms, and its coefficient may be zero.  ``product`` takes one as a
+factor, and ``atom_power`` raises one in closed form.  Every rewrite reads
+atoms, in one ``linear_sum`` or ``product`` pass or one relabelling:
+``substitute_s``, ``swap_alpha_beta``, ``generators.step`` and the rho-form of
+``coulomb``; ``terms()`` and ``Mono`` are the public read-out only.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
 the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
-key, as offsets from the leading term.  The leading terms of ``a*b`` and ``b*a``
-are equal, so ``commutator`` forms both orders in one pass and skips them.
-Every product, binary, n-ary or a power, is one ``product`` pass, the one place
-where free single atoms (no derivative meets a function on its own axis) fold
-in integers.  Every sum and every rational factor is one ``linear_sum`` pass,
+key, ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS``, as offsets from the
+leading key.  The leading terms of ``a*b`` and ``b*a`` are equal, so
+``commutator`` forms both orders in one pass and skips them.  Every product,
+binary, n-ary or a power, is one ``product`` pass, the one place where free
+single atoms (no derivative meets a function on its own axis) fold in
+integers.  Every sum and every rational factor is one ``linear_sum`` pass,
 linear in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
@@ -67,12 +77,12 @@ without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10
-from operator import add
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -115,7 +125,34 @@ class Mono(NamedTuple):
     db: int
 
 
-_MONO_ONE = Mono(0, 0, 0, 0, 0, 0, 0, 0)
+# -- packed atom keys (the layout is in the module docstring) ---------------
+
+EXP_BOUND = 2**24
+_FIELDS = struct.Struct(">9i")  # r2, ke, ka, kb, dr, de, da, db, s_power
+_HALF, _FIELD = 1 << 31, (1 << 32) - 1
+_SHIFTS = tuple(2 + 32 * i for i in range(8, -1, -1))
+_R2, _, _, _, _DR, _DE, _DA, _DB, _SP = _SHIFTS
+_BIAS = sum(_HALF << shift for shift in _SHIFTS)  # the key of the unit atom; ^ flips each int32's sign bit
+_FUNCS, _DERIVS = (sum(_FIELD << shift for shift in part) for part in (_SHIFTS[:4], _SHIFTS[4:8]))
+_U2 = 2 + (1 << _SP)  # u**2 = 1/(2*s): u parity 2 to 0, one s power down
+_LOW = sum(_HALF - EXP_BOUND << shift for shift in _SHIFTS)
+_GUARD = sum((_FIELD ^ 2 * EXP_BOUND - 1) << shift for shift in _SHIFTS)
+
+
+def _pack(mono: Sequence[int], sp: int, up: int) -> int:
+    """The key of the atom ``(mono, sp, up)``; a ``ValueError`` names a field outside the bound."""
+    values = (*mono, sp)
+    if not -EXP_BOUND <= min(values) <= max(values) < EXP_BOUND:
+        value = next(v for v in values if not -EXP_BOUND <= v < EXP_BOUND)
+        name = (*Mono._fields, "s_power")[values.index(value)]
+        raise ValueError(f"{name} = {value} is outside the exponent bound [-2**24, 2**24)")
+    return (int.from_bytes(_FIELDS.pack(*values), "big") << 2 ^ _BIAS) + up
+
+
+def _unpack(key: int) -> tuple[tuple[int, ...], int, int]:
+    """The atom ``(mono, sp, up)`` of a key, ``mono`` a plain 8-tuple in ``Mono`` field order."""
+    *mono, sp = _FIELDS.unpack(((key ^ _BIAS) >> 2).to_bytes(_FIELDS.size, "big"))
+    return tuple(mono), sp, key & 1
 
 
 def _phase_pass(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -134,13 +171,13 @@ def _phase_pass(d: int, k: int) -> tuple[tuple[int, int, int], ...]:
 # a bound on memory, not a tuning: the paper's sets and seeded DSL streams use
 # a few hundred keys
 @lru_cache(maxsize=4096)
-def _mono_cross(dr: int, de: int, da: int, db: int, r2: int, ke: int, ka: int, kb: int) -> tuple[tuple[int, ...], ...]:
-    """Interaction terms of left derivative orders with right function exponents.
-
-    Each entry is ``(r2, dr, de, da, db, re, im)``: the offsets of the r
-    half-power and the four derivative orders from the leading term, and a
-    Gaussian-integer coefficient over ``2**dr``.  The leading term is not listed.
+def _mono_cross(key: int) -> tuple[tuple[int, int, int], ...]:
+    """Interaction terms of left derivative orders with right function exponents, ``key`` being
+    ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS`` for left and right atom keys (a zero field reads 0).
+    Each entry is ``(delta, re, im)``: the key's offset from the leading term's, and a
+    Gaussian-integer coefficient over ``2**dr``.  The leading term is not listed: a free pair gets ``()``.
     """
+    (r2, ke, ka, kb, dr, de, da, db), _, _ = _unpack(key ^ _BIAS)
     phases = []
     for je, a, b in _phase_pass(de, ke):
         for ja, c, d in _phase_pass(da, ka):
@@ -148,7 +185,7 @@ def _mono_cross(dr: int, de: int, da: int, db: int, r2: int, ke: int, ka: int, k
             for jb, e, f in _phase_pass(db, kb):
                 # je/ja/jb count the derivatives left over after commuting
                 # past the phase factor
-                phases.append((je - de, ja - da, jb - db, x * e - y * f, x * f + y * e))
+                phases.append(((je - de << _DE) + (ja - da << _DA) + (jb - db << _DB), x * e - y * f, x * f + y * e))
     out = []
     # falling = prod(r2 - 2i, i < jr) = 2**jr times the falling factorial of r2/2
     falling = 1
@@ -158,13 +195,13 @@ def _mono_cross(dr: int, de: int, da: int, db: int, r2: int, ke: int, ka: int, k
             if not falling:
                 break
         fr = comb(dr, jr) * falling << (dr - jr)
-        for oe, oa, ob, re, im in phases:
-            if jr or oe or oa or ob:
-                out.append((-2 * jr, -jr, oe, oa, ob, fr * re, fr * im))
+        for offset, re, im in phases:
+            if jr or offset:
+                out.append((offset - (2 * jr << _R2) - (jr << _DR), fr * re, fr * im))
     return tuple(out)
 
 
-Atom = tuple  # (mono, s_power, u_parity), mono an 8-tuple in Mono field order
+Atom = int  # a packed atom key
 Gauss = tuple  # (re: int, im: int), a Gaussian integer
 
 
@@ -186,17 +223,16 @@ def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
     return terms, den
 
 
-# u**(u1 + u2) for parities u1, u2 as (s power shift, u parity, halves): u**2 = 1/(2*s)
-_U_PRODUCT = ((0, 0, 0), (0, 1, 0), (-1, 0, 1))
-
-
 def _fold(x: tuple, y: tuple) -> tuple | None:
-    """``x*y`` for atoms as ``_atom`` arguments, in the same form, if the pair is free."""
-    (m1, s1, u1, a1, b1, d1), (m2, s2, u2, a2, b2, d2) = x, y
-    if m1[4] and m2[0] or m1[5] and m2[1] or m1[6] and m2[2] or m1[7] and m2[3]:
+    """``x*y`` for atom forms, in the same form, if the pair is free."""
+    (k1, a1, b1, d1), (k2, a2, b2, d2) = x, y
+    derivs, funcs = (k1 ^ _BIAS) & _DERIVS, (k2 ^ _BIAS) & _FUNCS
+    if derivs and funcs and _mono_cross(derivs | funcs):
         return None
-    ds, up, half = _U_PRODUCT[u1 + u2]
-    return tuple(map(add, m1, m2)), s1 + s2 + ds, up, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2 << half
+    key = k1 + k2 - _BIAS - (k1 & k2 & 1) * _U2  # u**2 = 1/(2*s)
+    if key - _LOW & _GUARD:
+        _pack(*_unpack(key))  # raises, naming the field outside the bound
+    return key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2 << (k1 & k2 & 1)
 
 
 def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
@@ -206,44 +242,42 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
     its own axis; its product is the leading term alone.  ``product`` folds
     free single atoms before they reach this loop.
     """
-    orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
-    # every contribution goes over den_a * den_b * 2**top: _mono_cross divides
-    # by 2**dr of its left monomial and u**2 = 1/(2*s) by one more 2
+    # every contribution goes over den_a * den_b * 2**top: _mono_cross divides by
+    # 2**dr of its left atom and u**2 = 1/(2*s) by one more 2, so a left atom's
+    # numerator is lifted by top - 1 - dr and a right atom's by 1 (its sign's 2) unless u meets u
+    orders = ((a, b, 2), (b, a, -2)) if commute else ((a, b, 2),)
     lefts = (*a._terms, *b._terms) if commute else a._terms
-    top = 1 + max((m1[4] for m1, _, _ in lefts), default=0)
+    top = 1 + max((k1 >> _DR & _FIELD for k1 in lefts), default=_HALF) - _HALF
     acc: dict[Atom, Gauss] = {}
     get = acc.get
     for left, right, sign in orders:
-        funcs = [m2 + (s2, u2, sign * a2, sign * b2) for (m2, s2, u2), (a2, b2) in right._terms.items()]
-        for (m1, s1, u1), (a1, b1) in left._terms.items():
-            r1, ke1, ka1, kb1, dr, de, da, db = m1
-            for r2, ke, ka, kb, dr2, de2, da2, db2, s2, u2, a2, b2 in funcs:
-                interacts = dr and r2 or de and ke or da and ka or db and kb
-                if commute and not interacts:
+        # a right atom as (key - _BIAS, functions, numerator), and as met by a left u
+        plain = [(k2 - _BIAS, (k2 ^ _BIAS) & _FUNCS, sign * a2, sign * b2) for k2, (a2, b2) in right._terms.items()]
+        with_u = [(k2 - _U2, f, a2 >> 1, b2 >> 1) if k2 & 1 else (k2, f, a2, b2) for k2, f, a2, b2 in plain]
+        for k1, (a1, b1) in left._terms.items():
+            derivs, dr = (k1 ^ _BIAS) & _DERIVS, (k1 >> _DR & _FIELD) - _HALF
+            a1, b1 = a1 << top - 1 - dr, b1 << top - 1 - dr
+            leading = () if commute else ((0, 1 << dr, 0),)  # over 2**dr, as _mono_cross's terms are
+            for k2, funcs, a2, b2 in with_u if k1 & 1 else plain:
+                cross = _mono_cross(derivs | funcs) if derivs and funcs else ()  # none without both
+                if commute and not cross:
                     continue
-                ds, up, half = _U_PRODUCT[u1 + u2]
-                sp, re, im = s1 + s2 + ds, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-                lr, le, la, lb = r1 + r2, ke1 + ke, ka1 + ka, kb1 + kb
-                ldr, lde, lda, ldb = dr + dr2, de + de2, da + da2, db + db2
-                if not commute:  # the leading term
-                    key = ((lr, le, la, lb, ldr, lde, lda, ldb), sp, up)
-                    x, y = re << top - half, im << top - half
+                lead = k1 + k2
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                for delta, gr, gi in leading + cross:
+                    key = lead + delta
+                    x, y = re * gr - im * gi, re * gi + im * gr
                     cur = get(key)
                     acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
-                if interacts:  # _mono_cross is over 2**dr
-                    shift = top - dr - half
-                    re, im = re << shift, im << shift
-                    for o_r, o_dr, o_de, o_da, o_db, gr, gi in _mono_cross(dr, de, da, db, r2, ke, ka, kb):
-                        key = ((lr + o_r, le, la, lb, ldr + o_dr, lde + o_de, lda + o_da, ldb + o_db), sp, up)
-                        x, y = re * gr - im * gi, re * gi + im * gr
-                        cur = get(key)
-                        acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+    for key in acc:
+        if key - _LOW & _GUARD:
+            _pack(*_unpack(key))  # raises, naming the field outside the bound
     return OperatorExpr._wrap(*_lowest(acc, a._den * b._den << top))
 
 
 def _atom_key(key) -> Atom:
-    """``key`` as an atom ``(mono, s_power, u_parity)`` of integers, or a ``TypeError`` or
-    ``ValueError`` naming the field: a mono of 8 integers, no negative derivative order."""
+    """The packed key of an atom ``(mono, s_power, u_parity)`` of integers, or a ``TypeError`` or ``ValueError``
+    naming the field: a mono of 8 integers, no negative derivative order, no exponent outside the bound."""
     if not isinstance(key, tuple) or len(key) != 3:
         raise TypeError(f"atom key must be a (mono, s_power, u_parity) triple, got {key!r}")
     mono, sp, up = key
@@ -255,17 +289,16 @@ def _atom_key(key) -> Atom:
         raise ValueError("derivative order must be nonnegative")
     if up not in (0, 1):
         raise ValueError("u parity must be 0 or 1")
-    return mono, sp, up
+    return _pack(mono, sp, up)
 
 
 class OperatorExpr:
     """Immutable normal-ordered sum of atoms ``g * s**s_power * u**u_parity * mono``.
 
-    Stored as one map from ``(mono, s_power, u_parity)`` to the nonzero
-    Gaussian-integer numerator ``(re, im)`` of ``g``, with ``u_parity`` in
-    {0, 1}, plus one positive denominator shared by every atom, in lowest terms.
-    A product stores ``mono`` as a plain 8-tuple in ``Mono`` field order, which
-    hashes and compares like the ``Mono``; ``terms()`` hands out ``Mono``.
+    Stored as one map from the packed key of ``(mono, s_power, u_parity)`` to
+    the nonzero Gaussian-integer numerator ``(re, im)`` of ``g``, with
+    ``u_parity`` in {0, 1}, plus one positive denominator shared by every atom,
+    in lowest terms.  ``terms()`` and ``atoms()`` unpack the keys.
     ``OperatorExpr(mapping)`` takes ``int`` or ``Fraction`` values, or
     ``(re, im)`` pairs of them, checks each key (``_atom_key``) and finds the
     common denominator itself, so ``OperatorExpr(dict(e.terms())) == e``.
@@ -306,16 +339,13 @@ class OperatorExpr:
 
         ``re`` and ``im`` are the ``Fraction`` parts of the atom's coefficient.
         """
-        den = self._den
-        return tuple(
-            ((Mono._make(mono), sp, up), (Fraction(re, den), Fraction(im, den)))
-            for (mono, sp, up), (re, im) in sorted(self._terms.items())
-        )
+        return tuple(((Mono._make(mono), sp, up), (Fraction(re, den), Fraction(im, den)))
+                     for mono, sp, up, re, im, den in sorted(self.atoms()))
 
     def atoms(self) -> list[tuple]:
         """The atom forms ``(mono, s_power, u_parity, re, im, den)``, in no set order."""
         den = self._den
-        return [(mono, sp, up, re, im, den) for (mono, sp, up), (re, im) in self._terms.items()]
+        return [(*_unpack(key), re, im, den) for key, (re, im) in self._terms.items()]
 
     def flatten(self) -> Iterator[tuple[Mono, int, int, tuple[Fraction, Fraction]]]:
         """``terms()`` as ``(mono, s_power, u_parity, (re, im))``; read by perfbench/tracer.py."""
@@ -368,7 +398,7 @@ class OperatorExpr:
         """``self**exponent``; ``exponent < 0`` inverts a single atom without derivatives."""
         e = exact_int(exponent, "exponent")
         if len(self._terms) == 1:
-            power = atom_power(*self.atoms(), e)
+            power = atom_power(_form(self), e)
             if power is not None:
                 return _atom(*power)
         elif e < 0:
@@ -392,7 +422,7 @@ class OperatorExpr:
         if any(up for _, _, up, *_ in atoms):
             raise ValueError("coefficient contains the formal unit u; its value (2*s)**(-1/2) is irrational "
                              "for generic s")
-        return linear_sum([(_atom(mono, 0, 0, re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
+        return linear_sum([(_atom(_pack(mono, 0, 0), re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
 
     # -- equality --------------------------------------------------------
 
@@ -419,15 +449,21 @@ class OperatorExpr:
 
 # the slots' own setters, which the immutability guard in __setattr__ does not see
 _set_terms, _set_den, _set_hash = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
-_ONE = OperatorExpr._wrap({(_MONO_ONE, 0, 0): (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
+_ONE = OperatorExpr._wrap({_BIAS: (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
 
 
 # -- constructors --------------------------------------------------------
 
 
-def _atom(mono: Mono, sp: int = 0, up: int = 0, re: int = 1, im: int = 0, den: int = 1) -> OperatorExpr:
-    """The one-atom operator ``(re + im*i)/den * s**sp * u**up * mono``, ``den > 0``."""
-    return OperatorExpr._wrap(*_lowest({(mono, sp, up): (re, im)}, den))
+def _atom(key: Atom, re: int = 1, im: int = 0, den: int = 1) -> OperatorExpr:
+    """The one-atom operator of the atom form ``(key, re, im, den)``: ``(re + im*i)/den`` times the atom."""
+    return OperatorExpr._wrap(*_lowest({key: (re, im)}, den))
+
+
+def _form(expr: OperatorExpr) -> tuple:
+    """The atom form ``(key, re, im, den)`` of a one-atom operator."""
+    (key, (re, im)), = expr._terms.items()
+    return key, re, im, expr._den
 
 
 def zero() -> OperatorExpr:
@@ -440,24 +476,24 @@ def identity() -> OperatorExpr:
 
 def scalar(value: Rational) -> OperatorExpr:
     value = exact(value, "coefficient")
-    return _atom(_MONO_ONE, re=value.numerator, den=value.denominator)
+    return _atom(_BIAS, value.numerator, 0, value.denominator)
 
 
 def imag() -> OperatorExpr:
-    return _atom(_MONO_ONE, re=0, im=1)
+    return _atom(_BIAS, 0, 1)
 
 
 def s_sym(power: int = 1) -> OperatorExpr:
-    return _atom(_MONO_ONE, exact_int(power, "power"))
+    return _atom(_pack((0,) * 8, exact_int(power, "power"), 0))
 
 
 def u_sym() -> OperatorExpr:
-    return _atom(_MONO_ONE, 0, 1)
+    return _atom(_BIAS + 1)
 
 
 def r_half_power(halves: int) -> OperatorExpr:
     """r**(halves/2); use halves=2 for r itself, halves=1 for sqrt(r)."""
-    return _atom(Mono(exact_int(halves, "halves"), 0, 0, 0, 0, 0, 0, 0))
+    return _atom(_pack((exact_int(halves, "halves"), 0, 0, 0, 0, 0, 0, 0), 0, 0))
 
 
 def r_power(power: Rational) -> OperatorExpr:
@@ -477,7 +513,7 @@ def phase(axis: str, winding: int) -> OperatorExpr:
         raise ValueError(f"unknown phase axis {axis!r}")
     k = [0, 0, 0]
     k[PHASE_AXES.index(axis)] = exact_int(winding, "winding")
-    return _atom(Mono(0, k[0], k[1], k[2], 0, 0, 0, 0))
+    return _atom(_pack((0, *k, 0, 0, 0, 0), 0, 0))
 
 
 def deriv(axis: str, order: int = 1) -> OperatorExpr:
@@ -488,7 +524,7 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
         raise ValueError("derivative order must be nonnegative")
     d = [0, 0, 0, 0]
     d[DERIV_AXES.index(axis)] = order
-    return _atom(Mono(0, 0, 0, 0, d[0], d[1], d[2], d[3]))
+    return _atom(_pack((0, 0, 0, 0, *d), 0, 0))
 
 
 # -- derived operations --------------------------------------------------
@@ -523,9 +559,8 @@ def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
     last = None  # the last piece as an atom form, while it is one atom
     for f in factors:
         atom = f if type(f) is tuple else None
-        if atom is None and len(f._terms) == 1:  # in place: atoms() would build two lists
-            (key, pair), = f._terms.items()
-            atom = (*key, *pair, f._den)
+        if atom is None and len(f._terms) == 1:
+            atom = _form(f)
         folded = last and atom and _fold(last, atom)
         if folded:
             last = pieces[-1] = folded
@@ -541,9 +576,10 @@ def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
 
 def atom_power(atom: tuple, e: int) -> tuple | None:
     """``atom**e`` for an atom form, as an atom form; None if ``e >= 0`` and the atom does
-    not commute with itself.  ``e < 0`` inverts only a nonzero atom without derivatives.
-    A coefficient past int's string digit limit (if one is set) raises before it is built."""
-    mono, sp, up, re, im, den = atom
+    not commute with itself.  ``e < 0`` inverts only a nonzero atom without derivatives.  A coefficient
+    past int's string digit limit (if one is set), then an exponent outside the bound, raises before it is built."""
+    key, re, im, den = atom
+    mono, sp, up = _unpack(key)
     if e < 0:
         if not (re or im):
             raise ValueError("cannot invert zero")
@@ -551,7 +587,7 @@ def atom_power(atom: tuple, e: int) -> tuple | None:
             raise ValueError("cannot invert an operator containing derivatives")
         # den/(re + im*i) = den*(re - im*i)/(re**2 + im**2)
         re, im, den = den * re, -den * im, re * re + im * im
-    elif not _fold(atom, atom):
+    elif _mono_cross((key ^ _BIAS) & (_DERIVS | _FUNCS)):
         return None
     # x*x is free, so x commutes with itself and every exponent scales by e;
     # u**(up*e) = u**((up*e) mod 2) * (2*s)**-((up*e) div 2)
@@ -562,6 +598,7 @@ def atom_power(atom: tuple, e: int) -> tuple | None:
     limit = sys.get_int_max_str_digits()  # 0 when unlimited
     if limit and (_past_digits(big, small, n, -q, limit) or _past_digits(den, 0, n, q, limit)):
         raise ValueError(f"a result coefficient has more than {limit} digits")
+    key = _pack([k * e for k in mono], sp * e - q, up_e)
     out_re, out_im = 1, 0
     while n:  # (re + im*i)**abs(e) by repeated squaring
         if n & 1:
@@ -570,7 +607,7 @@ def atom_power(atom: tuple, e: int) -> tuple | None:
         if n:  # no square past the last bit
             re, im = re * re - im * im, 2 * re * im
     lift = max(-q, 0)
-    return tuple([k * e for k in mono]), sp * e - q, up_e, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0)
+    return key, out_re << lift, out_im << lift, den ** abs(e) << max(q, 0)
 
 
 def _past_digits(big: int, small: int, n: int, lift: int, limit: int) -> bool:
@@ -591,7 +628,7 @@ def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> Op
 
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
-    return OperatorExpr._wrap({((r2, ke, kb, ka, dr, de, db, da), sp, up): (re, im)
+    return OperatorExpr._wrap({_pack((r2, ke, kb, ka, dr, de, db, da), sp, up): (re, im)
                                for (r2, ke, ka, kb, dr, de, da, db), sp, up, re, im, _ in expr.atoms()}, expr._den)
 
 

@@ -34,7 +34,7 @@ factor but a parenthesised sum is an ``opalgebra`` atom form, built from the
 lexeme in integers, negated and raised (``opalgebra.atom_power``) without an
 operator; each term is one ``opalgebra.product`` and each sum one
 ``opalgebra.linear_sum``, so a canonical term parses to one operator.
-``render`` sorts the atom forms once and prints their integer numerators.
+``render`` sorts the atoms once and prints their integer numerators.
 """
 
 from __future__ import annotations
@@ -124,10 +124,9 @@ def _describe(lexeme: str) -> str:
 
 # atom forms, immutable, so every parse shares them
 _SYMBOLS = {"i": opalgebra.imag(), "s": opalgebra.s_sym(), "u": opalgebra.u_sym(), "r": opalgebra.r_half_power(2)}
-_LEAVES = {name: op.atoms()[0] for name, op in
+_LEAVES = {name: opalgebra._form(op) for name, op in
            {**_SYMBOLS, **{f"d/d{axis}": opalgebra.deriv(axis) for axis in DERIV_AXES}}.items()}
-_SQRT_R = opalgebra.sqrt_r().atoms()[0]
-_MONO_ONE = opalgebra.identity().atoms()[0][0]
+_SQRT_R = opalgebra._form(opalgebra.sqrt_r())
 
 # the three parts of a phase argument, each allowed once
 _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
@@ -186,8 +185,8 @@ class _Parser:
         if self.accept("-"):
             value = self.parse_unary()
             if type(value) is tuple:
-                mono, sp, up, real, imag, den = value
-                return mono, sp, up, -real, -imag, den
+                key, real, imag, den = value
+                return key, -real, -imag, den
             return -value
         value = self.parse_atom()
         if "^" in self.lexemes[self.index - 1]:  # a factor lexeme that carries its power
@@ -232,7 +231,7 @@ class _Parser:
             num, den = self.number(lexeme)
             if not den:
                 self.fail(self.index - 1, f"number {lexeme!r} has a zero denominator")
-            return _MONO_ONE, 0, 0, num, 0, den
+            return opalgebra._BIAS, num, 0, den  # the unit atom's key
         if lexeme == "(":
             value = self.parse_expr()
         elif lexeme == "sqrt":
@@ -270,7 +269,10 @@ class _Parser:
             self.fail(start, "phase argument must contain i times one angle name")
         mono = [0] * 8
         mono[1 + PHASE_AXES.index(seen["angle name"])] = sign * seen.get("integer factor", 1)
-        return tuple(mono), 0, 0, 1, 0, 1
+        try:
+            return opalgebra._pack(mono, 0, 0), 1, 0, 1
+        except ValueError as err:  # a winding outside the exponent bound
+            self.fail(start, str(err))
 
 
 # a bound on memory, not a tuning: the 2,000 texts of 20 seeded dsl-stream decks

@@ -90,6 +90,33 @@ class TestExpressionCommands:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == f"error: a result coefficient has more than {limit} digits at position 1\n"
 
+    @pytest.mark.parametrize("text", ["sqrt(r)^16777215", "r^-8388608", "s^-16777216", "exp(-16777216*i*beta)",
+                                      "d/dr^16777215", "s^-1000*r^1000*d/dr^1000"])
+    def test_exponent_at_the_bound_parses(self, capsys, text):
+        # every exponent in [-2**24, 2**24) is accepted, and renders as it was written
+        code, report = run_json(capsys, ["parse", text])
+        assert code == 0 and report["rows"][0]["actual"] == text
+
+    @pytest.mark.parametrize("text,message", [
+        ("r^8388608", "r2 = 16777216 is outside the exponent bound [-2**24, 2**24) at position 1"),
+        ("sqrt(r)^-16777217", "r2 = -16777217 is outside the exponent bound [-2**24, 2**24) at position 7"),
+        ("s^16777216", "s_power = 16777216 is outside the exponent bound [-2**24, 2**24) at position 1"),
+        ("exp(16777216*i*eta)", "ke = 16777216 is outside the exponent bound [-2**24, 2**24) at position 4"),
+        ("exp(-16777217*i*beta)", "kb = -16777217 is outside the exponent bound [-2**24, 2**24) at position 4"),
+        ("d/dr^16777216", "dr = 16777216 is outside the exponent bound [-2**24, 2**24) at position 4"),
+        ("r^99999999999999999999",
+         "r2 = 199999999999999999998 is outside the exponent bound [-2**24, 2**24) at position 1"),
+        # a product of atoms inside the bound whose fold is not: no single factor to point at
+        ("sqrt(r)^16777215*sqrt(r)", "r2 = 16777216 is outside the exponent bound [-2**24, 2**24)"),
+        # the earlier refusals keep their order: the digit limit, then an uninvertible base
+        ("u^99999999999999999999", f"a result coefficient has more than {sys.get_int_max_str_digits()} digits "
+                                   "at position 1"),
+        ("d/dr^-99999999", "cannot invert an operator containing derivatives at position 4"),
+    ])
+    def test_exponent_past_the_bound_exits_2(self, capsys, text, message):
+        assert cli.main(["parse", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("text", list(UNINVERTIBLE))
     def test_uninvertible_power_exits_2(self, capsys, text):
         assert cli.main(["parse", text]) == 2

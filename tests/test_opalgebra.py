@@ -452,6 +452,78 @@ def test_commutator_with_a_number_is_zero():
     assert oa.commutator(oa.deriv("r"), Fraction(1, 2)).is_zero
 
 
+# -- the exponent bound of packed atom keys --------------------------------
+
+_FIELD_NAMES = (*oa.Mono._fields, "s_power")
+_BOUND_MESSAGE = "{} = {} is outside the exponent bound [-2**24, 2**24)"
+
+
+def _atom_with(name: str, value: int) -> tuple:
+    """The atom key with ``name`` set to ``value`` and every other field 0."""
+    fields = dict.fromkeys(_FIELD_NAMES, 0) | {name: value}
+    return oa.Mono(*(fields[f] for f in oa.Mono._fields)), fields["s_power"], 0
+
+
+def _ends(name: str) -> tuple[int, ...]:
+    # a derivative order is never negative, so its low end is 0
+    return (oa.EXP_BOUND - 1,) if name.startswith("d") else (oa.EXP_BOUND - 1, -oa.EXP_BOUND)
+
+
+@pytest.mark.parametrize("name", _FIELD_NAMES)
+def test_every_field_reaches_the_exponent_bound(name):
+    # each field holds every exponent in [-2**24, 2**24), its ends included,
+    # and reads back, renders and parses to the same value there
+    for value in _ends(name):
+        key = _atom_with(name, value)
+        e = oa.OperatorExpr({key: 1})
+        assert e.terms() == ((key, (1, 0)),)
+        assert opdsl.parse(opdsl.render(e)) == e
+        assert oa.OperatorExpr(dict(e.terms())) == e
+
+
+@pytest.mark.parametrize("name", _FIELD_NAMES)
+def test_one_past_the_exponent_bound_is_refused(name):
+    # one past either end is a ValueError naming the field, before any key is built
+    for end in _ends(name):
+        value = end + 1 if end > 0 else end - 1
+        with pytest.raises(ValueError) as info:
+            oa.OperatorExpr({_atom_with(name, value): 1})
+        assert str(info.value) == _BOUND_MESSAGE.format(name, value)
+
+
+@pytest.mark.parametrize("build,name,value", [
+    (lambda: oa.r_half_power(oa.EXP_BOUND), "r2", 2**24),
+    (lambda: oa.s_sym(-oa.EXP_BOUND - 1), "s_power", -2**24 - 1),
+    (lambda: oa.phase("alpha", oa.EXP_BOUND), "ka", 2**24),
+    (lambda: oa.deriv("beta", oa.EXP_BOUND), "db", 2**24),
+    # the closed-form power of an atom that commutes with itself
+    (lambda: (oa.r_power(1) * oa.deriv("eta")) ** 2**23, "r2", 2**24),
+    # a fold of free single atoms
+    (lambda: oa.r_half_power(oa.EXP_BOUND - 1) * oa.sqrt_r(), "r2", 2**24),
+    (lambda: oa.s_sym(-oa.EXP_BOUND) * oa.u_sym() * oa.u_sym(), "s_power", -2**24 - 1),
+    # the product loop: a leading term, and an interaction term that lowers r2 by 2 * dr
+    (lambda: (oa.r_half_power(oa.EXP_BOUND - 1) + oa.deriv("r")) * (oa.sqrt_r() + 1), "r2", 2**24),
+    (lambda: oa.commutator(oa.deriv("r", 3), oa.r_half_power(-oa.EXP_BOUND)), "r2", -2**24 - 2),
+])
+def test_operations_past_the_exponent_bound_are_refused(build, name, value):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == _BOUND_MESSAGE.format(name, value)
+
+
+def test_repeated_squaring_is_refused_at_the_exponent_bound():
+    # x = x*x doubles r's exponent each time: r**(2**22) is the last inside the
+    # bound, and the next square is refused where unchecked fields would carry on
+    x = oa.r_power(1)
+    for squarings in range(1, 81):
+        try:
+            x = x * x
+        except ValueError as err:
+            assert str(err) == _BOUND_MESSAGE.format("r2", 2**24)
+            break
+    assert squarings == 23 and x == oa.r_power(2**22)
+
+
 def test_normal_ordering_cache_stays_small():
     # the cache is keyed by left derivative orders and right function
     # exponents, so the sp4 closure and a long power share a few hundred keys
