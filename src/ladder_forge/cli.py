@@ -15,8 +15,9 @@ with every numeric value rendered as a decimal string (exact rationals keep
 their p/q form) so the output is stable across platforms.
 
 Exit status: 0 when every check passed, 1 when a verification failed, 2 on
-usage or expression errors.  The environment variable LADDER_FORGE_TOL
-supplies a default tolerance for the numerical subcommands.
+usage or expression errors.  ``--tol`` overrides the tolerance of the
+numerical subcommands; every bound the CLI checks, and its default, is one of
+``coulomb``'s named bounds.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
 from . import factorizations, generators, opalgebra, opdsl
-
-TOL_ENV = "LADDER_FORGE_TOL"
 
 
 def _num(value):
@@ -93,16 +91,6 @@ def _rational(raw: str) -> Fraction:
         shown = raw if len(raw) <= 40 else raw[:40] + "..."
         raise argparse.ArgumentTypeError(
             f"must be a rational number, got {shown!r} (each part within Python's int digit limit)") from None
-
-
-def _env_tol(default: float) -> float:
-    raw = os.environ.get(TOL_ENV)
-    if raw is None:
-        return default
-    try:
-        return _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{TOL_ENV}: {exc}") from None
 
 
 def _emit(report: dict, args) -> None:
@@ -214,12 +202,11 @@ def _action_rows(reports) -> list[dict]:
 
 def _cmd_coulomb_verify(args) -> int:
     from . import coulomb  # numpy loads here; the algebra subcommands never load it
-    if args.t_max >= coulomb.MAX_QUAD_ORDER:  # normalization takes order t + 1
-        raise ValueError(f"--t-max {args.t_max} needs quadrature order {args.t_max + 1}, "
+    order = coulomb.normalization_order(args.t_max)  # the normalization rows reach n = t_max
+    if order > coulomb.MAX_QUAD_ORDER:
+        raise ValueError(f"--t-max {args.t_max} needs quadrature order {order}, "
                          f"past the float limit {coulomb.MAX_QUAD_ORDER}")
-    tol_c = args.tol if args.tol is not None else _env_tol(1e-10)
-    tol_p = args.tol if args.tol is not None else _env_tol(1e-8)
-    tols = {"coeff_tol": tol_c, "profile_tol": tol_p}
+    tols = {} if args.tol is None else {"coeff_tol": args.tol, "profile_tol": args.tol}
     Z = args.Z
     sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(
         args.mu_max, args.nu_max, Z=Z, **tols)
@@ -228,9 +215,10 @@ def _cmd_coulomb_verify(args) -> int:
     states = [coulomb.state_tm(t, m, Z) for t in range(1, args.t_max + 1) for m in range(t)]
     worst_norm = max(map(coulomb.normalization_residual, states))
     rows.append(_row("normalization worst", 0.0, worst_norm, worst_norm,
-                     worst_norm <= 1e-12))
+                     worst_norm <= coulomb.NORM_TOL))
     worst_cas = max(map(coulomb.casimir_residual, states))
-    rows.append(_row("casimir worst", 0.0, worst_cas, worst_cas, worst_cas <= tol_p))
+    rows.append(_row("casimir worst", 0.0, worst_cas, worst_cas,
+                     worst_cas <= (args.tol or coulomb.PROFILE_TOL)))
     ground_munu, ground_tm = coulomb.state_munu(0, 1, Z), coulomb.state_tm(1, 0, Z)
     same = (ground_munu.munu == ground_tm.munu
             and ground_munu.norm_sq == ground_tm.norm_sq)
@@ -254,7 +242,7 @@ def _cmd_coulomb_verify(args) -> int:
 
 def _cmd_coulomb_residual(args) -> int:
     from . import coulomb
-    tol = args.tol if args.tol is not None else _env_tol(1e-8)
+    tol = args.tol or coulomb.PROFILE_TOL  # --tol is positive when given
     Z = args.Z
     state = coulomb.state_tm(args.n, args.L, Z)
     resid = coulomb.schrodinger_residual(state)
@@ -263,8 +251,8 @@ def _cmd_coulomb_residual(args) -> int:
     rows = [
         _row("schrodinger residual", 0.0, resid, resid, resid <= tol),
         _row("detuned control", abs(args.shift), control, abs(control - abs(args.shift)),
-             control >= 1e-2),
-        _row("normalization", 0.0, norm, norm, norm <= 1e-12),
+             control >= coulomb.DETUNED_FLOOR),
+        _row("normalization", 0.0, norm, norm, norm <= coulomb.NORM_TOL),
     ]
     if args.dump:
         nodes, _ = coulomb.gauss_laguerre(coulomb.DEFAULT_QUAD_ORDER)

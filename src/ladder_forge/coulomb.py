@@ -60,6 +60,9 @@ MAX_QUAD_ORDER = 184
 # the float range for the numerics: P carries sqrt(gamma) and the radial
 # equation gamma**2
 CHARGE_BITS = 64
+# bounds of the float checks: action coefficients and annihilation norms, profile and
+# equation residuals, normalization, and the least residual a detuned control must show
+COEFF_TOL, PROFILE_TOL, NORM_TOL, DETUNED_FLOOR = 1e-10, 1e-8, 1e-12, 1e-2
 
 def laguerre(n: int, alpha, x):
     """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
@@ -80,19 +83,20 @@ def laguerre_deriv(n: int, alpha, x, order: int = 1):
     """order-th derivative of L^(alpha)_n, via d/dx L^(a)_n = -L^(a+1)_{n-1}."""
     if order < 0:
         raise ValueError("derivative order must be nonnegative")
-    if n < order:
+    if 0 <= n < order:  # a negative degree reaches laguerre's refusal
         return np.zeros_like(np.asarray(x, dtype=float))
     sign = -1.0 if order % 2 else 1.0
     return sign * laguerre(n - order, float(alpha) + order, x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a float order never hits an equal Fraction's entry
 def gauss_laguerre(order: int):
     """Nodes and weights for the weight exp(-x) on (0, inf).
 
     Eigenvalues of the symmetric Jacobi matrix seed the nodes; a short
     Newton polish then pins each root of L_order to machine precision.
     """
+    order = exact_int(order, "order")
     if order < 1:
         raise ValueError("quadrature order must be positive")
     if order > MAX_QUAD_ORDER:
@@ -393,8 +397,8 @@ class ActionReport:
 def action_report(
     state: QuantumState,
     operator: str,
-    coeff_tol: float = 1e-10,
-    profile_tol: float = 1e-8,
+    coeff_tol: float = COEFF_TOL,
+    profile_tol: float = PROFILE_TOL,
 ) -> ActionReport:
     """Check one generator action by exact-degree quadrature.
 
@@ -448,7 +452,7 @@ def _sweep_charge(Z) -> Fraction:
 
 def sweep_su11(t_max: int, Z=1, **tols) -> list[ActionReport]:
     """All T+- actions on states with t <= t_max, annihilations included."""
-    Z = _sweep_charge(Z)
+    t_max, Z = exact_int(t_max, "t_max"), _sweep_charge(Z)
     states = (state_tm(t, m, Z) for t in range(1, t_max + 1) for m in range(t))
     return _sweep("su11", states, tols)
 
@@ -459,7 +463,7 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, **tols) -> list[ActionRepo
     nu - mu is kept odd so every integrand is polynomial and the quadrature
     exact; these are the states shared with the su11 labeling.
     """
-    Z = _sweep_charge(Z)
+    mu_max, nu_max, Z = exact_int(mu_max, "mu_max"), exact_int(nu_max, "nu_max"), _sweep_charge(Z)
     states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
               for nu in range(mu + 1, nu_max + 1, 2))
     return _sweep("weyl", states, tols)
@@ -492,13 +496,15 @@ def charge_shift(state: QuantumState, operator: str) -> ChargeShiftReport:
     )
 
 
-def normalization_residual(state: QuantumState) -> float:
-    """|  ||psi||**2 - 1 |, by quadrature exact for these profiles.
+def normalization_order(n) -> int:
+    """Quadrature order of the normalization at principal label n: its integrand has degree 2n,
+    so the order is raised from DEFAULT_QUAD_ORDER to floor(n) + 1 where it falls short of that."""
+    return max(DEFAULT_QUAD_ORDER, math.floor(n) + 1)
 
-    The integrand has degree 2n, so the order is raised from
-    DEFAULT_QUAD_ORDER to floor(n) + 1 where it falls short of that.
-    """
-    nodes, weights = gauss_laguerre(max(DEFAULT_QUAD_ORDER, math.floor(state.principal) + 1))
+
+def normalization_residual(state: QuantumState) -> float:
+    """|  ||psi||**2 - 1 |, by quadrature of order ``normalization_order``, exact for these profiles."""
+    nodes, weights = gauss_laguerre(normalization_order(state.principal))
     P = state.scaled_profile(nodes)
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
 

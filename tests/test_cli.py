@@ -298,13 +298,6 @@ class TestCoulombCommands:
         out = capsys.readouterr().out
         assert "FAIL" in out and "overall: FAIL" in out
 
-    def test_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV, "1e-30")
-        assert cli.main(["coulomb-residual", "--n", "3", "--L", "0"]) == 1
-        monkeypatch.setenv(cli.TOL_ENV, "1e-6")
-        capsys.readouterr()
-        assert cli.main(["coulomb-residual", "--n", "3", "--L", "0"]) == 0
-
     @pytest.mark.parametrize("argv,bad", [
         (["coulomb-verify", "--tol", "nan"], "'nan'"),
         (["coulomb-residual", "--n", "2", "--L", "0", "--tol", "0"], "'0'"),
@@ -323,14 +316,8 @@ class TestCoulombCommands:
         assert info.value.code == 2
         assert bad in capsys.readouterr().err
 
-    def test_nan_env_tolerance_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV, "nan")
-        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0"]) == 2
-        assert "'nan'" in capsys.readouterr().err
-
-    def test_tolerance_reaches_action_rows(self, capsys, monkeypatch):
+    def test_tolerance_reaches_action_rows(self, capsys):
         grid = ["coulomb-verify", "--t-max", "2", "--mu-max", "1", "--nu-max", "2"]
-        monkeypatch.delenv(cli.TOL_ENV, raising=False)
         code, report = run_json(capsys, [*grid, "--tol", "1e-30"])
         actions = [row for row in report["rows"] if row["name"].split()[0] in LADDERS]
         assert code == 1 and len(actions) == 14
@@ -338,9 +325,17 @@ class TestCoulombCommands:
         assert len(annihilated) == 3 and all(row["actual"] == ZERO for row in annihilated)
         assert not any(row["pass"] for row in actions if row not in annihilated)
         assert run_json(capsys, [*grid, "--tol", "1e-6"])[0] == 0
-        monkeypatch.setenv(cli.TOL_ENV, "1e-30")
-        env_code, env_report = run_json(capsys, grid)
-        assert env_code == 1 and env_report["rows"] == report["rows"]
+
+    def test_tolerance_variable_changes_nothing(self, capsys, monkeypatch):
+        # --tol is the only tolerance override: LADDER_FORGE_TOL in the environment changes nothing
+        argvs = (["coulomb-verify", "--t-max", "2", "--mu-max", "1", "--nu-max", "2"],
+                 ["coulomb-residual", "--n", "3", "--L", "0"])
+        monkeypatch.delenv("LADDER_FORGE_TOL", raising=False)
+        unset = [(cli.main(argv), capsys.readouterr()) for argv in argvs]
+        assert [code for code, _ in unset] == [0, 0]
+        for value in ("1e-30", "nan"):
+            monkeypatch.setenv("LADDER_FORGE_TOL", value)
+            assert [(cli.main(argv), capsys.readouterr()) for argv in argvs] == unset
 
     def test_quadrature_ceiling_exits_2(self, capsys, monkeypatch):
         # normalization at n = 200 needs quadrature order 201
@@ -350,11 +345,6 @@ class TestCoulombCommands:
         for t_max in ("200", "184"):
             assert cli.main(["coulomb-verify", "--t-max", t_max]) == 2
             assert "past the float limit 184" in capsys.readouterr().err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.TOL_ENV, "1e-30")
-        assert cli.main(["coulomb-residual", "--n", "2", "--L", "0",
-                         "--tol", "1e-6"]) == 0
 
 
 def test_json_output_deterministic(capsys):

@@ -91,6 +91,12 @@ class TestLaguerre:
     def test_derivative_beyond_degree_vanishes(self):
         assert np.all(cl.laguerre_deriv(2, 1, np.array([1.0, 2.0]), 3) == 0.0)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_negative_degree_refused_at_every_order(self, order):
+        # the beyond-degree zeros hold only for a degree laguerre itself takes
+        with pytest.raises(ValueError, match="^degree must be nonnegative"):
+            cl.laguerre_deriv(-1, 0, np.array([1.0, 2.0]), order)
+
 
 class TestQuadrature:
     def test_matches_reference_nodes_and_weights(self):
@@ -128,6 +134,12 @@ class TestQuadrature:
         x, _ = cl.gauss_laguerre(12)
         with pytest.raises(ValueError):
             x[0] = 0.0
+
+    def test_float_order_refused_after_an_equal_fraction(self):
+        # 3.0 == Fraction(3): only a typed cache keeps the float from the Fraction's entry
+        cl.gauss_laguerre(Fraction(3))
+        with pytest.raises(TypeError, match="^order must be"):
+            cl.gauss_laguerre(3.0)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_orthogonality_norms(self, alpha):

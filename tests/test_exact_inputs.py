@@ -68,6 +68,10 @@ ENTRY_POINTS = [
     (lambda v: oa.commutator(v, oa.deriv("r")), "coefficient", False),
     (lambda v: oa.OperatorExpr({(ONE[0], v, 0): 1}), "s_power", True),
     (lambda v: oa.OperatorExpr({(ONE[0]._replace(dr=v), 0, 0): 1}), "dr", True),
+    (cl.gauss_laguerre, "order", True),
+    (cl.sweep_su11, "t_max", True),
+    (lambda v: cl.sweep_weyl(v, 2), "mu_max", True),
+    (lambda v: cl.sweep_weyl(1, v), "nu_max", True),
 ]
 IDS = [f"{index}-{name}" for index, (_, name, _) in enumerate(ENTRY_POINTS)]
 

@@ -1,4 +1,5 @@
-"""The README's command lines and library sketch run as written.
+"""The README's command lines and library sketch run as written, and its
+tolerance table matches the acceptance pins and ``coulomb``'s named bounds.
 
 ``golden_cli.json`` holds the exact ``--format text`` and ``--format json``
 stdout of each algebra command line, recorded before B+- and check2 were
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from ladder_forge import cli
+import test_acceptance as acceptance
+from ladder_forge import cli, coulomb
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -58,3 +60,21 @@ def test_command_output_matches_golden(command, fmt, capsys):
 def test_library_sketch(capsys):
     exec(compile(_block("Library sketch", "python"), "README.md", "exec"), {})
     assert float(capsys.readouterr().out) == -math.sqrt(6)  # its "# -sqrt(6)"
+
+
+# each float row of the README tolerance table: its pin in tests/test_acceptance.py
+# and the named bound of ``coulomb`` that the library and the CLI check
+TOLERANCE_ROWS = {
+    "ladder action coefficients": ("COEFF_TOL", "COEFF_TOL"),
+    "pointwise profile comparisons, residuals": ("POINTWISE_TOL", "PROFILE_TOL"),
+    "state normalization": ("NORM_TOL", "NORM_TOL"),
+    "annihilation norms": ("ANNIHILATION_TOL", "COEFF_TOL"),
+    "detuned negative control (must exceed)": ("CONTROL_FLOOR", "DETUNED_FLOOR"),
+}
+
+
+def test_tolerance_table_matches_pins_and_bounds():
+    table = dict(re.findall(r"^\| (.+?)\s*\| (1e-\d+)\s*\|$", README, re.M))
+    assert set(table) == set(TOLERANCE_ROWS)
+    for check, (pin, bound) in TOLERANCE_ROWS.items():
+        assert float(table[check]) == getattr(acceptance, pin) == getattr(coulomb, bound), check
