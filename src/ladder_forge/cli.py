@@ -202,10 +202,14 @@ def _action_rows(reports) -> list[dict]:
 
 def _cmd_coulomb_verify(args) -> int:
     from . import coulomb  # numpy loads here; the algebra subcommands never load it
-    order = coulomb.normalization_order(args.t_max)  # the normalization rows reach n = t_max
-    if order > coulomb.MAX_QUAD_ORDER:
-        raise ValueError(f"--t-max {args.t_max} needs quadrature order {order}, "
-                         f"past the float limit {coulomb.MAX_QUAD_ORDER}")
+    # each row's quadrature order follows the largest principal label it reaches: T+ lifts t_max to
+    # n = t_max + 1, and A+ or B+ lifts the largest odd mu + nu the weyl grid holds by half a level
+    top = min(args.mu_max + args.nu_max, 2 * args.nu_max - 1)  # the largest odd mu + nu is top - 1 + top % 2
+    for flags, n in ((f"--t-max {args.t_max}", args.t_max + 1),
+                     (f"--mu-max {args.mu_max} with --nu-max {args.nu_max}", Fraction(top + 1 + top % 2, 2))):
+        order = coulomb.normalization_order(n)
+        if order > coulomb.MAX_QUAD_ORDER:
+            raise ValueError(f"{flags} needs quadrature order {order}, past the float limit {coulomb.MAX_QUAD_ORDER}")
     tols = {} if args.tol is None else {"coeff_tol": args.tol, "profile_tol": args.tol}
     Z = args.Z
     sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(

@@ -26,7 +26,10 @@ checked once in exact rationals (every atom of gamma-degree 0, every
 coefficient real).  Leibniz's rule on N rho**p L then makes the action one
 sum of c rho**e L^(i), each e an exact half-integer, evaluated as N times
 rho to the least e times nonnegative powers of rho, so rho = 0 needs no
-second path.
+second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state, and its
+profile's L^(alpha)_mu, come from one upward recurrence: by
+L^(a+1)_m = sum_{k<=m} L^(a)_k each order past the first is a running sum of
+the one before, one in-place add per step.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
@@ -64,19 +67,25 @@ CHARGE_BITS = 64
 # equation residuals, normalization, and the least residual a detuned control must show
 COEFF_TOL, PROFILE_TOL, NORM_TOL, DETUNED_FLOOR = 1e-10, 1e-8, 1e-12, 1e-2
 
-def laguerre(n: int, alpha, x):
-    """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
+def _laguerre_rows(n: int, alpha, x, rows: int = 1) -> list:
+    """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from one upward recurrence: by L^(a+1)_m =
+    sum_{k<=m} L^(a)_k row i is the running sum of row i-1 one step behind, added in place, deepest row first."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
     a = float(alpha)
-    prev = np.ones(x.shape)
-    if n == 0:
-        return prev
-    cur = 1.0 + a - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
-    return cur
+    table = [np.ones(x.shape)] + [np.zeros(x.shape) for _ in range(1, rows)]
+    for k in range(n):
+        for i in range(rows - 1, 0, -1):
+            table[i] += table[i - 1]
+        prev, table[0] = table[0], (1.0 + a - x if k == 0  # prev is first read at k = 1
+                                    else ((2 * k + 1 + a - x) * table[0] - (k + a) * prev) / (k + 1))
+    return table
+
+
+def laguerre(n: int, alpha, x):
+    """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
+    return _laguerre_rows(n, alpha, x)[0]
 
 
 def laguerre_deriv(n: int, alpha, x, order: int = 1):
@@ -233,10 +242,13 @@ class QuantumState:
 
     def scaled_profile(self, rho):
         rho = _nonnegative(rho, "rho")
-        # power >= 1/2, so exp(power * log 0) = 0 is P(0); a value past the float range is refused
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            profile = self._prefactor(np.log(rho), float(self.power)) * laguerre(self.degree, self.alpha, rho)
-        return _finite(profile, rho, "profile")
+            return self._profile(rho, laguerre(self.degree, self.alpha, rho))
+
+    def _profile(self, rho, lag):
+        """P at a checked ``rho`` (under ignored float errors, for a 0 or a huge rho) from lag = L^(alpha)_degree."""
+        # power >= 1/2, so exp(power * log 0) = 0 is P(0); a value past the float range is refused
+        return _finite(self._prefactor(np.log(rho), float(self.power)) * lag, rho, "profile")
 
     def radial(self, r):
         """psi(r) for r >= 0, unit L2 norm on (0, inf)."""
@@ -353,6 +365,11 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     atoms carry different phases, a rho is negative or NaN, or the result is
     infinite at a rho = 0 entry.
     """
+    return _act(op, state, _nonnegative(rho, "rho"))[0]
+
+
+def _act(op: OperatorExpr, state: QuantumState, rho):
+    """``act`` at a checked ``rho``, and the row 0 L^(alpha)_degree(rho) of the one ``_laguerre_rows`` table it read."""
     n, mu, nu = (float(w) for w in state.windings)
     p, degree, alpha = float(state.power), state.degree, state.alpha
     coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c
@@ -360,22 +377,21 @@ def act(op: OperatorExpr, state: QuantumState, rho):
         c *= n**de * mu**da * nu**db
         for i in range(min(j, degree) + 1):
             key = (k + alpha + 1 - 2 * (j - i), i)
-            # C(j, i) times the falling power p (p-1) ... (p-j+i+1)
+            # C(j, i) times the falling power p (p-1) ... (p-j+i+1), and (-1)**i from d^i L^(a)_n = (-1)**i L^(a+i)_(n-i)
             falling = math.prod(p - q for q in range(j - i))
-            coeffs[key] = coeffs.get(key, 0.0) + c * comb(j, i) * falling
+            coeffs[key] = coeffs.get(key, 0.0) + (-1) ** i * c * comb(j, i) * falling
     coeffs = {key: c for key, c in coeffs.items() if c}
-    rho = _nonnegative(rho, "rho")
-    if not coeffs:
-        return np.zeros_like(rho)
-    low = min(e2 for e2, _ in coeffs)
+    low = min((e2 for e2, _ in coeffs), default=0)
     if low < 0 and (rho == 0).any():
         raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({Fraction(low, 2)}))")
     # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0; a value past the float range is refused
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lag = [laguerre_deriv(degree, alpha, rho, i) for i in range(max(i for _, i in coeffs) + 1)]
+        lag = _laguerre_rows(degree, alpha, rho, max((i for _, i in coeffs), default=0) + 1)
+        if not coeffs:
+            return np.zeros_like(rho), lag[0]
         total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
         action = state._prefactor(np.log(rho), low / 2) * total
-    return _finite(action, rho, "action")
+    return _finite(action, rho, "action"), lag[0]
 
 
 @dataclass(frozen=True)
@@ -406,28 +422,34 @@ def action_report(
     the target profile is compared with the closed form, and the residual
     orthogonal to the target is measured in the L2 norm.  A vanishing
     closed-form coefficient instead demands an action norm within
-    ``coeff_tol``.  Both sides are compared pointwise at the nodes, so the
-    check holds even where the quadrature order is below the integrand's
-    degree.
+    ``coeff_tol``.  The order is ``normalization_order`` at the larger
+    principal label of source and target.  A pointwise comparison at the nodes
+    survives a lower order only while the target's quadrature norm is sound:
+    the fold target (k, k) carries L^(0)_k, zero at every order-k node.  A
+    norm that is not positive raises ``ValueError`` naming the order and the
+    degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``.
     """
     sign, radicand = action_radicand(state, operator)
     target = shifted_state(state, operator) if radicand else None  # refuses a dragged charge before any work
-    nodes, weights = gauss_laguerre(DEFAULT_QUAD_ORDER)
-    lhs = act(generators.LADDERS[operator].operator(), state, nodes)
+    ref = state if target is None else target  # the state whose profile P the check divides by
+    nodes, weights = gauss_laguerre(normalization_order(max(state.principal, ref.principal)))
+    lhs, lag = _act(generators.LADDERS[operator].operator(), state, nodes)
+    # an annihilation's P is read off the action's table; a target's keeps its own recurrence
+    P = state._profile(nodes, lag) if target is None else target.scaled_profile(nodes)
+    norm_sq = float(weights @ P**2)
+    if not norm_sq > 0:
+        raise ValueError(f"the quadrature norm of {ref.family} state {ref.labels} is {norm_sq} "
+                         f"at order {len(weights)}, integrand degree {2 * ref.principal}")
     if target is None:
-        src = state.scaled_profile(nodes)
-        src_norm = math.sqrt(float(weights @ src**2))
-        resid = math.sqrt(float(weights @ lhs**2)) / src_norm
+        resid = math.sqrt(float(weights @ lhs**2)) / math.sqrt(norm_sq)
         return ActionReport(
             operator, state.family, state.labels, None,
             0.0, resid, resid, resid, True, resid <= coeff_tol,
         )
-    tgt = target.scaled_profile(nodes)
-    tgt_norm_sq = float(weights @ tgt**2)
     expected = sign * math.sqrt(radicand)
-    measured = float(weights @ (lhs * tgt)) / tgt_norm_sq
-    diff = lhs - expected * tgt
-    profile_residual = math.sqrt(float(weights @ diff**2) / (expected**2 * tgt_norm_sq))
+    measured = float(weights @ (lhs * P)) / norm_sq
+    diff = lhs - expected * P
+    profile_residual = math.sqrt(float(weights @ diff**2) / (expected**2 * norm_sq))
     coefficient_error = abs(measured - expected)
     passed = coefficient_error <= coeff_tol and profile_residual <= profile_tol
     return ActionReport(
@@ -513,9 +535,9 @@ def _casimir_defect(state: QuantumState):
     """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
     nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lsq = float(state.angular * (state.angular + 1))
-    P = state.scaled_profile(nodes)
-    defect = act(generators.casimir()[0], state, nodes) - lsq * P
-    return nodes, P, np.exp(-nodes / 2), defect
+    action, lag = _act(generators.casimir()[0], state, nodes)
+    P = state._profile(nodes, lag)
+    return nodes, P, np.exp(-nodes / 2), action - lsq * P
 
 
 def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> float:

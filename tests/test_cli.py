@@ -346,6 +346,20 @@ class TestCoulombCommands:
             assert cli.main(["coulomb-verify", "--t-max", t_max]) == 2
             assert "past the float limit 184" in capsys.readouterr().err
 
+    def test_weyl_grid_quadrature_ceiling_exits_2(self, capsys, monkeypatch):
+        # B+ on (0, 1001) reaches n = 1003/2, which needs quadrature order 502
+        monkeypatch.setattr(ladder_forge.coulomb, "sweep_su11", None)  # rejected before any sweep
+        assert cli.main(["coulomb-verify", "--t-max", "1", "--mu-max", "0", "--nu-max", "1001"]) == 2
+        assert capsys.readouterr().err == ("error: --mu-max 0 with --nu-max 1001 needs quadrature order 502, "
+                                           "past the float limit 184\n")
+
+    def test_fold_rows_at_the_default_order_pass(self, capsys):
+        # A+ (39, 40) and B- (40, 41) land on (40, 40), whose profile vanishes at every order-40 node
+        code, report = run_json(capsys, ["coulomb-verify", "--t-max", "1", "--mu-max", "40", "--nu-max", "41"])
+        assert code == 0 and report["pass"]
+        names = {row["name"] for row in report["rows"]}
+        assert {"A+ (39, 40)", "B- (40, 41)"} <= names
+
 
 def test_json_output_deterministic(capsys):
     argv = ["--format", "json", "coulomb-verify", "--t-max", "3"]

@@ -98,6 +98,58 @@ class TestLaguerre:
             cl.laguerre_deriv(-1, 0, np.array([1.0, 2.0]), order)
 
 
+class TestLaguerreTable:
+    """One upward recurrence gives L^(a+i)_(n-i) for every derivative order i
+    through running sums; row 0 is ``laguerre`` itself."""
+
+    RHO = np.linspace(0.0, 120.0, 41)  # rho = 0 included
+
+    @pytest.mark.parametrize("alpha", [0, 0.5, 1, 4, 9])
+    def test_rows_match_reference(self, alpha):
+        for n in range(61):
+            rows = cl._laguerre_rows(n, alpha, self.RHO, 3)
+            assert len(rows) == 3
+            for i, row in enumerate(rows):
+                if n < i:
+                    assert np.all(row == 0.0), (n, i)
+                    continue
+                ref = scipy.special.eval_genlaguerre(n - i, alpha + i, self.RHO)
+                assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, i)
+                if alpha == int(alpha):  # L^(b)_m(0) = C(m + b, m)
+                    assert row[0] == pytest.approx(math.comb(n + alpha, n - i), rel=1e-13), (n, i)
+
+    def test_row_zero_is_laguerre_bit_for_bit(self):
+        rho = np.concatenate([[0.0], cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0], [1e3]])
+        for n in range(0, 80, 3):
+            for alpha in (0, 1, 2.5, 40):
+                for rows in (1, 2, 3):
+                    assert np.array_equal(cl._laguerre_rows(n, alpha, rho, rows)[0],
+                                          cl.laguerre(n, alpha, rho)), (n, alpha, rows)
+
+    def test_one_recurrence_per_state(self, monkeypatch):
+        ladder, annihilation = (cl.state_tm(7, 2), "T+"), (cl.state_tm(7, 6), "T-")
+        casimir = cl.state_munu(3, 8)
+        calls = []
+        recurrence = cl._laguerre_rows
+
+        def counted(*args):
+            calls.append(args[:2])
+            return recurrence(*args)
+
+        def count(call, *args):
+            call(*args)  # warms the quadrature cache, whose nodes take recurrences of their own
+            calls.clear()
+            call(*args)
+            return len(calls)
+
+        monkeypatch.setattr(cl, "_laguerre_rows", counted)
+        # the action and its source profile share one table; the target keeps its own recurrence
+        assert count(cl.action_report, *ladder) == 2
+        assert count(cl.action_report, *annihilation) == 1
+        for check in (cl.casimir_residual, cl.schrodinger_residual, cl.normalization_residual):
+            assert count(check, casimir) == 1, check.__name__
+
+
 class TestQuadrature:
     def test_matches_reference_nodes_and_weights(self):
         for order in (5, 17, 40):
@@ -376,6 +428,33 @@ class TestActions:
         for nu in (1, 3, 5):
             rep = cl.action_report(cl.state_munu(0, nu), "A-")
             assert rep.annihilation and rep.measured <= 1e-10
+
+    def test_fold_target_at_the_default_order_passes(self):
+        # (40, 40) carries L^(0)_40, which vanishes at every order-40 node
+        for state, op in ((cl.state_munu(39, 40), "A+"), (cl.state_munu(40, 41), "B-")):
+            rep = cl.action_report(state, op)
+            assert rep.target == (40, 40) and rep.passed, rep
+
+    def test_every_fold_target_passes_up_to_the_float_ceiling(self):
+        # the order is normalization_order at the larger principal label, k + 1 for A+ from
+        # (k - 1, k) and k + 2 for B- from (k, k + 1); one step past the ceiling is refused
+        for src, op, top in (((-1, 0), "A+", cl.MAX_QUAD_ORDER - 1), ((0, 1), "B-", cl.MAX_QUAD_ORDER - 2)):
+            for k in range(1, top + 1):
+                rep = cl.action_report(cl.state_munu(src[0] + k, src[1] + k), op)
+                assert rep.target == (k, k) and rep.passed, rep
+            with pytest.raises(ValueError, match=f"^quadrature order {cl.MAX_QUAD_ORDER + 1} is past"):
+                cl.action_report(cl.state_munu(src[0] + top + 1, src[1] + top + 1), op)
+
+    def test_order_past_the_float_limit_refused(self):
+        with pytest.raises(ValueError, match="^quadrature order 502 is past the float limit 184$"):
+            cl.action_report(cl.state_munu(0, 1001), "B+")
+
+    def test_unsound_quadrature_norm_refused(self, monkeypatch):
+        # at order 1 the one node is rho = 1, the root of L^(0)_1, so the target (1, 1) reads 0 there
+        monkeypatch.setattr(cl, "normalization_order", lambda n: 1)
+        message = "the quadrature norm of weyl state (1, 1) is 0.0 at order 1, integrand degree 3"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cl.action_report(cl.state_munu(0, 1), "A+")
 
     def test_raising_then_lowering_composes(self):
         state = cl.state_tm(3, 1)
