@@ -231,10 +231,11 @@ class QuantumState:
 
     @cached_property
     def _log_norm(self) -> float:
-        # log of the exact norm_sq halved; math.log of a tiny Fraction would
-        # go through a float that underflows to 0
-        norm_sq = self.norm_sq
-        return (math.log(norm_sq.numerator) - math.log(norm_sq.denominator)) / 2
+        # log of norm_sq = 4 Z mu! / ((mu+nu+1)**2 nu!) halved, read off the unreduced
+        # integers: no gcd over factorials, and no float of a tiny Fraction, which underflows to 0
+        mu, nu = self.munu
+        return (math.log(4 * self.Z.numerator * math.factorial(mu))
+                - math.log(self.Z.denominator * (mu + nu + 1) ** 2 * math.factorial(nu))) / 2
 
     def _prefactor(self, log_rho, q: float):
         """N rho**q in log space, free of over- and underflow; q == 0 skips 0 * log(0) = nan."""

@@ -50,10 +50,10 @@ The integer counterpart of ``terms()`` is ``atoms()``, the 6-tuples
 ``(re + im*i)/den * s**s_power * u**u_parity * mono``, ``den > 0``.  An *atom
 form* ``(key, re, im, den)`` carries the packed key instead; it need not be in
 lowest terms, and its coefficient may be zero.  ``product`` takes one as a
-factor, and ``atom_power`` raises one in closed form.  Every rewrite reads
-atoms, in one ``linear_sum`` or ``product`` pass or one relabelling:
-``substitute_s``, ``swap_alpha_beta``, ``generators.step`` and the rho-form of
-``coulomb``; ``terms()`` and ``Mono`` are the public read-out only.
+factor and ``linear_sum`` as a summand, and ``atom_power`` raises one in closed
+form.  Every rewrite reads atoms, in one ``linear_sum`` or ``product`` pass or
+one relabelling: ``substitute_s``, ``swap_alpha_beta``, ``generators.step`` and
+the rho-form of ``coulomb``; ``terms()`` and ``Mono`` are the public read-out only.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -422,7 +422,7 @@ class OperatorExpr:
         if any(up for _, _, up, *_ in atoms):
             raise ValueError("coefficient contains the formal unit u; its value (2*s)**(-1/2) is irrational "
                              "for generic s")
-        return linear_sum([(_atom(_pack(mono, 0, 0), re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
+        return linear_sum([((_pack(mono, 0, 0), re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
 
     # -- equality --------------------------------------------------------
 
@@ -530,22 +530,28 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
 # -- derived operations --------------------------------------------------
 
 
-def linear_sum(pairs: Sequence[tuple[OperatorExpr, Rational]]) -> OperatorExpr:
-    """``sum(w * expr for expr, w in pairs)``, ``w`` an ``int`` or ``Fraction``: every numerator
-    is lifted once to the lcm of the denominators and reduced once, linear in the atoms."""
+def linear_sum(pairs: Sequence[tuple["OperatorExpr | tuple", Rational]]) -> OperatorExpr:
+    """``sum(w * x for x, w in pairs)`` of operators and atom forms, ``w`` an ``int`` or
+    ``Fraction``: every numerator is lifted once to the lcm of the denominators and reduced
+    once, linear in the atoms."""
     den = 1
     try:
-        for expr, w in pairs:
-            den = lcm(den, expr._den * w.denominator)
+        for x, w in pairs:
+            den = lcm(den, (x[3] if type(x) is tuple else x._den) * w.denominator)
     except AttributeError:  # a weight without a denominator, such as a float: exact() names it
         for _, w in pairs:
             exact(w, "weight")
         raise
     acc: dict[Atom, Gauss] = {}
     get = acc.get
-    for expr, w in pairs:
-        f = w.numerator * (den // (expr._den * w.denominator))
-        for key, (re, im) in expr._terms.items():
+    for x, w in pairs:
+        if type(x) is tuple:  # an atom form
+            key, re, im, d = x
+            items = ((key, (re, im)),)
+        else:
+            items, d = x._terms.items(), x._den
+        f = w.numerator * (den // (d * w.denominator))
+        for key, (re, im) in items:
             cur = get(key)
             acc[key] = (re * f, im * f) if cur is None else (cur[0] + re * f, cur[1] + im * f)
     return OperatorExpr._wrap(*_lowest(acc, den))

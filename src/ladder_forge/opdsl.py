@@ -25,16 +25,25 @@ exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 without derivatives and rejects anything else at the ``^``, as it does a
 coefficient that would pass int's digit limit.  ``parse`` reads the
 lexemes of one scan, scanning again for a position only on an error.  The scan
-reads a whole canonical factor, such as ``exp(-2*i*alpha)``, ``sqrt(r)^3`` or
-``d/dr^2`` with a power of at most 3 digits, as one lexeme; its atom form comes
-from a bounded cache, filled by the same descent run over the lexeme's fine
-lexemes (those of ``tokenize``), so values and errors are those of the fine
-lexemes, an error's position counted from the factor's start.  Every
-factor but a parenthesised sum is an ``opalgebra`` atom form, built from the
-lexeme in integers, negated and raised (``opalgebra.atom_power``) without an
-operator; each term is one ``opalgebra.product`` and each sum one
-``opalgebra.linear_sum``, so a canonical term parses to one operator.
-``render`` sorts the atoms once and prints their integer numerators.
+reads a whole canonical term as one lexeme: an optional coefficient (``n/d``,
+``n/d*i``, ``i`` or ``(a/b+c/d*i)``), then at most one factor of each slot in
+render order (``s^k``, ``u``, ``r^k`` or ``sqrt(r)^k``, the eta, alpha and beta
+phases, ``d/dr``, ``d/deta``, ``d/dalpha``, ``d/dbeta``), each power of at most 3
+digits.  In that order no derivative stands before a function and u comes at
+most once, so every adjacent pair is free: the term's atom form is its
+coefficient, read in integers, times its factors' forms, whose keys add, with
+one bound test.  A factor's form comes from a bounded cache, filled by the
+descent over its fine lexemes (those of ``tokenize``); so does a single factor
+that a power follows, such as ``sqrt(r)`` in ``sqrt(r)^1000``.  An error inside a
+lexeme is named by the descent over its fine lexemes, its position counted from
+the lexeme's start, and where the grammar takes one fine lexeme (after ``^``,
+inside ``sqrt(`` or ``exp(``) a lexeme is read as its fine lexemes; so values
+and errors are those of the fine lexemes.  Any other text is read factor by
+factor: every factor but a parenthesised sum is an ``opalgebra`` atom form,
+negated and raised (``opalgebra.atom_power``) without an operator, a term of
+several factors is one ``opalgebra.product``, and each sum is one
+``opalgebra.linear_sum`` over atom forms and operators.  ``render`` sorts the
+atoms once and prints their integer numerators.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from math import gcd
 from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import DERIV_AXES, OperatorExpr, PHASE_AXES
+from .opalgebra import _BIAS, _GUARD, _LOW, DERIV_AXES, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -86,17 +95,30 @@ _FINE = rf"""{_DERIV}                   # deriv
 # one fine lexeme after optional whitespace; the second group is an unrecognized character
 _TOKEN_RE = re.compile(rf"\s*(?:({_FINE}) | (\S))", re.VERBOSE)
 
-# the parser's scan: first, a whole canonical factor with a power of at most 3
-# digits, which lexes finely to the same lexemes (nothing glued on either side);
-# a longer power, blanks or another spelling fall through to the fine lexemes
-_SCAN_RE = re.compile(
-    rf"""\s*(?:((?: (?: [rsu](?![A-Za-z_0-9]) | {_DERIV} | sqrt\(r\)
-                     | exp\(-?(?:\d{{1,3}}\*)?i\*(?:eta|alpha|beta)\) )
-                 (?:\^-?\d{{1,3}}(?![\d/]))?
-               | {_FINE})) | (\S))
-    """,
-    re.VERBOSE,
-)
+_OPEN = r"(?<![\w)^])"  # where a factor may start: not right after a letter, a digit, ")" or "^"
+_GLUE = r"(?![\w(/])"  # nothing glued on
+_POWER = rf"(?:\^-?\d{{1,3}})?{_GLUE}"  # an optional power of at most 3 digits, then nothing glued on
+_PHASE = r"exp\(-?(?:\d{1,3}\*)?i\*%s\)"
+_NUMBER = r"\d+(?:/\d+)?"
+# the slots of a canonical term, in render order: s, u, r or sqrt(r), the phases, the derivatives
+_SLOTS = ("s", "u", r"(?:r|sqrt\(r\))", *(_PHASE % axis for axis in PHASE_AXES), *(f"d/d{axis}" for axis in DERIV_AXES))
+_SLOT_RUN = "".join(rf"(?:\*?{slot}{_POWER})?" for slot in _SLOTS)
+# the parser's scan: first, a whole canonical term, not empty: an optional
+# coefficient and at most one factor of each slot, each with a power of at most 3
+# digits, joined by "*" with no blank (every slot starts with a letter, which
+# nothing may be glued to), and followed by no "^" (a power binds one factor); then
+# one canonical factor, which a power may follow. Each lexes finely to the same
+# lexemes; another spelling falls through to the fine lexemes. A pattern string:
+# re compiles it at the first parse and keeps it, so a process that parses nothing
+# does not pay for the compile
+_SCAN = rf"""(?x)\s*(?:(
+      {_OPEN}(?:(?:{_NUMBER}(?:\*i)?|i|\(-?{_NUMBER}[-+](?:{_NUMBER}\*)?i\)){_GLUE}|(?=[rsu]|exp\(|d/d))
+      {_SLOT_RUN}(?<=[\w)])(?!\s*\^)
+    | (?:[rsu] | d/d(?:r|eta|alpha|beta) | sqrt\(r\) | {_PHASE % '(?:eta|alpha|beta)'}){_POWER}
+    | {_FINE}) | (\S))"""
+# a term lexeme's factors, split at each "*" outside parentheses, and its (re+im*i) coefficient
+_PIECE_RE = re.compile(r"[^*(]+(?:\([^)]*\)[^*]*)?|\([^)]*\)")
+_GAUSS = r"\((-?\d+)(?:/(\d+))?([-+])(?:(\d+)(?:/(\d+))?\*)?i\)"
 
 
 def _kind(lexeme: str) -> str:
@@ -118,7 +140,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _describe(lexeme: str) -> str:
-    """A lexeme as a message quotes it: a factor lexeme by its first fine lexeme."""
+    """A lexeme as a message quotes it: a term or factor lexeme by its first fine lexeme."""
     return repr(_TOKEN_RE.match(lexeme)[1]) if lexeme else "end of input"
 
 
@@ -133,16 +155,18 @@ _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 
 class _Parser:
-    def __init__(self, text: str, scan: re.Pattern = _SCAN_RE):
-        self.text, self.index, self.scan = text, 0, scan
-        self.lexemes = [lexeme for lexeme, _ in scan.findall(text)]
+    def __init__(self, text: str, scan: "str | re.Pattern" = _SCAN):
+        self.text, self.index, self.scan, self.splits = text, 0, scan, []
+        self.lexemes = [lexeme for lexeme, _ in re.findall(scan, text)]
         if "" in self.lexemes:  # an unrecognized character: tokenize raises at it
             tokenize(text)
         self.lexemes.append("")  # the end
 
     def fail(self, index: int, message: str, expected: tuple[str, ...] = (), shift: int = 0) -> NoReturn:
         """Raise at lexeme ``index``, ``shift`` characters in: only an error scans for positions."""
-        starts = [match.start(1) for match in self.scan.finditer(self.text)]
+        starts = [match.start(1) for match in re.finditer(self.scan, self.text)]
+        for at, offsets in self.splits:  # in the order split() made them
+            starts[at:at + 1] = [starts[at] + offset for offset in offsets]
         raise OperatorSyntaxError([*starts, len(self.text)][index] + shift, message, expected)
 
     def advance(self) -> str:
@@ -156,7 +180,18 @@ class _Parser:
             return True
         return False
 
+    def split(self) -> None:
+        """Read the next lexeme as its fine lexemes where the grammar takes one fine lexeme
+        (after "^", inside sqrt( and exp( ), since a term or factor lexeme may stand there."""
+        lexeme = self.lexemes[self.index]
+        if len(lexeme) > 1:
+            matches = list(_TOKEN_RE.finditer(lexeme))
+            if len(matches) > 1:
+                self.lexemes[self.index:self.index + 1] = [match[1] for match in matches]
+                self.splits.append((self.index, [match.start(1) for match in matches]))
+
     def expect(self, lexeme: str) -> None:
+        self.split()
         if not self.accept(lexeme):
             self.fail(self.index, f"found {_describe(self.lexemes[self.index])}", (repr(lexeme),))
 
@@ -176,7 +211,10 @@ class _Parser:
         return opalgebra.linear_sum(pairs)
 
     def parse_term(self) -> OperatorExpr:
-        factors = [self.parse_unary()]
+        value = self.parse_unary()
+        if self.lexemes[self.index] != "*":  # such as a canonical term, one lexeme
+            return value
+        factors = [value]
         while self.accept("*"):
             factors.append(self.parse_unary())
         return opalgebra.product(factors)
@@ -202,6 +240,7 @@ class _Parser:
 
     def parse_integer(self, what: str, expected: str) -> int:
         sign = -1 if self.accept("-") else 1
+        self.split()
         lexeme = self.advance()
         if _kind(lexeme) != "number":
             self.fail(self.index - 1, f"found {_describe(lexeme)}", (expected,))
@@ -221,11 +260,14 @@ class _Parser:
         leaf = _LEAVES.get(lexeme)
         if leaf is not None:
             return leaf
-        if len(lexeme) > 1 and ("(" in lexeme or "^" in lexeme):  # a factor lexeme other than a bare leaf
+        if len(lexeme) > 1 and ("*" in lexeme or "(" in lexeme or "^" in lexeme):  # a term or factor lexeme
             try:
-                return _factor(lexeme)
-            except OperatorSyntaxError as err:  # its position counts from the lexeme's start
-                self.fail(self.index - 1, err.message, err.expected, err.position)
+                return _term(lexeme)
+            except ValueError:  # the descent over its fine lexemes names the error, from the lexeme's start
+                try:
+                    return _Parser(lexeme, _TOKEN_RE).parse_term()
+                except OperatorSyntaxError as err:
+                    self.fail(self.index - 1, err.message, err.expected, err.position)
         kind = _kind(lexeme)
         if kind == "number":
             num, den = self.number(lexeme)
@@ -236,8 +278,6 @@ class _Parser:
             value = self.parse_expr()
         elif lexeme == "sqrt":
             self.expect("(")
-            if self.lexemes[self.index][:2] == "r^":  # the factor lexeme r^n: its "^" stands where ")" belongs
-                self.fail(self.index, "found '^'", ("')'",), 1)
             self.expect("r")
             value = _SQRT_R
         elif lexeme == "exp":
@@ -255,6 +295,7 @@ class _Parser:
         sign = -1 if self.accept("-") else 1
         seen: dict[str, int | str] = {}
         while True:
+            self.split()
             lexeme = self.lexemes[self.index]
             number = _kind(lexeme) == "number"
             part = "integer factor" if number else _PHASE_PARTS.get(lexeme)
@@ -276,11 +317,41 @@ class _Parser:
 
 
 # a bound on memory, not a tuning: the 2,000 texts of 20 seeded dsl-stream decks
-# hold 281 distinct factor lexemes, and a factor's numbers have at most 3 digits
+# hold 273 distinct factors, and a factor's numbers have at most 3 digits
 @lru_cache(maxsize=4096)
 def _factor(lexeme: str) -> tuple:
-    """The atom form of a factor lexeme, read by the descent over its fine lexemes."""
+    """The atom form of a factor of a term or factor lexeme, read by the descent over its fine lexemes."""
     return _Parser(lexeme, _TOKEN_RE).parse_unary()
+
+
+def _term(lexeme: str) -> tuple:
+    """The atom form of a term or factor lexeme: its coefficient, read in integers, times its
+    factors' cached forms.  In render order no derivative stands before a function and u
+    comes at most once, so every adjacent pair is free and the factors' keys add.  A
+    ValueError (a zero denominator, a refused factor, a number past int's digit limit)
+    leaves the error to the descent."""
+    pieces = _PIECE_RE.findall(lexeme)
+    head = pieces[0]
+    if head[0] == "(":
+        real, real_den, sign, imag, imag_den = re.fullmatch(_GAUSS, head).groups()
+        real_den, imag_den = int(real_den or 1), int(imag_den or 1)
+        re_, im, den = int(real) * imag_den, int(sign + (imag or "1")) * real_den, real_den * imag_den
+        del pieces[0]
+    elif head[0].isdecimal():
+        num, _, den = head.partition("/")
+        re_, im, den = int(num), 0, int(den or 1)
+        del pieces[0]
+    else:
+        re_, im, den = 1, 0, 1
+    key = (1 - len(pieces)) * _BIAS  # the keys' sum less one bias per key past the first
+    for piece in pieces:
+        k, a, b, d = _factor(piece)
+        key += k
+        if b or a != d:  # a factor with a coefficient, such as i or u^-1 = 2*s*u
+            re_, im, den = re_ * a - im * b, re_ * b + im * a, den * d
+    if not den or key - _LOW & _GUARD:
+        raise ValueError(lexeme)
+    return key, re_, im, den
 
 
 def parse(text: str) -> OperatorExpr:

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladder_forge import opalgebra as oa
@@ -376,7 +376,78 @@ def test_factor_lexemes_parse_as_their_fine_lexemes(text):
         assert (spaced_err.message, spaced_err.expected) == (err.message, err.expected)
 
 
-_PHASE_FACTORS = [(f"exp({k}*i*{axis})", oa.phase(axis, k)) for axis in ("eta", "alpha", "beta") for k in range(-2, 3)]
+# pieces of canonical terms, spelled well or badly: coefficients, then factors of
+# every slot with powers inside and past 3 digits, and contexts where a term may
+# stand and where it may not (a power, a phase argument, sqrt's argument)
+_TERM_COEFFS = ("", "3", "2/4", "0", "1/0", "2*i", "2/3*i", "i", "(1/2-5*i)", "(-1/2+3*i)", "(2+i)", "(1/0+i)",
+                "(1/2+3/0*i)", "007", "1" * 5000)
+_TERM_SLOTS = ("s", "s^-1", "s^1000", "u", "u^3", "u^-1", "r", "r^007", "r^-2", "sqrt(r)", "sqrt(r)^3", "exp(i*eta)",
+               "exp(-2*i*alpha)^2", "exp(3*i*beta)", "exp(1000*i*beta)", "d/dr", "d/dr^0", "d/dr^-1", "d/deta^2",
+               "d/dalpha", "d/dbeta^12", "i", "2")
+_TERM_CONTEXTS = (("", ""), ("-", ""), ("(r)^", ""), ("(r)^-", ""), ("(r)^ - ", ""), ("r ^ ", ""), ("exp(", ")"),
+                  ("exp( ", ")"), ("exp(i*", ")"), ("sqrt(", ")"), ("sqrt( ", ")"), ("s + ", " - r"), ("(", ")^2"),
+                  ("2*", "*s"), ("", "^2"), ("", " ^ 2"), ("", "*d/dr"), ("", ")"), ("exp (", ")"))
+_TERM_SHAPES = (
+    "d/dr*r", "u*u", "s*u*s", "r^007", "d/dr^0", "d/dr^-1*r", "1/0*r", "0*r", "2/4*r", "1" * 5000 + "*r",
+    "2 * r", "2* r^2", "2*r ^ 2", "r ^2*s", "2*r ^2*d/dr", "(r)^-2*s", "(r)^ - 2*s", "r ^ 2*s", "exp( 2*i*eta)",
+    "exp(2*i*eta", "exp(i*2*s)", "sqrt(r*s)", "sqrt( r^2)", "sqrt (1/2+i)", "exp (1/2+i)", "4/6^-4", "2*r^2^3",
+    "(1/2-5*i)*sqrt(r)^-1*exp(3*i*beta)*d/dr^2", "-2*s*u - i*d/dbeta^2 + 1", "2*ix", "2*d/dr2", "u^3*r",
+    "2*exp(i*eta)exp(i*alpha)", "(1/0+i)*r", "2/3/4*r", "(r)s*u", "d/dr *r",
+)
+
+
+@st.composite
+def _term_shaped_texts(draw):
+    slots = draw(st.lists(st.sampled_from(_TERM_SLOTS), max_size=4))
+    if draw(st.booleans()):  # in render order, as a canonical term has them
+        slots.sort(key=_TERM_SLOTS.index)
+    coeff = draw(st.sampled_from(_TERM_COEFFS))
+    text = draw(st.sampled_from(("*", "*", "*", " * ", "* "))).join(([coeff] if coeff else []) + slots) or "1"
+    if draw(st.integers(0, 3)) == 0:
+        text = text.replace("^", draw(st.sampled_from((" ^ ", "^ ", " ^"))))
+    prefix, suffix = draw(st.sampled_from(_TERM_CONTEXTS))
+    return prefix + text + suffix
+
+
+def _scan_outcome(text, scan):
+    try:
+        return opdsl._Parser(text, scan).parse(), None
+    except ValueError as err:
+        return None, (type(err), str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_term_shaped_texts())
+def test_canonical_terms_parse_as_their_fine_lexemes(text):
+    # a canonical term is one lexeme of the scan; read any other way, it must give
+    # the value, or the error type, message and position, of its fine lexemes
+    assert _scan_outcome(text, opdsl._SCAN) == _scan_outcome(text, opdsl._TOKEN_RE)
+
+
+for _shape in _TERM_SHAPES:  # every listed shape runs, besides the drawn texts
+    test_canonical_terms_parse_as_their_fine_lexemes = example(_shape)(test_canonical_terms_parse_as_their_fine_lexemes)
+
+
+def test_warm_canonical_terms_make_no_product(monkeypatch):
+    # each canonical term whose powers have at most 3 digits is one lexeme, and its
+    # atom form is the sum of its factors' cached keys: a warm re-parse of canonical
+    # renders folds no factor pair (_fold) and multiplies nothing (product)
+    rng = random.Random(32323232)
+    texts = _canonical_texts() + [opdsl.render(random_operator(rng, wide=k % 2)) for k in range(600)]
+    texts = [text for text in texts if all(len(digits) <= 3 for digits in re.findall(r"[\^(]-?(\d+)", text))]
+    assert len(texts) > 600
+    for text in texts:
+        opdsl.parse(text)
+    calls = []
+    for name in ("product", "_fold"):
+        real = getattr(oa, name)
+        monkeypatch.setattr(oa, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for text in texts:
+        assert opdsl.render(opdsl.parse(text)) == text
+    assert calls == []
+
+
+_PHASE_FACTORS =[(f"exp({k}*i*{axis})", oa.phase(axis, k)) for axis in ("eta", "alpha", "beta") for k in range(-2, 3)]
 _ATOM_FACTORS = [
     ("i", oa.imag()), ("s", oa.s_sym()), ("u", oa.u_sym()), ("r", oa.r_power(1)), ("sqrt(r)", oa.sqrt_r()),
     *[(f"d/d{axis}", oa.deriv(axis)) for axis in ("r", "eta", "alpha", "beta")],
