@@ -26,10 +26,12 @@ checked once in exact rationals (every atom of gamma-degree 0, every
 coefficient real).  Leibniz's rule on N rho**p L then makes the action one
 sum of c rho**e L^(i), each e an exact half-integer, evaluated as N times
 rho to the least e times nonnegative powers of rho, so rho = 0 needs no
-second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state, and its
-profile's L^(alpha)_mu, come from one upward recurrence: by
-L^(a+1)_m = sum_{k<=m} L^(a)_k each order past the first is a running sum of
-the one before, one in-place add per step.
+second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state is the last
+of i running sums, by L^(a+1)_m = sum_{k<=m} L^(a)_k, over the first mu-i+1
+rows of its table L^(alpha)_0 ... L^(alpha)_mu from the upward recurrence, and
+P reads row mu.  At the quadrature nodes each (order, alpha) keeps one cached
+column of that table, grown to the highest degree read; any other rho builds
+its table afresh.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
@@ -67,25 +69,51 @@ CHARGE_BITS = 64
 # equation residuals, normalization, and the least residual a detuned control must show
 COEFF_TOL, PROFILE_TOL, NORM_TOL, DETUNED_FLOOR = 1e-10, 1e-8, 1e-12, 1e-2
 
-def _laguerre_rows(n: int, alpha, x, rows: int = 1) -> list:
-    """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from one upward recurrence: by L^(a+1)_m =
-    sum_{k<=m} L^(a)_k row i is the running sum of row i-1 one step behind, added in place, deepest row first."""
+def _table(n: int, alpha, x, table=None):
+    """L^(alpha)_0 ... L^(alpha)_n at ``x``, stacked along a new first axis: the upward recurrence, continued
+    from the first rows of such a ``table`` when one is given."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    a = float(alpha)
-    table = [np.ones(x.shape)] + [np.zeros(x.shape) for _ in range(1, rows)]
-    for k in range(n):
-        for i in range(rows - 1, 0, -1):
-            table[i] += table[i - 1]
-        prev, table[0] = table[0], (1.0 + a - x if k == 0  # prev is first read at k = 1
-                                    else ((2 * k + 1 + a - x) * table[0] - (k + a) * prev) / (k + 1))
+    x, a = np.asarray(x, dtype=float), float(alpha)
+    grown, table = np.empty((n + 1, *x.shape)), np.ones((1, *x.shape)) if table is None else table
+    grown[:len(table)] = table
+    for k in range(len(table) - 1, n):
+        grown[k + 1] = (1.0 + a - x if k == 0  # grown[k - 1] is first read at k = 1
+                        else ((2 * k + 1 + a - x) * grown[k] - (k + a) * grown[k - 1]) / (k + 1))
+    return grown
+
+
+def _rows(table, n: int, rows: int) -> list:
+    """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from a ``table`` of L^(alpha)_k, k <= n at least: by
+    L^(a+1)_m = sum_{k<=m} L^(a)_k row i is the last of i sequential running sums over table[:n-i+1]."""
+    out, sums = [table[n]], table
+    for i in range(1, rows):
+        sums = np.cumsum(sums[:max(n - i + 1, 0)], axis=0)
+        out.append(sums[-1] if len(sums) else np.zeros(table.shape[1:]))
+    return out
+
+
+@lru_cache(maxsize=128)  # a bound on memory, not a tuning
+def _column(order: int, alpha: int) -> list:
+    """[the ``_table`` of alpha at ``gauss_laguerre(order)``'s nodes], to the highest degree read so far;
+    read-only, as every caller shares it."""
+    return [np.broadcast_to(1.0, (1, order))]
+
+
+def _node_table(order: int, state) -> np.ndarray:
+    """The column of (order, ``state.alpha``), first grown to exactly ``state.degree`` if it is shorter.  Two
+    threads growing it at once each return their own grown table, so a race costs only a regrowth."""
+    cell = _column(order, state.alpha)
+    table = cell[0]
+    if len(table) <= state.degree:
+        cell[0] = table = _table(state.degree, state.alpha, gauss_laguerre(order)[0], table)
+        table.setflags(write=False)
     return table
 
 
 def laguerre(n: int, alpha, x):
-    """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence."""
-    return _laguerre_rows(n, alpha, x)[0]
+    """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence, copied off the table so it is freed."""
+    return _table(n, alpha, x)[n].copy()
 
 
 def laguerre_deriv(n: int, alpha, x, order: int = 1):
@@ -140,6 +168,13 @@ def _finite(values, rho, what: str):
     if not np.isfinite(values).all():
         raise ValueError(f"the {what} leaves the float range at rho = {rho.flat[np.isfinite(values).argmin()]}")
     return values
+
+
+def _refuse_non_finite(**params):
+    """A NaN or infinite parameter value raises ``ValueError`` naming the parameter."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def energy(Z, n) -> Fraction:
@@ -244,7 +279,7 @@ class QuantumState:
     def scaled_profile(self, rho):
         rho = _nonnegative(rho, "rho")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self._profile(rho, laguerre(self.degree, self.alpha, rho))
+            return self._profile(rho, _table(self.degree, self.alpha, rho)[self.degree])
 
     def _profile(self, rho, lag):
         """P at a checked ``rho`` (under ignored float errors, for a 0 or a huge rho) from lag = L^(alpha)_degree."""
@@ -366,11 +401,12 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     atoms carry different phases, a rho is negative or NaN, or the result is
     infinite at a rho = 0 entry.
     """
-    return _act(op, state, _nonnegative(rho, "rho"))[0]
+    return _act(op, state, _nonnegative(rho, "rho"))
 
 
-def _act(op: OperatorExpr, state: QuantumState, rho):
-    """``act`` at a checked ``rho``, and the row 0 L^(alpha)_degree(rho) of the one ``_laguerre_rows`` table it read."""
+def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
+    """``act`` at a checked ``rho``, its Laguerre rows read off ``table`` (a column at the quadrature nodes)
+    or a fresh ``_table``."""
     n, mu, nu = (float(w) for w in state.windings)
     p, degree, alpha = float(state.power), state.degree, state.alpha
     coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c
@@ -387,12 +423,12 @@ def _act(op: OperatorExpr, state: QuantumState, rho):
         raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({Fraction(low, 2)}))")
     # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0; a value past the float range is refused
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lag = _laguerre_rows(degree, alpha, rho, max((i for _, i in coeffs), default=0) + 1)
         if not coeffs:
-            return np.zeros_like(rho), lag[0]
+            return np.zeros_like(rho)
+        lag = _rows(_table(degree, alpha, rho) if table is None else table, degree, max(i for _, i in coeffs) + 1)
         total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
         action = state._prefactor(np.log(rho), low / 2) * total
-    return _finite(action, rho, "action"), lag[0]
+    return _finite(action, rho, "action")
 
 
 @dataclass(frozen=True)
@@ -428,15 +464,19 @@ def action_report(
     survives a lower order only while the target's quadrature norm is sound:
     the fold target (k, k) carries L^(0)_k, zero at every order-k node.  A
     norm that is not positive raises ``ValueError`` naming the order and the
-    degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``.
+    degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``, and a
+    NaN or infinite tolerance is refused.  The action and P (the target's, or the
+    source's for an annihilation) read their (order, alpha) columns, so P is
+    ``scaled_profile`` at the nodes bit for bit.
     """
+    _refuse_non_finite(coeff_tol=coeff_tol, profile_tol=profile_tol)
     sign, radicand = action_radicand(state, operator)
     target = shifted_state(state, operator) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
-    nodes, weights = gauss_laguerre(normalization_order(max(state.principal, ref.principal)))
-    lhs, lag = _act(generators.LADDERS[operator].operator(), state, nodes)
-    # an annihilation's P is read off the action's table; a target's keeps its own recurrence
-    P = state._profile(nodes, lag) if target is None else target.scaled_profile(nodes)
+    order = normalization_order(max(state.principal, ref.principal))
+    nodes, weights = gauss_laguerre(order)
+    lhs = _act(generators.LADDERS[operator].operator(), state, nodes, _node_table(order, state))
+    P = ref._profile(nodes, _node_table(order, ref)[ref.degree])
     norm_sq = float(weights @ P**2)
     if not norm_sq > 0:
         raise ValueError(f"the quadrature norm of {ref.family} state {ref.labels} is {norm_sq} "
@@ -527,8 +567,9 @@ def normalization_order(n) -> int:
 
 def normalization_residual(state: QuantumState) -> float:
     """|  ||psi||**2 - 1 |, by quadrature of order ``normalization_order``, exact for these profiles."""
-    nodes, weights = gauss_laguerre(normalization_order(state.principal))
-    P = state.scaled_profile(nodes)
+    order = normalization_order(state.principal)
+    nodes, weights = gauss_laguerre(order)
+    P = state._profile(nodes, _node_table(order, state)[state.degree])
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
 
 
@@ -536,8 +577,9 @@ def _casimir_defect(state: QuantumState):
     """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
     nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lsq = float(state.angular * (state.angular + 1))
-    action, lag = _act(generators.casimir()[0], state, nodes)
-    P = state._profile(nodes, lag)
+    table = _node_table(DEFAULT_QUAD_ORDER, state)
+    action = _act(generators.casimir()[0], state, nodes, table)
+    P = state._profile(nodes, table[state.degree])
     return nodes, P, np.exp(-nodes / 2), action - lsq * P
 
 
@@ -552,6 +594,7 @@ def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> floa
     and should push the residual up by about |shift|; this is the negative
     control showing the check has teeth.
     """
+    _refuse_non_finite(lambda_shift=lambda_shift)
     nodes, P, damp, defect = _casimir_defect(state)
     profile = P * damp
     scale = np.max(np.abs(profile))  # first, so a shift near the float limit stays finite

@@ -98,16 +98,27 @@ class TestLaguerre:
             cl.laguerre_deriv(-1, 0, np.array([1.0, 2.0]), order)
 
 
+def _running_sum(rows):
+    """The running sums of ``rows``, added one after another."""
+    out, total = [], np.zeros_like(rows[0])
+    for row in rows:
+        total = total + row
+        out.append(total)
+    return out
+
+
 class TestLaguerreTable:
-    """One upward recurrence gives L^(a+i)_(n-i) for every derivative order i
-    through running sums; row 0 is ``laguerre`` itself."""
+    """One upward recurrence gives the table of L^(a)_k, k <= n; L^(a+i)_(n-i) for every derivative
+    order i is the last of i running sums over its first n-i+1 rows, and row n is ``laguerre`` itself.
+    At the quadrature nodes each (order, alpha) keeps one cached column of that table."""
 
     RHO = np.linspace(0.0, 120.0, 41)  # rho = 0 included
+    ALPHAS = (0, 1, 5, 41, 120)
 
     @pytest.mark.parametrize("alpha", [0, 0.5, 1, 4, 9])
     def test_rows_match_reference(self, alpha):
         for n in range(61):
-            rows = cl._laguerre_rows(n, alpha, self.RHO, 3)
+            rows = cl._rows(cl._table(n, alpha, self.RHO), n, 3)
             assert len(rows) == 3
             for i, row in enumerate(rows):
                 if n < i:
@@ -123,31 +134,104 @@ class TestLaguerreTable:
         for n in range(0, 80, 3):
             for alpha in (0, 1, 2.5, 40):
                 for rows in (1, 2, 3):
-                    assert np.array_equal(cl._laguerre_rows(n, alpha, rho, rows)[0],
+                    assert np.array_equal(cl._rows(cl._table(n, alpha, rho), n, rows)[0],
                                           cl.laguerre(n, alpha, rho)), (n, alpha, rows)
 
-    def test_one_recurrence_per_state(self, monkeypatch):
-        ladder, annihilation = (cl.state_tm(7, 2), "T+"), (cl.state_tm(7, 6), "T-")
-        casimir = cl.state_munu(3, 8)
-        calls = []
-        recurrence = cl._laguerre_rows
+    @pytest.mark.parametrize("order", [cl.DEFAULT_QUAD_ORDER, 61])
+    def test_column_entries_are_laguerre_bit_for_bit(self, order):
+        # a later read at a higher degree extends the column, to exactly that degree
+        cl._column.cache_clear()
+        nodes = cl.gauss_laguerre(order)[0]
+        for alpha in self.ALPHAS:
+            highest = 0
+            for degree in (0, 7, 3, 30, 69):
+                highest = max(highest, degree)
+                column = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                assert len(column) == highest + 1 and not column.flags.writeable, (alpha, degree)
+                for k, row in enumerate(column):
+                    assert row.tobytes() == cl.laguerre(k, alpha, nodes).tobytes(), (alpha, degree, k)
 
-        def counted(*args):
-            calls.append(args[:2])
-            return recurrence(*args)
+    def test_derivative_rows_are_sequential_running_sums(self):
+        nodes = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0]
+        for alpha in self.ALPHAS:
+            for n in range(70):
+                column = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(n, n + alpha))
+                rows = cl._rows(column, n, 3)
+                sums = [cl.laguerre(k, alpha, nodes) for k in range(n + 1)]
+                assert rows[0].tobytes() == sums[n].tobytes()
+                for i in (1, 2):
+                    sums = _running_sum(sums[:n - i + 1]) if n >= i else []
+                    want = sums[-1] if sums else np.zeros_like(nodes)
+                    assert np.array_equal(rows[i], want), (alpha, n, i)
 
-        def count(call, *args):
-            call(*args)  # warms the quadrature cache, whose nodes take recurrences of their own
-            calls.clear()
-            call(*args)
-            return len(calls)
+    def test_action_report_target_profile_is_scaled_profile(self, monkeypatch):
+        # the target is the independent side of the check: its P at the nodes, read off a column that
+        # other states grew, is the one scaled_profile computes afresh
+        seen = []
+        profile = cl.QuantumState._profile
 
-        monkeypatch.setattr(cl, "_laguerre_rows", counted)
-        # the action and its source profile share one table; the target keeps its own recurrence
-        assert count(cl.action_report, *ladder) == 2
-        assert count(cl.action_report, *annihilation) == 1
-        for check in (cl.casimir_residual, cl.schrodinger_residual, cl.normalization_residual):
-            assert count(check, casimir) == 1, check.__name__
+        def recorded(state, rho, lag):
+            seen.append((state, rho, profile(state, rho, lag)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(cl.QuantumState, "_profile", recorded)
+        cl._column.cache_clear()
+        for t in range(1, 13):
+            for m in range(t):
+                for op in ("T+", "T-"):
+                    report = cl.action_report(cl.state_tm(t, m), op)
+                    state, rho, P = seen[-1]
+                    assert state.labels == (report.target or report.source), (t, m, op)
+                    assert P.tobytes() == state.scaled_profile(rho).tobytes(), (t, m, op)
+
+    CHECKS = [
+        ((cl.action_report, cl.state_tm(7, 2), "T+"), [cl.state_tm(7, 2), cl.state_tm(8, 2)]),
+        ((cl.action_report, cl.state_tm(7, 6), "T-"), [cl.state_tm(7, 6)]),
+        ((cl.action_report, cl.state_munu(3, 8), "A-"), [cl.state_munu(3, 8), cl.state_munu(2, 8)]),
+    ] + [((check, cl.state_munu(3, 8)), [cl.state_munu(3, 8)])
+         for check in (cl.casimir_residual, cl.schrodinger_residual, cl.normalization_residual)]
+    CHECK_IDS = ["ladder", "annihilation", "two-columns", "casimir", "schrodinger", "normalization"]
+
+    @staticmethod
+    def _steps(monkeypatch):
+        """A dict (order, alpha) -> recurrence steps taken, filled as ``_table`` runs."""
+        steps = {}
+        table = cl._table
+
+        def counted(n, alpha, x, start=None):
+            key = (len(x), alpha)
+            steps[key] = steps.get(key, 0) + n + 1 - (1 if start is None else len(start))
+            return table(n, alpha, x, start)
+
+        monkeypatch.setattr(cl, "_table", counted)
+        return steps
+
+    @pytest.mark.parametrize("call,readers", CHECKS, ids=CHECK_IDS)
+    def test_warm_check_runs_no_recurrence_step(self, monkeypatch, call, readers):
+        check, *args = call
+        check(*args)
+        steps = self._steps(monkeypatch)
+        check(*args)
+        assert sum(steps.values()) == 0, steps
+
+    @pytest.mark.parametrize("call,readers", CHECKS, ids=CHECK_IDS)
+    def test_cold_check_runs_at_most_degree_plus_one_steps_per_column(self, monkeypatch, call, readers):
+        check, *args = call
+        check(*args)  # warms the quadrature cache, whose nodes take recurrences of their own
+        cl._column.cache_clear()
+        steps = self._steps(monkeypatch)
+        check(*args)
+        assert sum(steps.values()) >= max(s.degree for s in readers), steps  # the counter sees the cold reads
+        for (_, alpha), count in steps.items():
+            assert count <= max(s.degree for s in readers if s.alpha == alpha) + 1, (alpha, steps)
+
+    def test_column_cache_stays_bounded(self):
+        cl._column.cache_clear()
+        for order in (cl.DEFAULT_QUAD_ORDER, 41):
+            for alpha in range(70):
+                cl._node_table(order, cl.state_munu(2, 2 + alpha))
+        info = cl._column.cache_info()
+        assert info.misses == 140 and info.currsize <= 128, info
 
 
 class TestQuadrature:
@@ -390,6 +474,19 @@ class TestActions:
         assert all(rep.passed for rep in reports)
         ops = {rep.operator for rep in reports}
         assert ops == {"A+", "A-", "B+", "B-"}
+
+    @pytest.mark.parametrize("name", ["coeff_tol", "profile_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("check", [
+        lambda **tol: cl.action_report(cl.state_tm(3, 1), "T+", **tol),
+        lambda **tol: cl.action_report(cl.state_tm(3, 2), "T-", **tol),
+        lambda **tol: cl.sweep_su11(2, **tol),
+        lambda **tol: cl.sweep_weyl(1, 2, **tol),
+    ], ids=["action", "annihilation", "sweep-su11", "sweep-weyl"])
+    def test_non_finite_tolerance_refused(self, check, name, value):
+        # a NaN tolerance failed every check, an infinite one passed every check
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            check(**{name: value})
 
     def test_weyl_reports_pass_at_every_gap(self):
         # odd and even gaps nu - mu, the nu == mu edge included: report,
@@ -653,6 +750,11 @@ class TestEigenequationResiduals:
     def test_detuned_eigenvalue_is_detected(self):
         for t, m in [(1, 0), (4, 2)]:
             assert cl.schrodinger_residual(cl.state_tm(t, m), 0.1) >= 1e-2
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_refused(self, shift):
+        with pytest.raises(ValueError, match=f"^lambda_shift must be finite, got {shift}$"):
+            cl.schrodinger_residual(cl.state_tm(3, 1), lambda_shift=shift)
 
     def test_casimir_eigenvalue(self):
         # the invariant reads off m(m+1); zero for the ground state
