@@ -185,9 +185,9 @@ def energy(Z, n) -> Fraction:
     return -(Z * Z) / (2 * n * n)
 
 
-def _charge_outside(Z: Fraction, bits: int) -> bool:
-    """Whether Z lies outside [2**-bits, 2**bits]; zero and negative charges do."""
-    return Z.numerator > Z.denominator << bits or Z.denominator > Z.numerator << bits
+def _outside(x: Fraction, bits: int) -> bool:
+    """Whether x, a charge or a coefficient's size, lies outside [2**-bits, 2**bits]; zero and negative x do."""
+    return x.numerator > x.denominator << bits or x.denominator > x.numerator << bits
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ class QuantumState:
         a, b = exact_int(a, names[0]), exact_int(b, names[1])
         object.__setattr__(self, "labels", (a, b))
         object.__setattr__(self, "Z", exact(self.Z, "Z"))
-        if _charge_outside(self.Z, CHARGE_BITS):
+        if _outside(self.Z, CHARGE_BITS):
             raise ValueError(f"charge must lie in [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}], got {self.Z}")
         if self.family == "su11":
             if a < 1 or not 0 <= b <= a - 1:
@@ -348,14 +348,16 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     if mu < 0:
         raise ValueError(f"{operator} annihilates {state.family} state {state.labels}")
     Z = state.Z * ratio
-    if _charge_outside(Z, CHARGE_BITS):
+    if _outside(Z, CHARGE_BITS):
         raise ValueError(f"{operator} drags the charge of {state.family} state {state.labels} at Z = {state.Z} "
                          f"to {Z}, outside [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}]")
     target = ((mu + nu + 1) // 2, (nu - mu - 1) // 2) if state.family == "su11" else (mu, nu)
     return QuantumState(state.family, target, Z)
 
 
-_GAUGE = opalgebra.deriv("r") - Fraction(1, 2)
+_RHO_IMAGES = {"s_power": opalgebra.scalar(Fraction(1, 2)), "dr": opalgebra.deriv("r") - Fraction(1, 2),
+               **dict.fromkeys(("u_parity", "ke", "ka", "kb"), opalgebra.identity()),
+               **{d: opalgebra.imag() * opalgebra.deriv(v) for d, v in zip(("de", "da", "db"), opalgebra.PHASE_AXES)}}
 
 
 @lru_cache(maxsize=64)
@@ -367,25 +369,23 @@ def _rho_form(op: OperatorExpr) -> tuple:
     state's windings.  With s = gamma/2, u = gamma**(-1/2) and r = rho/gamma,
     an atom s**sp u**up r**(k/2) (d/dr)**dr carries gamma**(sp - up/2 - k/2 + dr),
     and past exp(-rho/2) each d/dr is gamma times the gauge operator d/dr - 1/2
-    (``_GAUGE``, r and d/dr now standing for rho and d/drho).  The form is one exact
-    operator, the sum of each atom's i**(de + da + db), rho power and angle
-    derivatives (markers of the windings) times the gauge**dr, weighted by
-    (1/2)**sp; only the last line converts it to floats.
+    (r and d/dr now standing for rho and d/drho).  The form is the exact image
+    of ``op`` under the table ``_RHO_IMAGES`` (``opalgebra.rewrite``), each angle
+    derivative going to i times itself, a marker of its winding.  The last line
+    converts it to floats; a coefficient outside [2**-1022, 2**1022] is refused.
     """
-    atoms = sorted(op.atoms())
-    for (r2, _, _, _, dr, *_), sp, up, *_ in atoms:
+    for (r2, _, _, _, dr, *_), sp, up, *_ in sorted(op.atoms()):
         if degree := 2 * sp - up - r2 + 2 * dr:
             raise ValueError(f"atom with s^{sp}, u^{up}, r^({r2}/2), (d/dr)^{dr} "
                              f"has gamma-degree {Fraction(degree, 2)}, not 0")
     generators.step(op)  # refuses an operator whose atoms carry different phase windings
-    # each angle derivative brings i times the state's winding; the phase factors are dropped
-    form = opalgebra.linear_sum([
-        (opalgebra.product((opalgebra.imag() ** (de + da + db), (opalgebra._pack((r2, 0, 0, 0, 0, de, da, db), 0, 0),
-                                                                 re, im, den), _GAUGE**dr)), Fraction(1, 2) ** sp)
-        for (r2, _, _, _, dr, de, da, db), sp, _, re, im, den in atoms])
-    if any(im for *_, im, _ in form.atoms()):
+    form = sorted(opalgebra.rewrite(op, _RHO_IMAGES).atoms())
+    if any(im for *_, im, _ in form):
         raise ValueError("operator has a non-real coefficient on the profile")
-    return tuple((mono[0], mono[4], mono[5:], re / den) for mono, _, _, re, _, den in sorted(form.atoms()))
+    for (k, _, _, _, j, *_), _, _, re, _, den in form:
+        if _outside(Fraction(abs(re), den), 1022):
+            raise ValueError(f"rho-form atom rho^({k}/2)*(d/drho)^{j}: coefficient outside [2**-1022, 2**1022]")
+    return tuple((mono[0], mono[4], mono[5:], re / den) for mono, _, _, re, _, den in form)
 
 
 def act(op: OperatorExpr, state: QuantumState, rho):
@@ -397,9 +397,9 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     ``low`` the least 2e, the result is one log-space prefactor
     N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
     every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op``
-    has nonzero gamma-degree, a coefficient of its rho-form is not real, its
-    atoms carry different phases, a rho is negative or NaN, or the result is
-    infinite at a rho = 0 entry.
+    has nonzero gamma-degree, a coefficient of its rho-form is not real or lies
+    outside [2**-1022, 2**1022], its atoms carry different phases, a rho is
+    negative or NaN, or the result is infinite at a rho = 0 entry.
     """
     return _act(op, state, _nonnegative(rho, "rho"))
 
@@ -507,7 +507,7 @@ def _sweep(kind: str, states, tols: dict) -> list[ActionReport]:
 def _sweep_charge(Z) -> Fraction:
     """Z, refused up front unless every charge Z n'/n a sweep step drags it to, n'/n in [1/2, 2], is in range."""
     Z, bits = exact(Z, "Z"), CHARGE_BITS - 1
-    if _charge_outside(Z, bits):
+    if _outside(Z, bits):
         raise ValueError(f"a sweep's charge must lie in [2**-{bits}, 2**{bits}], so that every charge its steps "
                          f"drag it to stays in [2**-{CHARGE_BITS}, 2**{CHARGE_BITS}], got {Z}")
     return Z

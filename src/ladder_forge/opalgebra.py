@@ -51,9 +51,9 @@ The integer counterpart of ``terms()`` is ``atoms()``, the 6-tuples
 form* ``(key, re, im, den)`` carries the packed key instead; it need not be in
 lowest terms, and its coefficient may be zero.  ``product`` takes one as a
 factor and ``linear_sum`` as a summand, and ``atom_power`` raises one in closed
-form.  Every rewrite reads atoms, in one ``linear_sum`` or ``product`` pass or
-one relabelling: ``substitute_s``, ``swap_alpha_beta``, ``generators.step`` and
-the rho-form of ``coulomb``; ``terms()`` and ``Mono`` are the public read-out only.
+form.  ``rewrite`` is the one operator rewrite, by an image of each letter:
+``substitute_s``, ``swap_alpha_beta`` and the rho-form of ``coulomb`` are image
+tables of it.  ``terms()`` and ``Mono`` are the public read-out only.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -137,14 +137,14 @@ _FUNCS, _DERIVS = (sum(_FIELD << shift for shift in part) for part in (_SHIFTS[:
 _U2 = 2 + (1 << _SP)  # u**2 = 1/(2*s): u parity 2 to 0, one s power down
 _LOW = sum(_HALF - EXP_BOUND << shift for shift in _SHIFTS)
 _GUARD = sum((_FIELD ^ 2 * EXP_BOUND - 1) << shift for shift in _SHIFTS)
+_LETTERS = dict(zip((*Mono._fields, "s_power", "u_parity"), (*_SHIFTS, 0)))  # each letter's shift in a key
 
 
 def _pack(mono: Sequence[int], sp: int, up: int) -> int:
     """The key of the atom ``(mono, sp, up)``; a ``ValueError`` names a field outside the bound."""
     values = (*mono, sp)
     if not -EXP_BOUND <= min(values) <= max(values) < EXP_BOUND:
-        value = next(v for v in values if not -EXP_BOUND <= v < EXP_BOUND)
-        name = (*Mono._fields, "s_power")[values.index(value)]
+        name, value = next((name, v) for name, v in zip(_LETTERS, values) if not -EXP_BOUND <= v < EXP_BOUND)
         raise ValueError(f"{name} = {value} is outside the exponent bound [-2**24, 2**24)")
     return (int.from_bytes(_FIELDS.pack(*values), "big") << 2 ^ _BIAS) + up
 
@@ -418,11 +418,10 @@ class OperatorExpr:
         val = exact(value, "value")
         if val <= 0:
             raise ValueError("s stands for sqrt(-lambda) and must be positive")
-        atoms = self.atoms()
-        if any(up for _, _, up, *_ in atoms):
+        if any(key & 1 for key in self._terms):
             raise ValueError("coefficient contains the formal unit u; its value (2*s)**(-1/2) is irrational "
                              "for generic s")
-        return linear_sum([((_pack(mono, 0, 0), re, im, den), val**sp) for mono, sp, _, re, im, den in atoms])
+        return rewrite(self, {"s_power": scalar(val)})
 
     # -- equality --------------------------------------------------------
 
@@ -632,10 +631,21 @@ def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> Op
     return _normal_order(a, b, True)
 
 
+def rewrite(op: OperatorExpr, images: Mapping[str, OperatorExpr]) -> OperatorExpr:
+    """``op`` with each letter named in ``images`` (a ``Mono`` field, ``s_power`` or ``u_parity``) standing for its
+    image and every other letter for itself: one ``product`` per atom of its coefficient and its letters' images
+    raised to their exponents, in normal order (s and u are central), summed in one ``linear_sum``."""
+    parts = []
+    for mono, sp, up, re, im, den in op.atoms():
+        factors = [images[name] ** e if name in images else (_BIAS + (e << shift), 1, 0, 1)
+                   for (name, shift), e in zip(_LETTERS.items(), (*mono, sp, up)) if e]
+        parts.append((product([(_BIAS, re, im, den), *factors]), 1))
+    return linear_sum(parts)
+
+
 def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
     """Exchange the alpha and beta angle variables."""
-    return OperatorExpr._wrap({_pack((r2, ke, kb, ka, dr, de, db, da), sp, up): (re, im)
-                               for (r2, ke, ka, kb, dr, de, da, db), sp, up, re, im, _ in expr.atoms()}, expr._den)
+    return rewrite(expr, {"ka": phase("beta", 1), "kb": phase("alpha", 1), "da": deriv("beta"), "db": deriv("alpha")})
 
 
 # -- linear span and Lie closure ----------------------------------------

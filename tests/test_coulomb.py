@@ -612,6 +612,16 @@ class TestDerivedActions:
         with pytest.raises(ValueError, match="phase"):
             cl.act(oa.identity() + oa.phase("eta", 1), state, rho)
 
+    @pytest.mark.parametrize("power,rho", [(-1100, 0.5), (1100, 2.0)])
+    def test_rho_form_refuses_a_coefficient_past_the_float_range(self, power, rho):
+        # s**p r**p is (rho/2)**p: 2**1100 overflows a float, and 2**-1100 rounds to 0.0 though
+        # (rho/2)**1100 is 1 at rho = 2; 2**-1000 lies inside the range and acts
+        state = cl.state_tm(3, 1)
+        with pytest.raises(ValueError, match=rf"^rho-form atom rho\^\({2 * power}/2\)\*\(d/drho\)\^0: "
+                                             r"coefficient outside \[2\*\*-1022, 2\*\*1022\]$"):
+            cl.act(oa.s_sym(power) * oa.r_power(power), state, [rho])
+        assert cl.act(oa.s_sym(1000) * oa.r_power(1000), state, [2.0]) == pytest.approx(state.scaled_profile([2.0]))
+
 
 @st.composite
 def _state_operator_and_rho(draw):

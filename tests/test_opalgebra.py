@@ -592,6 +592,51 @@ def test_swap_alpha_beta_preserves_products_and_commutators(a, b):
     assert swap(oa.commutator(a, b)) == oa.commutator(swap(a), swap(b))
 
 
+# each letter's own value, in field order: the Mono fields, then s and u
+_LETTER_VALUES = {"r2": oa.sqrt_r(), "ke": oa.phase("eta", 1), "ka": oa.phase("alpha", 1), "kb": oa.phase("beta", 1),
+                  "dr": oa.deriv("r"), "de": oa.deriv("eta"), "da": oa.deriv("alpha"), "db": oa.deriv("beta"),
+                  "s_power": oa.s_sym(), "u_parity": oa.u_sym()}
+# a function letter's exponent may be negative, so its image inverts: one atom without derivatives
+_IMAGE_TABLES = [
+    {"dr": oa.deriv("r") - Fraction(1, 2), "s_power": oa.scalar(Fraction(1, 2)), "ke": oa.identity()},
+    {"ka": oa.phase("beta", 1), "kb": oa.phase("alpha", 1), "da": oa.deriv("beta"), "db": oa.deriv("alpha")},
+    {"ka": oa.sqrt_r(), "de": oa.deriv("r") + oa.imag() * oa.deriv("eta"), "u_parity": oa.s_sym() + oa.u_sym()},
+    {"r2": Fraction(2, 3) * oa.phase("eta", 2) * oa.s_sym(-1), "db": oa.r_power(1), "dr": oa.deriv("alpha", 2)},
+]
+
+
+def _rewrite_by_hand(op: oa.OperatorExpr, images) -> oa.OperatorExpr:
+    # per atom, the product of its coefficient and every letter's image in field order, summed
+    total = oa.zero()
+    for (mono, sp, up), (re, im) in op.terms():
+        term = oa.scalar(re) + oa.scalar(im) * oa.imag()
+        for name, e in zip(_LETTER_VALUES, (*mono, sp, up)):
+            term = term * images.get(name, _LETTER_VALUES[name]) ** e
+        total = total + term
+    return total
+
+
+@settings(max_examples=50, deadline=None)
+@given(operators(wide=True))
+def test_rewrite_by_no_images_is_the_identity(op):
+    assert oa.rewrite(op, {}) == op == _rewrite_by_hand(op, {})
+
+
+@settings(max_examples=50, deadline=None)
+@pytest.mark.parametrize("images", _IMAGE_TABLES)
+@given(operators(wide=True))
+def test_rewrite_matches_the_atom_by_atom_reference(images, op):
+    assert oa.rewrite(op, images) == _rewrite_by_hand(op, images)
+
+
+@pytest.mark.parametrize("op", [oa.s_sym(20000), oa.s_sym(-20000), oa.s_sym(2000000)])
+def test_substitute_s_bounds_its_coefficient_powers(op):
+    # 3**20000 has 9,543 digits: the power of s goes through atom_power's digit bound
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError, match=f"^a result coefficient has more than {limit} digits$"):
+        op.substitute_s(3)
+
+
 def test_rewrites_take_one_linear_sum(monkeypatch):
     # each rewrite is one weighted sum of its atoms: an uncached rho-form makes
     # one linear_sum call, and substitute_s one, without the validating
