@@ -210,10 +210,8 @@ def _cmd_coulomb_verify(args) -> int:
         order = coulomb.normalization_order(n)
         if order > coulomb.MAX_QUAD_ORDER:
             raise ValueError(f"{flags} needs quadrature order {order}, past the float limit {coulomb.MAX_QUAD_ORDER}")
-    tols = {} if args.tol is None else {"coeff_tol": args.tol, "profile_tol": args.tol}
     Z = args.Z
-    sweeps = coulomb.sweep_su11(args.t_max, Z, **tols) + coulomb.sweep_weyl(
-        args.mu_max, args.nu_max, Z=Z, **tols)
+    sweeps = coulomb.sweep_su11(args.t_max, Z, args.tol) + coulomb.sweep_weyl(args.mu_max, args.nu_max, Z, args.tol)
     rows = _action_rows(sweeps)
 
     states = [coulomb.state_tm(t, m, Z) for t in range(1, args.t_max + 1) for m in range(t)]

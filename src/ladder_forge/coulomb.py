@@ -450,8 +450,7 @@ class ActionReport:
 def action_report(
     state: QuantumState,
     operator: str,
-    coeff_tol: float = COEFF_TOL,
-    profile_tol: float = PROFILE_TOL,
+    tol: float | None = None,
 ) -> ActionReport:
     """Check one generator action by exact-degree quadrature.
 
@@ -459,17 +458,20 @@ def action_report(
     the target profile is compared with the closed form, and the residual
     orthogonal to the target is measured in the L2 norm.  A vanishing
     closed-form coefficient instead demands an action norm within
-    ``coeff_tol``.  The order is ``normalization_order`` at the larger
+    ``COEFF_TOL``.  The order is ``normalization_order`` at the larger
     principal label of source and target.  A pointwise comparison at the nodes
     survives a lower order only while the target's quadrature norm is sound:
     the fold target (k, k) carries L^(0)_k, zero at every order-k node.  A
     norm that is not positive raises ``ValueError`` naming the order and the
-    degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``, and a
-    NaN or infinite tolerance is refused.  The action and P (the target's, or the
+    degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``.  A
+    ``tol`` bounds the coefficient error and the profile residual (and an
+    annihilation's norm) in place of ``COEFF_TOL`` and ``PROFILE_TOL``; a NaN
+    or infinite one is refused.  The action and P (the target's, or the
     source's for an annihilation) read their (order, alpha) columns, so P is
     ``scaled_profile`` at the nodes bit for bit.
     """
-    _refuse_non_finite(coeff_tol=coeff_tol, profile_tol=profile_tol)
+    coeff_tol, profile_tol = (COEFF_TOL, PROFILE_TOL) if tol is None else (tol, tol)
+    _refuse_non_finite(tol=profile_tol)
     sign, radicand = action_radicand(state, operator)
     target = shifted_state(state, operator) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
@@ -499,9 +501,9 @@ def action_report(
     )
 
 
-def _sweep(kind: str, states, tols: dict) -> list[ActionReport]:
+def _sweep(kind: str, states, tol: float | None) -> list[ActionReport]:
     ops = [op for op, lad in generators.LADDERS.items() if lad.kind == kind]
-    return [action_report(st, op, **tols) for st in states for op in ops]
+    return [action_report(st, op, tol) for st in states for op in ops]
 
 
 def _sweep_charge(Z) -> Fraction:
@@ -513,14 +515,14 @@ def _sweep_charge(Z) -> Fraction:
     return Z
 
 
-def sweep_su11(t_max: int, Z=1, **tols) -> list[ActionReport]:
+def sweep_su11(t_max: int, Z=1, tol: float | None = None) -> list[ActionReport]:
     """All T+- actions on states with t <= t_max, annihilations included."""
     t_max, Z = exact_int(t_max, "t_max"), _sweep_charge(Z)
     states = (state_tm(t, m, Z) for t in range(1, t_max + 1) for m in range(t))
-    return _sweep("su11", states, tols)
+    return _sweep("su11", states, tol)
 
 
-def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, **tols) -> list[ActionReport]:
+def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, tol: float | None = None) -> list[ActionReport]:
     """All A+-, B+- actions over the odd-gap grid mu <= mu_max, nu <= nu_max.
 
     nu - mu is kept odd so every integrand is polynomial and the quadrature
@@ -529,7 +531,7 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, **tols) -> list[ActionRepo
     mu_max, nu_max, Z = exact_int(mu_max, "mu_max"), exact_int(nu_max, "nu_max"), _sweep_charge(Z)
     states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
               for nu in range(mu + 1, nu_max + 1, 2))
-    return _sweep("weyl", states, tols)
+    return _sweep("weyl", states, tol)
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,23 @@ associates left to right in source order.
 exact inverse: for every operator value ``e``, ``parse(render(e)) == e``.
 ``x^n`` is ``x ** n`` of ``opalgebra``, so ``^-n`` inverts a single term
 without derivatives and rejects anything else at the ``^``, as it does a
-coefficient that would pass int's digit limit.  ``parse`` reads the
-lexemes of one scan, scanning again for a position only on an error.  The scan
-reads a whole canonical term as one lexeme: an optional coefficient (``n/d``,
-``n/d*i``, ``i`` or ``(a/b+c/d*i)``), then at most one factor of each slot in
-render order (``s^k``, ``u``, ``r^k`` or ``sqrt(r)^k``, the eta, alpha and beta
-phases, ``d/dr``, ``d/deta``, ``d/dalpha``, ``d/dbeta``), each power of at most 3
-digits.  In that order no derivative stands before a function and u comes at
-most once, so every adjacent pair is free: the term's atom form is its
-coefficient, read in integers, times its factors' forms, whose keys add, with
-one bound test.  A factor's form comes from a bounded cache, filled by the
-descent over its fine lexemes (those of ``tokenize``); so does a single factor
-that a power follows, such as ``sqrt(r)`` in ``sqrt(r)^1000``.  An error inside a
-lexeme is named by the descent over its fine lexemes, its position counted from
-the lexeme's start, and where the grammar takes one fine lexeme (after ``^``,
-inside ``sqrt(`` or ``exp(``) a lexeme is read as its fine lexemes; so values
-and errors are those of the fine lexemes.  Any other text is read factor by
-factor: every factor but a parenthesised sum is an ``opalgebra`` atom form,
-negated and raised (``opalgebra.atom_power``) without an operator, a term of
-several factors is one ``opalgebra.product``, and each sum is one
-``opalgebra.linear_sum`` over atom forms and operators.  ``render`` sorts the
+coefficient that would pass int's digit limit.  ``parse`` has two readers that
+do not know about each other.  The plain-sum reader takes a text made only of
+plain terms, the first at the text's start after an optional ``-`` and each later
+one after exactly `` + `` or `` - ``.  A plain term is numbers (``n``, ``n/d`` or
+``(a/b+c/d*i)``) and canonical factors (``i``, ``s``, ``u``, ``r``, ``sqrt(r)``,
+``exp(-2*i*alpha)``, ``d/deta``) joined by ``*`` in any order, each factor with a
+power of at most 3 digits and nothing glued on.  It reads the text in one pass of
+one pattern, and a term is its numbers, read in integers, times its factors' atom
+forms from a bounded cache.  While no function factor follows a derivative and u
+comes at most once, every adjacent pair is free and the factors' keys add, with one
+bound test; otherwise the term is one ``opalgebra.product``.  The terms are one
+``opalgebra.linear_sum``.  Any other text, and any plain one that raises a
+``ValueError``, goes whole to the descent over the fine lexemes of ``tokenize``,
+which alone reports errors.  There every factor but a parenthesised sum is an
+``opalgebra`` atom form, negated and raised (``opalgebra.atom_power``) without an
+operator, a term of several factors is one ``opalgebra.product``, and each sum is
+one ``opalgebra.linear_sum`` over atom forms and operators.  ``render`` sorts the
 atoms once and prints their integer numerators.
 """
 
@@ -55,7 +52,7 @@ from math import gcd
 from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import _BIAS, _GUARD, _LOW, DERIV_AXES, OperatorExpr, PHASE_AXES
+from .opalgebra import _BIAS, _DERIVS, _FUNCS, _GUARD, _LOW, DERIV_AXES, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -86,39 +83,27 @@ class Token(NamedTuple):
     pos: int
 
 
-_DERIV = r"d/d(?:r|eta|alpha|beta)\b"
-_FINE = rf"""{_DERIV}                   # deriv
-          | \d+(?:/\d+)?                # number
-          | [A-Za-z_][A-Za-z_0-9]*      # symbol
-          | [-+*^()]                    # op
-"""
 # one fine lexeme after optional whitespace; the second group is an unrecognized character
-_TOKEN_RE = re.compile(rf"\s*(?:({_FINE}) | (\S))", re.VERBOSE)
+_TOKEN_RE = re.compile(
+    r"""\s*(?:(d/d(?:r|eta|alpha|beta)\b   # deriv
+              | \d+(?:/\d+)?               # number
+              | [A-Za-z_][A-Za-z_0-9]*      # symbol
+              | [-+*^()]                    # op
+              ) | (\S))
+    """,
+    re.VERBOSE,
+)
 
-_OPEN = r"(?<![\w)^])"  # where a factor may start: not right after a letter, a digit, ")" or "^"
-_GLUE = r"(?![\w(/])"  # nothing glued on
-_POWER = rf"(?:\^-?\d{{1,3}})?{_GLUE}"  # an optional power of at most 3 digits, then nothing glued on
-_PHASE = r"exp\(-?(?:\d{1,3}\*)?i\*%s\)"
-_NUMBER = r"\d+(?:/\d+)?"
-# the slots of a canonical term, in render order: s, u, r or sqrt(r), the phases, the derivatives
-_SLOTS = ("s", "u", r"(?:r|sqrt\(r\))", *(_PHASE % axis for axis in PHASE_AXES), *(f"d/d{axis}" for axis in DERIV_AXES))
-_SLOT_RUN = "".join(rf"(?:\*?{slot}{_POWER})?" for slot in _SLOTS)
-# the parser's scan: first, a whole canonical term, not empty: an optional
-# coefficient and at most one factor of each slot, each with a power of at most 3
-# digits, joined by "*" with no blank (every slot starts with a letter, which
-# nothing may be glued to), and followed by no "^" (a power binds one factor); then
-# one canonical factor, which a power may follow. Each lexes finely to the same
-# lexemes; another spelling falls through to the fine lexemes. A pattern string:
-# re compiles it at the first parse and keeps it, so a process that parses nothing
-# does not pay for the compile
-_SCAN = rf"""(?x)\s*(?:(
-      {_OPEN}(?:(?:{_NUMBER}(?:\*i)?|i|\(-?{_NUMBER}[-+](?:{_NUMBER}\*)?i\)){_GLUE}|(?=[rsu]|exp\(|d/d))
-      {_SLOT_RUN}(?<=[\w)])(?!\s*\^)
-    | (?:[rsu] | d/d(?:r|eta|alpha|beta) | sqrt\(r\) | {_PHASE % '(?:eta|alpha|beta)'}){_POWER}
-    | {_FINE}) | (\S))"""
-# a term lexeme's factors, split at each "*" outside parentheses, and its (re+im*i) coefficient
-_PIECE_RE = re.compile(r"[^*(]+(?:\([^)]*\)[^*]*)?|\([^)]*\)")
-_GAUSS = r"\((-?\d+)(?:/(\d+))?([-+])(?:(\d+)(?:/(\d+))?\*)?i\)"
+_POWER = r"(?:\^-?\d{1,3})?(?![\w^])"  # a power of at most 3 digits, then nothing glued on
+# one piece of a plain sum: where it starts (a term at the text's start, after an
+# optional "-"; a later term after " + " or " - "; a further factor after "*"), then
+# a number (n/d or (a/b+c/d*i)) or a canonical factor with its power. A pattern
+# string: re compiles it at the first parse and keeps it, so a process that parses
+# nothing does not pay for the compile
+_PLAIN = rf"""(?x)(\A-?|(?<=[\w)])(?:\ [-+]\ |\*))
+    ( \d+(?:/\d+)? | \(-?\d+(?:/\d+)?[-+](?:\d+(?:/\d+)?\*)?i\)
+    | (?:sqrt\(r\)|exp\(-?(?:\d{{1,3}}\*)?i\*(?:eta|alpha|beta)\)|d/d(?:r|eta|alpha|beta)|[isur]){_POWER} )"""
+_GAUSS = r"\((-?\d+)(?:/(\d+))?([-+])(?:(\d+)(?:/(\d+))?\*)?i\)"  # (real + imag*i), each part over its own denominator
 
 
 def _kind(lexeme: str) -> str:
@@ -140,8 +125,7 @@ def tokenize(text: str) -> list[Token]:
 
 
 def _describe(lexeme: str) -> str:
-    """A lexeme as a message quotes it: a term or factor lexeme by its first fine lexeme."""
-    return repr(_TOKEN_RE.match(lexeme)[1]) if lexeme else "end of input"
+    return repr(lexeme) if lexeme else "end of input"
 
 
 # atom forms, immutable, so every parse shares them
@@ -155,19 +139,16 @@ _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 
 class _Parser:
-    def __init__(self, text: str, scan: "str | re.Pattern" = _SCAN):
-        self.text, self.index, self.scan, self.splits = text, 0, scan, []
-        self.lexemes = [lexeme for lexeme, _ in re.findall(scan, text)]
+    def __init__(self, text: str):
+        self.text, self.index = text, 0
+        self.lexemes = [lexeme for lexeme, _ in _TOKEN_RE.findall(text)]
         if "" in self.lexemes:  # an unrecognized character: tokenize raises at it
             tokenize(text)
         self.lexemes.append("")  # the end
 
-    def fail(self, index: int, message: str, expected: tuple[str, ...] = (), shift: int = 0) -> NoReturn:
-        """Raise at lexeme ``index``, ``shift`` characters in: only an error scans for positions."""
-        starts = [match.start(1) for match in re.finditer(self.scan, self.text)]
-        for at, offsets in self.splits:  # in the order split() made them
-            starts[at:at + 1] = [starts[at] + offset for offset in offsets]
-        raise OperatorSyntaxError([*starts, len(self.text)][index] + shift, message, expected)
+    def fail(self, index: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+        """Raise at lexeme ``index``: only an error scans for positions."""
+        raise OperatorSyntaxError(tokenize(self.text)[index].pos, message, expected)
 
     def advance(self) -> str:
         lexeme = self.lexemes[self.index]
@@ -180,18 +161,7 @@ class _Parser:
             return True
         return False
 
-    def split(self) -> None:
-        """Read the next lexeme as its fine lexemes where the grammar takes one fine lexeme
-        (after "^", inside sqrt( and exp( ), since a term or factor lexeme may stand there."""
-        lexeme = self.lexemes[self.index]
-        if len(lexeme) > 1:
-            matches = list(_TOKEN_RE.finditer(lexeme))
-            if len(matches) > 1:
-                self.lexemes[self.index:self.index + 1] = [match[1] for match in matches]
-                self.splits.append((self.index, [match.start(1) for match in matches]))
-
     def expect(self, lexeme: str) -> None:
-        self.split()
         if not self.accept(lexeme):
             self.fail(self.index, f"found {_describe(self.lexemes[self.index])}", (repr(lexeme),))
 
@@ -210,9 +180,9 @@ class _Parser:
             pairs.append((self.parse_term(), sign))
         return opalgebra.linear_sum(pairs)
 
-    def parse_term(self) -> OperatorExpr:
+    def parse_term(self) -> "OperatorExpr | tuple":
         value = self.parse_unary()
-        if self.lexemes[self.index] != "*":  # such as a canonical term, one lexeme
+        if self.lexemes[self.index] != "*":  # one factor, summed as it is
             return value
         factors = [value]
         while self.accept("*"):
@@ -227,8 +197,6 @@ class _Parser:
                 return key, -real, -imag, den
             return -value
         value = self.parse_atom()
-        if "^" in self.lexemes[self.index - 1]:  # a factor lexeme that carries its power
-            return value
         if self.accept("^"):
             caret = self.index - 1
             exponent = self.parse_integer("power exponent", "integer exponent")
@@ -240,7 +208,6 @@ class _Parser:
 
     def parse_integer(self, what: str, expected: str) -> int:
         sign = -1 if self.accept("-") else 1
-        self.split()
         lexeme = self.advance()
         if _kind(lexeme) != "number":
             self.fail(self.index - 1, f"found {_describe(lexeme)}", (expected,))
@@ -260,20 +227,12 @@ class _Parser:
         leaf = _LEAVES.get(lexeme)
         if leaf is not None:
             return leaf
-        if len(lexeme) > 1 and ("*" in lexeme or "(" in lexeme or "^" in lexeme):  # a term or factor lexeme
-            try:
-                return _term(lexeme)
-            except ValueError:  # the descent over its fine lexemes names the error, from the lexeme's start
-                try:
-                    return _Parser(lexeme, _TOKEN_RE).parse_term()
-                except OperatorSyntaxError as err:
-                    self.fail(self.index - 1, err.message, err.expected, err.position)
         kind = _kind(lexeme)
         if kind == "number":
             num, den = self.number(lexeme)
             if not den:
                 self.fail(self.index - 1, f"number {lexeme!r} has a zero denominator")
-            return opalgebra._BIAS, num, 0, den  # the unit atom's key
+            return _BIAS, num, 0, den  # the unit atom's key
         if lexeme == "(":
             value = self.parse_expr()
         elif lexeme == "sqrt":
@@ -295,7 +254,6 @@ class _Parser:
         sign = -1 if self.accept("-") else 1
         seen: dict[str, int | str] = {}
         while True:
-            self.split()
             lexeme = self.lexemes[self.index]
             number = _kind(lexeme) == "number"
             part = "integer factor" if number else _PHASE_PARTS.get(lexeme)
@@ -308,10 +266,8 @@ class _Parser:
                 break
         if "i" not in seen or "angle name" not in seen:
             self.fail(start, "phase argument must contain i times one angle name")
-        mono = [0] * 8
-        mono[1 + PHASE_AXES.index(seen["angle name"])] = sign * seen.get("integer factor", 1)
         try:
-            return opalgebra._pack(mono, 0, 0), 1, 0, 1
+            return opalgebra._form(opalgebra.phase(seen["angle name"], sign * seen.get("integer factor", 1)))
         except ValueError as err:  # a winding outside the exponent bound
             self.fail(start, str(err))
 
@@ -320,43 +276,55 @@ class _Parser:
 # hold 273 distinct factors, and a factor's numbers have at most 3 digits
 @lru_cache(maxsize=4096)
 def _factor(lexeme: str) -> tuple:
-    """The atom form of a factor of a term or factor lexeme, read by the descent over its fine lexemes."""
-    return _Parser(lexeme, _TOKEN_RE).parse_unary()
+    """The atom form of a plain term's factor, read by the descent."""
+    return _Parser(lexeme).parse_unary()
 
 
-def _term(lexeme: str) -> tuple:
-    """The atom form of a term or factor lexeme: its coefficient, read in integers, times its
-    factors' cached forms.  In render order no derivative stands before a function and u
-    comes at most once, so every adjacent pair is free and the factors' keys add.  A
-    ValueError (a zero denominator, a refused factor, a number past int's digit limit)
-    leaves the error to the descent."""
-    pieces = _PIECE_RE.findall(lexeme)
-    head = pieces[0]
-    if head[0] == "(":
-        real, real_den, sign, imag, imag_den = re.fullmatch(_GAUSS, head).groups()
-        real_den, imag_den = int(real_den or 1), int(imag_den or 1)
-        re_, im, den = int(real) * imag_den, int(sign + (imag or "1")) * real_den, real_den * imag_den
-        del pieces[0]
-    elif head[0].isdecimal():
-        num, _, den = head.partition("/")
-        re_, im, den = int(num), 0, int(den or 1)
-        del pieces[0]
-    else:
-        re_, im, den = 1, 0, 1
-    key = (1 - len(pieces)) * _BIAS  # the keys' sum less one bias per key past the first
-    for piece in pieces:
-        k, a, b, d = _factor(piece)
-        key += k
-        if b or a != d:  # a factor with a coefficient, such as i or u^-1 = 2*s*u
-            re_, im, den = re_ * a - im * b, re_ * b + im * a, den * d
-    if not den or key - _LOW & _GUARD:
-        raise ValueError(lexeme)
-    return key, re_, im, den
+def _plain_sum(text: str) -> "OperatorExpr | None":
+    """The value of a plain sum (see the module docstring), or None for any other text."""
+    # the matches do not overlap, so their lengths add up to the text's only if they leave no gap
+    terms, end, forms = [], 0, []
+    for sep, piece in re.findall(_PLAIN, text):
+        end += len(sep) + len(piece)
+        if sep != "*":  # a term starts: its sign, then its pieces' atom forms
+            forms = []
+            terms.append((-1 if "-" in sep else 1, forms))
+        if piece[0].isdecimal():
+            num, _, den = piece.partition("/")
+            form = _BIAS, int(num), 0, int(den or 1)
+        elif piece[0] == "(":
+            real, real_den, imag_sign, imag, imag_den = re.fullmatch(_GAUSS, piece).groups()
+            real_den, imag_den = int(real_den or 1), int(imag_den or 1)
+            form = _BIAS, int(real) * imag_den, int(imag_sign + (imag or "1")) * real_den, real_den * imag_den
+        else:
+            form = _factor(piece)
+        if not form[3]:  # a zero denominator: the descent names it
+            return None
+        forms.append(form)
+    if not end or end < len(text):  # no text, or a gap
+        return None
+    pairs = []
+    for sign, forms in terms:
+        # the keys' sum less one bias per key past the first; the pieces' coefficients multiply
+        key, re_, im, den, derivs, ups, free = (1 - len(forms)) * _BIAS, 1, 0, 1, 0, 0, True
+        for k, a, b, d in forms:
+            letters = k ^ _BIAS
+            free = free and not (derivs and letters & _FUNCS)  # no function after a derivative
+            derivs, ups, key = derivs | letters & _DERIVS, ups + (k & 1), key + k
+            if b or a != d:  # a piece with a coefficient, such as 2/3, i or u^-1 = 2*s*u
+                re_, im, den = re_ * a - im * b, re_ * b + im * a, den * d
+        free = free and ups < 2 and not key - _LOW & _GUARD
+        pairs.append(((key, re_, im, den) if free else opalgebra.product(forms), sign))
+    return opalgebra.linear_sum(pairs)
 
 
 def parse(text: str) -> OperatorExpr:
-    """Parse text straight to a normal-ordered operator."""
-    return _Parser(text).parse()
+    """Parse text straight to a normal-ordered operator: a plain sum by one pattern, any other text by the descent."""
+    try:
+        value = _plain_sum(text)
+    except ValueError:  # such as a number past int's digit limit, or a refused power: the descent names it
+        value = None
+    return _Parser(text).parse() if value is None else value
 
 
 # -- canonical rendering -------------------------------------------------

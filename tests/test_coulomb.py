@@ -475,18 +475,32 @@ class TestActions:
         ops = {rep.operator for rep in reports}
         assert ops == {"A+", "A-", "B+", "B-"}
 
-    @pytest.mark.parametrize("name", ["coeff_tol", "profile_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("check", [
-        lambda **tol: cl.action_report(cl.state_tm(3, 1), "T+", **tol),
-        lambda **tol: cl.action_report(cl.state_tm(3, 2), "T-", **tol),
-        lambda **tol: cl.sweep_su11(2, **tol),
-        lambda **tol: cl.sweep_weyl(1, 2, **tol),
+        lambda tol: cl.action_report(cl.state_tm(3, 1), "T+", tol=tol),
+        lambda tol: cl.action_report(cl.state_tm(3, 2), "T-", tol=tol),
+        lambda tol: cl.sweep_su11(2, tol=tol),
+        lambda tol: cl.sweep_weyl(1, 2, tol=tol),
     ], ids=["action", "annihilation", "sweep-su11", "sweep-weyl"])
-    def test_non_finite_tolerance_refused(self, check, name, value):
+    def test_non_finite_tolerance_refused(self, check, value):
         # a NaN tolerance failed every check, an infinite one passed every check
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
-            check(**{name: value})
+        with pytest.raises(ValueError, match=f"^tol must be finite, got {value}$"):
+            check(value)
+
+    @pytest.mark.parametrize("check", [
+        lambda tol: [cl.action_report(cl.state_tm(3, 1), "T+", tol=tol)],
+        lambda tol: [cl.action_report(cl.state_tm(3, 2), "T-", tol=tol)],
+        lambda tol: cl.sweep_su11(2, tol=tol),
+        lambda tol: cl.sweep_weyl(1, 2, tol=tol),
+    ], ids=["action", "annihilation", "sweep-su11", "sweep-weyl"])
+    def test_one_tolerance_bounds_every_verdict(self, check):
+        # tol stands for both bounds, the coefficient error's and the profile
+        # residual's (an annihilation's norm is both); None keeps the named ones
+        for rep in check(None):
+            assert rep.passed == (rep.coefficient_error <= cl.COEFF_TOL and rep.profile_residual <= cl.PROFILE_TOL)
+        for tol in (1e-300, 1e-16, 2e-16, 1e-13, 1.0):
+            for rep in check(tol):
+                assert rep.passed == (max(rep.coefficient_error, rep.profile_residual) <= tol), (tol, rep)
 
     def test_weyl_reports_pass_at_every_gap(self):
         # odd and even gaps nu - mu, the nu == mu edge included: report,

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 import sympy
@@ -620,6 +621,23 @@ def _rewrite_by_hand(op: oa.OperatorExpr, images) -> oa.OperatorExpr:
 @given(operators(wide=True))
 def test_rewrite_by_no_images_is_the_identity(op):
     assert oa.rewrite(op, {}) == op == _rewrite_by_hand(op, {})
+
+
+def test_rewrite_refuses_a_key_that_names_no_letter():
+    # a misspelt letter would pass as the identity map: {"s": 3} left s^2*r*d/dr
+    # as it was, where {"s_power": 3} gives 9*r*d/dr
+    op = opdsl.parse("s^2*r*d/dr")
+    assert oa.rewrite(op, {"s_power": oa.scalar(3)}) == opdsl.parse("9*r*d/dr")
+    for target in (op, oa.zero()):
+        with pytest.raises(ValueError, match="^image key 's' names no letter: the letters are r2, ke, .*, u_parity$"):
+            oa.rewrite(target, {"ka": oa.phase("beta", 1), "s": oa.scalar(3)})
+
+
+def test_only_opalgebra_lays_out_an_atom_key():
+    # every other module builds atoms through opalgebra's constructors, never _pack
+    package = Path(oa.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py") if "_pack" in path.read_text())
+    assert users == ["opalgebra.py"]
 
 
 @settings(max_examples=50, deadline=None)

@@ -292,9 +292,9 @@ def test_canonical_text_builds_one_operator_per_term_and_sum(monkeypatch):
 
 
 def test_factor_cache_stays_bounded():
-    # a bound on memory: 10,000 distinct factor lexemes leave at most maxsize
-    # entries, and an exponent of 4 digits is read by the fine lexemes, so
-    # r^1000 or sqrt(r)^-1000 caches at most its base
+    # a bound on memory: 10,000 distinct factors of plain terms leave at most
+    # maxsize entries, and a power of 4 digits makes no plain term, so such a
+    # text goes whole to the descent and caches nothing
     opdsl._factor.cache_clear()
     for k in range(10_000):
         q, winding = divmod(k, 1000)
@@ -304,13 +304,12 @@ def test_factor_cache_stays_bounded():
     assert info.misses == 10_000 and info.currsize <= info.maxsize == 4096
     opdsl._factor.cache_clear()
     assert opdsl.parse("r^1000*s^-1000*d/dr^1000") == oa.r_power(1000) * oa.s_sym(-1000) * oa.deriv("r", 1000)
-    assert opdsl._factor.cache_info().currsize == 0
     assert opdsl.parse("sqrt(r)^1000 + sqrt(r)^-1000") == oa.r_power(500) + oa.r_power(-500)
-    assert opdsl._factor.cache_info().misses == 1
+    assert opdsl._factor.cache_info().currsize == 0
 
 
 # a deletion, an insertion or a swap of two characters; an insertion may
-# also be a power, so that powers meet factor lexemes that carry one
+# also be a power, so that powers meet factors that carry one
 _INSERTS = (*"rsuid/()^-+*0123456789 ", "^2", "^-1", "^12/5")
 
 
@@ -347,52 +346,29 @@ def _factor_chains(draw):
     return draw(st.sampled_from(("*", " + ", "", " ", "^"))).join(factor + power for factor, power in parts)
 
 
-def _parse_outcome(text):
-    try:
-        return opdsl.parse(text), None
-    except opdsl.OperatorSyntaxError as err:
-        return None, err
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(_edited_renders(), _factor_chains()))
-def test_factor_lexemes_parse_as_their_fine_lexemes(text):
-    # a factor lexeme holds no blank, so with a blank between every fine lexeme
-    # the text parses through the fine lexemes only: the value, or the error's
-    # message at the same lexeme, must be the same
-    try:
-        tokens = opdsl.tokenize(text)
-    except opdsl.OperatorLexError as err:
-        with pytest.raises(opdsl.OperatorLexError, match=f"^{re.escape(str(err))}$"):
-            opdsl.parse(text)
-        return
-    spaced = " ".join(token.lexeme for token in tokens[:-1])
-    value, err = _parse_outcome(text)
-    spaced_value, spaced_err = _parse_outcome(spaced)
-    assert spaced_value == value
-    if err is not None:
-        lexeme = [token.pos for token in tokens].index(err.position)
-        assert spaced_err.position == opdsl.tokenize(spaced)[lexeme].pos
-        assert (spaced_err.message, spaced_err.expected) == (err.message, err.expected)
-
-
-# pieces of canonical terms, spelled well or badly: coefficients, then factors of
-# every slot with powers inside and past 3 digits, and contexts where a term may
-# stand and where it may not (a power, a phase argument, sqrt's argument)
+# pieces of plain terms, spelled well or badly: numbers, then factors with powers
+# inside and past 3 digits, and contexts where a term may stand and where it may
+# not (a power, a phase argument, sqrt's argument)
 _TERM_COEFFS = ("", "3", "2/4", "0", "1/0", "2*i", "2/3*i", "i", "(1/2-5*i)", "(-1/2+3*i)", "(2+i)", "(1/0+i)",
                 "(1/2+3/0*i)", "007", "1" * 5000)
 _TERM_SLOTS = ("s", "s^-1", "s^1000", "u", "u^3", "u^-1", "r", "r^007", "r^-2", "sqrt(r)", "sqrt(r)^3", "exp(i*eta)",
                "exp(-2*i*alpha)^2", "exp(3*i*beta)", "exp(1000*i*beta)", "d/dr", "d/dr^0", "d/dr^-1", "d/deta^2",
-               "d/dalpha", "d/dbeta^12", "i", "2")
+               "d/dalpha", "d/dbeta^12", "i", "2", "1/0", "(1/2+i)")
 _TERM_CONTEXTS = (("", ""), ("-", ""), ("(r)^", ""), ("(r)^-", ""), ("(r)^ - ", ""), ("r ^ ", ""), ("exp(", ")"),
                   ("exp( ", ")"), ("exp(i*", ")"), ("sqrt(", ")"), ("sqrt( ", ")"), ("s + ", " - r"), ("(", ")^2"),
-                  ("2*", "*s"), ("", "^2"), ("", " ^ 2"), ("", "*d/dr"), ("", ")"), ("exp (", ")"))
+                  ("2*", "*s"), ("", "^2"), ("", " ^ 2"), ("", "*d/dr"), ("", ")"), ("exp (", ")"), (" + ", ""),
+                  ("*", ""), ("- ", ""), ("r +", ""), ("", " +"), ("r  - ", ""), ("r -", ""), ("r+", ""))
 _TERM_SHAPES = (
     "d/dr*r", "u*u", "s*u*s", "r^007", "d/dr^0", "d/dr^-1*r", "1/0*r", "0*r", "2/4*r", "1" * 5000 + "*r",
     "2 * r", "2* r^2", "2*r ^ 2", "r ^2*s", "2*r ^2*d/dr", "(r)^-2*s", "(r)^ - 2*s", "r ^ 2*s", "exp( 2*i*eta)",
     "exp(2*i*eta", "exp(i*2*s)", "sqrt(r*s)", "sqrt( r^2)", "sqrt (1/2+i)", "exp (1/2+i)", "4/6^-4", "2*r^2^3",
     "(1/2-5*i)*sqrt(r)^-1*exp(3*i*beta)*d/dr^2", "-2*s*u - i*d/dbeta^2 + 1", "2*ix", "2*d/dr2", "u^3*r",
     "2*exp(i*eta)exp(i*alpha)", "(1/0+i)*r", "2/3/4*r", "(r)s*u", "d/dr *r",
+    # an i factor is multiplied into the coefficient once, also on the product route
+    "3/2*i*d/dr*r^2", "i*i*d/deta*exp(i*eta)",
+    # a term after a blank needs a sign, and the first term stands at the text's start
+    " + r", " - r", "*r", " r", "r + ", "r +  s", "r+s", "r - -s", "-", "",
+    "u*u*u*u", "u^-1*u^-1*r", "sqrt(r)^1000", "r^1000*s", "2*0/00", "r*1/0", "d/deta*r*exp(i*eta)",
 )
 
 
@@ -409,23 +385,40 @@ def _term_shaped_texts(draw):
     return prefix + text + suffix
 
 
-def _scan_outcome(text, scan):
+def _outcome(read, text):
     try:
-        return opdsl._Parser(text, scan).parse(), None
+        return read(text), None
     except ValueError as err:
         return None, (type(err), str(err))
 
 
-@settings(max_examples=400, deadline=None)
-@given(_term_shaped_texts())
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_term_shaped_texts(), _edited_renders(), _factor_chains()))
 def test_canonical_terms_parse_as_their_fine_lexemes(text):
-    # a canonical term is one lexeme of the scan; read any other way, it must give
-    # the value, or the error type, message and position, of its fine lexemes
-    assert _scan_outcome(text, opdsl._SCAN) == _scan_outcome(text, opdsl._TOKEN_RE)
+    # the plain-sum reader takes texts of plain terms and hands any other text,
+    # or a ValueError, to the descent over the fine lexemes: either way parse must
+    # give the descent's value, or its error type, message and position
+    assert _outcome(opdsl.parse, text) == _outcome(lambda text: opdsl._Parser(text).parse(), text)
 
 
 for _shape in _TERM_SHAPES:  # every listed shape runs, besides the drawn texts
     test_canonical_terms_parse_as_their_fine_lexemes = example(_shape)(test_canonical_terms_parse_as_their_fine_lexemes)
+
+
+@pytest.mark.parametrize("text,plain", [
+    ("-2*r + 3/2*i*d/dr*r^2", True),  # a function after a derivative: the term is one product
+    ("d/dr*u*s*exp(-2*i*alpha)^3*u", True),  # u twice: one product
+    ("(1/2-5*i)*sqrt(r)^-1*exp(3*i*beta)*d/dr^2 - 7", True),
+    ("r*2*i - s^-999*0/5", True),
+    ("r^1000", False), (" + r", False), ("2 * r", False), ("(r + 1)*s", False), ("r - -s", False), ("1/0*r", False),
+])
+def test_plain_sums_are_read_without_the_descent(text, plain):
+    # the plain-sum reader takes a plain sum in any factor order, with the
+    # descent's value, and leaves any other text to the descent
+    value = opdsl._plain_sum(text)
+    assert (value is not None) == plain
+    if plain:
+        assert value == opdsl._Parser(text).parse()
 
 
 def test_warm_canonical_terms_make_no_product(monkeypatch):
