@@ -475,17 +475,21 @@ class TestActions:
         ops = {rep.operator for rep in reports}
         assert ops == {"A+", "A-", "B+", "B-"}
 
+    @pytest.mark.parametrize("name", ["coeff_tol", "profile_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("check", [
-        lambda tol: cl.action_report(cl.state_tm(3, 1), "T+", tol=tol),
-        lambda tol: cl.action_report(cl.state_tm(3, 2), "T-", tol=tol),
-        lambda tol: cl.sweep_su11(2, tol=tol),
-        lambda tol: cl.sweep_weyl(1, 2, tol=tol),
+        lambda **tol: cl.action_report(cl.state_tm(3, 1), "T+", **tol),
+        lambda **tol: cl.action_report(cl.state_tm(3, 2), "T-", **tol),
+        lambda **tol: cl.sweep_su11(2, **tol),
+        lambda **tol: cl.sweep_weyl(1, 2, **tol),
     ], ids=["action", "annihilation", "sweep-su11", "sweep-weyl"])
-    def test_non_finite_tolerance_refused(self, check, value):
-        # a NaN tolerance failed every check, an infinite one passed every check
+    def test_non_finite_tolerance_refused(self, check, name, value):
+        # a NaN tolerance failed every check, an infinite one passed every check;
+        # one tol bounds both checks, and the per-bound name is not taken
         with pytest.raises(ValueError, match=f"^tol must be finite, got {value}$"):
-            check(value)
+            check(tol=value)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            check(**{name: value})
 
     @pytest.mark.parametrize("check", [
         lambda tol: [cl.action_report(cl.state_tm(3, 1), "T+", tol=tol)],

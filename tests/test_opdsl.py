@@ -346,6 +346,36 @@ def _factor_chains(draw):
     return draw(st.sampled_from(("*", " + ", "", " ", "^"))).join(factor + power for factor, power in parts)
 
 
+def _parse_outcome(text):
+    try:
+        return opdsl.parse(text), None
+    except opdsl.OperatorSyntaxError as err:
+        return None, err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_edited_renders(), _factor_chains()))
+def test_factor_lexemes_parse_as_their_fine_lexemes(text):
+    # a factor spelled without blanks (r^2, sqrt(r)^-1, exp(-2*i*alpha)) may be
+    # read by the plain-sum reader; with a blank between every fine lexeme the
+    # text goes to the descent: the value, or the error's message at the same
+    # lexeme, must be the same
+    try:
+        tokens = opdsl.tokenize(text)
+    except opdsl.OperatorLexError as err:
+        with pytest.raises(opdsl.OperatorLexError, match=f"^{re.escape(str(err))}$"):
+            opdsl.parse(text)
+        return
+    spaced = " ".join(token.lexeme for token in tokens[:-1])
+    value, err = _parse_outcome(text)
+    spaced_value, spaced_err = _parse_outcome(spaced)
+    assert spaced_value == value
+    if err is not None:
+        lexeme = [token.pos for token in tokens].index(err.position)
+        assert spaced_err.position == opdsl.tokenize(spaced)[lexeme].pos
+        assert (spaced_err.message, spaced_err.expected) == (err.message, err.expected)
+
+
 # pieces of plain terms, spelled well or badly: numbers, then factors with powers
 # inside and past 3 digits, and contexts where a term may stand and where it may
 # not (a power, a phase argument, sqrt's argument)
