@@ -247,9 +247,9 @@ def _cmd_coulomb_residual(args) -> int:
     tol = args.tol or coulomb.PROFILE_TOL  # --tol is positive when given
     Z = args.Z
     state = coulomb.state_tm(args.n, args.L, Z)
+    norm = coulomb.normalization_residual(state)  # first: it refuses a state past the quadrature ceiling
     resid = coulomb.schrodinger_residual(state)
     control = coulomb.schrodinger_residual(state, lambda_shift=args.shift)
-    norm = coulomb.normalization_residual(state)
     rows = [
         _row("schrodinger residual", 0.0, resid, resid, resid <= tol),
         _row("detuned control", abs(args.shift), control, abs(control - abs(args.shift)),

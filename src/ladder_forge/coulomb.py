@@ -35,7 +35,8 @@ its table afresh.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
-quadrature refuses.
+quadrature refuses.  Its Newton polish of the nodes reads L_n and
+L'_n = -L^(1)_(n-1) off one table, so the table is the layer's one recurrence.
 
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
@@ -111,27 +112,14 @@ def _node_table(order: int, state) -> np.ndarray:
     return table
 
 
-def laguerre(n: int, alpha, x):
-    """Generalized Laguerre L^(alpha)_n evaluated by upward recurrence, copied off the table so it is freed."""
-    return _table(n, alpha, x)[n].copy()
-
-
-def laguerre_deriv(n: int, alpha, x, order: int = 1):
-    """order-th derivative of L^(alpha)_n, via d/dx L^(a)_n = -L^(a+1)_{n-1}."""
-    if order < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if 0 <= n < order:  # a negative degree reaches laguerre's refusal
-        return np.zeros_like(np.asarray(x, dtype=float))
-    sign = -1.0 if order % 2 else 1.0
-    return sign * laguerre(n - order, float(alpha) + order, x)
-
-
 @lru_cache(maxsize=None, typed=True)  # typed, so a float order never hits an equal Fraction's entry
 def gauss_laguerre(order: int):
     """Nodes and weights for the weight exp(-x) on (0, inf).
 
-    Eigenvalues of the symmetric Jacobi matrix seed the nodes; a short
-    Newton polish then pins each root of L_order to machine precision.
+    Eigenvalues of the symmetric Jacobi matrix seed the nodes; three Newton
+    steps then pin each root of L_order to machine precision, each reading
+    L_order and L'_order = -L^(1)_(order-1) off one ``_table`` (``_rows``), and
+    the weights read L_(order+1) off one more table at the polished nodes.
     """
     order = exact_int(order, "order")
     if order < 1:
@@ -145,8 +133,9 @@ def gauss_laguerre(order: int):
         jacobi += np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
     for _ in range(3):
-        x = x - laguerre(order, 0.0, x) / laguerre_deriv(order, 0.0, x)
-    tail = laguerre(order + 1, 0.0, x)
+        lag, lag1 = _rows(_table(order, 0, x), order, 2)
+        x = x + lag / lag1  # x - L / L', as L' = -L^(1)_(order-1)
+    tail = _table(order + 1, 0, x)[order + 1]
     w = x / ((order + 1) ** 2 * tail**2)
     x.setflags(write=False)
     w.setflags(write=False)

@@ -346,6 +346,19 @@ class TestCoulombCommands:
             assert cli.main(["coulomb-verify", "--t-max", t_max]) == 2
             assert "past the float limit 184" in capsys.readouterr().err
 
+    def test_residual_past_the_quadrature_ceiling_grows_no_column(self, capsys, monkeypatch):
+        # the normalization refuses order 200001 before the Schrodinger check grows a degree-199999 column
+        steps = []
+
+        def table(n, alpha, x, start=None):
+            steps.append((n, alpha))
+            raise ValueError("a Laguerre recurrence ran")
+
+        monkeypatch.setattr("ladder_forge.coulomb._table", table)
+        assert cli.main(["coulomb-residual", "--n", "200000", "--L", "0"]) == 2
+        assert capsys.readouterr().err == "error: quadrature order 200001 is past the float limit 184\n"
+        assert steps == []
+
     def test_weyl_grid_quadrature_ceiling_exits_2(self, capsys, monkeypatch):
         # B+ on (0, 1001) reaches n = 1003/2, which needs quadrature order 502
         monkeypatch.setattr(ladder_forge.coulomb, "sweep_su11", None)  # rejected before any sweep

@@ -107,7 +107,6 @@ def test_float_operand_rejected(apply, message):
     (lambda: oa.phase("x", 1), ValueError, "unknown phase axis 'x'"),
     (lambda: oa.deriv("x"), ValueError, "unknown derivative axis 'x'"),
     (lambda: oa.deriv("r", -1), ValueError, "derivative order must be nonnegative"),
-    (lambda: cl.laguerre_deriv(2, 0, 1.0, order=-1), ValueError, "derivative order must be nonnegative"),
     (lambda: fz.rkl(object(), 0), TypeError, "unknown family parameters"),
     (lambda: fz.b_to_c(fz.TypeC(-1, 0), 0, 0, 1), TypeError, "b_to_c expects type B parameters"),
     (lambda: gen.ladder_shift("hat", 1), ValueError, "kind must be 'tilde', 'check1' or 'check2'"),
@@ -118,7 +117,7 @@ def test_float_operand_rejected(apply, message):
     (lambda: oa.OperatorExpr({(ONE[0]._replace(dr=-1), 0, 0): 1}), ValueError, "derivative order must be nonnegative"),
     (lambda: oa.OperatorExpr({((1, 2), 0, 0): 1}), TypeError, "mono must be a tuple of the 8 integers"),
     (lambda: oa.OperatorExpr({(ONE[0], 0): 1}), TypeError, "atom key must be a"),
-], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order", "laguerre-order",
+], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order",
         "rkl-family", "b-to-c-family", "shift-kind", "ladder-f-pole", "residuals-f-pole",
         "ladder-family", "residuals-family", "atom-negative-order", "atom-short-mono", "atom-pair-key"])
 def test_out_of_domain_value_rejected(call, error, message):
