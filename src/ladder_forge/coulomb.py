@@ -30,19 +30,24 @@ second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state is the last
 of i running sums, by L^(a+1)_m = sum_{k<=m} L^(a)_k, over the first mu-i+1
 rows of its table L^(alpha)_0 ... L^(alpha)_mu from the upward recurrence, and
 P reads row mu.  At the quadrature nodes each (order, alpha) keeps one cached
-column of that table, grown to the highest degree read; any other rho builds
-its table afresh.
+column of that table, grown to the highest degree read; any other rho steps
+the recurrence afresh, keeping its last two rows and one running sum per i.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
 quadrature refuses.  Its Newton polish of the nodes reads L_n and
-L'_n = -L^(1)_(n-1) off one table, so the table is the layer's one recurrence.
+L'_n = -L^(1)_(n-1) off one table; ``_recurrence`` is the layer's one recurrence.
 
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
 generally not an integer; reports record this rather than forbidding it.
-Each step is derived once, by ``_step``: the move, the fold past nu == mu and
-n'/n, which both the action coefficient and the target state read.
+Each step is derived once, by ``_step``: the radicand, the target folded past
+nu == mu and n'/n, which ``action_report`` reads its coefficient and target from.
+
+Exact values stay at the edges, where a value is reported or checked: Z, gamma,
+the dragged charge, the radicand, the energy and norm_sq.  A float check reads its
+numbers (n, mu, nu, p, l(l+1), the quadrature order) straight from the integer
+labels ``munu``, each the correctly rounded value of the exact rational.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -70,18 +75,20 @@ CHARGE_BITS = 64
 # equation residuals, normalization, and the least residual a detuned control must show
 COEFF_TOL, PROFILE_TOL, NORM_TOL, DETUNED_FLOOR = 1e-10, 1e-8, 1e-12, 1e-2
 
+def _recurrence(n: int, alpha, x, first):
+    """L^(alpha)_k at a float ``x``, k = len(first) ... n: the upward recurrence continued from the rows ``first``."""
+    a, prev, cur = float(alpha), first[-2] if len(first) > 1 else None, first[-1]
+    for k in range(len(first) - 1, n):  # prev is first read at k = 1
+        prev, cur = cur, (1.0 + a - x if k == 0 else ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1))
+        yield cur
+
+
 def _table(n: int, alpha, x, table=None):
-    """L^(alpha)_0 ... L^(alpha)_n at ``x``, stacked along a new first axis: the upward recurrence, continued
-    from the first rows of such a ``table`` when one is given."""
+    """L^(alpha)_0 ... L^(alpha)_n at ``x`` on a new first axis: ``_recurrence`` from a ``table``'s rows or L_0 = 1."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    x, a = np.asarray(x, dtype=float), float(alpha)
-    grown, table = np.empty((n + 1, *x.shape)), np.ones((1, *x.shape)) if table is None else table
-    grown[:len(table)] = table
-    for k in range(len(table) - 1, n):
-        grown[k + 1] = (1.0 + a - x if k == 0  # grown[k - 1] is first read at k = 1
-                        else ((2 * k + 1 + a - x) * grown[k] - (k + a) * grown[k - 1]) / (k + 1))
-    return grown
+    table = np.ones((1, *np.shape(x))) if table is None else table
+    return np.array([*table, *_recurrence(n, alpha, np.asarray(x, dtype=float), table)])
 
 
 def _rows(table, n: int, rows: int) -> list:
@@ -92,6 +99,14 @@ def _rows(table, n: int, rows: int) -> list:
         sums = np.cumsum(sums[:max(n - i + 1, 0)], axis=0)
         out.append(sums[-1] if len(sums) else np.zeros(table.shape[1:]))
     return out
+
+
+def _fresh_rows(n: int, alpha, x, rows: int) -> list:
+    """``_rows(_table(n, alpha, x), n, rows)`` bit for bit, from two recurrence rows and one running sum per order."""
+    sums = [np.ones(x.shape)] * min(rows, n + 1)  # sums[i] steps by sums[i - 1] at each k <= n - i
+    for k, row in enumerate(_recurrence(n, alpha, x, sums[:1]), 1):
+        sums[:min(rows, n - k + 1)] = np.cumsum([row, *sums[1:min(rows, n - k + 1)]], axis=0)
+    return sums + [np.zeros(x.shape)] * (rows - len(sums))
 
 
 @lru_cache(maxsize=128)  # a bound on memory, not a tuning
@@ -185,6 +200,8 @@ class QuantumState:
 
     ``labels`` stay in the state's own labeling; every property is one
     formula in the weyl labels ``munu`` = (mu, nu), worked out on creation.
+    The rational properties are exact, for reports; the float checks read
+    ``munu`` itself, so no check builds a Fraction to float it.
     """
 
     family: str
@@ -253,7 +270,7 @@ class QuantumState:
         """Phase windings (eta, alpha, beta) = (n, mu, nu) of the state."""
         return (self.principal, *self.munu)
 
-    @cached_property
+    @property
     def _log_norm(self) -> float:
         # log of norm_sq = 4 Z mu! / ((mu+nu+1)**2 nu!) halved, read off the unreduced
         # integers: no gcd over factorials, and no float of a tiny Fraction, which underflows to 0
@@ -268,12 +285,12 @@ class QuantumState:
     def scaled_profile(self, rho):
         rho = _nonnegative(rho, "rho")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self._profile(rho, _table(self.degree, self.alpha, rho)[self.degree])
+            return self._profile(rho, _fresh_rows(self.degree, self.alpha, rho, 1)[0])
 
     def _profile(self, rho, lag):
         """P at a checked ``rho`` (under ignored float errors, for a 0 or a huge rho) from lag = L^(alpha)_degree."""
         # power >= 1/2, so exp(power * log 0) = 0 is P(0); a value past the float range is refused
-        return _finite(self._prefactor(np.log(rho), float(self.power)) * lag, rho, "profile")
+        return _finite(self._prefactor(np.log(rho), (self.alpha + 1) / 2) * lag, rho, "profile")
 
     def radial(self, r):
         """psi(r) for r >= 0, unit L2 norm on (0, inf)."""
@@ -294,9 +311,10 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
     return QuantumState("weyl", (mu, nu), Z)
 
 
-def _step(state: QuantumState, operator: str) -> tuple[int, tuple[int, int], tuple[int, int], bool, Fraction]:
-    """The one derivation of a step: the ``LADDERS`` sign of ``operator``, its ``generators.step`` (dmu, dnu),
-    the target (mu', nu') folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), whether it folded, and n'/n."""
+def _step(state: QuantumState, operator: str) -> tuple[int, Fraction, tuple[int, int], Fraction]:
+    """The one derivation of a step: (sign, radicand) of its coefficient sign * sqrt(radicand), the radicand n'/n
+    times x + 1 for each raised label x and x for each lowered one; the target (mu', nu') of its ``generators.step``,
+    folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), which flips the ``LADDERS`` sign; and n'/n."""
     lad = generators.LADDERS.get(operator)
     if lad is None:
         raise ValueError(f"unknown operator {operator!r}")
@@ -306,19 +324,13 @@ def _step(state: QuantumState, operator: str) -> tuple[int, tuple[int, int], tup
     n2 = mu + nu + 1
     folded = mu + dmu > nu + dnu
     target = (nu + dnu, mu + dmu) if folded else (mu + dmu, nu + dnu)
-    return lad.sign, (dmu, dnu), target, folded, Fraction(n2 + dmu + dnu, n2)
+    ratio, moved = Fraction(n2 + dmu + dnu, n2), math.prod(x + (d > 0) for x, d in zip((mu, nu), (dmu, dnu)) if d)
+    return (-lad.sign if folded else lad.sign), ratio * moved, target, ratio
 
 
 def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:
-    """(sign, radicand) with action coefficient sign * sqrt(radicand), exact.
-
-    Every ladder is one expression in the weyl labels, read off the one ``_step``:
-    the charge ratio n'/n times, for each moved label x, x + 1 when raised and
-    x when lowered; a folded step's reflection flips the sign.
-    """
-    sign, step, _, folded, ratio = _step(state, operator)
-    moved = math.prod(x + (d > 0) for x, d in zip(state.munu, step) if d)
-    return (-sign if folded else sign), ratio * moved
+    """(sign, radicand) with action coefficient sign * sqrt(radicand), exact: the one ``_step``'s."""
+    return _step(state, operator)[:2]
 
 
 def action_coefficient(state: QuantumState, operator: str) -> float:
@@ -333,7 +345,12 @@ def shifted_state(state: QuantumState, operator: str) -> QuantumState:
     unchanged while Z moves to Z n'/n (n, n' the principal labels).  The folded target and n'/n
     are the one ``_step``'s; a step off the lattice or past the charge range raises ``ValueError``.
     """
-    _, _, (mu, nu), _, ratio = _step(state, operator)
+    return _target(state, operator, _step(state, operator))
+
+
+def _target(state: QuantumState, operator: str, step: tuple) -> QuantumState:
+    """``shifted_state`` of ``operator`` from its ``_step`` on ``state``."""
+    *_, (mu, nu), ratio = step
     if mu < 0:
         raise ValueError(f"{operator} annihilates {state.family} state {state.labels}")
     Z = state.Z * ratio
@@ -395,9 +412,9 @@ def act(op: OperatorExpr, state: QuantumState, rho):
 
 def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
     """``act`` at a checked ``rho``, its Laguerre rows read off ``table`` (a column at the quadrature nodes)
-    or a fresh ``_table``."""
-    n, mu, nu = (float(w) for w in state.windings)
-    p, degree, alpha = float(state.power), state.degree, state.alpha
+    or stepped afresh by ``_fresh_rows``."""
+    (degree, top), alpha = state.munu, state.alpha
+    n, mu, nu, p = (degree + top + 1) / 2, float(degree), float(top), (alpha + 1) / 2
     coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c
     for k, j, (de, da, db), c in _rho_form(op):
         c *= n**de * mu**da * nu**db
@@ -407,14 +424,14 @@ def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
             falling = math.prod(p - q for q in range(j - i))
             coeffs[key] = coeffs.get(key, 0.0) + (-1) ** i * c * comb(j, i) * falling
     coeffs = {key: c for key, c in coeffs.items() if c}
-    low = min((e2 for e2, _ in coeffs), default=0)
+    low, rows = min((e2 for e2, _ in coeffs), default=0), max((i for _, i in coeffs), default=0) + 1
     if low < 0 and (rho == 0).any():
         raise ValueError(f"the action is infinite at rho = 0 (a term in rho**({Fraction(low, 2)}))")
     # low >= 0 wherever rho has a 0, and exp(q * log 0) = 0; a value past the float range is refused
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not coeffs:
             return np.zeros_like(rho)
-        lag = _rows(_table(degree, alpha, rho) if table is None else table, degree, max(i for _, i in coeffs) + 1)
+        lag = _fresh_rows(degree, alpha, rho, rows) if table is None else _rows(table, degree, rows)
         total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
         action = state._prefactor(np.log(rho), low / 2) * total
     return _finite(action, rho, "action")
@@ -461,10 +478,10 @@ def action_report(
     """
     coeff_tol, profile_tol = (COEFF_TOL, PROFILE_TOL) if tol is None else (tol, tol)
     _refuse_non_finite(tol=profile_tol)
-    sign, radicand = action_radicand(state, operator)
-    target = shifted_state(state, operator) if radicand else None  # refuses a dragged charge before any work
+    sign, radicand, *_ = step = _step(state, operator)
+    target = _target(state, operator, step) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
-    order = normalization_order(max(state.principal, ref.principal))
+    order = normalization_order((max(sum(state.munu), sum(ref.munu)) + 1) // 2)
     nodes, weights = gauss_laguerre(order)
     lhs = _act(generators.LADDERS[operator].operator(), state, nodes, _node_table(order, state))
     P = ref._profile(nodes, _node_table(order, ref)[ref.degree])
@@ -558,7 +575,7 @@ def normalization_order(n) -> int:
 
 def normalization_residual(state: QuantumState) -> float:
     """|  ||psi||**2 - 1 |, by quadrature of order ``normalization_order``, exact for these profiles."""
-    order = normalization_order(state.principal)
+    order = normalization_order((sum(state.munu) + 1) // 2)
     nodes, weights = gauss_laguerre(order)
     P = state._profile(nodes, _node_table(order, state)[state.degree])
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
@@ -567,7 +584,7 @@ def normalization_residual(state: QuantumState) -> float:
 def _casimir_defect(state: QuantumState):
     """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
     nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
-    lsq = float(state.angular * (state.angular + 1))
+    lsq = (state.alpha - 1) * (state.alpha + 1) / 4
     table = _node_table(DEFAULT_QUAD_ORDER, state)
     action = _act(generators.casimir()[0], state, nodes, table)
     P = state._profile(nodes, table[state.degree])

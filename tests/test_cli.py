@@ -347,14 +347,15 @@ class TestCoulombCommands:
             assert "past the float limit 184" in capsys.readouterr().err
 
     def test_residual_past_the_quadrature_ceiling_grows_no_column(self, capsys, monkeypatch):
-        # the normalization refuses order 200001 before the Schrodinger check grows a degree-199999 column
+        # the normalization refuses order 200001 before the Schrodinger check grows a degree-199999 column,
+        # or the radial profile steps one afresh
         steps = []
 
-        def table(n, alpha, x, start=None):
+        def recurrence(n, alpha, x, first):
             steps.append((n, alpha))
             raise ValueError("a Laguerre recurrence ran")
 
-        monkeypatch.setattr("ladder_forge.coulomb._table", table)
+        monkeypatch.setattr("ladder_forge.coulomb._recurrence", recurrence)
         assert cli.main(["coulomb-residual", "--n", "200000", "--L", "0"]) == 2
         assert capsys.readouterr().err == "error: quadrature order 200001 is past the float limit 184\n"
         assert steps == []

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -139,25 +140,31 @@ class TestLaguerreTable:
         for alpha in self.ALPHAS:
             for n in range(70):
                 column = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(n, n + alpha))
-                rows = cl._rows(column, n, 3)
+                rows, fresh = cl._rows(column, n, 3), cl._fresh_rows(n, alpha, nodes, 3)
                 sums = [cl._table(k, alpha, nodes)[k] for k in range(n + 1)]
-                assert rows[0].tobytes() == sums[n].tobytes()
+                assert rows[0].tobytes() == sums[n].tobytes() == fresh[0].tobytes()
                 for i in (1, 2):
                     sums = _running_sum(sums[:n - i + 1]) if n >= i else []
                     want = sums[-1] if sums else np.zeros_like(nodes)
-                    assert np.array_equal(rows[i], want), (alpha, n, i)
+                    assert np.array_equal(rows[i], want) and rows[i].tobytes() == fresh[i].tobytes(), (alpha, n, i)
 
     def test_action_report_target_profile_is_scaled_profile(self, monkeypatch):
         # the target is the independent side of the check: its P at the nodes, read off a column that
-        # other states grew, is the one scaled_profile computes afresh
-        seen = []
-        profile = cl.QuantumState._profile
+        # other states grew, is the one scaled_profile computes afresh; and the action the report reads
+        # off the source's column is the one act steps afresh, so the column path is the fresh path
+        seen, acted = [], []
+        profile, act = cl.QuantumState._profile, cl._act
 
         def recorded(state, rho, lag):
             seen.append((state, rho, profile(state, rho, lag)))
             return seen[-1][-1]
 
+        def recorded_act(op, state, rho, table=None):
+            acted.append((op, state, rho, table, act(op, state, rho, table)))
+            return acted[-1][-1]
+
         monkeypatch.setattr(cl.QuantumState, "_profile", recorded)
+        monkeypatch.setattr(cl, "_act", recorded_act)
         cl._column.cache_clear()
         for t in range(1, 13):
             for m in range(t):
@@ -166,6 +173,9 @@ class TestLaguerreTable:
                     state, rho, P = seen[-1]
                     assert state.labels == (report.target or report.source), (t, m, op)
                     assert P.tobytes() == state.scaled_profile(rho).tobytes(), (t, m, op)
+                    generator, source, nodes, table, lhs = acted[-1]
+                    assert source.labels == report.source and table is not None, (t, m, op)
+                    assert lhs.tobytes() == cl.act(generator, source, nodes).tobytes(), (t, m, op)
 
     CHECKS = [
         ((cl.action_report, cl.state_tm(7, 2), "T+"), [cl.state_tm(7, 2), cl.state_tm(8, 2)]),
@@ -177,16 +187,18 @@ class TestLaguerreTable:
 
     @staticmethod
     def _steps(monkeypatch):
-        """A dict (order, alpha) -> recurrence steps taken, filled as ``_table`` runs."""
+        """A dict (order, alpha) -> recurrence steps taken, filled as ``_recurrence`` runs: a table's or a fresh
+        one's."""
         steps = {}
-        table = cl._table
+        recurrence = cl._recurrence
 
-        def counted(n, alpha, x, start=None):
+        def counted(n, alpha, x, first):
             key = (len(x), alpha)
-            steps[key] = steps.get(key, 0) + n + 1 - (1 if start is None else len(start))
-            return table(n, alpha, x, start)
+            for row in recurrence(n, alpha, x, first):
+                steps[key] = steps.get(key, 0) + 1
+                yield row
 
-        monkeypatch.setattr(cl, "_table", counted)
+        monkeypatch.setattr(cl, "_recurrence", counted)
         return steps
 
     @pytest.mark.parametrize("call,readers", CHECKS, ids=CHECK_IDS)
@@ -215,6 +227,61 @@ class TestLaguerreTable:
                 cl._node_table(order, cl.state_munu(2, 2 + alpha))
         info = cl._column.cache_info()
         assert info.misses == 140 and info.currsize <= 128, info
+
+
+class TestFloatPath:
+    """A float check reads its numbers off the integer labels, each the correctly rounded value of the exact
+    rational the state reports; one report derives one step; and a fresh table holds only the rows it reads."""
+
+    def test_float_numbers_equal_the_exact_ones(self, monkeypatch):
+        # n, mu, nu and p of act, l(l+1) of the Casimir and the quadrature order over source and target
+        # (the source alone for an annihilation), at both gap parities and at nu == mu
+        for mu in range(61):
+            for nu in range(mu, 121):
+                state, alpha = cl.state_munu(mu, nu), nu - mu
+                n, p, lsq = state.principal, state.power, state.angular * (state.angular + 1)
+                assert ((mu + nu + 1) / 2, float(mu), float(nu)) == tuple(map(float, state.windings)), (mu, nu)
+                assert (alpha + 1) / 2 == float(p) and (alpha - 1) * (alpha + 1) / 4 == float(lsq), (mu, nu)
+                assert cl.normalization_order((mu + nu + 1) // 2) == cl.normalization_order(n), (mu, nu)
+                for op in ("A+", "A-", "B+", "B-"):
+                    ref = cl.shifted_state(state, op) if cl.action_radicand(state, op)[1] else state
+                    order = cl.normalization_order((max(mu + nu, sum(ref.munu)) + 1) // 2)
+                    assert order == cl.normalization_order(max(n, ref.principal)), (mu, nu, op)
+        # and the checks call the order with exactly that argument
+        read = []
+        order = cl.normalization_order
+        monkeypatch.setattr(cl, "normalization_order", lambda n: read.append(n) or order(n))
+        for (mu, nu), op in [((39, 40), "A+"), ((0, 120), "B+"), ((60, 60), "B-"), ((60, 119), "A-"), ((0, 0), "A-")]:
+            state = cl.state_munu(mu, nu)
+            ref = cl.shifted_state(state, op) if cl.action_radicand(state, op)[1] else state
+            cl.action_report(state, op)
+            cl.normalization_residual(ref)
+            assert read[-2:] == [math.floor(max(state.principal, ref.principal)), math.floor(ref.principal)]
+
+    def test_one_step_per_report(self, monkeypatch):
+        calls = []
+        step = cl._step
+        monkeypatch.setattr(cl, "_step", lambda state, operator: calls.append(operator) or step(state, operator))
+        reports = cl.sweep_su11(8) + cl.sweep_weyl(4, 9) + [
+            cl.action_report(cl.state_munu(mu, nu), op)
+            for mu in range(4) for nu in (mu, mu + 2) for op in ("A+", "A-", "B+", "B-")]
+        assert len(calls) == len(reports), (len(calls), len(reports))
+        assert {r.operator for r in reports if r.annihilation} == {"T-", "A-", "B-"}
+
+    def test_fresh_rows_hold_only_the_rows_they_read(self):
+        # away from the nodes the recurrence keeps two rows and one running sum per derivative order, so the
+        # peak grows as rows * len(rho): 16.0 and 31.3 MiB here when a fresh table held all degree + 1 rows
+        state, rho = cl.state_munu(100, 101), np.linspace(0.0, 400.0, 20_000)
+        for name, call in [("scaled_profile", lambda: state.scaled_profile(rho)),
+                           ("act A+", lambda: cl.act(GENERATORS["A+"], state, rho))]:
+            call()  # the rho-form cache fills outside the measurement
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (name, peak / 2**20)
 
 
 class TestQuadrature:
