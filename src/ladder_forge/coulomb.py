@@ -23,7 +23,7 @@ of ``generators`` into its exact rho-form on exp(-rho/2) P(rho), setting each
 angle derivative to i times the state's phase winding, s = gamma/2,
 u = gamma**(-1/2) and r = rho/gamma, and drops the phase factors.  The form is
 checked once in exact rationals (every atom of gamma-degree 0, every
-coefficient real).  Leibniz's rule on N rho**p L then makes the action one
+coefficient real).  Normal-ordered with rho**p, it makes the action one
 sum of c rho**e L^(i), each e an exact half-integer, evaluated as N times
 rho to the least e times nonnegative powers of rho, so rho = 0 needs no
 second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state is the last
@@ -56,7 +56,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -141,11 +140,8 @@ def gauss_laguerre(order: int):
         raise ValueError("quadrature order must be positive")
     if order > MAX_QUAD_ORDER:
         raise ValueError(f"quadrature order {order} is past the float limit {MAX_QUAD_ORDER}")
-    k = np.arange(order, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0)
-    if order > 1:
-        off = np.arange(1.0, order)
-        jacobi += np.diag(off, 1) + np.diag(off, -1)
+    off = np.arange(1.0, order)
+    jacobi = np.diag(np.arange(1.0, 2 * order, 2)) + np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
     for _ in range(3):
         lag, lag1 = _rows(_table(order, 0, x), order, 2)
@@ -377,8 +373,8 @@ def _rho_form(op: OperatorExpr) -> tuple:
     and past exp(-rho/2) each d/dr is gamma times the gauge operator d/dr - 1/2
     (r and d/dr now standing for rho and d/drho).  The form is the exact image
     of ``op`` under the table ``_RHO_IMAGES`` (``opalgebra.rewrite``), each angle
-    derivative going to i times itself, a marker of its winding.  The last line
-    converts it to floats; a coefficient outside [2**-1022, 2**1022] is refused.
+    derivative going to i times itself, a marker of its winding.  Each c is an
+    exact ``Fraction``; one outside [2**-1022, 2**1022] is refused.
     """
     for (r2, _, _, _, dr, *_), sp, up, *_ in sorted(op.atoms()):
         if degree := 2 * sp - up - r2 + 2 * dr:
@@ -391,21 +387,32 @@ def _rho_form(op: OperatorExpr) -> tuple:
     for (k, _, _, _, j, *_), _, _, re, _, den in form:
         if _outside(Fraction(abs(re), den), 1022):
             raise ValueError(f"rho-form atom rho^({k}/2)*(d/drho)^{j}: coefficient outside [2**-1022, 2**1022]")
-    return tuple((mono[0], mono[4], mono[5:], re / den) for mono, _, _, re, _, den in form)
+    return tuple((mono[0], mono[4], mono[5:], Fraction(re, den)) for mono, _, _, re, _, den in form)
+
+
+@lru_cache(maxsize=512)  # a bound on memory, not a tuning: 1,350 coulomb-checks decks touch 327 (op, alpha)
+def _leibniz(op: OperatorExpr, alpha: int) -> tuple:
+    """(den, ((2e, i, parts), ...)): ``op`` on rho**p L, p = (alpha+1)/2, is the sum of c rho**e (-1)**i L^(i), c
+    the sum of num/den (2n)**de mu**da nu**db over its parts (num, de, da, db).  The keys keep the order in which the
+    rho-form's atoms, each times rho**p by ``*``, first reach them, i ascending: the term-by-term Leibniz order."""
+    power, acc = opalgebra.r_half_power(alpha + 1), {}
+    for k, j, marks, c in _rho_form(op):
+        for (m, _, _), (re, _) in (OperatorExpr({((k, 0, 0, 0, j, *marks), 0, 0): c}) * power).terms():
+            part = acc.setdefault((m.r2, m.dr), {})
+            part[marks] = part.get(marks, 0) + (-1) ** m.dr * re / 2 ** marks[0]
+    den = math.lcm(*(c.denominator for part in acc.values() for c in part.values()))
+    return den, tuple((*key, tuple((int(c * den), *m) for m, c in part.items() if c)) for key, part in acc.items())
 
 
 def act(op: OperatorExpr, state: QuantumState, rho):
     """``op`` applied to the state, with phases and exp(-rho/2) stripped.
 
-    Leibniz's rule P^(j) = N sum_i C(j, i) (p)_(j-i) rho**(p-j+i) L^(i) turns
-    the rho-form into one sum of c rho**e L^(i), keyed by the exact (2e, i);
-    terms that cancel are dropped, so an annihilation gives exactly 0.0.  With
-    ``low`` the least 2e, the result is one log-space prefactor
-    N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
-    every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op``
-    has nonzero gamma-degree, a coefficient of its rho-form is not real or lies
-    outside [2**-1022, 2**1022], its atoms carry different phases, a rho is
-    negative or NaN, or the result is infinite at a rho = 0 entry.
+    ``_leibniz`` normal-orders the rho-form times N rho**p into one sum of c rho**e L^(i), keyed by the exact (2e, i);
+    each c is summed in integers and divided once, so an annihilation gives exactly 0.0.  With ``low`` the least 2e,
+    the result is one log-space prefactor N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
+    every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op`` has nonzero gamma-degree, a coefficient
+    of its rho-form is not real or lies outside [2**-1022, 2**1022], its atoms carry different phases, a rho is
+    negative or NaN, the result is infinite at a rho = 0 entry, or it leaves the float range.
     """
     return _act(op, state, _nonnegative(rho, "rho"))
 
@@ -413,16 +420,14 @@ def act(op: OperatorExpr, state: QuantumState, rho):
 def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
     """``act`` at a checked ``rho``, its Laguerre rows read off ``table`` (a column at the quadrature nodes)
     or stepped afresh by ``_fresh_rows``."""
-    (degree, top), alpha = state.munu, state.alpha
-    n, mu, nu, p = (degree + top + 1) / 2, float(degree), float(top), (alpha + 1) / 2
-    coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c
-    for k, j, (de, da, db), c in _rho_form(op):
-        c *= n**de * mu**da * nu**db
-        for i in range(min(j, degree) + 1):
-            key = (k + alpha + 1 - 2 * (j - i), i)
-            # C(j, i) times the falling power p (p-1) ... (p-j+i+1), and (-1)**i from d^i L^(a)_n = (-1)**i L^(a+i)_(n-i)
-            falling = math.prod(p - q for q in range(j - i))
-            coeffs[key] = coeffs.get(key, 0.0) + (-1) ** i * c * comb(j, i) * falling
+    (degree, top), (den, terms) = state.munu, _leibniz(op, state.alpha)
+    coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c, in _leibniz's order, which the sum below keeps
+    for e2, i, parts in terms:
+        num = sum(c * (degree + top + 1) ** de * degree**da * top**db for c, de, da, db in parts) if i <= degree else 0
+        try:  # one int-to-float division per key; past the float range, an infinite term that _finite refuses
+            coeffs[e2, i] = num / den
+        except OverflowError:
+            coeffs[e2, i] = math.inf if num > 0 else -math.inf
     coeffs = {key: c for key, c in coeffs.items() if c}
     low, rows = min((e2 for e2, _ in coeffs), default=0), max((i for _, i in coeffs), default=0) + 1
     if low < 0 and (rho == 0).any():
@@ -431,7 +436,7 @@ def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not coeffs:
             return np.zeros_like(rho)
-        lag = _fresh_rows(degree, alpha, rho, rows) if table is None else _rows(table, degree, rows)
+        lag = _fresh_rows(degree, state.alpha, rho, rows) if table is None else _rows(table, degree, rows)
         total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
         action = state._prefactor(np.log(rho), low / 2) * total
     return _finite(action, rho, "action")

@@ -713,6 +713,12 @@ class TestDerivedActions:
             cl.act(oa.s_sym(power) * oa.r_power(power), state, [rho])
         assert cl.act(oa.s_sym(1000) * oa.r_power(1000), state, [2.0]) == pytest.approx(state.scaled_profile([2.0]))
 
+    def test_action_coefficient_past_the_float_range_refused(self):
+        # 2**1022 rho**-1021 d/drho lies inside the rho-form's range, but times p = 41/2 from rho**p its
+        # rho**(p-1022) coefficient is 41 * 2**1021, past the float range: refused by value, not OverflowError
+        with pytest.raises(ValueError, match=r"^the action leaves the float range at rho = 1\.0$"):
+            cl.act(oa.s_sym(-1022) * oa.r_power(-1021) * oa.deriv("r"), cl.state_munu(0, 40), [1.0, 2.0])
+
 
 @st.composite
 def _state_operator_and_rho(draw):
@@ -952,3 +958,28 @@ def test_rho_form_matches_sympy_calculus(name):
                * sympy.diff(_F(_RHO), _RHO, j) for k, j, (de, da, db), c in cl._rho_form(op))
     defect = sympy.expand(applied / (phase * sympy.exp(-_RHO / 2))) - sympy.expand(form)
     assert sympy.simplify(sympy.powsimp(defect, force=True)) == 0
+
+
+_G = sympy.Function("G")
+_LEIBNIZ_OPS = {**_FORM_OPS, **gen.sp4_bilinears()}
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), 1, Fraction(3, 2), 5])
+@pytest.mark.parametrize("name", list(_LEIBNIZ_OPS))
+def test_leibniz_terms_match_sympy_expansion(name, p):
+    # act's cached terms sum c rho**e (-1)**i L^(i), with c = num/den (2n)**de mu**da nu**db summed over
+    # the parts; on a profile rho**p G they must be sympy's expansion of the rho-form applied to it, and
+    # list their keys in the order a term-by-term Leibniz expansion of the form first reaches them
+    op, alpha = _LEIBNIZ_OPS[name], int(2 * p - 1)
+    form = cl._rho_form(op)
+    profile = _RHO ** sympy.Rational(p) * _G(_RHO)
+    applied = sum(sympy.Rational(c) * _N**de * _MU**da * _NU**db * _RHO ** sympy.Rational(k, 2)
+                  * sympy.diff(profile, _RHO, j) for k, j, (de, da, db), c in form)
+    den, terms = cl._leibniz(op, alpha)
+    cached = sum(sympy.Rational(num, den) * (2 * _N) ** de * _MU**da * _NU**db * _RHO ** sympy.Rational(e2, 2)
+                 * (-1) ** i * sympy.diff(_G(_RHO), _RHO, i)
+                 for e2, i, parts in terms for num, de, da, db in parts)
+    assert sympy.expand(sympy.powsimp(sympy.expand(applied) - sympy.expand(cached), force=True)) == 0
+    reached = dict.fromkeys((k + alpha + 1 - 2 * (j - i), i) for k, j, *_ in form for i in range(j + 1))
+    kept = [(e2, i) for e2, i, parts in terms if parts]
+    assert kept == [key for key in reached if key in kept]
