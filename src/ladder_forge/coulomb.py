@@ -437,7 +437,8 @@ def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
         if not coeffs:
             return np.zeros_like(rho)
         lag = _fresh_rows(degree, state.alpha, rho, rows) if table is None else _rows(table, degree, rows)
-        total = sum(c * lag[i] * rho ** ((e2 - low) / 2) for (e2, i), c in coeffs.items())
+        powers = {e2: rho ** ((e2 - low) / 2) for e2, _ in coeffs}  # one per 2e, shared by its derivative orders
+        total = sum(c * lag[i] * powers[e2] for (e2, i), c in coeffs.items())
         action = state._prefactor(np.log(rho), low / 2) * total
     return _finite(action, rho, "action")
 

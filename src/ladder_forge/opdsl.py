@@ -27,20 +27,23 @@ coefficient that would pass int's digit limit.  ``parse`` has two readers that
 do not know about each other.  The plain-sum reader takes a text made only of
 plain terms, the first at the text's start after an optional ``-`` and each later
 one after exactly `` + `` or `` - ``.  A plain term is numbers (``n``, ``n/d`` or
-``(a/b+c/d*i)``) and canonical factors (``i``, ``s``, ``u``, ``r``, ``sqrt(r)``,
-``exp(-2*i*alpha)``, ``d/deta``) joined by ``*`` in any order, each factor with a
-power of at most 3 digits and nothing glued on.  It reads the text in one pass of
-one pattern, and a term is its numbers, read in integers, times its factors' atom
-forms from a bounded cache.  While no function factor follows a derivative and u
-comes at most once, every adjacent pair is free and the factors' keys add, with one
-bound test; otherwise the term is one ``opalgebra.product``.  The terms are one
-``opalgebra.linear_sum``.  Any other text, and any plain one that raises a
-``ValueError``, goes whole to the descent over the fine lexemes of ``tokenize``,
-which alone reports errors.  There every factor but a parenthesised sum is an
-``opalgebra`` atom form, negated and raised (``opalgebra.atom_power``) without an
-operator, a term of several factors is one ``opalgebra.product``, and each sum is
-one ``opalgebra.linear_sum`` over atom forms and operators.  ``render`` sorts the
-atoms once and prints their integer numerators.
+``(a/b+c/d*i)``) and factors joined by ``*`` in any order: canonical factors (``i``,
+``s``, ``u``, ``r``, ``sqrt(r)``, ``exp(-2*i*alpha)``, ``d/deta``) and plain sums in
+parentheses, at most one inside another, each with a power of at most 3 digits (not
+negative for a sum) and nothing glued on.  It reads the text, its sums included,
+before it raises any power, each sum in one pass of one pattern, and a term is its
+numbers, read in integers, times its factors' atom forms from a bounded cache.
+While no function factor follows a derivative and u comes at most once, every
+adjacent pair is free and the factors' keys add, with one bound test; otherwise, or
+with a sum raised by the descent's own ``**``, the term is one ``opalgebra.product``.
+The terms are one ``opalgebra.linear_sum``.  Any other text, and any plain one that
+raises a ``ValueError``, goes whole to the descent over the fine lexemes of
+``tokenize``, which alone reports errors.  There every factor but a parenthesised
+sum is an ``opalgebra`` atom form, negated and raised (``opalgebra.atom_power``)
+without an operator, a term of several factors is one ``opalgebra.product``, and
+each sum is one ``opalgebra.linear_sum`` over atom forms and operators.  ``render``
+reads each atom's sort key and factor text from a bounded cache on its packed key,
+the mirror of ``_factor``, sorts the atoms once and prints their integer numerators.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import re
 import sys
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
 from . import opalgebra
@@ -97,12 +101,14 @@ _TOKEN_RE = re.compile(
 _POWER = r"(?:\^-?\d{1,3})?(?![\w^])"  # a power of at most 3 digits, then nothing glued on
 # one piece of a plain sum: where it starts (a term at the text's start, after an
 # optional "-"; a later term after " + " or " - "; a further factor after "*"), then
-# a number (n/d or (a/b+c/d*i)) or a canonical factor with its power. A pattern
+# a number (n/d or (a/b+c/d*i)), a canonical factor with its power, or a parenthesised
+# text (at most 3 parentheses deep) with a power of at most 3 digits. A pattern
 # string: re compiles it at the first parse and keeps it, so a process that parses
 # nothing does not pay for the compile
 _PLAIN = rf"""(?x)(\A-?|(?<=[\w)])(?:\ [-+]\ |\*))
     ( \d+(?:/\d+)? | \(-?\d+(?:/\d+)?[-+](?:\d+(?:/\d+)?\*)?i\)
-    | (?:sqrt\(r\)|exp\(-?(?:\d{{1,3}}\*)?i\*(?:eta|alpha|beta)\)|d/d(?:r|eta|alpha|beta)|[isur]){_POWER} )"""
+    | (?:sqrt\(r\)|exp\(-?(?:\d{{1,3}}\*)?i\*(?:eta|alpha|beta)\)|d/d(?:r|eta|alpha|beta)|[isur]){_POWER}
+    | \((?:[^()]|\((?:[^()]|\([^()]*\))*\))*\)(?:\^\d{{1,3}})?(?![\w^]) )"""
 _GAUSS = r"\((-?\d+)(?:/(\d+))?([-+])(?:(\d+)(?:/(\d+))?\*)?i\)"  # (real + imag*i), each part over its own denominator
 
 
@@ -280,31 +286,49 @@ def _factor(lexeme: str) -> tuple:
     return _Parser(lexeme).parse_unary()
 
 
-def _plain_sum(text: str) -> "OperatorExpr | None":
-    """The value of a plain sum (see the module docstring), or None for any other text."""
+def _plain_sum(text: str, nest: int = 2) -> "list | None":
+    """A plain sum's terms (see the module docstring) as [sign, forms, grouped], or None for any other text; a form
+    is an atom form or a parenthesised plain sum, at most ``nest`` deep, as [terms, exponent], not yet raised."""
     # the matches do not overlap, so their lengths add up to the text's only if they leave no gap
     terms, end, forms = [], 0, []
+    term = [1, forms, False]  # takes the pieces before any term's start, which leave a gap
     for sep, piece in re.findall(_PLAIN, text):
         end += len(sep) + len(piece)
-        if sep != "*":  # a term starts: its sign, then its pieces' atom forms
+        if sep != "*":  # a term starts: its sign, then its pieces' forms
             forms = []
-            terms.append((-1 if "-" in sep else 1, forms))
+            term = [-1 if "-" in sep else 1, forms, False]
+            terms.append(term)
         if piece[0].isdecimal():
             num, _, den = piece.partition("/")
             form = _BIAS, int(num), 0, int(den or 1)
-        elif piece[0] == "(":
-            real, real_den, imag_sign, imag, imag_den = re.fullmatch(_GAUSS, piece).groups()
+        elif piece[0] != "(":
+            form = _factor(piece)
+        elif gauss := re.fullmatch(_GAUSS, piece):
+            real, real_den, imag_sign, imag, imag_den = gauss.groups()
             real_den, imag_den = int(real_den or 1), int(imag_den or 1)
             form = _BIAS, int(real) * imag_den, int(imag_sign + (imag or "1")) * real_den, real_den * imag_den
-        else:
-            form = _factor(piece)
+        else:  # a parenthesised sum and its power
+            inner, _, power = piece[1:].rpartition(")")
+            inner = nest and _plain_sum(inner, nest - 1)
+            if not inner:
+                return None
+            term[2] = True
+            forms.append([inner, int(power[1:] or 1)])
+            continue
         if not form[3]:  # a zero denominator: the descent names it
             return None
         forms.append(form)
-    if not end or end < len(text):  # no text, or a gap
-        return None
+    return terms if end and end == len(text) else None  # some text, and no gap
+
+
+def _plain_value(terms: list) -> OperatorExpr:
+    """The value of a plain sum's terms."""
     pairs = []
-    for sign, forms in terms:
+    for sign, forms, grouped in terms:
+        if grouped:  # each sum raised by the descent's own value**exponent, and the term one product
+            forms = [form if type(form) is tuple else _plain_value(form[0]) ** form[1] for form in forms]
+            pairs.append((opalgebra.product(forms), sign))
+            continue
         # the keys' sum less one bias per key past the first; the pieces' coefficients multiply
         key, re_, im, den, derivs, ups, free = (1 - len(forms)) * _BIAS, 1, 0, 1, 0, 0, True
         for k, a, b, d in forms:
@@ -321,7 +345,8 @@ def _plain_sum(text: str) -> "OperatorExpr | None":
 def parse(text: str) -> OperatorExpr:
     """Parse text straight to a normal-ordered operator: a plain sum by one pattern, any other text by the descent."""
     try:
-        value = _plain_sum(text)
+        terms = _plain_sum(text)
+        value = None if terms is None else _plain_value(terms)
     except ValueError:  # such as a number past int's digit limit, or a refused power: the descent names it
         value = None
     return _Parser(text).parse() if value is None else value
@@ -360,44 +385,33 @@ def _phase_part(axis: str, winding: int) -> str:
     return f"exp({winding}*i*{axis})"
 
 
-def _render_key(atom: tuple):
-    r2, ke, ka, kb, dr, de, da, db = atom[0]
-    return (dr + de + da + db, dr, de, da, db, r2, ke, ka, kb, atom[1], atom[2])
+# a bound on memory, not a tuning: 20 seeded dsl-stream decks render 6,741 distinct atom keys
+@lru_cache(maxsize=4096)
+def _key_text(key: int) -> tuple:
+    """The render sort key of a packed atom key, its last item the atom's factor text."""
+    [((r2, ke, ka, kb, dr, de, da, db), sp, up, _, _, _)] = OperatorExpr._wrap({key: (1, 0)}, 1).atoms()
+    parts = [_power_part("s", sp)] if sp else []
+    if up:
+        parts.append("u")
+    if r2:
+        parts.append(_power_part("sqrt(r)", r2) if r2 % 2 else _power_part("r", r2 // 2))
+    parts += [_phase_part(axis, k) for axis, k in zip(PHASE_AXES, (ke, ka, kb)) if k]
+    parts += [_power_part(f"d/d{axis}", d) for axis, d in zip(DERIV_AXES, (dr, de, da, db)) if d]
+    return dr + de + da + db, dr, de, da, db, r2, ke, ka, kb, sp, up, "*".join(parts)
 
 
 def render(expr: OperatorExpr) -> str:
     """Canonical text form; deterministic and exactly invertible by parse."""
-    atoms = sorted(expr.atoms(), key=_render_key)
-    if not atoms:
-        return "0"
     pieces: list[tuple[str, str]] = []
-    for (r2, ke, ka, kb, dr, de, da, db), sp, up, real, imag, den in atoms:
+    rows = sorted([(_key_text(key), re, im) for key, (re, im) in expr._terms.items()], key=itemgetter(0))
+    for key_text, real, imag in rows:
         try:
-            sign, coeff_body = _fmt_gauss(real, imag, den)
+            sign, coeff_body = _fmt_gauss(real, imag, expr._den)
         except ValueError:  # str() of an int past the interpreter's digit limit
             raise ValueError(f"a result coefficient has more than {sys.get_int_max_str_digits()} digits") from None
-        parts: list[str] = []
-        if coeff_body:
-            parts.append(coeff_body)
-        if sp:
-            parts.append(_power_part("s", sp))
-        if up:
-            parts.append("u")
-        if r2:
-            if r2 % 2 == 0:
-                parts.append(_power_part("r", r2 // 2))
-            else:
-                parts.append(_power_part("sqrt(r)", r2))
-        for axis, k in zip(PHASE_AXES, (ke, ka, kb)):
-            if k:
-                parts.append(_phase_part(axis, k))
-        for axis, d in zip(DERIV_AXES, (dr, de, da, db)):
-            if d:
-                parts.append(_power_part(f"d/d{axis}", d))
-        body = "*".join(parts) if parts else (coeff_body or "1")
-        pieces.append((sign, body))
+        factors = key_text[-1]
+        pieces.append((sign, f"{coeff_body}*{factors}" if coeff_body and factors else coeff_body or factors or "1"))
+    if not pieces:
+        return "0"
     first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return ("-" if first_sign == "-" else "") + first_body + "".join(f" {sign} {body}" for sign, body in pieces[1:])

@@ -16,6 +16,7 @@ from ladder_forge import opdsl
 from ladder_forge.generators import build_T, casimir, sp4_bilinears
 
 from _gen import operators, random_operator
+from test_golden_render import GOLDEN_PATH, corpus
 
 
 class TestParseExamples:
@@ -387,7 +388,8 @@ _TERM_SLOTS = ("s", "s^-1", "s^1000", "u", "u^3", "u^-1", "r", "r^007", "r^-2", 
 _TERM_CONTEXTS = (("", ""), ("-", ""), ("(r)^", ""), ("(r)^-", ""), ("(r)^ - ", ""), ("r ^ ", ""), ("exp(", ")"),
                   ("exp( ", ")"), ("exp(i*", ")"), ("sqrt(", ")"), ("sqrt( ", ")"), ("s + ", " - r"), ("(", ")^2"),
                   ("2*", "*s"), ("", "^2"), ("", " ^ 2"), ("", "*d/dr"), ("", ")"), ("exp (", ")"), (" + ", ""),
-                  ("*", ""), ("- ", ""), ("r +", ""), ("", " +"), ("r  - ", ""), ("r -", ""), ("r+", ""))
+                  ("*", ""), ("- ", ""), ("r +", ""), ("", " +"), ("r  - ", ""), ("r -", ""), ("r+", ""),
+                  ("(r + ", ")^3*s"), ("((d/dr + ", ")^2 - u)*r"), ("(r + ", ")^-1"))
 _TERM_SHAPES = (
     "d/dr*r", "u*u", "s*u*s", "r^007", "d/dr^0", "d/dr^-1*r", "1/0*r", "0*r", "2/4*r", "1" * 5000 + "*r",
     "2 * r", "2* r^2", "2*r ^ 2", "r ^2*s", "2*r ^2*d/dr", "(r)^-2*s", "(r)^ - 2*s", "r ^ 2*s", "exp( 2*i*eta)",
@@ -399,6 +401,11 @@ _TERM_SHAPES = (
     # a term after a blank needs a sign, and the first term stands at the text's start
     " + r", " - r", "*r", " r", "r + ", "r +  s", "r+s", "r - -s", "-", "",
     "u*u*u*u", "u^-1*u^-1*r", "sqrt(r)^1000", "r^1000*s", "2*0/00", "r*1/0", "d/deta*r*exp(i*eta)",
+    # a parenthesised plain sum with a power of at most 3 digits, one sum deep inside another at most
+    "(r + 1)*s", "2*(1/2*r + d/dr)^3*s - u", "((r + s)^2 + u)*d/dr", "2*(1*r + 2*d/dr)^5*sqrt(r)^3",
+    "(((r + s)^2 + u)^2 + r)*s", "(r + s)^1000", "(r + s)(r)", "(r + s)^-1", "(d/dr + r)^8 +", "(r + s",
+    "(r + s)^2^2", "-(r - s)^0*(s)", "(2+i)^2*r", "(r+s)*s", "((sqrt(r) + s)^2 + exp(i*eta))^2",
+    "rr*(r + 1)", "*(r + 1)*s", "() + r", "(r + 1) (s)",
 )
 
 
@@ -440,15 +447,36 @@ for _shape in _TERM_SHAPES:  # every listed shape runs, besides the drawn texts
     ("d/dr*u*s*exp(-2*i*alpha)^3*u", True),  # u twice: one product
     ("(1/2-5*i)*sqrt(r)^-1*exp(3*i*beta)*d/dr^2 - 7", True),
     ("r*2*i - s^-999*0/5", True),
-    ("r^1000", False), (" + r", False), ("2 * r", False), ("(r + 1)*s", False), ("r - -s", False), ("1/0*r", False),
+    ("(r + 1)*s", True), ("2*(1/2*r + d/dr)^3*s - u", True), ("((r + s)^2 + u)*d/dr", True),
+    ("r^1000", False), (" + r", False), ("2 * r", False), ("r - -s", False), ("1/0*r", False),
+    ("(((r + s)^2 + u)^2 + r)*s", False), ("(r + s)^1000", False), ("(r + s)(r)", False),
 ])
 def test_plain_sums_are_read_without_the_descent(text, plain):
     # the plain-sum reader takes a plain sum in any factor order, with the
     # descent's value, and leaves any other text to the descent
-    value = opdsl._plain_sum(text)
-    assert (value is not None) == plain
+    terms = opdsl._plain_sum(text)
+    assert (terms is not None) == plain
     if plain:
-        assert value == opdsl._Parser(text).parse()
+        assert opdsl._plain_value(terms) == opdsl._Parser(text).parse()
+
+
+@pytest.mark.parametrize("text", [
+    "(d/dr + r)^8 +", "(d/dr + r)^8*(r + s)^-1", "(d/dr + r)^8*1/0", "(d/dr + r)^8*(d/dr^-1 + r)",
+    "((d/dr + r)^8 + s)*(((r)))", "(d/dr + r)^8*(r + s)^1000", "(d/dr + r)^8 - (r + 1/0)",
+])
+def test_rejected_plain_texts_raise_no_power(monkeypatch, text):
+    # the plain-sum reader reads the whole text before it raises any power, so a
+    # text it leaves to the descent costs exactly the descent's powers and products
+    calls = []
+    for owner, name in ((oa.OperatorExpr, "__pow__"), (oa, "product")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    counted = []
+    for read in (opdsl.parse, lambda text: opdsl._Parser(text).parse()):
+        calls.clear()
+        counted.append((_outcome(read, text), sorted(calls)))
+    assert counted[0] == counted[1]
+    assert "__pow__" in counted[0][1]
 
 
 def test_warm_canonical_terms_make_no_product(monkeypatch):
@@ -591,6 +619,21 @@ def test_render_refuses_a_coefficient_past_the_digit_limit():
     for e in (oa.scalar(10**4000) * oa.scalar(10**4000), oa.imag() * oa.scalar(Fraction(1, 10**(limit + 1)))):
         with pytest.raises(ValueError, match=f"^a result coefficient has more than {limit} digits$"):
             opdsl.render(e)
+
+
+def test_key_text_cache_stays_bounded():
+    # a bound on memory: 10,000 distinct atoms leave at most maxsize entries, and
+    # every golden render comes out byte for byte after a clear and once the cache is full
+    golden = json.loads(GOLDEN_PATH.read_text())
+    opdsl._key_text.cache_clear()
+    assert corpus() == golden
+    for k in range(10_000):
+        q, winding = divmod(k, 1000)
+        e = oa.OperatorExpr({(oa.Mono(q - 5, winding - 500, 0, q % 3, k % 2, 0, 0, 0), q % 4 - 2, k % 2): k + 1})
+        assert opdsl.render(e) == _reference_render(e)
+    info = opdsl._key_text.cache_info()
+    assert info.misses >= 10_000 and info.currsize <= info.maxsize == 4096
+    assert corpus() == golden
 
 
 # fragments that never build a large value; glued together, as in "d/dreta",
