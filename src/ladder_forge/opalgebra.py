@@ -50,10 +50,11 @@ The integer counterpart of ``terms()`` is ``atoms()``, the 6-tuples
 ``(re + im*i)/den * s**s_power * u**u_parity * mono``, ``den > 0``.  An *atom
 form* ``(key, re, im, den)`` carries the packed key instead; it need not be in
 lowest terms, and its coefficient may be zero.  ``product`` takes one as a
-factor and ``linear_sum`` as a summand, and ``atom_power`` raises one in closed
-form.  ``rewrite`` is the one operator rewrite, by an image of each letter:
-``substitute_s``, ``swap_alpha_beta`` and the rho-form of ``coulomb`` are image
-tables of it.  ``terms()`` and ``Mono`` are the public read-out only.
+factor and ``linear_sum`` as a summand, ``fold`` multiplies a run of them, and
+``atom_power`` raises one in closed form.  ``rewrite`` is the one operator
+rewrite, by an image of each letter: ``substitute_s``, ``swap_alpha_beta`` and
+the rho-form of ``coulomb`` are image tables of it.  ``terms()`` and ``Mono``
+are the public read-out only.
 
 A product of two monomials ``f1*D1 * g2*E2`` is its leading term
 ``f1*g2*D1*E2``, every exponent added, plus interaction terms from commuting
@@ -63,10 +64,11 @@ exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS``, as offsets from the
 leading key.  The leading terms of ``a*b`` and ``b*a`` are equal, so
 ``commutator`` forms both orders in one pass and skips them.  Every product,
-binary, n-ary or a power, is one ``product`` pass, the one place where free
-single atoms (no derivative meets a function on its own axis) fold in
-integers.  Every sum and every rational factor is one ``linear_sum`` pass,
-linear in the atoms, where a number is a weight, never an operator.
+binary, n-ary or a power, is one ``product`` pass.  ``fold`` is the one place
+where free single atoms (no derivative meets a function on its own axis) fold
+in integers: ``product`` folds each adjacent pair through it, the DSL a plain
+term.  Every sum and every rational factor is one ``linear_sum`` pass, linear
+in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
@@ -223,16 +225,21 @@ def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
     return terms, den
 
 
-def _fold(x: tuple, y: tuple) -> tuple | None:
-    """``x*y`` for atom forms, in the same form, if the pair is free."""
-    (k1, a1, b1, d1), (k2, a2, b2, d2) = x, y
-    derivs, funcs = (k1 ^ _BIAS) & _DERIVS, (k2 ^ _BIAS) & _FUNCS
-    if derivs and funcs and _mono_cross(derivs | funcs):
-        return None
-    key = k1 + k2 - _BIAS - (k1 & k2 & 1) * _U2  # u**2 = 1/(2*s)
-    if key - _LOW & _GUARD:
-        _pack(*_unpack(key))  # raises, naming the field outside the bound
-    return key, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2 << (k1 & k2 & 1)
+def fold(forms: Sequence[tuple]) -> tuple | None:
+    """The atom form of the product of atom forms, in order, or None at the first step that is not free.
+    Each step adds keys and tests the bound: a field past it is ``_pack``'s ``ValueError`` before it carries."""
+    key, re, im, den = forms[0]
+    for k2, a, b, d in forms[1:]:
+        derivs = (key ^ _BIAS) & _DERIVS
+        if derivs and (funcs := (k2 ^ _BIAS) & _FUNCS) and _mono_cross(derivs | funcs):
+            return None
+        uu = key & k2 & 1
+        key += k2 - _BIAS - uu * _U2  # u**2 = 1/(2*s)
+        if key - _LOW & _GUARD:
+            _pack(*_unpack(key))  # raises, naming the field outside the bound
+        if b or a != d or uu:  # a coefficient other than 1, such as 2/3, i or u^-1 = 2*s*u
+            re, im, den = re * a - im * b, re * b + im * a, den * d << uu
+    return key, re, im, den
 
 
 def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
@@ -566,7 +573,7 @@ def product(factors: Sequence["OperatorExpr | tuple"]) -> OperatorExpr:
         atom = f if type(f) is tuple else None
         if atom is None and len(f._terms) == 1:
             atom = _form(f)
-        folded = last and atom and _fold(last, atom)
+        folded = last and atom and fold((last, atom))
         if folded:
             last = pieces[-1] = folded
             continue

@@ -33,9 +33,9 @@ parentheses, at most one inside another, each with a power of at most 3 digits (
 negative for a sum) and nothing glued on.  It reads the text, its sums included,
 before it raises any power, each sum in one pass of one pattern, and a term is its
 numbers, read in integers, times its factors' atom forms from a bounded cache.
-While no function factor follows a derivative and u comes at most once, every
-adjacent pair is free and the factors' keys add, with one bound test; otherwise, or
-with a sum raised by the descent's own ``**``, the term is one ``opalgebra.product``.
+While no derivative meets a function on its own axis, the term is one ``opalgebra.fold``
+of its factors' forms, keys added with a bound test at each step; otherwise, or with a
+sum raised by the descent's own ``**``, the term is one ``opalgebra.product``.
 The terms are one ``opalgebra.linear_sum``.  Any other text, and any plain one that
 raises a ``ValueError``, goes whole to the descent over the fine lexemes of
 ``tokenize``, which alone reports errors.  There every factor but a parenthesised
@@ -56,7 +56,7 @@ from operator import itemgetter
 from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import _BIAS, _DERIVS, _FUNCS, _GUARD, _LOW, DERIV_AXES, OperatorExpr, PHASE_AXES
+from .opalgebra import _BIAS, DERIV_AXES, OperatorExpr, PHASE_AXES
 
 
 class OperatorLexError(ValueError):
@@ -327,18 +327,7 @@ def _plain_value(terms: list) -> OperatorExpr:
     for sign, forms, grouped in terms:
         if grouped:  # each sum raised by the descent's own value**exponent, and the term one product
             forms = [form if type(form) is tuple else _plain_value(form[0]) ** form[1] for form in forms]
-            pairs.append((opalgebra.product(forms), sign))
-            continue
-        # the keys' sum less one bias per key past the first; the pieces' coefficients multiply
-        key, re_, im, den, derivs, ups, free = (1 - len(forms)) * _BIAS, 1, 0, 1, 0, 0, True
-        for k, a, b, d in forms:
-            letters = k ^ _BIAS
-            free = free and not (derivs and letters & _FUNCS)  # no function after a derivative
-            derivs, ups, key = derivs | letters & _DERIVS, ups + (k & 1), key + k
-            if b or a != d:  # a piece with a coefficient, such as 2/3, i or u^-1 = 2*s*u
-                re_, im, den = re_ * a - im * b, re_ * b + im * a, den * d
-        free = free and ups < 2 and not key - _LOW & _GUARD
-        pairs.append(((key, re_, im, den) if free else opalgebra.product(forms), sign))
+        pairs.append((not grouped and opalgebra.fold(forms) or opalgebra.product(forms), sign))
     return opalgebra.linear_sum(pairs)
 
 
@@ -389,7 +378,7 @@ def _phase_part(axis: str, winding: int) -> str:
 @lru_cache(maxsize=4096)
 def _key_text(key: int) -> tuple:
     """The render sort key of a packed atom key, its last item the atom's factor text."""
-    [((r2, ke, ka, kb, dr, de, da, db), sp, up, _, _, _)] = OperatorExpr._wrap({key: (1, 0)}, 1).atoms()
+    (r2, ke, ka, kb, dr, de, da, db), sp, up = opalgebra._unpack(key)
     parts = [_power_part("s", sp)] if sp else []
     if up:
         parts.append("u")

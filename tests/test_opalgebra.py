@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ladder_forge import coulomb as cl
@@ -369,10 +369,12 @@ def test_linear_sum_is_the_binary_fold(pairs, data):
 
 
 # single atoms that meet on an axis (d/dr before r, d/deta before a phase),
-# u*u, s powers, zero and sums
+# cross-axis pairs that are free (d/deta before r, d/dr before a phase), u*u,
+# s powers, zero and sums
 _FACTORS = st.one_of(
     terms(small=True),
     st.sampled_from([oa.deriv("r"), oa.r_power(1), oa.sqrt_r(), oa.deriv("eta", 2), oa.phase("eta", -2),
+                     oa.deriv("alpha"), oa.phase("beta", 3), oa.r_power(-1) * oa.deriv("eta"),
                      oa.u_sym(), oa.s_sym(-1), oa.s_sym(3), oa.zero(), oa.scalar(Fraction(-3, 4))]),
     operators(max_terms=3, small=True),
 )
@@ -380,11 +382,17 @@ _FACTORS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_FACTORS, min_size=1, max_size=6))
+@example([oa.deriv("eta"), oa.r_power(1)])
+@example([oa.deriv("r"), oa.phase("alpha", 2), oa.u_sym(), oa.deriv("beta"), oa.u_sym(), oa.sqrt_r()])
 def test_product_is_the_binary_fold(factors):
-    # product reduces each run of free atoms once, the binary fold every pair
-    total, fold = oa.product(factors), reduce(mul, factors)
-    assert total == fold and hash(total) == hash(fold)
+    # product reduces each run of free atoms once, the binary fold every pair,
+    # and fold the whole run of single atoms, unless a pair in it is not free
+    total, binary = oa.product(factors), reduce(mul, factors)
+    assert total == binary and hash(total) == hash(binary)
     _assert_lowest_terms(total)
+    if all(len(f._terms) == 1 for f in factors):
+        folded = oa.fold([oa._form(f) for f in factors])
+        assert folded is None or oa._atom(*folded) == binary
 
 
 _RATIONALS = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5))
@@ -502,6 +510,10 @@ def test_one_past_the_exponent_bound_is_refused(name):
     # a fold of free single atoms
     (lambda: oa.r_half_power(oa.EXP_BOUND - 1) * oa.sqrt_r(), "r2", 2**24),
     (lambda: oa.s_sym(-oa.EXP_BOUND) * oa.u_sym() * oa.u_sym(), "s_power", -2**24 - 1),
+    # 2,149,634 factors r^999 would carry r2 past its 32 bits: the n-ary fold, and
+    # a plain DSL term (a 12.9 MB text) through it, stop at the 8,398th
+    (lambda: oa.fold([oa._form(oa.r_power(999))] * 2_149_634), "r2", 8398 * 1998),
+    (lambda: opdsl._plain_value([[1, [opdsl._factor("r^999")] * 2_149_634, False]]), "r2", 8398 * 1998),
     # the product loop: a leading term, and an interaction term that lowers r2 by 2 * dr
     (lambda: (oa.r_half_power(oa.EXP_BOUND - 1) + oa.deriv("r")) * (oa.sqrt_r() + 1), "r2", 2**24),
     (lambda: oa.commutator(oa.deriv("r", 3), oa.r_half_power(-oa.EXP_BOUND)), "r2", -2**24 - 2),
@@ -634,10 +646,12 @@ def test_rewrite_refuses_a_key_that_names_no_letter():
 
 
 def test_only_opalgebra_lays_out_an_atom_key():
-    # every other module builds atoms through opalgebra's constructors, never _pack
+    # every other module builds atoms through opalgebra's constructors and folds
+    # them through opalgebra.fold, naming neither the key's layout nor _wrap
     package = Path(oa.__file__).parent
-    users = sorted(path.name for path in package.glob("*.py") if "_pack" in path.read_text())
-    assert users == ["opalgebra.py"]
+    for name in ("_pack", "_DERIVS", "_FUNCS", "_GUARD", "_LOW", "_U2", "_wrap"):
+        users = sorted(path.name for path in package.glob("*.py") if name in path.read_text())
+        assert users == ["opalgebra.py"], name
 
 
 @settings(max_examples=50, deadline=None)

@@ -482,7 +482,7 @@ def test_rejected_plain_texts_raise_no_power(monkeypatch, text):
 def test_warm_canonical_terms_make_no_product(monkeypatch):
     # each canonical term whose powers have at most 3 digits is one lexeme, and its
     # atom form is the sum of its factors' cached keys: a warm re-parse of canonical
-    # renders folds no factor pair (_fold) and multiplies nothing (product)
+    # renders runs no product loop (_normal_order) and multiplies nothing (product)
     rng = random.Random(32323232)
     texts = _canonical_texts() + [opdsl.render(random_operator(rng, wide=k % 2)) for k in range(600)]
     texts = [text for text in texts if all(len(digits) <= 3 for digits in re.findall(r"[\^(]-?(\d+)", text))]
@@ -490,7 +490,7 @@ def test_warm_canonical_terms_make_no_product(monkeypatch):
     for text in texts:
         opdsl.parse(text)
     calls = []
-    for name in ("product", "_fold"):
+    for name in ("product", "_normal_order"):
         real = getattr(oa, name)
         monkeypatch.setattr(oa, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     for text in texts:
