@@ -40,18 +40,23 @@ k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
+Each commutator row's name, and each sp4 bilinear's, is the text read, once
+per process, to build it: names T0, T+-, A+-, B+- and C (``casimir()``'s,
+looked up when read), integers, [x,y], {x,y} = xy + yx, products by "*" or side
+by side, "/n", "^n" (n > 0), parentheses, "+", "-" and "==".  A name ends in
+its sign, so a number after a factor needs "*": "A+1" is an error at the 1.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
-from . import factorizations as fz
-from . import opalgebra
+from . import factorizations as fz, opalgebra, opdsl
 from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
 
 
@@ -67,8 +72,7 @@ class AlgebraReport:
 
 
 def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
-    residual = lhs - rhs
-    return AlgebraReport(name, lhs, rhs, residual, residual.is_zero)
+    return AlgebraReport(name, lhs, rhs, residual := lhs - rhs, residual.is_zero)
 
 
 @cache
@@ -89,76 +93,28 @@ def build_AB() -> Mapping[str, OperatorExpr]:
 @cache
 def casimir() -> tuple[OperatorExpr, AlgebraReport]:
     """Casimir -T+ T- + T0(T0 - 1) and its verified normal form, built once."""
-    t = build_T()
-    op = -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
-    r = opalgebra.r_half_power(2)
-    normal_form = (
-        r * r * opalgebra.deriv("r", 2)
-        - 2 * opalgebra.imag() * opalgebra.s_sym() * r * opalgebra.deriv("eta")
-        - opalgebra.s_sym(2) * r * r
-    )
-    return op, _report("casimir-normal-form", op, normal_form)
+    op = _Reader("-T+T- + T0(T0 - 1)").side("")
+    return op, _report("casimir-normal-form", op, opdsl.parse("r^2*d/dr^2 - 2*i*s*r*d/deta - s^2*r^2"))
 
 
 def su11_reports() -> list[AlgebraReport]:
-    t = build_T()
-    comm = opalgebra.commutator
-    return [
-        _report("[T0,T+] == T+", comm(t["T0"], t["Tplus"]), t["Tplus"]),
-        _report("[T0,T-] == -T-", comm(t["T0"], t["Tminus"]), -t["Tminus"]),
-        _report("[T+,T-] == -2*T0", comm(t["Tplus"], t["Tminus"]), -2 * t["T0"]),
-    ]
+    return list(map(_identity, ("[T0,T+] == T+", "[T0,T-] == -T-", "[T+,T-] == -2*T0")))
 
 
 def weyl_reports() -> list[AlgebraReport]:
-    g = build_AB()
-    comm = opalgebra.commutator
-    one = opalgebra.identity()
-    zero = opalgebra.zero()
-    return [
-        _report("[A-,A+] == 1", comm(g["Aminus"], g["Aplus"]), one),
-        _report("[B-,B+] == 1", comm(g["Bminus"], g["Bplus"]), one),
-        _report("[A+,B+] == 0", comm(g["Aplus"], g["Bplus"]), zero),
-        _report("[A+,B-] == 0", comm(g["Aplus"], g["Bminus"]), zero),
-        _report("[A-,B+] == 0", comm(g["Aminus"], g["Bplus"]), zero),
-        _report("[A-,B-] == 0", comm(g["Aminus"], g["Bminus"]), zero),
-    ]
+    return list(map(_identity, ("[A-,A+] == 1", "[B-,B+] == 1", "[A+,B+] == 0", "[A+,B-] == 0", "[A-,B+] == 0",
+                                "[A-,B-] == 0")))
 
 
 def casimir_reports() -> list[AlgebraReport]:
-    t = build_T()
-    op, normal = casimir()
-    comm = opalgebra.commutator
-    zero = opalgebra.zero()
-    return [
-        normal,
-        _report("[C,T0] == 0", comm(op, t["T0"]), zero),
-        _report("[C,T+] == 0", comm(op, t["Tplus"]), zero),
-        _report("[C,T-] == 0", comm(op, t["Tminus"]), zero),
-    ]
+    return [casimir()[1], *map(_identity, ("[C,T0] == 0", "[C,T+] == 0", "[C,T-] == 0"))]
 
 
 @cache
 def sp4_bilinears() -> Mapping[str, OperatorExpr]:
-    """The ten symmetrized quadratics in the Weyl generators, built once and read-only."""
-    g = build_AB()
-    half = Fraction(1, 2)
-
-    def sym(x: OperatorExpr, y: OperatorExpr) -> OperatorExpr:
-        return half * (x * y + y * x)
-
-    return MappingProxyType({
-        "A+A+": g["Aplus"] * g["Aplus"],
-        "A-A-": g["Aminus"] * g["Aminus"],
-        "B+B+": g["Bplus"] * g["Bplus"],
-        "B-B-": g["Bminus"] * g["Bminus"],
-        "{A+,A-}/2": sym(g["Aplus"], g["Aminus"]),
-        "{B+,B-}/2": sym(g["Bplus"], g["Bminus"]),
-        "A+B+": g["Aplus"] * g["Bplus"],
-        "A+B-": g["Aplus"] * g["Bminus"],
-        "A-B+": g["Aminus"] * g["Bplus"],
-        "A-B-": g["Aminus"] * g["Bminus"],
-    })
+    """The ten symmetrized quadratics in the Weyl generators, each read from its name, built once and read-only."""
+    return MappingProxyType({name: _Reader(name).side("") for name in (
+        "A+A+", "A-A-", "B+B+", "B-B-", "{A+,A-}/2", "{B+,B-}/2", "A+B+", "A+B-", "A-B+", "A-B-")})
 
 
 class Algebra(NamedTuple):
@@ -179,7 +135,7 @@ ALGEBRAS: Mapping[str, Algebra] = MappingProxyType({
 
 def closure_report(which: str) -> ClosureReport:
     """Span closure of the named algebra's generators under commutators."""
-    algebra = ALGEBRAS.get(which)
+    algebra = ALGEBRAS.get(which) if isinstance(which, str) else None
     if algebra is None:
         raise ValueError(f"which must be one of {', '.join(map(repr, ALGEBRAS))}, got {which!r}")
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
@@ -234,8 +190,7 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
 @cache
 def _number_label(kind: str, direction: int) -> tuple[OperatorExpr, OperatorExpr]:
     """The number operator of the generator stepping ``direction``, fed T0 and N, and k at it and scale 0."""
-    i, d = opalgebra.imag(), opalgebra.deriv
-    number = _kind(kind).number(-(i * d("eta")), i * (d("alpha") - d("beta")), direction)
+    number = _kind(kind).number(opdsl.parse("-i*d/deta"), opdsl.parse("i*d/dalpha - i*d/dbeta"), direction)
     return number, number * _kind(kind).k_unit
 
 
@@ -279,6 +234,51 @@ LADDERS = {
     "B+": Ladder("weyl", "Bplus", "check2", -1),
     "B-": Ladder("weyl", "Bminus", "check2", -1),
 }
+
+_NAMES = {"T0": lambda: build_T()["T0"], "C": lambda: casimir()[0], **{n: lad.operator for n, lad in LADDERS.items()}}
+_LEXEME = re.compile(r"\s*([A-Z][0+-]?|\d+|==|\S)")  # a capital with its 0 or sign, an integer, "==", a char
+
+
+class _Reader:
+    """The descent over a text's (position, lexeme) pairs, last first; ``take("integer")`` takes one past 0."""
+
+    def __init__(self, text: str):
+        self.lexemes = [(len(text), ""), *reversed([(m.start(1), m[1]) for m in _LEXEME.finditer(text)])]
+
+    def take(self, *lexemes: str, expected: str = "") -> str | None:
+        position, lexeme = self.lexemes[-1]
+        if lexeme in lexemes or "integer" in lexemes and lexeme.isdecimal() and int(lexeme) > 0:
+            return self.lexemes.pop()[1]
+        if expected:
+            raise opdsl.OperatorSyntaxError(position, f"found {opdsl._describe(lexeme)}", (expected,))
+
+    def side(self, end: str) -> OperatorExpr:
+        """Terms joined by "+" and "-" up to ``end``: "==", a bracket, or "" for the text's end."""
+        pairs, sign = [], self.take("-") or "+"
+        while sign:
+            pairs.append((self.factor(), 1 if sign == "+" else -1))
+            sign = self.take("+", "-")
+        self.take(end, expected=repr(end) if end else "end of input")
+        return opalgebra.linear_sum(pairs)
+
+    def factor(self) -> OperatorExpr:
+        """A name, an integer, [x,y], {x,y} or (x), each "^n" and "/n", then times the factor after "*" or beside."""
+        lexeme = self.take("integer", "0", "(", "[", "{", *_NAMES, expected="a name, an integer, '(', '[' or '{'")
+        if lexeme in ("[", "{"):
+            x, y = self.side(","), self.side("]" if lexeme == "[" else "}")
+            value = opalgebra.commutator(x, y) if lexeme == "[" else x * y + y * x
+        else:
+            value = self.side(")") if lexeme == "(" else _NAMES.get(lexeme, lambda: opalgebra.scalar(int(lexeme)))()
+        while op := self.take("^", "/"):
+            n = int(self.take("integer", expected="positive integer"))
+            value = value**n if op == "^" else Fraction(1, n) * value
+        return value * self.factor() if self.take("*") or self.lexemes[-1][1] in ("(", "[", "{", *_NAMES) else value
+
+
+@cache
+def _identity(text: str) -> AlgebraReport:
+    """The report of an identity text ``lhs == rhs``, read and proved once per process."""
+    return _report(text, (reader := _Reader(text)).side("=="), reader.side(""))
 
 
 def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:

@@ -10,6 +10,7 @@ import pytest
 from ladder_forge import factorizations as fz
 from ladder_forge import generators as gen
 from ladder_forge import opalgebra as oa
+from ladder_forge import opdsl
 
 HALF = Fraction(1, 2)
 LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
@@ -96,6 +97,85 @@ class TestCasimir:
         assert all(rep.passed for rep in reports)
 
 
+def _hand_sides():
+    """Each report text's two sides, written out as operator arithmetic: the oracle the texts must read to."""
+    t, g, c = gen.build_T(), gen.build_AB(), gen.casimir()[0]
+    comm, one, zero = oa.commutator, oa.identity(), oa.zero()
+    return {
+        "[T0,T+] == T+": (comm(t["T0"], t["Tplus"]), t["Tplus"]),
+        "[T0,T-] == -T-": (comm(t["T0"], t["Tminus"]), -t["Tminus"]),
+        "[T+,T-] == -2*T0": (comm(t["Tplus"], t["Tminus"]), -2 * t["T0"]),
+        "[A-,A+] == 1": (comm(g["Aminus"], g["Aplus"]), one),
+        "[B-,B+] == 1": (comm(g["Bminus"], g["Bplus"]), one),
+        "[A+,B+] == 0": (comm(g["Aplus"], g["Bplus"]), zero),
+        "[A+,B-] == 0": (comm(g["Aplus"], g["Bminus"]), zero),
+        "[A-,B+] == 0": (comm(g["Aminus"], g["Bplus"]), zero),
+        "[A-,B-] == 0": (comm(g["Aminus"], g["Bminus"]), zero),
+        "[C,T0] == 0": (comm(c, t["T0"]), zero),
+        "[C,T+] == 0": (comm(c, t["Tplus"]), zero),
+        "[C,T-] == 0": (comm(c, t["Tminus"]), zero),
+    }
+
+
+class TestIdentityTexts:
+    def test_report_texts_read_to_their_hand_sides(self):
+        t = gen.build_T()
+        reports = gen.su11_reports() + gen.weyl_reports() + gen.casimir_reports()[1:]
+        assert [(rep.name, rep.lhs, rep.rhs) for rep in reports] == [
+            (text, *sides) for text, sides in _hand_sides().items()]
+        assert gen.casimir()[0] == -(t["Tplus"] * t["Tminus"]) + t["T0"] * t["T0"] - t["T0"]
+
+    def test_bilinear_names_read_back_to_their_values(self):
+        g = gen.build_AB()
+        named = {"A+": g["Aplus"], "A-": g["Aminus"], "B+": g["Bplus"], "B-": g["Bminus"]}
+        for name, op in gen.sp4_bilinears().items():
+            assert gen._Reader(name).side("") == op, name
+            if name.startswith("{"):  # {x,y}/2
+                x, y = named[name[1:3]], named[name[4:6]]
+                assert op == Fraction(1, 2) * (x * y + y * x), name
+            else:
+                assert op == named[name[:2]] * named[name[2:]], name
+
+    def test_false_identity_fails_with_its_residual(self):
+        report = gen._identity("[T+,T-] == 2*T0")
+        assert not report.passed
+        assert not report.residual.is_zero
+        assert report.residual == -4 * gen.build_T()["T0"]
+
+    def test_each_identity_is_read_once(self):
+        first, second = gen.su11_reports(), gen.su11_reports()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        assert first[0] is gen._identity("[T0,T+] == T+")
+
+    # a number after a factor needs "*", since names end in a sign: "A+1" is no product
+    @pytest.mark.parametrize("text,position", [
+        ("A+1", 2), ("[A-,A+] == A+1", 13), ("T0 2", 3), ("[T0,X+] == 0", 4), ("[T0,T+] == t+", 11),
+        ("Tplus", 0), ("{A+,A-}/0", 8), ("T0^0", 3), ("(T0", 3), ("[T0 T+] == 0", 6), ("T0 == T0 == T0", 9),
+    ], ids=["number-after-name", "number-after-name-rhs", "number-beside-factor", "misspelt-name",
+            "lowercase-name", "long-name", "zero-divisor", "zero-power", "open-parenthesis", "missing-comma",
+            "two-equals"])
+    def test_bad_text_refused_at_its_position(self, text, position):
+        with pytest.raises(opdsl.OperatorSyntaxError) as err:
+            gen._identity(text) if "==" in text else gen._Reader(text).side("")
+        assert err.value.position == position
+
+    def test_a_number_before_or_after_star_is_a_factor(self):
+        t0 = gen.build_T()["T0"]
+        assert gen._Reader("A+*1").side("") == gen.build_AB()["Aplus"]
+        assert gen._Reader("2T0").side("") == gen._Reader("2*T0").side("") == 2 * t0
+        assert gen._Reader("(T0 - 1)^2").side("") == t0 * t0 - 2 * t0 + 1
+
+    @pytest.mark.parametrize("text", [
+        "[{A+,A-}/4, A+A+/2] == A+A+/2",
+        "[A+A+/2, A-A-/2] == -2*{A+,A-}/4",
+        "-(A+A+/2)(A-A-/2) + {A+,A-}/4*({A+,A-}/4 - 1) == -3/16",
+        "[A+A+, B-B-] == 0",
+    ], ids=["raise", "lower", "a-mode-casimir", "modes-commute"])
+    def test_a_mode_su11_rows_pass_as_text(self, text):
+        assert gen._identity(text).passed
+
+
 class TestClosure:
     @pytest.mark.parametrize("which,dim", [("su11", 3), ("weyl", 5), ("sp4", 10)])
     def test_dimensions(self, which, dim):
@@ -107,8 +187,10 @@ class TestClosure:
         assert len(gen.sp4_bilinears()) == 10
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            gen.closure_report("su2")
+        # a list is unhashable: it must meet the same ValueError, not the dict lookup's TypeError
+        for which in ("su2", None, 3, [], ["su11"]):
+            with pytest.raises(ValueError, match="^which must be one of 'su11', 'weyl', 'sp4', got "):
+                gen.closure_report(which)
 
 
 class TestStep:

@@ -17,7 +17,7 @@ from ladder_forge import coulomb as cl
 from ladder_forge import opalgebra as oa, opdsl
 from ladder_forge.factorizations import TypeB, TypeC, TypeF, factorization_residuals
 from ladder_forge.generators import (ALGEBRAS, LADDERS, build_T, casimir, casimir_reports, closure_report,
-                                    reconstruction_reports, sp4_bilinears)
+                                    reconstruction_reports, sp4_bilinears, su11_reports, weyl_reports)
 
 from _gen import PHASES, operators, random_operator, random_term, term_from, terms
 
@@ -548,14 +548,23 @@ def test_normal_ordering_cache_stays_small():
 
 def test_warm_sp4_closure_and_casimir_form_no_products(monkeypatch):
     # every generator set and the Casimir are built once, so once warm the
-    # closure and the Casimir table only commute what they already hold
+    # closure and the Casimir table only commute what they already hold; each
+    # identity text of a report list is read and proved once per process, so a
+    # warm su11, weyl or Casimir table runs no normal ordering at all
     closure_report("sp4")
-    casimir_reports()
+    warm = (casimir_reports, su11_reports, weyl_reports)
+    for reports in warm:
+        reports()
     mul, calls = oa.OperatorExpr.__mul__, []
     monkeypatch.setattr(oa.OperatorExpr, "__mul__", lambda *args: calls.append(1) or mul(*args))
     closure_report("sp4")
     casimir_reports()
     assert len(calls) == 0
+    normal_order, orderings = oa._normal_order, []
+    monkeypatch.setattr(oa, "_normal_order", lambda *args: orderings.append(1) or normal_order(*args))
+    for reports in warm:
+        assert all(rep.passed for rep in reports())
+    assert len(orderings) == 0
 
 
 @settings(max_examples=40, deadline=None)
