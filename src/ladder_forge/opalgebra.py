@@ -62,13 +62,16 @@ the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS``, as offsets from the
-leading key.  The leading terms of ``a*b`` and ``b*a`` are equal, so
-``commutator`` forms both orders in one pass and skips them.  Every product,
-binary, n-ary or a power, is one ``product`` pass.  ``fold`` is the one place
-where free single atoms (no derivative meets a function on its own axis) fold
-in integers: ``product`` folds each adjacent pair through it, the DSL a plain
-term.  Every sum and every rational factor is one ``linear_sum`` pass, linear
-in the atoms, where a number is a weight, never an operator.
+leading key.  So the product loop groups the right atoms into *interaction
+classes* by function exponents and u parity (a left u meets a right one as
+``u**2``); a left atom reads the cache once per class and forms each term's
+coefficient once for all its atoms.  The leading terms of ``a*b`` and ``b*a``
+are equal, so ``commutator`` forms both orders in one pass and skips them.
+Every product, binary, n-ary or a power, is one ``product`` pass.  ``fold``
+is the one place where free single atoms (no derivative meets a function on its
+own axis) fold in integers: ``product`` folds each adjacent pair through it, the
+DSL a plain term.  Every sum and every rational factor is one ``linear_sum``
+pass, linear in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
@@ -207,18 +210,18 @@ Atom = int  # a packed atom key
 Gauss = tuple  # (re: int, im: int), a Gaussian integer
 
 
-def _lowest(acc: dict[Atom, Gauss], den: int) -> tuple[dict[Atom, Gauss], int]:
-    """Drop cancelled atoms, then divide ``acc`` and ``den`` by their gcd.
+def _lowest(acc: dict[Atom, Sequence[int]], den: int) -> tuple[dict[Atom, Gauss], int]:
+    """Drop cancelled atoms, then divide ``acc`` and ``den`` by their gcd; each kept pair becomes a tuple.
 
     With ``den == 0`` this divides ``acc`` by its integer content.
     """
     terms = {}
     g = den
-    for key, pair in acc.items():
-        if pair[0] or pair[1]:
-            terms[key] = pair
+    for key, (re, im) in acc.items():
+        if re or im:
+            terms[key] = (re, im)
             if g != 1:
-                g = gcd(g, *pair)
+                g = gcd(g, re, im)
     if g > 1:
         terms = {key: (re // g, im // g) for key, (re, im) in terms.items()}
         den //= g
@@ -247,35 +250,46 @@ def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "Opera
 
     A pair of atoms is free when no left derivative meets a right function on
     its own axis; its product is the leading term alone.  ``product`` folds
-    free single atoms before they reach this loop.
+    free single atoms before they reach this loop.  Each left atom visits the
+    right atoms' interaction classes (module docstring), taking the sign and
+    ``u**2`` itself, so a class table depends on neither the order nor the sign.
     """
     # every contribution goes over den_a * den_b * 2**top: _mono_cross divides by
     # 2**dr of its left atom and u**2 = 1/(2*s) by one more 2, so a left atom's
-    # numerator is lifted by top - 1 - dr and a right atom's by 1 (its sign's 2) unless u meets u
-    orders = ((a, b, 2), (b, a, -2)) if commute else ((a, b, 2),)
+    # numerator is lifted by top - dr, or by top - dr - 1 with its key lowered by _U2 when u meets u
+    orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
     lefts = (*a._terms, *b._terms) if commute else a._terms
     top = 1 + max((k1 >> _DR & _FIELD for k1 in lefts), default=_HALF) - _HALF
-    acc: dict[Atom, Gauss] = {}
+    acc: dict[Atom, list] = {}  # mutable [re, im] sums, made tuples by _lowest
     get = acc.get
     for left, right, sign in orders:
-        # a right atom as (key - _BIAS, functions, numerator), and as met by a left u
-        plain = [(k2 - _BIAS, (k2 ^ _BIAS) & _FUNCS, sign * a2, sign * b2) for k2, (a2, b2) in right._terms.items()]
-        with_u = [(k2 - _U2, f, a2 >> 1, b2 >> 1) if k2 & 1 else (k2, f, a2, b2) for k2, f, a2, b2 in plain]
+        classes: dict[int, list] = {}  # functions | u parity: the class's right atoms as (key - _BIAS, re, im)
+        for k2, (a2, b2) in right._terms.items():
+            classes.setdefault((k2 ^ _BIAS) & _FUNCS | k2 & 1, []).append((k2 - _BIAS, a2, b2))
         for k1, (a1, b1) in left._terms.items():
             derivs, dr = (k1 ^ _BIAS) & _DERIVS, (k1 >> _DR & _FIELD) - _HALF
-            a1, b1 = a1 << top - 1 - dr, b1 << top - 1 - dr
+            if commute and not derivs:  # only leading terms, which cancel
+                continue
+            a1, b1 = sign * a1 << top - dr, sign * b1 << top - dr
             leading = () if commute else ((0, 1 << dr, 0),)  # over 2**dr, as _mono_cross's terms are
-            for k2, funcs, a2, b2 in with_u if k1 & 1 else plain:
-                cross = _mono_cross(derivs | funcs) if derivs and funcs else ()  # none without both
+            for cls, members in classes.items():
+                cross = _mono_cross(derivs | cls & _FUNCS) if derivs and cls > 1 else ()  # none without both
                 if commute and not cross:
                     continue
-                lead = k1 + k2
-                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                lead, re, im = k1, a1, b1
+                if cls & k1 & 1:  # u**2 = 1/(2*s)
+                    lead, re, im = k1 - _U2, a1 >> 1, b1 >> 1
                 for delta, gr, gi in leading + cross:
-                    key = lead + delta
-                    x, y = re * gr - im * gi, re * gi + im * gr
-                    cur = get(key)
-                    acc[key] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+                    x, y, base = re * gr - im * gi, re * gi + im * gr, lead + delta
+                    for k2, a2, b2 in members:
+                        key = base + k2
+                        cx, cy = x * a2 - y * b2, x * b2 + y * a2
+                        cur = get(key)
+                        if cur is None:
+                            acc[key] = [cx, cy]
+                        else:
+                            cur[0] += cx
+                            cur[1] += cy
     for key in acc:
         if key - _LOW & _GUARD:
             _pack(*_unpack(key))  # raises, naming the field outside the bound
@@ -700,13 +714,14 @@ def _insert(rows: list[tuple[Atom, dict[Atom, Gauss]]], vec: dict[Atom, Gauss]) 
     return True
 
 
-def closure_check(basis: Sequence[OperatorExpr], max_dim: int) -> ClosureReport:
+def closure_check(basis: Sequence["OperatorExpr | Rational"], max_dim: int) -> ClosureReport:
     """Close a set of operators under commutators, tracking span dimension.
 
     Returns a failure report (closed=False) as soon as the running span
     dimension exceeds ``max_dim``; raises only on invalid arguments.
     """
-    ops = list(basis)
+    ops = [x if isinstance(x, OperatorExpr) else scalar(x) for x in basis]  # a number as commutator reads it
+    max_dim = exact_int(max_dim, "max_dim")
     if not ops:
         raise ValueError("closure_check requires a non-empty basis")
     if max_dim < len(ops):

@@ -55,6 +55,26 @@ def random_operator(rng: random.Random, max_terms: int = 4,
     return expr
 
 
+def random_class_operator(rng: random.Random, max_terms: int = 4,
+                          small: bool = False, wide: bool = False) -> oa.OperatorExpr:
+    """A sum of 2 to ``max_terms`` terms sharing one function pattern (r power and windings) and
+    differing in derivative orders, s power and u parity: as a right operand its atoms fill
+    one interaction class per u parity, which terms drawn independently seldom share."""
+    lim = 2 if small else 4
+    winding = 3 if wide else 1
+    order = 3 if wide else 1 if small else 2
+    r2 = rng.randint(-lim, lim)
+    windings = [rng.randint(-winding, winding) for _ in PHASES]
+    expr = oa.zero()
+    for _ in range(rng.randint(2, max_terms)):
+        re_c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        im_c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        derivs = [rng.randint(0, order) for _ in AXES]
+        expr = expr + term_from(re_c or Fraction(1), im_c, rng.randint(-2, 2), rng.randint(0, 1),
+                                r2, windings, derivs)
+    return expr
+
+
 def random_family(rng: random.Random, tag: str):
     """Admissible random parameters plus a label for one factorization family."""
     from ladder_forge import factorizations as fz
@@ -110,3 +130,8 @@ def operators(draw, max_terms: int = 3, small: bool = False, wide: bool = False)
     for _ in range(draw(st.integers(1, max_terms))):
         expr = expr + draw(terms(small, wide))
     return expr
+
+
+def class_operators(max_terms: int = 4, small: bool = False, wide: bool = False):
+    """``random_class_operator`` as a strategy."""
+    return st.randoms(use_true_random=False).map(lambda rng: random_class_operator(rng, max_terms, small, wide))

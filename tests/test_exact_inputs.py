@@ -72,6 +72,8 @@ ENTRY_POINTS = [
     (cl.sweep_su11, "t_max", True),
     (lambda v: cl.sweep_weyl(v, 2), "mu_max", True),
     (lambda v: cl.sweep_weyl(1, v), "nu_max", True),
+    (lambda v: oa.closure_check([oa.deriv("r"), v], 3), "coefficient", False),
+    (lambda v: oa.closure_check([oa.deriv("r")], v), "max_dim", True),
 ]
 IDS = [f"{index}-{name}" for index, (_, name, _) in enumerate(ENTRY_POINTS)]
 
@@ -117,9 +119,13 @@ def test_float_operand_rejected(apply, message):
     (lambda: oa.OperatorExpr({(ONE[0]._replace(dr=-1), 0, 0): 1}), ValueError, "derivative order must be nonnegative"),
     (lambda: oa.OperatorExpr({((1, 2), 0, 0): 1}), TypeError, "mono must be a tuple of the 8 integers"),
     (lambda: oa.OperatorExpr({(ONE[0], 0): 1}), TypeError, "atom key must be a"),
+    (lambda: oa.closure_check([1, 2], 1), ValueError, "max_dim must be at least the basis size"),
+    (lambda: oa.closure_check([oa.deriv("r"), "r"], 3), TypeError, "coefficient must be an exact rational"),
+    (lambda: oa.closure_check([oa.deriv("r")], "3"), TypeError, "max_dim must be an exact rational"),
 ], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order",
         "rkl-family", "b-to-c-family", "shift-kind", "ladder-f-pole", "residuals-f-pole",
-        "ladder-family", "residuals-family", "atom-negative-order", "atom-short-mono", "atom-pair-key"])
+        "ladder-family", "residuals-family", "atom-negative-order", "atom-short-mono", "atom-pair-key",
+        "closure-basis-size", "closure-member", "closure-max-dim"])
 def test_out_of_domain_value_rejected(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()

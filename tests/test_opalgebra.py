@@ -19,7 +19,8 @@ from ladder_forge.factorizations import TypeB, TypeC, TypeF, factorization_resid
 from ladder_forge.generators import (ALGEBRAS, LADDERS, build_T, casimir, casimir_reports, closure_report,
                                     reconstruction_reports, sp4_bilinears, su11_reports, weyl_reports)
 
-from _gen import PHASES, operators, random_operator, random_term, term_from, terms
+from _gen import (PHASES, class_operators, operators, random_class_operator, random_operator, random_term,
+                  term_from, terms)
 
 HALF = Fraction(1, 2)
 
@@ -116,6 +117,12 @@ class TestClosureCheck:
         with pytest.raises(ValueError):
             oa.closure_check([oa.identity(), oa.deriv("r")], 1)
 
+    def test_numbers_in_the_basis_are_scalars(self):
+        # a number is read as commutator reads it, and max_dim as an exact integer
+        report = oa.closure_check([1, Fraction(2, 3), oa.deriv("r")], Fraction(4))
+        assert report == oa.closure_check([oa.scalar(1), oa.scalar(Fraction(2, 3)), oa.deriv("r")], 4)
+        assert (report.dimension, report.closed, report.max_dim) == (2, True, 4)
+        assert type(report.max_dim) is int
 
     def test_dependent_basis_element_adds_no_dimension(self):
         # x and y commute, so the one commutator tested cannot add a dimension
@@ -318,8 +325,13 @@ def test_commutator_antisymmetric(a, b):
     assert oa.commutator(a, b) == -oa.commutator(b, a)
 
 
+# operands whose atoms share a function pattern fill interaction classes of
+# several atoms, u-carrying and not, which independent terms seldom do
+_OPERANDS = operators(max_terms=4, wide=True) | class_operators(wide=True)
+
+
 @settings(max_examples=100, deadline=None)
-@given(operators(max_terms=4, wide=True), operators(max_terms=4, wide=True))
+@given(_OPERANDS, _OPERANDS)
 def test_commutator_is_its_definition(a, b):
     # commutator skips the leading terms that cancel; every other term must
     # match the two full products
@@ -539,11 +551,25 @@ def test_repeated_squaring_is_refused_at_the_exponent_bound():
 
 def test_normal_ordering_cache_stays_small():
     # the cache is keyed by left derivative orders and right function
-    # exponents, so the sp4 closure and a long power share a few hundred keys
+    # exponents, so the sp4 closure and a long power share a few hundred keys;
+    # a left atom reads it once per interaction class of the right operand
+    # (function exponents and u parity), not once per right atom: a warm sp4
+    # closure read it 8,444 times and (d/dr + r)^20 873 times when every atom
+    # pair did
+    def reads():
+        info = oa._mono_cross.cache_info()
+        return info.hits + info.misses
+
     oa._mono_cross.cache_clear()
     closure_report("sp4")
+    closure = reads()
+    closure_report("sp4")
+    closure = reads() - closure
+    power = reads()
     opdsl.parse("(d/dr + r)^20")
+    power = reads() - power
     assert oa._mono_cross.cache_info().currsize <= 400
+    assert closure <= 2200 and power <= 320, (closure, power)
 
 
 def test_warm_sp4_closure_and_casimir_form_no_products(monkeypatch):
@@ -740,9 +766,10 @@ def _sympy_apply(expr, target):
 
 def test_products_match_sympy_calculus():
     rng = random.Random(991)
-    for _ in range(8):
-        a = random_operator(rng, max_terms=2, small=True)
-        b = random_operator(rng, max_terms=2, small=True)
+    # the last pairs' operands share function patterns, so they fill interaction classes
+    for draw, terms_b in [(random_operator, 2)] * 8 + [(random_class_operator, 3)] * 4:
+        a = draw(rng, max_terms=2, small=True)
+        b = draw(rng, max_terms=terms_b, small=True)
         direct = _sympy_apply(a * b, _SF)
         composed = _sympy_apply(a, _sympy_apply(b, _SF))
         assert sympy.simplify(sympy.expand(direct - composed)) == 0
