@@ -30,7 +30,8 @@ second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state is the last
 of i running sums, by L^(a+1)_m = sum_{k<=m} L^(a)_k, over the first mu-i+1
 rows of its table L^(alpha)_0 ... L^(alpha)_mu from the upward recurrence, and
 P reads row mu.  At the quadrature nodes each (order, alpha) keeps one cached
-column of that table, grown to the highest degree read; any other rho steps
+column of that table, grown to the highest degree read, in a store kept in read
+order that drops the least recently read past COLUMN_BYTES; any other rho steps
 the recurrence afresh, keeping its last two rows and one running sum per i.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
@@ -53,6 +54,8 @@ labels ``munu``, each the correctly rounded value of the exact rational.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -63,6 +66,8 @@ from . import generators, opalgebra
 from .opalgebra import OperatorExpr, exact, exact_int
 
 DEFAULT_QUAD_ORDER = 40
+# a bound on memory, not a tuning: the cached Laguerre columns' bytes in all (every column for t <= 60: 12 MiB)
+COLUMN_BYTES = 6 << 20
 # the highest order whose nodes and weights stay finite in floats; at 185 the
 # squared Laguerre tail in the weights overflows
 MAX_QUAD_ORDER = 184
@@ -108,21 +113,39 @@ def _fresh_rows(n: int, alpha, x, rows: int) -> list:
     return sums + [np.zeros(x.shape)] * (rows - len(sums))
 
 
-@lru_cache(maxsize=128)  # a bound on memory, not a tuning
-def _column(order: int, alpha: int) -> list:
-    """[the ``_table`` of alpha at ``gauss_laguerre(order)``'s nodes], to the highest degree read so far;
-    read-only, as every caller shares it."""
-    return [np.broadcast_to(1.0, (1, order))]
+class _Columns(OrderedDict):
+    """(order, alpha) -> read-only Laguerre column, the least recently read first.  Only a holder of ``lock`` adds
+    or drops a column, keeping ``nbytes`` the sum of theirs; a read only reorders, so it needs no lock."""
+    nbytes, lock = 0, threading.Lock()
+
+    def clear(self):
+        with self.lock:
+            super().clear()
+            self.nbytes = 0
+
+
+_columns = _Columns()
 
 
 def _node_table(order: int, state) -> np.ndarray:
-    """The column of (order, ``state.alpha``), first grown to exactly ``state.degree`` if it is shorter.  Two
-    threads growing it at once each return their own grown table, so a race costs only a regrowth."""
-    cell = _column(order, state.alpha)
-    table = cell[0]
-    if len(table) <= state.degree:
-        cell[0] = table = _table(state.degree, state.alpha, gauss_laguerre(order)[0], table)
+    """The column of (order, ``state.alpha``): alpha's read-only ``_table`` at ``gauss_laguerre(order)``'s nodes,
+    grown to exactly ``state.degree`` if shorter.  A read moves it to the recent end of ``_columns``; storing a
+    build or a regrowth drops the least recently read until all fit ``COLUMN_BYTES``, and a larger column is
+    returned unstored.  Threads growing one column at once each return their own table: a race costs a regrowth."""
+    key = order, state.alpha
+    try:
+        _columns.move_to_end(key)
+    except KeyError:  # not held: the get below misses, as it does if another thread drops the column first
+        pass
+    if (table := _columns.get(key)) is None or len(table) <= state.degree:
+        table = _table(state.degree, state.alpha, gauss_laguerre(order)[0], table)
         table.setflags(write=False)
+        with _columns.lock:
+            if table.nbytes <= COLUMN_BYTES:
+                _columns.nbytes += table.nbytes - getattr(_columns.get(key), "nbytes", 0)
+                _columns[key] = table
+                while _columns.nbytes > COLUMN_BYTES:
+                    _columns.nbytes -= _columns.popitem(last=False)[1].nbytes
     return table
 
 
@@ -138,8 +161,7 @@ def gauss_laguerre(order: int):
     order = exact_int(order, "order")
     if order < 1:
         raise ValueError("quadrature order must be positive")
-    if order > MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order {order} is past the float limit {MAX_QUAD_ORDER}")
+    _refuse_past_ceiling(order)
     off = np.arange(1.0, order)
     jacobi = np.diag(np.arange(1.0, 2 * order, 2)) + np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
@@ -168,6 +190,12 @@ def _finite(values, rho, what: str):
     if not np.isfinite(values).all():
         raise ValueError(f"the {what} leaves the float range at rho = {rho.flat[np.isfinite(values).argmin()]}")
     return values
+
+
+def _refuse_past_ceiling(order: int):
+    """A quadrature order past ``MAX_QUAD_ORDER``, where the float nodes and weights overflow, raises ``ValueError``."""
+    if order > MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order {order} is past the float limit {MAX_QUAD_ORDER}")
 
 
 def _refuse_non_finite(**params):
@@ -588,7 +616,9 @@ def normalization_residual(state: QuantumState) -> float:
 
 
 def _casimir_defect(state: QuantumState):
-    """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``."""
+    """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``.  A state whose normalization order is
+    past ``MAX_QUAD_ORDER`` is refused before its column grows: at order-40 nodes its high-degree P loses precision."""
+    _refuse_past_ceiling(normalization_order((sum(state.munu) + 1) // 2))
     nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
     lsq = (state.alpha - 1) * (state.alpha + 1) / 4
     table = _node_table(DEFAULT_QUAD_ORDER, state)

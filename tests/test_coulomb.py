@@ -1,7 +1,10 @@
 """Special functions, quadrature, bound states, and ladder-action numerics."""
 
+import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -124,7 +127,7 @@ class TestLaguerreTable:
     @pytest.mark.parametrize("order", [cl.DEFAULT_QUAD_ORDER, 61])
     def test_column_entries_are_laguerre_bit_for_bit(self, order):
         # a later read at a higher degree extends the column, to exactly that degree
-        cl._column.cache_clear()
+        cl._columns.clear()
         nodes = cl.gauss_laguerre(order)[0]
         for alpha in self.ALPHAS:
             highest = 0
@@ -165,7 +168,7 @@ class TestLaguerreTable:
 
         monkeypatch.setattr(cl.QuantumState, "_profile", recorded)
         monkeypatch.setattr(cl, "_act", recorded_act)
-        cl._column.cache_clear()
+        cl._columns.clear()
         for t in range(1, 13):
             for m in range(t):
                 for op in ("T+", "T-"):
@@ -213,7 +216,7 @@ class TestLaguerreTable:
     def test_cold_check_runs_at_most_degree_plus_one_steps_per_column(self, monkeypatch, call, readers):
         check, *args = call
         check(*args)  # warms the quadrature cache, whose nodes take recurrences of their own
-        cl._column.cache_clear()
+        cl._columns.clear()
         steps = self._steps(monkeypatch)
         check(*args)
         assert sum(steps.values()) >= max(s.degree for s in readers), steps  # the counter sees the cold reads
@@ -221,12 +224,70 @@ class TestLaguerreTable:
             assert count <= max(s.degree for s in readers if s.alpha == alpha) + 1, (alpha, steps)
 
     def test_column_cache_stays_bounded(self):
-        cl._column.cache_clear()
-        for order in (cl.DEFAULT_QUAD_ORDER, 41):
-            for alpha in range(70):
-                cl._node_table(order, cl.state_munu(2, 2 + alpha))
-        info = cl._column.cache_info()
-        assert info.misses == 140 and info.currsize <= 128, info
+        # the store is bounded in bytes: a cold column read at every step among orders 40-184 and alpha 0-200
+        # keeps it within COLUMN_BYTES and holds the column just returned; a hot column read again between the cold
+        # reads is never dropped or rebuilt, and a dropped column, once rebuilt, equals its first build bit for bit
+        cl._columns.clear()
+        hot = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(30, 31))
+        first = {}
+        for order, alpha in itertools.product(range(40, 185, 4), range(0, 201, 25)):
+            for degree in (2, 60, 17):
+                column = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                if degree == 60:
+                    first[order, alpha] = column.tobytes()
+                assert cl._columns[order, alpha] is column, (order, alpha, degree)
+                held = sum(c.nbytes for c in cl._columns.values())
+                assert held == cl._columns.nbytes <= cl.COLUMN_BYTES, (order, alpha, degree)
+                assert cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(30, 31)) is hot, (order, alpha)
+        assert sum(map(len, first.values())) > 2 * cl.COLUMN_BYTES  # so most columns were dropped
+        dropped = [key for key in first if key not in cl._columns]
+        assert len(dropped) > len(first) // 2, len(dropped)
+        for order, alpha in dropped:
+            assert cl._node_table(order, cl.state_munu(60, 60 + alpha)).tobytes() == first[order, alpha], (order, alpha)
+
+    def test_column_past_the_bound_is_returned_unstored(self, monkeypatch):
+        cl._columns.clear()
+        kept = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(3, 4))
+        monkeypatch.setattr(cl, "COLUMN_BYTES", kept.nbytes + 100)
+        nodes = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0]
+        column = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(5, 7))
+        assert column.tobytes() == cl._table(5, 2, nodes).tobytes() and not column.flags.writeable
+        assert list(cl._columns) == [(cl.DEFAULT_QUAD_ORDER, 1)] and cl._columns[cl.DEFAULT_QUAD_ORDER, 1] is kept
+
+    def test_threads_share_the_store_without_error(self, monkeypatch):
+        # four threads read interleaved (order, alpha) pairs under a bound that holds a few columns, so they drop and
+        # regrow columns while the others reorder them: a race may cost a regrowth, never an exception or a byte
+        # count that drifts from the columns held
+        monkeypatch.setattr(cl, "COLUMN_BYTES", 40_000)
+        reads = [(order, alpha, degree) for degree in (3, 20, 9, 41) for order in (40, 47, 53) for alpha in range(6)]
+        fresh = {(order, alpha): cl._table(41, alpha, cl.gauss_laguerre(order)[0]) for order, alpha, _ in reads}
+        cl._columns.clear()
+        barrier, errors, wrong = threading.Barrier(4), [], []
+
+        def reader(shift):
+            try:
+                barrier.wait(timeout=60)
+                for _ in range(5):
+                    for order, alpha, degree in reads[shift:] + reads[:shift]:
+                        table = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                        if len(table) <= degree or table.tobytes() != fresh[order, alpha][:len(table)].tobytes():
+                            wrong.append((order, alpha, degree))
+            except Exception as error:  # any exception in a reader fails the test
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=reader, args=(shift,)) for shift in (0, 7, 19, 31)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == [], (errors, wrong[:5])
+        assert sum(c.nbytes for c in cl._columns.values()) == cl._columns.nbytes <= cl.COLUMN_BYTES
 
 
 class TestFloatPath:
@@ -862,6 +923,27 @@ class TestEigenequationResiduals:
     def test_non_finite_shift_refused(self, shift):
         with pytest.raises(ValueError, match=f"^lambda_shift must be finite, got {shift}$"):
             cl.schrodinger_residual(cl.state_tm(3, 1), lambda_shift=shift)
+
+    @pytest.mark.parametrize("t", [cl.MAX_QUAD_ORDER, 1000, 30000, 10**7])
+    @pytest.mark.parametrize("check", [cl.casimir_residual, cl.schrodinger_residual])
+    def test_residual_past_the_quadrature_ceiling_is_refused_before_any_step(self, monkeypatch, check, t):
+        # the normalization's order t + 1 is past the float limit: at order-40 nodes a degree-999 profile
+        # cancels to a residual of 9.25e-8 for a correct state, and t = 10**7 would grow a 3.2 GB column
+        steps = []
+
+        def recurrence(n, alpha, x, first):
+            steps.append((n, alpha))
+            raise AssertionError("a Laguerre recurrence ran")
+
+        monkeypatch.setattr(cl, "_recurrence", recurrence)
+        cl._columns.clear()
+        with pytest.raises(ValueError, match=f"^quadrature order {t + 1} is past the float limit 184$"):
+            check(cl.state_tm(t, 0))
+        assert steps == [] and not cl._columns
+
+    def test_residual_at_the_quadrature_ceiling_passes(self):
+        for check in (cl.casimir_residual, cl.schrodinger_residual):
+            assert check(cl.state_tm(cl.MAX_QUAD_ORDER - 1, 0)) <= 1e-8
 
     def test_casimir_eigenvalue(self):
         # the invariant reads off m(m+1); zero for the ground state
