@@ -56,14 +56,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import generators, opalgebra
-from .opalgebra import OperatorExpr, exact, exact_int
+from .opalgebra import OperatorExpr, Record, exact, exact_int
 
 DEFAULT_QUAD_ORDER = 40
 # a bound on memory, not a tuning: the cached Laguerre columns' bytes in all (every column for t <= 60: 12 MiB)
@@ -218,12 +217,12 @@ def _outside(x: Fraction, bits: int) -> bool:
     return x.numerator > x.denominator << bits or x.denominator > x.numerator << bits
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(Record):
     """One radial bound state in either labeling, at exact rational charge.
 
     ``labels`` stay in the state's own labeling; every property is one
-    formula in the weyl labels ``munu`` = (mu, nu), worked out on creation.
+    formula in the weyl labels ``munu`` = (mu, nu), worked out on creation
+    and held beside the fields, never compared or printed.
     The rational properties are exact, for reports; the float checks read
     ``munu`` itself, so no check builds a Fraction to float it.
     """
@@ -231,7 +230,6 @@ class QuantumState:
     family: str
     labels: tuple[int, int]
     Z: Fraction = Fraction(1)
-    munu: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = {"su11": ("t", "m"), "weyl": ("mu", "nu")}.get(self.family)
@@ -471,8 +469,7 @@ def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
     return _finite(action, rho, "action")
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(Record):
     """Numerical comparison of one ladder action against its closed form."""
 
     operator: str
@@ -574,8 +571,7 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, tol: float | None = None) 
     return _sweep("weyl", states, tol)
 
 
-@dataclass(frozen=True)
-class ChargeShiftReport:
+class ChargeShiftReport(Record):
     operator: str
     source: tuple[int, int]
     target: tuple[int, int]

@@ -42,16 +42,14 @@ symbol ``s`` (that is, ``sqrt(-lambda)``) takes under the map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from . import opalgebra
-from .opalgebra import OperatorExpr, Rational, exact, exact_int, r_power
+from .opalgebra import OperatorExpr, Rational, Record, exact, exact_int, r_power
 
 
-@dataclass(frozen=True)
-class TypeB:
+class TypeB(Record):
     """Exponential family; requires a > 0 and d > 0."""
 
     a: Fraction
@@ -67,8 +65,7 @@ class TypeB:
             raise ValueError("type B requires a > 0 and d > 0")
 
 
-@dataclass(frozen=True)
-class TypeC:
+class TypeC(Record):
     """Radial oscillator-like family; class I requires b < 0."""
 
     b: Fraction
@@ -82,8 +79,7 @@ class TypeC:
             raise ValueError("type C (class I) requires b < 0")
 
 
-@dataclass(frozen=True)
-class TypeF:
+class TypeF(Record):
     """Coulomb-like family; requires q < 0."""
 
     q: Fraction
@@ -185,8 +181,7 @@ def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
     return _family(params, l + 1)[3]
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(Record):
     """Solved target family plus the label relations of a cross-family map.
 
     ``quantum_map`` holds the affine label combinations fixed by the map, as

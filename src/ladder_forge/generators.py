@@ -50,18 +50,16 @@ its sign, so a number after a factor needs "*": "A+1" is an error at the 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import factorizations as fz, opalgebra, opdsl
-from .opalgebra import ClosureReport, OperatorExpr, Rational, exact
+from .opalgebra import ClosureReport, OperatorExpr, Rational, Record, exact
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(Record):
     """One verified operator identity: lhs == rhs, residual lhs - rhs."""
 
     name: str

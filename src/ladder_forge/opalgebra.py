@@ -75,6 +75,7 @@ pass, linear in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
+``Record`` is the one base of the package's frozen records.
 ``OperatorExpr ** n`` takes any integer, in closed form for a single atom that
 commutes with itself (``d/dr**2``, ``r*d/deta``); ``n < 0`` inverts only one
 without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
@@ -84,10 +85,10 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -111,6 +112,44 @@ def exact_int(value: Rational, name: str) -> int:
     if frac.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {frac}")
     return frac.numerator
+
+
+class Record:
+    """Base of the package's frozen records, which behave as ``@dataclass(frozen=True)`` ones without importing
+    ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``, 7-12 ms of each CLI call).
+
+    The fields are a subclass's annotations, in order; a class attribute of a field's name is its default.  The
+    ``__init__`` generated for it stores them and calls ``__post_init__``, if any, which sets values with
+    ``object.__setattr__``: a write to ``__dict__`` makes each later attribute read about three times slower
+    (CPython 3.11).  ``repr``, ``==`` (within one class) and ``hash`` read the fields; no attribute can be set or
+    deleted.
+    """
+
+    def __init_subclass__(cls):
+        fields = cls._fields = tuple(cls.__annotations__)
+        cls._key = attrgetter(*fields)
+        params = ", ".join(f"{f}=defaults[{f!r}]" if f in vars(cls) else f for f in fields)
+        body = "".join(f"\n    store(self, {f!r}, {f})" for f in fields)
+        post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        namespace = {"defaults": vars(cls), "store": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"  # as a TypeError over its arguments names it
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __eq__(self, other) -> bool:
+        return self._key(self) == other._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Mono(NamedTuple):
@@ -676,8 +715,7 @@ def swap_alpha_beta(expr: OperatorExpr) -> OperatorExpr:
 # -- linear span and Lie closure ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     dimension: int
     closed: bool
     max_dim: int

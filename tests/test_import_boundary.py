@@ -1,7 +1,9 @@
 """The exact algebra runs without numpy; only the float layer loads it.
 
-Each check runs in a fresh interpreter, because the test process itself has
-long since imported ``coulomb`` and numpy.
+No subcommand loads ``dataclasses``, and the algebra ones load no ``inspect``:
+importing them would cost every CLI call 7-12 ms.  Each check runs in a fresh
+interpreter, because the test process itself has long since imported
+``coulomb`` and numpy.
 """
 
 import os
@@ -14,9 +16,12 @@ import pytest
 import ladder_forge
 
 PACKAGE_ROOT = str(Path(ladder_forge.__file__).parents[1])
-# None in sys.modules makes every import of numpy, direct or transitive, raise
-BLOCKED_CLI = ("import sys; sys.modules['numpy'] = None; from ladder_forge import cli; "
-               "sys.exit(cli.main(sys.argv[1:]))")
+# None in sys.modules makes every import of that module, direct or transitive, raise
+BLOCKED_CLI = ("import sys; sys.modules.update(numpy=None, dataclasses=None, inspect=None); "
+               "from ladder_forge import cli; sys.exit(cli.main(sys.argv[1:]))")
+# numpy imports inspect itself, so the float subcommands run with dataclasses alone blocked
+DATACLASSES_BLOCKED_MAIN = ("import runpy, sys; sys.modules['dataclasses'] = None; "
+                            "runpy.run_module('ladder_forge', run_name='__main__')")
 ALGEBRA_ARGVS = [
     ["parse", "d/dr*r"],
     ["commutator", "exp(i*eta)*(-r*d/dr+i*d/deta+s*r)", "exp(-i*eta)*(r*d/dr+i*d/deta+s*r)"],
@@ -85,6 +90,6 @@ else:
     ["coulomb-residual", "--n", "3", "--L", "1"],
 ], ids=lambda argv: argv[0])
 def test_float_subcommands_run_in_a_fresh_process(argv):
-    proc = fresh_python("-m", "ladder_forge", *argv)
+    proc = fresh_python("-c", DATACLASSES_BLOCKED_MAIN, *argv)
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
