@@ -42,8 +42,8 @@ symbol ``s`` (that is, ``sqrt(-lambda)``) takes under the map.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Union
 
 from . import opalgebra
 from .opalgebra import OperatorExpr, Rational, Record, exact, exact_int, r_power
@@ -91,7 +91,7 @@ class TypeF(Record):
             raise ValueError("type F requires q < 0")
 
 
-FamilyParams = Union[TypeB, TypeC, TypeF]
+FamilyParams = TypeB | TypeC | TypeF
 
 
 R_DR = opalgebra.r_half_power(2) * opalgebra.deriv("r")  # d/dx of type B at a = 1, in r = exp(x)

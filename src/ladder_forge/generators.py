@@ -50,10 +50,10 @@ its sign, so a number after a factor needs "*": "A+1" is an error at the 1.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
 
 from . import factorizations as fz, opalgebra, opdsl
 from .opalgebra import ClosureReport, OperatorExpr, Rational, Record, exact
@@ -115,7 +115,7 @@ def sp4_bilinears() -> Mapping[str, OperatorExpr]:
         "A+A+", "A-A-", "B+B+", "B-B-", "{A+,A-}/2", "{B+,B-}/2", "A+B+", "A+B-", "A-B+", "A-B-")})
 
 
-class Algebra(NamedTuple):
+class Algebra(Record):
     """One of the paper's algebras: its generators, commutation table and closure dimension."""
 
     generators: Callable[[], Mapping[str, OperatorExpr]]
@@ -139,7 +139,7 @@ def closure_report(which: str) -> ClosureReport:
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
-class _Kind(NamedTuple):
+class _Kind(Record):
     """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and labels (plus, minus) at (l, m), and its
     generators' phase axis, number operator (of T0, N, direction), u, and the sign of the member that raises."""
 
@@ -212,7 +212,7 @@ def step(op: OperatorExpr) -> tuple[int, int]:
     return ke + ka, ke + kb
 
 
-class Ladder(NamedTuple):
+class Ladder(Record):
     """One ladder generator: where it lives and its action's sign; its step is ``step(self.operator())``."""
 
     kind: str  # the algebra, a key of ALGEBRAS

@@ -75,7 +75,8 @@ pass, linear in the atoms, where a number is a weight, never an operator.
 
 ``exact`` and ``exact_int`` are the package's one test of which numbers are
 exact: ``int`` and ``Fraction``; a ``float`` raises ``TypeError`` everywhere.
-``Record`` is the one base of the package's frozen records.
+``Record`` is the one base of the package's frozen records; ``Mono``, the
+``terms()`` key, is a ``collections.namedtuple``, since a key is a tuple.
 ``OperatorExpr ** n`` takes any integer, in closed form for a single atom that
 commutes with itself (``d/dr**2``, ``r*d/deta``); ``n < 0`` inverts only one
 without derivatives (scalar, s, u, r power, phase), so ``u ** -1 == 2*s*u``.
@@ -85,13 +86,14 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections import namedtuple
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm, log10
 from operator import attrgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 PHASE_AXES = ("eta", "alpha", "beta")
 DERIV_AXES = ("r", "eta", "alpha", "beta")
@@ -152,21 +154,12 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Mono(NamedTuple):
-    """Exponent pattern of one normal-ordered monomial.
+Mono = namedtuple("Mono", "r2 ke ka kb dr de da db")
+Mono.__doc__ = """Exponent pattern of one normal-ordered monomial.
 
-    ``r2`` counts half-powers of r (so r**(r2/2)); ``ke``, ``ka``, ``kb`` are
-    phase windings; ``dr``, ``de``, ``da``, ``db`` are derivative orders.
-    """
-
-    r2: int
-    ke: int
-    ka: int
-    kb: int
-    dr: int
-    de: int
-    da: int
-    db: int
+``r2`` counts half-powers of r (so r**(r2/2)); ``ke``, ``ka``, ``kb`` are
+phase windings; ``dr``, ``de``, ``da``, ``db`` are derivative orders.
+"""
 
 
 # -- packed atom keys (the layout is in the module docstring) ---------------

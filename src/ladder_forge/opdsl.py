@@ -53,10 +53,9 @@ import sys
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
 
 from . import opalgebra
-from .opalgebra import _BIAS, DERIV_AXES, OperatorExpr, PHASE_AXES
+from .opalgebra import _BIAS, DERIV_AXES, OperatorExpr, PHASE_AXES, Record
 
 
 class OperatorLexError(ValueError):
@@ -81,7 +80,7 @@ class OperatorSyntaxError(ValueError):
         super().__init__(detail)
 
 
-class Token(NamedTuple):
+class Token(Record):
     kind: str  # "number" | "symbol" | "op" | "deriv" | "end"
     lexeme: str
     pos: int
@@ -152,7 +151,7 @@ class _Parser:
             tokenize(text)
         self.lexemes.append("")  # the end
 
-    def fail(self, index: int, message: str, expected: tuple[str, ...] = ()) -> NoReturn:
+    def fail(self, index: int, message: str, expected: tuple[str, ...] = ()):
         """Raise at lexeme ``index``: only an error scans for positions."""
         raise OperatorSyntaxError(tokenize(self.text)[index].pos, message, expected)
 

@@ -348,7 +348,8 @@ class TestTransformedLadders:
     def test_reconstruction_fails_without_the_check2_mirror(self, monkeypatch):
         # check2 read off check1 at the unmirrored m has the wrong family labels for B+-; the
         # kind record's label map is the one that transformed_ladders and the reconstruction read
-        monkeypatch.setitem(gen._KINDS, "check2", gen._KINDS["check2"]._replace(labels=gen._KINDS["check1"].labels))
+        unmirrored = gen._Kind(**{**vars(gen._KINDS["check2"]), "labels": gen._KINDS["check1"].labels})
+        monkeypatch.setitem(gen._KINDS, "check2", unmirrored)
         assert gen.transformed_ladders("check2", 3, HALF) == gen.transformed_ladders("check1", 3, HALF)
         failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
         assert failed == ["B+", "B-"]

@@ -1,9 +1,10 @@
 """The exact algebra runs without numpy; only the float layer loads it.
 
-No subcommand loads ``dataclasses``, and the algebra ones load no ``inspect``:
-importing them would cost every CLI call 7-12 ms.  Each check runs in a fresh
-interpreter, because the test process itself has long since imported
-``coulomb`` and numpy.
+No subcommand loads ``dataclasses``, and the algebra ones load neither
+``inspect`` nor ``typing``: importing them would cost every CLI call 7-12 ms
+(``dataclasses`` with ``inspect``) and about 3.5 ms (``typing``).  Each check
+runs in a fresh interpreter, because the test process itself has long since
+imported ``coulomb`` and numpy.
 """
 
 import os
@@ -17,9 +18,9 @@ import ladder_forge
 
 PACKAGE_ROOT = str(Path(ladder_forge.__file__).parents[1])
 # None in sys.modules makes every import of that module, direct or transitive, raise
-BLOCKED_CLI = ("import sys; sys.modules.update(numpy=None, dataclasses=None, inspect=None); "
+BLOCKED_CLI = ("import sys; sys.modules.update(numpy=None, dataclasses=None, inspect=None, typing=None); "
                "from ladder_forge import cli; sys.exit(cli.main(sys.argv[1:]))")
-# numpy imports inspect itself, so the float subcommands run with dataclasses alone blocked
+# numpy imports inspect and typing itself, so the float subcommands run with dataclasses alone blocked
 DATACLASSES_BLOCKED_MAIN = ("import runpy, sys; sys.modules['dataclasses'] = None; "
                             "runpy.run_module('ladder_forge', run_name='__main__')")
 ALGEBRA_ARGVS = [

@@ -736,6 +736,12 @@ def test_rebuild_from_terms_is_identity():
         e = random_operator(rng)
         rebuilt = oa.OperatorExpr(dict(e.terms()))
         assert rebuilt == e and (rebuilt * oa.identity()) == e
+        # a key's Mono is its plain 8-tuple: equal, hashed alike and taken back as one
+        plain = {(tuple(mono), sp, up): g for (mono, sp, up), g in e.terms()}
+        assert plain == dict(e.terms()) and oa.OperatorExpr(plain) == e
+    mono = oa.Mono._make(range(8))
+    assert mono._fields == ("r2", "ke", "ka", "kb", "dr", "de", "da", "db") and mono == tuple(range(8))
+    assert repr(mono._replace(r2=0, dr=2)) == "Mono(r2=0, ke=1, ka=2, kb=3, dr=2, de=5, da=6, db=7)"
 
 
 # Independent route: replay products through sympy's calculus on an

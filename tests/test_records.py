@@ -10,10 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ladder_forge import coulomb as cl, factorizations as fz, generators as gen, opalgebra as oa
-from ladder_forge.opdsl import parse
+from ladder_forge import coulomb as cl, factorizations as fz, generators as gen, opalgebra as oa, opdsl
 
-LHS, RHS = parse("d/dr*r"), parse("r*d/dr + 1")
+LHS, RHS = opdsl.parse("d/dr*r"), opdsl.parse("r*d/dr + 1")
 
 # class, its fields in order with values already in normal form, the defaults
 # left out of a short construction, and attributes held but never compared
@@ -37,6 +36,11 @@ RECORDS = {
                                                      charge_in=Fraction(1), charge_out=Fraction(3, 2),
                                                      gamma_invariant=True, energy_invariant=False,
                                                      integer_charge=False), {}, ()),
+    "Token": (opdsl.Token, dict(kind="symbol", lexeme="r", pos=0), {}, ()),
+    "Algebra": (gen.Algebra, dict(generators=gen.build_T, reports=gen.su11_reports, dimension=3), {}, ()),
+    "_Kind": (gen._Kind, {key: getattr(gen._KINDS["check1"], key) for key in (
+        "d", "k_unit", "k_s", "labels", "axis", "number", "carries_u", "raises")}, {}, ()),
+    "Ladder": (gen.Ladder, dict(kind="weyl", member="Aplus", ladder="check1", sign=1), {}, ()),
 }
 
 
