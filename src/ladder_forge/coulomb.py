@@ -31,8 +31,11 @@ of i running sums, by L^(a+1)_m = sum_{k<=m} L^(a)_k, over the first mu-i+1
 rows of its table L^(alpha)_0 ... L^(alpha)_mu from the upward recurrence, and
 P reads row mu.  At the quadrature nodes each (order, alpha) keeps one cached
 column of that table, grown to the highest degree read, in a store kept in read
-order that drops the least recently read past COLUMN_BYTES; any other rho steps
-the recurrence afresh, keeping its last two rows and one running sum per i.
+order that drops the least recently read past COLUMN_BYTES, and each order its
+log rho, exp(-rho/2) and rho**2 (``_node_arrays``); any other rho steps the
+recurrence afresh, keeping its last two rows and one running sum per i, and
+takes one log.  The Casimir and Schrodinger residuals read the order-40 nodes,
+and order 41 at (40, 40), whose L^(0)_40 vanishes at every order-40 node.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
@@ -96,10 +99,12 @@ def _table(n: int, alpha, x, table=None):
 
 def _rows(table, n: int, rows: int) -> list:
     """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from a ``table`` of L^(alpha)_k, k <= n at least: by
-    L^(a+1)_m = sum_{k<=m} L^(a)_k row i is the last of i sequential running sums over table[:n-i+1]."""
+    L^(a+1)_m = sum_{k<=m} L^(a)_k row i is the last of i sequential running sums over table[:n-i+1], the last
+    row's one ``np.add.reduce``: in cumsum's order over two or more points (one is summed pairwise past 8 rows)."""
     out, sums = [table[n]], table
     for i in range(1, rows):
-        sums = np.cumsum(sums[:max(n - i + 1, 0)], axis=0)
+        sums = sums[:max(n - i + 1, 0)]
+        sums = np.cumsum(sums, axis=0) if i + 1 < rows else np.add.reduce(sums, axis=0)[None]
         out.append(sums[-1] if len(sums) else np.zeros(table.shape[1:]))
     return out
 
@@ -172,6 +177,16 @@ def gauss_laguerre(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+@lru_cache(maxsize=None)  # one entry per order read, so at most MAX_QUAD_ORDER; only the float checks read it
+def _node_arrays(order: int) -> tuple:
+    """``gauss_laguerre(order)``'s nodes and weights, then log rho, exp(-rho/2) and rho**2 at the nodes, read-only."""
+    nodes, weights = gauss_laguerre(order)
+    derived = np.log(nodes), np.exp(-nodes / 2), nodes**2
+    for array in derived:
+        array.setflags(write=False)
+    return nodes, weights, *derived
 
 
 def _nonnegative(x, name: str):
@@ -307,12 +322,12 @@ class QuantumState(Record):
     def scaled_profile(self, rho):
         rho = _nonnegative(rho, "rho")
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return self._profile(rho, _fresh_rows(self.degree, self.alpha, rho, 1)[0])
+            return self._profile(rho, np.log(rho), _fresh_rows(self.degree, self.alpha, rho, 1)[0])
 
-    def _profile(self, rho, lag):
-        """P at a checked ``rho`` (under ignored float errors, for a 0 or a huge rho) from lag = L^(alpha)_degree."""
+    def _profile(self, rho, log_rho, lag):
+        """P at a checked ``rho`` from its log and L^(alpha)_degree, under ignored float errors (a 0 or huge rho)."""
         # power >= 1/2, so exp(power * log 0) = 0 is P(0); a value past the float range is refused
-        return _finite(self._prefactor(np.log(rho), (self.alpha + 1) / 2) * lag, rho, "profile")
+        return _finite(self._prefactor(log_rho, (self.alpha + 1) / 2) * lag, rho, "profile")
 
     def radial(self, r):
         """psi(r) for r >= 0, unit L2 norm on (0, inf)."""
@@ -443,9 +458,10 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     return _act(op, state, _nonnegative(rho, "rho"))
 
 
-def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
-    """``act`` at a checked ``rho``, its Laguerre rows read off ``table`` (a column at the quadrature nodes)
-    or stepped afresh by ``_fresh_rows``."""
+def _act(op: OperatorExpr, state: QuantumState, rho, table=None, log_rho=None):
+    """``act`` at a checked ``rho``, its Laguerre rows and log read off ``table`` and ``log_rho`` (at the nodes) or
+    taken afresh.  One power of rho per 2e, shared by its derivative orders: none for the least 2e and rho itself one
+    step up, bit for bit ``rho ** 0.0`` and ``rho ** 1.0``; the sum keeps ``_leibniz``'s term order."""
     (degree, top), (den, terms) = state.munu, _leibniz(op, state.alpha)
     coeffs: dict[tuple[int, int], float] = {}  # (2e, i) -> c, in _leibniz's order, which the sum below keeps
     for e2, i, parts in terms:
@@ -463,9 +479,9 @@ def _act(op: OperatorExpr, state: QuantumState, rho, table=None):
         if not coeffs:
             return np.zeros_like(rho)
         lag = _fresh_rows(degree, state.alpha, rho, rows) if table is None else _rows(table, degree, rows)
-        powers = {e2: rho ** ((e2 - low) / 2) for e2, _ in coeffs}  # one per 2e, shared by its derivative orders
-        total = sum(c * lag[i] * powers[e2] for (e2, i), c in coeffs.items())
-        action = state._prefactor(np.log(rho), low / 2) * total
+        powers = {e2: rho if e2 == low + 2 else rho ** ((e2 - low) / 2) for e2, _ in coeffs if e2 != low}
+        total = sum(c * lag[i] * powers[e2] if e2 != low else c * lag[i] for (e2, i), c in coeffs.items())
+        action = state._prefactor(np.log(rho) if log_rho is None else log_rho, low / 2) * total
     return _finite(action, rho, "action")
 
 
@@ -513,9 +529,9 @@ def action_report(
     target = _target(state, operator, step) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
     order = normalization_order((max(sum(state.munu), sum(ref.munu)) + 1) // 2)
-    nodes, weights = gauss_laguerre(order)
-    lhs = _act(generators.LADDERS[operator].operator(), state, nodes, _node_table(order, state))
-    P = ref._profile(nodes, _node_table(order, ref)[ref.degree])
+    nodes, weights, log_nodes, *_ = _node_arrays(order)
+    lhs = _act(generators.LADDERS[operator].operator(), state, nodes, _node_table(order, state), log_nodes)
+    P = ref._profile(nodes, log_nodes, _node_table(order, ref)[ref.degree])
     norm_sq = float(weights @ P**2)
     if not norm_sq > 0:
         raise ValueError(f"the quadrature norm of {ref.family} state {ref.labels} is {norm_sq} "
@@ -606,27 +622,29 @@ def normalization_order(n) -> int:
 def normalization_residual(state: QuantumState) -> float:
     """|  ||psi||**2 - 1 |, by quadrature of order ``normalization_order``, exact for these profiles."""
     order = normalization_order((sum(state.munu) + 1) // 2)
-    nodes, weights = gauss_laguerre(order)
-    P = state._profile(nodes, _node_table(order, state)[state.degree])
+    nodes, weights, log_nodes, *_ = _node_arrays(order)
+    P = state._profile(nodes, log_nodes, _node_table(order, state)[state.degree])
     return abs(float(weights @ P**2) / float(state.gamma) - 1.0)
 
 
 def _casimir_defect(state: QuantumState):
-    """Nodes, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``.  A state whose normalization order is
+    """rho**2, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``, at the order-40 nodes (``_node_arrays``),
+    and order 41 at weyl (40, 40), whose L^(0)_40 vanishes at each order-40 node.  A state whose normalization order is
     past ``MAX_QUAD_ORDER`` is refused before its column grows: at order-40 nodes its high-degree P loses precision."""
     _refuse_past_ceiling(normalization_order((sum(state.munu) + 1) // 2))
-    nodes, _ = gauss_laguerre(DEFAULT_QUAD_ORDER)
+    order = DEFAULT_QUAD_ORDER + (state.munu == (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_ORDER))
+    nodes, _, log_nodes, damp, square = _node_arrays(order)
     lsq = (state.alpha - 1) * (state.alpha + 1) / 4
-    table = _node_table(DEFAULT_QUAD_ORDER, state)
-    action = _act(generators.casimir()[0], state, nodes, table)
-    P = state._profile(nodes, table[state.degree])
-    return nodes, P, np.exp(-nodes / 2), action - lsq * P
+    table = _node_table(order, state)
+    action = _act(generators.casimir()[0], state, nodes, table, log_nodes)
+    P = state._profile(nodes, log_nodes, table[state.degree])
+    return square, P, damp, action - lsq * P
 
 
 def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> float:
     """max |(psi'' + (2Z/r - l(l+1)/r**2 + 2E) psi) / gamma**2 + shift psi| / max |psi|.
 
-    Evaluated on the quadrature nodes.  In units of rho = gamma r the radial
+    Evaluated on ``_casimir_defect``'s quadrature nodes.  In units of rho = gamma r the radial
     equation is the Casimir eigenequation divided by rho**2, so the residual
     is (C P - l(l+1) P) / rho**2 + shift P, damped by exp(-rho/2); it does not
     scale with the charge, so a correct state passes up to Z = 2**64.  A
@@ -635,10 +653,10 @@ def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> floa
     control showing the check has teeth.
     """
     _refuse_non_finite(lambda_shift=lambda_shift)
-    nodes, P, damp, defect = _casimir_defect(state)
+    square, P, damp, defect = _casimir_defect(state)
     profile = P * damp
     scale = np.max(np.abs(profile))  # first, so a shift near the float limit stays finite
-    resid = defect / nodes**2 * damp / scale + lambda_shift * (profile / scale)
+    resid = defect / square * damp / scale + lambda_shift * (profile / scale)
     return float(np.max(np.abs(resid)))
 
 

@@ -139,17 +139,22 @@ class TestLaguerreTable:
                     assert row.tobytes() == cl._table(k, alpha, nodes)[k].tobytes(), (alpha, degree, k)
 
     def test_derivative_rows_are_sequential_running_sums(self):
+        # the last row is one sum and an earlier one the end of a cumsum, so rows = 2 and rows = 3 read row 1
+        # by different paths: each must be the explicit running sum, and the fresh rows, bit for bit
         nodes = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0]
         for alpha in self.ALPHAS:
             for n in range(70):
                 column = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(n, n + alpha))
-                rows, fresh = cl._rows(column, n, 3), cl._fresh_rows(n, alpha, nodes, 3)
                 sums = [cl._table(k, alpha, nodes)[k] for k in range(n + 1)]
-                assert rows[0].tobytes() == sums[n].tobytes() == fresh[0].tobytes()
+                wants = [sums[n]]
                 for i in (1, 2):
                     sums = _running_sum(sums[:n - i + 1]) if n >= i else []
-                    want = sums[-1] if sums else np.zeros_like(nodes)
-                    assert np.array_equal(rows[i], want) and rows[i].tobytes() == fresh[i].tobytes(), (alpha, n, i)
+                    wants.append(sums[-1] if sums else np.zeros_like(nodes))
+                for count in (1, 2, 3):
+                    rows, fresh = cl._rows(column, n, count), cl._fresh_rows(n, alpha, nodes, count)
+                    assert len(rows) == len(fresh) == count, (alpha, n, count)
+                    for i, (row, want) in enumerate(zip(rows, wants)):
+                        assert row.tobytes() == want.tobytes() == fresh[i].tobytes(), (alpha, n, count, i)
 
     def test_action_report_target_profile_is_scaled_profile(self, monkeypatch):
         # the target is the independent side of the check: its P at the nodes, read off a column that
@@ -158,12 +163,12 @@ class TestLaguerreTable:
         seen, acted = [], []
         profile, act = cl.QuantumState._profile, cl._act
 
-        def recorded(state, rho, lag):
-            seen.append((state, rho, profile(state, rho, lag)))
+        def recorded(state, rho, log_rho, lag):
+            seen.append((state, rho, profile(state, rho, log_rho, lag)))
             return seen[-1][-1]
 
-        def recorded_act(op, state, rho, table=None):
-            acted.append((op, state, rho, table, act(op, state, rho, table)))
+        def recorded_act(op, state, rho, table=None, log_rho=None):
+            acted.append((op, state, rho, table, act(op, state, rho, table, log_rho)))
             return acted[-1][-1]
 
         monkeypatch.setattr(cl.QuantumState, "_profile", recorded)
@@ -288,6 +293,56 @@ class TestLaguerreTable:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and wrong == [], (errors, wrong[:5])
         assert sum(c.nbytes for c in cl._columns.values()) == cl._columns.nbytes <= cl.COLUMN_BYTES
+
+
+class _CountedNumpy:
+    """numpy, with each call of ``log`` and ``exp`` counted by name."""
+
+    def __init__(self):
+        self.calls = {"log": 0, "exp": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log(self, *args, **kwargs):
+        self.calls["log"] += 1
+        return np.log(*args, **kwargs)
+
+    def exp(self, *args, **kwargs):
+        self.calls["exp"] += 1
+        return np.exp(*args, **kwargs)
+
+
+class TestNodeKernel:
+    """Each quadrature order keeps log rho, exp(-rho/2) and rho**2 at its nodes (``_node_arrays``), so a warm check
+    takes no log or exp of the nodes but its profile prefactors, and any other rho caches nothing."""
+
+    # each check's profile prefactors N rho**q: the action's and P's, or P's alone for the normalization
+    PREFACTORS = [(call, 1 if call[0] is cl.normalization_residual else 2) for call, _ in TestLaguerreTable.CHECKS]
+
+    @pytest.mark.parametrize("call,prefactors", PREFACTORS, ids=TestLaguerreTable.CHECK_IDS)
+    def test_warm_check_takes_no_log_or_exp_past_the_prefactors(self, monkeypatch, call, prefactors):
+        check, *args = call
+        check(*args)
+        counted = _CountedNumpy()
+        monkeypatch.setattr(cl, "np", counted)
+        check(*args)
+        assert counted.calls["log"] == 0 and counted.calls["exp"] <= prefactors, counted.calls
+
+    def test_fresh_radii_leave_the_node_store_unchanged(self):
+        state = cl.state_tm(7, 2)
+        cl.action_report(state, "T+")
+        size, columns = cl._node_arrays.cache_info().currsize, len(cl._columns)
+        for k in range(1000):
+            cl.act(GENERATORS["T+"], state, np.linspace(0.0, 30.0, 9) + k * 1e-3)
+        assert (cl._node_arrays.cache_info().currsize, len(cl._columns)) == (size, columns)
+
+    @pytest.mark.parametrize("order", [1, cl.DEFAULT_QUAD_ORDER, cl.DEFAULT_QUAD_ORDER + 1, cl.MAX_QUAD_ORDER])
+    def test_node_arrays_are_the_nodes_own_bit_for_bit(self, order):
+        nodes, weights, *derived = cl._node_arrays(order)
+        assert (nodes, weights) == cl.gauss_laguerre(order)
+        for array, want in zip(derived, (np.log(nodes), np.exp(-nodes / 2), nodes**2)):
+            assert array.tobytes() == want.tobytes() and not array.flags.writeable, order
 
 
 class TestFloatPath:
@@ -940,6 +995,14 @@ class TestEigenequationResiduals:
         with pytest.raises(ValueError, match=f"^quadrature order {t + 1} is past the float limit 184$"):
             check(cl.state_tm(t, 0))
         assert steps == [] and not cl._columns
+
+    @pytest.mark.parametrize("k", range(36, 45))
+    def test_residuals_pass_on_the_diagonal_around_the_default_order(self, k):
+        # (40, 40) carries L^(0)_40, zero at every order-40 node, so its residuals read the order-41 nodes: at order 40
+        # a correct state read 7814.5 and 330.5, and its detuned control 330.5
+        state = cl.state_munu(k, k)
+        assert cl.casimir_residual(state) <= cl.PROFILE_TOL and cl.schrodinger_residual(state) <= cl.PROFILE_TOL
+        assert abs(cl.schrodinger_residual(state, 0.1) - 0.1) <= 1e-9
 
     def test_residual_at_the_quadrature_ceiling_passes(self):
         for check in (cl.casimir_residual, cl.schrodinger_residual):
