@@ -29,13 +29,15 @@ rho to the least e times nonnegative powers of rho, so rho = 0 needs no
 second path.  Every L^(i) = (-1)**i L^(alpha+i)_(mu-i) of a state is the last
 of i running sums, by L^(a+1)_m = sum_{k<=m} L^(a)_k, over the first mu-i+1
 rows of its table L^(alpha)_0 ... L^(alpha)_mu from the upward recurrence, and
-P reads row mu.  At the quadrature nodes each (order, alpha) keeps one cached
-column of that table, grown to the highest degree read, in a store kept in read
-order that drops the least recently read past COLUMN_BYTES, and each order its
-log rho, exp(-rho/2) and rho**2 (``_node_arrays``); any other rho steps the
-recurrence afresh, keeping its last two rows and one running sum per i, and
-takes one log.  The Casimir and Schrodinger residuals read the order-40 nodes,
-and order 41 at (40, 40), whose L^(0)_40 vanishes at every order-40 node.
+P reads row mu.  At the quadrature nodes each (order, alpha) keeps a window of
+that table, rows L_lo ... L_hi and each i's running sum carried into lo: a read
+in it continues each sum from its carry, one above grows it from its top two
+rows, and one below lo rebuilds it from L_0.  A store in read order drops the
+least recently read window past COLUMN_BYTES, and each order keeps its log rho,
+exp(-rho/2) and rho**2 (``_node_arrays``); any other rho steps the recurrence
+afresh, keeping its last two rows and one running sum per i, and takes one log.
+The Casimir and Schrodinger residuals read the order-40 nodes, and order 41 at
+(40, 40), whose L^(0)_40 vanishes at every order-40 node.
 Inner products of the polynomial profiles are integrated with Gauss-Laguerre
 quadrature, exact up to roundoff while the order covers the integrand's
 degree; past MAX_QUAD_ORDER the float nodes and weights overflow, and the
@@ -68,8 +70,10 @@ from . import generators, opalgebra
 from .opalgebra import OperatorExpr, Record, exact, exact_int
 
 DEFAULT_QUAD_ORDER = 40
-# a bound on memory, not a tuning: the cached Laguerre columns' bytes in all (every column for t <= 60: 12 MiB)
+# a bound on memory, not a tuning: the cached Laguerre windows' bytes in all (the 975 that 1,350 coulomb-checks
+# decks read: 2.2 MiB; one pass over every t <= 60 check: 2.8 MiB)
 COLUMN_BYTES = 6 << 20
+_CARRIED = 2  # running sums a Laguerre window carries, one per derivative order read: the Casimir is second order
 # the highest order whose nodes and weights stay finite in floats; at 185 the
 # squared Laguerre tail in the weights overflows
 MAX_QUAD_ORDER = 184
@@ -81,29 +85,32 @@ CHARGE_BITS = 64
 # equation residuals, normalization, and the least residual a detuned control must show
 COEFF_TOL, PROFILE_TOL, NORM_TOL, DETUNED_FLOOR = 1e-10, 1e-8, 1e-12, 1e-2
 
-def _recurrence(n: int, alpha, x, first):
-    """L^(alpha)_k at a float ``x``, k = len(first) ... n: the upward recurrence continued from the rows ``first``."""
+def _recurrence(n: int, alpha, x, first, start: int):
+    """L^(alpha)_k at a float ``x``, k = start + 1 ... n: the upward recurrence continued from the rows ``first``,
+    which end in L_start."""
     a, prev, cur = float(alpha), first[-2] if len(first) > 1 else None, first[-1]
-    for k in range(len(first) - 1, n):  # prev is first read at k = 1
+    for k in range(start, n):  # prev is first read at k = 1
         prev, cur = cur, (1.0 + a - x if k == 0 else ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1))
         yield cur
 
 
-def _table(n: int, alpha, x, table=None):
-    """L^(alpha)_0 ... L^(alpha)_n at ``x`` on a new first axis: ``_recurrence`` from a ``table``'s rows or L_0 = 1."""
+def _table(n: int, alpha, x):
+    """L^(alpha)_0 ... L^(alpha)_n at ``x`` on a new first axis: ``_recurrence`` from L_0 = 1."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    table = np.ones((1, *np.shape(x))) if table is None else table
-    return np.array([*table, *_recurrence(n, alpha, np.asarray(x, dtype=float), table)])
+    first = np.ones((1, *np.shape(x)))
+    return np.array([*first, *_recurrence(n, alpha, np.asarray(x, dtype=float), first, 0)])
 
 
 def _rows(table, n: int, rows: int) -> list:
-    """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from a ``table`` of L^(alpha)_k, k <= n at least: by
-    L^(a+1)_m = sum_{k<=m} L^(a)_k row i is the last of i sequential running sums over table[:n-i+1], the last
-    row's one ``np.add.reduce``: in cumsum's order over two or more points (one is summed pairwise past 8 rows)."""
-    out, sums = [table[n]], table
-    for i in range(1, rows):
-        sums = sums[:max(n - i + 1, 0)]
+    """[L^(alpha+i)_(n-i) for i < rows], 0 past the degree, from a ``table`` of L^(alpha)_k, k <= n at least, or a
+    ``_Window`` holding n, rows <= ``_CARRIED`` + 1: by L^(a+1)_m = sum_{k<=m} L^(a)_k row i is the last of i sequential running sums, over
+    table[:n-i+1] or on from the window's carried S_i at lo - i, the last row's one ``np.add.reduce``: in cumsum's
+    order over two or more points (one is summed pairwise past 8 rows)."""
+    lo, carried, table = (table.lo, table.sums, table.rows) if isinstance(table, _Window) else (0, (), table)
+    out, sums = [table[n - lo]], table
+    for i in range(1, rows):  # past lo, S_i at lo - i and then S_(i-1) from lo - i + 1 up to n - i
+        sums = np.concatenate((carried[i - 1][None], sums[:n - lo])) if lo else sums[:max(n - i + 1, 0)]
         sums = np.cumsum(sums, axis=0) if i + 1 < rows else np.add.reduce(sums, axis=0)[None]
         out.append(sums[-1] if len(sums) else np.zeros(table.shape[1:]))
     return out
@@ -112,14 +119,49 @@ def _rows(table, n: int, rows: int) -> list:
 def _fresh_rows(n: int, alpha, x, rows: int) -> list:
     """``_rows(_table(n, alpha, x), n, rows)`` bit for bit, from two recurrence rows and one running sum per order."""
     sums = [np.ones(x.shape)] * min(rows, n + 1)  # sums[i] steps by sums[i - 1] at each k <= n - i
-    for k, row in enumerate(_recurrence(n, alpha, x, sums[:1]), 1):
+    for k, row in enumerate(_recurrence(n, alpha, x, sums[:1], 0), 1):
         sums[:min(rows, n - k + 1)] = np.cumsum([row, *sums[1:min(rows, n - k + 1)]], axis=0)
     return sums + [np.zeros(x.shape)] * (rows - len(sums))
 
 
+class _Window(Record):
+    """Rows L^(alpha)_lo ... L^(alpha)_hi of one Laguerre table and at lo > 0 the running sums carried into lo:
+    ``sums[i - 1]`` is S_i at lo - i, 0 where that is negative, with S_0 = L and S_i the running sum of S_(i-1) from
+    k = 0, so that L^(alpha+i)_m = S_i at m.  A plain ``_table`` is the window at lo = 0, carrying none."""
+
+    lo: int
+    hi: int
+    rows: np.ndarray
+    sums: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.sums.nbytes
+
+    def __getitem__(self, n: int):
+        """L^(alpha)_n, for lo <= n <= hi."""
+        return self.rows[n - self.lo]
+
+
+def _window(n: int, alpha, x, held: _Window | None) -> _Window:
+    """The read-only window of alpha's table at ``x`` that holds degree n and ``held``'s rows: ``held`` grown from its
+    top two rows if n is above it, else built from L_0 up to n, or to just below ``held``, keeping the rows from n on
+    (from n - 1 on a cold read, so that a window has two rows to grow from or is L_0 alone) and ``_CARRIED`` sums."""
+    if held is not None and n > held.hi:
+        window = _Window(held.lo, n, np.array([*held.rows, *_recurrence(n, alpha, x, held.rows, held.hi)]), held.sums)
+    else:
+        top, lo, above = (n, max(n - 1, 0), []) if held is None else (held.lo - 1, n, [held.rows])
+        table = _table(top, alpha, x)
+        rows = np.concatenate([table[lo:], *above])
+        window = _Window(lo, lo + len(rows) - 1, rows, np.array(_rows(table, lo, _CARRIED + 1)[1:] if lo else ()))
+    window.rows.setflags(write=False)
+    window.sums.setflags(write=False)
+    return window
+
+
 class _Columns(OrderedDict):
-    """(order, alpha) -> read-only Laguerre column, the least recently read first.  Only a holder of ``lock`` adds
-    or drops a column, keeping ``nbytes`` the sum of theirs; a read only reorders, so it needs no lock."""
+    """(order, alpha) -> ``_Window`` at the order's nodes, the least recently read first.  Only a holder of ``lock``
+    adds or drops a window, keeping ``nbytes`` the sum of theirs; a read only reorders, so it needs no lock."""
     nbytes, lock = 0, threading.Lock()
 
     def clear(self):
@@ -131,26 +173,25 @@ class _Columns(OrderedDict):
 _columns = _Columns()
 
 
-def _node_table(order: int, state) -> np.ndarray:
-    """The column of (order, ``state.alpha``): alpha's read-only ``_table`` at ``gauss_laguerre(order)``'s nodes,
-    grown to exactly ``state.degree`` if shorter.  A read moves it to the recent end of ``_columns``; storing a
-    build or a regrowth drops the least recently read until all fit ``COLUMN_BYTES``, and a larger column is
-    returned unstored.  Threads growing one column at once each return their own table: a race costs a regrowth."""
-    key = order, state.alpha
+def _node_table(order: int, state) -> _Window:
+    """The window of (order, ``state.alpha``) at ``gauss_laguerre(order)``'s nodes, holding ``state.degree``: the
+    one held, or ``_window``'s from it.  A read moves it to the recent end of ``_columns``; storing a new window
+    drops the least recently read until all fit ``COLUMN_BYTES``, and a larger one is returned unstored.  Threads
+    changing one window at once each return their own: a race costs a regrowth."""
+    key, degree = (order, state.alpha), state.degree
     try:
         _columns.move_to_end(key)
-    except KeyError:  # not held: the get below misses, as it does if another thread drops the column first
+    except KeyError:  # not held: the get below misses, as it does if another thread drops the window first
         pass
-    if (table := _columns.get(key)) is None or len(table) <= state.degree:
-        table = _table(state.degree, state.alpha, gauss_laguerre(order)[0], table)
-        table.setflags(write=False)
+    if (window := _columns.get(key)) is None or not window.lo <= degree <= window.hi:
+        window = _window(degree, state.alpha, gauss_laguerre(order)[0], window)
         with _columns.lock:
-            if table.nbytes <= COLUMN_BYTES:
-                _columns.nbytes += table.nbytes - getattr(_columns.get(key), "nbytes", 0)
-                _columns[key] = table
+            if window.nbytes <= COLUMN_BYTES:
+                _columns.nbytes += window.nbytes - getattr(_columns.get(key), "nbytes", 0)
+                _columns[key] = window
                 while _columns.nbytes > COLUMN_BYTES:
                     _columns.nbytes -= _columns.popitem(last=False)[1].nbytes
-    return table
+    return window
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so a float order never hits an equal Fraction's entry
@@ -520,7 +561,7 @@ def action_report(
     ``tol`` bounds the coefficient error and the profile residual (and an
     annihilation's norm) in place of ``COEFF_TOL`` and ``PROFILE_TOL``; a NaN
     or infinite one is refused.  The action and P (the target's, or the
-    source's for an annihilation) read their (order, alpha) columns, so P is
+    source's for an annihilation) read their (order, alpha) windows, so P is
     ``scaled_profile`` at the nodes bit for bit.
     """
     coeff_tol, profile_tol = (COEFF_TOL, PROFILE_TOL) if tol is None else (tol, tol)
@@ -630,7 +671,7 @@ def normalization_residual(state: QuantumState) -> float:
 def _casimir_defect(state: QuantumState):
     """rho**2, P, exp(-rho/2) and C P - l(l+1) P, with C from ``generators``, at the order-40 nodes (``_node_arrays``),
     and order 41 at weyl (40, 40), whose L^(0)_40 vanishes at each order-40 node.  A state whose normalization order is
-    past ``MAX_QUAD_ORDER`` is refused before its column grows: at order-40 nodes its high-degree P loses precision."""
+    past ``MAX_QUAD_ORDER`` is refused before its window grows: at order-40 nodes its high-degree P loses precision."""
     _refuse_past_ceiling(normalization_order((sum(state.munu) + 1) // 2))
     order = DEFAULT_QUAD_ORDER + (state.munu == (DEFAULT_QUAD_ORDER, DEFAULT_QUAD_ORDER))
     nodes, _, log_nodes, damp, square = _node_arrays(order)

@@ -351,7 +351,7 @@ class TestCoulombCommands:
         # or the radial profile steps one afresh
         steps = []
 
-        def recurrence(n, alpha, x, first):
+        def recurrence(n, alpha, x, first, start):
             steps.append((n, alpha))
             raise ValueError("a Laguerre recurrence ran")
 

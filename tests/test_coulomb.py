@@ -97,7 +97,8 @@ def _running_sum(rows):
 class TestLaguerreTable:
     """One upward recurrence gives the table of L^(a)_k, k <= n; L^(a+i)_(n-i) for every derivative
     order i is the last of i running sums over its first n-i+1 rows, and row n is L^(a)_n itself.
-    At the quadrature nodes each (order, alpha) keeps one cached column of that table."""
+    At the quadrature nodes each (order, alpha) keeps one window of that table: its rows L_lo ... L_hi
+    and the running sums carried into lo."""
 
     RHO = np.linspace(0.0, 120.0, 41)  # rho = 0 included
     ALPHAS = (0, 1, 5, 41, 120)
@@ -124,19 +125,46 @@ class TestLaguerreTable:
                     assert np.array_equal(cl._rows(cl._table(n, alpha, rho), n, rows)[0],
                                           cl._table(n, alpha, rho)[n]), (n, alpha, rows)
 
+    # (degree read, the window (lo, hi) held after it): cold, above, below, below again, inside, above, down to L_0
+    WINDOWS = [(30, (29, 30)), (31, (29, 31)), (7, (7, 31)), (3, (3, 31)), (30, (3, 31)), (69, (3, 69)), (0, (0, 69))]
+
     @pytest.mark.parametrize("order", [cl.DEFAULT_QUAD_ORDER, 61])
     def test_column_entries_are_laguerre_bit_for_bit(self, order):
-        # a later read at a higher degree extends the column, to exactly that degree
+        # a cold read keeps its degree and the one below, a read above grows the window to exactly that degree, and a
+        # read below rebuilds it down to that degree: every row held, every carried sum and every read is a fresh
+        # _table's bit for bit, and the window owns its arrays
         cl._columns.clear()
         nodes = cl.gauss_laguerre(order)[0]
         for alpha in self.ALPHAS:
-            highest = 0
-            for degree in (0, 7, 3, 30, 69):
-                highest = max(highest, degree)
-                column = cl._node_table(order, cl.state_munu(degree, degree + alpha))
-                assert len(column) == highest + 1 and not column.flags.writeable, (alpha, degree)
-                for k, row in enumerate(column):
-                    assert row.tobytes() == cl._table(k, alpha, nodes)[k].tobytes(), (alpha, degree, k)
+            for degree, (lo, hi) in self.WINDOWS:
+                window = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                assert (window.lo, window.hi) == (lo, hi), (alpha, degree)
+                assert not window.rows.flags.writeable and not window.sums.flags.writeable, (alpha, degree)
+                assert window.rows.base is None and window.sums.base is None  # no view keeps a whole table alive
+                table = cl._table(hi, alpha, nodes)
+                for k, row in enumerate(window.rows, window.lo):
+                    assert row.tobytes() == table[k].tobytes() == window[k].tobytes(), (alpha, degree, k)
+                carried = cl._rows(table, window.lo, 3)[1:] if window.lo else []
+                assert [row.tobytes() for row in window.sums] == [row.tobytes() for row in carried], (alpha, degree)
+                for count in (1, 2, 3):
+                    reads = zip(cl._rows(window, degree, count), cl._rows(table, degree, count))
+                    assert all(got.tobytes() == want.tobytes() for got, want in reads), (alpha, degree, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([40, 41, 47, 62]), st.integers(0, 120),
+           st.lists(st.tuples(st.integers(0, 70), st.integers(1, 3)), min_size=1, max_size=8))
+    def test_read_sequences_are_fresh_rows_bit_for_bit(self, order, alpha, reads):
+        # the reads go up, come back down and repeat, so the window is built, grown and rebuilt below in turn; the
+        # other windows the suite has left in the store stay, and the byte count follows every change
+        nodes = cl.gauss_laguerre(order)[0]
+        for degree, count in reads + reads[::-1] + reads:
+            rows = cl._rows(cl._node_table(order, cl.state_munu(degree, degree + alpha)), degree, count)
+            table = cl._rows(cl._table(degree, alpha, nodes), degree, count)
+            fresh = cl._fresh_rows(degree, alpha, nodes, count)
+            assert len(rows) == len(table) == len(fresh) == count, (degree, count)
+            for i, row in enumerate(rows):
+                assert row.tobytes() == table[i].tobytes() == fresh[i].tobytes(), (degree, count, i)
+            assert cl._columns.nbytes == sum(window.nbytes for window in cl._columns.values()) <= cl.COLUMN_BYTES
 
     def test_derivative_rows_are_sequential_running_sums(self):
         # the last row is one sum and an earlier one the end of a cumsum, so rows = 2 and rows = 3 read row 1
@@ -195,14 +223,14 @@ class TestLaguerreTable:
 
     @staticmethod
     def _steps(monkeypatch):
-        """A dict (order, alpha) -> recurrence steps taken, filled as ``_recurrence`` runs: a table's or a fresh
-        one's."""
+        """A dict (order, alpha) -> recurrence steps taken, filled as ``_recurrence`` runs: a table's, a window's
+        growth from its top degree ``start`` or a fresh one's."""
         steps = {}
         recurrence = cl._recurrence
 
-        def counted(n, alpha, x, first):
+        def counted(n, alpha, x, first, start):
             key = (len(x), alpha)
-            for row in recurrence(n, alpha, x, first):
+            for row in recurrence(n, alpha, x, first, start):
                 steps[key] = steps.get(key, 0) + 1
                 yield row
 
@@ -229,43 +257,55 @@ class TestLaguerreTable:
             assert count <= max(s.degree for s in readers if s.alpha == alpha) + 1, (alpha, steps)
 
     def test_column_cache_stays_bounded(self):
-        # the store is bounded in bytes: a cold column read at every step among orders 40-184 and alpha 0-200
-        # keeps it within COLUMN_BYTES and holds the column just returned; a hot column read again between the cold
-        # reads is never dropped or rebuilt, and a dropped column, once rebuilt, equals its first build bit for bit
+        # the store is bounded in bytes: a cold read, a read growing the window and one inside it, at every step among
+        # orders 40-184 and alpha 0-200, keep it within COLUMN_BYTES and hold the window just returned; a hot window
+        # read again between the cold reads is never dropped or rebuilt, and a dropped window, once rebuilt, reads the
+        # rows its first build read bit for bit
         cl._columns.clear()
         hot = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(30, 31))
-        first = {}
+        first, grown = {}, 0
         for order, alpha in itertools.product(range(40, 185, 4), range(0, 201, 25)):
             for degree in (2, 60, 17):
-                column = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                window = cl._node_table(order, cl.state_munu(degree, degree + alpha))
                 if degree == 60:
-                    first[order, alpha] = column.tobytes()
-                assert cl._columns[order, alpha] is column, (order, alpha, degree)
-                held = sum(c.nbytes for c in cl._columns.values())
+                    first[order, alpha] = [row.tobytes() for row in cl._rows(window, 60, 3)]
+                    grown += window.nbytes
+                assert cl._columns[order, alpha] is window, (order, alpha, degree)
+                held = sum(w.nbytes for w in cl._columns.values())
                 assert held == cl._columns.nbytes <= cl.COLUMN_BYTES, (order, alpha, degree)
                 assert cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(30, 31)) is hot, (order, alpha)
-        assert sum(map(len, first.values())) > 2 * cl.COLUMN_BYTES  # so most columns were dropped
+        assert grown > 2 * cl.COLUMN_BYTES  # so most windows were dropped
         dropped = [key for key in first if key not in cl._columns]
         assert len(dropped) > len(first) // 2, len(dropped)
         for order, alpha in dropped:
-            assert cl._node_table(order, cl.state_munu(60, 60 + alpha)).tobytes() == first[order, alpha], (order, alpha)
+            window = cl._node_table(order, cl.state_munu(60, 60 + alpha))
+            assert [row.tobytes() for row in cl._rows(window, 60, 3)] == first[order, alpha], (order, alpha)
 
     def test_column_past_the_bound_is_returned_unstored(self, monkeypatch):
+        # under a bound that holds the one-row window of L_0, a cold read's window (two rows and two sums) is larger:
+        # it is returned read-only and reads a fresh table's rows, and the store keeps what it held
         cl._columns.clear()
-        kept = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(3, 4))
+        kept = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(0, 1))
         monkeypatch.setattr(cl, "COLUMN_BYTES", kept.nbytes + 100)
         nodes = cl.gauss_laguerre(cl.DEFAULT_QUAD_ORDER)[0]
-        column = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(5, 7))
-        assert column.tobytes() == cl._table(5, 2, nodes).tobytes() and not column.flags.writeable
+        window = cl._node_table(cl.DEFAULT_QUAD_ORDER, cl.state_munu(5, 7))
+        assert window.nbytes > cl.COLUMN_BYTES and window.lo <= 5 <= window.hi
+        assert not window.rows.flags.writeable and not window.sums.flags.writeable
+        for count in (1, 2, 3):
+            reads = zip(cl._rows(window, 5, count), cl._rows(cl._table(5, 2, nodes), 5, count))
+            assert all(got.tobytes() == want.tobytes() for got, want in reads), count
         assert list(cl._columns) == [(cl.DEFAULT_QUAD_ORDER, 1)] and cl._columns[cl.DEFAULT_QUAD_ORDER, 1] is kept
+        assert cl._columns.nbytes == kept.nbytes
 
     def test_threads_share_the_store_without_error(self, monkeypatch):
-        # four threads read interleaved (order, alpha) pairs under a bound that holds a few columns, so they drop and
-        # regrow columns while the others reorder them: a race may cost a regrowth, never an exception or a byte
-        # count that drifts from the columns held
+        # four threads read interleaved (order, alpha) pairs under a bound that holds a few windows, so they drop,
+        # regrow and rebuild windows below while the others reorder them: a race may cost a regrowth, never an
+        # exception, a read that is not a fresh table's, or a byte count that drifts from the windows held
         monkeypatch.setattr(cl, "COLUMN_BYTES", 40_000)
         reads = [(order, alpha, degree) for degree in (3, 20, 9, 41) for order in (40, 47, 53) for alpha in range(6)]
-        fresh = {(order, alpha): cl._table(41, alpha, cl.gauss_laguerre(order)[0]) for order, alpha, _ in reads}
+        tables = {(order, alpha): cl._table(41, alpha, cl.gauss_laguerre(order)[0]) for order, alpha, _ in reads}
+        fresh = {(order, alpha, degree): [row.tobytes() for row in cl._rows(tables[order, alpha], degree, 3)]
+                 for order, alpha, degree in reads}
         cl._columns.clear()
         barrier, errors, wrong = threading.Barrier(4), [], []
 
@@ -274,8 +314,10 @@ class TestLaguerreTable:
                 barrier.wait(timeout=60)
                 for _ in range(5):
                     for order, alpha, degree in reads[shift:] + reads[:shift]:
-                        table = cl._node_table(order, cl.state_munu(degree, degree + alpha))
-                        if len(table) <= degree or table.tobytes() != fresh[order, alpha][:len(table)].tobytes():
+                        window = cl._node_table(order, cl.state_munu(degree, degree + alpha))
+                        rows, got = tables[order, alpha][window.lo:window.hi + 1], cl._rows(window, degree, 3)
+                        if (not window.lo <= degree <= window.hi or window.rows.tobytes() != rows.tobytes()
+                                or [row.tobytes() for row in got] != fresh[order, alpha, degree]):
                             wrong.append((order, alpha, degree))
             except Exception as error:  # any exception in a reader fails the test
                 errors.append(error)
@@ -292,7 +334,34 @@ class TestLaguerreTable:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and wrong == [], (errors, wrong[:5])
-        assert sum(c.nbytes for c in cl._columns.values()) == cl._columns.nbytes <= cl.COLUMN_BYTES
+        assert sum(w.nbytes for w in cl._columns.values()) == cl._columns.nbytes <= cl.COLUMN_BYTES
+
+    def test_every_window_a_benchmark_pass_reads_stays_held(self, monkeypatch):
+        # one pass of every node check over the coulomb-checks state shapes (su11 t <= 60, m <= t - 10 included, with
+        # T+-, the normalization, Casimir and Schrodinger residuals; weyl mu < 20 at odd and even gaps below 40, with
+        # A+- and B+-) leaves every (order, alpha) it read held within COLUMN_BYTES, so a second pass runs no
+        # recurrence step: whole tables for these reads would take about 12 MiB, twice the bound
+        su11 = [cl.state_tm(t, m) for t in range(1, 61) for m in range(t)]
+        weyl = [cl.state_munu(mu, mu + gap) for mu in range(20) for gap in range(1, 40)]
+        checks = ([(cl.action_report, state, op) for state in su11 for op in ("T+", "T-")]
+                  + [(check, state) for state in su11
+                     for check in (cl.normalization_residual, cl.casimir_residual, cl.schrodinger_residual)]
+                  + [(cl.action_report, state, op) for state in weyl for op in ("A+", "A-", "B+", "B-")])
+        read, node_table = set(), cl._node_table
+
+        def recorded(order, state):
+            read.add((order, state.alpha))
+            return node_table(order, state)
+
+        monkeypatch.setattr(cl, "_node_table", recorded)
+        cl._columns.clear()
+        for check, *args in checks:
+            check(*args)
+        assert read <= set(cl._columns) and cl._columns.nbytes <= cl.COLUMN_BYTES, len(read - set(cl._columns))
+        steps = self._steps(monkeypatch)
+        for check, *args in checks:
+            check(*args)
+        assert sum(steps.values()) == 0, steps
 
 
 class _CountedNumpy:
@@ -421,9 +490,9 @@ class TestQuadrature:
         calls = []
         table = cl._table
 
-        def counted(n, alpha, x, start=None):
+        def counted(n, alpha, x):
             calls.append((n, alpha))
-            return table(n, alpha, x, start)
+            return table(n, alpha, x)
 
         monkeypatch.setattr(cl, "_table", counted)
         for order in (1, cl.DEFAULT_QUAD_ORDER, cl.MAX_QUAD_ORDER):
@@ -986,7 +1055,7 @@ class TestEigenequationResiduals:
         # cancels to a residual of 9.25e-8 for a correct state, and t = 10**7 would grow a 3.2 GB column
         steps = []
 
-        def recurrence(n, alpha, x, first):
+        def recurrence(n, alpha, x, first, start):
             steps.append((n, alpha))
             raise AssertionError("a Laguerre recurrence ran")
 
