@@ -62,11 +62,13 @@ the left derivatives ``D1`` past the right functions ``g2``.  The interaction
 terms depend only on the four derivative orders of ``D1`` and the four function
 exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS``, as offsets from the
-leading key.  So the product loop groups the right atoms into *interaction
-classes* by function exponents and u parity (a left u meets a right one as
-``u**2``); a left atom reads the cache once per class and forms each term's
-coefficient once for all its atoms.  The leading terms of ``a*b`` and ``b*a``
-are equal, so ``commutator`` forms both orders in one pass and skips them.
+leading key.  Each operand keeps, beside its hash, one *table* per *signature*
+(derivative orders and u parity: a left u meets a right one as ``u**2``) of a
+left atom that met it: each interaction term such an atom meets in it, flat
+(``_table``).  A left atom reads its leading terms off the right atoms, then one
+table; a table reads the cache once per class of right atoms (function pattern
+and u parity).  The leading terms of ``a*b`` and ``b*a`` cancel, so
+``commutator`` forms both orders in one pass without them, as tables hold none.
 Every product, binary, n-ary or a power, is one ``product`` pass.  ``fold``
 is the one place where free single atoms (no derivative meets a function on its
 own axis) fold in integers: ``product`` folds each adjacent pair through it, the
@@ -277,55 +279,66 @@ def fold(forms: Sequence[tuple]) -> tuple | None:
     return key, re, im, den
 
 
-def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
-    """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass.
+def _table(op: "OperatorExpr", sig: int) -> tuple[tuple[int, int, int], ...]:
+    """Every interaction term a left atom of signature ``sig`` (derivative orders | u parity) meets in ``op``, as
+    ``(offset, re, im)``: the offset from the left key, ``-_U2`` of u·u in it, over ``2**(dr + 1) * op._den``."""
+    out, classes = [], {}  # function exponents | u parity: the class's _mono_cross terms, read once
+    for k2, (a2, b2) in op._terms.items():
+        if funcs := (k2 ^ _BIAS) & _FUNCS:  # without functions, no interaction
+            cross = classes.get(funcs | k2 & 1)
+            if cross is None:
+                uu = sig & k2 & 1  # u**2 = 1/(2*s): one factor 2 fewer
+                cross = classes[funcs | k2 & 1] = [(delta - uu * _U2 - _BIAS, gr << 1 - uu, gi << 1 - uu)
+                                                   for delta, gr, gi in _mono_cross(sig & _DERIVS | funcs)]
+            out.extend((delta + k2, gr * a2 - gi * b2, gr * b2 + gi * a2) for delta, gr, gi in cross)
+    return tuple(out)
 
-    A pair of atoms is free when no left derivative meets a right function on
-    its own axis; its product is the leading term alone.  ``product`` folds
-    free single atoms before they reach this loop.  Each left atom visits the
-    right atoms' interaction classes (module docstring), taking the sign and
-    ``u**2`` itself, so a class table depends on neither the order nor the sign.
-    """
-    # every contribution goes over den_a * den_b * 2**top: _mono_cross divides by
-    # 2**dr of its left atom and u**2 = 1/(2*s) by one more 2, so a left atom's
-    # numerator is lifted by top - dr, or by top - dr - 1 with its key lowered by _U2 when u meets u
+
+def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
+    """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass: a left atom of a product reads its
+    leading terms off the right atoms, then, if it has a derivative, the right operand's table for its signature.
+    All terms go over ``den_a * den_b * 2**(top + 1)``, ``top`` the largest left ``dr``: a left numerator is lifted
+    by ``top + 1`` for a leading term and by ``top - dr`` for a table's, which is over ``2**(dr + 1) * den_b``."""
     orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
     lefts = (*a._terms, *b._terms) if commute else a._terms
-    top = 1 + max((k1 >> _DR & _FIELD for k1 in lefts), default=_HALF) - _HALF
+    top = max((k1 >> _DR & _FIELD for k1 in lefts), default=_HALF) - _HALF
     acc: dict[Atom, list] = {}  # mutable [re, im] sums, made tuples by _lowest
     get = acc.get
     for left, right, sign in orders:
-        classes: dict[int, list] = {}  # functions | u parity: the class's right atoms as (key - _BIAS, re, im)
-        for k2, (a2, b2) in right._terms.items():
-            classes.setdefault((k2 ^ _BIAS) & _FUNCS | k2 & 1, []).append((k2 - _BIAS, a2, b2))
+        if (tables := right._tables) is None:
+            _set_tables(right, tables := {})
         for k1, (a1, b1) in left._terms.items():
-            derivs, dr = (k1 ^ _BIAS) & _DERIVS, (k1 >> _DR & _FIELD) - _HALF
-            if commute and not derivs:  # only leading terms, which cancel
+            if not commute:  # the leading terms, which cancel in a commutator
+                x, y, u = a1 << top + 1, b1 << top + 1, k1 & 1
+                for k2, (a2, b2) in right._terms.items():
+                    key, cx, cy = k1 + k2 - _BIAS, x * a2 - y * b2, x * b2 + y * a2
+                    if u & k2:  # u**2 = 1/(2*s)
+                        key, cx, cy = key - _U2, cx >> 1, cy >> 1
+                    cur = get(key)
+                    if cur is None:
+                        acc[key] = [cx, cy]
+                    else:
+                        cur[0] += cx
+                        cur[1] += cy
+            sig = (k1 ^ _BIAS) & _DERIVS | k1 & 1  # derivative orders | u parity
+            if sig < 2:  # no derivative, no interaction
                 continue
-            a1, b1 = sign * a1 << top - dr, sign * b1 << top - dr
-            leading = () if commute else ((0, 1 << dr, 0),)  # over 2**dr, as _mono_cross's terms are
-            for cls, members in classes.items():
-                cross = _mono_cross(derivs | cls & _FUNCS) if derivs and cls > 1 else ()  # none without both
-                if commute and not cross:
-                    continue
-                lead, re, im = k1, a1, b1
-                if cls & k1 & 1:  # u**2 = 1/(2*s)
-                    lead, re, im = k1 - _U2, a1 >> 1, b1 >> 1
-                for delta, gr, gi in leading + cross:
-                    x, y, base = re * gr - im * gi, re * gi + im * gr, lead + delta
-                    for k2, a2, b2 in members:
-                        key = base + k2
-                        cx, cy = x * a2 - y * b2, x * b2 + y * a2
-                        cur = get(key)
-                        if cur is None:
-                            acc[key] = [cx, cy]
-                        else:
-                            cur[0] += cx
-                            cur[1] += cy
+            if (table := tables.get(sig)) is None:
+                table = tables[sig] = _table(right, sig)
+            lift = top + _HALF - (k1 >> _DR & _FIELD)  # top - dr
+            re, im = sign * a1 << lift, sign * b1 << lift
+            for offset, gr, gi in table:
+                key, cx, cy = k1 + offset, re * gr - im * gi, re * gi + im * gr
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [cx, cy]
+                else:
+                    cur[0] += cx
+                    cur[1] += cy
     for key in acc:
         if key - _LOW & _GUARD:
             _pack(*_unpack(key))  # raises, naming the field outside the bound
-    return OperatorExpr._wrap(*_lowest(acc, a._den * b._den << top))
+    return OperatorExpr._wrap(*_lowest(acc, a._den * b._den << top + 1))
 
 
 def _atom_key(key) -> Atom:
@@ -357,7 +370,7 @@ class OperatorExpr:
     common denominator itself, so ``OperatorExpr(dict(e.terms())) == e``.
     """
 
-    __slots__ = ("_terms", "_den", "_hash")
+    __slots__ = ("_terms", "_den", "_hash", "_tables")
 
     def __init__(self, terms: Mapping[Atom, "Rational | tuple[Rational, Rational]"] | None = None):
         values: dict[Atom, tuple[Fraction, Fraction]] = {}
@@ -372,6 +385,7 @@ class OperatorExpr:
         _set_terms(self, clean)
         _set_den(self, den)
         _set_hash(self, None)
+        _set_tables(self, None)
 
     @classmethod
     def _wrap(cls, clean: dict[Atom, Gauss], den: int) -> "OperatorExpr":
@@ -380,6 +394,7 @@ class OperatorExpr:
         _set_terms(out, clean)
         _set_den(out, den)
         _set_hash(out, None)
+        _set_tables(out, None)
         return out
 
     def __setattr__(self, name, value):
@@ -500,7 +515,7 @@ class OperatorExpr:
 
 
 # the slots' own setters, which the immutability guard in __setattr__ does not see
-_set_terms, _set_den, _set_hash = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
+_set_terms, _set_den, _set_hash, _set_tables = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
 _ONE = OperatorExpr._wrap({_BIAS: (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
 
 

@@ -338,6 +338,27 @@ def test_commutator_is_its_definition(a, b):
     assert oa.commutator(a, b) == a * b - b * a
 
 
+_MODES = (lambda a, b: a * b, oa.commutator, lambda a, b: b * a, lambda a, b: a * a,
+          lambda a, b: oa.commutator(b, a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OPERANDS, _OPERANDS, st.permutations(range(len(_MODES))))
+def test_operand_tables_serve_every_mode(a, b, order):
+    # a and b keep the tables each mode builds on them as right factors, and
+    # the next modes read them; a commutator's table has no leading terms, so
+    # a product that read them from it would differ from the table-free copies
+    def fresh(x):
+        return oa.OperatorExpr(dict(x.terms()))
+
+    expected = [mode(fresh(a), fresh(b)) for mode in _MODES]
+    for i in order:
+        got = _MODES[i](a, b)
+        assert got == expected[i]
+    for x in (a, b):
+        assert x == fresh(x) and hash(x) == hash(fresh(x))
+
+
 def _keep(e: oa.OperatorExpr, fields: range) -> oa.OperatorExpr:
     # the single atom e with the Mono fields outside ``fields`` set to 0
     ((mono, sp, up), g), = e.terms()
@@ -552,24 +573,38 @@ def test_repeated_squaring_is_refused_at_the_exponent_bound():
 def test_normal_ordering_cache_stays_small():
     # the cache is keyed by left derivative orders and right function
     # exponents, so the sp4 closure and a long power share a few hundred keys;
-    # a left atom reads it once per interaction class of the right operand
-    # (function exponents and u parity), not once per right atom: a warm sp4
-    # closure read it 8,444 times and (d/dr + r)^20 873 times when every atom
-    # pair did
+    # it is read only to build an operand's table for a left atom signature,
+    # once per interaction class of the operand (function exponents and u
+    # parity), and an operand keeps its tables, so a warm closure reads it 0
+    # times and a product reads it at most once per signature and class
     def reads():
         info = oa._mono_cross.cache_info()
         return info.hits + info.misses
 
+    for op in sp4_bilinears().values():  # as fresh operands hold no table
+        oa._set_tables(op, None)
     oa._mono_cross.cache_clear()
     closure_report("sp4")
-    closure = reads()
+    cold = reads()
     closure_report("sp4")
-    closure = reads() - closure
+    warm = reads() - cold
     power = reads()
     opdsl.parse("(d/dr + r)^20")
     power = reads() - power
     assert oa._mono_cross.cache_info().currsize <= 400
-    assert closure <= 2200 and power <= 320, (closure, power)
+    assert cold <= 300 and warm == 0 and power <= 160, (cold, warm, power)
+
+
+def test_warm_closures_form_every_commutator(monkeypatch):
+    # an operand keeps its tables, but no product or commutator is kept: a
+    # warm closure still forms each of its commutators
+    for name, commutators in (("sp4", 45), ("weyl", 10)):
+        closure_report(name)
+        normal_order, orderings = oa._normal_order, []
+        monkeypatch.setattr(oa, "_normal_order", lambda *args: orderings.append(1) or normal_order(*args))
+        closure_report(name)
+        monkeypatch.undo()
+        assert len(orderings) == commutators, name
 
 
 def test_warm_sp4_closure_and_casimir_form_no_products(monkeypatch):
