@@ -246,6 +246,8 @@ def _cmd_coulomb_residual(args) -> int:
     from . import coulomb
     tol = args.tol or coulomb.PROFILE_TOL  # --tol is positive when given
     Z = args.Z
+    if not 0 <= args.L < args.n:  # state_tm's own message names its labels (t, m), not the flags
+        raise ValueError(f"need --n >= 1 and 0 <= --L <= --n - 1, got --n {args.n} --L {args.L}")
     state = coulomb.state_tm(args.n, args.L, Z)
     norm = coulomb.normalization_residual(state)  # first: it refuses a state past the quadrature ceiling
     resid = coulomb.schrodinger_residual(state)

@@ -289,7 +289,12 @@ def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    dmu, dnu = step(opalgebra.phase(_kind(kind).axis, direction))
+    return _shift(_kind(kind).axis, direction)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed, so a float direction still reaches phase's TypeError
+def _shift(axis: str, direction: int) -> tuple[Fraction, Fraction]:
+    dmu, dnu = step(opalgebra.phase(axis, direction))
     return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
 
 
@@ -304,15 +309,19 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     is that value.  The phase factor and, for the Weyl pairs, u are attached.
     """
     l, m = exact(l, "l"), exact(m, "m")
+    t0, n = l + 1, 2 * m + 1
     out = []
     for name, lad in LADDERS.items():
         direction = 1 if sum(step(lad.operator())) > 0 else -1
         record = _kind(lad.ladder)
         sign = record.raises * direction
-        dl, dm = ladder_shift(lad.ladder, direction) if sign < 0 else (0, 0)
-        label = record.labels(l + dl, m + dm)[sign < 0]
-        value = record.number(l + 1, 2 * m + 1, direction)
-        member = _member(record, sign, (record.k_unit, label - value), (_number_label(lad.ladder, direction)[1], 1))
+        if sign > 0:
+            label = record.labels(l, m)[0]
+        else:
+            dl, dm = ladder_shift(lad.ladder, direction)
+            label = record.labels(l + dl, m + dm)[1]
+        member = _member(record, sign, (record.k_unit, label - record.number(t0, n, direction)),
+                         (_number_label(lad.ladder, direction)[1], 1))
         out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),
                            lad.operator()))
     return out

@@ -69,6 +69,10 @@ left atom that met it: each interaction term such an atom meets in it, flat
 table; a table reads the cache once per class of right atoms (function pattern
 and u parity).  The leading terms of ``a*b`` and ``b*a`` cancel, so
 ``commutator`` forms both orders in one pass without them, as tables hold none.
+The atom constructors ``r_half_power``, ``r_power``, ``sqrt_r``, ``phase``,
+``deriv`` and ``s_sym`` validate their arguments, then return a shared operator
+from one bounded cache (``_constant``), and ``identity``, ``imag`` and ``u_sym``
+module constants, so a constant keeps its hash and its tables across calls.
 Every product, binary, n-ary or a power, is one ``product`` pass.  ``fold``
 is the one place where free single atoms (no derivative meets a function on its
 own axis) fold in integers: ``product`` folds each adjacent pair through it, the
@@ -517,6 +521,7 @@ class OperatorExpr:
 # the slots' own setters, which the immutability guard in __setattr__ does not see
 _set_terms, _set_den, _set_hash, _set_tables = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
 _ONE = OperatorExpr._wrap({_BIAS: (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
+_I, _U = OperatorExpr._wrap({_BIAS: (0, 1)}, 1), OperatorExpr._wrap({_BIAS + 1: (1, 0)}, 1)  # imag(), u_sym()
 
 
 # -- constructors --------------------------------------------------------
@@ -541,26 +546,34 @@ def identity() -> OperatorExpr:
     return _ONE
 
 
+# a bound on memory, not a tuning: paper-identities reads 17 constants, and 40
+# dsl-stream and 200 coulomb-checks decks (seed 1) add 161 phases and r powers
+@lru_cache(maxsize=1024)
+def _constant(fields: tuple[int, ...], sp: int, up: int) -> OperatorExpr:
+    """The shared operator of the atom ``(fields, sp, up)`` of validated integers; ``_pack``'s error is not cached."""
+    return _atom(_pack(fields, sp, up))
+
+
 def scalar(value: Rational) -> OperatorExpr:
     value = exact(value, "coefficient")
     return _atom(_BIAS, value.numerator, 0, value.denominator)
 
 
 def imag() -> OperatorExpr:
-    return _atom(_BIAS, 0, 1)
+    return _I
 
 
 def s_sym(power: int = 1) -> OperatorExpr:
-    return _atom(_pack((0,) * 8, exact_int(power, "power"), 0))
+    return _constant((0,) * 8, exact_int(power, "power"), 0)
 
 
 def u_sym() -> OperatorExpr:
-    return _atom(_BIAS + 1)
+    return _U
 
 
 def r_half_power(halves: int) -> OperatorExpr:
     """r**(halves/2); use halves=2 for r itself, halves=1 for sqrt(r)."""
-    return _atom(_pack((exact_int(halves, "halves"), 0, 0, 0, 0, 0, 0, 0), 0, 0))
+    return _constant((exact_int(halves, "halves"), 0, 0, 0, 0, 0, 0, 0), 0, 0)
 
 
 def r_power(power: Rational) -> OperatorExpr:
@@ -580,7 +593,7 @@ def phase(axis: str, winding: int) -> OperatorExpr:
         raise ValueError(f"unknown phase axis {axis!r}")
     k = [0, 0, 0]
     k[PHASE_AXES.index(axis)] = exact_int(winding, "winding")
-    return _atom(_pack((0, *k, 0, 0, 0, 0), 0, 0))
+    return _constant((0, *k, 0, 0, 0, 0), 0, 0)
 
 
 def deriv(axis: str, order: int = 1) -> OperatorExpr:
@@ -591,7 +604,7 @@ def deriv(axis: str, order: int = 1) -> OperatorExpr:
         raise ValueError("derivative order must be nonnegative")
     d = [0, 0, 0, 0]
     d[DERIV_AXES.index(axis)] = order
-    return _atom(_pack((0, 0, 0, 0, *d), 0, 0))
+    return _constant((0, 0, 0, 0, *d), 0, 0)
 
 
 # -- derived operations --------------------------------------------------

@@ -278,6 +278,12 @@ class TestCoulombCommands:
         assert cli.main(["coulomb-residual", "--n", "3", "--L", "1", "--Z", Z]) == 2
         assert "charge must lie in [2**-64, 2**64]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,L", [("2", "2"), ("0", "0"), ("2", "-1")])
+    def test_labels_outside_the_state_range_exit_2(self, capsys, n, L):
+        # the refusal names the flags the command takes, not the library's (t, m)
+        assert cli.main(["coulomb-residual", "--n", n, "--L", L]) == 2
+        assert capsys.readouterr().err == f"error: need --n >= 1 and 0 <= --L <= --n - 1, got --n {n} --L {L}\n"
+
     @pytest.mark.parametrize("refused,accepted", [(str(2**64), str(2**63)),
                                                   (f"1/{2**64}", f"1/{2**63}")])
     def test_verify_charge_leaves_room_for_the_sweep(self, capsys, refused, accepted):

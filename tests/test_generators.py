@@ -316,6 +316,9 @@ class TestTransformedLadders:
         assert gen.ladder_shift("check1", -1) == (-HALF, HALF)
         assert gen.ladder_shift("check2", 1) == (HALF, HALF)
         assert gen.ladder_shift("check2", -1) == (-HALF, -HALF)
+        # a shift is cached by direction type too, so a float still meets phase's refusal
+        with pytest.raises(TypeError, match=r"^winding must be an exact rational"):
+            gen.ladder_shift("tilde", 1.0)
 
     def test_shifts_match_bound_state_label_moves(self):
         # check1 steps mu = l - m, check2 steps nu = l + m + 1

@@ -489,6 +489,59 @@ def test_power_multiplies_its_squares_in_one_product(monkeypatch):
         assert calls["_normal_order"] == e.bit_length() + bin(e).count("1") - 2, e
 
 
+def test_atom_constructors_return_shared_constants():
+    # equal integer arguments give one shared operator, read after validation,
+    # so every refusal keeps its type and message once the integer is cached and
+    # an exception is never cached
+    assert oa.r_power(1) is oa.r_half_power(2) is oa.r_power(Fraction(2, 2)) is oa.r_half_power(Fraction(2))
+    assert oa.sqrt_r() is oa.r_half_power(1) is oa.r_power(HALF)
+    assert oa.phase("eta", 1) is oa.phase("eta", Fraction(1)) and oa.phase("beta", -2) is oa.phase("beta", -2)
+    assert oa.deriv("r") is oa.deriv("r", 1) and oa.deriv("alpha", 2) is oa.deriv("alpha", Fraction(2))
+    assert oa.s_sym() is oa.s_sym(1) and oa.s_sym(-3) is oa.s_sym(-3)
+    assert oa.imag() is oa.imag() and oa.u_sym() is oa.u_sym() and oa.identity() is oa.identity()
+    assert oa.phase("eta", 1) is not oa.phase("alpha", 1) and oa.deriv("r") is not oa.deriv("eta")
+    for build, name in ((lambda: oa.r_power(1.0), "power"), (lambda: oa.r_half_power(2.0), "halves"),
+                        (lambda: oa.phase("eta", 1.0), "winding"), (lambda: oa.deriv("r", 1.0), "order"),
+                        (lambda: oa.s_sym(1.0), "power")):
+        with pytest.raises(TypeError, match=rf"^{name} must be an exact rational \(int or Fraction\), got float$"):
+            build()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^unknown phase axis \['eta'\]$"):
+            oa.phase(["eta"], 1)
+        with pytest.raises(ValueError, match=r"^unknown derivative axis \['r'\]$"):
+            oa.deriv(["r"])
+        with pytest.raises(ValueError, match=r"^r2 = 16777216 is outside the exponent bound \[-2\*\*24, 2\*\*24\)$"):
+            oa.r_half_power(2**24)
+    # a bound on memory, not a tuning: distinct windings evict, and an evicted
+    # constant is built again equal to the one it replaces
+    first = oa.phase("alpha", 10_000)
+    for k in range(10_000):
+        assert oa.phase("alpha", k).terms() == (((oa.Mono(0, 0, k, 0, 0, 0, 0, 0), 0, 0), (1, 0)),)
+    info = oa._constant.cache_info()
+    assert info.currsize <= info.maxsize == 1024
+    assert oa.phase("alpha", 10_000) == first
+
+
+def test_warm_identity_checks_pack_no_atom(monkeypatch):
+    # every constant atom of a warm reconstruction or factorization check is a
+    # shared constant, so neither packs an atom (9 and 5-6 _pack calls when each
+    # constructor call built a fresh operator); nothing a product returns is
+    # kept, so a warm sp4 closure still forms its 45 commutators
+    checks = [lambda: reconstruction_reports(3, HALF), lambda: reconstruction_reports(Fraction(7, 2), -2),
+              *(lambda p=params: factorization_residuals(p, Fraction(5, 2))
+                for params in (TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3))),
+              lambda: closure_report("sp4")]
+    for check in checks:
+        check()
+    calls = _count_calls(monkeypatch, "_pack", "_normal_order")
+    for check in checks[:-1]:
+        check()
+    assert calls["_pack"] == 0
+    calls["_normal_order"] = 0
+    assert closure_report("sp4").closed
+    assert calls == {"_pack": 0, "_normal_order": 45}
+
+
 def test_commutator_with_a_number_is_zero():
     assert oa.commutator(3, oa.deriv("r")).is_zero
     assert oa.commutator(oa.deriv("r"), Fraction(1, 2)).is_zero
