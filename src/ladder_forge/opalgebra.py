@@ -64,11 +64,14 @@ exponents of ``g2``; one bounded cache (``_mono_cross``) holds them under that
 key, ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS``, as offsets from the
 leading key.  Each operand keeps, beside its hash, one *table* per *signature*
 (derivative orders and u parity: a left u meets a right one as ``u**2``) of a
-left atom that met it: each interaction term such an atom meets in it, flat
-(``_table``).  A left atom reads its leading terms off the right atoms, then one
-table; a table reads the cache once per class of right atoms (function pattern
-and u parity).  The leading terms of ``a*b`` and ``b*a`` cancel, so
-``commutator`` forms both orders in one pass without them, as tables hold none.
+left atom that met it, at most 64: each interaction term such an atom meets in
+it, merged by offset, scanning only atoms that meet the signature's axes
+(``_table``).  It also keeps its atoms with a derivative and their largest
+``dr``.  A left atom of a product reads its leading terms off the right atoms,
+and each left atom with a derivative one table; a table reads the cache once per
+class of right atoms (function pattern on those axes and u parity).  The
+leading terms of ``a*b`` and ``b*a`` cancel, so ``commutator`` forms both
+orders in one pass without them, as tables hold none.
 The atom constructors ``r_half_power``, ``r_power``, ``sqrt_r``, ``phase``,
 ``deriv`` and ``s_sym`` validate their arguments, then return a shared operator
 from one bounded cache (``_constant``), and ``identity``, ``imag`` and ``u_sym``
@@ -180,6 +183,7 @@ _FUNCS, _DERIVS = (sum(_FIELD << shift for shift in part) for part in (_SHIFTS[:
 _U2 = 2 + (1 << _SP)  # u**2 = 1/(2*s): u parity 2 to 0, one s power down
 _LOW = sum(_HALF - EXP_BOUND << shift for shift in _SHIFTS)
 _GUARD = sum((_FIELD ^ 2 * EXP_BOUND - 1) << shift for shift in _SHIFTS)
+_NONZERO = sum(_HALF - 1 << shift for shift in _SHIFTS[4:8])  # sets bit 31 of each nonzero derivative order
 _LETTERS = dict(zip((*Mono._fields, "s_power", "u_parity"), (*_SHIFTS, 0)))  # each letter's shift in a key
 
 
@@ -285,52 +289,84 @@ def fold(forms: Sequence[tuple]) -> tuple | None:
 
 def _table(op: "OperatorExpr", sig: int) -> tuple[tuple[int, int, int], ...]:
     """Every interaction term a left atom of signature ``sig`` (derivative orders | u parity) meets in ``op``, as
-    ``(offset, re, im)``: the offset from the left key, ``-_U2`` of u·u in it, over ``2**(dr + 1) * op._den``."""
-    out, classes = [], {}  # function exponents | u parity: the class's _mono_cross terms, read once
+    ``(offset, re, im)``: the offset from the left key, ``-_U2`` of u·u in it, over ``2**(dr + 1) * op._den``.  Only
+    right atoms with a function on an axis of ``sig``'s derivatives are read; terms at one offset are summed, and a
+    zero sum is dropped."""
+    # the function fields on the axes of sig's derivatives: adding _NONZERO sets bit 31 of each nonzero order,
+    # which * _FIELD spreads over its field and the shift moves to the function field of its axis
+    axes = (((sig & _DERIVS) + _NONZERO & _BIAS) >> 31) * _FIELD << _R2 - _DR
+    merged, classes = {}, {}  # offset: [re, im]; function exponents | u parity: the class's _mono_cross terms
+    get = merged.get
     for k2, (a2, b2) in op._terms.items():
-        if funcs := (k2 ^ _BIAS) & _FUNCS:  # without functions, no interaction
+        if funcs := (k2 ^ _BIAS) & axes:  # without a function on a derivative's axis, no interaction
             cross = classes.get(funcs | k2 & 1)
             if cross is None:
                 uu = sig & k2 & 1  # u**2 = 1/(2*s): one factor 2 fewer
                 cross = classes[funcs | k2 & 1] = [(delta - uu * _U2 - _BIAS, gr << 1 - uu, gi << 1 - uu)
                                                    for delta, gr, gi in _mono_cross(sig & _DERIVS | funcs)]
-            out.extend((delta + k2, gr * a2 - gi * b2, gr * b2 + gi * a2) for delta, gr, gi in cross)
-    return tuple(out)
+            for delta, gr, gi in cross:
+                offset, cx, cy = delta + k2, gr * a2 - gi * b2, gr * b2 + gi * a2
+                if (cur := get(offset)) is None:
+                    merged[offset] = [cx, cy]
+                else:
+                    cur[0] += cx
+                    cur[1] += cy
+    return tuple((offset, re, im) for offset, (re, im) in merged.items() if re or im)
+
+
+def _derivative_atoms(op: "OperatorExpr") -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(top, atoms)``, kept by ``op``: its largest ``dr`` (0 without one) and its atoms with a derivative, as
+    ``(key, re, im, sig, dr)``, ``sig`` the signature a table is keyed by."""
+    atoms, top = [], 0
+    for k1, (a1, b1) in op._terms.items():
+        if (sig := (k1 ^ _BIAS) & _DERIVS | k1 & 1) > 1:  # derivative orders | u parity, with a derivative
+            dr = (k1 >> _DR & _FIELD) - _HALF
+            atoms.append((k1, a1, b1, sig, dr))
+            top = max(top, dr)
+    kept = top, tuple(atoms)
+    _set_lefts(op, kept)
+    return kept
 
 
 def _normal_order(a: "OperatorExpr", b: "OperatorExpr", commute: bool) -> "OperatorExpr":
-    """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one pass: a left atom of a product reads its
-    leading terms off the right atoms, then, if it has a derivative, the right operand's table for its signature.
-    All terms go over ``den_a * den_b * 2**(top + 1)``, ``top`` the largest left ``dr``: a left numerator is lifted
-    by ``top + 1`` for a leading term and by ``top - dr`` for a table's, which is over ``2**(dr + 1) * den_b``."""
-    orders = ((a, b, 1), (b, a, -1)) if commute else ((a, b, 1),)
-    lefts = (*a._terms, *b._terms) if commute else a._terms
-    top = max((k1 >> _DR & _FIELD for k1 in lefts), default=_HALF) - _HALF
+    """``a*b``, or with ``commute`` the commutator ``a*b - b*a``, in one sum: each left atom of a product adds its
+    leading terms off the right atoms, then each left atom with a derivative, as its operand keeps them
+    (``_derivative_atoms``), reads the right operand's table for its signature.  All terms go over ``den_a * den_b
+    * 2**(top + 1)``, ``top`` the largest left ``dr``: a left numerator is lifted by ``top + 1`` for a leading term
+    and by ``top - dr`` for a table's, which is over ``2**(dr + 1) * den_b``."""
+    top, atoms = a._lefts or _derivative_atoms(a)
+    passes = [(atoms, b, 1)]
+    if commute:
+        top_b, atoms_b = b._lefts or _derivative_atoms(b)
+        top = max(top, top_b)
+        passes.append((atoms_b, a, -1))
     acc: dict[Atom, list] = {}  # mutable [re, im] sums, made tuples by _lowest
     get = acc.get
-    for left, right, sign in orders:
+    if not commute:  # the leading terms, which cancel in a commutator
+        rights = b._terms.items()
+        for k1, (a1, b1) in a._terms.items():
+            x, y, u = a1 << top + 1, b1 << top + 1, k1 & 1
+            for k2, (a2, b2) in rights:
+                key, cx, cy = k1 + k2 - _BIAS, x * a2 - y * b2, x * b2 + y * a2
+                if u & k2:  # u**2 = 1/(2*s)
+                    key, cx, cy = key - _U2, cx >> 1, cy >> 1
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [cx, cy]
+                else:
+                    cur[0] += cx
+                    cur[1] += cy
+    for atoms, right, sign in passes:
+        if not atoms:  # no derivative, no interaction
+            continue
         if (tables := right._tables) is None:
             _set_tables(right, tables := {})
-        for k1, (a1, b1) in left._terms.items():
-            if not commute:  # the leading terms, which cancel in a commutator
-                x, y, u = a1 << top + 1, b1 << top + 1, k1 & 1
-                for k2, (a2, b2) in right._terms.items():
-                    key, cx, cy = k1 + k2 - _BIAS, x * a2 - y * b2, x * b2 + y * a2
-                    if u & k2:  # u**2 = 1/(2*s)
-                        key, cx, cy = key - _U2, cx >> 1, cy >> 1
-                    cur = get(key)
-                    if cur is None:
-                        acc[key] = [cx, cy]
-                    else:
-                        cur[0] += cx
-                        cur[1] += cy
-            sig = (k1 ^ _BIAS) & _DERIVS | k1 & 1  # derivative orders | u parity
-            if sig < 2:  # no derivative, no interaction
-                continue
+        for k1, a1, b1, sig, dr in atoms:
             if (table := tables.get(sig)) is None:
+                if len(tables) >= 64:  # a bound on memory, not a tuning: a workload operand holds at most 11
+                    tables.clear()
                 table = tables[sig] = _table(right, sig)
-            lift = top + _HALF - (k1 >> _DR & _FIELD)  # top - dr
-            re, im = sign * a1 << lift, sign * b1 << lift
+            re, im = sign * a1 << top - dr, sign * b1 << top - dr
             for offset, gr, gi in table:
                 key, cx, cy = k1 + offset, re * gr - im * gi, re * gi + im * gr
                 cur = get(key)
@@ -374,7 +410,7 @@ class OperatorExpr:
     common denominator itself, so ``OperatorExpr(dict(e.terms())) == e``.
     """
 
-    __slots__ = ("_terms", "_den", "_hash", "_tables")
+    __slots__ = ("_terms", "_den", "_hash", "_tables", "_lefts")
 
     def __init__(self, terms: Mapping[Atom, "Rational | tuple[Rational, Rational]"] | None = None):
         values: dict[Atom, tuple[Fraction, Fraction]] = {}
@@ -390,6 +426,7 @@ class OperatorExpr:
         _set_den(self, den)
         _set_hash(self, None)
         _set_tables(self, None)
+        _set_lefts(self, None)
 
     @classmethod
     def _wrap(cls, clean: dict[Atom, Gauss], den: int) -> "OperatorExpr":
@@ -399,6 +436,7 @@ class OperatorExpr:
         _set_den(out, den)
         _set_hash(out, None)
         _set_tables(out, None)
+        _set_lefts(out, None)
         return out
 
     def __setattr__(self, name, value):
@@ -519,7 +557,8 @@ class OperatorExpr:
 
 
 # the slots' own setters, which the immutability guard in __setattr__ does not see
-_set_terms, _set_den, _set_hash, _set_tables = (OperatorExpr.__dict__[name].__set__ for name in OperatorExpr.__slots__)
+_set_terms, _set_den, _set_hash, _set_tables, _set_lefts = (OperatorExpr.__dict__[name].__set__
+                                                          for name in OperatorExpr.__slots__)
 _ONE = OperatorExpr._wrap({_BIAS: (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
 _I, _U = OperatorExpr._wrap({_BIAS: (0, 1)}, 1), OperatorExpr._wrap({_BIAS + 1: (1, 0)}, 1)  # imag(), u_sym()
 
