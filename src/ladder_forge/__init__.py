@@ -11,17 +11,18 @@ The package has three layers:
   Heisenberg-Weyl generators they assemble into, all checked symbolically.
 * ``coulomb``: hydrogen-like bound states and quadrature-exact numerical
   confirmation of the closed-form generator actions.  Only this layer imports
-  numpy; it loads on first use of ``coulomb`` or the five names taken from it.
+  numpy.
 
 ``cli`` exposes the same checks as a command line tool.
+
+Every layer loads on first use: a bare ``import ladder_forge`` loads no
+submodule, and each name of ``__all__`` loads its home module (``_HOMES``), and
+what that module imports, the first time it is read.  So ``parse`` loads
+``opalgebra`` and ``opdsl``, ``f_to_b`` ``opalgebra`` and ``factorizations``,
+and only the five names from ``coulomb`` load numpy.
 """
 
 import importlib
-
-from .factorizations import TypeB, TypeC, TypeF, b_to_c, f_to_b, f_to_c
-from .generators import build_AB, build_T, casimir
-from .opalgebra import OperatorExpr, commutator
-from .opdsl import parse, render
 
 __version__ = "0.1.0"
 
@@ -47,9 +48,20 @@ __all__ = [
     "__version__",
 ]
 
+# each submodule, and each name of __all__ but __version__, mapped to its home module
+_HOMES = {name: home for home, names in {
+    "opalgebra": "OperatorExpr commutator",
+    "opdsl": "parse render",
+    "factorizations": "TypeB TypeC TypeF b_to_c f_to_b f_to_c",
+    "generators": "build_AB build_T casimir",
+    "coulomb": "QuantumState action_coefficient make_state state_munu state_tm",
+    "cli": "",
+}.items() for name in (home, *names.split())}
 
-def __getattr__(name):  # the names of __all__ not bound above come from the float layer
-    if name != "coulomb" and name not in __all__:
+
+def __getattr__(name):  # PEP 562: each name loads its home module on first use
+    home = _HOMES.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    coulomb = importlib.import_module(".coulomb", __name__)
-    return coulomb if name == "coulomb" else getattr(coulomb, name)
+    module = importlib.import_module(f".{home}", __name__)
+    return module if name == home else getattr(module, name)

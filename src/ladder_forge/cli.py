@@ -4,6 +4,11 @@ Subcommands cover the three layers of the package: the operator DSL
 (``parse``, ``commutator``), the exact algebra checks (``verify-algebra``,
 ``casimir``), the factorization-family transforms (``transform``) and the
 numerical Coulomb verification (``coulomb-verify``, ``coulomb-residual``).
+Each subcommand imports the layers it reads when it runs, and no others:
+``parse`` and ``commutator`` load ``opalgebra`` and ``opdsl``, ``transform``
+loads ``factorizations`` (with ``opalgebra``), ``verify-algebra`` and
+``casimir`` load ``generators`` (with the three above), and only the two
+Coulomb subcommands load ``coulomb`` and numpy.
 
 Reports are emitted as text or JSON.  The JSON document always has the shape
 
@@ -27,8 +32,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-
-from . import factorizations, generators, opalgebra, opdsl
 
 
 def _num(value):
@@ -80,6 +83,14 @@ def _at_least(minimum: int):
     return count
 
 
+def _algebra(raw: str) -> str:
+    from . import generators  # here, not in build_parser, so no other subcommand loads it
+    if raw not in generators.ALGEBRAS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {raw!r} (choose from {', '.join(map(repr, generators.ALGEBRAS))})")
+    return raw
+
+
 def _rational(raw: str) -> Fraction:
     limit = sys.get_int_max_str_digits()  # 0 when unlimited
     try:  # printing fails past int's digit limit: fail here, not in the report after the work
@@ -122,12 +133,14 @@ def _finish(command: str, params: dict, rows: list[dict], args) -> int:
 
 
 def _cmd_parse(args) -> int:
+    from . import opdsl
     expr = opdsl.parse(args.expression)
     return _finish("parse", {"expression": args.expression},
                    [_row("normal-form", None, opdsl.render(expr), None, True)], args)
 
 
 def _cmd_commutator(args) -> int:
+    from . import opalgebra, opdsl
     left = opdsl.parse(args.left)
     right = opdsl.parse(args.right)
     result = opalgebra.commutator(left, right)
@@ -136,10 +149,12 @@ def _cmd_commutator(args) -> int:
 
 
 def _report_rows(reports) -> list[dict]:
+    from . import opdsl
     return [_row(rep.name, 0, opdsl.render(rep.residual), None, rep.passed) for rep in reports]
 
 
 def _cmd_verify_algebra(args) -> int:
+    from . import generators
     which = args.algebra
     algebra = generators.ALGEBRAS[which]
     rows = _report_rows(algebra.reports())
@@ -152,6 +167,7 @@ def _cmd_verify_algebra(args) -> int:
 
 
 def _cmd_casimir(args) -> int:
+    from . import generators
     return _finish("casimir", {}, _report_rows(generators.casimir_reports()), args)
 
 
@@ -168,6 +184,7 @@ def _transform_rows(result) -> list[dict]:
 
 
 def _cmd_transform(args) -> int:
+    from . import factorizations
     q = args.q
     params = {"route": args.route, "q": str(q), "l": args.l, "m": args.m}
     if args.route == "f2b":
@@ -201,7 +218,7 @@ def _action_rows(reports) -> list[dict]:
 
 
 def _cmd_coulomb_verify(args) -> int:
-    from . import coulomb  # numpy loads here; the algebra subcommands never load it
+    from . import coulomb  # numpy loads here, after the algebra layers; no other subcommand loads it
     # each row's quadrature order follows the largest principal label it reaches: T+ lifts t_max to
     # n = t_max + 1, and A+ or B+ lifts the largest odd mu + nu the weyl grid holds by half a level
     top = min(args.mu_max + args.nu_max, 2 * args.nu_max - 1)  # the largest odd mu + nu is top - 1 + top % 2
@@ -288,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_commutator)
 
     p = sub.add_parser("verify-algebra", help="commutation table and closure")
-    p.add_argument("algebra", choices=tuple(generators.ALGEBRAS))
+    p.add_argument("algebra", type=_algebra,
+                   help="the algebra to check; an unknown name is refused with the list of names")
     p.set_defaults(func=_cmd_verify_algebra)
 
     p = sub.add_parser("casimir", help="quadratic invariant identities")

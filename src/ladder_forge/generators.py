@@ -70,7 +70,10 @@ class AlgebraReport(Record):
 
 
 def _report(name: str, lhs: OperatorExpr, rhs: OperatorExpr) -> AlgebraReport:
-    return AlgebraReport(name, lhs, rhs, residual := lhs - rhs, residual.is_zero)
+    # equality is canonical, so lhs == rhs exactly when lhs - rhs is zero: only a failing row subtracts
+    if lhs == rhs:
+        return AlgebraReport(name, lhs, rhs, opalgebra.zero(), True)
+    return AlgebraReport(name, lhs, rhs, lhs - rhs, False)
 
 
 @cache

@@ -135,10 +135,19 @@ class TestAlgebraCommands:
         code, report = run_json(capsys, ["casimir"])
         assert code == 0 and len(report["rows"]) == 4
 
-    def test_unknown_algebra_usage_error(self):
+    def test_unknown_algebra_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify-algebra", "su2"])
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid choice: 'su2'" in err
+        assert all(f"'{name}'" in err for name in ("su11", "weyl", "sp4"))
+
+    def test_verify_algebra_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify-algebra", "--help"])
+        assert info.value.code == 0
+        assert "usage: ladder-forge verify-algebra" in capsys.readouterr().out
 
 
 class TestTransformCommand:
