@@ -47,8 +47,9 @@ L'_n = -L^(1)_(n-1) off one table; ``_recurrence`` is the layer's one recurrence
 Ladder targets keep rho fixed, which means the charge is rescaled: stepping
 the principal label from n to n' drags Z to Z n'/n.  The shifted charge is
 generally not an integer; reports record this rather than forbidding it.
-Each step is derived once, by ``_step``: the radicand, the target folded past
-nu == mu and n'/n, which ``action_report`` reads its coefficient and target from.
+Each step's radicand, target and n'/n are stated once, on unfolded windings, by
+``generators.ladder_move``; ``_step`` only folds its target past nu == mu, and
+``action_report`` reads its coefficient and target from it.
 
 Exact values stay at the edges, where a value is reported or checked: Z, gamma,
 the dragged charge, the radicand, the energy and norm_sq.  A float check reads its
@@ -391,20 +392,13 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
 
 
 def _step(state: QuantumState, operator: str) -> tuple[int, Fraction, tuple[int, int], Fraction]:
-    """The one derivation of a step: (sign, radicand) of its coefficient sign * sqrt(radicand), the radicand n'/n
-    times x + 1 for each raised label x and x for each lowered one; the target (mu', nu') of its ``generators.step``,
-    folded past nu == mu by L^(-1)_n = -(rho/n) L^(1)_(n-1), which flips the ``LADDERS`` sign; and n'/n."""
+    """``generators.ladder_move`` of ``operator`` on ``state``, its target folded past nu == mu by
+    L^(-1)_n = -(rho/n) L^(1)_(n-1): a target with mu' > nu' is swapped, and its sign flipped."""
     lad = generators.LADDERS.get(operator)
-    if lad is None:
-        raise ValueError(f"unknown operator {operator!r}")
-    if state.family != lad.kind:
+    if lad is not None and state.family != lad.kind:
         raise ValueError(f"{operator} acts on {lad.kind!r} states")
-    (mu, nu), (dmu, dnu) = state.munu, generators.step(lad.operator())
-    n2 = mu + nu + 1
-    folded = mu + dmu > nu + dnu
-    target = (nu + dnu, mu + dmu) if folded else (mu + dmu, nu + dnu)
-    ratio, moved = Fraction(n2 + dmu + dnu, n2), math.prod(x + (d > 0) for x, d in zip((mu, nu), (dmu, dnu)) if d)
-    return (-lad.sign if folded else lad.sign), ratio * moved, target, ratio
+    sign, radicand, (mu, nu), ratio = generators.ladder_move(operator, state.munu)
+    return (-sign, radicand, (nu, mu), ratio) if mu > nu else (sign, radicand, (mu, nu), ratio)
 
 
 def action_radicand(state: QuantumState, operator: str) -> tuple[int, Fraction]:

@@ -45,10 +45,15 @@ per process, to build it: names T0, T+-, A+-, B+- and C (``casimir()``'s,
 looked up when read), integers, [x,y], {x,y} = xy + yx, products by "*" or side
 by side, "/n", "^n" (n > 0), parentheses, "+", "-" and "==".  A name ends in
 its sign, so a number after a factor needs "*": "A+1" is an error at the 1.
+
+``LADDERS`` names the six ladders and their action signs; ``step`` reads each
+one's lattice step off its phase winding, and ``ladder_move`` states its exact
+move on unfolded weyl labels, which ``coulomb`` only folds past nu == mu.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
@@ -216,7 +221,7 @@ def step(op: OperatorExpr) -> tuple[int, int]:
 
 
 class Ladder(Record):
-    """One ladder generator: where it lives and its action's sign; its step is ``step(self.operator())``."""
+    """One ladder generator: where it lives and its action's sign; ``ladder_move`` states its lattice move."""
 
     kind: str  # the algebra, a key of ALGEBRAS
     member: str  # key in its generators
@@ -235,6 +240,20 @@ LADDERS = {
     "B+": Ladder("weyl", "Bplus", "check2", -1),
     "B-": Ladder("weyl", "Bminus", "check2", -1),
 }
+
+
+def ladder_move(name: str, munu: tuple[int, int]) -> tuple[int, Fraction, tuple[int, int], Fraction]:
+    """The exact move of the ladder ``name`` at weyl labels (mu, nu), windings unfolded, so a target with
+    mu' > nu' is kept: (sign, radicand) of its coefficient sign * sqrt(radicand), the radicand n'/n times x + 1
+    for each raised label x and x for each lowered one; the target (mu + dmu, nu + dnu) of its ``step``; and n'/n."""
+    lad = LADDERS.get(name)
+    if lad is None:
+        raise ValueError(f"unknown operator {name!r}")
+    (dmu, dnu), n2 = step(lad.operator()), sum(munu) + 1
+    ratio = Fraction(n2 + dmu + dnu, n2)
+    moved = math.prod(x + (d > 0) for x, d in zip(munu, (dmu, dnu)) if d)
+    return lad.sign, ratio * moved, (munu[0] + dmu, munu[1] + dnu), ratio
+
 
 _NAMES = {"T0": lambda: build_T()["T0"], "C": lambda: casimir()[0], **{n: lad.operator for n, lad in LADDERS.items()}}
 _LEXEME = re.compile(r"\s*([A-Z][0+-]?|\d+|==|\S)")  # a capital with its 0 or sign, an integer, "==", a char
@@ -282,25 +301,6 @@ def _identity(text: str) -> AlgebraReport:
     return _report(text, (reader := _Reader(text)).side("=="), reader.side(""))
 
 
-def ladder_shift(kind: str, direction: int) -> tuple[Fraction, Fraction]:
-    """Label shift (dl, dm) effected by one application of a ladder member.
-
-    Read off the ``step`` (dmu, dnu) of the phase factor exp(+-i axis) of the
-    generator of ``kind`` stepping ``direction``, its one winding factor, with
-    mu = l - m and nu = l + m + 1: check1 steps mu, check2 steps nu, tilde
-    steps both and so l alone.
-    """
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    return _shift(_kind(kind).axis, direction)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed, so a float direction still reaches phase's TypeError
-def _shift(axis: str, direction: int) -> tuple[Fraction, Fraction]:
-    dmu, dnu = step(opalgebra.phase(axis, direction))
-    return Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2)
-
-
 def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     """Rebuild T+-, A+-, B+- from the transformed ladders at labels (l, m).
 
@@ -315,14 +315,14 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     t0, n = l + 1, 2 * m + 1
     out = []
     for name, lad in LADDERS.items():
-        direction = 1 if sum(step(lad.operator())) > 0 else -1
+        dmu, dnu = step(lad.operator())
+        direction = 1 if dmu + dnu > 0 else -1
         record = _kind(lad.ladder)
         sign = record.raises * direction
         if sign > 0:
             label = record.labels(l, m)[0]
-        else:
-            dl, dm = ladder_shift(lad.ladder, direction)
-            label = record.labels(l + dl, m + dm)[1]
+        else:  # (dl, dm) = ((dmu + dnu)/2, (dnu - dmu)/2), as mu = l - m and nu = l + m + 1
+            label = record.labels(l + Fraction(dmu + dnu, 2), m + Fraction(dnu - dmu, 2))[1]
         member = _member(record, sign, (record.k_unit, label - record.number(t0, n, direction)),
                          (_number_label(lad.ladder, direction)[1], 1))
         out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),

@@ -72,10 +72,19 @@ and each left atom with a derivative one table; a table reads the cache once per
 class of right atoms (function pattern on those axes and u parity).  The
 leading terms of ``a*b`` and ``b*a`` cancel, so ``commutator`` forms both
 orders in one pass without them, as tables hold none.
+Beside ``EXP_BOUND``, ``PAIR_BOUND`` (2**12) bounds how many terms one pair
+forms: on a miss, ``_mono_cross`` counts them from the key, the product over
+the axes of d + 1 where a derivative of order d meets a phase winding or an r
+power (min(d, p) + 1 for r**p, p a nonnegative integer, where the falling
+factorial stops), and raises ``ValueError`` past the bound before it builds
+any, so ``d/deta^20000*exp(i*eta)`` is refused at once.  It bounds the terms
+of one pair, not the size of their coefficients, nor the products that a
+power of a sum makes.
 The atom constructors ``r_half_power``, ``r_power``, ``sqrt_r``, ``phase``,
 ``deriv`` and ``s_sym`` validate their arguments, then return a shared operator
-from one bounded cache (``_constant``), and ``identity``, ``imag`` and ``u_sym``
-module constants, so a constant keeps its hash and its tables across calls.
+from one bounded cache (``_constant``), and ``identity``, ``zero``, ``imag`` and
+``u_sym`` module constants, so a constant keeps its hash and its tables across
+calls.
 Every product, binary, n-ary or a power, is one ``product`` pass.  ``fold``
 is the one place where free single atoms (no derivative meets a function on its
 own axis) fold in integers: ``product`` folds each adjacent pair through it, the
@@ -99,7 +108,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, log10
+from math import comb, gcd, lcm, log10, prod
 from operator import attrgetter
 
 Rational = int | Fraction
@@ -174,6 +183,9 @@ phase windings; ``dr``, ``de``, ``da``, ``db`` are derivative orders.
 # -- packed atom keys (the layout is in the module docstring) ---------------
 
 EXP_BOUND = 2**24
+# the interaction terms one atom pair may form (module docstring): one pass of the tests, the goldens and the
+# benchmark workloads forms at most 400, and the tests' random triple products can reach 7**4 = 2401
+PAIR_BOUND = 2**12
 _FIELDS = struct.Struct(">9i")  # r2, ke, ka, kb, dr, de, da, db, s_power
 _HALF, _FIELD = 1 << 31, (1 << 32) - 1
 _SHIFTS = tuple(2 + 32 * i for i in range(8, -1, -1))
@@ -223,8 +235,16 @@ def _mono_cross(key: int) -> tuple[tuple[int, int, int], ...]:
     ``(k1 ^ _BIAS) & _DERIVS | (k2 ^ _BIAS) & _FUNCS`` for left and right atom keys (a zero field reads 0).
     Each entry is ``(delta, re, im)``: the key's offset from the leading term's, and a
     Gaussian-integer coefficient over ``2**dr``.  The leading term is not listed: a free pair gets ``()``.
+    A pair that would form more than ``PAIR_BOUND`` terms, the leading one counted, raises ``ValueError``
+    before any is built.
     """
     (r2, ke, ka, kb, dr, de, da, db), _, _ = _unpack(key ^ _BIAS)
+    # d + 1 terms on a phase axis with a winding, and on r, where an even r2 >= 0 stops the falling factorial
+    count = prod(d + 1 for d, k in ((de, ke), (da, ka), (db, kb)) if k)
+    count *= (min(dr, r2 // 2) if r2 >= 0 and r2 % 2 == 0 else dr) + 1
+    if count > PAIR_BOUND:
+        raise ValueError(f"a product of two atoms would form {count} interaction terms, "
+                         f"past the pair bound PAIR_BOUND = {PAIR_BOUND}")
     phases = []
     for je, a, b in _phase_pass(de, ke):
         for ja, c, d in _phase_pass(da, ka):
@@ -560,6 +580,7 @@ class OperatorExpr:
 _set_terms, _set_den, _set_hash, _set_tables, _set_lefts = (OperatorExpr.__dict__[name].__set__
                                                           for name in OperatorExpr.__slots__)
 _ONE = OperatorExpr._wrap({_BIAS: (1, 0)}, 1)  # the unit atom: identity(), and a number's atom in a sum
+_ZERO = OperatorExpr._wrap({}, 1)  # zero()
 _I, _U = OperatorExpr._wrap({_BIAS: (0, 1)}, 1), OperatorExpr._wrap({_BIAS + 1: (1, 0)}, 1)  # imag(), u_sym()
 
 
@@ -578,7 +599,7 @@ def _form(expr: OperatorExpr) -> tuple:
 
 
 def zero() -> OperatorExpr:
-    return OperatorExpr()
+    return _ZERO
 
 
 def identity() -> OperatorExpr:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -121,6 +122,32 @@ class TestExpressionCommands:
     def test_uninvertible_power_exits_2(self, capsys, text):
         assert cli.main(["parse", text]) == 2
         assert f"cannot invert {UNINVERTIBLE[text]}" in capsys.readouterr().err
+
+    def test_pair_past_the_bound_exits_2_before_any_term(self, capsys, monkeypatch):
+        # d/deta^20000 meeting exp(i*eta) would form 20,001 terms: the count is read off the pair's key, so
+        # the refusal comes before _phase_pass builds any (the text ran past 20 s before the bound)
+        passes = []
+        phase_pass = oa._phase_pass
+        monkeypatch.setattr(oa, "_phase_pass", lambda d, k: passes.append((d, k)) or phase_pass(d, k))
+        assert cli.main(["parse", "d/deta^20000*exp(i*eta)"]) == 2
+        assert capsys.readouterr().err == ("error: a product of two atoms would form 20001 interaction terms, "
+                                           f"past the pair bound PAIR_BOUND = {oa.PAIR_BOUND}\n")
+        assert [(d, k) for d, k in passes if d == 20000] == []
+
+    def test_pair_at_the_bound_parses(self):
+        # two axes of 64 terms each form 64 * 64 = PAIR_BOUND terms and parse; 17 * 241, one more, are refused
+        assert oa.PAIR_BOUND == 64 * 64
+        value = opdsl.parse("d/deta^63*d/dalpha^63*(exp(i*eta)*exp(i*alpha))")
+        assert len(list(value.terms())) == oa.PAIR_BOUND
+        with pytest.raises(ValueError, match=f"^a product of two atoms would form {oa.PAIR_BOUND + 1} interaction"):
+            opdsl.parse("d/deta^16*d/dalpha^240*(exp(i*eta)*exp(i*alpha))")
+
+    def test_high_order_meeting_a_low_power_is_counted_where_it_stops(self):
+        # d/dr^5000 meets r^3 in 4 terms, as the falling factorial of 3 stops:
+        # the sum over j <= 3 of C(5000, j) 3!/(3 - j)! r^(3 - j) d/dr^(5000 - j)
+        expected = oa.OperatorExpr({(oa.Mono(6 - 2 * j, 0, 0, 0, 5000 - j, 0, 0, 0), 0, 0): math.comb(5000, j)
+                                    * math.perm(3, j) for j in range(4)})
+        assert opdsl.parse("d/dr^5000*r^3") == oa.deriv("r", 5000) * oa.r_power(3) == expected
 
 
 class TestAlgebraCommands:

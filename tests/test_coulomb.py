@@ -679,6 +679,24 @@ class TestActionCoefficients:
         assert cl.action_radicand(state, "A-")[0] == 1
         assert cl.action_radicand(state, "B+")[0] == -1
 
+    def test_step_is_the_folded_ladder_move(self):
+        # _step keeps generators.ladder_move's radicand and n'/n; a target past nu == mu is swapped and its
+        # sign flipped, and any other is the move's as it is
+        folded = 0
+        states = [cl.state_tm(t, m) for t in range(1, 10) for m in range(t)]
+        states += [cl.state_munu(mu, nu) for nu in range(10) for mu in range(nu + 1)]
+        for state in states:
+            for op, lad in gen.LADDERS.items():
+                if lad.kind != state.family:
+                    continue
+                sign, radicand, (mu, nu), ratio = gen.ladder_move(op, state.munu)
+                if mu > nu:
+                    folded += 1
+                    assert cl._step(state, op) == (-sign, radicand, (nu, mu), ratio), (state.munu, op)
+                else:
+                    assert cl._step(state, op) == (sign, radicand, (mu, nu), ratio), (state.munu, op)
+        assert folded == 20  # A+ and B- at each of the ten states mu == nu
+
     def test_lowering_edge_is_exact_zero(self):
         assert cl.action_radicand(cl.state_tm(3, 2), "T-")[1] == 0
         assert cl.action_radicand(cl.state_munu(0, 4), "A-")[1] == 0

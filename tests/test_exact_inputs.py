@@ -111,7 +111,7 @@ def test_float_operand_rejected(apply, message):
     (lambda: oa.deriv("r", -1), ValueError, "derivative order must be nonnegative"),
     (lambda: fz.rkl(object(), 0), TypeError, "unknown family parameters"),
     (lambda: fz.b_to_c(fz.TypeC(-1, 0), 0, 0, 1), TypeError, "b_to_c expects type B parameters"),
-    (lambda: gen.ladder_shift("hat", 1), ValueError, "kind must be 'tilde', 'check1' or 'check2'"),
+    (lambda: gen.ladder_move("hat", (0, 1)), ValueError, "unknown operator 'hat'"),
     (lambda: fz.ladder(fz.TypeF(-1), 0), ValueError, "type F requires m != 0"),
     (lambda: fz.factorization_residuals(fz.TypeF(-1), 0), ValueError, "type F requires m != 0"),
     (lambda: fz.ladder(object(), 0), TypeError, "unknown family parameters"),
@@ -123,7 +123,7 @@ def test_float_operand_rejected(apply, message):
     (lambda: oa.closure_check([oa.deriv("r"), "r"], 3), TypeError, "coefficient must be an exact rational"),
     (lambda: oa.closure_check([oa.deriv("r")], "3"), TypeError, "max_dim must be an exact rational"),
 ], ids=["u-parity", "setattr", "r-third", "phase-axis", "deriv-axis", "deriv-order",
-        "rkl-family", "b-to-c-family", "shift-kind", "ladder-f-pole", "residuals-f-pole",
+        "rkl-family", "b-to-c-family", "move-name", "ladder-f-pole", "residuals-f-pole",
         "ladder-family", "residuals-family", "atom-negative-order", "atom-short-mono", "atom-pair-key",
         "closure-basis-size", "closure-member", "closure-max-dim"])
 def test_out_of_domain_value_rejected(call, error, message):

@@ -209,6 +209,33 @@ class TestStep:
     def test_ladders_match_the_hand_table(self):
         assert {name: gen.step(lad.operator()) for name, lad in gen.LADDERS.items()} == self.LADDER_STEPS
 
+    # a box of unfolded weyl labels, mu > nu included, which no QuantumState reaches
+    BOX = [(mu, nu) for mu in range(8) for nu in range(8)]
+
+    def test_move_targets_are_the_labels_plus_the_step(self):
+        for name, lad in gen.LADDERS.items():
+            dmu, dnu = gen.step(lad.operator())
+            for mu, nu in self.BOX:
+                sign, _, target, _ = gen.ladder_move(name, (mu, nu))
+                assert (sign, target) == (lad.sign, (mu + dmu, nu + dnu)), (name, mu, nu)
+
+    def test_move_charge_ratio_is_shifted_charge(self):
+        # factorizations.shifted_charge is the independent route to n'/n: its label is t = (mu + nu + 1)/2 for
+        # T+- and mu + nu + 1 for the Weyl pairs, and it refuses a label below 1, as at T's (0, 0)
+        for name, (dmu, dnu) in self.LADDER_STEPS.items():
+            for mu, nu in self.BOX:
+                label = Fraction(mu + nu + 1, 2 if name[0] == "T" else 1)
+                if label >= 1:
+                    ratio = fz.shifted_charge(1, label, 1 if dmu + dnu > 0 else -1)
+                    assert gen.ladder_move(name, (mu, nu))[3] == ratio, (name, mu, nu)
+
+    def test_move_radicands_at_unfolded_labels(self):
+        # n'/n times x + 1 for each raised label x and x for each lowered one, at mu > nu too
+        assert gen.ladder_move("A+", (3, 1)) == (1, Fraction(6, 5) * 4, (4, 1), Fraction(6, 5))
+        assert gen.ladder_move("B-", (3, 1)) == (-1, Fraction(4, 5), (3, 0), Fraction(4, 5))
+        assert gen.ladder_move("T+", (3, 1)) == (-1, Fraction(7, 5) * 4 * 2, (4, 2), Fraction(7, 5))
+        assert gen.ladder_move("T-", (3, 1)) == (-1, Fraction(3, 5) * 3, (2, 0), Fraction(3, 5))
+
     def test_mixed_windings_refused_by_step_and_act(self):
         from ladder_forge import coulomb
 
@@ -295,44 +322,35 @@ class TestTransformedLadders:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             gen.transformed_ladders("hat", 0, 0)
-        with pytest.raises(ValueError):
-            gen.ladder_shift("tilde", 2)
+        with pytest.raises(ValueError, match=r"^unknown operator 'T0'$"):
+            gen.ladder_move("T0", (0, 1))
 
     @pytest.mark.parametrize("entry", [
-        lambda: gen.transformed_ladders("hat", 0, 0), lambda: gen.ladder_shift("hat", 1), lambda: gen._kind("hat"),
+        lambda: gen.transformed_ladders("hat", 0, 0), lambda: gen._kind("hat"),
         lambda: gen._number_label("hat", 1), lambda: gen._generator("hat", 1),
         lambda: gen._generator("hat", -1, oa.identity()),
-    ], ids=["transformed_ladders", "ladder_shift", "_kind", "_number_label", "_generator", "_generator-member"])
+    ], ids=["transformed_ladders", "_kind", "_number_label", "_generator", "_generator-member"])
     def test_unknown_kind_refused(self, entry):
         # every ladder-kind entry point reads the one lookup, which refuses an unknown kind
         # (the private helpers once read it as check2)
         with pytest.raises(ValueError, match=r"^kind must be 'tilde', 'check1' or 'check2'$"):
             entry()
 
-    def test_shift_table(self):
-        assert gen.ladder_shift("tilde", 1) == (1, 0)
-        assert gen.ladder_shift("tilde", -1) == (-1, 0)
-        assert gen.ladder_shift("check1", 1) == (HALF, -HALF)
-        assert gen.ladder_shift("check1", -1) == (-HALF, HALF)
-        assert gen.ladder_shift("check2", 1) == (HALF, HALF)
-        assert gen.ladder_shift("check2", -1) == (-HALF, -HALF)
-        # a shift is cached by direction type too, so a float still meets phase's refusal
-        with pytest.raises(TypeError, match=r"^winding must be an exact rational"):
-            gen.ladder_shift("tilde", 1.0)
-
     def test_shifts_match_bound_state_label_moves(self):
-        # check1 steps mu = l - m, check2 steps nu = l + m + 1
+        # A+- (check1) steps mu = l - m and B+- (check2) nu = l + m + 1, as ladder_move and the bound state
+        # do; the reconstruction moves (l, m) by ((dmu + dnu)/2, (dnu - dmu)/2), the bound state's move
         from ladder_forge import coulomb
 
+        def lm(mu, nu):
+            return Fraction(mu + nu - 1, 2), Fraction(nu - mu - 1, 2)
+
         state = coulomb.state_munu(2, 5)
-        for kind, op in (("check1", "A+"), ("check1", "A-"),
-                         ("check2", "B+"), ("check2", "B-")):
-            direction = 1 if op.endswith("+") else -1
-            dl, dm = gen.ladder_shift(kind, direction)
+        for op in ("A+", "A-", "B+", "B-"):
+            dmu, dnu = gen.step(gen.LADDERS[op].operator())
             target = coulomb.shifted_state(state, op)
-            dmu, dnu = (target.labels[0] - state.labels[0],
-                        target.labels[1] - state.labels[1])
-            assert (dl - dm, dl + dm) == (dmu, dnu)
+            assert gen.ladder_move(op, state.munu)[2] == target.labels
+            (l, m), (l2, m2) = lm(*state.munu), lm(*target.labels)
+            assert (l2 - l, m2 - m) == (Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2))
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_generators_rebuilt_from_ladders(self, l, m):
@@ -342,11 +360,15 @@ class TestTransformedLadders:
             assert rep.passed, rep.name
 
     def test_reconstruction_fails_on_the_opposite_step(self, monkeypatch):
-        # a minus member is read at (l, m) moved by ladder_shift; the wrong step leaves a residual
-        shift = gen.ladder_shift
-        monkeypatch.setattr(gen, "ladder_shift", lambda kind, direction: shift(kind, -direction))
-        failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
-        assert failed == ["T+", "A-", "B-"]
+        # the reconstruction reads each ladder's direction and its minus member's move off its step: the
+        # reversed step leaves a residual in every row, and the step with mu and nu swapped, which keeps every
+        # direction, in the two minus members whose move it changes (T's step is symmetric)
+        step = gen.step
+        for wrong, expected in [(lambda op: tuple(-d for d in step(op)), ["T+", "T-", "A+", "A-", "B+", "B-"]),
+                                (lambda op: step(op)[::-1], ["A-", "B-"])]:
+            monkeypatch.setattr(gen, "step", wrong)
+            failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
+            assert failed == expected
 
     def test_reconstruction_fails_without_the_check2_mirror(self, monkeypatch):
         # check2 read off check1 at the unmirrored m has the wrong family labels for B+-; the

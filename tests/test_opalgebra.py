@@ -540,6 +540,15 @@ def test_power_multiplies_its_squares_in_one_product(monkeypatch):
         assert calls["_normal_order"] == e.bit_length() + bin(e).count("1") - 2, e
 
 
+def test_zero_is_one_shared_constant():
+    # as identity() returns its unit atom, zero() returns one constant: equal to a fresh empty operator,
+    # falsy, and the residual of every passing identity report
+    assert oa.zero() is oa.zero()
+    assert oa.zero() == oa.OperatorExpr() and hash(oa.zero()) == hash(oa.OperatorExpr())
+    assert not oa.zero() and oa.zero().is_zero and oa.zero()._den == 1
+    assert all(rep.residual is oa.zero() for rep in reconstruction_reports(1, 0))
+
+
 def test_atom_constructors_return_shared_constants():
     # equal integer arguments give one shared operator, read after validation,
     # so every refusal keeps its type and message once the integer is cached and
