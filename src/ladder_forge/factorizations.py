@@ -31,7 +31,10 @@ product.  Types F and C take the radial symbol ``r`` for ``x``.  Type B lives in
 ``r = exp(ax)``: there ``exp(2ax)`` is ``r**2`` and ``d/dx = a * r * d/dr``, so
 its r and k are polynomial in ``r``.  Type C also lives in ``y = 2 sqrt(r)``:
 there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)`` and
-``D_Y = d/dy = sqrt(r) d/dr``.
+``D_Y = d/dy = sqrt(r) d/dr``.  ``R_DR``, ``Y``, ``D_Y``, d/dr and r's atoms (r,
+r**2, 1/r and 1/r**2) are module constants, built once, and each weight of r
+that does not depend on the label (-d**2 and 2ad of type B, -b**2/4 of type C,
+-2q of type F) is computed once per call, so a warm check builds no atom.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -46,7 +49,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from . import opalgebra
-from .opalgebra import OperatorExpr, Rational, Record, exact, exact_int, r_power
+from .opalgebra import OperatorExpr, Rational, Record, exact, exact_int
 
 
 class TypeB(Record):
@@ -94,11 +97,12 @@ class TypeF(Record):
 FamilyParams = TypeB | TypeC | TypeF
 
 
-R_DR = opalgebra.r_half_power(2) * opalgebra.deriv("r")  # d/dx of type B at a = 1, in r = exp(x)
+_D, _ONE = opalgebra.deriv("r"), opalgebra.identity()
+_R, _R2, _R_INV, _R_INV2 = map(opalgebra.r_power, (1, 2, -1, -2))  # r, r**2, 1/r, 1/r**2
+R_DR = _R * _D  # d/dx of type B at a = 1, in r = exp(x)
 # type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
 Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
-D_Y = opalgebra.sqrt_r() * opalgebra.deriv("r")
-_ONE = opalgebra.identity()
+D_Y = opalgebra.sqrt_r() * _D
 _HALF = Fraction(1, 2)
 
 
@@ -109,11 +113,11 @@ def _term(w: OperatorExpr | Rational, t: OperatorExpr, c: Rational = 1) -> tuple
 
 def type_b_k(amc: OperatorExpr | Rational, d: OperatorExpr | Rational) -> OperatorExpr:
     """k of type B, d exp(ax) - a (m + c), in r = exp(ax), from ``amc`` = a (m + c); rationals or operators."""
-    return opalgebra.linear_sum((_term(d, r_power(1)), _term(amc, _ONE, -1)))
+    return opalgebra.linear_sum((_term(d, _R), _term(amc, _ONE, -1)))
 
 
 def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
-             x: tuple[OperatorExpr, OperatorExpr] = (r_power(1), r_power(-1))) -> OperatorExpr:
+             x: tuple[OperatorExpr, OperatorExpr] = (_R, _R_INV)) -> OperatorExpr:
     """k of type C, (m + c)/x + b x / 2, with x the coordinate as (x, 1/x), r or Y; rationals or operators."""
     return opalgebra.linear_sum((_term(mc, x[1]), _term(b, x[0], _HALF)))
 
@@ -125,17 +129,19 @@ def _family(params: FamilyParams, m: Fraction) -> tuple[
         if m == 0:
             raise ValueError("type F requires m != 0")
         q = params.q
-        return (opalgebra.deriv("r"), lambda n: ((r_power(-1), -2 * q), (r_power(-2), -n * (n + 1))),
-                opalgebra.linear_sum(((r_power(-1), m), (_ONE, q / m))), -(q * q) / (m * m))
+        charge = (_R_INV, -2 * q)
+        return (_D, lambda n: (charge, (_R_INV2, -n * (n + 1))),
+                opalgebra.linear_sum(((_R_INV, m), (_ONE, q / m))), -(q * q) / (m * m))
     if isinstance(params, TypeC):
         b, c = params.b, params.c
-        return (opalgebra.deriv("r"),
-                lambda n: ((r_power(-2), -(n + c) * (n + c + 1)), (r_power(2), -b * b / 4), (_ONE, b * (n - c))),
+        oscillator = (_R2, -b * b / 4)
+        return (_D, lambda n: ((_R_INV2, -(n + c) * (n + c + 1)), oscillator, (_ONE, b * (n - c))),
                 type_c_k(m + c, b), -2 * b * m + b / 2)
     if isinstance(params, TypeB):
         # exp(a x) is the radial symbol r, so exp(2 a x) is r**2 and d/dx is a r d/dr
         a, c, d = params.a, params.c, params.d
-        return (a * R_DR, lambda n: ((r_power(2), -d * d), (r_power(1), 2 * a * d * (n + c + _HALF))),
+        square, two_ad = (_R2, -d * d), 2 * a * d
+        return (a * R_DR, lambda n: (square, (_R, two_ad * (n + c + _HALF))),
                 type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c))
     raise TypeError(f"unknown family parameters {params!r}")
 

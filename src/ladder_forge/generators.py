@@ -38,6 +38,10 @@ k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``
   mu = l - m and nu = l + m + 1, that is m -> -m - 1, so Hv2+-(l, m) =
   Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2), and flips N: -N -+ 1.
 
+Each generator's number operator, k at it (``_number_label``) and prefix, the
+phase and for the Weyl pairs u (``_prefix``, keyed by value), are built once: a
+generator, or a reconstruction row, is that prefix times one member.
+
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
 Each commutator row's name, and each sp4 bilinear's, is the text read, once
@@ -200,14 +204,20 @@ def _number_label(kind: str, direction: int) -> tuple[OperatorExpr, OperatorExpr
     return number, number * _kind(kind).k_unit
 
 
+@cache
+def _prefix(axis: str, carries_u: bool, direction: int) -> OperatorExpr:
+    """The constant left factor of a generator stepping ``direction``: u for the Weyl pairs, then exp(+-i*axis)."""
+    phase = opalgebra.phase(axis, direction)
+    return opalgebra.u_sym() * phase if carries_u else phase
+
+
 def _generator(kind: str, direction: int, member: OperatorExpr | None = None) -> OperatorExpr:
-    """The generator stepping ``direction``: the phase, u for the Weyl pairs, and ``member``,
-    by default the family member with the number operator as its label."""
+    """The generator stepping ``direction``: its ``_prefix`` times ``member``, by default the family member with
+    the number operator as its label."""
     record = _kind(kind)
     if member is None:
         member = _member(record, record.raises * direction, (_number_label(kind, direction)[1], 1))
-    factors = (opalgebra.phase(record.axis, direction), member)
-    return opalgebra.product((opalgebra.u_sym(), *factors) if record.carries_u else factors)
+    return _prefix(record.axis, record.carries_u, direction) * member
 
 
 @lru_cache(maxsize=64)
@@ -245,14 +255,20 @@ LADDERS = {
 def ladder_move(name: str, munu: tuple[int, int]) -> tuple[int, Fraction, tuple[int, int], Fraction]:
     """The exact move of the ladder ``name`` at weyl labels (mu, nu), windings unfolded, so a target with
     mu' > nu' is kept: (sign, radicand) of its coefficient sign * sqrt(radicand), the radicand n'/n times x + 1
-    for each raised label x and x for each lowered one; the target (mu + dmu, nu + dnu) of its ``step``; and n'/n."""
+    for each raised label x and x for each lowered one; the target (mu + dmu, nu + dnu) of its ``step``; and n'/n.
+    Labels other than two nonnegative integers are refused with a ``ValueError`` naming the label."""
     lad = LADDERS.get(name)
     if lad is None:
         raise ValueError(f"unknown operator {name!r}")
-    (dmu, dnu), n2 = step(lad.operator()), sum(munu) + 1
-    ratio = Fraction(n2 + dmu + dnu, n2)
-    moved = math.prod(x + (d > 0) for x, d in zip(munu, (dmu, dnu)) if d)
-    return lad.sign, ratio * moved, (munu[0] + dmu, munu[1] + dnu), ratio
+    if not isinstance(munu, tuple) or len(munu) != 2:
+        raise ValueError(f"weyl labels must be a pair (mu, nu), got {munu!r}")
+    mu, nu = munu
+    for x, label in ((mu, "mu"), (nu, "nu")):
+        if not isinstance(x, int) or x < 0:
+            raise ValueError(f"{label} must be a nonnegative integer, got {x!r}")
+    (dmu, dnu), n2 = step(lad.operator()), mu + nu + 1
+    moved = math.prod(x + (d > 0) for x, d in ((mu, dmu), (nu, dnu)) if d)
+    return lad.sign, Fraction((n2 + dmu + dnu) * moved, n2), (mu + dmu, nu + dnu), Fraction(n2 + dmu + dnu, n2)
 
 
 _NAMES = {"T0": lambda: build_T()["T0"], "C": lambda: casimir()[0], **{n: lad.operator for n, lad in LADDERS.items()}}
@@ -315,7 +331,7 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     t0, n = l + 1, 2 * m + 1
     out = []
     for name, lad in LADDERS.items():
-        dmu, dnu = step(lad.operator())
+        dmu, dnu = step(op := lad.operator())
         direction = 1 if dmu + dnu > 0 else -1
         record = _kind(lad.ladder)
         sign = record.raises * direction
@@ -325,6 +341,5 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
             label = record.labels(l + Fraction(dmu + dnu, 2), m + Fraction(dnu - dmu, 2))[1]
         member = _member(record, sign, (record.k_unit, label - record.number(t0, n, direction)),
                          (_number_label(lad.ladder, direction)[1], 1))
-        out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member),
-                           lad.operator()))
+        out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member), op))
     return out

@@ -1,6 +1,7 @@
 """Generator construction, commutation tables, closure, ladder reconstruction."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -236,6 +237,21 @@ class TestStep:
         assert gen.ladder_move("T+", (3, 1)) == (-1, Fraction(7, 5) * 4 * 2, (4, 2), Fraction(7, 5))
         assert gen.ladder_move("T-", (3, 1)) == (-1, Fraction(3, 5) * 3, (2, 0), Fraction(3, 5))
 
+    @pytest.mark.parametrize("name,munu,message", [
+        ("T+", (-1, 2), "mu must be a nonnegative integer, got -1"),
+        ("T-", (2, -1), "nu must be a nonnegative integer, got -1"),
+        ("B+", (1.5, 2), "mu must be a nonnegative integer, got 1.5"),
+        ("A-", (0, Fraction(5, 2)), "nu must be a nonnegative integer, got Fraction(5, 2)"),
+        ("A+", (2,), "weyl labels must be a pair (mu, nu), got (2,)"),
+        ("B-", (1, 2, 3), "weyl labels must be a pair (mu, nu), got (1, 2, 3)"),
+        ("T+", [1, 2], "weyl labels must be a pair (mu, nu), got [1, 2]"),
+    ])
+    def test_move_refuses_labels_that_are_not_two_nonnegative_integers(self, name, munu, message):
+        # a negative label read a radicand of 0 and a target off the lattice, a float label raised from
+        # Fraction and a short pair an IndexError; a target with mu' > nu' stays a move (the radicands above)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen.ladder_move(name, munu)
+
     def test_mixed_windings_refused_by_step_and_act(self):
         from ladder_forge import coulomb
 
@@ -351,6 +367,23 @@ class TestTransformedLadders:
             assert gen.ladder_move(op, state.munu)[2] == target.labels
             (l, m), (l2, m2) = lm(*state.munu), lm(*target.labels)
             assert (l2 - l, m2 - m) == (Fraction(dmu + dnu, 2), Fraction(dnu - dmu, 2))
+
+    @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_generator_prefix_is_built_once(self, ladder, direction, monkeypatch):
+        # a generator's constant left factor, u for the Weyl pairs and then its phase, is built once and keyed
+        # by value, so a kind record patched onto another axis reads that axis's prefix
+        record = gen._kind(ladder)
+        phase = oa.phase(record.axis, direction)
+        prefix = gen._prefix(record.axis, record.carries_u, direction)
+        assert prefix == (oa.product((oa.u_sym(), phase)) if record.carries_u else phase)
+        assert prefix is gen._prefix(record.axis, record.carries_u, direction)
+        member = gen.transformed_ladders(ladder, 3, HALF)[0]
+        assert gen._generator(ladder, direction, member) == prefix * member
+        moved = gen._Kind(**{**vars(record), "axis": "beta" if record.axis == "alpha" else "alpha"})
+        monkeypatch.setitem(gen._KINDS, ladder, moved)
+        expected = oa.phase(moved.axis, direction) * member
+        assert gen._generator(ladder, direction, member) == (oa.u_sym() * expected if record.carries_u else expected)
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_generators_rebuilt_from_ladders(self, l, m):

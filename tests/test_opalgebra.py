@@ -602,6 +602,23 @@ def test_warm_identity_checks_pack_no_atom(monkeypatch):
     assert calls == {"_pack": 0, "_normal_order": 45}
 
 
+def test_warm_identity_checks_build_no_constant(monkeypatch):
+    # each generator's prefix (its phase and, for the Weyl pairs, u) is cached
+    # by value and the families' powers of r and d/dr are module constants, so
+    # a warm reconstruction or B, C or F factorization check calls no atom
+    # constructor (6 phase and 4 u_sym calls in a reconstruction, 4-5 r_power
+    # and 0-1 deriv calls in a check, when each call validated them again)
+    checks = [lambda: reconstruction_reports(3, HALF), lambda: reconstruction_reports(Fraction(7, 2), -2),
+              *(lambda p=params: factorization_residuals(p, Fraction(5, 2))
+                for params in (TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3)))]
+    for check in checks:
+        check()
+    calls = _count_calls(monkeypatch, "phase", "u_sym", "r_power", "r_half_power", "sqrt_r", "deriv", "_pack")
+    for check in checks:
+        check()
+    assert calls == dict.fromkeys(calls, 0)
+
+
 def test_commutator_with_a_number_is_zero():
     assert oa.commutator(3, oa.deriv("r")).is_zero
     assert oa.commutator(oa.deriv("r"), Fraction(1, 2)).is_zero
