@@ -17,24 +17,24 @@ with ``D = d/dx``.  The triples handled here:
              k = m/x + q/m                      L = -q**2 / m**2
 
 One dispatch, ``_family``, states each family's D, r, k and L once; ``rkl``,
-``ladder``, ``factorization_residuals`` and ``eigenvalue`` read it.  r is a
-function of the label, evaluated at m and at m - 1: for type F at m = 1 that
-is r(x, 0), where k and L are undefined.  Bound-state eigenvalues follow the
-class rules: class I (types C, F) takes ``lambda = L(l+1)``, class II (type B)
-takes ``lambda = L(l)``.
+``ladder``, ``factorization_residuals`` and ``eigenvalue`` read it.  r is
+evaluated at m and at m - 1: for type F at m = 1 that is r(x, 0), where k and
+L are undefined.  Bound-state eigenvalues follow the class rules: class I
+(types C, F) takes ``lambda = L(l+1)``, class II (type B) takes ``lambda = L(l)``.
 
 r and k are multiplication operators, each stated once as weighted terms and
 summed in one ``linear_sum``, as is each ladder member and residual, so each
-identity is checked as an exactly zero operator.  A weight is a rational, or an
-operator (a label or scale of ``type_b_k`` or ``type_c_k``), which alone takes a
-product.  Types F and C take the radial symbol ``r`` for ``x``.  Type B lives in
-``r = exp(ax)``: there ``exp(2ax)`` is ``r**2`` and ``d/dx = a * r * d/dr``, so
-its r and k are polynomial in ``r``.  Type C also lives in ``y = 2 sqrt(r)``:
-there ``Y`` holds y and 1/y, ``y**n`` is ``2**n r**(n/2)`` and
-``D_Y = d/dy = sqrt(r) d/dr``.  ``R_DR``, ``Y``, ``D_Y``, d/dr and r's atoms (r,
-r**2, 1/r and 1/r**2) are module constants, built once, and each weight of r
-that does not depend on the label (-d**2 and 2ad of type B, -b**2/4 of type C,
--2q of type F) is computed once per call, so a warm check builds no atom.
+identity is checked as an exactly zero operator.  ``_family`` reads the
+parameters and the label as integers over one denominator g, so each weight of
+r and k is an integer over a power of g, and L(m) is its one ``Fraction``;
+``type_b_k`` and ``type_c_k`` also take operator weights (a label or scale),
+which alone take a product.  Types F and C take the radial symbol ``r`` for
+``x``.  Type B lives in ``r = exp(ax)``: there ``exp(2ax)`` is ``r**2`` and
+``d/dx = a * r * d/dr``, so its r and k are polynomial in ``r``.  Type C also
+lives in ``y = 2 sqrt(r)``: there ``Y`` holds y and 1/y, ``y**n`` is
+``2**n r**(n/2)`` and ``D_Y = d/dy = sqrt(r) d/dr``.  ``R_DR``, ``Y``, ``D_Y``,
+d/dr and r's atoms (r, r**2, 1/r and 1/r**2) are module constants, built once,
+so a warm check builds no atom.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -99,6 +99,7 @@ FamilyParams = TypeB | TypeC | TypeF
 
 _D, _ONE = opalgebra.deriv("r"), opalgebra.identity()
 _R, _R2, _R_INV, _R_INV2 = map(opalgebra.r_power, (1, 2, -1, -2))  # r, r**2, 1/r, 1/r**2
+_K_ONE, _K_R, _K_R2, _K_INV, _K_INV2 = (opalgebra._form(op)[0] for op in (_ONE, _R, _R2, _R_INV, _R_INV2))  # keys
 R_DR = _R * _D  # d/dx of type B at a = 1, in r = exp(x)
 # type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
 Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
@@ -123,26 +124,28 @@ def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
 
 
 def _family(params: FamilyParams, m: Fraction) -> tuple[
-        OperatorExpr, Callable[[Fraction], tuple], OperatorExpr, Fraction]:
-    """D, r(x, .) as ``linear_sum`` pairs of the label, k(x, m) and L(m), in the representation of ladder()."""
+        OperatorExpr, Callable[[int], tuple], OperatorExpr, Fraction]:
+    """D, r(x, m - j) as ``linear_sum`` pairs of j, k(x, m) and L(m), each weight an atom form over a power of g."""
     if isinstance(params, TypeF):
+        q, m, g = opalgebra._over(params.q, m)
         if m == 0:
             raise ValueError("type F requires m != 0")
-        q = params.q
-        charge = (_R_INV, -2 * q)
-        return (_D, lambda n: (charge, (_R_INV2, -n * (n + 1))),
-                opalgebra.linear_sum(((_R_INV, m), (_ONE, q / m))), -(q * q) / (m * m))
+        return (_D, lambda j: (((_K_INV, -2 * q, 0, g), 1), ((_K_INV2, -(n := m - j * g) * (n + g), 0, g * g), 1)),
+                opalgebra.linear_sum((((_K_INV, m, 0, g), 1), ((_K_ONE, q if m > 0 else -q, 0, abs(m)), 1))),
+                Fraction(-q * q, m * m))
     if isinstance(params, TypeC):
-        b, c = params.b, params.c
-        oscillator = (_R2, -b * b / 4)
-        return (_D, lambda n: ((_R_INV2, -(n + c) * (n + c + 1)), oscillator, (_ONE, b * (n - c))),
-                type_c_k(m + c, b), -2 * b * m + b / 2)
+        b, c, m, g = opalgebra._over(params.b, params.c, m)  # below, n is the label m - j, plus c, over g
+        return (_D, lambda j: (((_K_INV2, -(n := m - j * g + c) * (n + g), 0, g * g), 1),
+                               ((_K_R2, -b * b, 0, 4 * g * g), 1), ((_K_ONE, b * (n - 2 * c), 0, g * g), 1)),
+                opalgebra.linear_sum((((_K_INV, m + c, 0, g), 1), ((_K_R, b, 0, 2 * g), 1))),
+                Fraction(b * (g - 4 * m), 2 * g * g))
     if isinstance(params, TypeB):
         # exp(a x) is the radial symbol r, so exp(2 a x) is r**2 and d/dx is a r d/dr
-        a, c, d = params.a, params.c, params.d
-        square, two_ad = (_R2, -d * d), 2 * a * d
-        return (a * R_DR, lambda n: (square, (_R, two_ad * (n + c + _HALF))),
-                type_b_k(a * (m + c), d), -a * a * (m + c) * (m + c))
+        a, c, d, m, g = opalgebra._over(params.a, params.c, params.d, m)
+        return (params.a * R_DR,
+                lambda j: (((_K_R2, -d * d, 0, g * g), 1), ((_K_R, a * d * (2 * (m - j * g + c) + g), 0, g**3), 1)),
+                opalgebra.linear_sum((((_K_R, d, 0, g), 1), ((_K_ONE, -a * (m + c), 0, g * g), 1))),
+                Fraction(-(a * (m + c)) ** 2, g**4))
     raise TypeError(f"unknown family parameters {params!r}")
 
 
@@ -152,9 +155,8 @@ def rkl(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr, 
     r and k are multiplication operators in the representation that
     ladder() uses; L is an exact rational.
     """
-    m = exact(m, "m")
-    _, r, k_op, level = _family(params, m)
-    return opalgebra.linear_sum(r(m)), k_op, level
+    _, r, k_op, level = _family(params, exact(m, "m"))
+    return opalgebra.linear_sum(r(0)), k_op, level
 
 
 def ladder(params: FamilyParams, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
@@ -169,12 +171,11 @@ def factorization_residuals(params: FamilyParams, m: Rational) -> tuple[Operator
     The identities moved to one side: H- H+ + L + D**2 + r(x, m) and
     H+ H- + L + D**2 + r(x, m-1).
     """
-    m = exact(m, "m")
-    d_op, r, k_op, level = _family(params, m)
+    d_op, r, k_op, level = _family(params, exact(m, "m"))
     plus, minus = d_op + k_op, -d_op + k_op
     d_sq = d_op * d_op
-    return tuple(opalgebra.linear_sum(((left * right, 1), (_ONE, level), (d_sq, 1), *r(n)))
-                 for left, right, n in ((minus, plus, m), (plus, minus, m - 1)))
+    return tuple(opalgebra.linear_sum(((left * right, 1), (_ONE, level), (d_sq, 1), *r(j)))
+                 for left, right, j in ((minus, plus, 0), (plus, minus, 1)))
 
 
 def eigenvalue(params: FamilyParams, l: Rational) -> Fraction:
@@ -206,9 +207,10 @@ def _check_fl_labels(l: Fraction, m: Fraction) -> None:
         raise ValueError("type F labels require 0 <= m <= l")
 
 
-def _check_eps(eps: int) -> None:
-    if exact_int(eps, "eps") not in (1, -1):
+def _check_eps(eps: int) -> int:
+    if (eps := exact_int(eps, "eps")) not in (1, -1):
         raise ValueError("eps must be +1 or -1")
+    return eps
 
 
 def _type_c_result(source: FamilyParams, scale: Fraction, eps: int,
@@ -242,7 +244,7 @@ def f_to_c(q: Rational, l: Rational, m: Rational, eps: int) -> TransformResult:
     source = TypeF(q)
     l, m = exact(l, "l"), exact(m, "m")
     _check_fl_labels(l, m)
-    _check_eps(eps)
+    eps = _check_eps(eps)
     return _type_c_result(source, -source.q / (l + 1), eps,
                           mhat=eps * (2 * m + 1) - _HALF, lhat=l + eps * (m + _HALF))
 
@@ -252,7 +254,7 @@ def b_to_c(params: TypeB, lbar: Rational, mbar: Rational, eps: int) -> Transform
     if not isinstance(params, TypeB):
         raise TypeError("b_to_c expects type B parameters")
     lbar, mbar = exact(lbar, "lbar"), exact(mbar, "mbar")
-    _check_eps(eps)
+    eps = _check_eps(eps)
     return _type_c_result(params, params.d / params.a, eps,
                           mhat=2 * eps * (lbar + params.c) - _HALF,
                           lhat=mbar + params.c + eps * (lbar + params.c) - _HALF)

@@ -24,7 +24,8 @@ Each generator is an Infeld-Hull family ladder of ``factorizations`` at the
 formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
 by a number operator, with the phase and, for the Weyl pairs, u attached.  At
 scalar labels the members are the transformed ladders.  One record per kind,
-``_KINDS``, read only through ``_kind``, states each, with k split as
+``_KINDS``, read only through ``_kind``, states each, its family labels and
+number operator as integer affine maps (``_Affine``), with k split as
 k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``:
 
 * ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
@@ -62,6 +63,7 @@ import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache, lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from . import factorizations as fz, opalgebra, opdsl
@@ -151,16 +153,26 @@ def closure_report(which: str) -> ClosureReport:
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
+class _Affine(Record):
+    """The integer affine map x -> c . x + constant of numbers or operators, or of numerators over ``den``."""
+
+    coefficients: tuple[int, ...]
+    constant: int
+
+    def __call__(self, *xs, den: int = 1):
+        return sum(map(mul, self.coefficients, xs)) + self.constant * den
+
+
 class _Kind(Record):
-    """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and labels (plus, minus) at (l, m), and its
-    generators' phase axis, number operator (of T0, N, direction), u, and the sign of the member that raises."""
+    """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and label maps (plus, minus) of (l, m), and its
+    generators' phase axis, number map of (T0, N, direction), u, and the sign of the member that raises."""
 
     d: OperatorExpr
     k_unit: OperatorExpr
     k_s: OperatorExpr
-    labels: Callable[[Fraction, Fraction], tuple[Fraction, Fraction]]
+    labels: tuple[_Affine, _Affine]
     axis: str
-    number: Callable[..., "OperatorExpr | Fraction"]
+    number: _Affine
     carries_u: bool
     raises: int
 
@@ -168,12 +180,12 @@ class _Kind(Record):
 _S = opalgebra.s_sym()
 _CHECK_K = fz.type_c_k(1, 0, fz.Y), fz.type_c_k(0, -_S, fz.Y)  # type C at b = -s, c = 0, in y = 2 sqrt(r)
 _KINDS = {
-    "tilde": _Kind(fz.R_DR, fz.type_b_k(1, 0), fz.type_b_k(0, _S), lambda l, m: (l + 1, l), "eta",
-                   lambda t0, n, direction: t0, False, -1),
-    "check1": _Kind(fz.D_Y, *_CHECK_K, lambda l, m: (2 * m, 2 * m + 1), "alpha",
-                    lambda t0, n, direction: n - direction, True, 1),
-    "check2": _Kind(fz.D_Y, *_CHECK_K, lambda l, m: (-2 * m - 2, -2 * m - 1), "beta",
-                    lambda t0, n, direction: -n - direction, True, 1),
+    "tilde": _Kind(fz.R_DR, fz.type_b_k(1, 0), fz.type_b_k(0, _S), (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta",
+                   _Affine((1, 0, 0), 0), False, -1),
+    "check1": _Kind(fz.D_Y, *_CHECK_K, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha",
+                    _Affine((0, 1, -1), 0), True, 1),
+    "check2": _Kind(fz.D_Y, *_CHECK_K, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta",
+                    _Affine((0, -1, -1), 0), True, 1),
 }
 
 
@@ -194,7 +206,7 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
     of the kind's family at its family labels, l + 1 and l for tilde, 2m and 2m + 1 for check1."""
     l, m = exact(l, "l"), exact(m, "m")
     record = _kind(kind)
-    return tuple(_member(record, sign, (record.k_unit, label)) for sign, label in zip((1, -1), record.labels(l, m)))
+    return tuple(_member(record, sign, (record.k_unit, label(l, m))) for sign, label in zip((1, -1), record.labels))
 
 
 @cache
@@ -325,21 +337,21 @@ def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
     number operator, valued at the unmoved (l, m) (``_Kind.number`` fed l + 1
     and 2m + 1): k is linear, so that is one sum, k(label - value, s) +
     k(number, 0), which rebuilds the generator only if the moved member's label
-    is that value.  The phase factor and, for the Weyl pairs, u are attached.
+    is that value, read as integers over one denominator.  The phase factor
+    and, for the Weyl pairs, u are attached.
     """
-    l, m = exact(l, "l"), exact(m, "m")
-    t0, n = l + 1, 2 * m + 1
+    l, m, half, den = opalgebra._over(exact(l, "l"), exact(m, "m"), fz._HALF)  # integers over one denominator
+    t0, n = l + den, 2 * m + den  # T0 = l + 1 and N = 2m + 1, the values the number maps are fed
     out = []
     for name, lad in LADDERS.items():
         dmu, dnu = step(op := lad.operator())
         direction = 1 if dmu + dnu > 0 else -1
         record = _kind(lad.ladder)
         sign = record.raises * direction
-        if sign > 0:
-            label = record.labels(l, m)[0]
-        else:  # (dl, dm) = ((dmu + dnu)/2, (dnu - dmu)/2), as mu = l - m and nu = l + m + 1
-            label = record.labels(l + Fraction(dmu + dnu, 2), m + Fraction(dnu - dmu, 2))[1]
-        member = _member(record, sign, (record.k_unit, label - record.number(t0, n, direction)),
+        # the minus member moves by (dl, dm) = ((dmu + dnu)/2, (dnu - dmu)/2), as mu = l - m and nu = l + m + 1
+        moved = (l, m) if sign > 0 else (l + (dmu + dnu) * half, m + (dnu - dmu) * half)
+        weight = record.labels[sign < 0](*moved, den=den) - record.number(t0, n, den * direction, den=den)
+        member = _member(record, sign, (record.k_unit, Fraction(weight, den) if weight else 0),
                          (_number_label(lad.ladder, direction)[1], 1))
         out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member), op))
     return out

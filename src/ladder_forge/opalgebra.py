@@ -134,6 +134,12 @@ def exact_int(value: Rational, name: str) -> int:
     return frac.numerator
 
 
+def _over(*values: Fraction) -> tuple[int, ...]:
+    """The numerators of ``values`` over g, the lcm of their denominators, then g."""
+    g = lcm(*(v.denominator for v in values))
+    return *(v.numerator * (g // v.denominator) for v in values), g
+
+
 class Record:
     """Base of the package's frozen records, which behave as ``@dataclass(frozen=True)`` ones without importing
     ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``, 7-12 ms of each CLI call).

@@ -109,6 +109,63 @@ class TestLadders:
         assert res_up.is_zero and res_down.is_zero
 
 
+def _closed_forms(params, m):
+    """The module docstring's (r(x, .), k(x, m), L(m)) and D, written with plain Fractions and operator sums."""
+    r1, r2, r_inv, r_inv2, one = oa.r_power(1), oa.r_power(2), oa.r_power(-1), oa.r_power(-2), oa.identity()
+    if isinstance(params, fz.TypeF):
+        q = params.q
+        return (lambda n: -2 * q * r_inv - n * (n + 1) * r_inv2, m * r_inv + q / m * one, -q**2 / m**2,
+                oa.deriv("r"))
+    if isinstance(params, fz.TypeC):
+        b, c = params.b, params.c
+        return (lambda n: -(n + c) * (n + c + 1) * r_inv2 - b**2 / 4 * r2 + b * (n - c) * one,
+                (m + c) * r_inv + b / 2 * r1, -2 * b * m + b / 2, oa.deriv("r"))
+    a, c, d = params.a, params.c, params.d  # type B in r = exp(a x): exp(2 a x) is r**2, d/dx is a r d/dr
+    return (lambda n: -d**2 * r2 + 2 * a * d * (n + c + HALF) * r1, d * r1 - a * (m + c) * one, -a**2 * (m + c)**2,
+            a * r1 * oa.deriv("r"))
+
+
+def _random_rational(rng, lo, hi, nonzero=False):
+    while True:
+        value = Fraction(rng.randint(lo, hi), rng.randint(1, 12))
+        if value or not nonzero:
+            return value
+
+
+class TestFamilyOracle:
+    """``_family`` reads its numbers as integers over one denominator; every reader must agree with the closed
+    forms evaluated in Fractions, at denominators up to 12 and at m = 1 of type F, where r is read at 0."""
+
+    @pytest.mark.parametrize("tag", ["B", "C", "F"])
+    def test_family_matches_closed_forms(self, tag):
+        rng = random.Random(f"family-oracle:{tag}")
+        for trial in range(40):
+            if tag == "B":
+                params = fz.TypeB(_random_rational(rng, 1, 9), _random_rational(rng, -6, 6),
+                                  _random_rational(rng, 1, 9))
+            elif tag == "C":
+                params = fz.TypeC(_random_rational(rng, -9, -1), _random_rational(rng, -6, 6))
+            else:
+                params = fz.TypeF(_random_rational(rng, -9, -1))
+            m = 1 if tag == "F" and trial % 4 == 0 else _random_rational(rng, -8, 8, nonzero=tag == "F")
+            if trial % 5 == 1:  # an int label
+                m = int(m) or 1
+            r, k, level, d_op = _closed_forms(params, Fraction(m))
+            assert fz.rkl(params, m) == (r(m), k, level), (params, m)
+            assert fz.ladder(params, m) == (d_op + k, -d_op + k)
+            up, down = (d_op + k, -d_op + k)
+            expected = tuple(left * right + level + d_op * d_op + r(n)
+                             for left, right, n in ((down, up, m), (up, down, m - 1)))
+            assert fz.factorization_residuals(params, m) == expected and not any(expected)
+            l = abs(Fraction(m))
+            assert fz.eigenvalue(params, l) == _closed_forms(params, l + (tag != "B"))[2]
+
+    def test_coulomb_like_label_zero_refused(self):
+        for read in (fz.rkl, fz.ladder, fz.factorization_residuals):
+            with pytest.raises(ValueError, match="^type F requires m != 0$"):
+                read(fz.TypeF(Fraction(-5, 3)), Fraction(0, 7))
+
+
 class TestTransforms:
     def test_to_exponential_family_examples(self):
         r1 = fz.f_to_b(-1, 0, 0)
@@ -165,6 +222,14 @@ class TestTransforms:
             assert composed.target == direct.target
             assert composed.quantum_map == direct.quantum_map
             assert composed.scale_s == -direct.target.b
+
+    def test_epsilon_is_stored_as_an_int(self):
+        # eps is read with exact_int, and the int is what the result holds: True is 1, Fraction(-1) is -1
+        for result, expected in ((fz.f_to_c(-1, 2, 1, True), 1), (fz.b_to_c(fz.TypeB(1, 0, 1), 1, 1, True), 1),
+                                 (fz.f_to_c(-1, 2, 1, Fraction(-1)), -1)):
+            assert type(result.epsilon) is int and result.epsilon == expected
+            assert result == (fz.f_to_c(-1, 2, 1, expected) if result.source.family == "F"
+                              else fz.b_to_c(fz.TypeB(1, 0, 1), 1, 1, expected))
 
     def test_label_validation(self):
         with pytest.raises(ValueError):

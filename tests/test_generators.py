@@ -412,6 +412,21 @@ class TestTransformedLadders:
         failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
         assert failed == ["B+", "B-"]
 
+    @pytest.mark.parametrize("ladder,rows", [("tilde", ["T+", "T-"]), ("check1", ["A+", "A-"]),
+                                             ("check2", ["B+", "B-"])])
+    def test_reconstruction_fails_on_a_number_off_by_one(self, ladder, rows, monkeypatch):
+        # each row's weight, label - value, reads the kind record's number map as integer data: with its
+        # constant off by one, the value no longer matches the number operator the generators were built
+        # with, in exactly that kind's two rows (built first, so the cached generators are the true ones)
+        assert all(rep.passed for rep in gen.reconstruction_reports(3, HALF))
+        record = gen._KINDS[ladder]
+        number = gen._Affine(record.number.coefficients, record.number.constant + 1)
+        monkeypatch.setitem(gen._KINDS, ladder, gen._Kind(**{**vars(record), "number": number}))
+        for l, m in ((3, HALF), (Fraction(7, 3), Fraction(-5, 2))):
+            failed = [rep for rep in gen.reconstruction_reports(l, m) if not rep.passed]
+            assert [rep.name.split()[0] for rep in failed] == rows
+            assert all(rep.residual for rep in failed)
+
     @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_number_operators_read_their_values(self, ladder, direction):

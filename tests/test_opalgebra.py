@@ -529,6 +529,37 @@ def test_factorization_residuals_sum_each_side_once(monkeypatch, params):
     assert calls["linear_sum"] <= 9
 
 
+def _count_fractions(monkeypatch) -> dict:
+    # wrap Fraction.__new__ to count the Fractions built
+    calls = {"Fraction": 0}
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls["Fraction"] += 1
+        return real(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+def test_warm_identity_checks_read_numbers_as_integers(monkeypatch):
+    # a reconstruction reads its labels and each kind's label and number maps
+    # as integers over one denominator, and a factorization check reads its
+    # parameters and label so: a warm reconstruction builds at most 6 Fractions
+    # (0-1 here, as a passing row builds none; 43-44 with Fraction label
+    # arithmetic) and a warm B, C or F check at most 2 (its L(m); 13 to 25)
+    m = Fraction(5, 2)
+    checks = [(lambda: reconstruction_reports(3, HALF), 6),
+              (lambda l=Fraction(7, 3), m=Fraction(-5, 2): reconstruction_reports(l, m), 6),
+              *((lambda p=params: factorization_residuals(p, m), 2)
+                for params in (TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3), TypeB(Fraction(3, 7), -1, 5)))]
+    for check, bound in checks:
+        check()
+        calls = _count_fractions(monkeypatch)
+        check()
+        monkeypatch.undo()
+        assert calls["Fraction"] <= bound
+
+
 def test_power_multiplies_its_squares_in_one_product(monkeypatch):
     # x**e squares x once per bit past the first and multiplies the squares
     # of the set bits in one product, so x**1 runs no product loop

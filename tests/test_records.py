@@ -40,6 +40,7 @@ RECORDS = {
     "Algebra": (gen.Algebra, dict(generators=gen.build_T, reports=gen.su11_reports, dimension=3), {}, ()),
     "_Kind": (gen._Kind, {key: getattr(gen._KINDS["check1"], key) for key in (
         "d", "k_unit", "k_s", "labels", "axis", "number", "carries_u", "raises")}, {}, ()),
+    "_Affine": (gen._Affine, dict(coefficients=(0, 1, -1), constant=0), {}, ()),
     "Ladder": (gen.Ladder, dict(kind="weyl", member="Aplus", ladder="check1", sign=1), {}, ()),
 }
 
