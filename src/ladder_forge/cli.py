@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="map between factorization families")
     p.add_argument("route", choices=("f2b", "f2c", "b2c"))
-    p.add_argument("--q", type=_rational, required=True, help="rational coupling, e.g. -3 or -3/2")
+    p.add_argument("--q", type=_rational, required=True, help="rational coupling, e.g. --q=-3 or --q=-3/2")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--eps", type=int, choices=(1, -1), default=1)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--shift", type=_finite, default=0.1,
                    help="eigenvalue detuning of the radial equation in rho = gamma r units, "
-                        "for the negative control")
+                        "for the negative control, e.g. --shift=-1e-1")
     p.add_argument("--tol", type=_tolerance, default=None)
     p.add_argument("--dump", metavar="PATH", help="write rho,psi samples as CSV")
     p.set_defaults(func=_cmd_coulomb_residual)

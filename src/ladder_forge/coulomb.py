@@ -255,13 +255,6 @@ def _refuse_past_ceiling(order: int):
         raise ValueError(f"quadrature order {order} is past the float limit {MAX_QUAD_ORDER}")
 
 
-def _refuse_non_finite(**params):
-    """A NaN or infinite parameter value raises ``ValueError`` naming the parameter."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def energy(Z, n) -> Fraction:
     """Bound energy -Z**2 / (2 n**2), exact."""
     Z, n = exact(Z, "Z"), exact(n, "n")
@@ -554,13 +547,14 @@ def action_report(
     norm that is not positive raises ``ValueError`` naming the order and the
     degree; ``gauss_laguerre`` refuses an order past ``MAX_QUAD_ORDER``.  A
     ``tol`` bounds the coefficient error and the profile residual (and an
-    annihilation's norm) in place of ``COEFF_TOL`` and ``PROFILE_TOL``; a NaN
-    or infinite one is refused.  The action and P (the target's, or the
-    source's for an annihilation) read their (order, alpha) windows, so P is
-    ``scaled_profile`` at the nodes bit for bit.
+    annihilation's norm) in place of ``COEFF_TOL`` and ``PROFILE_TOL``; one
+    not finite and positive is refused.  The action and P (the target's, or
+    the source's for an annihilation) read their (order, alpha) windows, so P
+    is ``scaled_profile`` at the nodes bit for bit.
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     coeff_tol, profile_tol = (COEFF_TOL, PROFILE_TOL) if tol is None else (tol, tol)
-    _refuse_non_finite(tol=profile_tol)
     sign, radicand, *_ = step = _step(state, operator)
     target = _target(state, operator, step) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
@@ -688,7 +682,8 @@ def schrodinger_residual(state: QuantumState, lambda_shift: float = 0.0) -> floa
     and should push the residual up by about |shift|; this is the negative
     control showing the check has teeth.
     """
-    _refuse_non_finite(lambda_shift=lambda_shift)
+    if not math.isfinite(lambda_shift):
+        raise ValueError(f"lambda_shift must be finite, got {lambda_shift}")
     square, P, damp, defect = _casimir_defect(state)
     profile = P * damp
     scale = np.max(np.abs(profile))  # first, so a shift near the float limit stays finite

@@ -26,15 +26,16 @@ r and k are multiplication operators, each stated once as weighted terms and
 summed in one ``linear_sum``, as is each ladder member and residual, so each
 identity is checked as an exactly zero operator.  ``_family`` reads the
 parameters and the label as integers over one denominator g, so each weight of
-r and k is an integer over a power of g, and L(m) is its one ``Fraction``;
-``type_b_k`` and ``type_c_k`` also take operator weights (a label or scale),
-which alone take a product.  Types F and C take the radial symbol ``r`` for
-``x``.  Type B lives in ``r = exp(ax)``: there ``exp(2ax)`` is ``r**2`` and
-``d/dx = a * r * d/dr``, so its r and k are polynomial in ``r``.  Type C also
-lives in ``y = 2 sqrt(r)``: there ``Y`` holds y and 1/y, ``y**n`` is
-``2**n r**(n/2)`` and ``D_Y = d/dy = sqrt(r) d/dr``.  ``R_DR``, ``Y``, ``D_Y``,
-d/dr and r's atoms (r, r**2, 1/r and 1/r**2) are module constants, built once,
-so a warm check builds no atom.
+r and k is an integer over a power of g, and L(m) is its one ``Fraction``.
+It is the one statement of each family: ``generators`` reads its kinds' D and
+k off it, at the unit-scale targets of ``f_to_b`` and ``f_to_c``.  Types F and
+C take the radial symbol ``r`` for ``x``.  Type B lives in ``r = exp(ax)``:
+there ``exp(2ax)`` is ``r**2`` and ``d/dx = a * r * d/dr``, so its r and k are
+polynomial in ``r``.  Type C's generators live in ``y = 2 sqrt(r)``, and
+``_pull_back_y`` is the one statement of that change: ``x**n`` is
+``2**n r**(n/2)`` and ``d/dx`` is ``d/dy = sqrt(r) d/dr``.  ``R_DR``, d/dr and
+r's atoms (r, r**2, 1/r and 1/r**2) are module constants, built once, so a
+warm check builds no atom.
 
 The cross-family maps solve for the parameters of a target family whose
 shifted ladder operators reproduce the source family's, splitting the
@@ -101,26 +102,19 @@ _D, _ONE = opalgebra.deriv("r"), opalgebra.identity()
 _R, _R2, _R_INV, _R_INV2 = map(opalgebra.r_power, (1, 2, -1, -2))  # r, r**2, 1/r, 1/r**2
 _K_ONE, _K_R, _K_R2, _K_INV, _K_INV2 = (opalgebra._form(op)[0] for op in (_ONE, _R, _R2, _R_INV, _R_INV2))  # keys
 R_DR = _R * _D  # d/dx of type B at a = 1, in r = exp(x)
-# type C's coordinate y = 2 sqrt(r), as the multiplication operators (y, 1/y); d/dy is D_Y
-Y = (2 * opalgebra.sqrt_r(), Fraction(1, 2) * opalgebra.r_half_power(-1))
-D_Y = opalgebra.sqrt_r() * _D
 _HALF = Fraction(1, 2)
 
 
-def _term(w: OperatorExpr | Rational, t: OperatorExpr, c: Rational = 1) -> tuple[OperatorExpr, Rational]:
-    """c * w * t as a ``linear_sum`` pair: a rational weight w joins c, an operator one is the product w * t."""
-    return (w * t, c) if isinstance(w, OperatorExpr) else (t, c * w)
-
-
-def type_b_k(amc: OperatorExpr | Rational, d: OperatorExpr | Rational) -> OperatorExpr:
-    """k of type B, d exp(ax) - a (m + c), in r = exp(ax), from ``amc`` = a (m + c); rationals or operators."""
-    return opalgebra.linear_sum((_term(d, _R), _term(amc, _ONE, -1)))
-
-
-def type_c_k(mc: OperatorExpr | Rational, b: OperatorExpr | Rational,
-             x: tuple[OperatorExpr, OperatorExpr] = (_R, _R_INV)) -> OperatorExpr:
-    """k of type C, (m + c)/x + b x / 2, with x the coordinate as (x, 1/x), r or Y; rationals or operators."""
-    return opalgebra.linear_sum((_term(mc, x[1]), _term(b, x[0], _HALF)))
+def _pull_back_y(op: OperatorExpr) -> OperatorExpr:
+    """``op``, with type C's x read as r, in y = 2 sqrt(r): each x**n is 2**n r**(n/2) and d/dx is sqrt(r) d/dr,
+    every other letter left as it stands.  A half-integer power of x has no image (it would need r**(1/4))."""
+    d_y, parts = opalgebra.sqrt_r() * _D, []
+    for (mono, sp, up), coefficient in op.terms():
+        if mono.r2 % 2:
+            raise ValueError(f"x**({mono.r2}/2) has no image in y = 2 sqrt(r)")
+        rest = OperatorExpr({(mono._replace(r2=0, dr=0), sp, up): coefficient})
+        parts.append((opalgebra.r_half_power(mono.r2 // 2) * rest * d_y**mono.dr, Fraction(2) ** (mono.r2 // 2)))
+    return opalgebra.linear_sum(parts)
 
 
 def _family(params: FamilyParams, m: Fraction) -> tuple[

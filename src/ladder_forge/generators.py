@@ -25,7 +25,9 @@ formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
 by a number operator, with the phase and, for the Weyl pairs, u attached.  At
 scalar labels the members are the transformed ladders.  One record per kind,
 ``_KINDS``, read only through ``_kind``, states each, its family labels and
-number operator as integer affine maps (``_Affine``), with k split as
+number operator as integer affine maps (``_Affine``).  Its D and k are read
+off ``factorizations._family`` at the unit-scale target of ``f_to_b(-1, 0, 0)``
+or ``f_to_c(-1, 0, 0, 1)``, type C's pulled back to y, with k split as
 k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``:
 
 * ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
@@ -178,14 +180,21 @@ class _Kind(Record):
 
 
 _S = opalgebra.s_sym()
-_CHECK_K = fz.type_c_k(1, 0, fz.Y), fz.type_c_k(0, -_S, fz.Y)  # type C at b = -s, c = 0, in y = 2 sqrt(r)
+
+
+def _unit_family(result: fz.TransformResult) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
+    """D, k(1, 0) and k(0, s) of a map's target at scale 1, read off ``fz._family``: k is linear in the label
+    and in the scale, so k(1, 0) = k(1) - k(0) and k(0, s) = s k(0)."""
+    d, _, k_0, _ = fz._family(result.target, 0)
+    return d, fz._family(result.target, 1)[2] - k_0, _S * k_0
+
+
+_TILDE = _unit_family(fz.f_to_b(-1, 0, 0))  # type B (a = 1, c = 0, d = 1), in r = exp(x)
+_CHECK = tuple(map(fz._pull_back_y, _unit_family(fz.f_to_c(-1, 0, 0, 1))))  # type C (b = -1, c = 0), in y = 2 sqrt(r)
 _KINDS = {
-    "tilde": _Kind(fz.R_DR, fz.type_b_k(1, 0), fz.type_b_k(0, _S), (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta",
-                   _Affine((1, 0, 0), 0), False, -1),
-    "check1": _Kind(fz.D_Y, *_CHECK_K, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha",
-                    _Affine((0, 1, -1), 0), True, 1),
-    "check2": _Kind(fz.D_Y, *_CHECK_K, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta",
-                    _Affine((0, -1, -1), 0), True, 1),
+    "tilde": _Kind(*_TILDE, (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta", _Affine((1, 0, 0), 0), False, -1),
+    "check1": _Kind(*_CHECK, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha", _Affine((0, 1, -1), 0), True, 1),
+    "check2": _Kind(*_CHECK, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta", _Affine((0, -1, -1), 0), True, 1),
 }
 
 

@@ -213,6 +213,23 @@ class TestTransformCommand:
         rows = {row["name"]: row["actual"] for row in report["rows"]}
         assert rows["target.d"] == "3/4"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["transform", "f2b", "--q", "-3/2", "--l", "1", "--m", "0"], 2),
+        (["transform", "f2b", "--q=-3/2", "--l", "1", "--m", "0"], 0),
+        (["coulomb-residual", "--n", "3", "--L", "1", "--shift", "-1e-1"], 2),
+        (["coulomb-residual", "--n", "3", "--L", "1", "--shift=-1e-1"], 0),
+    ], ids=["q-spaced", "q-joined", "shift-spaced", "shift-joined"])
+    def test_negative_values_take_the_joined_form_the_help_shows(self, capsys, argv, code):
+        # argparse reads "-3/2" or "-1e-1" after a space as an option, so the help texts show the joined form
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exit_:
+            assert exit_.code == code
+        help_text = {"transform": "--q=-3/2", "coulomb-residual": "--shift=-1e-1"}[argv[0]]
+        with pytest.raises(SystemExit):
+            cli.main([argv[0], "--help"])
+        assert help_text in " ".join(capsys.readouterr().out.split())
+
     def test_invalid_labels_exit_2(self, capsys):
         assert cli.main(["transform", "f2b", "--q", "-1", "--l", "0", "--m", "1"]) == 2
 

@@ -752,7 +752,7 @@ class TestActions:
         assert ops == {"A+", "A-", "B+", "B-"}
 
     @pytest.mark.parametrize("name", ["coeff_tol", "profile_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("check", [
         lambda **tol: cl.action_report(cl.state_tm(3, 1), "T+", **tol),
         lambda **tol: cl.action_report(cl.state_tm(3, 2), "T-", **tol),
@@ -760,9 +760,10 @@ class TestActions:
         lambda **tol: cl.sweep_weyl(1, 2, **tol),
     ], ids=["action", "annihilation", "sweep-su11", "sweep-weyl"])
     def test_non_finite_tolerance_refused(self, check, name, value):
-        # a NaN tolerance failed every check, an infinite one passed every check;
-        # one tol bounds both checks, and the per-bound name is not taken
-        with pytest.raises(ValueError, match=f"^tol must be finite, got {value}$"):
+        # a NaN tolerance failed every check, an infinite one passed every check, and a
+        # zero or negative one failed a correct action; one tol bounds both checks, and
+        # the per-bound name is not taken
+        with pytest.raises(ValueError, match=f"^tol must be finite and positive, got {re.escape(str(value))}$"):
             check(tol=value)
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             check(**{name: value})

@@ -108,6 +108,12 @@ class TestLadders:
         res_up, res_down = fz.factorization_residuals(fz.TypeF(q), 1)
         assert res_up.is_zero and res_down.is_zero
 
+    def test_y_pull_back_keeps_other_letters_and_refuses_a_half_power_of_x(self):
+        # x d/dx is y d/dy = 2 r d/dr, s and a phase stand as they are, and sqrt(x) would need r**(1/4)
+        assert fz._pull_back_y(parse("s*exp(i*eta)*r*d/dr - 3*r^-2")) == parse("2*s*exp(i*eta)*r*d/dr - 3/4*r^-1")
+        with pytest.raises(ValueError, match=r"^x\*\*\(1/2\) has no image in y = 2 sqrt\(r\)$"):
+            fz._pull_back_y(oa.sqrt_r())
+
 
 def _closed_forms(params, m):
     """The module docstring's (r(x, .), k(x, m), L(m)) and D, written with plain Fractions and operator sums."""

@@ -304,25 +304,30 @@ class TestTransformedLadders:
         assert gen.transformed_ladders("check2", l, m) == gen.transformed_ladders("check1", l, -m - 1)
 
     def test_tilde_is_the_type_b_ladder_of_f_to_b(self):
-        # tilde at (l, m) is the f_to_b target's H+ at m + c = l + 1 and its H- at l, at s = scale_s
+        # tilde at (l, m) is the f_to_b target's H+ at mbar + cbar + 1/2 and its H- at mbar + cbar - 1/2,
+        # each label read off the map's quantum_map, at s = scale_s
         rng = random.Random(20261019)
         for _ in range(100):
             q, l, m = _random_coulomb_labels(rng)
             result = fz.f_to_b(q, l, m)
+            mbar = result.quantum_map["mbar+cbar"]
             plus, minus = gen.transformed_ladders("tilde", l, m)
-            assert plus.substitute_s(result.scale_s) == fz.ladder(result.target, l + 1)[0]
-            assert minus.substitute_s(result.scale_s) == fz.ladder(result.target, l)[1]
+            assert plus.substitute_s(result.scale_s) == fz.ladder(result.target, mbar + HALF)[0]
+            assert minus.substitute_s(result.scale_s) == fz.ladder(result.target, mbar - HALF)[1]
 
-    def test_check1_is_the_type_c_ladder_of_f_to_c(self):
-        # check1 at (l, m) is the pulled-back TypeC(-scale_s, 0) H+ at m' = 2m and its H- at 2m + 1
+    @pytest.mark.parametrize("kind,eps", [("check1", 1), ("check2", -1)], ids=["check1-eps+1", "check2-eps-1"])
+    def test_check_is_the_type_c_ladder_of_f_to_c(self, kind, eps):
+        # check1 (eps = +1) and check2 (eps = -1) at (l, m) are the pulled-back TypeC(-scale_s, 0) H+ at
+        # mhat + chat - 1/2 and its H- at mhat + chat + 1/2, each label read off the map's quantum_map
         rng = random.Random(20261020)
         for _ in range(60):
             q, l, m = _random_coulomb_labels(rng)
-            result = fz.f_to_c(q, l, m, rng.choice((1, -1)))
+            result = fz.f_to_c(q, l, m, eps)
             assert result.target == fz.TypeC(-result.scale_s, 0)
-            plus, minus = gen.transformed_ladders("check1", l, m)
-            assert plus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, 2 * m)[0])
-            assert minus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, 2 * m + 1)[1])
+            mhat = result.quantum_map["mhat+chat"]
+            plus, minus = gen.transformed_ladders(kind, l, m)
+            assert plus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, mhat - HALF)[0])
+            assert minus.substitute_s(result.scale_s) == _pulled_back(fz.ladder(result.target, mhat + HALF)[1])
 
     def test_check1_plus_is_not_the_type_c_ladder_one_label_up(self):
         # negative control: the plus member one family label too high leaves a residual
