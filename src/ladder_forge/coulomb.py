@@ -387,7 +387,7 @@ def state_munu(mu: int, nu: int, Z=1) -> QuantumState:
 def _step(state: QuantumState, operator: str) -> tuple[int, Fraction, tuple[int, int], Fraction]:
     """``generators.ladder_move`` of ``operator`` on ``state``, its target folded past nu == mu by
     L^(-1)_n = -(rho/n) L^(1)_(n-1): a target with mu' > nu' is swapped, and its sign flipped."""
-    lad = generators.LADDERS.get(operator)
+    lad = generators.LADDERS.get(operator) if isinstance(operator, str) else None
     if lad is not None and state.family != lad.kind:
         raise ValueError(f"{operator} acts on {lad.kind!r} states")
     sign, radicand, (mu, nu), ratio = generators.ladder_move(operator, state.munu)

@@ -24,26 +24,29 @@ Each generator is an Infeld-Hull family ladder of ``factorizations`` at the
 formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
 by a number operator, with the phase and, for the Weyl pairs, u attached.  At
 scalar labels the members are the transformed ladders.  One record per kind,
-``_KINDS``, read only through ``_kind``, states each, its family labels and
-number operator as integer affine maps (``_Affine``).  Its D and k are read
-off ``factorizations._family`` at the unit-scale target of ``f_to_b(-1, 0, 0)``
+``_KINDS``, read only through ``_kind``, states each, with its family labels
+as integer affine maps of (l, m) (``_Affine``).  Its D and k are read off
+``factorizations._family`` at the unit-scale target of ``f_to_b(-1, 0, 0)``
 or ``f_to_c(-1, 0, 0, 1)``, type C's pulled back to y, with k split as
 k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``:
 
 * ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
-  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2).  Its
-  number operator is T0: T+- = exp(+-i*eta) (-+D + k(T0)).
+  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2), so
+  T+- = exp(+-i*eta) (-+D + k(T0)).
 * ``check1``, type C (b = -s, c = 0) in y = 2 sqrt(r), D = sqrt(r) d/dr, at
   m + c = 2m and 2m + 1: Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r)
-  - s), shifting (l, m) by (+-1/2, -+1/2).  Its number operator is N -+ 1:
-  A+- = u exp(+-i*alpha) (+-D + k(N -+ 1)).
+  - s), shifting (l, m) by (+-1/2, -+1/2), so A+- = u exp(+-i*alpha) (+-D + k(N -+ 1)).
 * ``check2``, the alpha <-> beta mirror of check1, as B+- is of A+-: it swaps
   mu = l - m and nu = l + m + 1, that is m -> -m - 1, so Hv2+-(l, m) =
   Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2), and flips N: -N -+ 1.
 
-Each generator's number operator, k at it (``_number_label``) and prefix, the
-phase and for the Weyl pairs u (``_prefix``, keyed by value), are built once: a
-generator, or a reconstruction row, is that prefix times one member.
+A generator's number operator (``_number_label``) is read off the label map of
+the member it uses: the plus member's label, or the minus member's moved by the
+generator's own ``step``, at l = T0 - 1 and m = (N - 1)/2 as operators.  So the
+labels are stated once, and the reconstruction rows hold at every label.  The
+number operator, k at it and each prefix, the phase and for the Weyl pairs u
+(``_prefix``, keyed by value), are built once: a generator is that prefix times
+one member.
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
@@ -156,25 +159,24 @@ def closure_report(which: str) -> ClosureReport:
 
 
 class _Affine(Record):
-    """The integer affine map x -> c . x + constant of numbers or operators, or of numerators over ``den``."""
+    """The integer affine map x -> c . x + constant of numbers or operators."""
 
     coefficients: tuple[int, ...]
     constant: int
 
-    def __call__(self, *xs, den: int = 1):
-        return sum(map(mul, self.coefficients, xs)) + self.constant * den
+    def __call__(self, *xs):
+        return sum(map(mul, self.coefficients, xs)) + self.constant
 
 
 class _Kind(Record):
     """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and label maps (plus, minus) of (l, m), and its
-    generators' phase axis, number map of (T0, N, direction), u, and the sign of the member that raises."""
+    generators' phase axis, u, and the sign of the member that raises."""
 
     d: OperatorExpr
     k_unit: OperatorExpr
     k_s: OperatorExpr
     labels: tuple[_Affine, _Affine]
     axis: str
-    number: _Affine
     carries_u: bool
     raises: int
 
@@ -192,9 +194,9 @@ def _unit_family(result: fz.TransformResult) -> tuple[OperatorExpr, OperatorExpr
 _TILDE = _unit_family(fz.f_to_b(-1, 0, 0))  # type B (a = 1, c = 0, d = 1), in r = exp(x)
 _CHECK = tuple(map(fz._pull_back_y, _unit_family(fz.f_to_c(-1, 0, 0, 1))))  # type C (b = -1, c = 0), in y = 2 sqrt(r)
 _KINDS = {
-    "tilde": _Kind(*_TILDE, (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta", _Affine((1, 0, 0), 0), False, -1),
-    "check1": _Kind(*_CHECK, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha", _Affine((0, 1, -1), 0), True, 1),
-    "check2": _Kind(*_CHECK, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta", _Affine((0, -1, -1), 0), True, 1),
+    "tilde": _Kind(*_TILDE, (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta", False, -1),
+    "check1": _Kind(*_CHECK, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha", True, 1),
+    "check2": _Kind(*_CHECK, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta", True, 1),
 }
 
 
@@ -220,9 +222,15 @@ def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorEx
 
 @cache
 def _number_label(kind: str, direction: int) -> tuple[OperatorExpr, OperatorExpr]:
-    """The number operator of the generator stepping ``direction``, fed T0 and N, and k at it and scale 0."""
-    number = _kind(kind).number(opdsl.parse("-i*d/deta"), opdsl.parse("i*d/dalpha - i*d/dbeta"), direction)
-    return number, number * _kind(kind).k_unit
+    """The number operator of the generator stepping ``direction``, and k at it and scale 0: the label of the member
+    it uses, the plus member's or the minus member's moved by the generator's step, (dl, dm) = ((dmu + dnu)/2,
+    (dnu - dmu)/2) as mu = l - m and nu = l + m + 1, each read at l = T0 - 1 and m = (N - 1)/2 as operators."""
+    record = _kind(kind)
+    minus = record.raises * direction < 0
+    dmu, dnu = step(_prefix(record.axis, record.carries_u, direction)) if minus else (0, 0)
+    t0, n = opdsl.parse("-i*d/deta"), opdsl.parse("i*d/dalpha - i*d/dbeta")
+    number = record.labels[minus](t0 - 1 + fz._HALF * (dmu + dnu), fz._HALF * (n - 1 + dnu - dmu))
+    return number, number * record.k_unit
 
 
 @cache
@@ -232,12 +240,11 @@ def _prefix(axis: str, carries_u: bool, direction: int) -> OperatorExpr:
     return opalgebra.u_sym() * phase if carries_u else phase
 
 
-def _generator(kind: str, direction: int, member: OperatorExpr | None = None) -> OperatorExpr:
-    """The generator stepping ``direction``: its ``_prefix`` times ``member``, by default the family member with
-    the number operator as its label."""
+def _generator(kind: str, direction: int) -> OperatorExpr:
+    """The generator stepping ``direction``: its ``_prefix`` times the family member with the number operator as
+    its label."""
     record = _kind(kind)
-    if member is None:
-        member = _member(record, record.raises * direction, (_number_label(kind, direction)[1], 1))
+    member = _member(record, record.raises * direction, (_number_label(kind, direction)[1], 1))
     return _prefix(record.axis, record.carries_u, direction) * member
 
 
@@ -278,7 +285,7 @@ def ladder_move(name: str, munu: tuple[int, int]) -> tuple[int, Fraction, tuple[
     mu' > nu' is kept: (sign, radicand) of its coefficient sign * sqrt(radicand), the radicand n'/n times x + 1
     for each raised label x and x for each lowered one; the target (mu + dmu, nu + dnu) of its ``step``; and n'/n.
     Labels other than two nonnegative integers are refused with a ``ValueError`` naming the label."""
-    lad = LADDERS.get(name)
+    lad = LADDERS.get(name) if isinstance(name, str) else None
     if lad is None:
         raise ValueError(f"unknown operator {name!r}")
     if not isinstance(munu, tuple) or len(munu) != 2:
@@ -339,28 +346,18 @@ def _identity(text: str) -> AlgebraReport:
 
 
 def reconstruction_reports(l: Rational, m: Rational) -> list[AlgebraReport]:
-    """Rebuild T+-, A+-, B+- from the transformed ladders at labels (l, m).
+    """Rebuild T+-, A+-, B+- from the transformed ladders.
 
-    A plus member is taken at (l, m), a minus member at (l, m) moved by the
-    generator's own step.  Its scalar family label is then replaced by the
-    number operator, valued at the unmoved (l, m) (``_Kind.number`` fed l + 1
-    and 2m + 1): k is linear, so that is one sum, k(label - value, s) +
-    k(number, 0), which rebuilds the generator only if the moved member's label
-    is that value, read as integers over one denominator.  The phase factor
-    and, for the Weyl pairs, u are attached.
+    Each row compares a ladder's generator with the kind's family member, its
+    label read as the number operator (``_number_label``), times the phase
+    and, for the Weyl pairs, u; the direction is read off the ladder's step.
+    Only the B+- rows compare two routes: check2 against the alpha <-> beta
+    mirror of A+-.  The rows hold at every label, so (l, m) are only checked
+    to be exact, as ``perfbench/worker.py`` still passes them.
     """
-    l, m, half, den = opalgebra._over(exact(l, "l"), exact(m, "m"), fz._HALF)  # integers over one denominator
-    t0, n = l + den, 2 * m + den  # T0 = l + 1 and N = 2m + 1, the values the number maps are fed
+    exact(l, "l"), exact(m, "m")
     out = []
     for name, lad in LADDERS.items():
-        dmu, dnu = step(op := lad.operator())
-        direction = 1 if dmu + dnu > 0 else -1
-        record = _kind(lad.ladder)
-        sign = record.raises * direction
-        # the minus member moves by (dl, dm) = ((dmu + dnu)/2, (dnu - dmu)/2), as mu = l - m and nu = l + m + 1
-        moved = (l, m) if sign > 0 else (l + (dmu + dnu) * half, m + (dnu - dmu) * half)
-        weight = record.labels[sign < 0](*moved, den=den) - record.number(t0, n, den * direction, den=den)
-        member = _member(record, sign, (record.k_unit, Fraction(weight, den) if weight else 0),
-                         (_number_label(lad.ladder, direction)[1], 1))
-        out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction, member), op))
+        direction = 1 if sum(step(op := lad.operator())) > 0 else -1
+        out.append(_report(f"{name} from {lad.ladder} ladder", _generator(lad.ladder, direction), op))
     return out

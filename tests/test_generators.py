@@ -15,6 +15,27 @@ from ladder_forge import opdsl
 
 HALF = Fraction(1, 2)
 LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
+# the tilde triple's rows that a wrong T number operator fails
+TILDE_ROWS = ["[T+,T-] == -2*T0", "casimir-normal-form", "[C,T+] == 0", "[C,T-] == 0"]
+
+
+@pytest.fixture
+def fresh_generators(monkeypatch):
+    """``monkeypatch``, with every cache that holds a generator or a report read from them cleared before the
+    test and again once its patches are undone."""
+    def clear():
+        for built in (gen._number_label, gen.build_T, gen.build_AB, gen.casimir, gen.sp4_bilinears, gen._identity):
+            built.cache_clear()
+    clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    clear()
+
+
+def _failed_rows() -> list[str]:
+    """The names of the failing su11, weyl, Casimir and reconstruction rows."""
+    reports = (*gen.su11_reports(), *gen.weyl_reports(), *gen.casimir_reports(), *gen.reconstruction_reports(3, HALF))
+    return [rep.name for rep in reports if not rep.passed]
 
 
 @pytest.mark.parametrize("build", [gen.build_T, gen.build_AB, gen.sp4_bilinears])
@@ -346,11 +367,21 @@ class TestTransformedLadders:
         with pytest.raises(ValueError, match=r"^unknown operator 'T0'$"):
             gen.ladder_move("T0", (0, 1))
 
+    @pytest.mark.parametrize("name", [["A+"], None, 3], ids=["list", "None", "int"])
+    def test_non_string_operator_name_refused(self, name):
+        # a name that is not a string is refused as an unknown one, before any lookup can raise TypeError
+        from ladder_forge import coulomb
+
+        state = coulomb.state_munu(1, 2)
+        for call in (lambda: gen.ladder_move(name, state.munu), lambda: coulomb.action_report(state, name),
+                     lambda: coulomb.shifted_state(state, name), lambda: coulomb.action_radicand(state, name)):
+            with pytest.raises(ValueError, match=rf"^unknown operator {re.escape(repr(name))}$"):
+                call()
+
     @pytest.mark.parametrize("entry", [
         lambda: gen.transformed_ladders("hat", 0, 0), lambda: gen._kind("hat"),
         lambda: gen._number_label("hat", 1), lambda: gen._generator("hat", 1),
-        lambda: gen._generator("hat", -1, oa.identity()),
-    ], ids=["transformed_ladders", "_kind", "_number_label", "_generator", "_generator-member"])
+    ], ids=["transformed_ladders", "_kind", "_number_label", "_generator"])
     def test_unknown_kind_refused(self, entry):
         # every ladder-kind entry point reads the one lookup, which refuses an unknown kind
         # (the private helpers once read it as check2)
@@ -359,7 +390,8 @@ class TestTransformedLadders:
 
     def test_shifts_match_bound_state_label_moves(self):
         # A+- (check1) steps mu = l - m and B+- (check2) nu = l + m + 1, as ladder_move and the bound state
-        # do; the reconstruction moves (l, m) by ((dmu + dnu)/2, (dnu - dmu)/2), the bound state's move
+        # do; a number operator reads its minus member's label at (l, m) moved by ((dmu + dnu)/2, (dnu - dmu)/2),
+        # the bound state's move
         from ladder_forge import coulomb
 
         def lm(mu, nu):
@@ -377,18 +409,19 @@ class TestTransformedLadders:
     @pytest.mark.parametrize("direction", [1, -1])
     def test_generator_prefix_is_built_once(self, ladder, direction, monkeypatch):
         # a generator's constant left factor, u for the Weyl pairs and then its phase, is built once and keyed
-        # by value, so a kind record patched onto another axis reads that axis's prefix
+        # by value, so a kind record patched onto another axis reads that axis's prefix (the number operator,
+        # read before the patch, is cached)
         record = gen._kind(ladder)
         phase = oa.phase(record.axis, direction)
         prefix = gen._prefix(record.axis, record.carries_u, direction)
         assert prefix == (oa.product((oa.u_sym(), phase)) if record.carries_u else phase)
         assert prefix is gen._prefix(record.axis, record.carries_u, direction)
-        member = gen.transformed_ladders(ladder, 3, HALF)[0]
-        assert gen._generator(ladder, direction, member) == prefix * member
+        member = gen._member(record, record.raises * direction, (gen._number_label(ladder, direction)[1], 1))
+        assert gen._generator(ladder, direction) == prefix * member
         moved = gen._Kind(**{**vars(record), "axis": "beta" if record.axis == "alpha" else "alpha"})
         monkeypatch.setitem(gen._KINDS, ladder, moved)
         expected = oa.phase(moved.axis, direction) * member
-        assert gen._generator(ladder, direction, member) == (oa.u_sym() * expected if record.carries_u else expected)
+        assert gen._generator(ladder, direction) == (oa.u_sym() * expected if record.carries_u else expected)
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_generators_rebuilt_from_ladders(self, l, m):
@@ -397,49 +430,66 @@ class TestTransformedLadders:
         for rep in reports:
             assert rep.passed, rep.name
 
-    def test_reconstruction_fails_on_the_opposite_step(self, monkeypatch):
-        # the reconstruction reads each ladder's direction and its minus member's move off its step: the
-        # reversed step leaves a residual in every row, and the step with mu and nu swapped, which keeps every
-        # direction, in the two minus members whose move it changes (T's step is symmetric)
-        step = gen.step
-        for wrong, expected in [(lambda op: tuple(-d for d in step(op)), ["T+", "T-", "A+", "A-", "B+", "B-"]),
-                                (lambda op: step(op)[::-1], ["A-", "B-"])]:
-            monkeypatch.setattr(gen, "step", wrong)
-            failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
-            assert failed == expected
+    def test_reconstruction_is_the_same_at_every_label(self):
+        # every row is label-free: 40 seeded rational (l, m) give the reports at (0, 0), equal in name, lhs, rhs,
+        # residual and verdict
+        rng = random.Random(20261022)
+        at_origin = gen.reconstruction_reports(0, 0)
+        for _ in range(40):
+            l, m = (Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(2))
+            assert gen.reconstruction_reports(l, m) == at_origin, (l, m)
 
-    def test_reconstruction_fails_without_the_check2_mirror(self, monkeypatch):
-        # check2 read off check1 at the unmirrored m has the wrong family labels for B+-; the
-        # kind record's label map is the one that transformed_ladders and the reconstruction read
-        unmirrored = gen._Kind(**{**vars(gen._KINDS["check2"]), "labels": gen._KINDS["check1"].labels})
-        monkeypatch.setitem(gen._KINDS, "check2", unmirrored)
-        assert gen.transformed_ladders("check2", 3, HALF) == gen.transformed_ladders("check1", 3, HALF)
-        failed = [rep.name.split()[0] for rep in gen.reconstruction_reports(3, Fraction(1, 2)) if not rep.passed]
-        assert failed == ["B+", "B-"]
-
-    @pytest.mark.parametrize("ladder,rows", [("tilde", ["T+", "T-"]), ("check1", ["A+", "A-"]),
-                                             ("check2", ["B+", "B-"])])
-    def test_reconstruction_fails_on_a_number_off_by_one(self, ladder, rows, monkeypatch):
-        # each row's weight, label - value, reads the kind record's number map as integer data: with its
-        # constant off by one, the value no longer matches the number operator the generators were built
-        # with, in exactly that kind's two rows (built first, so the cached generators are the true ones)
-        assert all(rep.passed for rep in gen.reconstruction_reports(3, HALF))
+    @pytest.mark.parametrize("ladder,which,rows", [
+        ("tilde", 0, TILDE_ROWS), ("tilde", 1, TILDE_ROWS),
+        ("check1", 0, ["[A+,B-] == 0", "[A-,B+] == 0", "B+ from check2 ladder"]),
+        ("check1", 1, ["[A+,B-] == 0", "[A-,B+] == 0", "B- from check2 ladder"]),
+        ("check2", 0, ["B+ from check2 ladder"]), ("check2", 1, ["B- from check2 ladder"]),
+    ], ids=["tilde-plus", "tilde-minus", "check1-plus", "check1-minus", "check2-plus", "check2-minus"])
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_a_label_off_by_one_fails_the_algebra(self, ladder, which, rows, delta, fresh_generators):
+        # the label maps are the one statement of each kind's labels: a plus or minus label constant off by
+        # one moves the number operator read off it, so the tilde triple no longer closes (nor commutes with
+        # its Casimir), A+- no longer commute with B-+ and B+- no longer mirror A+-, and check2's own label
+        # fails its B row
         record = gen._KINDS[ladder]
-        number = gen._Affine(record.number.coefficients, record.number.constant + 1)
-        monkeypatch.setitem(gen._KINDS, ladder, gen._Kind(**{**vars(record), "number": number}))
-        for l, m in ((3, HALF), (Fraction(7, 3), Fraction(-5, 2))):
-            failed = [rep for rep in gen.reconstruction_reports(l, m) if not rep.passed]
-            assert [rep.name.split()[0] for rep in failed] == rows
-            assert all(rep.residual for rep in failed)
+        labels = list(record.labels)
+        labels[which] = gen._Affine(labels[which].coefficients, labels[which].constant + delta)
+        fresh_generators.setitem(gen._KINDS, ladder, gen._Kind(**{**vars(record), "labels": tuple(labels)}))
+        assert _failed_rows() == rows
+
+    def test_check2_without_the_mirror_fails_the_algebra(self, fresh_generators):
+        # check2 read with check1's labels has the wrong number operators for B+-, which then are not the
+        # alpha <-> beta mirrors of A+-
+        unmirrored = gen._Kind(**{**vars(gen._KINDS["check2"]), "labels": gen._KINDS["check1"].labels})
+        fresh_generators.setitem(gen._KINDS, "check2", unmirrored)
+        assert gen.transformed_ladders("check2", 3, HALF) == gen.transformed_ladders("check1", 3, HALF)
+        assert _failed_rows() == ["B+ from check2 ladder", "B- from check2 ladder"]
+
+    @pytest.mark.parametrize("wrong,rows", [
+        (lambda step: lambda op: tuple(-d for d in step(op)),
+         ["[T+,T-] == -2*T0", "[A+,B-] == 0", "[A-,B+] == 0", *TILDE_ROWS[1:],
+          *(f"{name} from {lad.ladder} ladder" for name, lad in gen.LADDERS.items())]),
+        (lambda step: lambda op: step(op)[::-1], ["[A+,B-] == 0", "[A-,B+] == 0"]),
+    ], ids=["reversed", "swapped"])
+    def test_a_wrong_step_fails_the_algebra(self, wrong, rows, fresh_generators):
+        # each number operator reads its minus member's move off the generator's step, and the reconstruction
+        # its direction: the reversed step moves every minus member the wrong way and flips every direction;
+        # the step with mu and nu swapped keeps every direction and T's symmetric move, but moves the minus
+        # members of A- and B- alike, so they stay mirrors of each other and stop commuting with A+ and B+
+        fresh_generators.setattr(gen, "step", wrong(gen.step))
+        assert _failed_rows() == rows
 
     @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
     @pytest.mark.parametrize("direction", [1, -1])
     def test_number_operators_read_their_values(self, ladder, direction):
-        # the one number statement of the kind record: fed T0 and N it is the operator that, on the
-        # bound state (l, m), reads the number it gives when fed l + 1 and 2m + 1;
-        # the number at l and 2m - 1 is off by one, and must fail
+        # the number operator, read off the label map of the member the generator uses, is the operator
+        # that on the bound state (l, m) reads that map's value at (l, m), moved by the generator's step
+        # for a minus member; the value one off must fail
         from ladder_forge import coulomb
 
+        record = gen._kind(ladder)
+        minus = record.raises * direction < 0
+        dmu, dnu = gen.step(gen._generator(ladder, direction)) if minus else (0, 0)
         number = gen._number_label(ladder, direction)[0]
         rho = coulomb.gauss_laguerre(12)[0]
         for nu in range(8):
@@ -447,11 +497,10 @@ class TestTransformedLadders:
                 state = coulomb.state_munu(mu, nu)
                 l, m = Fraction(mu + nu - 1, 2), Fraction(nu - mu - 1, 2)
                 lhs, profile = coulomb.act(number, state, rho), state.scaled_profile(rho)
-                value = gen._kind(ladder).number(l + 1, 2 * m + 1, direction)
+                value = record.labels[minus](l + Fraction(dmu + dnu, 2), m + Fraction(dnu - dmu, 2))
                 scale = max(1, abs(value)) * np.max(np.abs(profile))
                 assert np.max(np.abs(lhs - float(value) * profile)) <= 1e-12 * scale, (mu, nu)
-                wrong = gen._kind(ladder).number(l, 2 * m - 1, direction)
-                assert np.max(np.abs(lhs - float(wrong) * profile)) > 0.5 * np.max(np.abs(profile)), (mu, nu)
+                assert np.max(np.abs(lhs - float(value + 1) * profile)) > 0.5 * np.max(np.abs(profile)), (mu, nu)
 
     @pytest.mark.parametrize("l,m", LADDER_LABELS)
     def test_reconstruction_names_and_targets(self, l, m):

@@ -510,14 +510,15 @@ def _count_calls(monkeypatch, *names: str) -> dict:
 def test_warm_reconstruction_weights_its_numbers(monkeypatch):
     # every rational factor of the family ladders is a linear_sum weight, so a
     # warm reconstruction builds no scalar operator and runs the product loop
-    # only for products of operators with several atoms; each relabelled member
-    # is one sum and each residual one more, 12 linear_sum calls where a chain
-    # of binary + and - made 68
+    # only for the six prefix-times-member products; each generator's member,
+    # its number operator's k read from cache, is one sum and a passing row
+    # subtracts nothing, 6 linear_sum calls where a chain of binary + and -
+    # made 68
     reconstruction_reports(3, HALF)
     calls = _count_calls(monkeypatch, "_normal_order", "scalar", "linear_sum")
     reconstruction_reports(3, HALF)
     assert calls["_normal_order"] <= 6 and calls["scalar"] == 0
-    assert calls["linear_sum"] <= 12
+    assert calls["linear_sum"] <= 6
 
 
 @pytest.mark.parametrize("params", [TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3)], ids=["B", "C", "F"])
@@ -542,14 +543,15 @@ def _count_fractions(monkeypatch) -> dict:
 
 
 def test_warm_identity_checks_read_numbers_as_integers(monkeypatch):
-    # a reconstruction reads its labels and each kind's label and number maps
-    # as integers over one denominator, and a factorization check reads its
-    # parameters and label so: a warm reconstruction builds at most 6 Fractions
-    # (0-1 here, as a passing row builds none; 43-44 with Fraction label
-    # arithmetic) and a warm B, C or F check at most 2 (its L(m); 13 to 25)
+    # a reconstruction does no label arithmetic, as its number operators are
+    # read off the label maps once, and a factorization check reads its
+    # parameters and label as integers over one denominator: a warm
+    # reconstruction builds at most 1 Fraction (``exact``'s of an int label;
+    # 43-44 with Fraction label arithmetic) and a warm B, C or F check at most
+    # 2 (its L(m); 13 to 25)
     m = Fraction(5, 2)
-    checks = [(lambda: reconstruction_reports(3, HALF), 6),
-              (lambda l=Fraction(7, 3), m=Fraction(-5, 2): reconstruction_reports(l, m), 6),
+    checks = [(lambda: reconstruction_reports(3, HALF), 1),
+              (lambda l=Fraction(7, 3), m=Fraction(-5, 2): reconstruction_reports(l, m), 1),
               *((lambda p=params: factorization_residuals(p, m), 2)
                 for params in (TypeB(2, HALF, 3), TypeC(-2, HALF), TypeF(-3), TypeB(Fraction(3, 7), -1, 5)))]
     for check, bound in checks:
