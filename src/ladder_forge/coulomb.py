@@ -286,8 +286,9 @@ class QuantumState(Record):
         names = {"su11": ("t", "m"), "weyl": ("mu", "nu")}.get(self.family)
         if names is None:
             raise ValueError("family must be 'su11' or 'weyl'")
-        a, b = self.labels
-        a, b = exact_int(a, names[0]), exact_int(b, names[1])
+        if not isinstance(self.labels, (tuple, list)) or len(self.labels) != 2:
+            raise ValueError(f"{self.family} labels must be a pair ({', '.join(names)}), got {self.labels!r}")
+        a, b = exact_int(self.labels[0], names[0]), exact_int(self.labels[1], names[1])
         object.__setattr__(self, "labels", (a, b))
         object.__setattr__(self, "Z", exact(self.Z, "Z"))
         if _outside(self.Z, CHARGE_BITS):
@@ -373,7 +374,7 @@ class QuantumState(Record):
 
 
 def make_state(family: str, labels, Z=1) -> QuantumState:
-    return QuantumState(family, tuple(labels), Z)
+    return QuantumState(family, labels, Z)
 
 
 def state_tm(t: int, m: int, Z=1) -> QuantumState:

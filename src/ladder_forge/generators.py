@@ -24,29 +24,33 @@ Each generator is an Infeld-Hull family ladder of ``factorizations`` at the
 formal scale s: a member +-D + k(m + c) whose family label m + c is replaced
 by a number operator, with the phase and, for the Weyl pairs, u attached.  At
 scalar labels the members are the transformed ladders.  One record per kind,
-``_KINDS``, read only through ``_kind``, states each, with its family labels
-as integer affine maps of (l, m) (``_Affine``).  Its D and k are read off
-``factorizations._family`` at the unit-scale target of ``f_to_b(-1, 0, 0)``
-or ``f_to_c(-1, 0, 0, 1)``, type C's pulled back to y, with k split as
-k(label, s) = label k(1, 0) + k(0, s), so that each member is one ``linear_sum``:
+``_KINDS``, read only through ``_kind``, is read off the kind's map by
+``_read_kind``: D and k off ``factorizations._family`` at the map's target at
+(l, m) = (0, 0), the unit scale, type C's pulled back to y, with k split as
+k(label, s) = label k(1, 0) + k(0, s) so that each member is one
+``linear_sum``; and the label, affine in (l, m), off the map's ``quantum_map``
+at (0, 0), (1, 0) and (1, 1).  The members sit half a label either side of it:
+the plus at label - raises/2, the minus at label + raises/2.
 
-* ``tilde``, type B (a = 1, c = 0, d = s) in r = exp(x), D = r d/dr, at
-  m + c = l + 1 and l: H~+-(l) = +-r d/dr + s r - (l + 1/2 +- 1/2), so
-  T+- = exp(+-i*eta) (-+D + k(T0)).
-* ``check1``, type C (b = -s, c = 0) in y = 2 sqrt(r), D = sqrt(r) d/dr, at
-  m + c = 2m and 2m + 1: Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r)
-  - s), shifting (l, m) by (+-1/2, -+1/2), so A+- = u exp(+-i*alpha) (+-D + k(N -+ 1)).
-* ``check2``, the alpha <-> beta mirror of check1, as B+- is of A+-: it swaps
-  mu = l - m and nu = l + m + 1, that is m -> -m - 1, so Hv2+-(l, m) =
-  Hv1+-(l, -m - 1), shifting (l, m) by (+-1/2, +-1/2), and flips N: -N -+ 1.
+* ``tilde``, type B (a = 1, c = 0, d = s) of ``f_to_b``, in r = exp(x),
+  D = r d/dr, label mbar + cbar = l + 1/2, raises -1: H~+-(l) = +-r d/dr + s r
+  - (l + 1/2 +- 1/2), so T+- = exp(+-i*eta) (-+D + k(T0)).
+* ``check1``, type C (b = -s, c = 0) of ``f_to_c`` at eps = +1, in
+  y = 2 sqrt(r), D = sqrt(r) d/dr, label mhat + chat = 2m + 1/2, raises +1:
+  Hv1+-(l, m) = sqrt(r) (+-d/dr + (2m + 1/2 -+ 1/2)/(2r) - s), shifting (l, m)
+  by (+-1/2, -+1/2), so A+- = u exp(+-i*alpha) (+-D + k(N -+ 1)).
+* ``check2``, the same at eps = -1, label -2m - 3/2: the alpha <-> beta mirror
+  of check1, as B+- is of A+-.  It swaps mu = l - m and nu = l + m + 1, that is
+  m -> -m - 1, so Hv2+-(l, m) = Hv1+-(l, -m - 1), shifting (l, m) by
+  (+-1/2, +-1/2), and flips N: -N -+ 1.
 
-A generator's number operator (``_number_label``) is read off the label map of
-the member it uses: the plus member's label, or the minus member's moved by the
-generator's own ``step``, at l = T0 - 1 and m = (N - 1)/2 as operators.  So the
-labels are stated once, and the reconstruction rows hold at every label.  The
-number operator, k at it and each prefix, the phase and for the Weyl pairs u
-(``_prefix``, keyed by value), are built once: a generator is that prefix times
-one member.
+The generator stepping d takes its member at label - d/2, and its number
+operator (``_number_label``) is that label at l = T0 - 1 and m = (N - 1)/2 as
+operators, moved by the generator's ``step`` for a minus member.  So each label
+is stated once, by its map, and the reconstruction rows hold at every label.
+The number operator, k at it and each prefix, the phase and for the Weyl pairs
+u (``_prefix``, keyed by value), are built once: a generator is that prefix
+times one member.
 
 ``ALGEBRAS`` is the one table of the three algebras, su11, weyl and sp4: each
 name maps to its generators, its commutation table and its closure dimension.
@@ -67,8 +71,7 @@ import math
 import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cache, lru_cache
-from operator import mul
+from functools import cache, lru_cache, partial
 from types import MappingProxyType
 
 from . import factorizations as fz, opalgebra, opdsl
@@ -158,45 +161,36 @@ def closure_report(which: str) -> ClosureReport:
     return opalgebra.closure_check(list(algebra.generators().values()), algebra.dimension + 4)
 
 
-class _Affine(Record):
-    """The integer affine map x -> c . x + constant of numbers or operators."""
-
-    coefficients: tuple[int, ...]
-    constant: int
-
-    def __call__(self, *xs):
-        return sum(map(mul, self.coefficients, xs)) + self.constant
-
-
 class _Kind(Record):
-    """One transformed ladder kind: its family's D, k(1, 0), k(0, s) and label maps (plus, minus) of (l, m), and its
-    generators' phase axis, u, and the sign of the member that raises."""
+    """One transformed ladder kind: its family's D, k(1, 0) and k(0, s), its label, affine in (l, m), as a map of
+    numbers or operators, and its generators' phase axis, u, and the sign of the member that raises."""
 
     d: OperatorExpr
     k_unit: OperatorExpr
     k_s: OperatorExpr
-    labels: tuple[_Affine, _Affine]
+    label: Callable
     axis: str
     carries_u: bool
     raises: int
 
 
-_S = opalgebra.s_sym()
+def _read_kind(route: Callable[[int, int], fz.TransformResult], key: str, axis: str, carries_u: bool,
+               raises: int) -> _Kind:
+    """The kind read off the map ``route`` of (l, m): D, k(1, 0) = k(1) - k(0) and k(0, s) = s k(0) of its target
+    at (0, 0), type C's pulled back to y, and its label, ``quantum_map[key]`` read at (0, 0), (1, 0) and (1, 1)."""
+    target = route(0, 0).target
+    (d, _, k_0, _), k_1 = fz._family(target, 0), fz._family(target, 1)[2]
+    family = (d, k_1 - k_0, opalgebra.s_sym() * k_0)
+    if isinstance(target, fz.TypeC):
+        family = tuple(map(fz._pull_back_y, family))
+    at_0, at_l, at_lm = (route(l, m).quantum_map[key] for l, m in ((0, 0), (1, 0), (1, 1)))
+    return _Kind(*family, lambda l, m: (at_l - at_0) * l + (at_lm - at_l) * m + at_0, axis, carries_u, raises)
 
 
-def _unit_family(result: fz.TransformResult) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
-    """D, k(1, 0) and k(0, s) of a map's target at scale 1, read off ``fz._family``: k is linear in the label
-    and in the scale, so k(1, 0) = k(1) - k(0) and k(0, s) = s k(0)."""
-    d, _, k_0, _ = fz._family(result.target, 0)
-    return d, fz._family(result.target, 1)[2] - k_0, _S * k_0
-
-
-_TILDE = _unit_family(fz.f_to_b(-1, 0, 0))  # type B (a = 1, c = 0, d = 1), in r = exp(x)
-_CHECK = tuple(map(fz._pull_back_y, _unit_family(fz.f_to_c(-1, 0, 0, 1))))  # type C (b = -1, c = 0), in y = 2 sqrt(r)
 _KINDS = {
-    "tilde": _Kind(*_TILDE, (_Affine((1, 0), 1), _Affine((1, 0), 0)), "eta", False, -1),
-    "check1": _Kind(*_CHECK, (_Affine((0, 2), 0), _Affine((0, 2), 1)), "alpha", True, 1),
-    "check2": _Kind(*_CHECK, (_Affine((0, -2), -2), _Affine((0, -2), -1)), "beta", True, 1),
+    "tilde": _read_kind(partial(fz.f_to_b, -1), "mbar+cbar", "eta", False, -1),  # type B, in r = exp(x)
+    "check1": _read_kind(partial(fz.f_to_c, -1, eps=1), "mhat+chat", "alpha", True, 1),  # type C, in y = 2 sqrt(r)
+    "check2": _read_kind(partial(fz.f_to_c, -1, eps=-1), "mhat+chat", "beta", True, 1),
 }
 
 
@@ -213,23 +207,23 @@ def _member(record: _Kind, sign: int, *weighted: tuple) -> OperatorExpr:
 
 
 def transformed_ladders(kind: str, l: Rational, m: Rational) -> tuple[OperatorExpr, OperatorExpr]:
-    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m): the members +-D + k(label, s)
-    of the kind's family at its family labels, l + 1 and l for tilde, 2m and 2m + 1 for check1."""
+    """Ladder pair (plus, minus) for 'tilde', 'check1' or 'check2' at (l, m): the members +-D + k(label, s) of the
+    kind's family half a label either side of its label, plus at label - raises/2 and minus at label + raises/2."""
     l, m = exact(l, "l"), exact(m, "m")
     record = _kind(kind)
-    return tuple(_member(record, sign, (record.k_unit, label(l, m))) for sign, label in zip((1, -1), record.labels))
+    label = record.label(l, m)
+    return tuple(_member(record, sign, (record.k_unit, label - fz._HALF * record.raises * sign)) for sign in (1, -1))
 
 
 @cache
 def _number_label(kind: str, direction: int) -> tuple[OperatorExpr, OperatorExpr]:
     """The number operator of the generator stepping ``direction``, and k at it and scale 0: the label of the member
-    it uses, the plus member's or the minus member's moved by the generator's step, (dl, dm) = ((dmu + dnu)/2,
-    (dnu - dmu)/2) as mu = l - m and nu = l + m + 1, each read at l = T0 - 1 and m = (N - 1)/2 as operators."""
+    it uses, the kind's label less direction/2, read at l = T0 - 1 and m = (N - 1)/2 as operators, moved for a minus
+    member by the generator's step, (dl, dm) = ((dmu + dnu)/2, (dnu - dmu)/2) as mu = l - m and nu = l + m + 1."""
     record = _kind(kind)
-    minus = record.raises * direction < 0
-    dmu, dnu = step(_prefix(record.axis, record.carries_u, direction)) if minus else (0, 0)
+    dmu, dnu = step(_prefix(record.axis, record.carries_u, direction)) if record.raises * direction < 0 else (0, 0)
     t0, n = opdsl.parse("-i*d/deta"), opdsl.parse("i*d/dalpha - i*d/dbeta")
-    number = record.labels[minus](t0 - 1 + fz._HALF * (dmu + dnu), fz._HALF * (n - 1 + dnu - dmu))
+    number = record.label(t0 - 1 + fz._HALF * (dmu + dnu), fz._HALF * (n - 1 + dnu - dmu)) - fz._HALF * direction
     return number, number * record.k_unit
 
 

@@ -781,11 +781,13 @@ def commutator(a: "OperatorExpr | Rational", b: "OperatorExpr | Rational") -> Op
 def rewrite(op: OperatorExpr, images: Mapping[str, OperatorExpr]) -> OperatorExpr:
     """``op`` with each letter named in ``images`` (a ``Mono`` field, ``s_power`` or ``u_parity``) standing for its
     image and every other letter for itself: one ``product`` per atom of its coefficient and its letters' images
-    raised to their exponents, in normal order (s and u are central), summed in one ``linear_sum``.  A key that
-    names no letter is refused with a ``ValueError`` naming it."""
-    for name in images:
+    raised to their exponents, in normal order (s and u are central), summed in one ``linear_sum``.  A key naming
+    no letter is refused with a ``ValueError``, an image that is no operator with a ``TypeError``, each naming it."""
+    for name, image in images.items():
         if name not in _LETTERS:
             raise ValueError(f"image key {name!r} names no letter: the letters are {', '.join(_LETTERS)}")
+        if not isinstance(image, OperatorExpr):
+            raise TypeError(f"image of {name!r} must be an OperatorExpr, got {type(image).__name__}")
     parts = []
     for mono, sp, up, re, im, den in op.atoms():
         factors = [images[name] ** e if name in images else (_BIAS + (e << shift), 1, 0, 1)

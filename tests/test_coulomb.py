@@ -592,6 +592,20 @@ class TestStates:
         with pytest.raises(ValueError):
             cl.state_tm(1, 0, 0)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: cl.make_state("weyl", (1, 2, 3)), "weyl labels must be a pair (mu, nu), got (1, 2, 3)"),
+        (lambda: cl.QuantumState("su11", (3,)), "su11 labels must be a pair (t, m), got (3,)"),
+        (lambda: cl.QuantumState("weyl", 5), "weyl labels must be a pair (mu, nu), got 5"),
+        (lambda: cl.make_state("su11", 5), "su11 labels must be a pair (t, m), got 5"),
+    ], ids=["make-triple", "single", "int", "make-int"])
+    def test_labels_that_are_not_a_pair_refused(self, make, message):
+        # refused in ladder_move's words, where unpacking them once raised a ValueError or TypeError of its own;
+        # a list pair is still read as the tuple
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+        assert cl.make_state("weyl", [1, 2]) == cl.state_munu(1, 2)
+        assert cl.QuantumState("su11", [3, 1]) == cl.state_tm(3, 1)
+
     def test_charge_range_of_the_float_layer(self):
         for Z in (Fraction(1, 2**64), 2**64):
             assert math.isfinite(cl.normalization_residual(cl.state_tm(3, 1, Z)))

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,9 @@ HALF = Fraction(1, 2)
 LADDER_LABELS = [(0, 0), (1, 0), (3, 1), (Fraction(7, 2), Fraction(3, 2)), (5, 4)]
 # the tilde triple's rows that a wrong T number operator fails
 TILDE_ROWS = ["[T+,T-] == -2*T0", "casimir-normal-form", "[C,T+] == 0", "[C,T-] == 0"]
+SU11_ROWS = ["[T0,T+] == T+", "[T0,T-] == -T-", "[T+,T-] == -2*T0"]
+WEYL_ROWS = ["[A-,A+] == 1", "[B-,B+] == 1", "[A+,B+] == 0", "[A+,B-] == 0", "[A-,B+] == 0", "[A-,B-] == 0"]
+B_ROWS = ["B+ from check2 ladder", "B- from check2 ladder"]
 
 
 @pytest.fixture
@@ -439,31 +443,43 @@ class TestTransformedLadders:
             l, m = (Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(2))
             assert gen.reconstruction_reports(l, m) == at_origin, (l, m)
 
-    @pytest.mark.parametrize("ladder,which,rows", [
-        ("tilde", 0, TILDE_ROWS), ("tilde", 1, TILDE_ROWS),
-        ("check1", 0, ["[A+,B-] == 0", "[A-,B+] == 0", "B+ from check2 ladder"]),
-        ("check1", 1, ["[A+,B-] == 0", "[A-,B+] == 0", "B- from check2 ladder"]),
-        ("check2", 0, ["B+ from check2 ladder"]), ("check2", 1, ["B- from check2 ladder"]),
-    ], ids=["tilde-plus", "tilde-minus", "check1-plus", "check1-minus", "check2-plus", "check2-minus"])
-    @pytest.mark.parametrize("delta", [1, -1])
-    def test_a_label_off_by_one_fails_the_algebra(self, ladder, which, rows, delta, fresh_generators):
-        # the label maps are the one statement of each kind's labels: a plus or minus label constant off by
-        # one moves the number operator read off it, so the tilde triple no longer closes (nor commutes with
-        # its Casimir), A+- no longer commute with B-+ and B+- no longer mirror A+-, and check2's own label
-        # fails its B row
+    @pytest.mark.parametrize("ladder,rows", [
+        ("tilde", ["casimir-normal-form"]), ("check1", ["[A+,B-] == 0", "[A-,B+] == 0", *B_ROWS]), ("check2", B_ROWS),
+    ])
+    @pytest.mark.parametrize("delta", [1, -1, HALF], ids=["plus-1", "minus-1", "plus-half"])
+    def test_a_shifted_label_fails_the_algebra(self, ladder, rows, delta, fresh_generators):
+        # each kind's label is read off its map once: shifted, it moves both members and every number operator
+        # read off it, so T0 no longer reads the Casimir's normal form, A+- no longer commute with B-+ and B+- no
+        # longer mirror A+-, and check2's own label fails its B rows
         record = gen._KINDS[ladder]
-        labels = list(record.labels)
-        labels[which] = gen._Affine(labels[which].coefficients, labels[which].constant + delta)
-        fresh_generators.setitem(gen._KINDS, ladder, gen._Kind(**{**vars(record), "labels": tuple(labels)}))
+        shifted = gen._Kind(**{**vars(record), "label": lambda l, m: record.label(l, m) + delta})
+        fresh_generators.setitem(gen._KINDS, ladder, shifted)
         assert _failed_rows() == rows
 
-    def test_check2_without_the_mirror_fails_the_algebra(self, fresh_generators):
-        # check2 read with check1's labels has the wrong number operators for B+-, which then are not the
-        # alpha <-> beta mirrors of A+-
-        unmirrored = gen._Kind(**{**vars(gen._KINDS["check2"]), "labels": gen._KINDS["check1"].labels})
-        fresh_generators.setitem(gen._KINDS, "check2", unmirrored)
-        assert gen.transformed_ladders("check2", 3, HALF) == gen.transformed_ladders("check1", 3, HALF)
-        assert _failed_rows() == ["B+ from check2 ladder", "B- from check2 ladder"]
+    @pytest.mark.parametrize("ladder,route,key,rows", [
+        ("check2", partial(fz.f_to_c, -1, eps=1), "mhat+chat", B_ROWS),
+        ("tilde", partial(fz.f_to_b, -1), "lbar+cbar", [*SU11_ROWS, *TILDE_ROWS[1:]]),
+        ("check1", partial(fz.f_to_c, -1, eps=1), "lhat+chat", [*WEYL_ROWS, *B_ROWS]),
+    ], ids=["check2-eps+1", "tilde-lbar", "check1-lhat"])
+    def test_a_kind_read_off_the_wrong_map_fails_the_algebra(self, ladder, route, key, rows, fresh_generators):
+        # check2 read off the eps = +1 map takes check1's label, so B+- are no longer the alpha <-> beta mirrors
+        # of A+-; a kind read off its map's other quantum-map key, whose label moves with the other of l and m
+        # or with both, breaks its own algebra
+        record = gen._KINDS[ladder]
+        misread = gen._read_kind(route, key, record.axis, record.carries_u, record.raises)
+        fresh_generators.setitem(gen._KINDS, ladder, misread)
+        assert _failed_rows() == rows
+
+    @pytest.mark.parametrize("ladder,rows", [
+        ("tilde", TILDE_ROWS), ("check1", [*WEYL_ROWS, *B_ROWS]), ("check2", B_ROWS),
+    ])
+    def test_a_flipped_raise_fails_the_algebra(self, ladder, rows, fresh_generators):
+        # the sign of the member that raises picks each generator's member and places it either side of the
+        # label: flipped, every generator takes the member of the other D sign, so T+- no longer close on T0
+        # (nor commute with their Casimir), A+- are no Weyl pair, and B+- no longer mirror A+-
+        record = gen._KINDS[ladder]
+        fresh_generators.setitem(gen._KINDS, ladder, gen._Kind(**{**vars(record), "raises": -record.raises}))
+        assert _failed_rows() == rows
 
     @pytest.mark.parametrize("wrong,rows", [
         (lambda step: lambda op: tuple(-d for d in step(op)),
@@ -479,25 +495,24 @@ class TestTransformedLadders:
         fresh_generators.setattr(gen, "step", wrong(gen.step))
         assert _failed_rows() == rows
 
-    @pytest.mark.parametrize("ladder", ["tilde", "check1", "check2"])
+    @pytest.mark.parametrize("ladder,closed_form", [
+        ("tilde", lambda mu, nu, direction: Fraction(mu + nu + 1, 2)),
+        ("check1", lambda mu, nu, direction: nu - mu - direction),
+        ("check2", lambda mu, nu, direction: mu - nu - direction),
+    ], ids=["tilde", "check1", "check2"])
     @pytest.mark.parametrize("direction", [1, -1])
-    def test_number_operators_read_their_values(self, ladder, direction):
-        # the number operator, read off the label map of the member the generator uses, is the operator
-        # that on the bound state (l, m) reads that map's value at (l, m), moved by the generator's step
-        # for a minus member; the value one off must fail
+    def test_number_operators_read_their_values(self, ladder, closed_form, direction):
+        # on the bound state (mu, nu) each number operator reads the module docstring's closed form, with
+        # N = nu - mu: T0 = (mu + nu + 1)/2 for T+-, N -+ 1 for A+- and -N -+ 1 for B+-; the value one off must fail
         from ladder_forge import coulomb
 
-        record = gen._kind(ladder)
-        minus = record.raises * direction < 0
-        dmu, dnu = gen.step(gen._generator(ladder, direction)) if minus else (0, 0)
         number = gen._number_label(ladder, direction)[0]
         rho = coulomb.gauss_laguerre(12)[0]
         for nu in range(8):
             for mu in range(nu + 1):
                 state = coulomb.state_munu(mu, nu)
-                l, m = Fraction(mu + nu - 1, 2), Fraction(nu - mu - 1, 2)
                 lhs, profile = coulomb.act(number, state, rho), state.scaled_profile(rho)
-                value = record.labels[minus](l + Fraction(dmu + dnu, 2), m + Fraction(dnu - dmu, 2))
+                value = closed_form(mu, nu, direction)
                 scale = max(1, abs(value)) * np.max(np.abs(profile))
                 assert np.max(np.abs(lhs - float(value) * profile)) <= 1e-12 * scale, (mu, nu)
                 assert np.max(np.abs(lhs - float(value + 1) * profile)) > 0.5 * np.max(np.abs(profile)), (mu, nu)

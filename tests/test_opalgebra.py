@@ -544,7 +544,7 @@ def _count_fractions(monkeypatch) -> dict:
 
 def test_warm_identity_checks_read_numbers_as_integers(monkeypatch):
     # a reconstruction does no label arithmetic, as its number operators are
-    # read off the label maps once, and a factorization check reads its
+    # read off each kind's label once, and a factorization check reads its
     # parameters and label as integers over one denominator: a warm
     # reconstruction builds at most 1 Fraction (``exact``'s of an int label;
     # 43-44 with Fraction label arithmetic) and a warm B, C or F check at most
@@ -896,6 +896,16 @@ def test_rewrite_refuses_a_key_that_names_no_letter():
     for target in (op, oa.zero()):
         with pytest.raises(ValueError, match="^image key 's' names no letter: the letters are r2, ke, .*, u_parity$"):
             oa.rewrite(target, {"ka": oa.phase("beta", 1), "s": oa.scalar(3)})
+
+
+@pytest.mark.parametrize("image,kind", [(1, "int"), (Fraction(1, 2), "Fraction"), ("r", "str")],
+                         ids=["int", "Fraction", "str"])
+def test_rewrite_refuses_an_image_that_is_no_operator(image, kind):
+    # a number or a text image once reached product or ** and raised from deep inside, an AttributeError
+    # on _terms or a TypeError from **; it is refused up front with the key it sits under
+    for target in (opdsl.parse("r"), oa.zero()):
+        with pytest.raises(TypeError, match=f"^image of 'r2' must be an OperatorExpr, got {kind}$"):
+            oa.rewrite(target, {"s_power": oa.scalar(3), "r2": image})
 
 
 def test_only_opalgebra_lays_out_an_atom_key():

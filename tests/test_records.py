@@ -39,8 +39,7 @@ RECORDS = {
     "Token": (opdsl.Token, dict(kind="symbol", lexeme="r", pos=0), {}, ()),
     "Algebra": (gen.Algebra, dict(generators=gen.build_T, reports=gen.su11_reports, dimension=3), {}, ()),
     "_Kind": (gen._Kind, {key: getattr(gen._KINDS["check1"], key) for key in (
-        "d", "k_unit", "k_s", "labels", "axis", "carries_u", "raises")}, {}, ()),
-    "_Affine": (gen._Affine, dict(coefficients=(0, 2), constant=1), {}, ()),
+        "d", "k_unit", "k_s", "label", "axis", "carries_u", "raises")}, {}, ()),
     "Ladder": (gen.Ladder, dict(kind="weyl", member="Aplus", ladder="check1", sign=1), {}, ()),
 }
 
