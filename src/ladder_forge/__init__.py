@@ -11,7 +11,7 @@ The package has three layers:
   Heisenberg-Weyl generators they assemble into, all checked symbolically.
 * ``coulomb``: hydrogen-like bound states and quadrature-exact numerical
   confirmation of the closed-form generator actions.  Only this layer imports
-  numpy.
+  numpy, at its first float check.
 
 ``cli`` exposes the same checks as a command line tool.
 
@@ -19,7 +19,8 @@ Every layer loads on first use: a bare ``import ladder_forge`` loads no
 submodule, and each name of ``__all__`` loads its home module (``_HOMES``), and
 what that module imports, the first time it is read.  So ``parse`` loads
 ``opalgebra`` and ``opdsl``, ``f_to_b`` ``opalgebra`` and ``factorizations``,
-and only the five names from ``coulomb`` load numpy.
+and ``state_tm`` ``coulomb`` with the algebra layers.  No name loads numpy:
+``coulomb`` imports it at its first float check.
 """
 
 import importlib

@@ -8,7 +8,7 @@ Each subcommand imports the layers it reads when it runs, and no others:
 ``parse`` and ``commutator`` load ``opalgebra`` and ``opdsl``, ``transform``
 loads ``factorizations`` (with ``opalgebra``), ``verify-algebra`` and
 ``casimir`` load ``generators`` (with the three above), and only the two
-Coulomb subcommands load ``coulomb`` and numpy.
+Coulomb subcommands load ``coulomb``, whose first float check loads numpy.
 
 Reports are emitted as text or JSON.  The JSON document always has the shape
 
@@ -218,7 +218,7 @@ def _action_rows(reports) -> list[dict]:
 
 
 def _cmd_coulomb_verify(args) -> int:
-    from . import coulomb  # numpy loads here, after the algebra layers; no other subcommand loads it
+    from . import coulomb  # its first float check loads numpy; no other subcommand loads it
     # each row's quadrature order follows the largest principal label it reaches: T+ lifts t_max to
     # n = t_max + 1, and A+ or B+ lifts the largest odd mu + nu the weyl grid holds by half a level
     top = min(args.mu_max + args.nu_max, 2 * args.nu_max - 1)  # the largest odd mu + nu is top - 1 + top % 2

@@ -55,21 +55,41 @@ Exact values stay at the edges, where a value is reported or checked: Z, gamma,
 the dragged charge, the radicand, the energy and norm_sq.  A float check reads its
 numbers (n, mu, nu, p, l(l+1), the quadrature order) straight from the integer
 labels ``munu``, each the correctly rounded value of the exact rational.
+
+numpy loads at the first float check (a quadrature, profile, action or
+residual), not with this module: ``np`` starts as a stand-in whose first
+attribute read imports numpy and rebinds ``np`` to it.  States, their exact
+properties, ``action_radicand``, ``action_coefficient``, ``shifted_state`` and
+``charge_shift`` run without numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
-# the algebra before numpy: imported after it, the same modules raise a process's peak RSS by about 2 MiB
 from . import generators, opalgebra
 from .opalgebra import OperatorExpr, Record, exact, exact_int
 
-import numpy as np
+
+class _Numpy:
+    """Stands in for numpy until its first attribute read, which imports numpy and rebinds the module's ``np`` to it,
+    so later reads are plain global lookups.  Threads reading it at once each get numpy whole: a second ``import``
+    waits on the first's module lock."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 DEFAULT_QUAD_ORDER = 40
 # a bound on memory, not a tuning: the cached Laguerre windows' bytes in all (the 975 that 1,350 coulomb-checks
@@ -233,8 +253,19 @@ def _node_arrays(order: int) -> tuple:
 
 
 def _nonnegative(x, name: str):
-    """``x`` as a float array; a negative or NaN entry, where the profiles turn NaN, raises ``ValueError``."""
-    x = np.asarray(x, dtype=float)
+    """``x``, a real number or an array of them, as a float array.  Any other entry (text, bytes, None, a complex)
+    raises ``TypeError``; one past the float range (an int such as 10**400), or a negative or NaN entry, where the
+    profiles turn NaN, raises ``ValueError``."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":  # no bool, int or float array: each entry must be a real number
+        for entry in x.astype(object).flat:  # a Decimal is a Number, though no Complex
+            if not (isinstance(entry, numbers.Real) or isinstance(entry, numbers.Number)
+                    and not isinstance(entry, numbers.Complex)):
+                raise TypeError(f"{name} must be a real number or an array of them, got {type(entry).__name__}")
+    try:
+        x = np.asarray(x, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must lie in the float range, got an entry past it") from None
     lowest = np.minimum.reduce(x, axis=None, initial=0.0)  # 0.0 for an empty x; NaN if any entry is
     if not lowest >= 0:
         least = np.fmin.reduce(x, axis=None, initial=0.0)  # the least entry past a NaN, on the refusal only

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -1050,6 +1051,38 @@ class TestActionAtZero:
             with pytest.raises(ValueError, match=f"leaves the float range at rho = {re.escape(str(rho))}$"):
                 call(rhos)
         assert np.isfinite(call([0.0, 2.0, 100.0])).all()
+
+    RHO_CALLS = [
+        (lambda rho: cl.act(gen.build_T()["Tplus"], cl.state_tm(2, 0), rho), "rho"),
+        (lambda rho: cl.state_tm(2, 0).scaled_profile(rho), "rho"),
+        (lambda r: cl.state_tm(2, 0).radial(r), "r"),
+    ]
+
+    @pytest.mark.parametrize("call,name", RHO_CALLS, ids=["act", "scaled-profile", "radial"])
+    def test_rho_that_is_no_real_number_refused(self, call, name):
+        # text was parsed as a number and None read as NaN; each is refused by its type, in any shape
+        for rho, kind in (("1e5", "str"), (" 3 ", "str"), (b"2", "bytes"), (["1", 2.0], "str"),
+                          (None, "NoneType"), ([None], "NoneType"), ([[0.5, 1.0], [None, 2.0]], "NoneType"),
+                          (1j, "complex"), ([1.0, 2j], "complex"), (np.array([0.5 + 0j]), "complex"),
+                          (object(), "object")):
+            with pytest.raises(TypeError, match=f"^{name} must be a real number or an array of them, got {kind}$"):
+                call(rho)
+
+    @pytest.mark.parametrize("call,name", RHO_CALLS, ids=["act", "scaled-profile", "radial"])
+    def test_int_past_the_float_range_refused(self, call, name):
+        # an int past the float range raised a bare OverflowError; it is refused as a huge float rho is
+        for rho in (10**400, -(10**400), [1, 10**400], [[0, 2], [10**400, 1]], 2**1024):
+            with pytest.raises(ValueError, match=f"^{name} must lie in the float range, got an entry past it$"):
+                call(rho)
+
+    @pytest.mark.parametrize("call,name", RHO_CALLS, ids=["act", "scaled-profile", "radial"])
+    def test_real_rho_reads_as_its_float_array(self, call, name):
+        # every real rho, in any container, reads bit for bit as np.asarray(rho, dtype=float) did
+        for rho in (2, 2.5, True, [0, 1, 2], [0.5, 3], [[1, 2.5], [0, 4]], np.arange(4), np.float32(0.1),
+                    np.array([1, 7], dtype=np.int8), np.array([3, 9], dtype=np.uint64), [2**64 - 1, 3], 2**70,
+                    [2**100, 0.5], Fraction(1, 3), [Fraction(7, 2), 1], Decimal("0.5"), np.array([0.25, 7.0]), []):
+            got, want = call(rho), call(np.asarray(rho, dtype=float))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes() and np.shape(got) == np.shape(want), rho
 
 
 class TestEigenequationResiduals:

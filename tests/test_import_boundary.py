@@ -1,7 +1,10 @@
-"""Each layer loads on first use; only the float layer loads numpy.
+"""Each layer loads on first use, and numpy at the first float check.
 
 A bare ``import ladder_forge`` loads no submodule, and each name of
 ``__all__`` loads its home module, and what that imports, when first read.
+Importing ``coulomb`` loads no numpy: states, their exact properties and the
+exact ladder steps run with numpy blocked, and the first quadrature, profile,
+action or residual imports it, in whichever thread comes first.
 Each subcommand loads only the layers it reads: ``parse`` and ``commutator``
 run with ``generators`` and ``factorizations`` blocked, and every
 ``transform`` route with ``generators`` and ``opdsl`` blocked, so none of
@@ -107,12 +110,11 @@ import sys
 import ladder_forge
 for home, names in HOMES.items():  # a home is loaded only once one of its names is read
     module = 'ladder_forge.' + home
-    assert module not in sys.modules and 'numpy' not in sys.modules, home
+    assert module not in sys.modules, home
     for name in names:
         assert getattr(ladder_forge, name) is getattr(sys.modules[module], name), name
 assert set(ladder_forge.__all__) == {'__version__', *(name for names in HOMES.values() for name in names)}
 from ladder_forge import state_tm
-assert 'numpy' in sys.modules
 from ladder_forge.coulomb import QuantumState
 assert ladder_forge.QuantumState is QuantumState
 assert ladder_forge.coulomb.state_tm(2, 1).munu == state_tm(2, 1).munu
@@ -126,9 +128,78 @@ except AttributeError as exc:
     assert 'no_such_name' in str(exc)
 else:
     raise AssertionError('unknown attribute did not raise')
+assert 'numpy' not in sys.modules  # every name read and a state built: numpy waits for a float check
+assert ladder_forge.coulomb.normalization_residual(state_tm(2, 1)) < 1e-12
+assert 'numpy' in sys.modules and ladder_forge.coulomb.np is sys.modules['numpy']
 """
     proc = fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_state_work_runs_with_numpy_blocked():
+    # states, their exact properties and the exact ladder steps read no numpy; the first float
+    # check raises numpy's own ImportError
+    script = """
+import math, sys
+sys.modules['numpy'] = None
+from fractions import Fraction
+from ladder_forge import coulomb
+state = coulomb.state_tm(2, 1)
+assert state.energy == Fraction(-1, 8) and state.munu == (0, 3)
+assert coulomb.state_munu(0, 3).munu == state.munu
+assert coulomb.make_state('weyl', (0, 3), 2) == coulomb.QuantumState('weyl', (0, 3), Fraction(2))
+assert coulomb.action_radicand(state, 'T+') == (-1, 6)
+assert coulomb.action_coefficient(state, 'T+') == -math.sqrt(6)
+assert coulomb.shifted_state(state, 'T+') == coulomb.state_tm(3, 1, Fraction(3, 2))
+assert coulomb.shifted_state(state, 'T+').energy == state.energy
+try:
+    coulomb.normalization_residual(state)
+except ImportError as exc:
+    assert 'import of numpy halted' in str(exc), exc
+else:
+    raise AssertionError('a float check ran without numpy')
+"""
+    proc = fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+# four first float checks on different states, each printed as its repr, which reads back bit for bit
+FIRST_CHECKS = """
+import sys, threading
+from ladder_forge import coulomb
+calls = [(coulomb.normalization_residual, coulomb.state_tm(3, 1)),
+         (coulomb.action_report, coulomb.state_tm(2, 0), 'T+'),
+         (coulomb.normalization_residual, coulomb.state_munu(1, 4, 3)),
+         (coulomb.action_report, coulomb.state_munu(0, 3), 'B-')]
+assert 'numpy' not in sys.modules
+results = [None] * len(calls)
+if sys.argv[1] == 'threads':
+    sys.setswitchinterval(1e-6)  # switch threads often, inside numpy's import too
+    start = threading.Barrier(len(calls))
+
+    def run(k):
+        check, *args = calls[k]
+        start.wait()  # every thread's first numpy read comes at once
+        results[k] = check(*args)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+else:
+    results = [check(*args) for check, *args in calls]
+assert None not in results, results  # a thread that raised left its None
+print(repr(results))
+"""
+
+
+def test_first_float_checks_in_four_threads_equal_a_serial_run():
+    threaded, serial = (fresh_python("-c", FIRST_CHECKS, mode) for mode in ("threads", "serial"))
+    assert threaded.returncode == 0 and not threaded.stderr, threaded.stderr
+    assert serial.returncode == 0, serial.stderr
+    assert threaded.stdout == serial.stdout
 
 
 @pytest.mark.parametrize("argv", [
