@@ -354,7 +354,7 @@ class QuantumState(Record):
     def norm_sq(self) -> Fraction:
         """Exact square of the profile normalization constant."""
         mu, nu = self.munu
-        return self.gamma * Fraction(math.factorial(mu), (mu + nu + 1) * math.factorial(nu))
+        return self.gamma / ((mu + nu + 1) * math.prod(range(mu + 1, nu + 1)))  # mu!/nu!: the nu - mu factors between
 
     @property
     def power(self) -> Fraction:
@@ -514,9 +514,10 @@ def act(op: OperatorExpr, state: QuantumState, rho):
     the result is one log-space prefactor N rho**(low/2) times the sum of c rho**((2e-low)/2) L^(i): one formula for
     every rho, rho = 0 included.  Raises ``ValueError`` when an atom of ``op`` has nonzero gamma-degree, a coefficient
     of its rho-form is not real or lies outside [2**-1022, 2**1022], its atoms carry different phases, a rho is
-    negative or NaN, the result is infinite at a rho = 0 entry, or it leaves the float range.
+    negative or NaN, the result is infinite at a rho = 0 entry, or it leaves the float range, and ``TypeError`` when
+    ``op`` is no operator (a ladder's name such as "T+" included) or a rho no real number.
     """
-    return _act(op, state, _nonnegative(rho, "rho"))
+    return _act(opalgebra._operand(op, "op"), state, _nonnegative(rho, "rho"))
 
 
 def _act(op: OperatorExpr, state: QuantumState, rho, table=None, log_rho=None):
@@ -584,13 +585,18 @@ def action_report(
     the source's for an annihilation) read their (order, alpha) windows, so P
     is ``scaled_profile`` at the nodes bit for bit.
     """
+    return _report(state, operator, tol, _step(state, operator))
+
+
+def _report(state: QuantumState, operator: str, tol: float | None, step: tuple) -> ActionReport:
+    """``action_report`` from the ``_step`` of ``operator`` on ``state``, which a sweep derives once per pair."""
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     coeff_tol, profile_tol = (COEFF_TOL, PROFILE_TOL) if tol is None else (tol, tol)
-    sign, radicand, *_ = step = _step(state, operator)
+    sign, radicand, *_ = step
     target = _target(state, operator, step) if radicand else None  # refuses a dragged charge before any work
     ref = state if target is None else target  # the state whose profile P the check divides by
-    order = normalization_order((max(sum(state.munu), sum(ref.munu)) + 1) // 2)
+    order = _action_order(state, step)
     nodes, weights, log_nodes, *_ = _node_arrays(order)
     lhs = _act(generators.LADDERS[operator].operator(), state, nodes, _node_table(order, state), log_nodes)
     P = ref._profile(nodes, log_nodes, _node_table(order, ref)[ref.degree])
@@ -616,9 +622,25 @@ def action_report(
     )
 
 
+def _action_order(state: QuantumState, step: tuple) -> int:
+    """``action_report``'s quadrature order: ``normalization_order`` at the larger principal label of ``state`` and
+    its ``_step``'s target, or of ``state`` alone for an annihilation (radicand 0)."""
+    _, radicand, target, _ = step
+    return normalization_order((max(sum(state.munu), sum(target) if radicand else 0) + 1) // 2)
+
+
 def _sweep(kind: str, states, tol: float | None) -> list[ActionReport]:
-    ops = [op for op, lad in generators.LADDERS.items() if lad.kind == kind]
-    return [action_report(st, op, tol) for st in states for op in ops]
+    """``action_report`` on each state of the grid with each ladder of ``kind``.  Each pair's ``_step`` and
+    ``_action_order`` are read as the grid yields it, before the first report: the first pair past
+    ``MAX_QUAD_ORDER`` raises ``ValueError`` naming the ladder, the state and the order."""
+    ops, pairs = [op for op, lad in generators.LADDERS.items() if lad.kind == kind], []
+    for st in states:
+        for op in ops:
+            if (order := _action_order(st, step := _step(st, op))) > MAX_QUAD_ORDER:
+                raise ValueError(f"{op} on {st.family} state {st.labels} needs quadrature order {order}, "
+                                 f"past the float limit {MAX_QUAD_ORDER}")
+            pairs.append((st, op, step))
+    return [_report(st, op, tol, step) for st, op, step in pairs]
 
 
 def _sweep_charge(Z) -> Fraction:
@@ -641,10 +663,11 @@ def sweep_weyl(mu_max: int = 5, nu_max: int = 7, Z=1, tol: float | None = None) 
     """All A+-, B+- actions over the odd-gap grid mu <= mu_max, nu <= nu_max.
 
     nu - mu is kept odd so every integrand is polynomial and the quadrature
-    exact; these are the states shared with the su11 labeling.
+    exact; these are the states shared with the su11 labeling.  A state needs
+    mu < nu, so the grid stops below ``nu_max`` whatever ``mu_max`` is.
     """
     mu_max, nu_max, Z = exact_int(mu_max, "mu_max"), exact_int(nu_max, "nu_max"), _sweep_charge(Z)
-    states = (state_munu(mu, nu, Z) for mu in range(mu_max + 1)
+    states = (state_munu(mu, nu, Z) for mu in range(min(mu_max + 1, nu_max))
               for nu in range(mu + 1, nu_max + 1, 2))
     return _sweep("weyl", states, tol)
 

@@ -590,6 +590,13 @@ _ZERO = OperatorExpr._wrap({}, 1)  # zero()
 _I, _U = OperatorExpr._wrap({_BIAS: (0, 1)}, 1), OperatorExpr._wrap({_BIAS + 1: (1, 0)}, 1)  # imag(), u_sym()
 
 
+def _operand(value, name: str) -> OperatorExpr:
+    """``value``; any value that is no ``OperatorExpr`` raises ``TypeError`` naming ``name`` and its type."""
+    if not isinstance(value, OperatorExpr):
+        raise TypeError(f"{name} must be an OperatorExpr, got {type(value).__name__}")
+    return value
+
+
 # -- constructors --------------------------------------------------------
 
 
@@ -782,12 +789,13 @@ def rewrite(op: OperatorExpr, images: Mapping[str, OperatorExpr]) -> OperatorExp
     """``op`` with each letter named in ``images`` (a ``Mono`` field, ``s_power`` or ``u_parity``) standing for its
     image and every other letter for itself: one ``product`` per atom of its coefficient and its letters' images
     raised to their exponents, in normal order (s and u are central), summed in one ``linear_sum``.  A key naming
-    no letter is refused with a ``ValueError``, an image that is no operator with a ``TypeError``, each naming it."""
+    no letter is refused with a ``ValueError``, an ``op`` or image that is no operator with a ``TypeError``, each
+    naming it."""
+    _operand(op, "op")
     for name, image in images.items():
         if name not in _LETTERS:
             raise ValueError(f"image key {name!r} names no letter: the letters are {', '.join(_LETTERS)}")
-        if not isinstance(image, OperatorExpr):
-            raise TypeError(f"image of {name!r} must be an OperatorExpr, got {type(image).__name__}")
+        _operand(image, f"image of {name!r}")
     parts = []
     for mono, sp, up, re, im, den in op.atoms():
         factors = [images[name] ** e if name in images else (_BIAS + (e << shift), 1, 0, 1)

@@ -36,14 +36,15 @@ numbers, read in integers, times its factors' atom forms from a bounded cache.
 While no derivative meets a function on its own axis, the term is one ``opalgebra.fold``
 of its factors' forms, keys added with a bound test at each step; otherwise, or with a
 sum raised by the descent's own ``**``, the term is one ``opalgebra.product``.
-The terms are one ``opalgebra.linear_sum``.  Any other text, and any plain one that
-raises a ``ValueError``, goes whole to the descent over the fine lexemes of
-``tokenize``, which alone reports errors.  There every factor but a parenthesised
-sum is an ``opalgebra`` atom form, negated and raised (``opalgebra.atom_power``)
-without an operator, a term of several factors is one ``opalgebra.product``, and
-each sum is one ``opalgebra.linear_sum`` over atom forms and operators.  ``render``
-reads each atom's sort key and factor text from a bounded cache on its packed key,
-the mirror of ``_factor``, sorts the atoms once and prints their integer numerators.
+The terms are one ``opalgebra.linear_sum``.  Any other text, and any plain one that raises
+a ``ValueError``, goes whole to the descent, which alone reports errors.  It reads ``tokenize``'s
+tokens, each fine lexeme with its position from one scan: a bad character raises in that scan,
+and an error at the position its token holds.  There every factor but a parenthesised sum is an
+``opalgebra`` atom form, negated and raised (``opalgebra.atom_power``) without an operator, a term
+of several factors is one ``opalgebra.product``, and each sum is one ``opalgebra.linear_sum``
+over atom forms and operators.  ``render`` reads each atom's sort key and factor text
+from a bounded cache on its packed key, the mirror of ``_factor``, sorts the atoms once
+and prints their integer numerators.
 """
 
 from __future__ import annotations
@@ -145,34 +146,30 @@ _PHASE_PARTS = {"i": "i", **{axis: "angle name" for axis in PHASE_AXES}}
 
 class _Parser:
     def __init__(self, text: str):
-        self.text, self.index = text, 0
-        self.lexemes = [lexeme for lexeme, _ in _TOKEN_RE.findall(text)]
-        if "" in self.lexemes:  # an unrecognized character: tokenize raises at it
-            tokenize(text)
-        self.lexemes.append("")  # the end
+        self.tokens, self.index = tokenize(text), 0  # a bad character raises from the one scan
 
     def fail(self, index: int, message: str, expected: tuple[str, ...] = ()):
-        """Raise at lexeme ``index``: only an error scans for positions."""
-        raise OperatorSyntaxError(tokenize(self.text)[index].pos, message, expected)
+        """Raise at token ``index``, at the position ``tokenize`` read with it: no error scans the text again."""
+        raise OperatorSyntaxError(self.tokens[index].pos, message, expected)
 
-    def advance(self) -> str:
-        lexeme = self.lexemes[self.index]
+    def advance(self) -> Token:
+        token = self.tokens[self.index]
         self.index += 1
-        return lexeme
+        return token
 
     def accept(self, lexeme: str) -> bool:
-        if self.lexemes[self.index] == lexeme:
+        if self.tokens[self.index].lexeme == lexeme:
             self.index += 1
             return True
         return False
 
     def expect(self, lexeme: str) -> None:
         if not self.accept(lexeme):
-            self.fail(self.index, f"found {_describe(self.lexemes[self.index])}", (repr(lexeme),))
+            self.fail(self.index, f"found {_describe(self.tokens[self.index].lexeme)}", (repr(lexeme),))
 
     def parse(self) -> OperatorExpr:
         value = self.parse_expr()
-        lexeme = self.lexemes[self.index]
+        lexeme = self.tokens[self.index].lexeme
         if lexeme:
             self.fail(self.index, f"trailing input {_describe(lexeme)}", ("'+'", "'-'", "'*'", "end of input"))
         return value
@@ -180,14 +177,14 @@ class _Parser:
     def parse_expr(self) -> OperatorExpr:
         # all terms first, then one n-ary sum: a fold of binary + is quadratic
         pairs = [(self.parse_term(), 1)]
-        while self.lexemes[self.index] in ("+", "-"):
-            sign = 1 if self.advance() == "+" else -1
+        while self.tokens[self.index].lexeme in ("+", "-"):
+            sign = 1 if self.advance().lexeme == "+" else -1
             pairs.append((self.parse_term(), sign))
         return opalgebra.linear_sum(pairs)
 
     def parse_term(self) -> "OperatorExpr | tuple":
         value = self.parse_unary()
-        if self.lexemes[self.index] != "*":  # one factor, summed as it is
+        if self.tokens[self.index].lexeme != "*":  # one factor, summed as it is
             return value
         factors = [value]
         while self.accept("*"):
@@ -213,12 +210,12 @@ class _Parser:
 
     def parse_integer(self, what: str, expected: str) -> int:
         sign = -1 if self.accept("-") else 1
-        lexeme = self.advance()
-        if _kind(lexeme) != "number":
-            self.fail(self.index - 1, f"found {_describe(lexeme)}", (expected,))
-        if "/" in lexeme:
-            self.fail(self.index - 1, f"{what} {lexeme!r} is not an integer")
-        return sign * self.number(lexeme)[0]
+        token = self.advance()
+        if token.kind != "number":
+            self.fail(self.index - 1, f"found {_describe(token.lexeme)}", (expected,))
+        if "/" in token.lexeme:
+            self.fail(self.index - 1, f"{what} {token.lexeme!r} is not an integer")
+        return sign * self.number(token.lexeme)[0]
 
     def number(self, lexeme: str) -> tuple[int, int]:
         num, _, den = lexeme.partition("/")
@@ -228,12 +225,12 @@ class _Parser:
             self.fail(self.index - 1, f"number {lexeme[:12]!r}... has too many digits")
 
     def parse_atom(self) -> "OperatorExpr | tuple":
-        lexeme = self.advance()
+        token = self.advance()
+        lexeme = token.lexeme
         leaf = _LEAVES.get(lexeme)
         if leaf is not None:
             return leaf
-        kind = _kind(lexeme)
-        if kind == "number":
+        if token.kind == "number":
             num, den = self.number(lexeme)
             if not den:
                 self.fail(self.index - 1, f"number {lexeme!r} has a zero denominator")
@@ -247,7 +244,7 @@ class _Parser:
         elif lexeme == "exp":
             self.expect("(")
             value = self.parse_phase_arg()
-        elif kind == "symbol":
+        elif token.kind == "symbol":
             self.fail(self.index - 1, f"unknown symbol {lexeme!r}", (*_SYMBOLS, "sqrt", "exp"))
         else:
             self.fail(self.index - 1, f"found {_describe(lexeme)}", ("number", "symbol", "derivative", "'('"))
@@ -259,14 +256,13 @@ class _Parser:
         sign = -1 if self.accept("-") else 1
         seen: dict[str, int | str] = {}
         while True:
-            lexeme = self.lexemes[self.index]
-            number = _kind(lexeme) == "number"
+            lexeme, number = self.tokens[self.index].lexeme, self.tokens[self.index].kind == "number"
             part = "integer factor" if number else _PHASE_PARTS.get(lexeme)
             if part is None:
                 self.fail(self.index, f"found {_describe(lexeme)}", ("integer", "'i'", "'eta'", "'alpha'", "'beta'"))
             if part in seen:
                 self.fail(self.index, f"repeated {part} in phase argument")
-            seen[part] = self.parse_integer("phase winding", "integer") if number else self.advance()
+            seen[part] = self.parse_integer("phase winding", "integer") if number else self.advance().lexeme
             if not self.accept("*"):
                 break
         if "i" not in seen or "angle name" not in seen:
@@ -389,9 +385,10 @@ def _key_text(key: int) -> tuple:
 
 
 def render(expr: OperatorExpr) -> str:
-    """Canonical text form; deterministic and exactly invertible by parse."""
+    """Canonical text form; deterministic and exactly invertible by parse.  ``TypeError`` if ``expr`` is no operator."""
     pieces: list[tuple[str, str]] = []
-    rows = sorted([(_key_text(key), re, im) for key, (re, im) in expr._terms.items()], key=itemgetter(0))
+    terms = opalgebra._operand(expr, "expr")._terms
+    rows = sorted([(_key_text(key), re, im) for key, (re, im) in terms.items()], key=itemgetter(0))
     for key_text, real, imag in rows:
         try:
             sign, coeff_body = _fmt_gauss(real, imag, expr._den)

@@ -22,6 +22,7 @@ from ladder_forge import factorizations as fz
 from ladder_forge import generators as gen
 from ladder_forge import opalgebra as oa
 
+from test_import_boundary import fresh_python
 from test_opalgebra import _SAL, _SBE, _SETA, _SR, _SS, _sympy_apply
 
 GENERATORS = {
@@ -624,6 +625,18 @@ class TestStates:
         for Z in (2**63, Fraction(1, 2**63)):
             assert all(rep.passed for rep in sweep(Z))
 
+    def test_norm_sq_reads_only_the_factors_between_mu_and_nu(self, monkeypatch):
+        # mu!/nu! is 1 over the nu - mu factors above mu; building both factorials took about 17 s here
+        factorial = math.factorial
+
+        def small_factorial(n):
+            assert n <= 10**4, f"factorial({n}) built whole"
+            return factorial(n)
+
+        monkeypatch.setattr(cl.math, "factorial", small_factorial)
+        # t = 10**6, m = 3: mu = 999,996, nu = 1,000,003, gamma = 2/10**6 and mu + nu + 1 = 2 * 10**6
+        assert cl.state_tm(10**6, 3).norm_sq == Fraction(1, 10**12 * math.prod(range(999_997, 1_000_004)))
+
     def test_even_gap_state_is_representable(self):
         # single A/B steps leave the shared grid; labels stay valid
         state = cl.state_munu(1, 1)
@@ -855,6 +868,43 @@ class TestActions:
     def test_order_past_the_float_limit_refused(self):
         with pytest.raises(ValueError, match="^quadrature order 502 is past the float limit 184$"):
             cl.action_report(cl.state_munu(0, 1001), "B+")
+
+    def test_weyl_grid_stops_below_nu_max(self):
+        # a state needs mu < nu <= nu_max, so mu_max = 10**12 builds the 9 states of mu_max = 4; a grid that
+        # walked every mu up to mu_max would run for days, which the fresh process's timeout turns into a failure
+        code = """if True:
+            from ladder_forge import coulomb as cl
+            built, make = [], cl.state_munu
+            cl.state_munu = lambda *args: built.append(args[:2]) or make(*args)
+            huge = cl.sweep_weyl(10**12, 5)
+            cl.state_munu = make
+            print(len(built), huge == cl.sweep_weyl(4, 5))"""
+        proc = fresh_python("-c", code)
+        assert proc.stdout.split() == ["9", "True"], proc.stderr
+
+    @pytest.mark.parametrize("sweep", [lambda: cl.sweep_su11(184), lambda: cl.sweep_weyl(0, 1001)],
+                             ids=["su11", "weyl"])
+    def test_sweep_past_the_ceiling_runs_no_report(self, monkeypatch, sweep):
+        # each pair's order is read as the grid yields it, before the first report: the first past the
+        # ceiling is refused where 17 s of reports ran before gauss_laguerre refused order 185
+        calls = []
+        monkeypatch.setattr(cl, "_report", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="needs quadrature order 185, past the float limit 184$"):
+            sweep()
+        assert calls == []
+
+    @pytest.mark.parametrize("at_bound, past, pair", [
+        (lambda: cl.sweep_su11(182), lambda: cl.sweep_su11(183), "T+ on su11 state (183, 0)"),
+        (lambda: cl.sweep_weyl(0, 366), lambda: cl.sweep_weyl(0, 367), "A+ on weyl state (0, 367)"),
+        (lambda: cl.sweep_weyl(183, 183), lambda: cl.sweep_weyl(184, 184), "A+ on weyl state (183, 184)"),
+    ], ids=["su11", "weyl-nu", "weyl-diagonal"])
+    def test_sweep_refuses_the_first_pair_past_the_ceiling(self, monkeypatch, at_bound, past, pair):
+        # README's bounds: the T+ rows reach n = t + 1, and the A+ and B+ rows lift the largest odd mu + nu by half
+        monkeypatch.setattr(cl, "_report", lambda state, op, tol, step: (state.labels, op))
+        assert at_bound()
+        message = f"{pair} needs quadrature order 185, past the float limit 184"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            past()
 
     def test_unsound_quadrature_norm_refused(self, monkeypatch):
         # at order 1 the one node is rho = 1, the root of L^(0)_1, so the target (1, 1) reads 0 there

@@ -17,7 +17,7 @@ from ladder_forge import coulomb as cl
 from ladder_forge import opalgebra as oa, opdsl
 from ladder_forge.factorizations import TypeB, TypeC, TypeF, factorization_residuals
 from ladder_forge.generators import (ALGEBRAS, LADDERS, build_T, casimir, casimir_reports, closure_report,
-                                    reconstruction_reports, sp4_bilinears, su11_reports, weyl_reports)
+                                    reconstruction_reports, sp4_bilinears, step, su11_reports, weyl_reports)
 
 from _gen import (PHASES, class_operators, operators, random_class_operator, random_operator, random_term,
                   term_from, terms)
@@ -906,6 +906,19 @@ def test_rewrite_refuses_an_image_that_is_no_operator(image, kind):
     for target in (opdsl.parse("r"), oa.zero()):
         with pytest.raises(TypeError, match=f"^image of 'r2' must be an OperatorExpr, got {kind}$"):
             oa.rewrite(target, {"s_power": oa.scalar(3), "r2": image})
+
+
+@pytest.mark.parametrize("value,kind", [("T+", "str"), (None, "NoneType"), (1, "int")], ids=["str", "None", "int"])
+@pytest.mark.parametrize("call,name", [
+    (lambda value: cl.act(value, cl.state_tm(3, 1), 1.0), "op"),
+    (lambda value: oa.rewrite(value, {}), "op"),
+    (step, "op"),
+    (opdsl.render, "expr"),
+], ids=["act", "rewrite", "step", "render"])
+def test_an_operand_that_is_no_operator_refused(call, name, value, kind):
+    # a ladder's name, None or a number once raised an AttributeError on .atoms or ._terms from inside
+    with pytest.raises(TypeError, match=f"^{name} must be an OperatorExpr, got {kind}$"):
+        call(value)
 
 
 def test_only_opalgebra_lays_out_an_atom_key():
